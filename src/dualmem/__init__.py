@@ -64,7 +64,6 @@ from .stats import (
     InsufficientSamplesError,
     LinearClassifier,
     MomentAccumulator,
-    cosine_similarity,
     finalize_background,
     train_lda,
 )

@@ -210,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="Output directory.")
         p.add_argument("--force", action="store_true", help="Reuse a non-empty output directory.")
         p.add_argument("--seed", type=int, default=None, help="Override the configured seed.")
-        p.add_argument("--threads", type=int, default=1, help="Worker parallelism where safe.")
 
     g = sub.add_parser("gen", help="Generate a synthetic corpus, ground truth, and priors.")
     g.add_argument("--spec", required=True, help="Synthetic spec file (key = value).")
@@ -220,6 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("background", help="Estimate background statistics over a corpus.")
     b.add_argument("--corpus", required=True)
     b.add_argument("--config", default=None, help="Optional config file (for ridge_lambda etc.).")
+    b.add_argument(
+        "--threads", type=int, default=1,
+        help="Number of parts in the deterministic merge schedule; runs on one thread.",
+    )
     common(b)
     b.set_defaults(handler=_cmd_background)
 

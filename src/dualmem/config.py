@@ -1,4 +1,4 @@
-"""Run configuration and the flat ``key = value`` config file format."""
+"""Run configuration and the typed reader for flat ``key = value`` files."""
 
 from __future__ import annotations
 
@@ -6,6 +6,8 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
+
+from .reporting import format_value, write_key_values
 
 CONSOLIDATION_MODES = ("naive", "merge", "merge_refine")
 INIT_MODES = ("null", "det_scores", "gt_overlap")
@@ -60,14 +62,6 @@ class Config:
             raise ValueError(f"init_mode must be one of {INIT_MODES}")
 
 
-def _format_value(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _parse_value(field: dataclasses.Field, raw: str) -> object:
     if field.type in ("bool", bool):
         low = raw.lower()
@@ -81,18 +75,9 @@ def _parse_value(field: dataclasses.Field, raw: str) -> object:
     return raw
 
 
-def save_config(config: Config, path: str | Path) -> None:
-    """Write the config as one ``key = value`` line per field, in field order."""
-    lines = [
-        f"{f.name} = {_format_value(getattr(config, f.name))}"
-        for f in dataclasses.fields(config)
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_config(path: str | Path, **overrides: object) -> Config:
-    """Parse a ``key = value`` config file; keyword overrides win over file values."""
-    fields = {f.name: f for f in dataclasses.fields(Config)}
+def load_fields(cls: type, path: str | Path) -> dict[str, object]:
+    """Parse a ``key = value`` file into values for fields of the dataclass ``cls``."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
     values: dict[str, object] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         stripped = line.strip()
@@ -103,8 +88,19 @@ def load_config(path: str | Path, **overrides: object) -> Config:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         if key not in fields:
-            raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
+            raise ValueError(f"{path}:{lineno}: unknown {cls.__name__} key '{key}'")
         values[key] = _parse_value(fields[key], raw.strip())
+    return values
+
+
+def save_config(config: Config, path: str | Path) -> None:
+    """Write the config as one ``key = value`` line per field, in field order."""
+    write_key_values(path, dataclasses.asdict(config))
+
+
+def load_config(path: str | Path, **overrides: object) -> Config:
+    """Parse a ``key = value`` config file; keyword overrides win over file values."""
+    values = load_fields(Config, path)
     values.update(overrides)
     if "d" not in values:
         raise ValueError(f"{path}: config file must define 'd'")
@@ -114,7 +110,7 @@ def load_config(path: str | Path, **overrides: object) -> Config:
 def config_hash(config: Config) -> str:
     """Stable hash over every field, so runs with different parameters never collide."""
     canonical = "\n".join(
-        f"{f.name}={_format_value(getattr(config, f.name))}"
+        f"{f.name}={format_value(getattr(config, f.name))}"
         for f in dataclasses.fields(config)
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

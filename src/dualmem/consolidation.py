@@ -10,10 +10,11 @@ afterwards in every mode.
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 from .memory import DualMemory, SemanticSlot, WorkingSlot
 from .stats import LinearClassifier, train_lda
@@ -80,37 +81,12 @@ def build_affinity_graph(
         fired = weights @ centroids.T + biases[:, None]
     affinity = 0.5 * (fired + fired.T)
     threshold = mem.config.merge_edge_threshold
+    rows, cols = np.nonzero(np.triu(affinity > threshold, 1))
     edges = [
-        (nodes[i], nodes[j], float(affinity[i, j]))
-        for i in range(k)
-        for j in range(i + 1, k)
-        if affinity[i, j] > threshold
+        (nodes[i], nodes[j], weight)
+        for i, j, weight in zip(rows.tolist(), cols.tolist(), affinity[rows, cols].tolist())
     ]
     return AffinityGraph(nodes=nodes, edges=edges)
-
-
-def _connected_components(graph: AffinityGraph) -> list[list[int]]:
-    adjacency: dict[int, list[int]] = {n: [] for n in graph.nodes}
-    for i, j, _ in graph.edges:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    seen: set[int] = set()
-    components = []
-    for node in sorted(graph.nodes):
-        if node in seen:
-            continue
-        component = []
-        queue = deque([node])
-        seen.add(node)
-        while queue:
-            current = queue.popleft()
-            component.append(current)
-            for neighbor in adjacency[current]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    queue.append(neighbor)
-        components.append(sorted(component))
-    return components
 
 
 def merge_components(mem: DualMemory, graph: AffinityGraph) -> int:
@@ -121,8 +97,17 @@ def merge_components(mem: DualMemory, graph: AffinityGraph) -> int:
     Singleton components are left untouched.
     """
     by_id = {s.slot_id: s for s in mem.working}
+    index = {slot_id: i for i, slot_id in enumerate(graph.nodes)}
+    rows = [index[i] for i, _, _ in graph.edges]
+    cols = [index[j] for _, j, _ in graph.edges]
+    n = len(index)
+    adjacency = coo_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    _, labels = connected_components(adjacency, directed=False)
+    components: dict[int, list[int]] = {}
+    for slot_id, label in sorted(zip(graph.nodes, labels.tolist())):
+        components.setdefault(label, []).append(slot_id)
     merged: list[WorkingSlot] = []
-    for component in _connected_components(graph):
+    for component in components.values():
         if len(component) == 1:
             merged.append(by_id[component[0]])
             continue

@@ -68,32 +68,26 @@ def _parse_json_record(obj: dict, lineno: int) -> RegionRecord:
         raise CorpusFormatError(f"line {lineno}: {exc}") from exc
 
 
-def _iter_jsonl(path: Path) -> tuple[int, Iterator[RegionRecord]]:
-    fh = open(path, "r", encoding="utf-8")
-    header_line = fh.readline()
-    try:
-        header = json.loads(header_line)
-        d = int(header["d"])
-        version = int(header["version"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        fh.close()
-        raise CorpusFormatError(f"line 1: bad header record: {exc}") from exc
-    if version != JSONL_VERSION:
-        fh.close()
-        raise CorpusFormatError(f"line 1: unsupported version {version}")
-
-    def generate() -> Iterator[RegionRecord]:
-        with fh:
-            for lineno, line in enumerate(fh, 2):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusFormatError(f"line {lineno}: invalid JSON at column {exc.colno}") from exc
-                yield _parse_json_record(obj, lineno)
-
-    return d, generate()
+def _iter_jsonl(path: Path) -> Iterator[int | RegionRecord]:
+    """Yield the header's dimension, then the records."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            header = json.loads(fh.readline())
+            d = int(header["d"])
+            version = int(header["version"])
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise CorpusFormatError(f"line 1: bad header record: {exc}") from exc
+        if version != JSONL_VERSION:
+            raise CorpusFormatError(f"line 1: unsupported version {version}")
+        yield d
+        for lineno, line in enumerate(fh, 2):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(f"line {lineno}: invalid JSON at column {exc.colno}") from exc
+            yield _parse_json_record(obj, lineno)
 
 
 # ---------------------------------------------------------------------------
@@ -131,48 +125,42 @@ def write_corpus_binary(path: str | Path, d: int, records: Iterable[RegionRecord
             )
 
 
-def _iter_binary(path: Path) -> tuple[int, Iterator[RegionRecord]]:
-    fh = open(path, "rb")
-    header = fh.read(16)
-    if len(header) != 16:
-        fh.close()
-        raise CorpusFormatError("binary header truncated (expected 16 bytes)")
-    magic, version, d, count = struct.unpack("<4sIII", header)
-    if magic != BINARY_MAGIC:
-        fh.close()
-        raise CorpusFormatError(f"bad magic {magic!r}, expected {BINARY_MAGIC!r}")
-    if version != BINARY_VERSION:
-        fh.close()
-        raise CorpusFormatError(f"unsupported binary version {version}")
-    record_struct = struct.Struct(f"<{ID_FIELD_BYTES}s{ID_FIELD_BYTES}s5f{ID_FIELD_BYTES}s{d}f")
-
-    def generate() -> Iterator[RegionRecord]:
-        with fh:
-            for index in range(count):
-                blob = fh.read(record_struct.size)
-                if len(blob) != record_struct.size:
-                    raise CorpusFormatError(
-                        f"record {index} at offset {16 + index * record_struct.size}: truncated"
-                    )
-                fields = record_struct.unpack(blob)
-                region_id = fields[0].rstrip(b"\x00").decode("utf-8")
-                image_id = fields[1].rstrip(b"\x00").decode("utf-8")
-                x1, y1, x2, y2, score = fields[2:7]
-                label = fields[7].rstrip(b"\x00").decode("utf-8")
-                feature = np.asarray(fields[8:], dtype=np.float64)
-                try:
-                    yield RegionRecord(
-                        region_id=region_id,
-                        image_id=image_id,
-                        box=BoundingBox(x1, y1, x2, y2),
-                        score=float(score),
-                        feature=feature,
-                        gt_label=label or None,
-                    )
-                except ValueError as exc:
-                    raise CorpusFormatError(f"record {index}: {exc}") from exc
-
-    return d, generate()
+def _iter_binary(path: Path) -> Iterator[int | RegionRecord]:
+    """Yield the header's dimension, then the records."""
+    with open(path, "rb") as fh:
+        header = fh.read(16)
+        if len(header) != 16:
+            raise CorpusFormatError("binary header truncated (expected 16 bytes)")
+        magic, version, d, count = struct.unpack("<4sIII", header)
+        if magic != BINARY_MAGIC:
+            raise CorpusFormatError(f"bad magic {magic!r}, expected {BINARY_MAGIC!r}")
+        if version != BINARY_VERSION:
+            raise CorpusFormatError(f"unsupported binary version {version}")
+        yield d
+        record_struct = struct.Struct(f"<{ID_FIELD_BYTES}s{ID_FIELD_BYTES}s5f{ID_FIELD_BYTES}s{d}f")
+        for index in range(count):
+            blob = fh.read(record_struct.size)
+            if len(blob) != record_struct.size:
+                raise CorpusFormatError(
+                    f"record {index} at offset {16 + index * record_struct.size}: truncated"
+                )
+            fields = record_struct.unpack(blob)
+            region_id = fields[0].rstrip(b"\x00").decode("utf-8")
+            image_id = fields[1].rstrip(b"\x00").decode("utf-8")
+            x1, y1, x2, y2, score = fields[2:7]
+            label = fields[7].rstrip(b"\x00").decode("utf-8")
+            feature = np.asarray(fields[8:], dtype=np.float64)
+            try:
+                yield RegionRecord(
+                    region_id=region_id,
+                    image_id=image_id,
+                    box=BoundingBox(x1, y1, x2, y2),
+                    score=float(score),
+                    feature=feature,
+                    gt_label=label or None,
+                )
+            except ValueError as exc:
+                raise CorpusFormatError(f"record {index}: {exc}") from exc
 
 
 def _is_binary(path: Path) -> bool:
@@ -181,15 +169,20 @@ def _is_binary(path: Path) -> bool:
 
 
 def open_corpus(path: str | Path) -> tuple[int, Iterator[RegionRecord]]:
-    """Open either corpus format, returning the declared dimension and a record stream."""
+    """Open either corpus format, returning the declared dimension and a record stream.
+
+    The header is read and checked before this returns. The stream owns the
+    open file and closes it when exhausted, closed, or garbage-collected.
+    """
     path = Path(path)
-    if _is_binary(path):
-        return _iter_binary(path)
-    return _iter_jsonl(path)
+    stream = _iter_binary(path) if _is_binary(path) else _iter_jsonl(path)
+    d = next(stream)
+    return d, stream  # type: ignore[return-value]
 
 
 def read_corpus_dim(path: str | Path) -> int:
-    d, _ = open_corpus(path)
+    d, stream = open_corpus(path)
+    stream.close()
     return d
 
 

@@ -177,6 +177,36 @@ def purity(
     return counts[majority] / len(members), majority
 
 
+def _relevant_by_image(
+    gt: Sequence[GroundTruthBox], classes: set[str] | None
+) -> tuple[int, dict[str, list[tuple[int, GroundTruthBox]]]]:
+    """Number the ground-truth boxes of ``classes`` and group them by image.
+
+    ``classes`` defaults to the unknown classes.
+    """
+    if classes is None:
+        classes = unknown_classes(gt)
+    relevant = [g for g in gt if g.class_name in classes]
+    grouped: dict[str, list[tuple[int, GroundTruthBox]]] = {}
+    for index, g in enumerate(relevant):
+        grouped.setdefault(g.image_id, []).append((index, g))
+    return len(relevant), grouped
+
+
+def _hits(
+    members: Sequence[RegionRecord],
+    relevant_by_image: Mapping[str, Sequence[tuple[int, GroundTruthBox]]],
+    iou_threshold: float,
+) -> set[int]:
+    """Numbers of the relevant ground-truth boxes that some member hits."""
+    return {
+        index
+        for region in members
+        for index, g in relevant_by_image.get(region.image_id, ())
+        if iou(region.box, g.box) >= iou_threshold
+    }
+
+
 def coverage(
     clusters: Mapping[str, Sequence[RegionRecord]],
     gt: Sequence[GroundTruthBox],
@@ -188,21 +218,13 @@ def coverage(
     ``classes`` restricts which ground-truth boxes count; the default is the
     unknown classes, the set the discovery benchmark reports on.
     """
-    if classes is None:
-        classes = unknown_classes(gt)
-    relevant = [g for g in gt if g.class_name in classes]
-    if not relevant:
+    n_relevant, relevant_by_image = _relevant_by_image(gt, classes)
+    if not n_relevant:
         return 0.0
-    regions_by_image: dict[str, list[RegionRecord]] = {}
+    covered: set[int] = set()
     for members in clusters.values():
-        for region in members:
-            regions_by_image.setdefault(region.image_id, []).append(region)
-    covered = 0
-    for g in relevant:
-        candidates = regions_by_image.get(g.image_id, ())
-        if any(iou(r.box, g.box) >= iou_threshold for r in candidates):
-            covered += 1
-    return covered / len(relevant)
+        covered |= _hits(members, relevant_by_image, iou_threshold)
+    return len(covered) / n_relevant
 
 
 def cumulative_purity_curve(
@@ -213,7 +235,9 @@ def cumulative_purity_curve(
 ) -> list[tuple[float, float]]:
     """Points (coverage of top-k clusters, mean purity of top-k), purity-descending.
 
-    Equal purities order by cluster label so the x-axis is deterministic.
+    Equal purities order by cluster label so the x-axis is deterministic. The
+    covered boxes accumulate cluster by cluster, so point k equals ``coverage``
+    of the top k clusters.
     """
     if not clusters:
         return []
@@ -222,13 +246,14 @@ def cumulative_purity_curve(
         p, _ = purity(clusters[label], gt, iou_threshold)
         scored.append((label, p))
     scored.sort(key=lambda item: (-item[1], item[0]))
+    n_relevant, relevant_by_image = _relevant_by_image(gt, classes)
     points = []
     purity_sum = 0.0
-    top: dict[str, Sequence[RegionRecord]] = {}
+    covered: set[int] = set()
     for k, (label, p) in enumerate(scored, 1):
         purity_sum += p
-        top[label] = clusters[label]
-        points.append((coverage(top, gt, iou_threshold, classes), purity_sum / k))
+        covered |= _hits(clusters[label], relevant_by_image, iou_threshold)
+        points.append((len(covered) / n_relevant if n_relevant else 0.0, purity_sum / k))
     return points
 
 
@@ -254,6 +279,19 @@ def auc(curve: Sequence[tuple[float, float]]) -> float:
 # Localization metrics
 # ---------------------------------------------------------------------------
 
+def _assigned_by_image(
+    assignments: Mapping[str, str], regions: Mapping[str, RegionRecord]
+) -> dict[str, list[RegionRecord]]:
+    """Assigned corpus regions grouped by image, in assignment order."""
+    grouped: dict[str, list[RegionRecord]] = {}
+    for region_id, label in assignments.items():
+        if label == UNASSIGNED or region_id not in regions:
+            continue
+        region = regions[region_id]
+        grouped.setdefault(region.image_id, []).append(region)
+    return grouped
+
+
 def corloc(
     assignments: Mapping[str, str],
     regions: Mapping[str, RegionRecord],
@@ -265,12 +303,7 @@ def corloc(
     by_image = _gt_by_image(gt)
     if not by_image:
         return 0.0
-    assigned_by_image: dict[str, list[RegionRecord]] = {}
-    for region_id, label in assignments.items():
-        if label == UNASSIGNED or region_id not in regions:
-            continue
-        region = regions[region_id]
-        assigned_by_image.setdefault(region.image_id, []).append(region)
+    assigned_by_image = _assigned_by_image(assignments, regions)
     hit = 0
     for image_id, boxes in by_image.items():
         candidates = assigned_by_image.get(image_id, ())
@@ -288,12 +321,7 @@ def detrate(
     """Recall of ground-truth boxes by assigned regions, in percent."""
     if not gt:
         return 0.0
-    assigned_by_image: dict[str, list[RegionRecord]] = {}
-    for region_id, label in assignments.items():
-        if label == UNASSIGNED or region_id not in regions:
-            continue
-        region = regions[region_id]
-        assigned_by_image.setdefault(region.image_id, []).append(region)
+    assigned_by_image = _assigned_by_image(assignments, regions)
     recalled = sum(
         1
         for g in gt
@@ -323,37 +351,34 @@ def corret(
     no ground truth are not scored; k clamps to the eligible population.
     """
     by_image = _gt_by_image(gt)
-    feats_by_image: dict[str, list[np.ndarray]] = {}
-    labels_by_image: dict[str, list[str]] = {}
-    for region_id, label in assignments.items():
-        if label == UNASSIGNED or region_id not in regions:
-            continue
-        region = regions[region_id]
-        feats_by_image.setdefault(region.image_id, []).append(region.feature)
-        labels_by_image.setdefault(region.image_id, []).append(label)
-    eligible = sorted(set(feats_by_image) & set(by_image))
+    assigned_by_image = _assigned_by_image(assignments, regions)
+    eligible = sorted(set(assigned_by_image) & set(by_image))
     if len(eligible) < 2:
         return 0.0
     if by_slot:
-        all_labels = sorted({lab for labs in labels_by_image.values() for lab in labs})
+        all_labels = sorted(
+            {assignments[r.region_id] for rs in assigned_by_image.values() for r in rs}
+        )
         index = {lab: i for i, lab in enumerate(all_labels)}
         reps = np.zeros((len(eligible), len(all_labels)))
         for row, image_id in enumerate(eligible):
-            for lab in labels_by_image[image_id]:
-                reps[row, index[lab]] += 1.0
+            for region in assigned_by_image[image_id]:
+                reps[row, index[assignments[region.region_id]]] += 1.0
     else:
-        reps = np.stack([np.mean(feats_by_image[i], axis=0) for i in eligible])
+        reps = np.stack(
+            [np.mean([r.feature for r in assigned_by_image[i]], axis=0) for i in eligible]
+        )
     norms = np.linalg.norm(reps, axis=1)
     safe = np.where(norms > 0.0, norms, 1.0)
     unit = reps / safe[:, None]
     sims = unit @ unit.T
-    classes = [_image_majority_class(by_image[i]) for i in eligible]
+    classes = np.array([_image_majority_class(by_image[i]) for i in eligible])
     k_eff = min(k, len(eligible) - 1)
     fractions = []
     for row in range(len(eligible)):
         order = np.argsort(-sims[row], kind="stable")
-        neighbors = [i for i in order if i != row][:k_eff]
-        same = sum(1 for i in neighbors if classes[i] == classes[row])
+        neighbors = order[order != row][:k_eff]
+        same = int(np.count_nonzero(classes[neighbors] == classes[row]))
         fractions.append(same / k_eff)
     return 100.0 * float(np.mean(fractions))
 
@@ -445,11 +470,7 @@ def evaluate_run(
         clusters, gt, primary, purity_floor=purity_floor, min_images=min_images
     )
     eligible_images = {r.image_id for r in regions.values()}
-    scored_images = {
-        regions[rid].image_id
-        for rid, label in assignments.items()
-        if label != UNASSIGNED and rid in regions
-    }
+    scored_images = set(_assigned_by_image(assignments, regions))
     metrics["corret_skipped_images"] = len(eligible_images - scored_images)
     return DiscoveryReport(
         clusters=report_clusters(clusters, gt, primary),

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .config import Config, save_config
 from .consolidation import ConsolidationRecord, consolidate
 from .corpus import DatasetSplit, split_dataset
@@ -52,24 +54,23 @@ def estimate_background(
     config: Config,
     workers: int = 1,
 ) -> BackgroundStats:
-    """Stream every region feature through the moment accumulator.
+    """Moments of every region feature, as ``workers`` batches merged in order.
 
-    With ``workers`` > 1 the images are dealt round-robin to independent
-    accumulators merged in index order, so the schedule (and its floating-point
-    footprint) is deterministic for a given worker count.
+    The images are dealt round-robin to ``workers`` parts; each part's features
+    enter the accumulator as one batch, in index order, so the schedule (and its
+    floating-point footprint) is deterministic for a given worker count. All of
+    it runs on the calling thread.
     """
     if isinstance(batches, Mapping):
         batches = list(batches.values())
     workers = max(1, workers)
-    parts = [MomentAccumulator(config.d) for _ in range(workers)]
+    parts: list[list[np.ndarray]] = [[] for _ in range(workers)]
     for index, batch in enumerate(batches):
-        acc = parts[index % workers]
-        for region in batch:
-            acc.add(region.feature)
-    merged = parts[0]
-    for part in parts[1:]:
-        merged = merged.merge(part)
-    return finalize_background(merged, config.ridge_lambda)
+        parts[index % workers].extend(region.feature for region in batch)
+    acc = MomentAccumulator(config.d)
+    for features in parts:
+        acc.add_batch(np.reshape(features, (-1, config.d)))
+    return finalize_background(acc, config.ridge_lambda)
 
 
 # ---------------------------------------------------------------------------

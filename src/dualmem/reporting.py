@@ -10,6 +10,8 @@ UNASSIGNED = "unassigned"
 
 
 def format_value(value: object) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)

@@ -1,22 +1,19 @@
 """Streaming moment estimation and the closed-form linear discriminant.
 
-The background class is summarized by a single-pass mean/covariance accumulator
-(Welford-style recurrence, mergeable across partitions). Slot classifiers then
-come for free: with a shared covariance, training is two triangular solves
-against a cached Cholesky factor.
+The background class is summarized by a mean/covariance accumulator that folds
+in batches through the pairwise merge of Chan, Golub and LeVeque. Slot
+classifiers then come for free: with a shared covariance, training is two
+triangular solves against a cached Cholesky factor.
 """
 
 from __future__ import annotations
 
-import logging
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_solve
-
-logger = logging.getLogger(__name__)
 
 BG_MAGIC = b"DMBG"
 
@@ -26,10 +23,11 @@ class InsufficientSamplesError(ValueError):
 
 
 class MomentAccumulator:
-    """Single-pass mean and centered second-moment sums over d-vectors.
+    """Mergeable mean and centered second-moment sums over d-vectors.
 
-    ``m2`` holds sum_i (x_i - mean)(x_i - mean)^T, updated with the numerically
-    stable recurrence; dividing by the count gives the population covariance.
+    ``m2`` holds sum_i (x_i - mean)(x_i - mean)^T; dividing by the count gives
+    the population covariance. ``add`` and ``add_batch`` fold their samples in
+    through ``merge``, the one update rule.
     """
 
     def __init__(self, d: int):
@@ -41,22 +39,24 @@ class MomentAccumulator:
         self.m2 = np.zeros((d, d))
 
     def add(self, x: np.ndarray) -> "MomentAccumulator":
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.d,):
-            raise ValueError(f"sample has shape {x.shape}, expected ({self.d},)")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("sample contains non-finite values")
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        # outer(delta, delta) * (n-1)/n equals the delta/delta2 form but is
-        # exactly symmetric in floating point.
-        self.m2 += np.outer(delta, delta) * ((self.count - 1) / self.count)
-        return self
+        return self.add_batch(np.asarray(x, dtype=np.float64)[np.newaxis])
 
     def add_batch(self, xs: np.ndarray) -> "MomentAccumulator":
-        for x in np.asarray(xs, dtype=np.float64):
-            self.add(x)
+        """Fold in the rows of ``xs``: two-pass batch moments, then a merge."""
+        xs = np.asarray(xs, dtype=np.float64)
+        if xs.ndim != 2 or xs.shape[1] != self.d:
+            raise ValueError(f"samples have shape {xs.shape}, expected (n, {self.d})")
+        if not np.all(np.isfinite(xs)):
+            raise ValueError("samples contain non-finite values")
+        if len(xs) == 0:
+            return self
+        batch = MomentAccumulator(self.d)
+        batch.count = len(xs)
+        batch.mean = xs.mean(axis=0)
+        centered = xs - batch.mean
+        batch.m2 = centered.T @ centered
+        merged = self.merge(batch)
+        self.count, self.mean, self.m2 = merged.count, merged.mean, merged.m2
         return self
 
     def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
@@ -172,17 +172,3 @@ def train_lda(mean_pos: np.ndarray, count_pos: int, bg: BackgroundStats) -> Line
     w = cho_solve((bg.chol_lower, True), diff, check_finite=False)
     b = float(np.log(count_pos / bg.count) - 0.5 * (w @ (mean_pos + bg.mean)))
     return LinearClassifier(weights=w, bias=b)
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two vectors, defined as 0 for a zero vector."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        logger.warning("cosine_similarity against a zero vector; returning 0.0")
-        return 0.0
-    return float(np.clip((a @ b) / (norm_a * norm_b), -1.0, 1.0))

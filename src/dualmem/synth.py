@@ -15,9 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import load_fields
 from .records import BoundingBox, RegionRecord
 from .evaluation import GroundTruthBox, write_gt
 from .corpus import write_corpus_jsonl
+from .reporting import write_key_values
 
 KNOWN_PRIOR_SCORE = 0.95
 DEFAULT_SCORE = 0.5
@@ -61,32 +63,11 @@ class SynthSpec:
 
 
 def save_spec(spec: SynthSpec, path: str | Path) -> None:
-    lines = [
-        f"{f.name} = {getattr(spec, f.name)!r}" if isinstance(getattr(spec, f.name), float)
-        else f"{f.name} = {getattr(spec, f.name)}"
-        for f in dataclasses.fields(spec)
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_key_values(path, dataclasses.asdict(spec))
 
 
 def load_spec(path: str | Path, **overrides: object) -> SynthSpec:
-    fields = {f.name: f for f in dataclasses.fields(SynthSpec)}
-    values: dict[str, object] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in fields:
-            raise ValueError(f"{path}:{lineno}: unknown spec key '{key}'")
-        kind = fields[key].type
-        if kind in ("int", int):
-            values[key] = int(raw.strip())
-        else:
-            values[key] = float(raw.strip())
+    values = load_fields(SynthSpec, path)
     values.update(overrides)
     return SynthSpec(**values)  # type: ignore[arg-type]
 

@@ -3,6 +3,7 @@ import pytest
 
 from dualmem.config import Config
 from dualmem.consolidation import (
+    AffinityGraph,
     build_affinity_graph,
     consolidate,
     merge_components,
@@ -165,6 +166,43 @@ class TestMerge:
         merge_components(mem, graph)
         after = sorted(r for s in mem.working for r in s.members)
         assert before == after
+
+    def test_random_graphs_match_union_find(self):
+        def union_find(nodes, edges):
+            parent = {n: n for n in nodes}
+
+            def find(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            for i, j, _ in edges:
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+            groups = {}
+            for n in sorted(nodes):
+                groups.setdefault(find(n), []).append(n)
+            return list(groups.values())
+
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            k = int(rng.integers(1, 15))
+            mem = memory_with_slots([[f] for f in rng.standard_normal((k, 2)) * 5.0])
+            nodes = [s.slot_id for s in mem.working]
+            p_edge = rng.uniform(0.0, 0.4)
+            edges = [
+                (nodes[i], nodes[j], 1.0)
+                for i in range(k)
+                for j in range(i + 1, k)
+                if rng.uniform() < p_edge
+            ]
+            members = {s.slot_id: list(s.members) for s in mem.working}
+            expected = [
+                (component[0], [r for slot_id in component for r in members[slot_id]])
+                for component in union_find(nodes, edges)
+            ]
+            assert merge_components(mem, AffinityGraph(nodes=nodes, edges=edges)) == len(expected)
+            assert [(s.slot_id, s.members) for s in mem.working] == expected
 
 
 class TestRefine:

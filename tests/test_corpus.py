@@ -1,3 +1,7 @@
+import gc
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,7 @@ from dualmem.corpus import (
     ingest_corpus,
     load_corpus,
     open_corpus,
+    read_corpus_dim,
     split_dataset,
     write_corpus_binary,
     write_corpus_jsonl,
@@ -53,6 +58,18 @@ class TestFormats:
             np.testing.assert_array_equal(a.feature, b.feature)
             assert a.gt_label == b.gt_label
             assert a.score == b.score
+
+    @pytest.mark.parametrize("write", [write_corpus_jsonl, write_corpus_binary])
+    def test_read_corpus_dim_closes_its_file(self, tmp_path, monkeypatch, write):
+        path = tmp_path / "corpus"
+        write(path, 3, sample_records())
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            assert read_corpus_dim(path) == 3
+            gc.collect()
+        assert unraisable == []
 
     def test_binary_roundtrip(self, tmp_path):
         records = sample_records()

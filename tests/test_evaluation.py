@@ -221,6 +221,61 @@ class TestCurveAndAuc:
         assert auc(extended) > auc(base)
 
 
+def covered_fraction_reference(clusters, gt, iou_threshold, classes):
+    """Coverage by brute force: every relevant box against every clustered region."""
+    relevant = [g for g in gt if g.class_name in classes]
+    if not relevant:
+        return 0.0
+    regions = [r for members in clusters.values() for r in members]
+    hit = sum(
+        1
+        for g in relevant
+        if any(r.image_id == g.image_id and iou(r.box, g.box) >= iou_threshold for r in regions)
+    )
+    return hit / len(relevant)
+
+
+# A region sits on cell c of its image, shifted right by s box widths; against the
+# unshifted box of the same cell its IoU is (1 - s) / (1 + s): 1, 0.6, 1/3 or 0.
+CELLS = st.tuples(st.integers(0, 2), st.integers(0, 3))
+SHIFTS = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+
+
+@given(
+    gt_cells=st.lists(st.tuples(CELLS, st.sampled_from(["a", "b", "k"])), max_size=10),
+    cluster_members=st.lists(
+        st.lists(st.tuples(CELLS, SHIFTS), min_size=1, max_size=5), min_size=1, max_size=6
+    ),
+    iou_threshold=st.sampled_from([0.2, 0.5, 0.6]),
+    classes=st.sampled_from([None, {"a"}, {"a", "k"}]),
+)
+@settings(max_examples=200, deadline=None)
+def test_curve_points_are_top_k_coverage_and_mean_purity(
+    gt_cells, cluster_members, iou_threshold, classes
+):
+    gt = [
+        gt_box(f"i{image}", box(2.0 * cell), name, known=name == "k")
+        for (image, cell), name in gt_cells
+    ]
+    clusters = {
+        f"c{c}": [
+            make_region(f"c{c}_r{m}", f"i{image}", [0.0], box=box(2.0 * cell + shift))
+            for m, ((image, cell), shift) in enumerate(members)
+        ]
+        for c, members in enumerate(cluster_members)
+    }
+    curve = cumulative_purity_curve(clusters, gt, iou_threshold, classes)
+    purities = {label: purity(members, gt, iou_threshold)[0] for label, members in clusters.items()}
+    ranked = sorted(clusters, key=lambda label: (-purities[label], label))
+    class_set = {g.class_name for g in gt if not g.known_flag} if classes is None else classes
+    assert len(curve) == len(ranked)
+    for k, (x, y) in enumerate(curve, 1):
+        top = {label: clusters[label] for label in ranked[:k]}
+        assert x == coverage(top, gt, iou_threshold, classes)
+        assert x == covered_fraction_reference(top, gt, iou_threshold, class_set)
+        assert y == sum(purities[label] for label in ranked[:k]) / k
+
+
 class TestCorloc:
     def fixture(self):
         gt = [gt_box("i0", BoundingBox(0, 0, 4, 4), "a"), gt_box("i1", BoundingBox(0, 0, 4, 4), "b")]

@@ -2,15 +2,12 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dualmem.stats import (
     BackgroundStats,
     InsufficientSamplesError,
     LinearClassifier,
     MomentAccumulator,
-    cosine_similarity,
     finalize_background,
     train_lda,
 )
@@ -197,32 +194,6 @@ class TestLda:
         clf = LinearClassifier(weights=np.zeros(2), bias=0.0)
         with pytest.raises(ValueError):
             clf.score(np.zeros(3))
-
-
-class TestCosine:
-    def test_examples(self):
-        assert cosine_similarity([1, 0], [1, 0]) == 1.0
-        assert cosine_similarity([1, 0], [0, 1]) == 0.0
-        assert cosine_similarity([1, 1], [1, 0]) == pytest.approx(0.70710678, abs=1e-8)
-
-    def test_zero_vector_returns_zero(self, caplog):
-        with caplog.at_level("WARNING"):
-            assert cosine_similarity([0.0, 0.0], [1.0, 0.0]) == 0.0
-        assert any("zero" in r.message for r in caplog.records)
-
-    @given(
-        st.lists(st.floats(-100, 100), min_size=3, max_size=3),
-        st.lists(st.floats(-100, 100), min_size=3, max_size=3),
-        st.floats(0.01, 50),
-        st.floats(0.01, 50),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_symmetric_and_scale_invariant(self, a, b, alpha, beta):
-        a, b = np.array(a), np.array(b)
-        ab = cosine_similarity(a, b)
-        assert -1.0 <= ab <= 1.0
-        assert ab == cosine_similarity(b, a)
-        assert cosine_similarity(alpha * a, beta * b) == pytest.approx(ab, abs=1e-9)
 
 
 def test_streaming_equivalence_is_fast():
