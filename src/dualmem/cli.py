@@ -113,13 +113,9 @@ def _cmd_background(args: argparse.Namespace) -> int:
 def _cmd_discover(args: argparse.Namespace) -> int:
     overrides = {} if args.seed is None else {"rng_seed": args.seed}
     config = load_config(args.config, **overrides)
-    out_dir = _prepare_out_dir(args.out, args.force)
-    _write_manifest(
-        out_dir, "discover", args,
-        _hash_params(_hash_file(args.corpus), _hash_file(args.bg), config_hash(config)),
-    )
-    corpus = load_corpus(args.corpus, config)
+    # Every input is read and checked before the output directory is touched.
     bg = BackgroundStats.load(args.bg)
+    corpus = load_corpus(args.corpus, config)
     prior_records = None
     gt = None
     if config.init_mode == "det_scores":
@@ -132,6 +128,11 @@ def _cmd_discover(args: argparse.Namespace) -> int:
             raise CliError("init_mode=gt_overlap requires --gt")
         gt = load_gt(args.gt)
     priors = build_priors(config, prior_records=prior_records, corpus=corpus, gt=gt)
+    out_dir = _prepare_out_dir(args.out, args.force)
+    _write_manifest(
+        out_dir, "discover", args,
+        _hash_params(_hash_file(args.corpus), _hash_file(args.bg), config_hash(config)),
+    )
     run = run_discovery(corpus, bg, config, priors, out_dir=out_dir)
     print(f"assignments: {out_dir / 'assignments.tsv'}")
     print(f"semantic slots: {len(run.mem.semantic)}, clusters: {run.stats['clusters_final']}")

@@ -9,7 +9,9 @@ and DetRate cover the localization-style protocols.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -107,29 +109,139 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return intersection / (a.area + b.area - intersection)
 
 
-def _gt_by_image(gt: Sequence[GroundTruthBox]) -> dict[str, list[GroundTruthBox]]:
-    grouped: dict[str, list[GroundTruthBox]] = {}
-    for g in gt:
-        grouped.setdefault(g.image_id, []).append(g)
-    return grouped
-
-
 def label_region(
     region: RegionRecord,
     gt_for_image: Sequence[GroundTruthBox],
     iou_threshold: float,
 ) -> str | None:
-    """Class of the max-IoU ground-truth box if it clears the threshold, else None."""
-    best_iou = 0.0
-    best_class: str | None = None
-    for g in gt_for_image:
-        value = iou(region.box, g.box)
-        if value > best_iou:
-            best_iou = value
-            best_class = g.class_name
-    if best_class is not None and best_iou >= iou_threshold:
-        return best_class
-    return None
+    """Class of the first max-IoU box if it overlaps the region and clears the threshold."""
+    table = IouTable([region], gt_for_image)
+    best = int(table.best[0]) if table.best_iou[0] >= iou_threshold else -1
+    return gt_for_image[best].class_name if best >= 0 else None
+
+
+class IouTable:
+    """The IoU of every (region, ground-truth box) pair on one image.
+
+    Pairs run region by region, and over an image's boxes in ground-truth order.
+    The IoU takes the float operations of ``iou`` in its order, so the values are
+    bit-identical. ``best`` is the ``gt`` index of each region's first max-IoU
+    box, or -1 when no box overlaps the region: the ``label_region`` rule.
+    """
+
+    def __init__(self, regions: Sequence[RegionRecord], gt: Sequence[GroundTruthBox]):
+        self.gt = gt
+        codes: dict[str, int] = {}
+        self.gt_image = np.array([codes.setdefault(g.image_id, len(codes)) for g in gt], dtype=int)
+        self.n_gt_images = len(codes)
+        # Region r pairs with the count[c] boxes of its image c, which start at start[c] in
+        # image order; c is -1 for an image without boxes, and count[-1] is 0.
+        region_image = np.array([codes.get(r.image_id, -1) for r in regions], dtype=int)
+        count = np.bincount(self.gt_image, minlength=len(codes) + 1)
+        start = np.cumsum(count) - count
+        n_pairs = count[region_image]
+        self.region = np.repeat(np.arange(len(regions)), n_pairs)
+        offset = np.arange(len(self.region)) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
+        in_image_order = np.repeat(start[region_image], n_pairs) + offset
+        self.box = np.argsort(self.gt_image, kind="stable")[in_image_order]
+
+        a = np.array([r.box.as_list() for r in regions], dtype=float).reshape(-1, 4)[self.region].T
+        b = np.array([g.box.as_list() for g in gt], dtype=float).reshape(-1, 4)[self.box].T
+        ix = np.minimum(a[2], b[2]) - np.maximum(a[0], b[0])
+        iy = np.minimum(a[3], b[3]) - np.maximum(a[1], b[1])
+        intersection = ix * iy
+        union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - intersection
+        overlap = (ix > 0.0) & (iy > 0.0)
+        self.iou = np.divide(intersection, union, out=np.zeros_like(union), where=overlap)
+
+        self.best_iou = np.zeros(len(regions))
+        np.maximum.at(self.best_iou, self.region, self.iou)
+        is_best = overlap & (self.iou == self.best_iou[self.region])
+        rows, first_best = np.unique(self.region[is_best], return_index=True)
+        self.best = np.full(len(regions), -1)
+        self.best[rows] = self.box[is_best][first_best]
+
+
+class _ClusterTable(IouTable):
+    """The IoU table over clustered regions, read by every box-based metric.
+
+    Clusters are numbered in label order. Each threshold's purities are counted
+    once and shared by the curve, the reports and the discovery count.
+    """
+
+    def __init__(self, clusters: Mapping[str, Sequence[RegionRecord]], gt: Sequence[GroundTruthBox]):
+        self.labels = sorted(clusters)
+        self.members = [list(clusters[label]) for label in self.labels]
+        super().__init__([r for members in self.members for r in members], gt)
+        self.sizes = [len(members) for members in self.members]
+        self.cluster = np.repeat(np.arange(len(self.labels)), self.sizes)
+        names = np.array([g.class_name for g in gt], dtype=str)
+        self.class_names, self.gt_class = np.unique(names, return_inverse=True)
+        self._purities: dict[float, list[tuple[float, str]]] = {}
+
+    def purities(self, t: float) -> list[tuple[float, str]]:
+        """(purity, majority class) of each cluster at IoU threshold ``t``; see ``purity``."""
+        if t not in self._purities:
+            if 0 in self.sizes:
+                raise ValueError("purity of an empty cluster is undefined")
+            label = np.where(self.best_iou >= t, self.best, -1)
+            hit = label >= 0
+            n_classes = max(1, len(self.class_names))
+            pairs = self.cluster[hit] * n_classes + self.gt_class[label[hit]]
+            counts = np.bincount(pairs, minlength=len(self.labels) * n_classes).reshape(-1, n_classes)
+            # argmax takes the first of equal counts: the smallest class name.
+            top = zip(counts.max(axis=1, initial=0).tolist(), counts.argmax(axis=1).tolist())
+            self._purities[t] = [
+                (n / size, str(self.class_names[c])) if n else (0.0, BACKGROUND)
+                for (n, c), size in zip(top, self.sizes)
+            ]
+        return self._purities[t]
+
+    def _relevant_pairs(self, t: float, classes: set[str] | None) -> tuple[np.ndarray, int]:
+        """Pairs hitting a box of ``classes`` (default: unknown), and that box count."""
+        classes = unknown_classes(self.gt) if classes is None else classes
+        relevant = np.array([g.class_name in classes for g in self.gt], dtype=bool)
+        return (self.iou >= t) & relevant[self.box], int(np.count_nonzero(relevant))
+
+    def curve(self, t: float, classes: set[str] | None = None) -> list[tuple[float, float]]:
+        purities = [p for p, _ in self.purities(t)]
+        ranked = sorted(range(len(self.labels)), key=lambda c: (-purities[c], self.labels[c]))
+        rank = np.argsort(ranked)  # cluster -> its place in the ranking
+        # A box counts from the rank of the first cluster that hits it.
+        hits, n_relevant = self._relevant_pairs(t, classes)
+        first = np.full(len(self.gt), len(ranked), dtype=np.intp)
+        np.minimum.at(first, self.box[hits], rank[self.cluster[self.region[hits]]])
+        covered = np.cumsum(np.bincount(first, minlength=len(ranked) + 1)[:-1]).tolist()
+        purity_sums = accumulate(purities[c] for c in ranked)
+        return [
+            (covered[k - 1] / n_relevant if n_relevant else 0.0, purity_sum / k)
+            for k, purity_sum in enumerate(purity_sums, 1)
+        ]
+
+    def coverage(self, t: float, classes: set[str] | None = None) -> float:
+        hits, n_relevant = self._relevant_pairs(t, classes)
+        return np.unique(self.box[hits]).size / n_relevant if n_relevant else 0.0
+
+    def corloc(self, t: float) -> float:
+        hit = np.unique(self.gt_image[self.box[self.iou > t]]).size
+        return 100.0 * hit / self.n_gt_images if self.n_gt_images else 0.0
+
+    def detrate(self, t: float) -> float:
+        recalled = np.unique(self.box[self.iou >= t]).size
+        return 100.0 * recalled / len(self.gt) if self.gt else 0.0
+
+    def reports(self, t: float) -> list[ClusterReport]:
+        return [
+            ClusterReport(label, members, p, majority, len(members), len({r.image_id for r in members}))
+            for label, members, (p, majority) in zip(self.labels, self.members, self.purities(t))
+        ]
+
+    def discovered(self, t: float, purity_floor: float, min_images: int) -> int:
+        unknown = unknown_classes(self.gt)
+        return len({
+            r.majority_class for r in self.reports(t)
+            if r.majority_class in unknown and r.purity >= purity_floor and r.image_span >= min_images
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -163,48 +275,7 @@ def purity(
     Returns (purity, majority class); an all-background cluster has purity 0 and
     majority ``background``. Ties break to the lexicographically smallest class.
     """
-    if not members:
-        raise ValueError("purity of an empty cluster is undefined")
-    by_image = _gt_by_image(gt)
-    counts: dict[str, int] = {}
-    for region in members:
-        cls = label_region(region, by_image.get(region.image_id, ()), iou_threshold)
-        if cls is not None:
-            counts[cls] = counts.get(cls, 0) + 1
-    if not counts:
-        return 0.0, BACKGROUND
-    majority = min(counts, key=lambda c: (-counts[c], c))
-    return counts[majority] / len(members), majority
-
-
-def _relevant_by_image(
-    gt: Sequence[GroundTruthBox], classes: set[str] | None
-) -> tuple[int, dict[str, list[tuple[int, GroundTruthBox]]]]:
-    """Number the ground-truth boxes of ``classes`` and group them by image.
-
-    ``classes`` defaults to the unknown classes.
-    """
-    if classes is None:
-        classes = unknown_classes(gt)
-    relevant = [g for g in gt if g.class_name in classes]
-    grouped: dict[str, list[tuple[int, GroundTruthBox]]] = {}
-    for index, g in enumerate(relevant):
-        grouped.setdefault(g.image_id, []).append((index, g))
-    return len(relevant), grouped
-
-
-def _hits(
-    members: Sequence[RegionRecord],
-    relevant_by_image: Mapping[str, Sequence[tuple[int, GroundTruthBox]]],
-    iou_threshold: float,
-) -> set[int]:
-    """Numbers of the relevant ground-truth boxes that some member hits."""
-    return {
-        index
-        for region in members
-        for index, g in relevant_by_image.get(region.image_id, ())
-        if iou(region.box, g.box) >= iou_threshold
-    }
+    return _ClusterTable({"": members}, gt).purities(iou_threshold)[0]
 
 
 def coverage(
@@ -218,13 +289,7 @@ def coverage(
     ``classes`` restricts which ground-truth boxes count; the default is the
     unknown classes, the set the discovery benchmark reports on.
     """
-    n_relevant, relevant_by_image = _relevant_by_image(gt, classes)
-    if not n_relevant:
-        return 0.0
-    covered: set[int] = set()
-    for members in clusters.values():
-        covered |= _hits(members, relevant_by_image, iou_threshold)
-    return len(covered) / n_relevant
+    return _ClusterTable(clusters, gt).coverage(iou_threshold, classes)
 
 
 def cumulative_purity_curve(
@@ -235,26 +300,10 @@ def cumulative_purity_curve(
 ) -> list[tuple[float, float]]:
     """Points (coverage of top-k clusters, mean purity of top-k), purity-descending.
 
-    Equal purities order by cluster label so the x-axis is deterministic. The
-    covered boxes accumulate cluster by cluster, so point k equals ``coverage``
-    of the top k clusters.
+    Equal purities order by cluster label so the x-axis is deterministic. Point
+    k equals ``coverage`` of the top k clusters.
     """
-    if not clusters:
-        return []
-    scored = []
-    for label in clusters:
-        p, _ = purity(clusters[label], gt, iou_threshold)
-        scored.append((label, p))
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    n_relevant, relevant_by_image = _relevant_by_image(gt, classes)
-    points = []
-    purity_sum = 0.0
-    covered: set[int] = set()
-    for k, (label, p) in enumerate(scored, 1):
-        purity_sum += p
-        covered |= _hits(clusters[label], relevant_by_image, iou_threshold)
-        points.append((len(covered) / n_relevant if n_relevant else 0.0, purity_sum / k))
-    return points
+    return _ClusterTable(clusters, gt).curve(iou_threshold, classes)
 
 
 def auc(curve: Sequence[tuple[float, float]]) -> float:
@@ -279,19 +328,6 @@ def auc(curve: Sequence[tuple[float, float]]) -> float:
 # Localization metrics
 # ---------------------------------------------------------------------------
 
-def _assigned_by_image(
-    assignments: Mapping[str, str], regions: Mapping[str, RegionRecord]
-) -> dict[str, list[RegionRecord]]:
-    """Assigned corpus regions grouped by image, in assignment order."""
-    grouped: dict[str, list[RegionRecord]] = {}
-    for region_id, label in assignments.items():
-        if label == UNASSIGNED or region_id not in regions:
-            continue
-        region = regions[region_id]
-        grouped.setdefault(region.image_id, []).append(region)
-    return grouped
-
-
 def corloc(
     assignments: Mapping[str, str],
     regions: Mapping[str, RegionRecord],
@@ -300,16 +336,7 @@ def corloc(
 ) -> float:
     """Percent of ground-truth-bearing images with one assigned region localized
     strictly above the IoU threshold."""
-    by_image = _gt_by_image(gt)
-    if not by_image:
-        return 0.0
-    assigned_by_image = _assigned_by_image(assignments, regions)
-    hit = 0
-    for image_id, boxes in by_image.items():
-        candidates = assigned_by_image.get(image_id, ())
-        if any(iou(r.box, g.box) > iou_threshold for r in candidates for g in boxes):
-            hit += 1
-    return 100.0 * hit / len(by_image)
+    return _ClusterTable(clusters_from_assignments(assignments, regions), gt).corloc(iou_threshold)
 
 
 def detrate(
@@ -319,22 +346,8 @@ def detrate(
     iou_threshold: float,
 ) -> float:
     """Recall of ground-truth boxes by assigned regions, in percent."""
-    if not gt:
-        return 0.0
-    assigned_by_image = _assigned_by_image(assignments, regions)
-    recalled = sum(
-        1
-        for g in gt
-        if any(iou(r.box, g.box) >= iou_threshold for r in assigned_by_image.get(g.image_id, ()))
-    )
-    return 100.0 * recalled / len(gt)
-
-
-def _image_majority_class(boxes: Sequence[GroundTruthBox]) -> str:
-    counts: dict[str, int] = {}
-    for g in boxes:
-        counts[g.class_name] = counts.get(g.class_name, 0) + 1
-    return min(counts, key=lambda c: (-counts[c], c))
+    table = _ClusterTable(clusters_from_assignments(assignments, regions), gt)
+    return table.detrate(iou_threshold)
 
 
 def corret(
@@ -348,39 +361,52 @@ def corret(
 
     The image representation is the mean of its assigned-region features, or a
     cluster-assignment histogram with ``by_slot``. Images with no assignments or
-    no ground truth are not scored; k clamps to the eligible population.
+    no ground truth are not scored; k clamps to the eligible population. Equal
+    similarities rank by image id.
     """
-    by_image = _gt_by_image(gt)
-    assigned_by_image = _assigned_by_image(assignments, regions)
-    eligible = sorted(set(assigned_by_image) & set(by_image))
+    assigned = [(regions[rid], label) for rid, label in assignments.items()
+                if label != UNASSIGNED and rid in regions]
+    eligible = sorted({r.image_id for r, _ in assigned} & {g.image_id for g in gt})
     if len(eligible) < 2:
         return 0.0
+    row_of = {image_id: row for row, image_id in enumerate(eligible)}
+    rows = np.array([row_of.get(r.image_id, -1) for r, _ in assigned], dtype=np.intp)
+    keep = rows >= 0
     if by_slot:
-        all_labels = sorted(
-            {assignments[r.region_id] for rs in assigned_by_image.values() for r in rs}
-        )
-        index = {lab: i for i, lab in enumerate(all_labels)}
-        reps = np.zeros((len(eligible), len(all_labels)))
-        for row, image_id in enumerate(eligible):
-            for region in assigned_by_image[image_id]:
-                reps[row, index[assignments[region.region_id]]] += 1.0
+        _, slots = np.unique([label for _, label in assigned], return_inverse=True)
+        reps = np.zeros((len(eligible), slots.max() + 1))
+        np.add.at(reps, (rows[keep], slots[keep]), 1.0)
     else:
-        reps = np.stack(
-            [np.mean([r.feature for r in assigned_by_image[i]], axis=0) for i in eligible]
-        )
+        # ufunc.at adds in assignment order: the sequential sums of np.mean(axis=0).
+        reps = np.zeros((len(eligible), len(assigned[0][0].feature)))
+        np.add.at(reps, rows[keep], np.array([r.feature for r, _ in assigned])[keep])
+        reps /= np.bincount(rows[keep], minlength=len(eligible))[:, None]
     norms = np.linalg.norm(reps, axis=1)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    unit = reps / safe[:, None]
+    unit = reps / np.where(norms > 0.0, norms, 1.0)[:, None]
     sims = unit @ unit.T
-    classes = np.array([_image_majority_class(by_image[i]) for i in eligible])
+
+    counts: dict[str, Counter[str]] = {}
+    for g in gt:
+        counts.setdefault(g.image_id, Counter())[g.class_name] += 1
+    majority = [min(c, key=lambda name: (-c[name], name)) for c in map(counts.get, eligible)]
+    _, classes = np.unique(majority, return_inverse=True)
+
+    # A row's neighbors: the images strictly closer than its k_eff-th nearest,
+    # then the lowest-numbered of those tied with it (a stable sort's order).
     k_eff = min(k, len(eligible) - 1)
-    fractions = []
-    for row in range(len(eligible)):
-        order = np.argsort(-sims[row], kind="stable")
-        neighbors = order[order != row][:k_eff]
-        same = int(np.count_nonzero(classes[neighbors] == classes[row]))
-        fractions.append(same / k_eff)
-    return 100.0 * float(np.mean(fractions))
+    same = np.empty(len(eligible), dtype=np.intp)
+    for lo in range(0, len(eligible), 16):  # 16 rows at a time keep the temporaries small
+        block = np.arange(lo, min(lo + 16, len(eligible)))
+        distance = -sims[block]
+        distance[np.arange(len(block)), block] = np.inf
+        kth = np.partition(distance, k_eff - 1, axis=1)[:, k_eff - 1, None].copy()
+        closer = distance < kth
+        tied = distance == kth
+        room = k_eff - np.count_nonzero(closer, axis=1)
+        cut = np.count_nonzero(tied, axis=1) > room
+        tied[cut] &= np.cumsum(tied[cut], axis=1) <= room[cut, None]
+        same[block] = np.count_nonzero((closer | tied) & (classes == classes[block, None]), axis=1)
+    return 100.0 * float(np.mean(same / k_eff))
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +419,9 @@ def oracle_label_clusters(
     iou_threshold: float,
 ) -> dict[str, str]:
     """Majority-vote class per cluster; all-background clusters map to ``background``."""
-    return {
-        label: purity(members, gt, iou_threshold)[1]
-        for label, members in clusters.items()
-    }
+    table = _ClusterTable(clusters, gt)
+    majority = {label: m for label, (_, m) in zip(table.labels, table.purities(iou_threshold))}
+    return {label: majority[label] for label in clusters}
 
 
 def report_clusters(
@@ -404,21 +429,7 @@ def report_clusters(
     gt: Sequence[GroundTruthBox],
     iou_threshold: float,
 ) -> list[ClusterReport]:
-    reports = []
-    for label in sorted(clusters):
-        members = list(clusters[label])
-        p, majority = purity(members, gt, iou_threshold)
-        reports.append(
-            ClusterReport(
-                label=label,
-                members=members,
-                purity=p,
-                majority_class=majority,
-                size=len(members),
-                image_span=len({r.image_id for r in members}),
-            )
-        )
-    return reports
+    return _ClusterTable(clusters, gt).reports(iou_threshold)
 
 
 def count_discovered(
@@ -429,16 +440,7 @@ def count_discovered(
     min_images: int = 5,
 ) -> int:
     """Distinct unknown classes owning at least one pure-enough, wide-enough cluster."""
-    unknown = unknown_classes(gt)
-    discovered: set[str] = set()
-    for report in report_clusters(clusters, gt, iou_threshold):
-        if (
-            report.majority_class in unknown
-            and report.purity >= purity_floor
-            and report.image_span >= min_images
-        ):
-            discovered.add(report.majority_class)
-    return len(discovered)
+    return _ClusterTable(clusters, gt).discovered(iou_threshold, purity_floor, min_images)
 
 
 # ---------------------------------------------------------------------------
@@ -454,26 +456,17 @@ def evaluate_run(
     min_images: int = 5,
     corret_k: int = 10,
 ) -> DiscoveryReport:
-    """Assemble the metric suite the CLI writes out."""
-    clusters = clusters_from_assignments(assignments, regions)
-    curves = {
-        t: cumulative_purity_curve(clusters, gt, t) for t in iou_thresholds
-    }
+    """Assemble the metric suite the CLI writes out, from one IoU table."""
+    # CorRet runs first, so its similarity matrix and the table are never held together.
+    corret_score = corret(assignments, regions, gt, k=corret_k)
+    table = _ClusterTable(clusters_from_assignments(assignments, regions), gt)
+    curves = {t: table.curve(t) for t in iou_thresholds}
     primary = iou_thresholds[0]
-    metrics: dict[str, float | int] = {}
-    for t in iou_thresholds:
-        metrics[f"auc_{t}"] = auc(curves[t])
-    metrics["corloc"] = corloc(assignments, regions, gt)
-    metrics["corret"] = corret(assignments, regions, gt, k=corret_k)
-    metrics[f"detrate_{primary}"] = detrate(assignments, regions, gt, primary)
-    metrics["n_discovered"] = count_discovered(
-        clusters, gt, primary, purity_floor=purity_floor, min_images=min_images
-    )
-    eligible_images = {r.image_id for r in regions.values()}
-    scored_images = set(_assigned_by_image(assignments, regions))
-    metrics["corret_skipped_images"] = len(eligible_images - scored_images)
-    return DiscoveryReport(
-        clusters=report_clusters(clusters, gt, primary),
-        curves=curves,
-        metrics=metrics,
-    )
+    metrics: dict[str, float | int] = {f"auc_{t}": auc(curves[t]) for t in iou_thresholds}
+    metrics["corloc"] = table.corloc(0.5)
+    metrics["corret"] = corret_score
+    metrics[f"detrate_{primary}"] = table.detrate(primary)
+    metrics["n_discovered"] = table.discovered(primary, purity_floor, min_images)
+    scored_images = {r.image_id for members in table.members for r in members}
+    metrics["corret_skipped_images"] = len({r.image_id for r in regions.values()} - scored_images)
+    return DiscoveryReport(clusters=table.reports(primary), curves=curves, metrics=metrics)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import Config, config_hash
 from .records import RegionRecord
-from .stats import BackgroundStats, LinearClassifier, train_lda
+from .stats import BackgroundStats, LinearClassifier, _read_exact, _read_floats, train_lda
 
 logger = logging.getLogger(__name__)
 
@@ -312,47 +312,47 @@ class DualMemory:
     @classmethod
     def load_checkpoint(cls, path: str | Path, config: Config) -> "DualMemory":
         with open(path, "rb") as fh:
-            magic, version, d = struct.unpack("<4sII", fh.read(12))
+            magic, version, d = struct.unpack("<4sII", _read_exact(fh, 12, "header"))
             if magic != CHECKPOINT_MAGIC:
                 raise ValueError(f"bad magic {magic!r} in checkpoint")
             if version != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {version}")
-            stored_hash = fh.read(32).hex()
+            stored_hash = _read_exact(fh, 32, "config hash").hex()
             if stored_hash != config_hash(config):
                 raise ValueError("checkpoint was written under a different configuration")
             if d != config.d:
                 raise ValueError(f"checkpoint dimension {d} != configured dimension {config.d}")
-            next_slot_id, rejected = struct.unpack("<QQ", fh.read(16))
-            bg_mean = np.frombuffer(fh.read(8 * d), dtype="<f8").copy()
-            bg_cov = np.frombuffer(fh.read(8 * d * d), dtype="<f8").reshape(d, d).copy()
-            (bg_count,) = struct.unpack("<Q", fh.read(8))
+            next_slot_id, rejected = struct.unpack("<QQ", _read_exact(fh, 16, "counters"))
+            bg_mean = _read_floats(fh, d, "background mean")
+            bg_cov = _read_floats(fh, d * d, "background covariance").reshape(d, d)
+            (bg_count,) = struct.unpack("<Q", _read_exact(fh, 8, "background count"))
             bg = BackgroundStats.from_moments(bg_mean, bg_cov, bg_count)
             mem = cls(bg, config)
             mem.next_slot_id = next_slot_id
             mem.rejected_count = rejected
-            (n_sem,) = struct.unpack("<I", fh.read(4))
+            (n_sem,) = struct.unpack("<I", _read_exact(fh, 4, "semantic slot count"))
             for _ in range(n_sem):
-                (slot_id,) = struct.unpack("<Q", fh.read(8))
+                (slot_id,) = struct.unpack("<Q", _read_exact(fh, 8, "slot id"))
                 label = _read_str(fh)
-                (count,) = struct.unpack("<Q", fh.read(8))
-                mean = np.frombuffer(fh.read(8 * d), dtype="<f8").copy()
-                weights = np.frombuffer(fh.read(8 * d), dtype="<f8").copy()
-                (bias,) = struct.unpack("<d", fh.read(8))
+                (count,) = struct.unpack("<Q", _read_exact(fh, 8, "slot count"))
+                mean = _read_floats(fh, d, "slot mean")
+                weights = _read_floats(fh, d, "slot weights")
+                (bias,) = struct.unpack("<d", _read_exact(fh, 8, "slot bias"))
                 members = _read_str_list(fh)
                 mem.semantic.append(
                     SemanticSlot(slot_id, label, mean, count, LinearClassifier(weights, bias), members)
                 )
-            (n_work,) = struct.unpack("<I", fh.read(4))
+            (n_work,) = struct.unpack("<I", _read_exact(fh, 4, "working slot count"))
             for _ in range(n_work):
-                slot_id, count = struct.unpack("<QQ", fh.read(16))
-                centroid = np.frombuffer(fh.read(8 * d), dtype="<f8").copy()
+                slot_id, count = struct.unpack("<QQ", _read_exact(fh, 16, "slot id and count"))
+                centroid = _read_floats(fh, d, "slot centroid")
                 members = _read_str_list(fh)
                 mem.working.append(WorkingSlot(slot_id, centroid, count, members))
-                (n_samples,) = struct.unpack("<I", fh.read(4))
+                (n_samples,) = struct.unpack("<I", _read_exact(fh, 4, "sample count"))
                 for _ in range(n_samples):
                     rid = _read_str(fh)
                     image_id = _read_str(fh)
-                    feature = np.frombuffer(fh.read(8 * d), dtype="<f8").copy()
+                    feature = _read_floats(fh, d, "sample feature")
                     mem.sample_store[rid] = feature
                     mem.image_of[rid] = image_id
         mem.rebuild_caches()
@@ -366,8 +366,8 @@ def _write_str(fh, value: str) -> None:
 
 
 def _read_str(fh) -> str:
-    (n,) = struct.unpack("<I", fh.read(4))
-    return fh.read(n).decode("utf-8")
+    (n,) = struct.unpack("<I", _read_exact(fh, 4, "string length"))
+    return _read_exact(fh, n, "string").decode("utf-8")
 
 
 def _write_str_list(fh, values: Iterable[str]) -> None:
@@ -378,5 +378,5 @@ def _write_str_list(fh, values: Iterable[str]) -> None:
 
 
 def _read_str_list(fh) -> list[str]:
-    (n,) = struct.unpack("<I", fh.read(4))
+    (n,) = struct.unpack("<I", _read_exact(fh, 4, "list length"))
     return [_read_str(fh) for _ in range(n)]

@@ -16,7 +16,7 @@ import numpy as np
 from .config import Config, save_config
 from .consolidation import ConsolidationRecord, consolidate
 from .corpus import DatasetSplit, split_dataset
-from .evaluation import GroundTruthBox, iou
+from .evaluation import GroundTruthBox, IouTable
 from .memory import DecisionKind, DualMemory
 from .records import RegionRecord
 from .reporting import UNASSIGNED, write_assignments, write_key_values
@@ -103,19 +103,12 @@ def build_priors(
     if mode == "gt_overlap":
         if corpus is None or gt is None:
             raise ValueError("init_mode=gt_overlap requires the corpus and ground truth")
-        known_by_image: dict[str, list[GroundTruthBox]] = {}
-        for g in gt:
-            if g.known_flag:
-                known_by_image.setdefault(g.image_id, []).append(g)
-        for batch in corpus.values():
-            for region in batch:
-                best_iou, best_class = 0.0, None
-                for g in known_by_image.get(region.image_id, ()):
-                    value = iou(region.box, g.box)
-                    if value > best_iou:
-                        best_iou, best_class = value, g.class_name
-                if best_class is not None and best_iou > PRIOR_GT_IOU:
-                    priors.setdefault(best_class, []).append(region)
+        known = [g for g in gt if g.known_flag]
+        regions = [region for batch in corpus.values() for region in batch]
+        table = IouTable(regions, known)
+        for region, box, value in zip(regions, table.best.tolist(), table.best_iou.tolist()):
+            if value > PRIOR_GT_IOU:
+                priors.setdefault(known[box].class_name, []).append(region)
         return priors
     raise ValueError(f"unknown init_mode '{mode}'")
 

@@ -136,13 +136,25 @@ class BackgroundStats:
     @classmethod
     def load(cls, path: str | Path) -> "BackgroundStats":
         with open(path, "rb") as fh:
-            magic, d = struct.unpack("<4sI", fh.read(8))
+            magic, d = struct.unpack("<4sI", _read_exact(fh, 8, "header"))
             if magic != BG_MAGIC:
                 raise ValueError(f"bad magic {magic!r} in background stats file")
-            mean = np.frombuffer(fh.read(8 * d), dtype="<f8").copy()
-            covariance = np.frombuffer(fh.read(8 * d * d), dtype="<f8").reshape(d, d).copy()
-            (count,) = struct.unpack("<Q", fh.read(8))
+            mean = _read_floats(fh, d, "mean")
+            covariance = _read_floats(fh, d * d, "covariance").reshape(d, d)
+            (count,) = struct.unpack("<Q", _read_exact(fh, 8, "sample count"))
         return cls.from_moments(mean, covariance, count)
+
+
+def _read_exact(fh, n: int, what: str) -> bytes:
+    """The next ``n`` bytes of ``fh``; a short read is a ValueError naming the file and offset."""
+    offset, data = fh.tell(), fh.read(n)
+    if len(data) != n:
+        raise ValueError(f"{fh.name}: truncated at byte {offset}: {what} needs {n} bytes, got {len(data)}")
+    return data
+
+
+def _read_floats(fh, n: int, what: str) -> np.ndarray:
+    return np.frombuffer(_read_exact(fh, 8 * n, what), dtype="<f8").copy()
 
 
 def finalize_background(acc: MomentAccumulator, ridge_lambda: float) -> BackgroundStats:

@@ -21,7 +21,7 @@ from .evaluation import GroundTruthBox, write_gt
 from .corpus import write_corpus_jsonl
 from .reporting import write_key_values
 
-KNOWN_PRIOR_SCORE = 0.95
+KNOWN_PRIOR_SCORE = float(np.float32(0.95))  # float32-exact, so the DMRF format holds it
 DEFAULT_SCORE = 0.5
 
 

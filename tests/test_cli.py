@@ -217,6 +217,26 @@ class TestDiscover:
         assert "--priors" in capsys.readouterr().err
 
 
+    def test_truncated_background_fails_cleanly_at_every_offset(self, tmp_path, full_run, capsys):
+        generated, bg_dir, _, config_path = full_run
+        data = (bg_dir / "bg.bin").read_bytes()
+        cut = tmp_path / "cut.bin"
+        out = tmp_path / "cut_run"
+        capsys.readouterr()
+        for size in range(len(data)):
+            cut.write_bytes(data[:size])
+            argv = [
+                "discover", "--corpus", str(generated / "corpus.jsonl"), "--bg", str(cut),
+                "--config", str(config_path), "--priors", str(generated / "priors.jsonl"),
+                "--out", str(out),
+            ]
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert "truncated at byte" in captured.err
+            assert not (out / "manifest.json").exists()
+
+
 class TestEvalAndBaseline:
     def test_eval_outputs(self, tmp_path, full_run):
         generated, _, run_dir, _ = full_run

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from dualmem.evaluation import (
     GroundTruthBox,
+    IouTable,
     auc,
     corloc,
     corret,
@@ -375,6 +376,27 @@ class TestCorret:
         value = corret(assignments, regions, gt, k=3)
         assert 0.0 <= value <= 100.0
 
+    def test_equal_similarities_rank_by_image_order(self):
+        # Four identical representations: every image's nearest are the lowest-numbered others.
+        regions, assignments, gt = {}, {}, []
+        for i, c in enumerate("abbb"):
+            regions[f"r{i}"] = make_region(f"r{i}", f"i{i}", [1.0, 0.0], box=BoundingBox(0, 0, 2, 2))
+            assignments[f"r{i}"] = "c0"
+            gt.append(gt_box(f"i{i}", BoundingBox(0, 0, 2, 2), c))
+        assert corret(assignments, regions, gt, k=1) == 0.0
+        assert corret(assignments, regions, gt, k=2) == 37.5
+
+    def test_means_add_in_assignment_order(self):
+        # Image i0's x-coordinates sum to 0 in assignment order (rc, ra, rb) but to 1 in
+        # corpus order, which would turn its mean toward i2 (class b) and away from i1.
+        features = {"ra": [1e16, 1.0], "rb": [-1e16, 1.0], "rc": [1.0, 1.0]}
+        regions = {rid: make_region(rid, "i0", f, box=BoundingBox(0, 0, 2, 2)) for rid, f in features.items()}
+        regions["r1"] = make_region("r1", "i1", [0.0, 1.0], box=BoundingBox(0, 0, 2, 2))
+        regions["r2"] = make_region("r2", "i2", [1.0, 3.0], box=BoundingBox(0, 0, 2, 2))
+        assignments = {rid: "c0" for rid in ("rc", "ra", "rb", "r1", "r2")}
+        gt = [gt_box(image, BoundingBox(0, 0, 2, 2), c) for image, c in (("i0", "a"), ("i1", "a"), ("i2", "b"))]
+        assert corret(assignments, regions, gt, k=1) == pytest.approx(200.0 / 3.0)
+
     def test_by_slot_representation(self):
         assignments, regions, gt = self.balanced_fixture()
         assert corret(assignments, regions, gt, k=3, by_slot=True) == 100.0
@@ -458,3 +480,184 @@ class TestEvaluateRun:
         assert report.metrics["corloc"] == 0.0
         assert report.metrics["detrate_0.5"] == 0.0
         assert report.metrics["n_discovered"] == 0
+
+
+def test_iou_table_best_boxes_match_scalar_iou_bit_for_bit():
+    rng = np.random.default_rng(8)
+
+    def random_box():
+        x, y = rng.uniform(0.0, 3.0, 2)
+        w, h = rng.uniform(0.1, 3.0, 2)
+        return BoundingBox(float(x), float(y), float(x + w), float(y + h))
+
+    gt = [gt_box(f"i{rng.integers(4)}", random_box(), "a") for _ in range(20)]
+    gt += [gt_box(g.image_id, g.box, "b") for g in gt[:5]]  # equal IoUs: the first box wins
+    regions = [make_region(f"r{j}", f"i{rng.integers(5)}", [0.0], box=random_box()) for j in range(200)]
+    table = IouTable(regions, gt)
+    pairs = list(zip(table.region.tolist(), table.box.tolist()))
+    assert pairs == [
+        (r, b) for r in range(len(regions)) for b in range(len(gt)) if gt[b].image_id == regions[r].image_id
+    ]
+    assert table.iou.tolist() == [iou(regions[r].box, gt[b].box) for r, b in pairs]
+    for region, index, value in zip(regions, table.best.tolist(), table.best_iou.tolist()):
+        values = [iou(region.box, g.box) if g.image_id == region.image_id else -1.0 for g in gt]
+        top = max(values, default=-1.0)
+        if top <= 0.0:
+            assert (index, value) == (-1, 0.0)
+        else:
+            assert (index, value) == (values.index(top), top)
+
+
+def reference_evaluate(assignments, regions, gt, thresholds, purity_floor, min_images, k):
+    """The metric suite by scalar loops: the algorithm ``evaluate_run`` replaced."""
+    by_image = {}
+    for g in gt:
+        by_image.setdefault(g.image_id, []).append(g)
+    clusters = {}
+    for region_id, region in regions.items():
+        label = assignments.get(region_id, "unassigned")
+        if label != "unassigned":
+            clusters.setdefault(label, []).append(region)
+    assigned = {}
+    for region_id, label in assignments.items():
+        if label != "unassigned" and region_id in regions:
+            assigned.setdefault(regions[region_id].image_id, []).append(regions[region_id])
+
+    def cluster_purity(members, t):
+        counts = {}
+        for region in members:
+            best, cls = 0.0, None
+            for g in by_image.get(region.image_id, ()):
+                value = iou(region.box, g.box)
+                if value > best:
+                    best, cls = value, g.class_name
+            if cls is not None and best >= t:
+                counts[cls] = counts.get(cls, 0) + 1
+        if not counts:
+            return 0.0, "background"
+        majority = min(counts, key=lambda c: (-counts[c], c))
+        return counts[majority] / len(members), majority
+
+    unknown = {g.class_name for g in gt if not g.known_flag}
+    relevant = [g for g in gt if g.class_name in unknown]
+    curves = {}
+    for t in thresholds:
+        scored = sorted(
+            ((label, cluster_purity(ms, t)[0]) for label, ms in clusters.items()),
+            key=lambda item: (-item[1], item[0]),
+        )
+        points, total, covered = [], 0.0, set()
+        for n, (label, p) in enumerate(scored, 1):
+            total += p
+            covered |= {
+                i
+                for i, g in enumerate(relevant)
+                for r in clusters[label]
+                if r.image_id == g.image_id and iou(r.box, g.box) >= t
+            }
+            points.append((len(covered) / len(relevant) if relevant else 0.0, total / n))
+        curves[t] = points
+    primary = thresholds[0]
+    metrics = {f"auc_{t}": auc(curves[t]) for t in thresholds}
+    hit_images = sum(
+        any(iou(r.box, g.box) > 0.5 for r in assigned.get(image, ()) for g in boxes)
+        for image, boxes in by_image.items()
+    )
+    metrics["corloc"] = 100.0 * hit_images / len(by_image) if by_image else 0.0
+
+    eligible = sorted(set(assigned) & set(by_image))
+    if len(eligible) < 2:
+        metrics["corret"] = 0.0
+    else:
+        reps = np.stack([np.mean([r.feature for r in assigned[i]], axis=0) for i in eligible])
+        norms = np.linalg.norm(reps, axis=1)
+        unit = reps / np.where(norms > 0.0, norms, 1.0)[:, None]
+        sims = unit @ unit.T
+        classes = []
+        for image in eligible:
+            counts = {}
+            for g in by_image[image]:
+                counts[g.class_name] = counts.get(g.class_name, 0) + 1
+            classes.append(min(counts, key=lambda c: (-counts[c], c)))
+        classes = np.array(classes)
+        k_eff = min(k, len(eligible) - 1)
+        fractions = []
+        for row in range(len(eligible)):
+            order = np.argsort(-sims[row], kind="stable")
+            neighbors = order[order != row][:k_eff]
+            fractions.append(int(np.count_nonzero(classes[neighbors] == classes[row])) / k_eff)
+        metrics["corret"] = 100.0 * float(np.mean(fractions))
+
+    recalled = sum(
+        any(iou(r.box, g.box) >= primary for r in assigned.get(g.image_id, ())) for g in gt
+    )
+    metrics[f"detrate_{primary}"] = 100.0 * recalled / len(gt) if gt else 0.0
+    reports = []
+    for label in sorted(clusters):
+        p, majority = cluster_purity(clusters[label], primary)
+        span = len({r.image_id for r in clusters[label]})
+        reports.append((label, p, majority, len(clusters[label]), span))
+    metrics["n_discovered"] = len(
+        {m for _, p, m, _, span in reports if m in unknown and p >= purity_floor and span >= min_images}
+    )
+    metrics["corret_skipped_images"] = len({r.image_id for r in regions.values()} - set(assigned))
+    return metrics, curves, reports
+
+
+# Ground truth sits on images 0-4, and two boxes may share a cell (equal IoUs).
+GT_BOXES = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 2), st.sampled_from(["a", "b", "k"])), max_size=12
+)
+# A region: image (5 has no ground truth), cell, shift, lower-half height, feature.
+# The lower half of a cell has IoU exactly 0.5 with it. Features come from a small
+# set, so images share representations and similarities tie.
+REGIONS = st.lists(
+    st.tuples(
+        st.integers(0, 5), st.integers(0, 2), SHIFTS, st.booleans(),
+        st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.0, 0.0), (0.1, 0.7), (0.3, -0.2)]),
+    ),
+    min_size=1, max_size=24,
+)
+LABELS = st.sampled_from(["c0", "c1", "c2", "unassigned"])
+
+
+@given(
+    gt_boxes=GT_BOXES,
+    corpus_regions=REGIONS,
+    labels=st.lists(st.one_of(st.none(), LABELS), min_size=24, max_size=24),
+    ghosts=st.lists(LABELS, max_size=3),
+    order_seed=st.integers(0, 2**16),
+    thresholds=st.sampled_from([(0.5, 0.2), (0.2,), (0.6, 0.5)]),
+    purity_floor=st.sampled_from([0.0, 0.5, 1.0]),
+    min_images=st.sampled_from([1, 2]),
+    corret_k=st.sampled_from([1, 2, 10]),
+)
+@settings(max_examples=300, deadline=None)
+def test_evaluate_run_equals_scalar_reference(
+    gt_boxes, corpus_regions, labels, ghosts, order_seed, thresholds, purity_floor, min_images,
+    corret_k,
+):
+    gt = [gt_box(f"i{image}", box(2.0 * cell), name, known=name == "k") for image, cell, name in gt_boxes]
+    regions = {
+        f"r{j}": make_region(
+            f"r{j}", f"i{image}", list(feature),
+            box=BoundingBox(2.0 * cell + shift, 0.0, 2.0 * cell + shift + 1.0, 0.5 if half else 1.0),
+        )
+        for j, (image, cell, shift, half, feature) in enumerate(corpus_regions)
+    }
+    rows = [(f"r{j}", label) for j, label in enumerate(labels[: len(regions)]) if label is not None]
+    rows += [(f"ghost{j}", label) for j, label in enumerate(ghosts)]  # not in the corpus
+    order = np.random.default_rng(order_seed).permutation(len(rows))
+    assignments = dict(rows[i] for i in order)
+
+    report = evaluate_run(
+        assignments, regions, gt, iou_thresholds=thresholds, purity_floor=purity_floor,
+        min_images=min_images, corret_k=corret_k,
+    )
+    metrics, curves, reports = reference_evaluate(
+        assignments, regions, gt, thresholds, purity_floor, min_images, corret_k
+    )
+    assert repr(report.metrics) == repr(metrics)
+    assert repr(report.curves) == repr(curves)
+    got = [(c.label, c.purity, c.majority_class, c.size, c.image_span) for c in report.clusters]
+    assert repr(got) == repr(reports)

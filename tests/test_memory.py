@@ -352,3 +352,18 @@ class TestCheckpoint:
         other = Config(d=4, tau_working=0.71, init_mode="null")
         with pytest.raises(ValueError, match="different configuration"):
             DualMemory.load_checkpoint(path, other)
+
+    def test_truncated_checkpoint_is_a_value_error_at_every_offset(self, tmp_path):
+        rng = np.random.default_rng(5)
+        mem = make_memory(d=3, priors={"cat": [make_region("p0", "ip", np.array([8.0, 0, 0]))]})
+        for i in range(6):
+            mem.process_image([make_region(f"r{i}", f"i{i}", rng.standard_normal(3) * 3)])
+        assert mem.semantic and mem.working
+        path = tmp_path / "checkpoint.bin"
+        mem.save_checkpoint(path)
+        data = path.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for size in range(len(data)):
+            cut.write_bytes(data[:size])
+            with pytest.raises(ValueError, match=r"cut\.bin: truncated at byte \d+"):
+                DualMemory.load_checkpoint(cut, mem.config)

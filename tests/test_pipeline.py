@@ -3,7 +3,7 @@ import pytest
 
 from dualmem.config import Config
 from dualmem.corpus import load_corpus, split_dataset
-from dualmem.evaluation import load_gt
+from dualmem.evaluation import GroundTruthBox, iou, load_gt
 from dualmem.memory import DualMemory
 from dualmem.pipeline import (
     RoundState,
@@ -12,6 +12,7 @@ from dualmem.pipeline import (
     run_discovery,
     run_discovery_round,
 )
+from dualmem.records import BoundingBox
 from dualmem.synth import SynthSpec, generate
 
 from conftest import identity_bg, make_region
@@ -109,6 +110,41 @@ class TestPriors:
         assert set(priors) == {"known_00", "known_01"}
         for label, regions in priors.items():
             assert all(r.gt_label == label for r in regions)
+
+
+    def test_gt_overlap_matches_a_scalar_loop_on_random_boxes(self):
+        rng = np.random.default_rng(4)
+
+        def random_box():
+            x, y = rng.integers(0, 3, 2) * 0.5
+            w, h = rng.integers(2, 5, 2) * 0.5
+            return BoundingBox(float(x), float(y), float(x + w), float(y + h))
+
+        images = [f"i{i}" for i in range(30)]
+        gt = [
+            GroundTruthBox(str(rng.choice(images)), random_box(), str(rng.choice(["a", "b", "c"])),
+                           bool(rng.random() < 0.7))
+            for _ in range(90)
+        ]
+        corpus = {
+            image: [make_region(f"{image}_r{j}", image, [0.0], box=random_box()) for j in range(6)]
+            for image in images + ["no_gt"]
+        }
+        expected: dict[str, list[str]] = {}
+        for batch in corpus.values():
+            for region in batch:
+                best_iou, best_class = 0.0, None
+                for g in gt:
+                    if g.known_flag and g.image_id == region.image_id:
+                        value = iou(region.box, g.box)
+                        if value > best_iou:
+                            best_iou, best_class = value, g.class_name
+                if best_class is not None and best_iou > 0.5:
+                    expected.setdefault(best_class, []).append(region.region_id)
+        priors = build_priors(Config(d=1, init_mode="gt_overlap"), corpus=corpus, gt=gt)
+        assert sum(len(v) for v in expected.values()) > 20
+        assert {c: [r.region_id for r in rs] for c, rs in priors.items()} == expected
+        assert list(priors) == list(expected)
 
 
 class TestRound:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from dualmem.config import Config
-from dualmem.corpus import ingest_corpus, open_corpus
+from dualmem.corpus import convert_corpus, ingest_corpus, open_corpus
 from dualmem.evaluation import load_gt
-from dualmem.synth import SynthSpec, class_means, generate, kmeans_baseline, load_spec, save_spec
+from dualmem.synth import KNOWN_PRIOR_SCORE, SynthSpec, class_means, generate, kmeans_baseline, load_spec, save_spec
 
 from conftest import make_region
 
@@ -79,10 +79,16 @@ class TestGenerate:
         _, stream = open_corpus(paths["priors"])
         priors = list(stream)
         assert priors
-        assert all(r.score == 0.95 and r.gt_label.startswith("known_") for r in priors)
+        assert all(r.score == KNOWN_PRIOR_SCORE and r.gt_label.startswith("known_") for r in priors)
         _, stream = open_corpus(paths["corpus"])
         corpus_scores = {r.region_id: r.score for r in stream}
-        assert all(corpus_scores[r.region_id] == 0.95 for r in priors)
+        assert all(corpus_scores[r.region_id] == KNOWN_PRIOR_SCORE for r in priors)
+
+    def test_generated_corpus_converts_to_binary_and_back(self, tmp_path):
+        paths = generate(small_spec(), tmp_path)
+        convert_corpus(paths["corpus"], tmp_path / "corpus.dmrf")
+        convert_corpus(tmp_path / "corpus.dmrf", tmp_path / "back.jsonl")
+        assert (tmp_path / "back.jsonl").read_bytes() == paths["corpus"].read_bytes()
 
     def test_class_regions_sit_on_their_gt_box(self, tmp_path):
         spec = small_spec()
