@@ -1,7 +1,8 @@
 """Command-line entry point: gen, background, discover, eval, baseline.
 
-Every subcommand writes a manifest into its output directory before any other
-artifact and refuses to reuse a non-empty directory unless forced.
+Every subcommand reads and checks its inputs, then writes a manifest into its
+output directory before any other artifact; it refuses to reuse a non-empty
+directory unless forced.
 """
 
 from __future__ import annotations
@@ -98,12 +99,12 @@ def _cmd_background(args: argparse.Namespace) -> int:
             raise CliError(f"config d={config.d} does not match corpus d={d}")
     else:
         config = Config(d=d)
+    batches = list(ingest_corpus(args.corpus, config))
     out_dir = _prepare_out_dir(args.out, args.force)
     _write_manifest(
         out_dir, "background", args,
         _hash_params(_hash_file(args.corpus), config_hash(config), args.threads),
     )
-    batches = list(ingest_corpus(args.corpus, config))
     bg = estimate_background(batches, config, workers=args.threads)
     bg.save(out_dir / "bg.bin")
     print(f"background: {out_dir / 'bg.bin'} (d={bg.d}, samples={bg.count})")
@@ -146,6 +147,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     min_images = args.min_images
     if min_images is None:
         min_images = load_config(args.config).min_images_per_slot if args.config else 5
+    config = Config(d=read_corpus_dim(args.corpus), n_proposals_per_image=10**9)
+    regions = {r.region_id: r for batch in ingest_corpus(args.corpus, config) for r in batch}
+    assignments = read_assignments(args.assignments)
+    gt = load_gt(args.gt)
     out_dir = _prepare_out_dir(args.out, args.force)
     _write_manifest(
         out_dir, "eval", args,
@@ -154,11 +159,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             thresholds, args.purity_floor, min_images,
         ),
     )
-    d = read_corpus_dim(args.corpus)
-    config = Config(d=d, n_proposals_per_image=10**9)
-    regions = {r.region_id: r for batch in ingest_corpus(args.corpus, config) for r in batch}
-    assignments = read_assignments(args.assignments)
-    gt = load_gt(args.gt)
     report = evaluate_run(
         assignments, regions, gt,
         iou_thresholds=thresholds,
@@ -184,11 +184,10 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         k = int(values["clusters_final"])
     if args.seed is None:
         args.seed = load_config(args.config).rng_seed if args.config else 0
+    config = Config(d=read_corpus_dim(args.corpus), n_proposals_per_image=10**9)
+    regions = [r for batch in ingest_corpus(args.corpus, config) for r in batch]
     out_dir = _prepare_out_dir(args.out, args.force)
     _write_manifest(out_dir, "baseline", args, _hash_params(_hash_file(args.corpus), k, args.seed))
-    d = read_corpus_dim(args.corpus)
-    config = Config(d=d, n_proposals_per_image=10**9)
-    regions = [r for batch in ingest_corpus(args.corpus, config) for r in batch]
     assignments, _, history = kmeans_baseline(regions, k, args.seed)
     write_assignments(out_dir / "assignments.tsv", assignments.items())
     print(f"assignments: {out_dir / 'assignments.tsv'} (k={k}, iterations={len(history)})")

@@ -35,7 +35,6 @@ class Config:
     consolidation_mode: str = "merge_refine"
     init_mode: str = "det_scores"
     l2_normalize: bool = False
-    affinity_per_sample: bool = False
 
     def __post_init__(self) -> None:
         if self.d < 1:

@@ -1,10 +1,10 @@
 """Promote working-memory candidates into semantic memory.
 
-The full procedure trains a classifier per working slot, merges slots whose
-classifiers fire on each other (connected components over a thresholded
-affinity graph), drops samples a merged slot's own classifier rejects, and
-transfers the survivors as new semantic categories. Working memory is reset
-afterwards in every mode.
+The full procedure trains a classifier per working slot (one solve for all of
+them), merges slots whose classifiers fire on each other (connected components
+over a thresholded affinity graph), drops samples a merged slot's own
+classifier rejects, and transfers the survivors as new semantic categories.
+Working memory is reset afterwards in every mode.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
 from .memory import DualMemory, SemanticSlot, WorkingSlot
-from .stats import LinearClassifier, train_lda
+from .stats import LinearClassifier, train_lda_batch, whiten
 
 
 @dataclass
@@ -48,12 +48,12 @@ def train_slot_classifiers(mem: DualMemory) -> dict[int, LinearClassifier]:
     """Closed-form classifier per working slot, trained at its centroid.
 
     The member mean equals the centroid, so training on the centroid and on
-    the member set coincide.
+    the member set coincide. All slots are solved in one call, and each
+    classifier equals ``train_lda(centroid, count, bg)`` bit for bit.
     """
-    return {
-        slot.slot_id: train_lda(slot.centroid, slot.count, mem.bg)
-        for slot in mem.working
-    }
+    slots = mem.working
+    classifiers = train_lda_batch([s.centroid for s in slots], [s.count for s in slots], mem.bg)
+    return {slot.slot_id: clf for slot, clf in zip(slots, classifiers)}
 
 
 def build_affinity_graph(
@@ -61,8 +61,8 @@ def build_affinity_graph(
 ) -> AffinityGraph:
     """Symmetric cross-firing affinities; an edge exists above the configured threshold.
 
-    By default slot i's classifier is evaluated at slot j's centroid; with
-    ``affinity_per_sample`` it is averaged over slot j's member features.
+    Slot i's classifier is evaluated at slot j's centroid, which is its score
+    averaged over slot j's members: the classifier is linear.
     """
     slots = mem.working
     nodes = [s.slot_id for s in slots]
@@ -71,14 +71,8 @@ def build_affinity_graph(
         return AffinityGraph(nodes=nodes, edges=[])
     weights = np.stack([classifiers[s.slot_id].weights for s in slots])
     biases = np.array([classifiers[s.slot_id].bias for s in slots])
-    if mem.config.affinity_per_sample:
-        fired = np.empty((k, k))
-        for j, slot in enumerate(slots):
-            feats = np.stack([mem.sample_store[r] for r in slot.members])
-            fired[:, j] = (weights @ feats.T).mean(axis=1) + biases
-    else:
-        centroids = np.stack([s.centroid for s in slots])
-        fired = weights @ centroids.T + biases[:, None]
+    centroids = np.stack([s.centroid for s in slots])
+    fired = weights @ centroids.T + biases[:, None]
     affinity = 0.5 * (fired + fired.T)
     threshold = mem.config.merge_edge_threshold
     rows, cols = np.nonzero(np.triu(affinity > threshold, 1))
@@ -111,20 +105,10 @@ def merge_components(mem: DualMemory, graph: AffinityGraph) -> int:
         if len(component) == 1:
             merged.append(by_id[component[0]])
             continue
-        members: list[str] = []
-        for slot_id in component:
-            members.extend(by_id[slot_id].members)
+        members = [r for slot_id in component for r in by_id[slot_id].members]
         feats = np.stack([mem.sample_store[r] for r in members])
-        merged.append(
-            WorkingSlot(
-                slot_id=component[0],
-                centroid=feats.mean(axis=0),
-                count=len(members),
-                members=members,
-            )
-        )
-    merged.sort(key=lambda s: s.slot_id)
-    mem.working = merged
+        merged.append(WorkingSlot(component[0], feats.mean(axis=0), len(members), members))
+    mem.working = merged  # components run in order of their smallest slot_id
     mem.rebuild_caches()
     return len(merged)
 
@@ -148,14 +132,7 @@ def refine_slots(mem: DualMemory, classifiers: dict[int, LinearClassifier]) -> i
             retained_slots.append(slot)
         elif n_keep > 0:
             members = [r for r, ok in zip(slot.members, keep) if ok]
-            retained_slots.append(
-                WorkingSlot(
-                    slot_id=slot.slot_id,
-                    centroid=feats[keep].mean(axis=0),
-                    count=n_keep,
-                    members=members,
-                )
-            )
+            retained_slots.append(WorkingSlot(slot.slot_id, feats[keep].mean(axis=0), n_keep, members))
     mem.working = retained_slots
     mem.rebuild_caches()
     return dropped
@@ -179,27 +156,17 @@ def consolidate(mem: DualMemory, round_index: int = 1) -> ConsolidationRecord:
     if mode == "merge_refine" and mem.working:
         samples_dropped = refine_slots(mem, train_slot_classifiers(mem))
 
-    transferred = 0
-    dropped_small = 0
-    sequence = 0
-    for slot in mem.working:
-        image_span = len({mem.image_of[r] for r in slot.members})
-        if image_span < mem.config.min_images_per_slot:
-            dropped_small += 1
-            continue
+    kept = [
+        slot for slot in mem.working
+        if len({mem.image_of[r] for r in slot.members}) >= mem.config.min_images_per_slot
+    ]
+    dropped_small = len(mem.working) - len(kept)
+    whites = whiten(np.stack([slot.centroid for slot in kept]), mem.bg) if kept else []
+    for sequence, (slot, white) in enumerate(zip(kept, whites)):
         label = f"disc_{round_index}_{sequence}"
-        sequence += 1
         mem.semantic.append(
-            SemanticSlot(
-                slot_id=slot.slot_id,
-                label=label,
-                mean=slot.centroid.copy(),
-                count=slot.count,
-                classifier=train_lda(slot.centroid, slot.count, mem.bg),
-                members=list(slot.members),
-            )
+            SemanticSlot(slot.slot_id, label, slot.centroid.copy(), slot.count, white, mem.bg, list(slot.members))
         )
-        transferred += 1
     mem.semantic.sort(key=lambda s: s.slot_id)
     mem.working = []
     mem.rebuild_caches()
@@ -209,6 +176,6 @@ def consolidate(mem: DualMemory, round_index: int = 1) -> ConsolidationRecord:
         slots_before=slots_before,
         slots_after_merge=slots_after_merge,
         samples_dropped_by_refine=samples_dropped,
-        slots_transferred=transferred,
+        slots_transferred=len(kept),
         slots_dropped_min_images=dropped_small,
     )

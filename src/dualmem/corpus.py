@@ -52,7 +52,7 @@ def write_corpus_jsonl(path: str | Path, d: int, records: Iterable[RegionRecord]
             fh.write(_record_to_json(record) + "\n")
 
 
-def _parse_json_record(obj: dict, lineno: int) -> RegionRecord:
+def _parse_json_record(obj: dict, where: str) -> RegionRecord:
     try:
         box = BoundingBox(*(float(v) for v in obj["box"]))
         label = obj.get("gt_label")
@@ -65,20 +65,20 @@ def _parse_json_record(obj: dict, lineno: int) -> RegionRecord:
             gt_label=str(label) if label else None,
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise CorpusFormatError(f"line {lineno}: {exc}") from exc
+        raise CorpusFormatError(f"{where}: {exc}") from exc
 
 
 def _iter_jsonl(path: Path) -> Iterator[int | RegionRecord]:
-    """Yield the header's dimension, then the records."""
+    """Yield the header's dimension, then the records. Errors name the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             header = json.loads(fh.readline())
             d = int(header["d"])
             version = int(header["version"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise CorpusFormatError(f"line 1: bad header record: {exc}") from exc
+            raise CorpusFormatError(f"{path}: line 1: bad header record: {exc}") from exc
         if version != JSONL_VERSION:
-            raise CorpusFormatError(f"line 1: unsupported version {version}")
+            raise CorpusFormatError(f"{path}: line 1: unsupported version {version}")
         yield d
         for lineno, line in enumerate(fh, 2):
             if not line.strip():
@@ -86,8 +86,8 @@ def _iter_jsonl(path: Path) -> Iterator[int | RegionRecord]:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"line {lineno}: invalid JSON at column {exc.colno}") from exc
-            yield _parse_json_record(obj, lineno)
+                raise CorpusFormatError(f"{path}: line {lineno}: invalid JSON at column {exc.colno}") from exc
+            yield _parse_json_record(obj, f"{path}: line {lineno}")
 
 
 # ---------------------------------------------------------------------------
@@ -126,23 +126,23 @@ def write_corpus_binary(path: str | Path, d: int, records: Iterable[RegionRecord
 
 
 def _iter_binary(path: Path) -> Iterator[int | RegionRecord]:
-    """Yield the header's dimension, then the records."""
+    """Yield the header's dimension, then the records. Errors name the file and record."""
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) != 16:
-            raise CorpusFormatError("binary header truncated (expected 16 bytes)")
+            raise CorpusFormatError(f"{path}: binary header truncated (expected 16 bytes)")
         magic, version, d, count = struct.unpack("<4sIII", header)
         if magic != BINARY_MAGIC:
-            raise CorpusFormatError(f"bad magic {magic!r}, expected {BINARY_MAGIC!r}")
+            raise CorpusFormatError(f"{path}: bad magic {magic!r}, expected {BINARY_MAGIC!r}")
         if version != BINARY_VERSION:
-            raise CorpusFormatError(f"unsupported binary version {version}")
+            raise CorpusFormatError(f"{path}: unsupported binary version {version}")
         yield d
         record_struct = struct.Struct(f"<{ID_FIELD_BYTES}s{ID_FIELD_BYTES}s5f{ID_FIELD_BYTES}s{d}f")
         for index in range(count):
             blob = fh.read(record_struct.size)
             if len(blob) != record_struct.size:
                 raise CorpusFormatError(
-                    f"record {index} at offset {16 + index * record_struct.size}: truncated"
+                    f"{path}: record {index} at offset {16 + index * record_struct.size}: truncated"
                 )
             fields = record_struct.unpack(blob)
             region_id = fields[0].rstrip(b"\x00").decode("utf-8")
@@ -160,7 +160,7 @@ def _iter_binary(path: Path) -> Iterator[int | RegionRecord]:
                     gt_label=label or None,
                 )
             except ValueError as exc:
-                raise CorpusFormatError(f"record {index}: {exc}") from exc
+                raise CorpusFormatError(f"{path}: record {index}: {exc}") from exc
 
 
 def _is_binary(path: Path) -> bool:
@@ -225,7 +225,7 @@ def ingest_corpus(path: str | Path, config: Config) -> Iterator[list[RegionRecor
     """
     d, records = open_corpus(path)
     if d != config.d:
-        raise CorpusFormatError(f"corpus dimension {d} != configured dimension {config.d}")
+        raise CorpusFormatError(f"{path}: corpus dimension {d} != configured dimension {config.d}")
 
     seen_regions: set[str] = set()
     finished_images: set[str] = set()
@@ -234,7 +234,7 @@ def ingest_corpus(path: str | Path, config: Config) -> Iterator[list[RegionRecor
 
     def finish(image_id: str, regions: list[RegionRecord]) -> list[RegionRecord]:
         if image_id in finished_images:
-            raise CorpusFormatError(f"image '{image_id}' appears in more than one block")
+            raise CorpusFormatError(f"{path}: image '{image_id}' appears in more than one block")
         finished_images.add(image_id)
         regions.sort(key=lambda r: (-r.score, r.region_id))
         return regions[: config.n_proposals_per_image]
@@ -242,11 +242,11 @@ def ingest_corpus(path: str | Path, config: Config) -> Iterator[list[RegionRecor
     for record in records:
         if record.feature.shape[0] != d:
             raise CorpusFormatError(
-                f"region '{record.region_id}': feature dimension "
+                f"{path}: region '{record.region_id}': feature dimension "
                 f"{record.feature.shape[0]} != {d}"
             )
         if record.region_id in seen_regions:
-            raise CorpusFormatError(f"duplicate region_id '{record.region_id}'")
+            raise CorpusFormatError(f"{path}: duplicate region_id '{record.region_id}'")
         seen_regions.add(record.region_id)
         if config.l2_normalize:
             norm = float(np.linalg.norm(record.feature))

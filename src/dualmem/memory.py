@@ -1,7 +1,8 @@
 """The dual memory: classifier slots for known concepts, centroid slots for candidates.
 
-Semantic slots carry a closed-form discriminant refreshed on every update;
-working slots are cumulative-moving-average centroids matched by cosine.
+Semantic slots score whitened features with their whitened mean (see ``stats``),
+moved in O(d) per absorbed region; the classifier is derived only when asked
+for. Working slots are cumulative-moving-average centroids matched by cosine.
 Retrieval is a pure decision; applying a decision is the only mutation path.
 """
 
@@ -18,12 +19,12 @@ import numpy as np
 
 from .config import Config, config_hash
 from .records import RegionRecord
-from .stats import BackgroundStats, LinearClassifier, _read_exact, _read_floats, train_lda
+from .stats import BackgroundStats, LinearClassifier, _read_exact, _read_floats, train_lda, whiten
 
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"DMCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class StaleDecisionError(RuntimeError):
@@ -46,14 +47,25 @@ class RetrievalDecision:
 
 @dataclass(eq=False)
 class SemanticSlot:
-    """A known or discovered category: positive mean, count, derived classifier."""
+    """A known or discovered category: positive mean and count, and the whitened mean that scores."""
 
     slot_id: int
     label: str
     mean: np.ndarray
     count: int
-    classifier: LinearClassifier
+    white: np.ndarray
+    bg: BackgroundStats = field(repr=False)
     members: list[str] = field(default_factory=list)
+
+    @property
+    def offset(self) -> float:
+        """The slot's score at the background mean: log(n / N) - |m|^2 / 2."""
+        return float(np.log(self.count / self.bg.count) - 0.5 * (self.white @ self.white))
+
+    @property
+    def classifier(self) -> LinearClassifier:
+        """The closed-form discriminant ``train_lda(mean, count, bg)``, derived when asked for."""
+        return train_lda(self.mean, self.count, self.bg)
 
 
 @dataclass(eq=False)
@@ -70,7 +82,8 @@ class DualMemory:
     """Single-writer store of semantic and working slots plus shared background stats.
 
     Slot lists stay sorted by slot_id, so argmax ties resolve to the oldest slot.
-    Parallel score matrices mirror the lists for O(slots * d) retrieval.
+    Parallel score matrices mirror the lists for O(slots * d) retrieval; the
+    working rows are preallocated to ``slot_cap``, the first ``len(working)`` live.
     """
 
     def __init__(self, bg: BackgroundStats, config: Config):
@@ -84,12 +97,7 @@ class DualMemory:
         self.image_of: dict[str, str] = {}
         self.next_slot_id = 0
         self.rejected_count = 0
-        self._sem_w = np.zeros((0, config.d))
-        self._sem_b = np.zeros(0)
-        self._work_mu = np.zeros((0, config.d))
-        self._work_norm = np.zeros(0)
-        self._sem_rows: dict[int, int] = {}
-        self._work_rows: dict[int, int] = {}
+        self.rebuild_caches()
 
     # -- construction -------------------------------------------------------
 
@@ -106,31 +114,21 @@ class DualMemory:
         qualifying priors are skipped with a warning.
         """
         mem = cls(bg, config)
-        if priors and len(priors) > config.slot_cap:
-            raise ValueError(
-                f"{len(priors)} prior classes exceed the slot cap {config.slot_cap}"
-            )
-        for label in sorted(priors or {}):
+        priors = priors or {}
+        if len(priors) > config.slot_cap:
+            raise ValueError(f"{len(priors)} prior classes exceed the slot cap {config.slot_cap}")
+        for label in sorted(label for label, regions in priors.items() if not regions):
+            logger.warning("class '%s' has no qualifying priors; skipping", label)
+        labels = sorted(label for label, regions in priors.items() if regions)
+        means = [np.stack([r.feature for r in priors[label]]).mean(axis=0) for label in labels]
+        whites = whiten(np.stack(means), bg) if means else []
+        for slot_id, (label, mean, white) in enumerate(zip(labels, means, whites)):
             regions = priors[label]
-            if not regions:
-                logger.warning("class '%s' has no qualifying priors; skipping", label)
-                continue
-            feats = np.stack([r.feature for r in regions])
-            mean = feats.mean(axis=0)
-            count = len(regions)
-            slot = SemanticSlot(
-                slot_id=mem.next_slot_id,
-                label=label,
-                mean=mean,
-                count=count,
-                classifier=train_lda(mean, count, bg),
-                members=[r.region_id for r in regions],
-            )
-            mem.next_slot_id += 1
-            mem.semantic.append(slot)
+            members = [r.region_id for r in regions]
+            mem.semantic.append(SemanticSlot(slot_id, label, mean, len(regions), white, bg, members))
             for r in regions:
-                mem.sample_store[r.region_id] = r.feature
-                mem.image_of[r.region_id] = r.image_id
+                mem._register_sample(r)
+        mem.next_slot_id = len(mem.semantic)
         mem.rebuild_caches()
         return mem
 
@@ -139,53 +137,45 @@ class DualMemory:
         return len(self.semantic) + len(self.working)
 
     def rebuild_caches(self) -> None:
-        """Recompute the stacked score matrices from the slot lists."""
-        d = self.config.d
-        if self.semantic:
-            self._sem_w = np.stack([s.classifier.weights for s in self.semantic])
-            self._sem_b = np.array([s.classifier.bias for s in self.semantic])
-        else:
-            self._sem_w = np.zeros((0, d))
-            self._sem_b = np.zeros(0)
-        if self.working:
-            self._work_mu = np.stack([s.centroid for s in self.working])
-            self._work_norm = np.linalg.norm(self._work_mu, axis=1)
-        else:
-            self._work_mu = np.zeros((0, d))
-            self._work_norm = np.zeros(0)
+        """Recompute the stacked score rows from the slot lists."""
+        d, n = self.config.d, len(self.working)
+        self._sem_white = np.reshape([s.white for s in self.semantic], (-1, d))
+        self._sem_offset = np.array([s.offset for s in self.semantic])
+        self._work_mu = np.zeros((max(n, self.config.slot_cap), d))
+        self._work_mu[:n] = np.reshape([s.centroid for s in self.working], (-1, d))
+        self._work_norm = np.zeros(len(self._work_mu))
+        self._work_norm[:n] = np.linalg.norm(self._work_mu[:n], axis=1)
         self._sem_rows = {s.slot_id: i for i, s in enumerate(self.semantic)}
         self._work_rows = {s.slot_id: i for i, s in enumerate(self.working)}
 
     # -- retrieval ----------------------------------------------------------
 
-    def _validated(self, feature: np.ndarray) -> np.ndarray:
-        f = np.asarray(feature, dtype=np.float64)
-        if f.shape != (self.config.d,):
-            raise ValueError(f"feature has shape {f.shape}, expected ({self.config.d},)")
-        if not np.all(np.isfinite(f)):
-            raise ValueError("feature contains non-finite values")
-        return f
-
-    def retrieve(self, feature: np.ndarray) -> RetrievalDecision:
+    def retrieve(self, feature: np.ndarray, white: np.ndarray | None = None) -> RetrievalDecision:
         """Decide where a region belongs. Pure: the memory is not touched.
 
         Semantic memory is consulted first by classifier score, then working
         memory by cosine; a miss on both creates a slot unless the cap is hit.
+        ``white`` is the whitened row of an already checked feature.
         """
-        f = self._validated(feature)
+        f = np.asarray(feature, dtype=np.float64)
+        if white is None:
+            if f.ndim != 1:
+                raise ValueError(f"feature has shape {f.shape}, expected ({self.config.d},)")
+            white = whiten(f, self.bg)
         cfg = self.config
         if self.semantic:
-            scores = self._sem_w @ f + self._sem_b
+            scores = self._sem_white @ white + self._sem_offset
             best = int(np.argmax(scores))
             if scores[best] >= cfg.tau_semantic:
                 return RetrievalDecision(
                     DecisionKind.KNOWN_MATCH, self.semantic[best].slot_id, float(scores[best])
                 )
         best_cos = -1.0
-        if self.working:
+        n = len(self.working)
+        if n:
             f_norm = float(np.linalg.norm(f))
-            denom = self._work_norm * f_norm
-            raw = self._work_mu @ f
+            denom = self._work_norm[:n] * f_norm
+            raw = self._work_mu[:n] @ f
             if np.any(denom == 0.0):
                 logger.warning("degenerate zero-norm centroid or feature during retrieval")
             sims = np.where(denom > 0.0, raw / np.where(denom > 0.0, denom, 1.0), 0.0)
@@ -206,24 +196,32 @@ class DualMemory:
         self.sample_store[region.region_id] = region.feature
         self.image_of[region.region_id] = region.image_id
 
-    def _update_semantic_slot(self, slot_id: int, region: RegionRecord) -> None:
+    def _update_semantic_slot(self, slot_id: int, region: RegionRecord, white: np.ndarray | None) -> None:
         row = self._sem_rows.get(slot_id)
         if row is None:
             raise StaleDecisionError(f"semantic slot {slot_id} no longer exists")
+        if white is None:
+            white = whiten(region.feature, self.bg)
         slot = self.semantic[row]
         slot.mean = slot.mean + (region.feature - slot.mean) / (slot.count + 1)
+        slot.white = slot.white + (white - slot.white) / (slot.count + 1)
         slot.count += 1
-        slot.classifier = train_lda(slot.mean, slot.count, self.bg)
         slot.members.append(region.region_id)
-        self._sem_w[row] = slot.classifier.weights
-        self._sem_b[row] = slot.classifier.bias
+        self._sem_white[row] = slot.white
+        self._sem_offset[row] = slot.offset
         self._register_sample(region)
 
-    def apply_decision(self, decision: RetrievalDecision, region: RegionRecord) -> None:
+    def apply_decision(
+        self, decision: RetrievalDecision, region: RegionRecord, white: np.ndarray | None = None
+    ) -> None:
         """Mutate the memory according to a decision produced by :meth:`retrieve`."""
+        if decision.kind is DecisionKind.REJECTED:
+            self.rejected_count += 1
+            return
         if decision.kind is DecisionKind.KNOWN_MATCH:
-            self._update_semantic_slot(decision.slot_id, region)
-        elif decision.kind is DecisionKind.WORKING_MATCH:
+            self._update_semantic_slot(decision.slot_id, region, white)
+            return
+        if decision.kind is DecisionKind.WORKING_MATCH:
             row = self._work_rows.get(decision.slot_id)
             if row is None:
                 raise StaleDecisionError(f"working slot {decision.slot_id} no longer exists")
@@ -231,55 +229,52 @@ class DualMemory:
             slot.centroid = slot.centroid + (region.feature - slot.centroid) / (slot.count + 1)
             slot.count += 1
             slot.members.append(region.region_id)
-            self._work_mu[row] = slot.centroid
-            self._work_norm[row] = np.linalg.norm(slot.centroid)
-            self._register_sample(region)
-        elif decision.kind is DecisionKind.NEW_SLOT:
-            slot = WorkingSlot(
-                slot_id=self.next_slot_id,
-                centroid=region.feature.copy(),
-                count=1,
-                members=[region.region_id],
-            )
+        else:
+            slot = WorkingSlot(self.next_slot_id, region.feature.copy(), 1, [region.region_id])
             self.next_slot_id += 1
+            row = len(self.working)
             self.working.append(slot)
-            self._work_mu = np.vstack([self._work_mu, slot.centroid[None, :]])
-            self._work_norm = np.append(self._work_norm, np.linalg.norm(slot.centroid))
-            self._work_rows[slot.slot_id] = len(self.working) - 1
-            self._register_sample(region)
-        elif decision.kind is DecisionKind.REJECTED:
-            self.rejected_count += 1
-        else:  # pragma: no cover - exhaustive enum
-            raise ValueError(f"unknown decision kind {decision.kind}")
+            self._work_rows[slot.slot_id] = row
+            if row == len(self._work_mu):  # a raised slot_cap, or a stale NEW_SLOT applied at the cap
+                self.rebuild_caches()
+        self._work_mu[row] = slot.centroid
+        self._work_norm[row] = np.linalg.norm(slot.centroid)
+        self._register_sample(region)
 
-    def process_image(self, batch: Sequence[RegionRecord]) -> list[RetrievalDecision]:
+    def process_image(
+        self, batch: Sequence[RegionRecord], white: np.ndarray | None = None
+    ) -> list[RetrievalDecision]:
         """Retrieve-then-apply each region in batch order.
 
-        Later regions of the same image see the updates made by earlier ones.
+        ``white`` holds the regions' whitened rows; without it the batch is
+        whitened here. Later regions of the same image see earlier updates.
         """
+        if white is None:
+            white = whiten(np.stack([r.feature for r in batch]), self.bg) if len(batch) else ()
         decisions = []
-        for region in batch:
-            decision = self.retrieve(region.feature)
-            self.apply_decision(decision, region)
+        for region, z in zip(batch, white):
+            decision = self.retrieve(region.feature, z)
+            self.apply_decision(decision, region, z)
             decisions.append(decision)
         return decisions
 
-    def mine_region(self, region: RegionRecord) -> bool:
+    def mine_region(self, region: RegionRecord, white: np.ndarray | None = None) -> bool:
         """Validation-phase matching: accept into semantic memory only, never create slots."""
         if not self.semantic:
             return False
-        f = self._validated(region.feature)
-        scores = self._sem_w @ f + self._sem_b
+        if white is None:
+            white = whiten(region.feature, self.bg)
+        scores = self._sem_white @ white + self._sem_offset
         best = int(np.argmax(scores))
         if scores[best] < self.config.tau_semantic:
             return False
-        self._update_semantic_slot(self.semantic[best].slot_id, region)
+        self._update_semantic_slot(self.semantic[best].slot_id, region, white)
         return True
 
     # -- checkpointing ------------------------------------------------------
 
     def save_checkpoint(self, path: str | Path) -> None:
-        """Binary dump sufficient to reproduce every subsequent decision."""
+        """Binary dump sufficient to reproduce every subsequent decision and score, bit for bit."""
         with open(path, "wb") as fh:
             fh.write(struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, self.config.d))
             fh.write(bytes.fromhex(config_hash(self.config)))
@@ -293,8 +288,7 @@ class DualMemory:
                 _write_str(fh, slot.label)
                 fh.write(struct.pack("<Q", slot.count))
                 fh.write(slot.mean.astype("<f8").tobytes())
-                fh.write(slot.classifier.weights.astype("<f8").tobytes())
-                fh.write(struct.pack("<d", slot.classifier.bias))
+                fh.write(slot.white.astype("<f8").tobytes())
                 _write_str_list(fh, slot.members)
             fh.write(struct.pack("<I", len(self.working)))
             for slot in self.working:
@@ -336,12 +330,9 @@ class DualMemory:
                 label = _read_str(fh)
                 (count,) = struct.unpack("<Q", _read_exact(fh, 8, "slot count"))
                 mean = _read_floats(fh, d, "slot mean")
-                weights = _read_floats(fh, d, "slot weights")
-                (bias,) = struct.unpack("<d", _read_exact(fh, 8, "slot bias"))
+                white = _read_floats(fh, d, "slot whitened mean")
                 members = _read_str_list(fh)
-                mem.semantic.append(
-                    SemanticSlot(slot_id, label, mean, count, LinearClassifier(weights, bias), members)
-                )
+                mem.semantic.append(SemanticSlot(slot_id, label, mean, count, white, bg, members))
             (n_work,) = struct.unpack("<I", _read_exact(fh, 4, "working slot count"))
             for _ in range(n_work):
                 slot_id, count = struct.unpack("<QQ", _read_exact(fh, 16, "slot id and count"))

@@ -20,7 +20,7 @@ from .evaluation import GroundTruthBox, IouTable
 from .memory import DecisionKind, DualMemory
 from .records import RegionRecord
 from .reporting import UNASSIGNED, write_assignments, write_key_values
-from .stats import BackgroundStats, MomentAccumulator, finalize_background
+from .stats import BackgroundStats, MomentAccumulator, finalize_background, whiten
 
 PRIOR_GT_IOU = 0.5
 
@@ -117,13 +117,29 @@ def build_priors(
 # Rounds
 # ---------------------------------------------------------------------------
 
+def whiten_corpus(corpus: Mapping[str, Sequence[RegionRecord]], bg: BackgroundStats) -> dict[str, np.ndarray]:
+    """Each image's whitened features: its rows of one stacked, checked and whitened matrix."""
+    features = [region.feature for batch in corpus.values() for region in batch]
+    if not features:
+        return {}
+    white = whiten(np.stack(features), bg)
+    ends = np.cumsum([len(batch) for batch in corpus.values()])[:-1]
+    return dict(zip(corpus.keys(), np.split(white, ends)))
+
+
 def run_discovery_round(
     state: RoundState,
     corpus: Mapping[str, Sequence[RegionRecord]],
     split: DatasetSplit,
+    white: Mapping[str, np.ndarray] | None = None,
 ) -> ConsolidationRecord:
-    """One round: stream the active split, consolidate, mine the inactive split, swap."""
+    """One round: stream the active split, consolidate, mine the inactive split, swap.
+
+    ``white`` is ``whiten_corpus(corpus, bg)``, computed here if not given.
+    """
     mem = state.mem
+    if white is None:
+        white = whiten_corpus(corpus, mem.bg)
     active_ids = split.d1 if state.active == "d1" else split.d2
     inactive_ids = split.d2 if state.active == "d1" else split.d1
 
@@ -132,7 +148,7 @@ def run_discovery_round(
     for image_id in active_ids:
         batch = corpus.get(image_id, ())
         regions_seen += len(batch)
-        for decision in mem.process_image(batch):
+        for decision in mem.process_image(batch, white.get(image_id)):
             counts[decision.kind] += 1
 
     record = consolidate(mem, round_index=state.round_index)
@@ -140,9 +156,9 @@ def run_discovery_round(
     mined = 0
     mined_seen = 0
     for image_id in inactive_ids:
-        for region in corpus.get(image_id, ()):
+        for region, z in zip(corpus.get(image_id, ()), white.get(image_id, ())):
             mined_seen += 1
-            if mem.mine_region(region):
+            if mem.mine_region(region, z):
                 mined += 1
 
     r = state.round_index
@@ -193,6 +209,7 @@ def run_discovery(
     split = split_dataset(list(corpus.keys()), config.rng_seed)
     mem = DualMemory.initialize(bg, config, priors)
     state = RoundState(round_index=1, active="d1", mem=mem)
+    white = whiten_corpus(corpus, bg)
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -203,7 +220,7 @@ def run_discovery(
     records = []
     for _ in range(config.rounds):
         round_index = state.round_index
-        record = run_discovery_round(state, corpus, split)
+        record = run_discovery_round(state, corpus, split, white)
         records.append(record)
         if out_path is not None:
             round_dir = out_path / f"round_{round_index}"

@@ -1,9 +1,10 @@
-"""Streaming moment estimation and the closed-form linear discriminant.
+"""Streaming moment estimation, whitening and the closed-form linear discriminant.
 
 The background class is summarized by a mean/covariance accumulator that folds
-in batches through the pairwise merge of Chan, Golub and LeVeque. Slot
-classifiers then come for free: with a shared covariance, training is two
-triangular solves against a cached Cholesky factor.
+in batches through the pairwise merge of Chan, Golub and LeVeque. With a shared
+covariance L L^T, a slot's discriminant w.f + b equals m.z - |m|^2 / 2 + log(n / N)
+for z = L^-1 (f - mean_bg) and m the slot's whitened mean (Hariharan, Malik and
+Ramanan, ECCV 2012), so scoring needs no solve per slot update.
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, solve_triangular
 
 BG_MAGIC = b"DMBG"
 
@@ -169,6 +171,17 @@ def finalize_background(acc: MomentAccumulator, ridge_lambda: float) -> Backgrou
     return BackgroundStats.from_moments(acc.mean.copy(), sigma, acc.count)
 
 
+def whiten(feats: np.ndarray, bg: BackgroundStats) -> np.ndarray:
+    """``L^-1 (f - mean_bg)`` for a checked (finite) d-vector, or every row of an (n, d) matrix at once."""
+    feats = np.asarray(feats, dtype=np.float64)
+    if feats.ndim not in (1, 2) or feats.shape[-1] != bg.d:
+        raise ValueError(f"feature has shape {feats.shape}, expected ({bg.d},) or (n, {bg.d})")
+    if not np.all(np.isfinite(feats)):
+        raise ValueError("feature contains non-finite values")
+    centered = (feats - bg.mean).T
+    return solve_triangular(bg.chol_lower, centered, lower=True, overwrite_b=True, check_finite=False).T
+
+
 def train_lda(mean_pos: np.ndarray, count_pos: int, bg: BackgroundStats) -> LinearClassifier:
     """Closed-form two-class discriminant of a slot against the shared background.
 
@@ -184,3 +197,16 @@ def train_lda(mean_pos: np.ndarray, count_pos: int, bg: BackgroundStats) -> Line
     w = cho_solve((bg.chol_lower, True), diff, check_finite=False)
     b = float(np.log(count_pos / bg.count) - 0.5 * (w @ (mean_pos + bg.mean)))
     return LinearClassifier(weights=w, bias=b)
+
+
+def train_lda_batch(means: np.ndarray, counts: Sequence[int], bg: BackgroundStats) -> list[LinearClassifier]:
+    """``train_lda`` for every row of ``means`` in one solve, equal to it bit for bit.
+
+    LAPACK's ``potrs`` solves each right-hand side on its own (a test checks this).
+    """
+    means = np.reshape(np.asarray(means, dtype=np.float64), (len(means), bg.d))
+    weights = cho_solve((bg.chol_lower, True), (means - bg.mean).T, check_finite=False).T
+    return [
+        LinearClassifier(weights=w, bias=float(np.log(count / bg.count) - 0.5 * (w @ (mean + bg.mean))))
+        for w, mean, count in zip(np.ascontiguousarray(weights), means, counts)
+    ]

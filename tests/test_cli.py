@@ -5,7 +5,7 @@ import pytest
 
 from dualmem.cli import main
 from dualmem.config import Config, save_config
-from dualmem.corpus import write_corpus_jsonl
+from dualmem.corpus import convert_corpus, write_corpus_jsonl
 from dualmem.reporting import read_assignments, read_key_values
 from dualmem.stats import BackgroundStats
 from dualmem.synth import SynthSpec, save_spec
@@ -290,3 +290,30 @@ class TestEvalAndBaseline:
             == 1
         )
         assert "--k" in capsys.readouterr().err
+
+
+class TestTruncatedCorpus:
+    @pytest.mark.parametrize("suffix", [".dmrf", ".jsonl"])
+    def test_every_reader_names_the_file_before_any_manifest(self, tmp_path, full_run, suffix, capsys):
+        generated, _, run_dir, _ = full_run
+        whole = generated / "corpus.jsonl"
+        if suffix == ".dmrf":
+            whole = tmp_path / "corpus.dmrf"
+            convert_corpus(generated / "corpus.jsonl", whole)
+        cut = tmp_path / f"cut{suffix}"
+        cut.write_bytes(whole.read_bytes()[:-100])
+        argv = {
+            "background": ["background", "--corpus", str(cut)],
+            "eval": ["eval", "--corpus", str(cut), "--assignments", str(run_dir / "assignments.tsv"),
+                     "--gt", str(generated / "gt.jsonl")],
+            "baseline": ["baseline", "--corpus", str(cut), "--k", "3"],
+        }
+        expected = "truncated" if suffix == ".dmrf" else "invalid JSON"
+        capsys.readouterr()
+        for name, args in argv.items():
+            out = tmp_path / f"out_{name}{suffix}"
+            assert main(args + ["--out", str(out)]) == 1, name
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {cut}: ") and err.count("\n") == 1, err
+            assert expected in err
+            assert not (out / "manifest.json").exists()

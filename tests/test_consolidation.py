@@ -108,17 +108,6 @@ class TestAffinityGraph:
             )
             assert weight == pytest.approx(expected, rel=1e-12)
 
-    def test_per_sample_flag_changes_basis(self):
-        groups = [
-            [np.array([10.0, 0.0]), np.array([10.0, 2.0])],
-            [np.array([9.0, 1.0])],
-        ]
-        mem = memory_with_slots(groups, affinity_per_sample=True)
-        graph_samples = build_affinity_graph(mem, train_slot_classifiers(mem))
-        mem.config.affinity_per_sample = False
-        graph_centroids = build_affinity_graph(mem, train_slot_classifiers(mem))
-        assert {e[:2] for e in graph_samples.edges} == {e[:2] for e in graph_centroids.edges}
-
 
 class TestMerge:
     def test_edgeless_graph_unchanged(self):

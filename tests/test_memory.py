@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualmem.config import Config
+from dualmem.consolidation import consolidate, train_slot_classifiers
 from dualmem.memory import DecisionKind, DualMemory, StaleDecisionError
-from dualmem.stats import train_lda
+from dualmem.pipeline import whiten_corpus
+from dualmem.stats import BackgroundStats, train_lda
 
 from conftest import identity_bg, make_region
 
@@ -58,6 +62,13 @@ class TestInit:
         assert [s.label for s in mem.semantic] == ["dog"]
         assert any("cat" in r.message for r in caplog.records)
 
+    def test_priors_with_the_wrong_dimension_fail(self):
+        with pytest.raises(ValueError, match="shape"):
+            make_memory(priors={"cat": [make_region("p0", "i0", [1.0, 0.0, 0.0])]})
+        with pytest.raises(ValueError):
+            mixed = [make_region("p0", "i0", [1.0, 0.0, 0.0]), make_region("p1", "i0", [1.0] * 4)]
+            make_memory(priors={"cat": mixed})
+
     def test_classifier_matches_closed_form(self):
         mem = make_memory(priors=two_class_priors())
         for slot in mem.semantic:
@@ -98,6 +109,12 @@ class TestRetrieve:
         mem.process_image([make_region("r0", "i0", [0.0, 0.0, 5.0, 0.0])])
         decision = mem.retrieve(np.array([0.0, 0.0, 0.0, 5.0]))
         assert decision.kind is DecisionKind.NEW_SLOT
+
+    @pytest.mark.parametrize("feature", [[1.0, 0.0, 0.0], [[1.0, 0.0, 0.0, 0.0]], [1.0, np.nan, 0.0, 0.0]])
+    def test_checks_a_feature_from_outside(self, feature):
+        for mem in (make_memory(), make_memory(priors=two_class_priors())):
+            with pytest.raises(ValueError, match="shape|non-finite"):
+                mem.retrieve(np.array(feature))
 
     def test_is_pure(self):
         mem = make_memory(priors=two_class_priors())
@@ -184,6 +201,16 @@ class TestApply:
         expected = train_lda(slot.mean, slot.count, mem.bg)
         np.testing.assert_array_equal(slot.classifier.weights, expected.weights)
         assert slot.classifier.bias == expected.bias
+
+    def test_new_slot_past_the_preallocated_rows(self):
+        """A NEW_SLOT decision applied twice at the cap grows the rows; retrieval reads both slots."""
+        mem = make_memory(slot_cap=1)
+        decision = mem.retrieve(np.array([5.0, 0, 0, 0]))
+        mem.apply_decision(decision, make_region("r0", "i0", [5.0, 0, 0, 0]))
+        mem.apply_decision(decision, make_region("r1", "i0", [0, 5.0, 0, 0]))
+        assert [s.centroid.tolist() for s in mem.working] == [[5.0, 0, 0, 0], [0, 5.0, 0, 0]]
+        match = mem.retrieve(np.array([0, 4.0, 0.1, 0]))
+        assert match.kind is DecisionKind.WORKING_MATCH and match.slot_id == mem.working[1].slot_id
 
     def test_rejected_counts(self):
         mem = make_memory(slot_cap=1)
@@ -367,3 +394,149 @@ class TestCheckpoint:
             cut.write_bytes(data[:size])
             with pytest.raises(ValueError, match=r"cut\.bin: truncated at byte \d+"):
                 DualMemory.load_checkpoint(cut, mem.config)
+
+
+class ReferenceMemory:
+    """The engine before whitening: every score is ``train_lda(mean, count, bg)`` at the raw feature.
+
+    Semantic and working slots are ``[slot_id, mean, count, members]`` lists;
+    retrieval, the cap, naive consolidation and mining follow DualMemory's rules.
+    """
+
+    def __init__(self, bg, config, priors):
+        self.bg, self.config = bg, config
+        self.semantic = []
+        self.working = []
+        self.image_of = {}
+        for label in sorted(priors):
+            feats = np.stack([r.feature for r in priors[label]])
+            members = [r.region_id for r in priors[label]]
+            self.semantic.append([len(self.semantic), feats.mean(axis=0), len(feats), members])
+        self.next_slot_id = len(self.semantic)
+
+    def best_semantic(self, f):
+        scores = [train_lda(mean, count, self.bg).score(f) for _, mean, count, _ in self.semantic]
+        best = int(np.argmax(scores))
+        return best, scores[best]
+
+    @staticmethod
+    def absorb(slot, region):
+        slot[1] = slot[1] + (region.feature - slot[1]) / (slot[2] + 1)
+        slot[2] += 1
+        slot[3].append(region.region_id)
+
+    def step(self, region):
+        f, cfg = region.feature, self.config
+        self.image_of[region.region_id] = region.image_id
+        if self.semantic:
+            best, score = self.best_semantic(f)
+            if score >= cfg.tau_semantic:
+                self.absorb(self.semantic[best], region)
+                return DecisionKind.KNOWN_MATCH, self.semantic[best][0], score
+        best_cos = -1.0
+        if self.working:
+            sims = [
+                float(mean @ f) / (np.linalg.norm(mean) * np.linalg.norm(f)) for _, mean, _, _ in self.working
+            ]
+            best = int(np.argmax(sims))
+            best_cos = sims[best]
+            if best_cos >= cfg.tau_working:
+                self.absorb(self.working[best], region)
+                return DecisionKind.WORKING_MATCH, self.working[best][0], best_cos
+        if len(self.semantic) + len(self.working) >= cfg.slot_cap:
+            return DecisionKind.REJECTED, None, best_cos
+        self.working.append([self.next_slot_id, f.copy(), 1, [region.region_id]])
+        self.next_slot_id += 1
+        return DecisionKind.NEW_SLOT, None, best_cos
+
+    def consolidate_naive(self):
+        spans = {s[0]: len({self.image_of[r] for r in s[3]}) for s in self.working}
+        kept = [s for s in self.working if spans[s[0]] >= self.config.min_images_per_slot]
+        self.semantic = sorted(self.semantic + kept, key=lambda s: s[0])
+        self.working = []
+
+    def mine(self, region):
+        if not self.semantic:
+            return False
+        best, score = self.best_semantic(region.feature)
+        if score < self.config.tau_semantic:
+            return False
+        self.absorb(self.semantic[best], region)
+        return True
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 6),
+    n_classes=st.integers(1, 4),
+    n_images=st.integers(4, 24),
+    slot_cap=st.integers(4, 30),
+    tau_working=st.floats(0.3, 0.95),
+)
+@settings(max_examples=120, deadline=None)
+def test_whitened_engine_matches_the_lda_reference(seed, d, n_classes, n_images, slot_cap, tau_working):
+    """Streaming, naive consolidation and mining: same decisions and slots as explicit LDA scoring.
+
+    Most regions lie where a prior slot's score crosses zero, so many semantic
+    scores fall near tau_semantic = 0.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d))
+    bg_count = int(rng.integers(20, 5000))
+    bg = BackgroundStats.from_moments(rng.standard_normal(d), a @ a.T / d + 0.1 * np.eye(d), bg_count)
+    centers = bg.mean + 3.0 * rng.standard_normal((n_classes, d))
+    priors = {
+        f"c{k}": [
+            make_region(f"p{k}_{j}", f"pi{k}", centers[k] + 0.3 * rng.standard_normal(d))
+            for j in range(int(rng.integers(4, 16)))
+        ]
+        for k in range(n_classes)
+    }
+    config = Config(
+        d=d, slot_cap=max(slot_cap, n_classes), tau_working=tau_working,
+        consolidation_mode="naive", min_images_per_slot=2,
+    )
+    mem = DualMemory.initialize(bg, config, priors)
+    # Where each prior slot's score crosses zero on the segment from the background mean to its class.
+    crossings = []
+    for slot, center in zip(mem.semantic, centers):
+        at_bg, at_center = slot.classifier.score(bg.mean), slot.classifier.score(center)
+        crossings.append((at_bg / (at_bg - at_center), 1.0 / (at_center - at_bg)))
+    corpus = {}
+    for i in range(n_images):
+        feats = []
+        for _ in range(int(rng.integers(1, 5))):
+            k = int(rng.integers(n_classes))
+            at_zero, per_unit_score = crossings[k]
+            u = at_zero + 0.3 * per_unit_score * rng.standard_normal()
+            near = bg.mean + u * (centers[k] - bg.mean) + 0.001 * rng.standard_normal(d)
+            feats.append(near if rng.random() < 0.7 else 3.0 * rng.standard_normal(d))
+        corpus[f"i{i}"] = [make_region(f"r{i}_{j}", f"i{i}", f) for j, f in enumerate(feats)]
+    ref = ReferenceMemory(bg, config, priors)
+    white = whiten_corpus(corpus, bg)
+    stream, mine = list(corpus)[: n_images // 2], list(corpus)[n_images // 2:]
+
+    def same_score(got, expected):
+        return abs(got - expected) <= 1e-9 * (1.0 + abs(expected))
+
+    for image_id in stream:
+        decisions = mem.process_image(corpus[image_id], white[image_id])
+        for decision, region in zip(decisions, corpus[image_id]):
+            kind, slot_id, score = ref.step(region)
+            assert (decision.kind, decision.slot_id) == (kind, slot_id)
+            assert same_score(decision.score, score)
+    for slot_id, clf in train_slot_classifiers(mem).items():
+        slot = next(s for s in mem.working if s.slot_id == slot_id)
+        expected = train_lda(slot.centroid, slot.count, bg)
+        assert np.array_equal(clf.weights, expected.weights) and clf.bias == expected.bias
+
+    consolidate(mem)
+    ref.consolidate_naive()
+    for image_id in mine:
+        for region, z in zip(corpus[image_id], white[image_id]):
+            assert mem.mine_region(region, z) == ref.mine(region)
+    assert [(s.slot_id, s.count, s.members) for s in mem.semantic] == [
+        (s[0], s[2], s[3]) for s in ref.semantic
+    ]
+    for slot, (_, mean, _, _) in zip(mem.semantic, ref.semantic):
+        np.testing.assert_array_equal(slot.mean, mean)
