@@ -92,6 +92,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_background(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise CliError(f"--threads must be at least 1, got {args.threads}")
     d = read_corpus_dim(args.corpus)
     if args.config is not None:
         config = load_config(args.config)

@@ -4,7 +4,9 @@ The full procedure trains a classifier per working slot (one solve for all of
 them), merges slots whose classifiers fire on each other (connected components
 over a thresholded affinity graph), drops samples a merged slot's own
 classifier rejects, and transfers the survivors as new semantic categories.
-Working memory is reset afterwards in every mode.
+Merge and refine recompute centroids from the member records each working slot
+holds; a transferred slot keeps only its members' ids. Working memory is reset
+afterwards in every mode.
 """
 
 from __future__ import annotations
@@ -86,8 +88,8 @@ def build_affinity_graph(
 def merge_components(mem: DualMemory, graph: AffinityGraph) -> int:
     """Collapse each connected component into one slot keeping the smallest slot_id.
 
-    Pooled membership is the union in slot_id order; the centroid and count are
-    recomputed from the member features, conserving the sample multiset.
+    Pooled membership is the union in slot_id order; the centroid is recomputed
+    from the member features, conserving the sample multiset.
     Singleton components are left untouched.
     """
     by_id = {s.slot_id: s for s in mem.working}
@@ -105,9 +107,9 @@ def merge_components(mem: DualMemory, graph: AffinityGraph) -> int:
         if len(component) == 1:
             merged.append(by_id[component[0]])
             continue
-        members = [r for slot_id in component for r in by_id[slot_id].members]
-        feats = np.stack([mem.sample_store[r] for r in members])
-        merged.append(WorkingSlot(component[0], feats.mean(axis=0), len(members), members))
+        regions = [r for slot_id in component for r in by_id[slot_id].regions]
+        feats = np.stack([r.feature for r in regions])
+        merged.append(WorkingSlot(component[0], feats.mean(axis=0), regions))
     mem.working = merged  # components run in order of their smallest slot_id
     mem.rebuild_caches()
     return len(merged)
@@ -116,23 +118,22 @@ def merge_components(mem: DualMemory, graph: AffinityGraph) -> int:
 def refine_slots(mem: DualMemory, classifiers: dict[int, LinearClassifier]) -> int:
     """Drop every member a slot's own classifier scores below zero.
 
-    Runs one pass: centroids and counts are recomputed from the retained
-    members, and slots emptied entirely are deleted. Returns the number of
-    samples dropped.
+    Runs one pass: centroids are recomputed from the retained members, and
+    slots emptied entirely are deleted. Returns the number of samples dropped.
     """
     retained_slots: list[WorkingSlot] = []
     dropped = 0
     for slot in mem.working:
         clf = classifiers[slot.slot_id]
-        feats = np.stack([mem.sample_store[r] for r in slot.members])
+        feats = np.stack([r.feature for r in slot.regions])
         keep = clf.score_batch(feats) >= 0.0
         n_keep = int(keep.sum())
-        dropped += len(slot.members) - n_keep
-        if n_keep == len(slot.members):
+        dropped += slot.count - n_keep
+        if n_keep == slot.count:
             retained_slots.append(slot)
         elif n_keep > 0:
-            members = [r for r, ok in zip(slot.members, keep) if ok]
-            retained_slots.append(WorkingSlot(slot.slot_id, feats[keep].mean(axis=0), n_keep, members))
+            regions = [r for r, ok in zip(slot.regions, keep) if ok]
+            retained_slots.append(WorkingSlot(slot.slot_id, feats[keep].mean(axis=0), regions))
     mem.working = retained_slots
     mem.rebuild_caches()
     return dropped
@@ -158,14 +159,14 @@ def consolidate(mem: DualMemory, round_index: int = 1) -> ConsolidationRecord:
 
     kept = [
         slot for slot in mem.working
-        if len({mem.image_of[r] for r in slot.members}) >= mem.config.min_images_per_slot
+        if len({r.image_id for r in slot.regions}) >= mem.config.min_images_per_slot
     ]
     dropped_small = len(mem.working) - len(kept)
     whites = whiten(np.stack([slot.centroid for slot in kept]), mem.bg) if kept else []
     for sequence, (slot, white) in enumerate(zip(kept, whites)):
         label = f"disc_{round_index}_{sequence}"
         mem.semantic.append(
-            SemanticSlot(slot.slot_id, label, slot.centroid.copy(), slot.count, white, mem.bg, list(slot.members))
+            SemanticSlot(slot.slot_id, label, slot.centroid.copy(), white, mem.bg, slot.members)
         )
     mem.semantic.sort(key=lambda s: s.slot_id)
     mem.working = []

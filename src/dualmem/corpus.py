@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import random
 import struct
 from dataclasses import dataclass
@@ -138,29 +139,26 @@ def _iter_binary(path: Path) -> Iterator[int | RegionRecord]:
             raise CorpusFormatError(f"{path}: unsupported binary version {version}")
         yield d
         record_struct = struct.Struct(f"<{ID_FIELD_BYTES}s{ID_FIELD_BYTES}s5f{ID_FIELD_BYTES}s{d}f")
-        for index in range(count):
-            blob = fh.read(record_struct.size)
-            if len(blob) != record_struct.size:
-                raise CorpusFormatError(
-                    f"{path}: record {index} at offset {16 + index * record_struct.size}: truncated"
-                )
-            fields = record_struct.unpack(blob)
-            region_id = fields[0].rstrip(b"\x00").decode("utf-8")
-            image_id = fields[1].rstrip(b"\x00").decode("utf-8")
+        # Counted before reading: a corrupt d must not request more than the file holds.
+        whole = (os.fstat(fh.fileno()).st_size - 16) // record_struct.size
+        for index in range(min(count, whole)):
+            fields = record_struct.unpack(fh.read(record_struct.size))
             x1, y1, x2, y2, score = fields[2:7]
-            label = fields[7].rstrip(b"\x00").decode("utf-8")
-            feature = np.asarray(fields[8:], dtype=np.float64)
             try:
-                yield RegionRecord(
-                    region_id=region_id,
-                    image_id=image_id,
+                label = fields[7].rstrip(b"\x00").decode("utf-8")
+                record = RegionRecord(
+                    region_id=fields[0].rstrip(b"\x00").decode("utf-8"),
+                    image_id=fields[1].rstrip(b"\x00").decode("utf-8"),
                     box=BoundingBox(x1, y1, x2, y2),
                     score=float(score),
-                    feature=feature,
+                    feature=np.asarray(fields[8:], dtype=np.float64),
                     gt_label=label or None,
                 )
             except ValueError as exc:
                 raise CorpusFormatError(f"{path}: record {index}: {exc}") from exc
+            yield record
+        if count > whole:
+            raise CorpusFormatError(f"{path}: record {whole} at offset {16 + whole * record_struct.size}: truncated")
 
 
 def _is_binary(path: Path) -> bool:

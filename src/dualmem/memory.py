@@ -2,8 +2,11 @@
 
 Semantic slots score whitened features with their whitened mean (see ``stats``),
 moved in O(d) per absorbed region; the classifier is derived only when asked
-for. Working slots are cumulative-moving-average centroids matched by cosine.
-Retrieval is a pure decision; applying a decision is the only mutation path.
+for. Working slots are cumulative-moving-average centroids matched by cosine;
+each holds its member records, which consolidation reads. A slot's count is its
+number of members. Retrieval is a pure decision; applying a decision is the
+only mutation path. Checkpoints are taken between rounds, when working memory
+is empty, and hold the semantic slots.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .stats import BackgroundStats, LinearClassifier, _read_exact, _read_floats,
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"DMCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class StaleDecisionError(RuntimeError):
@@ -47,15 +50,18 @@ class RetrievalDecision:
 
 @dataclass(eq=False)
 class SemanticSlot:
-    """A known or discovered category: positive mean and count, and the whitened mean that scores."""
+    """A known or discovered category: positive mean, member ids, and the whitened mean that scores."""
 
     slot_id: int
     label: str
     mean: np.ndarray
-    count: int
     white: np.ndarray
     bg: BackgroundStats = field(repr=False)
     members: list[str] = field(default_factory=list)
+
+    @property
+    def count(self) -> int:
+        return len(self.members)
 
     @property
     def offset(self) -> float:
@@ -70,12 +76,19 @@ class SemanticSlot:
 
 @dataclass(eq=False)
 class WorkingSlot:
-    """A candidate category: running centroid over its member features."""
+    """A candidate category: its member records and the running centroid of their features."""
 
     slot_id: int
     centroid: np.ndarray
-    count: int
-    members: list[str] = field(default_factory=list)
+    regions: list[RegionRecord] = field(default_factory=list)
+
+    @property
+    def members(self) -> list[str]:
+        return [r.region_id for r in self.regions]
+
+    @property
+    def count(self) -> int:
+        return len(self.regions)
 
 
 class DualMemory:
@@ -93,8 +106,6 @@ class DualMemory:
         self.config = config
         self.semantic: list[SemanticSlot] = []
         self.working: list[WorkingSlot] = []
-        self.sample_store: dict[str, np.ndarray] = {}
-        self.image_of: dict[str, str] = {}
         self.next_slot_id = 0
         self.rejected_count = 0
         self.rebuild_caches()
@@ -123,11 +134,8 @@ class DualMemory:
         means = [np.stack([r.feature for r in priors[label]]).mean(axis=0) for label in labels]
         whites = whiten(np.stack(means), bg) if means else []
         for slot_id, (label, mean, white) in enumerate(zip(labels, means, whites)):
-            regions = priors[label]
-            members = [r.region_id for r in regions]
-            mem.semantic.append(SemanticSlot(slot_id, label, mean, len(regions), white, bg, members))
-            for r in regions:
-                mem._register_sample(r)
+            members = [r.region_id for r in priors[label]]
+            mem.semantic.append(SemanticSlot(slot_id, label, mean, white, bg, members))
         mem.next_slot_id = len(mem.semantic)
         mem.rebuild_caches()
         return mem
@@ -192,10 +200,6 @@ class DualMemory:
 
     # -- updates ------------------------------------------------------------
 
-    def _register_sample(self, region: RegionRecord) -> None:
-        self.sample_store[region.region_id] = region.feature
-        self.image_of[region.region_id] = region.image_id
-
     def _update_semantic_slot(self, slot_id: int, region: RegionRecord, white: np.ndarray | None) -> None:
         row = self._sem_rows.get(slot_id)
         if row is None:
@@ -205,11 +209,9 @@ class DualMemory:
         slot = self.semantic[row]
         slot.mean = slot.mean + (region.feature - slot.mean) / (slot.count + 1)
         slot.white = slot.white + (white - slot.white) / (slot.count + 1)
-        slot.count += 1
         slot.members.append(region.region_id)
         self._sem_white[row] = slot.white
         self._sem_offset[row] = slot.offset
-        self._register_sample(region)
 
     def apply_decision(
         self, decision: RetrievalDecision, region: RegionRecord, white: np.ndarray | None = None
@@ -227,10 +229,9 @@ class DualMemory:
                 raise StaleDecisionError(f"working slot {decision.slot_id} no longer exists")
             slot = self.working[row]
             slot.centroid = slot.centroid + (region.feature - slot.centroid) / (slot.count + 1)
-            slot.count += 1
-            slot.members.append(region.region_id)
+            slot.regions.append(region)
         else:
-            slot = WorkingSlot(self.next_slot_id, region.feature.copy(), 1, [region.region_id])
+            slot = WorkingSlot(self.next_slot_id, region.feature.copy(), [region])
             self.next_slot_id += 1
             row = len(self.working)
             self.working.append(slot)
@@ -239,7 +240,6 @@ class DualMemory:
                 self.rebuild_caches()
         self._work_mu[row] = slot.centroid
         self._work_norm[row] = np.linalg.norm(slot.centroid)
-        self._register_sample(region)
 
     def process_image(
         self, batch: Sequence[RegionRecord], white: np.ndarray | None = None
@@ -274,7 +274,13 @@ class DualMemory:
     # -- checkpointing ------------------------------------------------------
 
     def save_checkpoint(self, path: str | Path) -> None:
-        """Binary dump sufficient to reproduce every subsequent decision and score, bit for bit."""
+        """Binary dump sufficient to reproduce every subsequent decision and score, bit for bit.
+
+        Only an empty working memory can be saved: checkpoints are taken between
+        rounds, after consolidation, so they hold no member features.
+        """
+        if self.working:
+            raise ValueError(f"cannot checkpoint with {len(self.working)} working slots; consolidate first")
         with open(path, "wb") as fh:
             fh.write(struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, self.config.d))
             fh.write(bytes.fromhex(config_hash(self.config)))
@@ -286,22 +292,9 @@ class DualMemory:
             for slot in self.semantic:
                 fh.write(struct.pack("<Q", slot.slot_id))
                 _write_str(fh, slot.label)
-                fh.write(struct.pack("<Q", slot.count))
                 fh.write(slot.mean.astype("<f8").tobytes())
                 fh.write(slot.white.astype("<f8").tobytes())
                 _write_str_list(fh, slot.members)
-            fh.write(struct.pack("<I", len(self.working)))
-            for slot in self.working:
-                fh.write(struct.pack("<Q", slot.slot_id))
-                fh.write(struct.pack("<Q", slot.count))
-                fh.write(slot.centroid.astype("<f8").tobytes())
-                _write_str_list(fh, slot.members)
-                unique = list(dict.fromkeys(slot.members))
-                fh.write(struct.pack("<I", len(unique)))
-                for rid in unique:
-                    _write_str(fh, rid)
-                    _write_str(fh, self.image_of[rid])
-                    fh.write(self.sample_store[rid].astype("<f8").tobytes())
 
     @classmethod
     def load_checkpoint(cls, path: str | Path, config: Config) -> "DualMemory":
@@ -328,24 +321,10 @@ class DualMemory:
             for _ in range(n_sem):
                 (slot_id,) = struct.unpack("<Q", _read_exact(fh, 8, "slot id"))
                 label = _read_str(fh)
-                (count,) = struct.unpack("<Q", _read_exact(fh, 8, "slot count"))
                 mean = _read_floats(fh, d, "slot mean")
                 white = _read_floats(fh, d, "slot whitened mean")
                 members = _read_str_list(fh)
-                mem.semantic.append(SemanticSlot(slot_id, label, mean, count, white, bg, members))
-            (n_work,) = struct.unpack("<I", _read_exact(fh, 4, "working slot count"))
-            for _ in range(n_work):
-                slot_id, count = struct.unpack("<QQ", _read_exact(fh, 16, "slot id and count"))
-                centroid = _read_floats(fh, d, "slot centroid")
-                members = _read_str_list(fh)
-                mem.working.append(WorkingSlot(slot_id, centroid, count, members))
-                (n_samples,) = struct.unpack("<I", _read_exact(fh, 4, "sample count"))
-                for _ in range(n_samples):
-                    rid = _read_str(fh)
-                    image_id = _read_str(fh)
-                    feature = _read_floats(fh, d, "sample feature")
-                    mem.sample_store[rid] = feature
-                    mem.image_of[rid] = image_id
+                mem.semantic.append(SemanticSlot(slot_id, label, mean, white, bg, members))
         mem.rebuild_caches()
         return mem
 

@@ -7,7 +7,7 @@ the three initialization modes, and the run-directory layout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -26,13 +26,30 @@ PRIOR_GT_IOU = 0.5
 
 
 @dataclass
+class RoundCounts:
+    """What one round streamed and mined; ``stats.txt`` writes each field as ``round_<r>_<field>``.
+
+    The four decision counts are named after the ``DecisionKind`` values.
+    """
+
+    active: str
+    regions: int
+    known_match: int
+    working_match: int
+    new_slot: int
+    rejected: int
+    mined: int
+    mined_candidates: int
+
+
+@dataclass
 class RoundState:
-    """Mutable cursor of the never-ending loop."""
+    """Mutable cursor of the never-ending loop, with the counts of every finished round by index."""
 
     round_index: int
     active: str  # "d1" or "d2"
     mem: DualMemory
-    counters: dict[str, object] = field(default_factory=dict)
+    rounds: dict[int, RoundCounts] = field(default_factory=dict)
 
 
 @dataclass
@@ -61,9 +78,10 @@ def estimate_background(
     floating-point footprint) is deterministic for a given worker count. All of
     it runs on the calling thread.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if isinstance(batches, Mapping):
         batches = list(batches.values())
-    workers = max(1, workers)
     parts: list[list[np.ndarray]] = [[] for _ in range(workers)]
     for index, batch in enumerate(batches):
         parts[index % workers].extend(region.feature for region in batch)
@@ -161,18 +179,9 @@ def run_discovery_round(
             if mem.mine_region(region, z):
                 mined += 1
 
-    r = state.round_index
-    state.counters.update(
-        {
-            f"round_{r}_active": state.active,
-            f"round_{r}_regions": regions_seen,
-            f"round_{r}_known_match": counts[DecisionKind.KNOWN_MATCH],
-            f"round_{r}_working_match": counts[DecisionKind.WORKING_MATCH],
-            f"round_{r}_new_slot": counts[DecisionKind.NEW_SLOT],
-            f"round_{r}_rejected": counts[DecisionKind.REJECTED],
-            f"round_{r}_mined": mined,
-            f"round_{r}_mined_candidates": mined_seen,
-        }
+    state.rounds[state.round_index] = RoundCounts(
+        state.active, regions_seen, **{kind.value: n for kind, n in counts.items()},
+        mined=mined, mined_candidates=mined_seen,
     )
     state.round_index += 1
     state.active = "d2" if state.active == "d1" else "d1"
@@ -235,17 +244,18 @@ def run_discovery(
         "rounds": config.rounds,
         "images_total": len(corpus),
         "regions_total": sum(len(b) for b in corpus.values()),
-        "known_match": sum(state.counters.get(f"round_{r}_known_match", 0) for r in range(1, config.rounds + 1)),
-        "working_match": sum(state.counters.get(f"round_{r}_working_match", 0) for r in range(1, config.rounds + 1)),
-        "new_slot": sum(state.counters.get(f"round_{r}_new_slot", 0) for r in range(1, config.rounds + 1)),
+        "known_match": sum(c.known_match for c in state.rounds.values()),
+        "working_match": sum(c.working_match for c in state.rounds.values()),
+        "new_slot": sum(c.new_slot for c in state.rounds.values()),
         "rejected": mem.rejected_count,
-        "mined": sum(state.counters.get(f"round_{r}_mined", 0) for r in range(1, config.rounds + 1)),
+        "mined": sum(c.mined for c in state.rounds.values()),
         "slots_semantic_final": len(mem.semantic),
         "slots_working_final": len(mem.working),
         "clusters_final": len(assigned_labels),
     }
     stats: dict[str, object] = dict(totals)
-    stats.update(state.counters)
+    for r, counts in state.rounds.items():
+        stats.update({f"round_{r}_{key}": value for key, value in asdict(counts).items()})
 
     if out_path is not None:
         write_assignments(out_path / "assignments.tsv", assignments.items())

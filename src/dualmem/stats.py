@@ -9,6 +9,7 @@ Ramanan, ECCV 2012), so scoring needs no solve per slot update.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -148,11 +149,16 @@ class BackgroundStats:
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    """The next ``n`` bytes of ``fh``; a short read is a ValueError naming the file and offset."""
-    offset, data = fh.tell(), fh.read(n)
-    if len(data) != n:
-        raise ValueError(f"{fh.name}: truncated at byte {offset}: {what} needs {n} bytes, got {len(data)}")
-    return data
+    """The next ``n`` bytes of ``fh``; a short file is a ValueError naming the file and offset.
+
+    The request is checked against the bytes left in the file before anything
+    is read, so a corrupt length field cannot ask for more memory than the file holds.
+    """
+    offset = fh.tell()
+    left = os.fstat(fh.fileno()).st_size - offset
+    if n > left:
+        raise ValueError(f"{fh.name}: truncated at byte {offset}: {what} needs {n} bytes, got {left}")
+    return fh.read(n)
 
 
 def _read_floats(fh, n: int, what: str) -> np.ndarray:

@@ -206,7 +206,7 @@ def test_criterion_3_engine_invariants(tmp_path):
 
     worst_centroid = 0.0
     for slot in mem.working:
-        member_mean = np.mean([mem.sample_store[r] for r in slot.members], axis=0)
+        member_mean = np.mean([r.feature for r in slot.regions], axis=0)
         worst_centroid = max(
             worst_centroid,
             float(np.linalg.norm(slot.centroid - member_mean) / (1.0 + np.linalg.norm(member_mean))),
@@ -258,9 +258,9 @@ def test_criterion_4_consolidation_contracts():
     classifiers = train_slot_classifiers(mem)
     refine_slots(mem, classifiers)
     refine_ok = all(
-        classifiers[s.slot_id].score(mem.sample_store[r]) >= 0.0
+        classifiers[s.slot_id].score(r.feature) >= 0.0
         for s in mem.working
-        for r in s.members
+        for r in s.regions
     )
 
     def edgeless(mode):

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -116,6 +117,15 @@ class TestBackground:
         b = BackgroundStats.load(tmp_path / "bg4" / "bg.bin")
         assert np.linalg.norm(a.mean - b.mean) < 1e-9
         assert np.linalg.norm(a.covariance - b.covariance) < 1e-9
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_fail_before_any_output(self, tmp_path, generated, threads, capsys):
+        out = tmp_path / "bg"
+        argv = ["background", "--corpus", str(generated / "corpus.jsonl"), "--threads", threads, "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--threads" in err, err
+        assert not out.exists()
 
 
 class TestDiscover:
@@ -317,3 +327,42 @@ class TestTruncatedCorpus:
             assert err.startswith(f"error: {cut}: ") and err.count("\n") == 1, err
             assert expected in err
             assert not (out / "manifest.json").exists()
+
+
+class TestCorruptLengths:
+    """A corrupt length field is a one-line error naming the file, checked before anything is read."""
+
+    def expect_error(self, argv, path, expected, out, capsys):
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+        assert expected in err
+        assert not (out / "manifest.json").exists()
+
+    def test_background_file_declaring_a_huge_dimension(self, tmp_path, full_run, capsys):
+        generated, _, _, config_path = full_run
+        d = 2**20
+        bg = tmp_path / "bg.bin"
+        bg.write_bytes(struct.pack("<4sI", b"DMBG", d) + bytes(8 * d))  # the whole mean, no covariance
+        argv = [
+            "discover", "--corpus", str(generated / "corpus.jsonl"), "--bg", str(bg),
+            "--config", str(config_path), "--priors", str(generated / "priors.jsonl"),
+        ]
+        expected = f"truncated at byte {8 + 8 * d}: covariance needs {8 * d * d} bytes, got 0"
+        self.expect_error(argv, bg, expected, tmp_path / "huge_run", capsys)
+
+    def test_binary_corpus_declaring_a_huge_dimension(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.dmrf"
+        corpus.write_bytes(struct.pack("<4sIII", b"DMRF", 1, 2**32 - 1, 1) + bytes(1000))
+        argv = ["background", "--corpus", str(corpus)]
+        self.expect_error(argv, corpus, "record 0 at offset 16: truncated", tmp_path / "bg", capsys)
+
+    def test_binary_corpus_with_a_bad_byte_in_an_id(self, tmp_path, generated, capsys):
+        corpus = tmp_path / "corpus.dmrf"
+        convert_corpus(generated / "corpus.jsonl", corpus)
+        data = bytearray(corpus.read_bytes())
+        data[16] = 0xFF  # the first byte of record 0's region id
+        corpus.write_bytes(bytes(data))
+        argv = ["background", "--corpus", str(corpus)]
+        self.expect_error(argv, corpus, "record 0: 'utf-8' codec can't decode byte 0xff", tmp_path / "bg", capsys)

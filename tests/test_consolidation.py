@@ -225,7 +225,7 @@ class TestRefine:
         refine_slots(mem, classifiers)
         for slot in mem.working:
             clf = classifiers[slot.slot_id]
-            scores = [clf.score(mem.sample_store[r]) for r in slot.members]
+            scores = [clf.score(r.feature) for r in slot.regions]
             assert min(scores) >= 0.0
 
     def test_fully_negative_slot_deleted(self):

@@ -318,7 +318,7 @@ class TestInvariants:
             )
         assert mem.working
         for slot in mem.working:
-            member_mean = np.mean([mem.sample_store[r] for r in slot.members], axis=0)
+            member_mean = np.mean([r.feature for r in slot.regions], axis=0)
             assert np.linalg.norm(slot.centroid - member_mean) <= 1e-7 * (
                 1 + np.linalg.norm(member_mean)
             )
@@ -352,25 +352,41 @@ class TestInvariants:
 class TestCheckpoint:
     def test_reload_reproduces_decisions(self, tmp_path):
         rng = np.random.default_rng(3)
-        mem = make_memory(d=6, priors={
+        mem = make_memory(d=6, min_images_per_slot=2, priors={
             "cat": [make_region("p0", "ip", np.array([8.0, 0, 0, 0, 0, 0]))],
         })
         for i in range(20):
             mem.process_image([make_region(f"r{i}", f"i{i}", rng.standard_normal(6) * 3)])
+        consolidate(mem)
+        assert len(mem.semantic) > 1
         path = tmp_path / "checkpoint.bin"
         mem.save_checkpoint(path)
         twin = DualMemory.load_checkpoint(path, mem.config)
 
-        assert [s.slot_id for s in twin.semantic] == [s.slot_id for s in mem.semantic]
-        assert [s.slot_id for s in twin.working] == [s.slot_id for s in mem.working]
+        assert [(s.slot_id, s.label, s.members) for s in twin.semantic] == [
+            (s.slot_id, s.label, s.members) for s in mem.semantic
+        ]
+        assert (twin.next_slot_id, twin.rejected_count) == (mem.next_slot_id, mem.rejected_count)
         probe_batches = [
             [make_region(f"q{i}", f"qi{i}", rng.standard_normal(6) * 3)] for i in range(10)
         ]
         for batch in probe_batches:
             assert mem.process_image(batch) == twin.process_image(batch)
+        for a, b in zip(mem.semantic, twin.semantic):
+            np.testing.assert_array_equal(a.mean, b.mean)
+            np.testing.assert_array_equal(a.white, b.white)
+        assert mem.working
         for a, b in zip(mem.working, twin.working):
             np.testing.assert_array_equal(a.centroid, b.centroid)
             assert a.members == b.members
+
+    def test_refuses_working_slots_and_writes_nothing(self, tmp_path):
+        mem = make_memory(d=4)
+        mem.process_image([make_region("r0", "i0", [0.0, 0.0, 6.0, 0.0])])
+        path = tmp_path / "checkpoint.bin"
+        with pytest.raises(ValueError, match="1 working slots"):
+            mem.save_checkpoint(path)
+        assert not path.exists()
 
     def test_reload_rejects_wrong_config(self, tmp_path):
         mem = make_memory(d=4)
@@ -382,10 +398,11 @@ class TestCheckpoint:
 
     def test_truncated_checkpoint_is_a_value_error_at_every_offset(self, tmp_path):
         rng = np.random.default_rng(5)
-        mem = make_memory(d=3, priors={"cat": [make_region("p0", "ip", np.array([8.0, 0, 0]))]})
+        mem = make_memory(d=3, min_images_per_slot=1, priors={"cat": [make_region("p0", "ip", np.array([8.0, 0, 0]))]})
         for i in range(6):
             mem.process_image([make_region(f"r{i}", f"i{i}", rng.standard_normal(3) * 3)])
-        assert mem.semantic and mem.working
+        consolidate(mem)
+        assert len(mem.semantic) > 1
         path = tmp_path / "checkpoint.bin"
         mem.save_checkpoint(path)
         data = path.read_bytes()

@@ -9,6 +9,7 @@ from dualmem.pipeline import (
     RoundState,
     build_priors,
     estimate_background,
+    final_assignments,
     run_discovery,
     run_discovery_round,
 )
@@ -171,7 +172,7 @@ class TestRound:
         assert novel_slots and novel_slots[0].label.startswith("disc_1_")
         slot = novel_slots[0]
         assert "nv2" in slot.members, "phase C should mine the held-out novel instance"
-        assert state.counters["round_1_mined"] >= 1
+        assert state.rounds[1].mined >= 1
         assert slot.count == len(slot.members)
 
     def test_phase_c_never_touches_working_memory(self):
@@ -190,11 +191,9 @@ class TestRound:
         mem = DualMemory.initialize(bg, config, None)
         state = RoundState(round_index=1, active="d1", mem=mem)
         run_discovery_round(state, corpus, toy_split())
-        c = state.counters
-        accepted = (
-            c["round_1_known_match"] + c["round_1_working_match"] + c["round_1_new_slot"]
-        )
-        assert accepted + c["round_1_rejected"] == c["round_1_regions"]
+        c = state.rounds[1]
+        accepted = c.known_match + c.working_match + c.new_slot
+        assert accepted + c.rejected == c.regions
 
 
 class TestRunDiscovery:
@@ -252,13 +251,23 @@ class TestRunDiscovery:
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
     def test_checkpoint_reload_continues_identically(self, synth_run, tmp_path):
+        """Round 1's checkpoint, resumed for the remaining rounds, ends where the straight run ends."""
         spec, paths, config, corpus, bg = synth_run
         priors = build_priors(config, prior_records=_prior_records(paths))
-        run_discovery(corpus, bg, config, priors, out_dir=tmp_path / "run")
+        straight = run_discovery(corpus, bg, config, priors, out_dir=tmp_path / "run")
         reloaded = DualMemory.load_checkpoint(tmp_path / "run" / "round_1" / "checkpoint.bin", config)
-        assert reloaded.semantic  # at least the priors survive round one
-        probe = make_region("probe", "probe_img", np.zeros(8))
-        assert reloaded.retrieve(probe.feature) is not None
+        state = RoundState(2, "d2", reloaded)
+        split = split_dataset(list(corpus.keys()), config.rng_seed)
+        while state.round_index <= config.rounds:
+            run_discovery_round(state, corpus, split)
+        assert final_assignments(reloaded, corpus) == straight.assignments
+        assert reloaded.rejected_count == straight.mem.rejected_count
+        assert [(s.slot_id, s.label, s.members) for s in reloaded.semantic] == [
+            (s.slot_id, s.label, s.members) for s in straight.mem.semantic
+        ]
+        assert any(s.label.startswith("disc_2_") for s in reloaded.semantic)
+        for a, b in zip(reloaded.semantic, straight.mem.semantic):
+            assert a.mean.tobytes() == b.mean.tobytes()
 
 
 def _prior_records(paths):
