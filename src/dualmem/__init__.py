@@ -57,8 +57,9 @@ from .pipeline import (
     final_assignments,
     run_discovery,
     run_discovery_round,
+    whiten_corpus,
 )
-from .records import BoundingBox, CorpusFormatError, RegionRecord
+from .records import BoundingBox, CorpusFormatError, RegionRecord, RegionTable
 from .stats import (
     BackgroundStats,
     InsufficientSamplesError,

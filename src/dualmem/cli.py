@@ -101,13 +101,13 @@ def _cmd_background(args: argparse.Namespace) -> int:
             raise CliError(f"config d={config.d} does not match corpus d={d}")
     else:
         config = Config(d=d)
-    batches = list(ingest_corpus(args.corpus, config))
+    corpus = ingest_corpus(args.corpus, config)
     out_dir = _prepare_out_dir(args.out, args.force)
     _write_manifest(
         out_dir, "background", args,
         _hash_params(_hash_file(args.corpus), config_hash(config), args.threads),
     )
-    bg = estimate_background(batches, config, workers=args.threads)
+    bg = estimate_background(corpus, config, workers=args.threads)
     bg.save(out_dir / "bg.bin")
     print(f"background: {out_dir / 'bg.bin'} (d={bg.d}, samples={bg.count})")
     return 0
@@ -118,19 +118,18 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     config = load_config(args.config, **overrides)
     # Every input is read and checked before the output directory is touched.
     bg = BackgroundStats.load(args.bg)
-    corpus = load_corpus(args.corpus, config)
-    prior_records = None
+    corpus = ingest_corpus(args.corpus, config)
+    detections = None
     gt = None
     if config.init_mode == "det_scores":
         if args.priors is None:
             raise CliError("init_mode=det_scores requires --priors")
-        _, stream = open_corpus(args.priors)
-        prior_records = list(stream)
+        detections = open_corpus(args.priors)
     if config.init_mode == "gt_overlap":
         if args.gt is None:
             raise CliError("init_mode=gt_overlap requires --gt")
         gt = load_gt(args.gt)
-    priors = build_priors(config, prior_records=prior_records, corpus=corpus, gt=gt)
+    priors = build_priors(config, detections=detections, corpus=corpus, gt=gt)
     out_dir = _prepare_out_dir(args.out, args.force)
     _write_manifest(
         out_dir, "discover", args,
@@ -149,8 +148,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     min_images = args.min_images
     if min_images is None:
         min_images = load_config(args.config).min_images_per_slot if args.config else 5
-    config = Config(d=read_corpus_dim(args.corpus), n_proposals_per_image=10**9)
-    regions = {r.region_id: r for batch in ingest_corpus(args.corpus, config) for r in batch}
+    regions = load_corpus(args.corpus)
     assignments = read_assignments(args.assignments)
     gt = load_gt(args.gt)
     out_dir = _prepare_out_dir(args.out, args.force)
@@ -186,8 +184,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         k = int(values["clusters_final"])
     if args.seed is None:
         args.seed = load_config(args.config).rng_seed if args.config else 0
-    config = Config(d=read_corpus_dim(args.corpus), n_proposals_per_image=10**9)
-    regions = [r for batch in ingest_corpus(args.corpus, config) for r in batch]
+    regions = load_corpus(args.corpus)
     out_dir = _prepare_out_dir(args.out, args.force)
     _write_manifest(out_dir, "baseline", args, _hash_params(_hash_file(args.corpus), k, args.seed))
     assignments, _, history = kmeans_baseline(regions, k, args.seed)

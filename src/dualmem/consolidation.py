@@ -4,9 +4,9 @@ The full procedure trains a classifier per working slot (one solve for all of
 them), merges slots whose classifiers fire on each other (connected components
 over a thresholded affinity graph), drops samples a merged slot's own
 classifier rejects, and transfers the survivors as new semantic categories.
-Merge and refine recompute centroids from the member records each working slot
-holds; a transferred slot keeps only its members' ids. Working memory is reset
-afterwards in every mode.
+Merge and refine recompute centroids from the features of each working slot's
+member rows in the memory's corpus; a transferred slot keeps its members'
+region ids. Working memory is reset afterwards in every mode.
 """
 
 from __future__ import annotations
@@ -107,9 +107,8 @@ def merge_components(mem: DualMemory, graph: AffinityGraph) -> int:
         if len(component) == 1:
             merged.append(by_id[component[0]])
             continue
-        regions = [r for slot_id in component for r in by_id[slot_id].regions]
-        feats = np.stack([r.feature for r in regions])
-        merged.append(WorkingSlot(component[0], feats.mean(axis=0), regions))
+        rows = [row for slot_id in component for row in by_id[slot_id].rows]
+        merged.append(WorkingSlot(component[0], mem.corpus.features[rows].mean(axis=0), rows))
     mem.working = merged  # components run in order of their smallest slot_id
     mem.rebuild_caches()
     return len(merged)
@@ -125,15 +124,15 @@ def refine_slots(mem: DualMemory, classifiers: dict[int, LinearClassifier]) -> i
     dropped = 0
     for slot in mem.working:
         clf = classifiers[slot.slot_id]
-        feats = np.stack([r.feature for r in slot.regions])
+        feats = mem.corpus.features[slot.rows]
         keep = clf.score_batch(feats) >= 0.0
         n_keep = int(keep.sum())
         dropped += slot.count - n_keep
         if n_keep == slot.count:
             retained_slots.append(slot)
         elif n_keep > 0:
-            regions = [r for r, ok in zip(slot.regions, keep) if ok]
-            retained_slots.append(WorkingSlot(slot.slot_id, feats[keep].mean(axis=0), regions))
+            rows = [row for row, ok in zip(slot.rows, keep.tolist()) if ok]
+            retained_slots.append(WorkingSlot(slot.slot_id, feats[keep].mean(axis=0), rows))
     mem.working = retained_slots
     mem.rebuild_caches()
     return dropped
@@ -157,17 +156,17 @@ def consolidate(mem: DualMemory, round_index: int = 1) -> ConsolidationRecord:
     if mode == "merge_refine" and mem.working:
         samples_dropped = refine_slots(mem, train_slot_classifiers(mem))
 
+    corpus = mem.corpus
     kept = [
         slot for slot in mem.working
-        if len({r.image_id for r in slot.regions}) >= mem.config.min_images_per_slot
+        if len(set(corpus.image_of(slot.rows))) >= mem.config.min_images_per_slot
     ]
     dropped_small = len(mem.working) - len(kept)
     whites = whiten(np.stack([slot.centroid for slot in kept]), mem.bg) if kept else []
     for sequence, (slot, white) in enumerate(zip(kept, whites)):
         label = f"disc_{round_index}_{sequence}"
-        mem.semantic.append(
-            SemanticSlot(slot.slot_id, label, slot.centroid.copy(), white, mem.bg, slot.members)
-        )
+        members = [corpus.region_ids[row] for row in slot.rows]
+        mem.semantic.append(SemanticSlot(slot.slot_id, label, slot.centroid.copy(), white, mem.bg, members))
     mem.semantic.sort(key=lambda s: s.slot_id)
     mem.working = []
     mem.rebuild_caches()

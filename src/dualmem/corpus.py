@@ -1,8 +1,9 @@
-"""Corpus file formats, streaming ingestion, and the two-way dataset split.
+"""Corpus file formats, ingestion into one region table, and the two-way dataset split.
 
-Two on-disk representations carry the same records: line-delimited JSON with a
-header line, and a packed binary variant for bulk corpora. Both are produced
-and consumed here, and a converter maps between them.
+Two on-disk representations carry the same regions: line-delimited JSON with a
+header line, and a packed binary variant for bulk corpora. Both readers build a
+``RegionTable`` and check it as a stream would, so an error names the first bad
+record; the writers take a table or records, and a converter maps between the formats.
 """
 
 from __future__ import annotations
@@ -12,153 +13,233 @@ import logging
 import os
 import random
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .config import Config
-from .records import BoundingBox, CorpusFormatError, RegionRecord
+from .records import BoundingBox, CorpusFormatError, RegionRecord, RegionTable, box_fault, region_fault
 
 logger = logging.getLogger(__name__)
 
 JSONL_VERSION = 1
 BINARY_MAGIC = b"DMRF"
 BINARY_VERSION = 1
+BINARY_HEADER = struct.Struct("<4sIII")  # magic, version, d, record count
 # Fixed-width string fields in the binary record; longer ids/labels cannot be packed.
 ID_FIELD_BYTES = 64
+
+
+def _table_of(d: int, records: Iterable[RegionRecord] | RegionTable) -> RegionTable:
+    return records if isinstance(records, RegionTable) else RegionTable.from_records(records, d)
 
 
 # ---------------------------------------------------------------------------
 # JSON lines format
 # ---------------------------------------------------------------------------
 
-def _record_to_json(record: RegionRecord) -> str:
-    payload = {
-        "region_id": record.region_id,
-        "image_id": record.image_id,
-        "box": record.box.as_list(),
-        "score": record.score,
-        "feature": [float(v) for v in record.feature],
-        "gt_label": record.gt_label,
-    }
-    return json.dumps(payload, separators=(",", ":"))
-
-
-def write_corpus_jsonl(path: str | Path, d: int, records: Iterable[RegionRecord]) -> None:
+def write_corpus_jsonl(path: str | Path, d: int, records: Iterable[RegionRecord] | RegionTable) -> None:
+    table = _table_of(d, records)
+    rows = zip(
+        table.region_ids, table.image_of(), table.boxes.tolist(), table.scores.tolist(),
+        table.features.tolist(), table.gt_labels,
+    )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"d": d, "version": JSONL_VERSION}, separators=(",", ":")) + "\n")
-        for record in records:
-            fh.write(_record_to_json(record) + "\n")
+        for region_id, image_id, box, score, feature, label in rows:
+            payload = {
+                "region_id": region_id, "image_id": image_id, "box": box,
+                "score": score, "feature": feature, "gt_label": label,
+            }
+            fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
 
 
-def _parse_json_record(obj: dict, where: str) -> RegionRecord:
+def _jsonl_header(fh, path: Path) -> int:
     try:
-        box = BoundingBox(*(float(v) for v in obj["box"]))
-        label = obj.get("gt_label")
-        return RegionRecord(
-            region_id=str(obj["region_id"]),
-            image_id=str(obj["image_id"]),
-            box=box,
-            score=float(obj["score"]),
-            feature=np.asarray(obj["feature"], dtype=np.float64),
-            gt_label=str(label) if label else None,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorpusFormatError(f"{where}: {exc}") from exc
+        header = json.loads(fh.readline())
+        d = int(header["d"])
+        version = int(header["version"])
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise CorpusFormatError(f"{path}: line 1: bad header record: {exc}") from exc
+    if version != JSONL_VERSION:
+        raise CorpusFormatError(f"{path}: line 1: unsupported version {version}")
+    return d
 
 
-def _iter_jsonl(path: Path) -> Iterator[int | RegionRecord]:
-    """Yield the header's dimension, then the records. Errors name the file and line."""
+def _read_jsonl(path: Path) -> RegionTable:
+    """Every record as a table row; errors name the file and line."""
+    rows, stop = [], None
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            header = json.loads(fh.readline())
-            d = int(header["d"])
-            version = int(header["version"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise CorpusFormatError(f"{path}: line 1: bad header record: {exc}") from exc
-        if version != JSONL_VERSION:
-            raise CorpusFormatError(f"{path}: line 1: unsupported version {version}")
-        yield d
+        d = _jsonl_header(fh, path)
         for lineno, line in enumerate(fh, 2):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}: line {lineno}: invalid JSON at column {exc.colno}") from exc
-            yield _parse_json_record(obj, f"{path}: line {lineno}")
+                stop = f"{path}: line {lineno}: invalid JSON at column {exc.colno}"
+                break
+            try:
+                box = [float(v) for v in obj["box"]]
+                if len(box) != 4:
+                    BoundingBox(*box)  # raises the constructor's TypeError for the wrong number of values
+                fault = box_fault(*box)
+                if fault:
+                    raise ValueError(fault)
+                label = obj.get("gt_label")
+                region_id = str(obj["region_id"])
+                image_id = str(obj["image_id"])
+                score = float(obj["score"])
+                feature = np.asarray(obj["feature"], dtype=np.float64)
+            except (KeyError, TypeError, ValueError) as exc:
+                stop = f"{path}: line {lineno}: {exc}"
+                break
+            if not (0.0 <= score <= 1.0) or feature.shape != (d,):
+                fault = region_fault(region_id, score, feature)
+                stop = f"{path}: line {lineno}: {fault}" if fault else (
+                    f"{path}: region '{region_id}': feature dimension {feature.shape[0]} != {d}"
+                )
+                break
+            rows.append((region_id, image_id, box, score, feature, str(label) if label else None, lineno))
+    columns = [list(column) for column in zip(*rows)] or [[] for _ in range(7)]
+    ids, images, boxes, scores, features, labels, lines = columns
+    return _checked_table(
+        path, lambda i: f"{path}: line {lines[i]}", ids, images,
+        np.array(boxes, dtype=np.float64).reshape(-1, 4), np.array(scores, dtype=np.float64),
+        np.array(features, dtype=np.float64).reshape(len(ids), d), labels, stop,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Binary format
 # ---------------------------------------------------------------------------
 
-def _pack_id(value: str, what: str) -> bytes:
-    raw = value.encode("utf-8")
-    if len(raw) > ID_FIELD_BYTES:
-        raise CorpusFormatError(
-            f"{what} '{value}' exceeds the {ID_FIELD_BYTES}-byte binary field limit"
-        )
-    return raw.ljust(ID_FIELD_BYTES, b"\x00")
+def _record_dtype(d: int) -> np.dtype:
+    """One packed record: three fixed-width UTF-8 fields, the box and score, the float32 feature."""
+    text = f"S{ID_FIELD_BYTES}"
+    return np.dtype([
+        ("region_id", text), ("image_id", text), ("box", "<f4", (4,)), ("score", "<f4"),
+        ("gt_label", text), ("feature", "<f4", (d,)),
+    ])
 
 
-def write_corpus_binary(path: str | Path, d: int, records: Iterable[RegionRecord]) -> None:
-    materialized = list(records)
-    record_struct = struct.Struct(f"<{ID_FIELD_BYTES}s{ID_FIELD_BYTES}s5f{ID_FIELD_BYTES}s{d}f")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIII", BINARY_MAGIC, BINARY_VERSION, d, len(materialized)))
-        for record in materialized:
-            label = record.gt_label or ""
-            fh.write(
-                record_struct.pack(
-                    _pack_id(record.region_id, "region_id"),
-                    _pack_id(record.image_id, "image_id"),
-                    record.box.x1,
-                    record.box.y1,
-                    record.box.x2,
-                    record.box.y2,
-                    record.score,
-                    _pack_id(label, "gt_label"),
-                    *(float(v) for v in record.feature),
-                )
+def _pack_ids(values: Iterable[str], what: str) -> list[bytes]:
+    packed = [value.encode("utf-8") for value in values]
+    for value, raw in zip(values, packed):
+        if len(raw) > ID_FIELD_BYTES:
+            raise CorpusFormatError(
+                f"{what} '{value}' exceeds the {ID_FIELD_BYTES}-byte binary field limit"
             )
+    return packed
 
 
-def _iter_binary(path: Path) -> Iterator[int | RegionRecord]:
-    """Yield the header's dimension, then the records. Errors name the file and record."""
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16:
-            raise CorpusFormatError(f"{path}: binary header truncated (expected 16 bytes)")
-        magic, version, d, count = struct.unpack("<4sIII", header)
-        if magic != BINARY_MAGIC:
-            raise CorpusFormatError(f"{path}: bad magic {magic!r}, expected {BINARY_MAGIC!r}")
-        if version != BINARY_VERSION:
-            raise CorpusFormatError(f"{path}: unsupported binary version {version}")
-        yield d
-        record_struct = struct.Struct(f"<{ID_FIELD_BYTES}s{ID_FIELD_BYTES}s5f{ID_FIELD_BYTES}s{d}f")
-        # Counted before reading: a corrupt d must not request more than the file holds.
-        whole = (os.fstat(fh.fileno()).st_size - 16) // record_struct.size
-        for index in range(min(count, whole)):
-            fields = record_struct.unpack(fh.read(record_struct.size))
-            x1, y1, x2, y2, score = fields[2:7]
+def write_corpus_binary(path: str | Path, d: int, records: Iterable[RegionRecord] | RegionTable) -> None:
+    table = _table_of(d, records)
+    packed = np.zeros(len(table), dtype=_record_dtype(d))
+    packed["region_id"] = _pack_ids(table.region_ids, "region_id")
+    packed["image_id"] = _pack_ids(table.image_of(), "image_id")
+    packed["gt_label"] = _pack_ids([label or "" for label in table.gt_labels], "gt_label")
+    with np.errstate(over="ignore"):
+        packed["box"], packed["score"], packed["feature"] = table.boxes, table.scores, table.features
+    unpackable = ~(np.isfinite(packed["box"]).all(axis=1) & np.isfinite(packed["score"]))
+    unpackable |= ~np.isfinite(packed["feature"]).all(axis=1)
+    if unpackable.any():
+        region_id = table.region_ids[int(np.argmax(unpackable))]
+        raise CorpusFormatError(f"region '{region_id}': values outside the float32 range cannot be packed")
+    with open(path, "wb") as fh:
+        fh.write(BINARY_HEADER.pack(BINARY_MAGIC, BINARY_VERSION, d, len(table)))
+        fh.write(packed.tobytes())
+
+
+def _binary_header(fh, path: Path) -> tuple[int, int]:
+    header = fh.read(BINARY_HEADER.size)
+    if len(header) != BINARY_HEADER.size:
+        raise CorpusFormatError(f"{path}: binary header truncated (expected 16 bytes)")
+    magic, version, d, count = BINARY_HEADER.unpack(header)
+    if magic != BINARY_MAGIC:
+        raise CorpusFormatError(f"{path}: bad magic {magic!r}, expected {BINARY_MAGIC!r}")
+    if version != BINARY_VERSION:
+        raise CorpusFormatError(f"{path}: unsupported binary version {version}")
+    return d, count
+
+
+def _decode_ids(path: Path, columns: list[list[bytes]]) -> tuple[list[list[str]], str | None]:
+    """The columns decoded, up to the first record with a field that is not UTF-8, and its error."""
+    try:
+        return [[value.decode("utf-8") for value in column] for column in columns], None
+    except UnicodeDecodeError:
+        for index, fields in enumerate(zip(*columns)):
             try:
-                label = fields[7].rstrip(b"\x00").decode("utf-8")
-                record = RegionRecord(
-                    region_id=fields[0].rstrip(b"\x00").decode("utf-8"),
-                    image_id=fields[1].rstrip(b"\x00").decode("utf-8"),
-                    box=BoundingBox(x1, y1, x2, y2),
-                    score=float(score),
-                    feature=np.asarray(fields[8:], dtype=np.float64),
-                    gt_label=label or None,
-                )
-            except ValueError as exc:
-                raise CorpusFormatError(f"{path}: record {index}: {exc}") from exc
-            yield record
-        if count > whole:
-            raise CorpusFormatError(f"{path}: record {whole} at offset {16 + whole * record_struct.size}: truncated")
+                [value.decode("utf-8") for value in fields]
+            except UnicodeDecodeError as exc:
+                decoded, _ = _decode_ids(path, [column[:index] for column in columns])
+                return decoded, f"{path}: record {index}: {exc}"
+
+
+def _read_binary(path: Path) -> RegionTable:
+    """Every record as a table row; errors name the file and the record (and its offset)."""
+    with open(path, "rb") as fh:
+        d, count = _binary_header(fh, path)
+        record_size = 3 * ID_FIELD_BYTES + 4 * (5 + d)
+        size = os.fstat(fh.fileno()).st_size
+        expected = BINARY_HEADER.size + count * record_size
+        if size > expected:
+            raise CorpusFormatError(
+                f"{path}: {size - expected} trailing bytes: {count} records of d={d} "
+                f"take {expected} bytes, the file has {size}"
+            )
+        # Counted before reading: a corrupt d must not request more than the file holds.
+        whole = min(count, (size - BINARY_HEADER.size) // record_size)
+        records = np.fromfile(fh, dtype=_record_dtype(d if whole else 0), count=whole)
+    stop = None
+    if whole < count:
+        stop = f"{path}: record {whole} at offset {BINARY_HEADER.size + whole * record_size}: truncated"
+    names = ("gt_label", "region_id", "image_id")  # the order each record's fields are checked in
+    (labels, ids, images), bad_text = _decode_ids(path, [records[name].tolist() for name in names])
+    records = records[: len(ids)]
+    return _checked_table(
+        path, lambda i: f"{path}: record {i}", ids, images,
+        records["box"].astype(np.float64), records["score"].astype(np.float64),
+        np.ascontiguousarray(records["feature"], dtype=np.float64).reshape(len(ids), d),
+        [label or None for label in labels], bad_text or stop,
+    )
+
+
+def _checked_table(path, where, ids, images, boxes, scores, features, labels, stop) -> RegionTable:
+    """The table of the records read, or the error of the first bad record.
+
+    The records are checked as a stream would check them: each record's box,
+    score and feature, then its id against the earlier ones, then the image that
+    ended with it. ``stop`` is the error of the record after the last one given,
+    which ended the read, if any.
+    """
+    n = len(ids)
+    errors = [(n, 0, stop)] if stop else []
+    bad = ~(
+        (boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])
+        & (scores >= 0.0) & (scores <= 1.0) & np.isfinite(features).all(axis=1)
+    )
+    if bad.any():
+        i = int(np.argmax(bad))
+        fault = box_fault(*boxes[i].tolist()) or region_fault(ids[i], float(scores[i]), features[i])
+        errors.append((i, 1, f"{where(i)}: {fault}"))
+    seen: set[str] = set()
+    if len(set(ids)) < n:
+        j = next(j for j, region_id in enumerate(ids) if region_id in seen or seen.add(region_id))
+        errors.append((j, 2, f"{path}: duplicate region_id '{ids[j]}'"))
+    heads = [i for i in range(n) if i == 0 or images[i] != images[i - 1]]
+    image_ids = [images[i] for i in heads]
+    seen.clear()
+    if len(set(image_ids)) < len(image_ids):
+        r = next(r for r, image_id in enumerate(image_ids) if image_id in seen or seen.add(image_id))
+        ended = heads[r + 1] if r + 1 < len(heads) else n
+        errors.append((ended, 3, f"{path}: image '{image_ids[r]}' appears in more than one block"))
+    if errors:
+        raise CorpusFormatError(min(errors)[2])
+    return RegionTable(ids, image_ids, np.array(heads + [n], dtype=np.intp), boxes, scores, features, labels)
 
 
 def _is_binary(path: Path) -> bool:
@@ -166,22 +247,20 @@ def _is_binary(path: Path) -> bool:
         return fh.read(4) == BINARY_MAGIC
 
 
-def open_corpus(path: str | Path) -> tuple[int, Iterator[RegionRecord]]:
-    """Open either corpus format, returning the declared dimension and a record stream.
-
-    The header is read and checked before this returns. The stream owns the
-    open file and closes it when exhausted, closed, or garbage-collected.
-    """
+def open_corpus(path: str | Path) -> RegionTable:
+    """Every record of either corpus format, checked, in file order."""
     path = Path(path)
-    stream = _iter_binary(path) if _is_binary(path) else _iter_jsonl(path)
-    d = next(stream)
-    return d, stream  # type: ignore[return-value]
+    return _read_binary(path) if _is_binary(path) else _read_jsonl(path)
 
 
 def read_corpus_dim(path: str | Path) -> int:
-    d, stream = open_corpus(path)
-    stream.close()
-    return d
+    """The dimension a corpus file's header declares; nothing else is read."""
+    path = Path(path)
+    if _is_binary(path):
+        with open(path, "rb") as fh:
+            return _binary_header(fh, path)[0]
+    with open(path, "r", encoding="utf-8") as fh:
+        return _jsonl_header(fh, path)
 
 
 def convert_corpus(src: str | Path, dst: str | Path) -> None:
@@ -192,79 +271,51 @@ def convert_corpus(src: str | Path, dst: str | Path) -> None:
     than silently rounding.
     """
     src, dst = Path(src), Path(dst)
-    d, records = open_corpus(src)
+    table = open_corpus(src)
     if _is_binary(src):
-        write_corpus_jsonl(dst, d, records)
+        write_corpus_jsonl(dst, table.d, table)
         return
-    checked = _require_float32_exact(records)
-    write_corpus_binary(dst, d, checked)
-
-
-def _require_float32_exact(records: Iterable[RegionRecord]) -> Iterator[RegionRecord]:
-    for record in records:
-        values = np.concatenate([record.feature, record.box.as_list(), [record.score]])
-        if not np.all(values.astype(np.float32).astype(np.float64) == values):
-            raise CorpusFormatError(
-                f"region '{record.region_id}': values are not float32-exact; "
-                "binary conversion would lose precision"
-            )
-        yield record
+    values = np.hstack([table.features, table.boxes, table.scores[:, None]])
+    inexact = np.flatnonzero((values.astype(np.float32).astype(np.float64) != values).any(axis=1))
+    if inexact.size:
+        raise CorpusFormatError(
+            f"region '{table.region_ids[inexact[0]]}': values are not float32-exact; "
+            "binary conversion would lose precision"
+        )
+    write_corpus_binary(dst, table.d, table)
 
 
 # ---------------------------------------------------------------------------
 # Ingestion
 # ---------------------------------------------------------------------------
 
-def ingest_corpus(path: str | Path, config: Config) -> Iterator[list[RegionRecord]]:
-    """Stream per-image batches: file order across images, score-descending within.
+def ingest_corpus(path: str | Path, config: Config) -> RegionTable:
+    """The corpus as discovery reads it: file order across images, score-descending within.
 
-    Each batch is truncated to ``config.n_proposals_per_image``; score ties break
-    on region_id ascending so ingestion is a pure function of the file bytes.
+    Each image keeps its top ``config.n_proposals_per_image`` regions; score ties
+    break on region_id ascending so ingestion is a pure function of the file bytes.
     """
-    d, records = open_corpus(path)
+    d = read_corpus_dim(path)
     if d != config.d:
         raise CorpusFormatError(f"{path}: corpus dimension {d} != configured dimension {config.d}")
-
-    seen_regions: set[str] = set()
-    finished_images: set[str] = set()
-    current_image: str | None = None
-    batch: list[RegionRecord] = []
-
-    def finish(image_id: str, regions: list[RegionRecord]) -> list[RegionRecord]:
-        if image_id in finished_images:
-            raise CorpusFormatError(f"{path}: image '{image_id}' appears in more than one block")
-        finished_images.add(image_id)
-        regions.sort(key=lambda r: (-r.score, r.region_id))
-        return regions[: config.n_proposals_per_image]
-
-    for record in records:
-        if record.feature.shape[0] != d:
-            raise CorpusFormatError(
-                f"{path}: region '{record.region_id}': feature dimension "
-                f"{record.feature.shape[0]} != {d}"
-            )
-        if record.region_id in seen_regions:
-            raise CorpusFormatError(f"{path}: duplicate region_id '{record.region_id}'")
-        seen_regions.add(record.region_id)
-        if config.l2_normalize:
-            norm = float(np.linalg.norm(record.feature))
-            if norm > 0.0:
-                record.feature = record.feature / norm
-            else:
-                logger.warning("region '%s': zero feature cannot be L2-normalized", record.region_id)
-        if record.image_id != current_image:
-            if current_image is not None:
-                yield finish(current_image, batch)
-            current_image = record.image_id
-            batch = []
-        batch.append(record)
-    if current_image is not None:
-        yield finish(current_image, batch)
+    table = open_corpus(path)
+    if config.l2_normalize:
+        # One np.linalg.norm per row: a norm along axis 1 sums in another order and may round differently.
+        norms = np.array([np.linalg.norm(row) for row in table.features])
+        for row in np.flatnonzero(norms == 0.0).tolist():
+            logger.warning("region '%s': zero feature cannot be L2-normalized", table.region_ids[row])
+        table.features[norms > 0.0] /= norms[norms > 0.0, None]
+    id_rank = np.empty(len(table), dtype=np.intp)
+    id_rank[np.argsort(np.array(table.region_ids, dtype=object), kind="stable")] = np.arange(len(table))
+    order = np.lexsort((id_rank, -table.scores, table.row_image))
+    # Sorting keeps each image's block in place, so a row's rank in its image is its offset in the block.
+    rank = np.arange(len(table)) - table.image_starts[table.row_image]
+    return table.take(order[rank < config.n_proposals_per_image])
 
 
-def load_corpus(path: str | Path, config: Config) -> dict[str, list[RegionRecord]]:
-    """Materialize the ingested stream as an ordered image_id -> batch mapping."""
-    return {batch[0].image_id: batch for batch in ingest_corpus(path, config)}
+def load_corpus(path: str | Path) -> RegionTable:
+    """Every region in ingest order at the declared dimension: what ``eval`` and ``baseline`` read."""
+    return ingest_corpus(path, Config(d=read_corpus_dim(path), n_proposals_per_image=sys.maxsize))
 
 
 # ---------------------------------------------------------------------------

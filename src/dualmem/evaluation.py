@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .records import BoundingBox, RegionRecord
+from .records import BoundingBox, RegionTable
 from .reporting import UNASSIGNED
 
 BACKGROUND = "background"
@@ -34,7 +34,7 @@ class GroundTruthBox:
 @dataclass
 class ClusterReport:
     label: str
-    members: list[RegionRecord]
+    rows: list[int]
     purity: float
     majority_class: str
     size: int
@@ -110,12 +110,13 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 
 
 def label_region(
-    region: RegionRecord,
+    regions: RegionTable,
+    row: int,
     gt_for_image: Sequence[GroundTruthBox],
     iou_threshold: float,
 ) -> str | None:
     """Class of the first max-IoU box if it overlaps the region and clears the threshold."""
-    table = IouTable([region], gt_for_image)
+    table = IouTable(regions, [row], gt_for_image)
     best = int(table.best[0]) if table.best_iou[0] >= iou_threshold else -1
     return gt_for_image[best].class_name if best >= 0 else None
 
@@ -123,29 +124,32 @@ def label_region(
 class IouTable:
     """The IoU of every (region, ground-truth box) pair on one image.
 
-    Pairs run region by region, and over an image's boxes in ground-truth order.
+    Region ``r`` of the table is row ``rows[r]`` of ``regions``. Pairs run region
+    by region, and over an image's boxes in ground-truth order.
     The IoU takes the float operations of ``iou`` in its order, so the values are
     bit-identical. ``best`` is the ``gt`` index of each region's first max-IoU
     box, or -1 when no box overlaps the region: the ``label_region`` rule.
     """
 
-    def __init__(self, regions: Sequence[RegionRecord], gt: Sequence[GroundTruthBox]):
+    def __init__(self, regions: RegionTable, rows: Sequence[int], gt: Sequence[GroundTruthBox]):
         self.gt = gt
+        self.rows = rows = np.asarray(rows, dtype=np.intp)
         codes: dict[str, int] = {}
         self.gt_image = np.array([codes.setdefault(g.image_id, len(codes)) for g in gt], dtype=int)
         self.n_gt_images = len(codes)
         # Region r pairs with the count[c] boxes of its image c, which start at start[c] in
         # image order; c is -1 for an image without boxes, and count[-1] is 0.
-        region_image = np.array([codes.get(r.image_id, -1) for r in regions], dtype=int)
+        image_code = np.array([codes.get(image_id, -1) for image_id in regions.image_ids], dtype=int)
+        region_image = image_code[regions.row_image[rows]]
         count = np.bincount(self.gt_image, minlength=len(codes) + 1)
         start = np.cumsum(count) - count
         n_pairs = count[region_image]
-        self.region = np.repeat(np.arange(len(regions)), n_pairs)
+        self.region = np.repeat(np.arange(len(rows)), n_pairs)
         offset = np.arange(len(self.region)) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
         in_image_order = np.repeat(start[region_image], n_pairs) + offset
         self.box = np.argsort(self.gt_image, kind="stable")[in_image_order]
 
-        a = np.array([r.box.as_list() for r in regions], dtype=float).reshape(-1, 4)[self.region].T
+        a = regions.boxes[rows][self.region].T
         b = np.array([g.box.as_list() for g in gt], dtype=float).reshape(-1, 4)[self.box].T
         ix = np.minimum(a[2], b[2]) - np.maximum(a[0], b[0])
         iy = np.minimum(a[3], b[3]) - np.maximum(a[1], b[1])
@@ -154,25 +158,29 @@ class IouTable:
         overlap = (ix > 0.0) & (iy > 0.0)
         self.iou = np.divide(intersection, union, out=np.zeros_like(union), where=overlap)
 
-        self.best_iou = np.zeros(len(regions))
+        self.best_iou = np.zeros(len(self.rows))
         np.maximum.at(self.best_iou, self.region, self.iou)
         is_best = overlap & (self.iou == self.best_iou[self.region])
         rows, first_best = np.unique(self.region[is_best], return_index=True)
-        self.best = np.full(len(regions), -1)
+        self.best = np.full(len(self.rows), -1)
         self.best[rows] = self.box[is_best][first_best]
 
 
 class _ClusterTable(IouTable):
     """The IoU table over clustered regions, read by every box-based metric.
 
-    Clusters are numbered in label order. Each threshold's purities are counted
-    once and shared by the curve, the reports and the discovery count.
+    A cluster is a list of rows of ``regions``. Clusters are numbered in label
+    order. Each threshold's purities are counted once and shared by the curve,
+    the reports and the discovery count.
     """
 
-    def __init__(self, clusters: Mapping[str, Sequence[RegionRecord]], gt: Sequence[GroundTruthBox]):
+    def __init__(
+        self, clusters: Mapping[str, Sequence[int]], regions: RegionTable, gt: Sequence[GroundTruthBox]
+    ):
         self.labels = sorted(clusters)
         self.members = [list(clusters[label]) for label in self.labels]
-        super().__init__([r for members in self.members for r in members], gt)
+        super().__init__(regions, [r for members in self.members for r in members], gt)
+        self.images = regions.image_of(self.rows)
         self.sizes = [len(members) for members in self.members]
         self.cluster = np.repeat(np.arange(len(self.labels)), self.sizes)
         names = np.array([g.class_name for g in gt], dtype=str)
@@ -231,9 +239,11 @@ class _ClusterTable(IouTable):
         return 100.0 * recalled / len(self.gt) if self.gt else 0.0
 
     def reports(self, t: float) -> list[ClusterReport]:
+        ends = np.cumsum(self.sizes).tolist()
+        spans = [len(set(self.images[end - size:end])) for size, end in zip(self.sizes, ends)]
         return [
-            ClusterReport(label, members, p, majority, len(members), len({r.image_id for r in members}))
-            for label, members, (p, majority) in zip(self.labels, self.members, self.purities(t))
+            ClusterReport(label, members, p, majority, len(members), span)
+            for label, members, (p, majority), span in zip(self.labels, self.members, self.purities(t), spans)
         ]
 
     def discovered(self, t: float, purity_floor: float, min_images: int) -> int:
@@ -248,16 +258,13 @@ class _ClusterTable(IouTable):
 # Cluster construction
 # ---------------------------------------------------------------------------
 
-def clusters_from_assignments(
-    assignments: Mapping[str, str], regions: Mapping[str, RegionRecord]
-) -> dict[str, list[RegionRecord]]:
-    """Group assigned regions by cluster label, preserving corpus order within."""
-    clusters: dict[str, list[RegionRecord]] = {}
-    for region_id, region in regions.items():
+def clusters_from_assignments(assignments: Mapping[str, str], regions: RegionTable) -> dict[str, list[int]]:
+    """Group the rows of assigned regions by cluster label, in corpus order within."""
+    clusters: dict[str, list[int]] = {}
+    for row, region_id in enumerate(regions.region_ids):
         label = assignments.get(region_id, UNASSIGNED)
-        if label == UNASSIGNED:
-            continue
-        clusters.setdefault(label, []).append(region)
+        if label != UNASSIGNED:
+            clusters.setdefault(label, []).append(row)
     return clusters
 
 
@@ -266,7 +273,8 @@ def clusters_from_assignments(
 # ---------------------------------------------------------------------------
 
 def purity(
-    members: Sequence[RegionRecord],
+    members: Sequence[int],
+    regions: RegionTable,
     gt: Sequence[GroundTruthBox],
     iou_threshold: float,
 ) -> tuple[float, str]:
@@ -275,11 +283,12 @@ def purity(
     Returns (purity, majority class); an all-background cluster has purity 0 and
     majority ``background``. Ties break to the lexicographically smallest class.
     """
-    return _ClusterTable({"": members}, gt).purities(iou_threshold)[0]
+    return _ClusterTable({"": members}, regions, gt).purities(iou_threshold)[0]
 
 
 def coverage(
-    clusters: Mapping[str, Sequence[RegionRecord]],
+    clusters: Mapping[str, Sequence[int]],
+    regions: RegionTable,
     gt: Sequence[GroundTruthBox],
     iou_threshold: float,
     classes: set[str] | None = None,
@@ -289,11 +298,12 @@ def coverage(
     ``classes`` restricts which ground-truth boxes count; the default is the
     unknown classes, the set the discovery benchmark reports on.
     """
-    return _ClusterTable(clusters, gt).coverage(iou_threshold, classes)
+    return _ClusterTable(clusters, regions, gt).coverage(iou_threshold, classes)
 
 
 def cumulative_purity_curve(
-    clusters: Mapping[str, Sequence[RegionRecord]],
+    clusters: Mapping[str, Sequence[int]],
+    regions: RegionTable,
     gt: Sequence[GroundTruthBox],
     iou_threshold: float,
     classes: set[str] | None = None,
@@ -303,7 +313,7 @@ def cumulative_purity_curve(
     Equal purities order by cluster label so the x-axis is deterministic. Point
     k equals ``coverage`` of the top k clusters.
     """
-    return _ClusterTable(clusters, gt).curve(iou_threshold, classes)
+    return _ClusterTable(clusters, regions, gt).curve(iou_threshold, classes)
 
 
 def auc(curve: Sequence[tuple[float, float]]) -> float:
@@ -330,29 +340,30 @@ def auc(curve: Sequence[tuple[float, float]]) -> float:
 
 def corloc(
     assignments: Mapping[str, str],
-    regions: Mapping[str, RegionRecord],
+    regions: RegionTable,
     gt: Sequence[GroundTruthBox],
     iou_threshold: float = 0.5,
 ) -> float:
     """Percent of ground-truth-bearing images with one assigned region localized
     strictly above the IoU threshold."""
-    return _ClusterTable(clusters_from_assignments(assignments, regions), gt).corloc(iou_threshold)
+    clusters = clusters_from_assignments(assignments, regions)
+    return _ClusterTable(clusters, regions, gt).corloc(iou_threshold)
 
 
 def detrate(
     assignments: Mapping[str, str],
-    regions: Mapping[str, RegionRecord],
+    regions: RegionTable,
     gt: Sequence[GroundTruthBox],
     iou_threshold: float,
 ) -> float:
     """Recall of ground-truth boxes by assigned regions, in percent."""
-    table = _ClusterTable(clusters_from_assignments(assignments, regions), gt)
-    return table.detrate(iou_threshold)
+    clusters = clusters_from_assignments(assignments, regions)
+    return _ClusterTable(clusters, regions, gt).detrate(iou_threshold)
 
 
 def corret(
     assignments: Mapping[str, str],
-    regions: Mapping[str, RegionRecord],
+    regions: RegionTable,
     gt: Sequence[GroundTruthBox],
     k: int = 10,
     by_slot: bool = False,
@@ -364,23 +375,26 @@ def corret(
     no ground truth are not scored; k clamps to the eligible population. Equal
     similarities rank by image id.
     """
-    assigned = [(regions[rid], label) for rid, label in assignments.items()
-                if label != UNASSIGNED and rid in regions]
-    eligible = sorted({r.image_id for r, _ in assigned} & {g.image_id for g in gt})
+    row_of = {region_id: row for row, region_id in enumerate(regions.region_ids)}
+    assigned = [(row_of[rid], label) for rid, label in assignments.items()
+                if label != UNASSIGNED and rid in row_of]
+    rows = np.array([row for row, _ in assigned], dtype=np.intp)
+    image_of = regions.image_of(rows)
+    eligible = sorted(set(image_of) & {g.image_id for g in gt})
     if len(eligible) < 2:
         return 0.0
-    row_of = {image_id: row for row, image_id in enumerate(eligible)}
-    rows = np.array([row_of.get(r.image_id, -1) for r, _ in assigned], dtype=np.intp)
-    keep = rows >= 0
+    index_of = {image_id: index for index, image_id in enumerate(eligible)}
+    images = np.array([index_of.get(image_id, -1) for image_id in image_of], dtype=np.intp)
+    keep = images >= 0
     if by_slot:
         _, slots = np.unique([label for _, label in assigned], return_inverse=True)
         reps = np.zeros((len(eligible), slots.max() + 1))
-        np.add.at(reps, (rows[keep], slots[keep]), 1.0)
+        np.add.at(reps, (images[keep], slots[keep]), 1.0)
     else:
         # ufunc.at adds in assignment order: the sequential sums of np.mean(axis=0).
-        reps = np.zeros((len(eligible), len(assigned[0][0].feature)))
-        np.add.at(reps, rows[keep], np.array([r.feature for r, _ in assigned])[keep])
-        reps /= np.bincount(rows[keep], minlength=len(eligible))[:, None]
+        reps = np.zeros((len(eligible), regions.d))
+        np.add.at(reps, images[keep], regions.features[rows[keep]])
+        reps /= np.bincount(images[keep], minlength=len(eligible))[:, None]
     norms = np.linalg.norm(reps, axis=1)
     unit = reps / np.where(norms > 0.0, norms, 1.0)[:, None]
     sims = unit @ unit.T
@@ -414,33 +428,36 @@ def corret(
 # ---------------------------------------------------------------------------
 
 def oracle_label_clusters(
-    clusters: Mapping[str, Sequence[RegionRecord]],
+    clusters: Mapping[str, Sequence[int]],
+    regions: RegionTable,
     gt: Sequence[GroundTruthBox],
     iou_threshold: float,
 ) -> dict[str, str]:
     """Majority-vote class per cluster; all-background clusters map to ``background``."""
-    table = _ClusterTable(clusters, gt)
+    table = _ClusterTable(clusters, regions, gt)
     majority = {label: m for label, (_, m) in zip(table.labels, table.purities(iou_threshold))}
     return {label: majority[label] for label in clusters}
 
 
 def report_clusters(
-    clusters: Mapping[str, Sequence[RegionRecord]],
+    clusters: Mapping[str, Sequence[int]],
+    regions: RegionTable,
     gt: Sequence[GroundTruthBox],
     iou_threshold: float,
 ) -> list[ClusterReport]:
-    return _ClusterTable(clusters, gt).reports(iou_threshold)
+    return _ClusterTable(clusters, regions, gt).reports(iou_threshold)
 
 
 def count_discovered(
-    clusters: Mapping[str, Sequence[RegionRecord]],
+    clusters: Mapping[str, Sequence[int]],
+    regions: RegionTable,
     gt: Sequence[GroundTruthBox],
     iou_threshold: float,
     purity_floor: float = 0.5,
     min_images: int = 5,
 ) -> int:
     """Distinct unknown classes owning at least one pure-enough, wide-enough cluster."""
-    return _ClusterTable(clusters, gt).discovered(iou_threshold, purity_floor, min_images)
+    return _ClusterTable(clusters, regions, gt).discovered(iou_threshold, purity_floor, min_images)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +466,7 @@ def count_discovered(
 
 def evaluate_run(
     assignments: Mapping[str, str],
-    regions: Mapping[str, RegionRecord],
+    regions: RegionTable,
     gt: Sequence[GroundTruthBox],
     iou_thresholds: Sequence[float] = (0.5, 0.2),
     purity_floor: float = 0.5,
@@ -459,7 +476,7 @@ def evaluate_run(
     """Assemble the metric suite the CLI writes out, from one IoU table."""
     # CorRet runs first, so its similarity matrix and the table are never held together.
     corret_score = corret(assignments, regions, gt, k=corret_k)
-    table = _ClusterTable(clusters_from_assignments(assignments, regions), gt)
+    table = _ClusterTable(clusters_from_assignments(assignments, regions), regions, gt)
     curves = {t: table.curve(t) for t in iou_thresholds}
     primary = iou_thresholds[0]
     metrics: dict[str, float | int] = {f"auc_{t}": auc(curves[t]) for t in iou_thresholds}
@@ -467,6 +484,5 @@ def evaluate_run(
     metrics["corret"] = corret_score
     metrics[f"detrate_{primary}"] = table.detrate(primary)
     metrics["n_discovered"] = table.discovered(primary, purity_floor, min_images)
-    scored_images = {r.image_id for members in table.members for r in members}
-    metrics["corret_skipped_images"] = len({r.image_id for r in regions.values()} - scored_images)
+    metrics["corret_skipped_images"] = len(set(regions.image_ids) - set(table.images))
     return DiscoveryReport(clusters=table.reports(primary), curves=curves, metrics=metrics)

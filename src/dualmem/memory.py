@@ -1,12 +1,13 @@
 """The dual memory: classifier slots for known concepts, centroid slots for candidates.
 
-Semantic slots score whitened features with their whitened mean (see ``stats``),
-moved in O(d) per absorbed region; the classifier is derived only when asked
-for. Working slots are cumulative-moving-average centroids matched by cosine;
-each holds its member records, which consolidation reads. A slot's count is its
-number of members. Retrieval is a pure decision; applying a decision is the
-only mutation path. Checkpoints are taken between rounds, when working memory
-is empty, and hold the semantic slots.
+The memory streams rows of the corpus table it is attached to. Semantic slots
+score whitened features with their whitened mean (see ``stats``), moved in
+O(d) per absorbed region; the classifier is derived only when asked for, and
+members are region ids. Working slots are cumulative-moving-average centroids
+matched by cosine; their members are corpus rows, whose features consolidation
+gathers. A slot's count is its number of members. Retrieval is a pure decision;
+applying a decision is the only mutation path. Checkpoints are taken between
+rounds, when working memory is empty, and hold the semantic slots.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ import logging
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .config import Config, config_hash
-from .records import RegionRecord
-from .stats import BackgroundStats, LinearClassifier, _read_exact, _read_floats, train_lda, whiten
+from .records import RegionTable
+from .stats import BackgroundStats, LinearClassifier, _expect_end, _read_exact, _read_floats, train_lda, whiten
 
 logger = logging.getLogger(__name__)
 
@@ -76,19 +77,15 @@ class SemanticSlot:
 
 @dataclass(eq=False)
 class WorkingSlot:
-    """A candidate category: its member records and the running centroid of their features."""
+    """A candidate category: its members' corpus rows and the running centroid of their features."""
 
     slot_id: int
     centroid: np.ndarray
-    regions: list[RegionRecord] = field(default_factory=list)
-
-    @property
-    def members(self) -> list[str]:
-        return [r.region_id for r in self.regions]
+    rows: list[int] = field(default_factory=list)
 
     @property
     def count(self) -> int:
-        return len(self.regions)
+        return len(self.rows)
 
 
 class DualMemory:
@@ -108,6 +105,8 @@ class DualMemory:
         self.working: list[WorkingSlot] = []
         self.next_slot_id = 0
         self.rejected_count = 0
+        self.corpus: RegionTable | None = None
+        self.white: np.ndarray | None = None
         self.rebuild_caches()
 
     # -- construction -------------------------------------------------------
@@ -117,7 +116,7 @@ class DualMemory:
         cls,
         bg: BackgroundStats,
         config: Config,
-        priors: dict[str, list[RegionRecord]] | None = None,
+        priors: Mapping[str, RegionTable] | None = None,
     ) -> "DualMemory":
         """Seed semantic memory with one slot per prior class; working memory starts empty.
 
@@ -128,17 +127,28 @@ class DualMemory:
         priors = priors or {}
         if len(priors) > config.slot_cap:
             raise ValueError(f"{len(priors)} prior classes exceed the slot cap {config.slot_cap}")
-        for label in sorted(label for label, regions in priors.items() if not regions):
+        for label in sorted(label for label, regions in priors.items() if not len(regions)):
             logger.warning("class '%s' has no qualifying priors; skipping", label)
-        labels = sorted(label for label, regions in priors.items() if regions)
-        means = [np.stack([r.feature for r in priors[label]]).mean(axis=0) for label in labels]
+        labels = sorted(label for label, regions in priors.items() if len(regions))
+        means = [priors[label].features.mean(axis=0) for label in labels]
         whites = whiten(np.stack(means), bg) if means else []
         for slot_id, (label, mean, white) in enumerate(zip(labels, means, whites)):
-            members = [r.region_id for r in priors[label]]
+            members = list(priors[label].region_ids)
             mem.semantic.append(SemanticSlot(slot_id, label, mean, white, bg, members))
         mem.next_slot_id = len(mem.semantic)
         mem.rebuild_caches()
         return mem
+
+    def attach(self, corpus: RegionTable, white: np.ndarray | None = None) -> None:
+        """Stream rows of ``corpus`` from now on; ``white`` is its whitened feature matrix.
+
+        ``white`` is computed here if not given. Working members are rows of the
+        attached corpus, so the corpus can change only while working memory is empty.
+        """
+        if self.working and corpus is not self.corpus:
+            raise ValueError(f"cannot attach a new corpus with {len(self.working)} working slots")
+        self.corpus = corpus
+        self.white = whiten(corpus.features, self.bg) if white is None else white
 
     @property
     def total_slots(self) -> int:
@@ -200,75 +210,62 @@ class DualMemory:
 
     # -- updates ------------------------------------------------------------
 
-    def _update_semantic_slot(self, slot_id: int, region: RegionRecord, white: np.ndarray | None) -> None:
-        row = self._sem_rows.get(slot_id)
-        if row is None:
+    def _update_semantic_slot(self, slot_id: int, row: int) -> None:
+        index = self._sem_rows.get(slot_id)
+        if index is None:
             raise StaleDecisionError(f"semantic slot {slot_id} no longer exists")
-        if white is None:
-            white = whiten(region.feature, self.bg)
-        slot = self.semantic[row]
-        slot.mean = slot.mean + (region.feature - slot.mean) / (slot.count + 1)
-        slot.white = slot.white + (white - slot.white) / (slot.count + 1)
-        slot.members.append(region.region_id)
-        self._sem_white[row] = slot.white
-        self._sem_offset[row] = slot.offset
+        slot = self.semantic[index]
+        slot.mean = slot.mean + (self.corpus.features[row] - slot.mean) / (slot.count + 1)
+        slot.white = slot.white + (self.white[row] - slot.white) / (slot.count + 1)
+        slot.members.append(self.corpus.region_ids[row])
+        self._sem_white[index] = slot.white
+        self._sem_offset[index] = slot.offset
 
-    def apply_decision(
-        self, decision: RetrievalDecision, region: RegionRecord, white: np.ndarray | None = None
-    ) -> None:
-        """Mutate the memory according to a decision produced by :meth:`retrieve`."""
+    def apply_decision(self, decision: RetrievalDecision, row: int) -> None:
+        """Mutate the memory according to a decision :meth:`retrieve` made for corpus row ``row``."""
         if decision.kind is DecisionKind.REJECTED:
             self.rejected_count += 1
             return
         if decision.kind is DecisionKind.KNOWN_MATCH:
-            self._update_semantic_slot(decision.slot_id, region, white)
+            self._update_semantic_slot(decision.slot_id, row)
             return
+        feature = self.corpus.features[row]
         if decision.kind is DecisionKind.WORKING_MATCH:
-            row = self._work_rows.get(decision.slot_id)
-            if row is None:
+            index = self._work_rows.get(decision.slot_id)
+            if index is None:
                 raise StaleDecisionError(f"working slot {decision.slot_id} no longer exists")
-            slot = self.working[row]
-            slot.centroid = slot.centroid + (region.feature - slot.centroid) / (slot.count + 1)
-            slot.regions.append(region)
+            slot = self.working[index]
+            slot.centroid = slot.centroid + (feature - slot.centroid) / (slot.count + 1)
+            slot.rows.append(row)
         else:
-            slot = WorkingSlot(self.next_slot_id, region.feature.copy(), [region])
+            slot = WorkingSlot(self.next_slot_id, feature.copy(), [row])
             self.next_slot_id += 1
-            row = len(self.working)
+            index = len(self.working)
             self.working.append(slot)
-            self._work_rows[slot.slot_id] = row
-            if row == len(self._work_mu):  # a raised slot_cap, or a stale NEW_SLOT applied at the cap
+            self._work_rows[slot.slot_id] = index
+            if index == len(self._work_mu):  # a raised slot_cap, or a stale NEW_SLOT applied at the cap
                 self.rebuild_caches()
-        self._work_mu[row] = slot.centroid
-        self._work_norm[row] = np.linalg.norm(slot.centroid)
+        self._work_mu[index] = slot.centroid
+        self._work_norm[index] = np.linalg.norm(slot.centroid)
 
-    def process_image(
-        self, batch: Sequence[RegionRecord], white: np.ndarray | None = None
-    ) -> list[RetrievalDecision]:
-        """Retrieve-then-apply each region in batch order.
-
-        ``white`` holds the regions' whitened rows; without it the batch is
-        whitened here. Later regions of the same image see earlier updates.
-        """
-        if white is None:
-            white = whiten(np.stack([r.feature for r in batch]), self.bg) if len(batch) else ()
+    def process_image(self, rows: Iterable[int]) -> list[RetrievalDecision]:
+        """Retrieve-then-apply each corpus row in order; later rows see earlier updates."""
         decisions = []
-        for region, z in zip(batch, white):
-            decision = self.retrieve(region.feature, z)
-            self.apply_decision(decision, region, z)
+        for row in rows:
+            decision = self.retrieve(self.corpus.features[row], self.white[row])
+            self.apply_decision(decision, row)
             decisions.append(decision)
         return decisions
 
-    def mine_region(self, region: RegionRecord, white: np.ndarray | None = None) -> bool:
-        """Validation-phase matching: accept into semantic memory only, never create slots."""
+    def mine_region(self, row: int) -> bool:
+        """Validation-phase matching of a corpus row: accept into semantic memory only, never create slots."""
         if not self.semantic:
             return False
-        if white is None:
-            white = whiten(region.feature, self.bg)
-        scores = self._sem_white @ white + self._sem_offset
+        scores = self._sem_white @ self.white[row] + self._sem_offset
         best = int(np.argmax(scores))
         if scores[best] < self.config.tau_semantic:
             return False
-        self._update_semantic_slot(self.semantic[best].slot_id, region, white)
+        self._update_semantic_slot(self.semantic[best].slot_id, row)
         return True
 
     # -- checkpointing ------------------------------------------------------
@@ -298,22 +295,26 @@ class DualMemory:
 
     @classmethod
     def load_checkpoint(cls, path: str | Path, config: Config) -> "DualMemory":
+        """The memory a checkpoint holds; every error is a ValueError that starts with the file name."""
         with open(path, "rb") as fh:
             magic, version, d = struct.unpack("<4sII", _read_exact(fh, 12, "header"))
             if magic != CHECKPOINT_MAGIC:
-                raise ValueError(f"bad magic {magic!r} in checkpoint")
+                raise ValueError(f"{path}: bad magic {magic!r} in checkpoint")
             if version != CHECKPOINT_VERSION:
-                raise ValueError(f"unsupported checkpoint version {version}")
+                raise ValueError(f"{path}: unsupported checkpoint version {version}")
             stored_hash = _read_exact(fh, 32, "config hash").hex()
             if stored_hash != config_hash(config):
-                raise ValueError("checkpoint was written under a different configuration")
+                raise ValueError(f"{path}: checkpoint was written under a different configuration")
             if d != config.d:
-                raise ValueError(f"checkpoint dimension {d} != configured dimension {config.d}")
+                raise ValueError(f"{path}: checkpoint dimension {d} != configured dimension {config.d}")
             next_slot_id, rejected = struct.unpack("<QQ", _read_exact(fh, 16, "counters"))
             bg_mean = _read_floats(fh, d, "background mean")
             bg_cov = _read_floats(fh, d * d, "background covariance").reshape(d, d)
             (bg_count,) = struct.unpack("<Q", _read_exact(fh, 8, "background count"))
-            bg = BackgroundStats.from_moments(bg_mean, bg_cov, bg_count)
+            try:
+                bg = BackgroundStats.from_moments(bg_mean, bg_cov, bg_count)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
             mem = cls(bg, config)
             mem.next_slot_id = next_slot_id
             mem.rejected_count = rejected
@@ -325,6 +326,7 @@ class DualMemory:
                 white = _read_floats(fh, d, "slot whitened mean")
                 members = _read_str_list(fh)
                 mem.semantic.append(SemanticSlot(slot_id, label, mean, white, bg, members))
+            _expect_end(fh)
         mem.rebuild_caches()
         return mem
 
@@ -337,7 +339,11 @@ def _write_str(fh, value: str) -> None:
 
 def _read_str(fh) -> str:
     (n,) = struct.unpack("<I", _read_exact(fh, 4, "string length"))
-    return _read_exact(fh, n, "string").decode("utf-8")
+    offset = fh.tell()
+    try:
+        return _read_exact(fh, n, "string").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{fh.name}: string at byte {offset}: {exc}") from exc
 
 
 def _write_str_list(fh, values: Iterable[str]) -> None:

@@ -18,7 +18,7 @@ from .consolidation import ConsolidationRecord, consolidate
 from .corpus import DatasetSplit, split_dataset
 from .evaluation import GroundTruthBox, IouTable
 from .memory import DecisionKind, DualMemory
-from .records import RegionRecord
+from .records import RegionTable
 from .reporting import UNASSIGNED, write_assignments, write_key_values
 from .stats import BackgroundStats, MomentAccumulator, finalize_background, whiten
 
@@ -66,28 +66,20 @@ class DiscoveryRun:
 # Background estimation
 # ---------------------------------------------------------------------------
 
-def estimate_background(
-    batches: Sequence[Sequence[RegionRecord]] | Mapping[str, Sequence[RegionRecord]],
-    config: Config,
-    workers: int = 1,
-) -> BackgroundStats:
+def estimate_background(corpus: RegionTable, config: Config, workers: int = 1) -> BackgroundStats:
     """Moments of every region feature, as ``workers`` batches merged in order.
 
-    The images are dealt round-robin to ``workers`` parts; each part's features
-    enter the accumulator as one batch, in index order, so the schedule (and its
+    The images are dealt round-robin to ``workers`` parts; each part's rows
+    enter the accumulator as one batch, in row order, so the schedule (and its
     floating-point footprint) is deterministic for a given worker count. All of
     it runs on the calling thread.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if isinstance(batches, Mapping):
-        batches = list(batches.values())
-    parts: list[list[np.ndarray]] = [[] for _ in range(workers)]
-    for index, batch in enumerate(batches):
-        parts[index % workers].extend(region.feature for region in batch)
+    part = corpus.row_image % workers
     acc = MomentAccumulator(config.d)
-    for features in parts:
-        acc.add_batch(np.reshape(features, (-1, config.d)))
+    for p in range(workers):
+        acc.add_batch(corpus.features[part == p])
     return finalize_background(acc, config.ridge_lambda)
 
 
@@ -97,10 +89,10 @@ def estimate_background(
 
 def build_priors(
     config: Config,
-    prior_records: Sequence[RegionRecord] | None = None,
-    corpus: Mapping[str, Sequence[RegionRecord]] | None = None,
+    detections: RegionTable | None = None,
+    corpus: RegionTable | None = None,
     gt: Sequence[GroundTruthBox] | None = None,
-) -> dict[str, list[RegionRecord]]:
+) -> dict[str, RegionTable]:
     """Collect per-class prior regions for the configured initialization mode.
 
     det_scores keeps labeled detections above the prior score threshold from a
@@ -110,24 +102,22 @@ def build_priors(
     mode = config.init_mode
     if mode == "null":
         return {}
-    priors: dict[str, list[RegionRecord]] = {}
+    rows: dict[str, list[int]] = {}
     if mode == "det_scores":
-        if prior_records is None:
+        if detections is None:
             raise ValueError("init_mode=det_scores requires a prior detections file")
-        for record in prior_records:
-            if record.gt_label and record.score > config.semantic_prior_score:
-                priors.setdefault(record.gt_label, []).append(record)
-        return priors
+        for row in np.flatnonzero(detections.scores > config.semantic_prior_score).tolist():
+            if detections.gt_labels[row]:
+                rows.setdefault(detections.gt_labels[row], []).append(row)
+        return {label: detections.take(members) for label, members in rows.items()}
     if mode == "gt_overlap":
         if corpus is None or gt is None:
             raise ValueError("init_mode=gt_overlap requires the corpus and ground truth")
         known = [g for g in gt if g.known_flag]
-        regions = [region for batch in corpus.values() for region in batch]
-        table = IouTable(regions, known)
-        for region, box, value in zip(regions, table.best.tolist(), table.best_iou.tolist()):
-            if value > PRIOR_GT_IOU:
-                priors.setdefault(known[box].class_name, []).append(region)
-        return priors
+        table = IouTable(corpus, range(len(corpus)), known)
+        for row in np.flatnonzero(table.best_iou > PRIOR_GT_IOU).tolist():
+            rows.setdefault(known[table.best[row]].class_name, []).append(row)
+        return {label: corpus.take(members) for label, members in rows.items()}
     raise ValueError(f"unknown init_mode '{mode}'")
 
 
@@ -135,49 +125,48 @@ def build_priors(
 # Rounds
 # ---------------------------------------------------------------------------
 
-def whiten_corpus(corpus: Mapping[str, Sequence[RegionRecord]], bg: BackgroundStats) -> dict[str, np.ndarray]:
-    """Each image's whitened features: its rows of one stacked, checked and whitened matrix."""
-    features = [region.feature for batch in corpus.values() for region in batch]
-    if not features:
-        return {}
-    white = whiten(np.stack(features), bg)
-    ends = np.cumsum([len(batch) for batch in corpus.values()])[:-1]
-    return dict(zip(corpus.keys(), np.split(white, ends)))
+def whiten_corpus(features: np.ndarray, bg: BackgroundStats) -> np.ndarray:
+    """The whitened rows of a checked feature matrix, in one triangular solve."""
+    return whiten(features, bg)
 
 
 def run_discovery_round(
     state: RoundState,
-    corpus: Mapping[str, Sequence[RegionRecord]],
+    corpus: RegionTable,
     split: DatasetSplit,
-    white: Mapping[str, np.ndarray] | None = None,
+    white: np.ndarray | None = None,
 ) -> ConsolidationRecord:
     """One round: stream the active split, consolidate, mine the inactive split, swap.
 
-    ``white`` is ``whiten_corpus(corpus, bg)``, computed here if not given.
+    ``white`` is ``whiten_corpus(corpus.features, bg)``, computed here if not given.
     """
     mem = state.mem
-    if white is None:
-        white = whiten_corpus(corpus, mem.bg)
+    mem.attach(corpus, white)
     active_ids = split.d1 if state.active == "d1" else split.d2
     inactive_ids = split.d2 if state.active == "d1" else split.d1
+    image_index = {image_id: i for i, image_id in enumerate(corpus.image_ids)}
+    starts = corpus.image_starts.tolist()
+
+    def rows_of(image_ids: list[str]):
+        for image_id in image_ids:
+            i = image_index.get(image_id)
+            if i is not None:
+                yield range(starts[i], starts[i + 1])
 
     counts = {kind: 0 for kind in DecisionKind}
     regions_seen = 0
-    for image_id in active_ids:
-        batch = corpus.get(image_id, ())
-        regions_seen += len(batch)
-        for decision in mem.process_image(batch, white.get(image_id)):
+    for rows in rows_of(active_ids):
+        regions_seen += len(rows)
+        for decision in mem.process_image(rows):
             counts[decision.kind] += 1
 
     record = consolidate(mem, round_index=state.round_index)
 
     mined = 0
     mined_seen = 0
-    for image_id in inactive_ids:
-        for region, z in zip(corpus.get(image_id, ()), white.get(image_id, ())):
-            mined_seen += 1
-            if mem.mine_region(region, z):
-                mined += 1
+    for rows in rows_of(inactive_ids):
+        mined_seen += len(rows)
+        mined += sum(mem.mine_region(row) for row in rows)
 
     state.rounds[state.round_index] = RoundCounts(
         state.active, regions_seen, **{kind.value: n for kind, n in counts.items()},
@@ -188,9 +177,7 @@ def run_discovery_round(
     return record
 
 
-def final_assignments(
-    mem: DualMemory, corpus: Mapping[str, Sequence[RegionRecord]]
-) -> dict[str, str]:
+def final_assignments(mem: DualMemory, corpus: RegionTable) -> dict[str, str]:
     """Label every corpus region from the final semantic member registries.
 
     A region claimed by several slots keeps the oldest (lowest slot_id) one;
@@ -200,25 +187,21 @@ def final_assignments(
     for slot in mem.semantic:
         for region_id in slot.members:
             claimed.setdefault(region_id, slot.label)
-    out: dict[str, str] = {}
-    for batch in corpus.values():
-        for region in batch:
-            out[region.region_id] = claimed.get(region.region_id, UNASSIGNED)
-    return out
+    return {region_id: claimed.get(region_id, UNASSIGNED) for region_id in corpus.region_ids}
 
 
 def run_discovery(
-    corpus: Mapping[str, Sequence[RegionRecord]],
+    corpus: RegionTable,
     bg: BackgroundStats,
     config: Config,
-    priors: dict[str, list[RegionRecord]] | None = None,
+    priors: Mapping[str, RegionTable] | None = None,
     out_dir: str | Path | None = None,
 ) -> DiscoveryRun:
     """Run the configured number of rounds and assemble the run artifacts."""
-    split = split_dataset(list(corpus.keys()), config.rng_seed)
+    split = split_dataset(list(corpus.image_ids), config.rng_seed)
     mem = DualMemory.initialize(bg, config, priors)
     state = RoundState(round_index=1, active="d1", mem=mem)
-    white = whiten_corpus(corpus, bg)
+    white = whiten_corpus(corpus.features, bg)
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -242,8 +225,8 @@ def run_discovery(
     assigned_labels = sorted({v for v in assignments.values() if v != UNASSIGNED})
     totals = {
         "rounds": config.rounds,
-        "images_total": len(corpus),
-        "regions_total": sum(len(b) for b in corpus.values()),
+        "images_total": len(corpus.image_ids),
+        "regions_total": len(corpus),
         "known_match": sum(c.known_match for c in state.rounds.values()),
         "working_match": sum(c.working_match for c in state.rounds.values()),
         "new_slot": sum(c.new_slot for c in state.rounds.values()),

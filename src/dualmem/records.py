@@ -1,14 +1,34 @@
-"""Region records and box geometry shared by every other module."""
+"""Regions as one columnar table, the per-region record the writers accept, and their checks."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
 
 class CorpusFormatError(ValueError):
     """A corpus file violates the record format (bad header, bad line, bad field)."""
+
+
+def box_fault(x1: float, y1: float, x2: float, y2: float) -> str | None:
+    """Why a box is invalid, or None."""
+    if not (x2 > x1 and y2 > y1):
+        return f"degenerate box [{x1}, {y1}, {x2}, {y2}]: x2 must exceed x1 and y2 must exceed y1"
+    return None
+
+
+def region_fault(region_id: str, score: float, feature: np.ndarray) -> str | None:
+    """Why a region's score or float64 feature is invalid, or None; the checks run in this order."""
+    if not (0.0 <= score <= 1.0):
+        return f"region '{region_id}': score {score} outside [0, 1]"
+    if feature.ndim != 1:
+        return f"region '{region_id}': feature must be a flat vector"
+    if not np.all(np.isfinite(feature)):
+        return f"region '{region_id}': feature contains non-finite values"
+    return None
 
 
 @dataclass(frozen=True)
@@ -21,11 +41,9 @@ class BoundingBox:
     y2: float
 
     def __post_init__(self) -> None:
-        if not (self.x2 > self.x1 and self.y2 > self.y1):
-            raise ValueError(
-                f"degenerate box [{self.x1}, {self.y1}, {self.x2}, {self.y2}]: "
-                "x2 must exceed x1 and y2 must exceed y1"
-            )
+        fault = box_fault(self.x1, self.y1, self.x2, self.y2)
+        if fault:
+            raise ValueError(fault)
 
     @property
     def area(self) -> float:
@@ -39,8 +57,8 @@ class BoundingBox:
 class RegionRecord:
     """One proposal: where it is, how confident the proposer was, and its feature.
 
-    ``gt_label`` is evaluation-side metadata; discovery never reads it except in
-    the ground-truth-overlap initialization path.
+    The generator builds these and the corpus writers accept them; everything
+    that reads a corpus reads a ``RegionTable``.
     """
 
     region_id: str
@@ -51,10 +69,73 @@ class RegionRecord:
     gt_label: str | None = field(default=None)
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.score <= 1.0):
-            raise ValueError(f"region '{self.region_id}': score {self.score} outside [0, 1]")
         self.feature = np.asarray(self.feature, dtype=np.float64)
-        if self.feature.ndim != 1:
-            raise ValueError(f"region '{self.region_id}': feature must be a flat vector")
-        if not np.all(np.isfinite(self.feature)):
-            raise ValueError(f"region '{self.region_id}': feature contains non-finite values")
+        fault = region_fault(self.region_id, self.score, self.feature)
+        if fault:
+            raise ValueError(fault)
+
+
+@dataclass(eq=False)
+class RegionTable:
+    """Regions as columns, one row per region; each image's rows are contiguous.
+
+    Rows ``image_starts[i]:image_starts[i + 1]`` belong to image ``image_ids[i]``;
+    ``image_starts`` ends with the row count. ``gt_labels`` is evaluation-side
+    metadata, which discovery reads only to collect priors.
+    """
+
+    region_ids: list[str]
+    image_ids: list[str]
+    image_starts: np.ndarray
+    boxes: np.ndarray  # (n, 4) float64: x1, y1, x2, y2
+    scores: np.ndarray  # (n,) float64
+    features: np.ndarray  # (n, d) float64, C-contiguous
+    gt_labels: list[str | None]
+
+    def __len__(self) -> int:
+        return len(self.region_ids)
+
+    @property
+    def d(self) -> int:
+        return self.features.shape[1]
+
+    @cached_property
+    def row_image(self) -> np.ndarray:
+        """The index in ``image_ids`` of each row's image."""
+        return np.repeat(np.arange(len(self.image_ids)), np.diff(self.image_starts))
+
+    def image_of(self, rows: Sequence[int] | np.ndarray | slice = slice(None)) -> list[str]:
+        """The image id of each of ``rows`` (default: every row)."""
+        return [self.image_ids[i] for i in self.row_image[rows].tolist()]
+
+    def take(self, rows: Sequence[int] | np.ndarray) -> "RegionTable":
+        """The table of ``rows`` in the given order; an image's rows should stay adjacent."""
+        rows = np.asarray(rows, dtype=np.intp)
+        images = self.row_image[rows]
+        heads = np.flatnonzero(np.diff(images, prepend=-1))
+        return RegionTable(
+            region_ids=[self.region_ids[r] for r in rows.tolist()],
+            image_ids=[self.image_ids[i] for i in images[heads].tolist()],
+            image_starts=np.append(heads, len(rows)),
+            boxes=self.boxes[rows],
+            scores=self.scores[rows],
+            features=self.features[rows],
+            gt_labels=[self.gt_labels[r] for r in rows.tolist()],
+        )
+
+    @classmethod
+    def from_records(cls, records: Iterable[RegionRecord], d: int = 0) -> "RegionTable":
+        """The records' table in their order; ``d`` is the dimension of an empty table."""
+        records = list(records)
+        features = np.array([r.feature for r in records], dtype=np.float64)
+        images = [r.image_id for r in records]
+        heads = [i for i, image in enumerate(images) if i == 0 or image != images[i - 1]]
+        return cls(
+            region_ids=[r.region_id for r in records],
+            image_ids=[images[i] for i in heads],
+            image_starts=np.array(heads + [len(records)], dtype=np.intp),
+            boxes=np.array([r.box.as_list() for r in records], dtype=np.float64).reshape(-1, 4),
+            scores=np.array([r.score for r in records], dtype=np.float64),
+            features=features.reshape(len(records), -1) if records else np.empty((0, d)),
+            gt_labels=[r.gt_label for r in records],
+        )

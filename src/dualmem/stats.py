@@ -120,6 +120,10 @@ class BackgroundStats:
     def from_moments(cls, mean: np.ndarray, covariance: np.ndarray, count: int) -> "BackgroundStats":
         mean = np.asarray(mean, dtype=np.float64)
         covariance = np.asarray(covariance, dtype=np.float64)
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(covariance))):
+            raise ValueError("background mean and covariance must be finite")
+        if count < 1:
+            raise ValueError(f"background sample count must be positive, got {count}")
         try:
             chol = np.linalg.cholesky(covariance)
         except np.linalg.LinAlgError as exc:
@@ -138,14 +142,19 @@ class BackgroundStats:
 
     @classmethod
     def load(cls, path: str | Path) -> "BackgroundStats":
+        """The statistics a file holds; every error is a ValueError that starts with the file name."""
         with open(path, "rb") as fh:
             magic, d = struct.unpack("<4sI", _read_exact(fh, 8, "header"))
             if magic != BG_MAGIC:
-                raise ValueError(f"bad magic {magic!r} in background stats file")
+                raise ValueError(f"{path}: bad magic {magic!r} in background stats file")
             mean = _read_floats(fh, d, "mean")
             covariance = _read_floats(fh, d * d, "covariance").reshape(d, d)
             (count,) = struct.unpack("<Q", _read_exact(fh, 8, "sample count"))
-        return cls.from_moments(mean, covariance, count)
+            _expect_end(fh)
+        try:
+            return cls.from_moments(mean, covariance, count)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -159,6 +168,16 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     if n > left:
         raise ValueError(f"{fh.name}: truncated at byte {offset}: {what} needs {n} bytes, got {left}")
     return fh.read(n)
+
+
+def _expect_end(fh) -> None:
+    """A file with bytes after its last field is a ValueError naming the file and both sizes."""
+    offset = fh.tell()
+    size = os.fstat(fh.fileno()).st_size
+    if size != offset:
+        raise ValueError(
+            f"{fh.name}: {size - offset} trailing bytes: expected {offset} bytes, got {size}"
+        )
 
 
 def _read_floats(fh, n: int, what: str) -> np.ndarray:

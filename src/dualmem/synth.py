@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_fields
-from .records import BoundingBox, RegionRecord
+from .records import BoundingBox, RegionTable
 from .evaluation import GroundTruthBox, write_gt
 from .corpus import write_corpus_jsonl
 from .reporting import write_key_values
@@ -115,65 +115,59 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> dict[str, Path]:
     scale = _noise_scale(spec)
     n_classes = len(names)
 
-    records: list[RegionRecord] = []
+    ids: list[str] = []
+    image_ids: list[str] = []
+    starts: list[int] = []
+    boxes: list[list[float]] = []
+    scores: list[float] = []
+    features: list[np.ndarray] = []
+    labels: list[str | None] = []
     gt_boxes: list[GroundTruthBox] = []
-    prior_records: list[RegionRecord] = []
+    prior_rows: list[int] = []
+
+    def add(image_id: str, box: BoundingBox, score: float, feature: np.ndarray, label: str | None) -> None:
+        ids.append(f"{image_id}_r{len(ids) - starts[-1]:03d}")
+        boxes.append(box.as_list())
+        scores.append(score)
+        features.append(feature)
+        labels.append(label)
 
     for t in range(spec.images):
         rng = np.random.default_rng(spec.seed ^ t)
         image_id = f"img_{t:06d}"
-        seq = 0
-        cell = 0
+        image_ids.append(image_id)
+        starts.append(len(ids))
         present = (
             [(t * spec.classes_per_image + j) % n_classes for j in range(spec.classes_per_image)]
             if n_classes
             else []
         )
-        for c in present:
+        for cell, c in enumerate(present):
             box = _cell_box(cell)
-            cell += 1
             known = c < spec.n_known
             gt_boxes.append(
                 GroundTruthBox(image_id=image_id, box=box, class_name=names[c], known_flag=known)
             )
             for _ in range(spec.regions_per_class_per_image):
-                feature = _f32(means[c] + rng.standard_normal(spec.d) * scale)
-                record = RegionRecord(
-                    region_id=f"{image_id}_r{seq:03d}",
-                    image_id=image_id,
-                    box=box,
-                    score=KNOWN_PRIOR_SCORE if known else DEFAULT_SCORE,
-                    feature=feature,
-                    gt_label=names[c],
-                )
-                seq += 1
-                records.append(record)
                 if known:
-                    prior_records.append(record)
-        for _ in range(spec.n_background_per_image):
-            box = _cell_box(cell)
-            cell += 1
-            feature = _f32(rng.standard_normal(spec.d) * scale)
-            records.append(
-                RegionRecord(
-                    region_id=f"{image_id}_r{seq:03d}",
-                    image_id=image_id,
-                    box=box,
-                    score=DEFAULT_SCORE,
-                    feature=feature,
-                    gt_label=None,
-                )
-            )
-            seq += 1
+                    prior_rows.append(len(ids))
+                feature = _f32(means[c] + rng.standard_normal(spec.d) * scale)
+                add(image_id, box, KNOWN_PRIOR_SCORE if known else DEFAULT_SCORE, feature, names[c])
+        for cell in range(len(present), len(present) + spec.n_background_per_image):
+            add(image_id, _cell_box(cell), DEFAULT_SCORE, _f32(rng.standard_normal(spec.d) * scale), None)
 
+    corpus = RegionTable(
+        ids, image_ids, np.array(starts + [len(ids)]), np.array(boxes).reshape(-1, 4),
+        np.array(scores), np.reshape(features, (len(ids), spec.d)), labels,
+    )
     paths = {
         "corpus": out / "corpus.jsonl",
         "gt": out / "gt.jsonl",
         "priors": out / "priors.jsonl",
     }
-    write_corpus_jsonl(paths["corpus"], spec.d, records)
+    write_corpus_jsonl(paths["corpus"], spec.d, corpus)
     write_gt(paths["gt"], gt_boxes)
-    write_corpus_jsonl(paths["priors"], spec.d, prior_records)
+    write_corpus_jsonl(paths["priors"], spec.d, corpus.take(prior_rows))
     return paths
 
 
@@ -182,7 +176,7 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> dict[str, Path]:
 # ---------------------------------------------------------------------------
 
 def kmeans_baseline(
-    regions: list[RegionRecord], k: int, seed: int, max_iter: int = 100, tol: float = 1e-6
+    regions: RegionTable, k: int, seed: int, max_iter: int = 100, tol: float = 1e-6
 ) -> tuple[dict[str, str], np.ndarray, list[float]]:
     """Lloyd iterations with seeded k-means++ initialization.
 
@@ -193,7 +187,7 @@ def kmeans_baseline(
         raise ValueError("k must be >= 1")
     if k > len(regions):
         raise ValueError(f"k={k} exceeds the number of records ({len(regions)})")
-    X = np.stack([r.feature for r in regions])
+    X = regions.features
     n = X.shape[0]
     rng = np.random.default_rng(seed)
 
@@ -232,5 +226,5 @@ def kmeans_baseline(
             break
         centers = new_centers
 
-    assignments = {r.region_id: f"km_{labels[i]}" for i, r in enumerate(regions)}
+    assignments = {region_id: f"km_{label}" for region_id, label in zip(regions.region_ids, labels.tolist())}
     return assignments, centers, history

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dualmem.records import BoundingBox, RegionRecord
+from dualmem.records import BoundingBox, RegionRecord, RegionTable
 from dualmem.stats import BackgroundStats
 
 
@@ -20,6 +20,29 @@ def make_region(region_id, image_id, feature, score=0.5, box=None, gt_label=None
         feature=np.asarray(feature, dtype=np.float64),
         gt_label=gt_label,
     )
+
+
+def table_of(records, d=0):
+    return RegionTable.from_records(records, d)
+
+
+def records_of(table):
+    """Each row of a table as a RegionRecord, for assertions written against records."""
+    rows = zip(
+        table.region_ids, table.image_of(), table.boxes.tolist(), table.scores.tolist(),
+        table.features, table.gt_labels,
+    )
+    return [
+        RegionRecord(region_id, image_id, BoundingBox(*box), score, feature, label)
+        for region_id, image_id, box, score, feature, label in rows
+    ]
+
+
+def batches_of(table):
+    """The records of each image, in row order."""
+    records = records_of(table)
+    starts = table.image_starts.tolist()
+    return [records[start:end] for start, end in zip(starts, starts[1:])]
 
 
 def identity_bg(d, count=1000, mean=None):

@@ -13,7 +13,7 @@ import pytest
 from dualmem.cli import main as cli_main
 from dualmem.config import Config, save_config
 from dualmem.consolidation import build_affinity_graph, consolidate, merge_components, refine_slots, train_slot_classifiers
-from dualmem.corpus import load_corpus, open_corpus
+from dualmem.corpus import ingest_corpus, open_corpus
 from dualmem.evaluation import (
     GroundTruthBox,
     auc,
@@ -32,8 +32,8 @@ from dualmem.records import BoundingBox
 from dualmem.stats import BackgroundStats, MomentAccumulator, train_lda
 from dualmem.synth import SynthSpec, class_means, generate, kmeans_baseline
 
-from conftest import make_region
-from test_evaluation import curve_fixture
+from conftest import make_region, table_of
+from test_evaluation import clustered, curve_fixture
 
 DATA_SEED = 20
 CONFIG_SEED = 9
@@ -66,15 +66,13 @@ def frozen_config(**overrides) -> Config:
 
 
 def discover_on(paths, config):
-    corpus = load_corpus(paths["corpus"], config)
-    regions = {r.region_id: r for batch in corpus.values() for r in batch}
+    corpus = ingest_corpus(paths["corpus"], config)
     bg = estimate_background(corpus, config)
     priors = None
     if config.init_mode == "det_scores":
-        _, stream = open_corpus(paths["priors"])
-        priors = build_priors(config, prior_records=list(stream))
+        priors = build_priors(config, detections=open_corpus(paths["priors"]))
     run = run_discovery(corpus, bg, config, priors)
-    return run, regions
+    return run, corpus
 
 
 @pytest.fixture(scope="module")
@@ -87,20 +85,20 @@ def frozen_run(tmp_path_factory):
     gt = load_gt(paths["gt"])
     run, regions = discover_on(paths, frozen_config())
     clusters = clusters_from_assignments(run.assignments, regions)
-    engine_auc = auc(cumulative_purity_curve(clusters, gt, 0.5))
-    n_discovered = count_discovered(clusters, gt, 0.5, min_images=5)
+    engine_auc = auc(cumulative_purity_curve(clusters, regions, gt, 0.5))
+    n_discovered = count_discovered(clusters, regions, gt, 0.5, min_images=5)
 
     k = int(run.stats["clusters_final"])
-    km_assignments, _, _ = kmeans_baseline(list(regions.values()), k, seed=CONFIG_SEED)
+    km_assignments, _, _ = kmeans_baseline(regions, k, seed=CONFIG_SEED)
     km_clusters = clusters_from_assignments(km_assignments, regions)
-    km_auc = auc(cumulative_purity_curve(km_clusters, gt, 0.5))
+    km_auc = auc(cumulative_purity_curve(km_clusters, regions, gt, 0.5))
 
     paths12 = generate(frozen_spec(separation=12.0), root / "data12")
     gt12 = load_gt(paths12["gt"])
     run12, regions12 = discover_on(paths12, frozen_config())
     clusters12 = clusters_from_assignments(run12.assignments, regions12)
     transferred = [
-        r for r in report_clusters(clusters12, gt12, 0.5) if r.label.startswith("disc_")
+        r for r in report_clusters(clusters12, regions12, gt12, 0.5) if r.label.startswith("disc_")
     ]
 
     elapsed = time.perf_counter() - start
@@ -195,18 +193,20 @@ def test_criterion_3_engine_invariants(tmp_path):
     )
     paths = generate(spec, tmp_path / "data")
     config = Config(d=16, rng_seed=2)
-    corpus = load_corpus(paths["corpus"], config)
+    corpus = ingest_corpus(paths["corpus"], config)
     bg = estimate_background(corpus, config)
-    _, stream = open_corpus(paths["priors"])
-    priors = build_priors(config, prior_records=list(stream))
+    priors = build_priors(config, detections=open_corpus(paths["priors"]))
+    starts = corpus.image_starts.tolist()
+    batches = [range(start, end) for start, end in zip(starts, starts[1:])]
 
     mem = DualMemory.initialize(bg, config, priors)
-    for batch in corpus.values():
+    mem.attach(corpus)
+    for batch in batches:
         mem.process_image(batch)
 
     worst_centroid = 0.0
     for slot in mem.working:
-        member_mean = np.mean([r.feature for r in slot.regions], axis=0)
+        member_mean = np.mean([corpus.features[row] for row in slot.rows], axis=0)
         worst_centroid = max(
             worst_centroid,
             float(np.linalg.norm(slot.centroid - member_mean) / (1.0 + np.linalg.norm(member_mean))),
@@ -218,9 +218,10 @@ def test_criterion_3_engine_invariants(tmp_path):
     )
 
     capped = DualMemory.initialize(bg, Config(d=16, rng_seed=2, slot_cap=10), priors)
+    capped.attach(corpus)
     rejected_decisions = 0
     cap_ok = True
-    for i, batch in enumerate(corpus.values()):
+    for i, batch in enumerate(batches):
         for decision in capped.process_image(batch):
             if decision.kind is DecisionKind.REJECTED:
                 rejected_decisions += 1
@@ -250,17 +251,17 @@ def test_criterion_4_consolidation_contracts():
         [np.array([-10.0, 0.0]) + np.array([0.0, 0.2 * j]) for j in range(3)],
     ]
     mem = memory_with_slots(groups, min_images_per_slot=1)
-    before = sorted(r for s in mem.working for r in s.members)
+    before = sorted(r for s in mem.working for r in s.rows)
     graph = build_affinity_graph(mem, train_slot_classifiers(mem))
     merge_components(mem, graph)
-    conserved = sorted(r for s in mem.working for r in s.members) == before
+    conserved = sorted(r for s in mem.working for r in s.rows) == before
 
     classifiers = train_slot_classifiers(mem)
     refine_slots(mem, classifiers)
     refine_ok = all(
-        classifiers[s.slot_id].score(r.feature) >= 0.0
+        classifiers[s.slot_id].score(mem.corpus.features[row]) >= 0.0
         for s in mem.working
-        for r in s.regions
+        for row in s.rows
     )
 
     def edgeless(mode):
@@ -300,7 +301,7 @@ def test_criterion_4_consolidation_contracts():
 
 def test_criterion_5_metric_hand_checks():
     clusters, gt = curve_fixture()
-    curve = cumulative_purity_curve(clusters, gt, 0.5)
+    curve = cumulative_purity_curve(*clustered(clusters), gt, 0.5)
     curve_ok = curve == [(0.2, 1.0), (0.6, 0.75)]
     auc_ok = auc(curve) == 55.0
 
@@ -314,7 +315,7 @@ def test_criterion_5_metric_hand_checks():
         "r0": make_region("r0", "i0", [0.0], box=BoundingBox(0, 0, 4, 4)),
         "r1": make_region("r1", "i1", [0.0], box=BoundingBox(50, 0, 54, 4)),
     }
-    corloc_ok = corloc({"r0": "c", "r1": "c"}, loc_regions, loc_gt) == 50.0
+    corloc_ok = corloc({"r0": "c", "r1": "c"}, table_of(loc_regions.values()), loc_gt) == 50.0
 
     det_gt = [
         GroundTruthBox(image_id="i0", box=BoundingBox(2.0 * i, 0, 2.0 * i + 1, 1), class_name=f"u{i}", known_flag=False)
@@ -323,7 +324,7 @@ def test_criterion_5_metric_hand_checks():
     det_regions = {
         f"r{i}": make_region(f"r{i}", "i0", [0.0], box=det_gt[i].box) for i in range(3)
     }
-    detrate_ok = detrate({f"r{i}": "c" for i in range(3)}, det_regions, det_gt, 0.5) == 75.0
+    detrate_ok = detrate({f"r{i}": "c" for i in range(3)}, table_of(det_regions.values()), det_gt, 0.5) == 75.0
 
     report(
         "criterion 5 (metric hand-checks)",
@@ -344,12 +345,12 @@ def test_criterion_6_end_to_end(frozen_run):
     means = class_means(spec)
     names = [f"known_{i:02d}" for i in range(5)] + [f"unknown_{i:02d}" for i in range(10)]
     index = {n: i for i, n in enumerate(names)}
-    _, stream = open_corpus(fr["paths"]["corpus"])
+    table = open_corpus(fr["paths"]["corpus"])
     feats, labels = [], []
-    for record in stream:
-        if record.gt_label:
-            feats.append(record.feature)
-            labels.append(index[record.gt_label])
+    for feature, label in zip(table.features, table.gt_labels):
+        if label:
+            feats.append(feature)
+            labels.append(index[label])
     X = np.stack(feats)
     d2 = ((X[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
     oracle_acc = float((d2.argmin(axis=1) == np.asarray(labels)).mean())
@@ -377,11 +378,11 @@ def test_criterion_7_ablation_directions(frozen_run):
 
     run_null, regions_null = discover_on(fr["paths"], frozen_config(init_mode="null"))
     clusters_null = clusters_from_assignments(run_null.assignments, regions_null)
-    null_discovered = count_discovered(clusters_null, gt, 0.5, min_images=5)
+    null_discovered = count_discovered(clusters_null, regions_null, gt, 0.5, min_images=5)
 
     run_naive, regions_naive = discover_on(fr["paths"], frozen_config(consolidation_mode="naive"))
     clusters_naive = clusters_from_assignments(run_naive.assignments, regions_naive)
-    naive_auc = auc(cumulative_purity_curve(clusters_naive, gt, 0.5))
+    naive_auc = auc(cumulative_purity_curve(clusters_naive, regions_naive, gt, 0.5))
 
     init_ok = fr["n_discovered"] >= null_discovered
     consolidation_ok = fr["engine_auc"] >= naive_auc

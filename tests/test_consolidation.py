@@ -13,7 +13,7 @@ from dualmem.consolidation import (
 from dualmem.memory import DecisionKind, DualMemory, RetrievalDecision
 from dualmem.stats import train_lda
 
-from conftest import identity_bg, make_region
+from conftest import identity_bg, make_region, table_of
 
 
 def memory_with_slots(slot_features, d=2, bg_count=100, image_per_region=True, **config_kwargs):
@@ -27,22 +27,18 @@ def memory_with_slots(slot_features, d=2, bg_count=100, image_per_region=True, *
     config_kwargs.setdefault("init_mode", "null")
     config = Config(d=d, **config_kwargs)
     mem = DualMemory.initialize(identity_bg(d, count=bg_count), config, None)
+    features = [f for group in slot_features for f in group]
+    images = [f"img{rid}" if image_per_region else "img0" for rid in range(len(features))]
+    mem.attach(table_of([make_region(f"r{rid}", images[rid], f) for rid, f in enumerate(features)], d))
     rid = 0
     for group in slot_features:
-        seed, rest = group[0], group[1:]
         mem.config.tau_working = 2.0  # unreachable: force a fresh slot for the seed
-        image = f"img{rid}" if image_per_region else "img0"
-        mem.process_image([make_region(f"r{rid}", image, seed)])
+        mem.process_image([rid])
         slot = mem.working[-1]
-        rid += 1
-        for f in rest:
-            image = f"img{rid}" if image_per_region else "img0"
-            region = make_region(f"r{rid}", image, f)
-            rid += 1
+        for row in range(rid + 1, rid + len(group)):
             # Deterministic direct update keeps the fixture in the intended slot.
-            mem.apply_decision(
-                RetrievalDecision(DecisionKind.WORKING_MATCH, slot.slot_id, 1.0), region
-            )
+            mem.apply_decision(RetrievalDecision(DecisionKind.WORKING_MATCH, slot.slot_id, 1.0), row)
+        rid += len(group)
     mem.config.tau_working = 0.7
     return mem
 
@@ -112,10 +108,10 @@ class TestAffinityGraph:
 class TestMerge:
     def test_edgeless_graph_unchanged(self):
         mem = memory_with_slots([[np.array([10.0, 0.0])], [np.array([-10.0, 0.0])]])
-        slots_before = [(s.slot_id, list(s.members)) for s in mem.working]
+        slots_before = [(s.slot_id, list(s.rows)) for s in mem.working]
         graph = build_affinity_graph(mem, train_slot_classifiers(mem))
         merge_components(mem, graph)
-        assert [(s.slot_id, list(s.members)) for s in mem.working] == slots_before
+        assert [(s.slot_id, list(s.rows)) for s in mem.working] == slots_before
 
     def test_mutually_firing_slots_pool(self):
         groups = [
@@ -150,10 +146,10 @@ class TestMerge:
             [rng.standard_normal(2) + np.array([-8.0, 0.0]) for _ in range(2)],
         ]
         mem = memory_with_slots(groups)
-        before = sorted(r for s in mem.working for r in s.members)
+        before = sorted(r for s in mem.working for r in s.rows)
         graph = build_affinity_graph(mem, train_slot_classifiers(mem))
         merge_components(mem, graph)
-        after = sorted(r for s in mem.working for r in s.members)
+        after = sorted(r for s in mem.working for r in s.rows)
         assert before == after
 
     def test_random_graphs_match_union_find(self):
@@ -185,13 +181,13 @@ class TestMerge:
                 for j in range(i + 1, k)
                 if rng.uniform() < p_edge
             ]
-            members = {s.slot_id: list(s.members) for s in mem.working}
+            members = {s.slot_id: list(s.rows) for s in mem.working}
             expected = [
                 (component[0], [r for slot_id in component for r in members[slot_id]])
                 for component in union_find(nodes, edges)
             ]
             assert merge_components(mem, AffinityGraph(nodes=nodes, edges=edges)) == len(expected)
-            assert [(s.slot_id, s.members) for s in mem.working] == expected
+            assert [(s.slot_id, s.rows) for s in mem.working] == expected
 
 
 class TestRefine:
@@ -225,7 +221,7 @@ class TestRefine:
         refine_slots(mem, classifiers)
         for slot in mem.working:
             clf = classifiers[slot.slot_id]
-            scores = [clf.score(r.feature) for r in slot.regions]
+            scores = [clf.score(mem.corpus.features[row]) for row in slot.rows]
             assert min(scores) >= 0.0
 
     def test_fully_negative_slot_deleted(self):

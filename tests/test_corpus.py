@@ -20,7 +20,7 @@ from dualmem.corpus import (
 )
 from dualmem.records import BoundingBox, CorpusFormatError, RegionRecord
 
-from conftest import make_region
+from conftest import batches_of, make_region, records_of
 
 
 def f32(values):
@@ -50,8 +50,8 @@ class TestFormats:
         records = sample_records()
         path = tmp_path / "corpus.jsonl"
         write_corpus_jsonl(path, 3, records)
-        d, stream = open_corpus(path)
-        loaded = list(stream)
+        table = open_corpus(path)
+        d, loaded = table.d, records_of(table)
         assert d == 3
         assert [r.region_id for r in loaded] == [r.region_id for r in records]
         for a, b in zip(loaded, records):
@@ -75,8 +75,8 @@ class TestFormats:
         records = sample_records()
         path = tmp_path / "corpus.bin"
         write_corpus_binary(path, 3, records)
-        d, stream = open_corpus(path)
-        loaded = list(stream)
+        table = open_corpus(path)
+        d, loaded = table.d, records_of(table)
         assert d == 3
         for a, b in zip(loaded, records):
             assert a.region_id == b.region_id
@@ -104,6 +104,10 @@ class TestFormats:
         with pytest.raises(CorpusFormatError, match="float32"):
             convert_corpus(src, tmp_path / "x.bin")
 
+    def test_binary_rejects_values_float32_cannot_hold(self, tmp_path):
+        with pytest.raises(CorpusFormatError, match="r_big"):
+            write_corpus_binary(tmp_path / "x.bin", 2, [make_region("r_big", "img0", [1e300, 0.0])])
+
     def test_binary_rejects_long_ids(self, tmp_path):
         record = make_region("r" * 65, "img0", [0.0, 1.0])
         with pytest.raises(CorpusFormatError, match="64-byte"):
@@ -112,9 +116,8 @@ class TestFormats:
     def test_parse_error_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"d": 2, "version": 1}\n{"region_id": "r0" oops\n')
-        _, stream = open_corpus(path)
         with pytest.raises(CorpusFormatError, match="line 2"):
-            list(stream)
+            open_corpus(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -136,7 +139,7 @@ class TestIngest:
         ]
         path = self.write(tmp_path, records)
         config = Config(d=3, n_proposals_per_image=150)
-        (batch,) = list(ingest_corpus(path, config))
+        (batch,) = batches_of(ingest_corpus(path, config))
         assert len(batch) == 150
         scores = [r.score for r in batch]
         assert scores == sorted(scores, reverse=True)
@@ -145,7 +148,7 @@ class TestIngest:
     def test_small_image_passes_through(self, tmp_path):
         records = [make_region(f"r{i}", "img0", [0.0, 0.0, 1.0]) for i in range(3)]
         path = self.write(tmp_path, records)
-        (batch,) = list(ingest_corpus(path, Config(d=3)))
+        (batch,) = batches_of(ingest_corpus(path, Config(d=3)))
         assert len(batch) == 3
 
     def test_equal_scores_tie_break_on_region_id(self, tmp_path):
@@ -154,20 +157,20 @@ class TestIngest:
             make_region("r_a", "img0", [1.0, 0.0, 0.0], score=0.5),
         ]
         path = self.write(tmp_path, records)
-        (batch,) = list(ingest_corpus(path, Config(d=3)))
+        (batch,) = batches_of(ingest_corpus(path, Config(d=3)))
         assert [r.region_id for r in batch] == ["r_a", "r_b"]
 
     def test_repeated_runs_identical(self, tmp_path):
         path = self.write(tmp_path, sample_records())
         config = Config(d=3)
-        first = [[r.region_id for r in b] for b in ingest_corpus(path, config)]
-        second = [[r.region_id for r in b] for b in ingest_corpus(path, config)]
+        first = [[r.region_id for r in b] for b in batches_of(ingest_corpus(path, config))]
+        second = [[r.region_id for r in b] for b in batches_of(ingest_corpus(path, config))]
         assert first == second
 
     def test_dimension_mismatch_names_record(self, tmp_path):
         path = self.write(tmp_path, [make_region("r_bad", "img0", [1.0, 2.0])], d=3)
         with pytest.raises(CorpusFormatError, match="r_bad"):
-            list(ingest_corpus(path, Config(d=3)))
+            ingest_corpus(path, Config(d=3))
 
     def test_duplicate_region_id(self, tmp_path):
         records = [
@@ -176,7 +179,7 @@ class TestIngest:
         ]
         path = self.write(tmp_path, records)
         with pytest.raises(CorpusFormatError, match="duplicate region_id"):
-            list(ingest_corpus(path, Config(d=3)))
+            ingest_corpus(path, Config(d=3))
 
     def test_non_contiguous_image_block(self, tmp_path):
         records = [
@@ -186,25 +189,25 @@ class TestIngest:
         ]
         path = self.write(tmp_path, records)
         with pytest.raises(CorpusFormatError, match="more than one block"):
-            list(ingest_corpus(path, Config(d=3)))
+            ingest_corpus(path, Config(d=3))
 
     def test_batches_respect_cap_and_order_invariant(self, tmp_path):
         path = self.write(tmp_path, sample_records(n_images=4, per_image=6))
         config = Config(d=3, n_proposals_per_image=4)
-        for batch in ingest_corpus(path, config):
+        for batch in batches_of(ingest_corpus(path, config)):
             assert len(batch) <= 4
             scores = [r.score for r in batch]
             assert scores == sorted(scores, reverse=True)
 
     def test_l2_normalize_flag(self, tmp_path):
         path = self.write(tmp_path, [make_region("r0", "img0", [3.0, 4.0, 0.0])])
-        (batch,) = list(ingest_corpus(path, Config(d=3, l2_normalize=True)))
+        (batch,) = batches_of(ingest_corpus(path, Config(d=3, l2_normalize=True)))
         assert np.linalg.norm(batch[0].feature) == pytest.approx(1.0, abs=1e-12)
 
     def test_load_corpus_preserves_file_order(self, tmp_path):
         path = self.write(tmp_path, sample_records(n_images=5))
-        corpus = load_corpus(path, Config(d=3))
-        assert list(corpus.keys()) == [f"img{i}" for i in range(5)]
+        corpus = load_corpus(path)
+        assert corpus.image_ids == [f"img{i}" for i in range(5)]
 
     def test_binary_and_jsonl_ingest_identically(self, tmp_path):
         jsonl = self.write(tmp_path, sample_records(n_images=4, per_image=6))
@@ -212,10 +215,10 @@ class TestIngest:
         convert_corpus(jsonl, binary)
         config = Config(d=3, n_proposals_per_image=4)
         from_jsonl = [
-            [(r.region_id, tuple(r.feature)) for r in b] for b in ingest_corpus(jsonl, config)
+            [(r.region_id, tuple(r.feature)) for r in b] for b in batches_of(ingest_corpus(jsonl, config))
         ]
         from_binary = [
-            [(r.region_id, tuple(r.feature)) for r in b] for b in ingest_corpus(binary, config)
+            [(r.region_id, tuple(r.feature)) for r in b] for b in batches_of(ingest_corpus(binary, config))
         ]
         assert from_jsonl == from_binary
 

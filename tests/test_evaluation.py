@@ -23,7 +23,21 @@ from dualmem.evaluation import (
 )
 from dualmem.records import BoundingBox
 
-from conftest import make_region
+from conftest import make_region, table_of
+
+
+def members_table(members):
+    """A cluster of records as (its rows, their table)."""
+    return range(len(members)), table_of(members)
+
+
+def clustered(clusters):
+    """Clusters of records as (clusters of rows, one table of every member)."""
+    rows, start = {}, 0
+    for label, members in clusters.items():
+        rows[label] = list(range(start, start + len(members)))
+        start += len(members)
+    return rows, table_of([r for members in clusters.values() for r in members])
 
 
 def box(x1, y1=0.0, x2=None, y2=1.0):
@@ -64,12 +78,12 @@ class TestLabelRegion:
     def test_exact_hit(self):
         region = make_region("r0", "i0", [0.0], box=BoundingBox(0, 0, 2, 2))
         gt = [gt_box("i0", BoundingBox(0, 0, 2, 2), "bear")]
-        assert label_region(region, gt, 0.5) == "bear"
+        assert label_region(table_of([region]), 0, gt, 0.5) == "bear"
 
     def test_no_overlap_is_background(self):
         region = make_region("r0", "i0", [0.0], box=BoundingBox(0, 0, 1, 1))
         gt = [gt_box("i0", BoundingBox(10, 10, 12, 12), "bear")]
-        assert label_region(region, gt, 0.5) is None
+        assert label_region(table_of([region]), 0, gt, 0.5) is None
 
     def test_max_iou_wins(self):
         region = make_region("r0", "i0", [0.0], box=BoundingBox(0, 0, 10, 10))
@@ -77,7 +91,7 @@ class TestLabelRegion:
             gt_box("i0", BoundingBox(0, 0, 10, 4), "zebra"),   # IoU 0.4
             gt_box("i0", BoundingBox(0, 0, 10, 6), "bear"),    # IoU 0.6
         ]
-        assert label_region(region, gt, 0.5) == "bear"
+        assert label_region(table_of([region]), 0, gt, 0.5) == "bear"
 
 
 class TestPurity:
@@ -93,31 +107,31 @@ class TestPurity:
     def test_two_thirds_majority(self):
         gt = self.gt_for(["a", "a", "b"])
         members = self.members_on(gt, [0, 1, 2])
-        assert purity(members, gt, 0.5) == (2.0 / 3.0, "a")
+        assert purity(*members_table(members), gt, 0.5) == (2.0 / 3.0, "a")
 
     def test_singleton(self):
         gt = self.gt_for(["a"])
         members = self.members_on(gt, [0])
-        assert purity(members, gt, 0.5) == (1.0, "a")
+        assert purity(*members_table(members), gt, 0.5) == (1.0, "a")
 
     def test_background_dilutes_denominator(self):
         gt = self.gt_for(["a"])
         members = self.members_on(gt, [0, None, None])
-        assert purity(members, gt, 0.5) == (1.0 / 3.0, "a")
+        assert purity(*members_table(members), gt, 0.5) == (1.0 / 3.0, "a")
 
     def test_all_background(self):
         gt = self.gt_for(["a"])
         members = self.members_on(gt, [None, None])
-        assert purity(members, gt, 0.5) == (0.0, "background")
+        assert purity(*members_table(members), gt, 0.5) == (0.0, "background")
 
     def test_tie_breaks_lexicographically(self):
         gt = self.gt_for(["b", "a"])
         members = self.members_on(gt, [0, 1])
-        assert purity(members, gt, 0.5)[1] == "a"
+        assert purity(*members_table(members), gt, 0.5)[1] == "a"
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
-            purity([], [], 0.5)
+            purity(*members_table([]), [], 0.5)
 
 
 class TestCoverage:
@@ -135,20 +149,20 @@ class TestCoverage:
         }
 
     def test_full_coverage(self):
-        assert coverage(self.cluster_on([0, 1, 2, 3]), self.gt, 0.5) == 1.0
+        assert coverage(*clustered(self.cluster_on([0, 1, 2, 3])), self.gt, 0.5) == 1.0
 
     def test_no_clusters(self):
-        assert coverage({}, self.gt, 0.5) == 0.0
+        assert coverage(*clustered({}), self.gt, 0.5) == 0.0
 
     def test_three_of_four(self):
-        assert coverage(self.cluster_on([0, 1, 2]), self.gt, 0.5) == 0.75
+        assert coverage(*clustered(self.cluster_on([0, 1, 2])), self.gt, 0.5) == 0.75
 
     def test_known_classes_excluded_by_default(self):
         gt = self.gt + [gt_box("i9", box(0.0), "k1", known=True)]
-        assert coverage(self.cluster_on([0, 1, 2, 3]), gt, 0.5) == 1.0
+        assert coverage(*clustered(self.cluster_on([0, 1, 2, 3])), gt, 0.5) == 1.0
 
     def test_explicit_class_set(self):
-        assert coverage(self.cluster_on([0, 1]), self.gt, 0.5, classes={"u1"}) == 1.0
+        assert coverage(*clustered(self.cluster_on([0, 1])), self.gt, 0.5, classes={"u1"}) == 1.0
 
 
 def curve_fixture():
@@ -173,17 +187,17 @@ def curve_fixture():
 class TestCurveAndAuc:
     def test_single_cluster_point(self):
         clusters, gt = curve_fixture()
-        curve = cumulative_purity_curve({"A": clusters["A"]}, gt, 0.5)
+        curve = cumulative_purity_curve(*clustered({"A": clusters["A"]}), gt, 0.5)
         assert curve == [(0.2, 1.0)]
 
     def test_running_mean_and_coverage(self):
         clusters, gt = curve_fixture()
-        curve = cumulative_purity_curve(clusters, gt, 0.5)
+        curve = cumulative_purity_curve(*clustered(clusters), gt, 0.5)
         assert curve == [(0.2, 1.0), (0.6, 0.75)]
 
     def test_monotonic_axes(self):
         clusters, gt = curve_fixture()
-        curve = cumulative_purity_curve(clusters, gt, 0.5)
+        curve = cumulative_purity_curve(*clustered(clusters), gt, 0.5)
         xs = [p[0] for p in curve]
         ys = [p[1] for p in curve]
         assert xs == sorted(xs)
@@ -195,7 +209,7 @@ class TestCurveAndAuc:
             "z": [make_region("r0", "i0", [0.0], box=gt[0].box)],
             "y": [make_region("r1", "i0", [0.0], box=gt[1].box)],
         }
-        curve = cumulative_purity_curve(clusters, gt, 0.5)
+        curve = cumulative_purity_curve(*clustered(clusters), gt, 0.5)
         assert curve == [(0.5, 1.0), (1.0, 1.0)]
 
     def test_auc_single_point(self):
@@ -209,11 +223,11 @@ class TestCurveAndAuc:
 
     def test_auc_from_fixture_exactly(self):
         clusters, gt = curve_fixture()
-        assert auc(cumulative_purity_curve(clusters, gt, 0.5)) == 55.0
+        assert auc(cumulative_purity_curve(*clustered(clusters), gt, 0.5)) == 55.0
 
     def test_auc_bounded(self):
         clusters, gt = curve_fixture()
-        value = auc(cumulative_purity_curve(clusters, gt, 0.5))
+        value = auc(cumulative_purity_curve(*clustered(clusters), gt, 0.5))
         assert 0.0 <= value <= 100.0
 
     def test_auc_monotone_under_pure_extension(self):
@@ -265,14 +279,15 @@ def test_curve_points_are_top_k_coverage_and_mean_purity(
         ]
         for c, members in enumerate(cluster_members)
     }
-    curve = cumulative_purity_curve(clusters, gt, iou_threshold, classes)
-    purities = {label: purity(members, gt, iou_threshold)[0] for label, members in clusters.items()}
+    rows, table = clustered(clusters)
+    curve = cumulative_purity_curve(rows, table, gt, iou_threshold, classes)
+    purities = {label: purity(rows[label], table, gt, iou_threshold)[0] for label in clusters}
     ranked = sorted(clusters, key=lambda label: (-purities[label], label))
     class_set = {g.class_name for g in gt if not g.known_flag} if classes is None else classes
     assert len(curve) == len(ranked)
     for k, (x, y) in enumerate(curve, 1):
         top = {label: clusters[label] for label in ranked[:k]}
-        assert x == coverage(top, gt, iou_threshold, classes)
+        assert x == coverage({label: rows[label] for label in top}, table, gt, iou_threshold, classes)
         assert x == covered_fraction_reference(top, gt, iou_threshold, class_set)
         assert y == sum(purities[label] for label in ranked[:k]) / k
 
@@ -289,22 +304,22 @@ class TestCorloc:
     def test_half_localized(self):
         gt, regions = self.fixture()
         assignments = {"r0": "c0", "r1": "c0"}
-        assert corloc(assignments, regions, gt) == 50.0
+        assert corloc(assignments, table_of(regions.values()), gt) == 50.0
 
     def test_all_localized(self):
         gt, regions = self.fixture()
         regions["r1"] = make_region("r1", "i1", [0.0], box=BoundingBox(0, 0, 4, 4))
-        assert corloc({"r0": "c0", "r1": "c0"}, regions, gt) == 100.0
+        assert corloc({"r0": "c0", "r1": "c0"}, table_of(regions.values()), gt) == 100.0
 
     def test_no_assignments(self):
         gt, regions = self.fixture()
-        assert corloc({"r0": "unassigned", "r1": "unassigned"}, regions, gt) == 0.0
+        assert corloc({"r0": "unassigned", "r1": "unassigned"}, table_of(regions.values()), gt) == 0.0
 
     def test_strictly_greater_than_threshold(self):
         gt = [gt_box("i0", BoundingBox(0, 0, 2, 1), "a")]
         regions = {"r0": make_region("r0", "i0", [0.0], box=BoundingBox(0, 0, 1, 1))}
         # IoU exactly 0.5 does not count for localization.
-        assert corloc({"r0": "c0"}, regions, gt) == 0.0
+        assert corloc({"r0": "c0"}, table_of(regions.values()), gt) == 0.0
 
 
 class TestDetrate:
@@ -318,24 +333,24 @@ class TestDetrate:
 
     def test_three_of_four(self):
         gt, regions, assignments = self.fixture()
-        assert detrate(assignments, regions, gt, 0.5) == 75.0
+        assert detrate(assignments, table_of(regions.values()), gt, 0.5) == 75.0
 
     def test_all_matched(self):
         gt, regions, assignments = self.fixture()
         regions["r3"] = make_region("r3", "i0", [0.0], box=gt[3].box)
         assignments["r3"] = "c0"
-        assert detrate(assignments, regions, gt, 0.5) == 100.0
+        assert detrate(assignments, table_of(regions.values()), gt, 0.5) == 100.0
 
     def test_none_matched(self):
         gt, regions, _ = self.fixture()
-        assert detrate({}, regions, gt, 0.5) == 0.0
+        assert detrate({}, table_of(regions.values()), gt, 0.5) == 0.0
 
     def test_equals_all_class_coverage(self):
         gt, regions, assignments = self.fixture()
         clusters = {"c0": [regions[r] for r in assignments]}
         all_classes = {g.class_name for g in gt}
-        assert detrate(assignments, regions, gt, 0.5) == 100.0 * coverage(
-            clusters, gt, 0.5, classes=all_classes
+        assert detrate(assignments, table_of(regions.values()), gt, 0.5) == 100.0 * coverage(
+            *clustered(clusters), gt, 0.5, classes=all_classes
         )
 
 
@@ -359,21 +374,21 @@ class TestCorret:
     def test_single_class_is_perfect(self):
         assignments, regions, gt = self.balanced_fixture()
         only_a = {k: v for k, v in assignments.items() if v == "cluster_a"}
-        assert corret(only_a, regions, gt, k=10) == 100.0
+        assert corret(only_a, table_of(regions.values()), gt, k=10) == 100.0
 
     def test_separated_classes_perfect_when_k_fits(self):
         assignments, regions, gt = self.balanced_fixture()
-        assert corret(assignments, regions, gt, k=3) == 100.0
+        assert corret(assignments, table_of(regions.values()), gt, k=3) == 100.0
 
     def test_fifty_percent_when_k_spans_both(self):
         assignments, regions, gt = self.balanced_fixture(per_class=6)
         # k=10 over 11 neighbors: 5 same-class + 5 cross-class for every image.
-        assert corret(assignments, regions, gt, k=10) == 50.0
+        assert corret(assignments, table_of(regions.values()), gt, k=10) == 50.0
 
     def test_images_without_assignments_skipped(self):
         assignments, regions, gt = self.balanced_fixture()
         del assignments["r_a0"]
-        value = corret(assignments, regions, gt, k=3)
+        value = corret(assignments, table_of(regions.values()), gt, k=3)
         assert 0.0 <= value <= 100.0
 
     def test_equal_similarities_rank_by_image_order(self):
@@ -383,8 +398,8 @@ class TestCorret:
             regions[f"r{i}"] = make_region(f"r{i}", f"i{i}", [1.0, 0.0], box=BoundingBox(0, 0, 2, 2))
             assignments[f"r{i}"] = "c0"
             gt.append(gt_box(f"i{i}", BoundingBox(0, 0, 2, 2), c))
-        assert corret(assignments, regions, gt, k=1) == 0.0
-        assert corret(assignments, regions, gt, k=2) == 37.5
+        assert corret(assignments, table_of(regions.values()), gt, k=1) == 0.0
+        assert corret(assignments, table_of(regions.values()), gt, k=2) == 37.5
 
     def test_means_add_in_assignment_order(self):
         # Image i0's x-coordinates sum to 0 in assignment order (rc, ra, rb) but to 1 in
@@ -395,29 +410,29 @@ class TestCorret:
         regions["r2"] = make_region("r2", "i2", [1.0, 3.0], box=BoundingBox(0, 0, 2, 2))
         assignments = {rid: "c0" for rid in ("rc", "ra", "rb", "r1", "r2")}
         gt = [gt_box(image, BoundingBox(0, 0, 2, 2), c) for image, c in (("i0", "a"), ("i1", "a"), ("i2", "b"))]
-        assert corret(assignments, regions, gt, k=1) == pytest.approx(200.0 / 3.0)
+        assert corret(assignments, table_of(regions.values()), gt, k=1) == pytest.approx(200.0 / 3.0)
 
     def test_by_slot_representation(self):
         assignments, regions, gt = self.balanced_fixture()
-        assert corret(assignments, regions, gt, k=3, by_slot=True) == 100.0
+        assert corret(assignments, table_of(regions.values()), gt, k=3, by_slot=True) == 100.0
 
 
 class TestOracleAndCounting:
     def test_pure_cluster_takes_its_class(self):
         clusters, gt = curve_fixture()
-        labels = oracle_label_clusters(clusters, gt, 0.5)
+        labels = oracle_label_clusters(*clustered(clusters), gt, 0.5)
         assert labels["A"] == "a"
 
     def test_unmatched_cluster_is_background(self):
         gt = [gt_box("i0", box(0.0), "a")]
         clusters = {"junk": [make_region("r0", "i0", [0.0], box=box(50.0))]}
-        assert oracle_label_clusters(clusters, gt, 0.5) == {"junk": "background"}
+        assert oracle_label_clusters(*clustered(clusters), gt, 0.5) == {"junk": "background"}
 
     def test_majority_vote(self):
         gt = [gt_box("i0", box(2.0 * i), "bear") for i in range(3)]
         gt += [gt_box("i0", box(2.0 * (3 + i)), "zebra") for i in range(2)]
         members = [make_region(f"r{i}", "i0", [0.0], box=g.box) for i, g in enumerate(gt)]
-        assert oracle_label_clusters({"c": members}, gt, 0.5) == {"c": "bear"}
+        assert oracle_label_clusters(*clustered({"c": members}), gt, 0.5) == {"c": "bear"}
 
     def test_count_discovered_counts_distinct_classes(self):
         gt = [gt_box(f"i{j}", box(0.0), "bear") for j in range(6)]
@@ -425,10 +440,10 @@ class TestOracleAndCounting:
             make_region(f"{tag}{j}", f"i{j}", [0.0], box=box(0.0)) for j in range(6)
         ]
         clusters = {"c0": cluster("x"), "c1": cluster("y")}
-        assert count_discovered(clusters, gt, 0.5, min_images=5) == 1
+        assert count_discovered(*clustered(clusters), gt, 0.5, min_images=5) == 1
 
     def test_count_discovered_empty(self):
-        assert count_discovered({}, [gt_box("i0", box(0.0), "a")], 0.5) == 0
+        assert count_discovered(*clustered({}), [gt_box("i0", box(0.0), "a")], 0.5) == 0
 
     def test_count_discovered_three_pure_clusters(self):
         gt, clusters = [], {}
@@ -438,13 +453,13 @@ class TestOracleAndCounting:
             clusters[f"cl_{c}"] = [
                 make_region(f"{c}_r{j}", f"{c}_i{j}", [0.0], box=box(0.0)) for j in range(5)
             ]
-        assert count_discovered(clusters, gt, 0.5, min_images=5) == 3
+        assert count_discovered(*clustered(clusters), gt, 0.5, min_images=5) == 3
 
     def test_purity_floor_excludes_mixed_clusters(self):
         gt = [gt_box(f"i{j}", box(0.0), "bear") for j in range(5)]
         members = [make_region(f"r{j}", f"i{j}", [0.0], box=box(0.0)) for j in range(2)]
         members += [make_region(f"q{j}", f"i{j}", [0.0], box=box(50.0)) for j in range(3)]
-        assert count_discovered({"c": members}, gt, 0.5, purity_floor=0.5, min_images=2) == 0
+        assert count_discovered(*clustered({"c": members}), gt, 0.5, purity_floor=0.5, min_images=2) == 0
 
 
 class TestGtFile:
@@ -465,17 +480,18 @@ class TestEvaluateRun:
         clusters, gt = curve_fixture()
         regions = {r.region_id: r for ms in clusters.values() for r in ms}
         assignments = {r.region_id: label for label, ms in clusters.items() for r in ms}
-        report = evaluate_run(assignments, regions, gt, iou_thresholds=(0.5, 0.2), min_images=1)
+        table = table_of(regions.values())
+        report = evaluate_run(assignments, table, gt, iou_thresholds=(0.5, 0.2), min_images=1)
         assert report.metrics["auc_0.5"] == 55.0
         assert set(report.metrics) >= {"auc_0.5", "auc_0.2", "corloc", "corret", "detrate_0.5", "n_discovered"}
-        again = evaluate_run(assignments, regions, gt, iou_thresholds=(0.5, 0.2), min_images=1)
+        again = evaluate_run(assignments, table, gt, iou_thresholds=(0.5, 0.2), min_images=1)
         assert report.metrics == again.metrics
 
     def test_empty_assignments_all_zero(self):
         clusters, gt = curve_fixture()
         regions = {r.region_id: r for ms in clusters.values() for r in ms}
         assignments = {rid: "unassigned" for rid in regions}
-        report = evaluate_run(assignments, regions, gt)
+        report = evaluate_run(assignments, table_of(regions.values()), gt)
         assert report.metrics["auc_0.5"] == 0.0
         assert report.metrics["corloc"] == 0.0
         assert report.metrics["detrate_0.5"] == 0.0
@@ -493,7 +509,7 @@ def test_iou_table_best_boxes_match_scalar_iou_bit_for_bit():
     gt = [gt_box(f"i{rng.integers(4)}", random_box(), "a") for _ in range(20)]
     gt += [gt_box(g.image_id, g.box, "b") for g in gt[:5]]  # equal IoUs: the first box wins
     regions = [make_region(f"r{j}", f"i{rng.integers(5)}", [0.0], box=random_box()) for j in range(200)]
-    table = IouTable(regions, gt)
+    table = IouTable(table_of(regions), range(len(regions)), gt)
     pairs = list(zip(table.region.tolist(), table.box.tolist()))
     assert pairs == [
         (r, b) for r in range(len(regions)) for b in range(len(gt)) if gt[b].image_id == regions[r].image_id
@@ -651,7 +667,7 @@ def test_evaluate_run_equals_scalar_reference(
     assignments = dict(rows[i] for i in order)
 
     report = evaluate_run(
-        assignments, regions, gt, iou_thresholds=thresholds, purity_floor=purity_floor,
+        assignments, table_of(regions.values()), gt, iou_thresholds=thresholds, purity_floor=purity_floor,
         min_images=min_images, corret_k=corret_k,
     )
     metrics, curves, reports = reference_evaluate(

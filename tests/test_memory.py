@@ -9,12 +9,25 @@ from dualmem.memory import DecisionKind, DualMemory, StaleDecisionError
 from dualmem.pipeline import whiten_corpus
 from dualmem.stats import BackgroundStats, train_lda
 
-from conftest import identity_bg, make_region
+from conftest import identity_bg, make_region, table_of
 
 
 def make_memory(d=4, priors=None, bg_count=1000, **config_kwargs):
     config = Config(d=d, init_mode="det_scores" if priors else "null", **config_kwargs)
-    return DualMemory.initialize(identity_bg(d, count=bg_count), config, priors)
+    tables = {label: table_of(regions) for label, regions in (priors or {}).items()}
+    return DualMemory.initialize(identity_bg(d, count=bg_count), config, tables)
+
+
+def attach(mem, *batches):
+    """Attach one table of every batch's regions, in order; returns each batch's rows."""
+    mem.attach(table_of([r for batch in batches for r in batch], mem.config.d))
+    ends = np.cumsum([len(batch) for batch in batches]).tolist()
+    return [range(end - len(batch), end) for batch, end in zip(batches, ends)]
+
+
+def process(mem, batch):
+    """Attach the batch's regions and stream them."""
+    return mem.process_image(*attach(mem, batch))
 
 
 def two_class_priors(d=4, scale=10.0, count=4):
@@ -99,14 +112,14 @@ class TestRetrieve:
 
     def test_working_match_on_close_cosine(self):
         mem = make_memory()
-        mem.process_image([make_region("r0", "i0", [0.0, 0.0, 5.0, 0.0])])
+        process(mem, [make_region("r0", "i0", [0.0, 0.0, 5.0, 0.0])])
         decision = mem.retrieve(np.array([0.0, 0.0, 5.0, 0.4]))
         assert decision.kind is DecisionKind.WORKING_MATCH
         assert decision.score > 0.99
 
     def test_below_threshold_creates_slot(self):
         mem = make_memory()
-        mem.process_image([make_region("r0", "i0", [0.0, 0.0, 5.0, 0.0])])
+        process(mem, [make_region("r0", "i0", [0.0, 0.0, 5.0, 0.0])])
         decision = mem.retrieve(np.array([0.0, 0.0, 0.0, 5.0]))
         assert decision.kind is DecisionKind.NEW_SLOT
 
@@ -128,13 +141,14 @@ class TestRetrieve:
     def test_semantic_precedes_working(self):
         mem = make_memory(priors=two_class_priors())
         target = mem.semantic[0].mean
-        mem.process_image([make_region("r0", "i0", target * 1.01)])
+        process(mem, [make_region("r0", "i0", target * 1.01)])
         decision = mem.retrieve(target)
         assert decision.kind is DecisionKind.KNOWN_MATCH
 
     def test_cap_returns_rejected(self):
         mem = make_memory(slot_cap=2)
-        mem.process_image(
+        process(
+            mem,
             [
                 make_region("r0", "i0", [5.0, 0, 0, 0]),
                 make_region("r1", "i0", [0, 5.0, 0, 0]),
@@ -155,7 +169,8 @@ class TestRetrieve:
 
     def test_working_argmax_scale_invariant(self):
         mem = make_memory(tau_working=0.9)
-        mem.process_image(
+        process(
+            mem,
             [
                 make_region("r0", "i0", [4.0, 0.5, 0, 0]),
                 make_region("r1", "i0", [0, 0.5, 4.0, 0]),
@@ -171,23 +186,26 @@ class TestRetrieve:
 class TestApply:
     def test_working_two_point_mean(self):
         mem = make_memory()
-        mem.process_image([make_region("r0", "i0", [0.0, 0.0, 0.0, 0.0001])])
+        (r0, r1) = attach(
+            mem, [make_region("r0", "i0", [0.0, 0.0, 0.0, 0.0001]), make_region("r1", "i0", [2.0, 2.0, 0, 0])]
+        )[0]
+        mem.process_image([r0])
         slot = mem.working[0]
         # Force a working match against the sole slot regardless of cosine.
         mem.config.tau_working = -1.0
         decision = mem.retrieve(np.array([2.0, 2.0, 0, 0]))
         assert decision.kind is DecisionKind.WORKING_MATCH
-        mem.apply_decision(decision, make_region("r1", "i0", [2.0, 2.0, 0, 0]))
+        mem.apply_decision(decision, r1)
         np.testing.assert_allclose(slot.centroid, [1.0, 1.0, 0, 0.00005], rtol=0, atol=1e-12)
         assert slot.count == 2
-        assert slot.members == ["r0", "r1"]
+        assert [mem.corpus.region_ids[row] for row in slot.rows] == ["r0", "r1"]
 
     def test_new_slot_seeds_centroid(self):
         mem = make_memory()
-        mem.process_image([make_region("r0", "i0", [3.0, 4.0, 0, 0])])
+        process(mem, [make_region("r0", "i0", [3.0, 4.0, 0, 0])])
         slot = mem.working[0]
         np.testing.assert_array_equal(slot.centroid, [3.0, 4.0, 0, 0])
-        assert slot.count == 1 and slot.members == ["r0"]
+        assert slot.count == 1 and [mem.corpus.region_ids[row] for row in slot.rows] == ["r0"]
 
     def test_semantic_update_with_recompute_oracle(self):
         priors = {"cat": [make_region(f"p{j}", f"i{j}", [1.0, 0, 0, 0]) for j in range(3)]}
@@ -195,7 +213,8 @@ class TestApply:
         slot = mem.semantic[0]
         decision = mem.retrieve(np.array([5.0, 0, 0, 0]))
         assert decision.kind is DecisionKind.KNOWN_MATCH
-        mem.apply_decision(decision, make_region("r0", "i9", [5.0, 0, 0, 0]))
+        (row,) = attach(mem, [make_region("r0", "i9", [5.0, 0, 0, 0])])[0]
+        mem.apply_decision(decision, row)
         np.testing.assert_allclose(slot.mean, [2.0, 0, 0, 0], rtol=0, atol=1e-12)
         assert slot.count == 4
         expected = train_lda(slot.mean, slot.count, mem.bg)
@@ -206,15 +225,18 @@ class TestApply:
         """A NEW_SLOT decision applied twice at the cap grows the rows; retrieval reads both slots."""
         mem = make_memory(slot_cap=1)
         decision = mem.retrieve(np.array([5.0, 0, 0, 0]))
-        mem.apply_decision(decision, make_region("r0", "i0", [5.0, 0, 0, 0]))
-        mem.apply_decision(decision, make_region("r1", "i0", [0, 5.0, 0, 0]))
+        regions = [make_region("r0", "i0", [5.0, 0, 0, 0]), make_region("r1", "i0", [0, 5.0, 0, 0])]
+        (r0, r1) = attach(mem, regions)[0]
+        mem.apply_decision(decision, r0)
+        mem.apply_decision(decision, r1)
         assert [s.centroid.tolist() for s in mem.working] == [[5.0, 0, 0, 0], [0, 5.0, 0, 0]]
         match = mem.retrieve(np.array([0, 4.0, 0.1, 0]))
         assert match.kind is DecisionKind.WORKING_MATCH and match.slot_id == mem.working[1].slot_id
 
     def test_rejected_counts(self):
         mem = make_memory(slot_cap=1)
-        mem.process_image(
+        process(
+            mem,
             [
                 make_region("r0", "i0", [5.0, 0, 0, 0]),
                 make_region("r1", "i0", [0, 5.0, 0, 0]),
@@ -226,12 +248,14 @@ class TestApply:
 
     def test_stale_decision_raises(self):
         mem = make_memory()
-        mem.process_image([make_region("r0", "i0", [5.0, 0, 0, 0])])
+        regions = [make_region("r0", "i0", [5.0, 0, 0, 0]), make_region("r1", "i0", [5.0, 0, 0, 0])]
+        (r0, r1) = attach(mem, regions)[0]
+        mem.process_image([r0])
         decision = mem.retrieve(np.array([5.0, 0, 0, 0]))
         mem.working = []
         mem.rebuild_caches()
         with pytest.raises(StaleDecisionError):
-            mem.apply_decision(decision, make_region("r1", "i0", [5.0, 0, 0, 0]))
+            mem.apply_decision(decision, r1)
 
 
 class TestProcessImage:
@@ -252,7 +276,7 @@ class TestProcessImage:
             make_region("h2", "img", human - 0.01),
             *(make_region(f"n{i}", "img", f) for i, f in enumerate(novel)),
         ]
-        decisions = mem.process_image(batch)
+        decisions = process(mem, batch)
         kinds = [d.kind for d in decisions]
         assert kinds.count(DecisionKind.KNOWN_MATCH) == 3
         assert kinds.count(DecisionKind.NEW_SLOT) == 4
@@ -266,14 +290,11 @@ class TestProcessImage:
         car = mem.semantic[0].mean
         novel_a = np.array([0, 0, 8.0, 0, 0, 0])
         novel_b = np.array([0, 0, 0, 8.0, 0, 0])
-        mem.process_image(
-            [
-                make_region("h1", "img1", human + 0.01),
-                make_region("n1", "img1", novel_a),
-                make_region("n2", "img1", novel_b),
-            ]
-        )
-        assert len(mem.working) == 2
+        first = [
+            make_region("h1", "img1", human + 0.01),
+            make_region("n1", "img1", novel_a),
+            make_region("n2", "img1", novel_b),
+        ]
         second = [
             make_region("h2", "img2", human - 0.01),
             make_region("c1", "img2", car + 0.01),
@@ -283,7 +304,10 @@ class TestProcessImage:
             make_region("n5", "img2", np.array([0, 0, 0, 0, 8.0, 0])),
             make_region("n6", "img2", np.array([0, 0, 0, 0, 0, 8.0])),
         ]
-        kinds = [d.kind for d in mem.process_image(second)]
+        first_rows, second_rows = attach(mem, first, second)
+        mem.process_image(first_rows)
+        assert len(mem.working) == 2
+        kinds = [d.kind for d in mem.process_image(second_rows)]
         assert kinds.count(DecisionKind.KNOWN_MATCH) == 3
         assert kinds.count(DecisionKind.WORKING_MATCH) == 2
         assert kinds.count(DecisionKind.NEW_SLOT) == 2
@@ -292,14 +316,14 @@ class TestProcessImage:
     def test_empty_batch_no_change(self):
         mem = make_memory(priors=two_class_priors())
         before = (len(mem.semantic), len(mem.working))
-        assert mem.process_image([]) == []
+        assert process(mem, []) == []
         assert (len(mem.semantic), len(mem.working)) == before
 
     def test_intra_image_updates_visible(self):
         mem = make_memory()
         f = [0.0, 0.0, 6.0, 0.0]
-        decisions = mem.process_image(
-            [make_region("r0", "i0", f), make_region("r1", "i0", f)]
+        decisions = process(
+            mem, [make_region("r0", "i0", f), make_region("r1", "i0", f)]
         )
         assert decisions[0].kind is DecisionKind.NEW_SLOT
         assert decisions[1].kind is DecisionKind.WORKING_MATCH
@@ -311,26 +335,27 @@ class TestInvariants:
     def test_centroids_equal_member_means_after_stream(self):
         rng = np.random.default_rng(0)
         mem = make_memory(d=6)
+        batches = []
         for i in range(80):
             feats = rng.standard_normal((3, 6)) * 2
-            mem.process_image(
-                [make_region(f"r{i}_{j}", f"i{i}", feats[j]) for j in range(3)]
-            )
+            batches.append([make_region(f"r{i}_{j}", f"i{i}", feats[j]) for j in range(3)])
+        for rows in attach(mem, *batches):
+            mem.process_image(rows)
         assert mem.working
         for slot in mem.working:
-            member_mean = np.mean([r.feature for r in slot.regions], axis=0)
+            member_mean = np.mean([mem.corpus.features[row] for row in slot.rows], axis=0)
             assert np.linalg.norm(slot.centroid - member_mean) <= 1e-7 * (
                 1 + np.linalg.norm(member_mean)
             )
-            assert slot.count == len(slot.members)
+            assert slot.count == len(slot.rows)
 
     def test_final_centroid_independent_of_arrival_order(self):
         feats = [np.array([5.0, 0.1 * j, 0, 0]) for j in range(6)]
         mems = []
         for order in (feats, feats[::-1]):
             mem = make_memory(tau_working=0.5)
-            mem.process_image(
-                [make_region(f"r{j}", "i0", f) for j, f in enumerate(order)]
+            process(
+                mem, [make_region(f"r{j}", "i0", f) for j, f in enumerate(order)]
             )
             assert len(mem.working) == 1
             mems.append(mem.working[0].centroid)
@@ -340,10 +365,9 @@ class TestInvariants:
         rng = np.random.default_rng(1)
         mem = make_memory(d=6, slot_cap=5, tau_working=0.999)
         new_slots = 0
-        for i in range(40):
-            decisions = mem.process_image(
-                [make_region(f"r{i}", f"i{i}", rng.standard_normal(6) * 3)]
-            )
+        batches = [[make_region(f"r{i}", f"i{i}", rng.standard_normal(6) * 3)] for i in range(40)]
+        for rows in attach(mem, *batches):
+            decisions = mem.process_image(rows)
             new_slots += sum(1 for d in decisions if d.kind is DecisionKind.NEW_SLOT)
             assert mem.total_slots <= 5
         assert mem.rejected_count == 40 - new_slots
@@ -355,8 +379,9 @@ class TestCheckpoint:
         mem = make_memory(d=6, min_images_per_slot=2, priors={
             "cat": [make_region("p0", "ip", np.array([8.0, 0, 0, 0, 0, 0]))],
         })
-        for i in range(20):
-            mem.process_image([make_region(f"r{i}", f"i{i}", rng.standard_normal(6) * 3)])
+        batches = [[make_region(f"r{i}", f"i{i}", rng.standard_normal(6) * 3)] for i in range(20)]
+        for rows in attach(mem, *batches):
+            mem.process_image(rows)
         consolidate(mem)
         assert len(mem.semantic) > 1
         path = tmp_path / "checkpoint.bin"
@@ -370,19 +395,21 @@ class TestCheckpoint:
         probe_batches = [
             [make_region(f"q{i}", f"qi{i}", rng.standard_normal(6) * 3)] for i in range(10)
         ]
-        for batch in probe_batches:
-            assert mem.process_image(batch) == twin.process_image(batch)
+        probe_rows = attach(mem, *probe_batches)
+        twin.attach(mem.corpus)
+        for rows in probe_rows:
+            assert mem.process_image(rows) == twin.process_image(rows)
         for a, b in zip(mem.semantic, twin.semantic):
             np.testing.assert_array_equal(a.mean, b.mean)
             np.testing.assert_array_equal(a.white, b.white)
         assert mem.working
         for a, b in zip(mem.working, twin.working):
             np.testing.assert_array_equal(a.centroid, b.centroid)
-            assert a.members == b.members
+            assert a.rows == b.rows
 
     def test_refuses_working_slots_and_writes_nothing(self, tmp_path):
         mem = make_memory(d=4)
-        mem.process_image([make_region("r0", "i0", [0.0, 0.0, 6.0, 0.0])])
+        process(mem, [make_region("r0", "i0", [0.0, 0.0, 6.0, 0.0])])
         path = tmp_path / "checkpoint.bin"
         with pytest.raises(ValueError, match="1 working slots"):
             mem.save_checkpoint(path)
@@ -399,8 +426,9 @@ class TestCheckpoint:
     def test_truncated_checkpoint_is_a_value_error_at_every_offset(self, tmp_path):
         rng = np.random.default_rng(5)
         mem = make_memory(d=3, min_images_per_slot=1, priors={"cat": [make_region("p0", "ip", np.array([8.0, 0, 0]))]})
-        for i in range(6):
-            mem.process_image([make_region(f"r{i}", f"i{i}", rng.standard_normal(3) * 3)])
+        batches = [[make_region(f"r{i}", f"i{i}", rng.standard_normal(3) * 3)] for i in range(6)]
+        for rows in attach(mem, *batches):
+            mem.process_image(rows)
         consolidate(mem)
         assert len(mem.semantic) > 1
         path = tmp_path / "checkpoint.bin"
@@ -513,7 +541,7 @@ def test_whitened_engine_matches_the_lda_reference(seed, d, n_classes, n_images,
         d=d, slot_cap=max(slot_cap, n_classes), tau_working=tau_working,
         consolidation_mode="naive", min_images_per_slot=2,
     )
-    mem = DualMemory.initialize(bg, config, priors)
+    mem = DualMemory.initialize(bg, config, {label: table_of(regions) for label, regions in priors.items()})
     # Where each prior slot's score crosses zero on the segment from the background mean to its class.
     crossings = []
     for slot, center in zip(mem.semantic, centers):
@@ -530,14 +558,17 @@ def test_whitened_engine_matches_the_lda_reference(seed, d, n_classes, n_images,
             feats.append(near if rng.random() < 0.7 else 3.0 * rng.standard_normal(d))
         corpus[f"i{i}"] = [make_region(f"r{i}_{j}", f"i{i}", f) for j, f in enumerate(feats)]
     ref = ReferenceMemory(bg, config, priors)
-    white = whiten_corpus(corpus, bg)
+    table = table_of([region for batch in corpus.values() for region in batch])
+    mem.attach(table, whiten_corpus(table.features, bg))
+    starts = table.image_starts.tolist()
+    rows = {image_id: range(start, end) for image_id, start, end in zip(table.image_ids, starts, starts[1:])}
     stream, mine = list(corpus)[: n_images // 2], list(corpus)[n_images // 2:]
 
     def same_score(got, expected):
         return abs(got - expected) <= 1e-9 * (1.0 + abs(expected))
 
     for image_id in stream:
-        decisions = mem.process_image(corpus[image_id], white[image_id])
+        decisions = mem.process_image(rows[image_id])
         for decision, region in zip(decisions, corpus[image_id]):
             kind, slot_id, score = ref.step(region)
             assert (decision.kind, decision.slot_id) == (kind, slot_id)
@@ -550,8 +581,8 @@ def test_whitened_engine_matches_the_lda_reference(seed, d, n_classes, n_images,
     consolidate(mem)
     ref.consolidate_naive()
     for image_id in mine:
-        for region, z in zip(corpus[image_id], white[image_id]):
-            assert mem.mine_region(region, z) == ref.mine(region)
+        for region, row in zip(corpus[image_id], rows[image_id]):
+            assert mem.mine_region(row) == ref.mine(region)
     assert [(s.slot_id, s.count, s.members) for s in mem.semantic] == [
         (s[0], s[2], s[3]) for s in ref.semantic
     ]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dualmem.config import Config
-from dualmem.corpus import load_corpus, split_dataset
+from dualmem.corpus import ingest_corpus, split_dataset
 from dualmem.evaluation import GroundTruthBox, iou, load_gt
 from dualmem.memory import DualMemory
 from dualmem.pipeline import (
@@ -16,7 +16,7 @@ from dualmem.pipeline import (
 from dualmem.records import BoundingBox
 from dualmem.synth import SynthSpec, generate
 
-from conftest import identity_bg, make_region
+from conftest import batches_of, identity_bg, make_region, records_of, table_of
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +28,7 @@ def synth_run(tmp_path_factory):
     )
     paths = generate(spec, out)
     config = Config(d=8, min_images_per_slot=3, rounds=2, rng_seed=11)
-    corpus = load_corpus(paths["corpus"], config)
+    corpus = ingest_corpus(paths["corpus"], config)
     bg = estimate_background(corpus, config)
     return spec, paths, config, corpus, bg
 
@@ -41,16 +41,15 @@ def toy_corpus(d=4):
     """
     rng = np.random.default_rng(0)
     novel = np.array([0.0, 0.0, 9.0, 0.0])
-    corpus = {}
+    regions = []
     for i in range(10):
-        regions = [
+        regions += [
             make_region(f"bg{i}_{j}", f"img{i}", rng.standard_normal(d) * 0.5)
             for j in range(2)
         ]
         if i < 3:
             regions.append(make_region(f"nv{i}", f"img{i}", novel + 0.01 * i))
-        corpus[f"img{i}"] = regions
-    return corpus
+    return table_of(regions)
 
 
 def toy_split():
@@ -68,7 +67,7 @@ class TestBackgroundEstimation:
         corpus = toy_corpus()
         config = Config(d=4)
         bg = estimate_background(corpus, config)
-        X = np.stack([r.feature for batch in corpus.values() for r in batch])
+        X = np.stack([r.feature for batch in batches_of(corpus) for r in batch])
         np.testing.assert_allclose(bg.mean, X.mean(axis=0), atol=1e-12)
         centered = X - X.mean(axis=0)
         expected = centered.T @ centered / len(X) + config.ridge_lambda * np.eye(4)
@@ -94,9 +93,9 @@ class TestPriors:
             make_region("p1", "i0", [1.0, 0, 0, 0], score=0.5, gt_label="cat"),
             make_region("p2", "i0", [1.0, 0, 0, 0], score=0.95, gt_label=None),
         ]
-        priors = build_priors(config, prior_records=records)
+        priors = build_priors(config, detections=table_of(records))
         assert list(priors) == ["cat"]
-        assert [r.region_id for r in priors["cat"]] == ["p0"]
+        assert [r.region_id for r in records_of(priors["cat"])] == ["p0"]
 
     def test_det_scores_requires_file(self):
         with pytest.raises(ValueError, match="prior detections"):
@@ -110,7 +109,7 @@ class TestPriors:
         )
         assert set(priors) == {"known_00", "known_01"}
         for label, regions in priors.items():
-            assert all(r.gt_label == label for r in regions)
+            assert all(r.gt_label == label for r in records_of(regions))
 
 
     def test_gt_overlap_matches_a_scalar_loop_on_random_boxes(self):
@@ -142,9 +141,10 @@ class TestPriors:
                             best_iou, best_class = value, g.class_name
                 if best_class is not None and best_iou > 0.5:
                     expected.setdefault(best_class, []).append(region.region_id)
-        priors = build_priors(Config(d=1, init_mode="gt_overlap"), corpus=corpus, gt=gt)
+        table = table_of([region for batch in corpus.values() for region in batch])
+        priors = build_priors(Config(d=1, init_mode="gt_overlap"), corpus=table, gt=gt)
         assert sum(len(v) for v in expected.values()) > 20
-        assert {c: [r.region_id for r in rs] for c, rs in priors.items()} == expected
+        assert {c: [r.region_id for r in records_of(rs)] for c, rs in priors.items()} == expected
         assert list(priors) == list(expected)
 
 
@@ -154,7 +154,7 @@ class TestRound:
         mem = DualMemory.initialize(identity_bg(4), config, None)
         state = RoundState(round_index=1, active="d1", mem=mem)
         split = split_dataset(["img0", "img1"], seed=0)
-        record = run_discovery_round(state, {"img0": [], "img1": []}, split)
+        record = run_discovery_round(state, table_of([], 4), split)
         assert state.round_index == 2
         assert state.active == "d2"
         assert record.slots_transferred == 0
@@ -199,7 +199,7 @@ class TestRound:
 class TestRunDiscovery:
     def test_round_count_and_alternation(self, synth_run, tmp_path):
         spec, paths, config, corpus, bg = synth_run
-        priors = build_priors(config, prior_records=_prior_records(paths))
+        priors = build_priors(config, detections=_prior_records(paths))
         run = run_discovery(corpus, bg, config, priors, out_dir=tmp_path / "run")
         assert len(run.consolidations) == config.rounds == 2
         assert run.stats["round_1_active"] == "d1"
@@ -212,7 +212,7 @@ class TestRunDiscovery:
     def test_single_round_single_consolidation(self, synth_run, tmp_path):
         spec, paths, config, corpus, bg = synth_run
         one_round = Config(d=8, min_images_per_slot=3, rounds=1, rng_seed=11)
-        priors = build_priors(one_round, prior_records=_prior_records(paths))
+        priors = build_priors(one_round, detections=_prior_records(paths))
         run = run_discovery(corpus, bg, one_round, priors, out_dir=tmp_path / "run")
         assert len(run.consolidations) == 1
         assert (tmp_path / "run" / "round_1" / "consolidation.log").exists()
@@ -220,9 +220,9 @@ class TestRunDiscovery:
 
     def test_assignments_cover_every_region(self, synth_run):
         spec, paths, config, corpus, bg = synth_run
-        priors = build_priors(config, prior_records=_prior_records(paths))
+        priors = build_priors(config, detections=_prior_records(paths))
         run = run_discovery(corpus, bg, config, priors)
-        all_regions = {r.region_id for batch in corpus.values() for r in batch}
+        all_regions = {r.region_id for batch in batches_of(corpus) for r in batch}
         assert set(run.assignments) == all_regions
         labels = {s.label for s in run.mem.semantic}
         for value in run.assignments.values():
@@ -230,21 +230,20 @@ class TestRunDiscovery:
 
     def test_unknown_classes_get_discovered(self, synth_run):
         spec, paths, config, corpus, bg = synth_run
-        priors = build_priors(config, prior_records=_prior_records(paths))
+        priors = build_priors(config, detections=_prior_records(paths))
         run = run_discovery(corpus, bg, config, priors)
         discovered = [s for s in run.mem.semantic if s.label.startswith("disc_")]
         assert discovered
         gt = load_gt(paths["gt"])
         from dualmem.evaluation import clusters_from_assignments, count_discovered
 
-        regions = {r.region_id: r for batch in corpus.values() for r in batch}
-        clusters = clusters_from_assignments(run.assignments, regions)
-        n = count_discovered(clusters, gt, 0.5, min_images=config.min_images_per_slot)
+        clusters = clusters_from_assignments(run.assignments, corpus)
+        n = count_discovered(clusters, corpus, gt, 0.5, min_images=config.min_images_per_slot)
         assert n >= 2
 
     def test_byte_identical_reruns(self, synth_run, tmp_path):
         spec, paths, config, corpus, bg = synth_run
-        priors = build_priors(config, prior_records=_prior_records(paths))
+        priors = build_priors(config, detections=_prior_records(paths))
         run_discovery(corpus, bg, config, priors, out_dir=tmp_path / "r1")
         run_discovery(corpus, bg, config, priors, out_dir=tmp_path / "r2")
         for name in ("assignments.tsv", "stats.txt", "config.txt"):
@@ -253,11 +252,11 @@ class TestRunDiscovery:
     def test_checkpoint_reload_continues_identically(self, synth_run, tmp_path):
         """Round 1's checkpoint, resumed for the remaining rounds, ends where the straight run ends."""
         spec, paths, config, corpus, bg = synth_run
-        priors = build_priors(config, prior_records=_prior_records(paths))
+        priors = build_priors(config, detections=_prior_records(paths))
         straight = run_discovery(corpus, bg, config, priors, out_dir=tmp_path / "run")
         reloaded = DualMemory.load_checkpoint(tmp_path / "run" / "round_1" / "checkpoint.bin", config)
         state = RoundState(2, "d2", reloaded)
-        split = split_dataset(list(corpus.keys()), config.rng_seed)
+        split = split_dataset(list(corpus.image_ids), config.rng_seed)
         while state.round_index <= config.rounds:
             run_discovery_round(state, corpus, split)
         assert final_assignments(reloaded, corpus) == straight.assignments
@@ -273,5 +272,4 @@ class TestRunDiscovery:
 def _prior_records(paths):
     from dualmem.corpus import open_corpus
 
-    _, stream = open_corpus(paths["priors"])
-    return list(stream)
+    return open_corpus(paths["priors"])

@@ -6,7 +6,7 @@ from dualmem.corpus import convert_corpus, ingest_corpus, open_corpus
 from dualmem.evaluation import load_gt
 from dualmem.synth import KNOWN_PRIOR_SCORE, SynthSpec, class_means, generate, kmeans_baseline, load_spec, save_spec
 
-from conftest import make_region
+from conftest import batches_of, make_region, records_of, table_of
 
 
 def small_spec(**kwargs):
@@ -57,7 +57,7 @@ class TestGenerate:
     def test_all_records_pass_ingestion(self, tmp_path):
         spec = small_spec()
         paths = generate(spec, tmp_path)
-        batches = list(ingest_corpus(paths["corpus"], Config(d=spec.d)))
+        batches = batches_of(ingest_corpus(paths["corpus"], Config(d=spec.d)))
         assert len(batches) == spec.images
         total = sum(len(b) for b in batches)
         expected = spec.images * (
@@ -69,19 +69,16 @@ class TestGenerate:
     def test_no_unknowns_means_known_labels_only(self, tmp_path):
         spec = small_spec(n_unknown=0, classes_per_image=2)
         paths = generate(spec, tmp_path)
-        _, stream = open_corpus(paths["corpus"])
-        for record in stream:
+        for record in records_of(open_corpus(paths["corpus"])):
             assert record.gt_label is None or record.gt_label.startswith("known_")
 
     def test_prior_records_are_high_score_known(self, tmp_path):
         spec = small_spec()
         paths = generate(spec, tmp_path)
-        _, stream = open_corpus(paths["priors"])
-        priors = list(stream)
+        priors = records_of(open_corpus(paths["priors"]))
         assert priors
         assert all(r.score == KNOWN_PRIOR_SCORE and r.gt_label.startswith("known_") for r in priors)
-        _, stream = open_corpus(paths["corpus"])
-        corpus_scores = {r.region_id: r.score for r in stream}
+        corpus_scores = {r.region_id: r.score for r in records_of(open_corpus(paths["corpus"]))}
         assert all(corpus_scores[r.region_id] == KNOWN_PRIOR_SCORE for r in priors)
 
     def test_generated_corpus_converts_to_binary_and_back(self, tmp_path):
@@ -95,8 +92,7 @@ class TestGenerate:
         paths = generate(spec, tmp_path)
         gt = load_gt(paths["gt"])
         gt_index = {(g.image_id, g.class_name): g.box for g in gt}
-        _, stream = open_corpus(paths["corpus"])
-        for record in stream:
+        for record in records_of(open_corpus(paths["corpus"])):
             if record.gt_label is not None:
                 assert record.box == gt_index[(record.image_id, record.gt_label)]
 
@@ -109,17 +105,15 @@ class TestGenerate:
         by_image = {}
         for g in gt:
             by_image.setdefault(g.image_id, []).append(g.box)
-        _, stream = open_corpus(paths["corpus"])
-        for record in stream:
+        for record in records_of(open_corpus(paths["corpus"])):
             if record.gt_label is None:
                 assert all(iou(record.box, b) == 0.0 for b in by_image[record.image_id])
 
     def test_class_balance_is_exact(self, tmp_path):
         spec = small_spec(images=30, classes_per_image=1)
         paths = generate(spec, tmp_path)
-        _, stream = open_corpus(paths["corpus"])
         counts = {}
-        for record in stream:
+        for record in records_of(open_corpus(paths["corpus"])):
             if record.gt_label:
                 counts[record.gt_label] = counts.get(record.gt_label, 0) + 1
         # 30 images round-robin over 5 classes: exactly 6 appearances each.
@@ -134,12 +128,9 @@ class TestGenerate:
         means = class_means(spec)
         names = [f"known_{i:02d}" for i in range(4)] + [f"unknown_{i:02d}" for i in range(4)]
         index = {name: i for i, name in enumerate(names)}
-        _, stream = open_corpus(paths["corpus"])
-        feats, labels = [], []
-        for record in stream:
-            feats.append(record.feature)
-            labels.append(index[record.gt_label])
-        X = np.stack(feats)
+        table = open_corpus(paths["corpus"])
+        X = table.features
+        labels = [index[label] for label in table.gt_labels]
         assert len(X) == 100_000
         d2 = ((X[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
         predicted = d2.argmin(axis=1)
@@ -160,35 +151,35 @@ class TestKmeans:
 
     def test_two_blobs_recovered(self):
         regions = self.blob_regions()
-        assignments, _, _ = kmeans_baseline(regions, k=2, seed=3)
+        assignments, _, _ = kmeans_baseline(table_of(regions), k=2, seed=3)
         blob0 = {assignments[f"r0_{i}"] for i in range(20)}
         blob1 = {assignments[f"r1_{i}"] for i in range(20)}
         assert len(blob0) == 1 and len(blob1) == 1 and blob0 != blob1
 
     def test_k1_centroid_is_global_mean(self):
         regions = self.blob_regions()
-        _, centers, _ = kmeans_baseline(regions, k=1, seed=0)
+        _, centers, _ = kmeans_baseline(table_of(regions), k=1, seed=0)
         X = np.stack([r.feature for r in regions])
         np.testing.assert_allclose(centers[0], X.mean(axis=0), atol=1e-12)
 
     def test_k_equals_n_distinct_points(self):
         regions = [make_region(f"r{i}", f"i{i}", [float(i), 0.0]) for i in range(6)]
-        assignments, _, history = kmeans_baseline(regions, k=6, seed=1)
+        assignments, _, history = kmeans_baseline(table_of(regions), k=6, seed=1)
         assert len(set(assignments.values())) == 6
         assert history[-1] == pytest.approx(0.0, abs=1e-9)
 
     def test_inertia_never_increases(self):
         regions = self.blob_regions(n_per=40, seed=5)
-        _, _, history = kmeans_baseline(regions, k=5, seed=9)
+        _, _, history = kmeans_baseline(table_of(regions), k=5, seed=9)
         assert all(history[i] >= history[i + 1] - 1e-9 for i in range(len(history) - 1))
 
     def test_k_exceeding_records_rejected(self):
         regions = self.blob_regions(n_per=2)
         with pytest.raises(ValueError, match="exceeds"):
-            kmeans_baseline(regions, k=10, seed=0)
+            kmeans_baseline(table_of(regions), k=10, seed=0)
 
     def test_deterministic_for_seed(self):
         regions = self.blob_regions(n_per=15, seed=2)
-        a, _, _ = kmeans_baseline(regions, k=3, seed=4)
-        b, _, _ = kmeans_baseline(regions, k=3, seed=4)
+        a, _, _ = kmeans_baseline(table_of(regions), k=3, seed=4)
+        b, _, _ = kmeans_baseline(table_of(regions), k=3, seed=4)
         assert a == b
