@@ -16,7 +16,7 @@ import struct
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -57,9 +57,9 @@ def write_corpus_jsonl(path: str | Path, d: int, records: Iterable[RegionRecord]
             fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
 
 
-def _jsonl_header(fh, path: Path) -> int:
+def _jsonl_header(line: str, path: Path) -> int:
     try:
-        header = json.loads(fh.readline())
+        header = json.loads(line)
         d = int(header["d"])
         version = int(header["version"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
@@ -69,41 +69,80 @@ def _jsonl_header(fh, path: Path) -> int:
     return d
 
 
+def _undecodable(line: str) -> UnicodeDecodeError | None:
+    """The error of decoding strictly a line read with ``errors="surrogateescape"``, if any."""
+    try:
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return exc
+    return None
+
+
+def _lines_before_undecodable(path: Path) -> tuple[list[str], str | None]:
+    """The lines before the first that is not UTF-8, and that line's error (None if every line decodes).
+
+    The lines split as the strict text reader splits them.
+    """
+    lines = []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            exc = _undecodable(line)
+            if exc:
+                return lines, f"{path}: line {lineno}: {exc}"
+            lines.append(line)
+    return lines, None
+
+
 def _read_jsonl(path: Path) -> RegionTable:
     """Every record as a table row; errors name the file and line."""
-    rows, stop = [], None
-    with open(path, "r", encoding="utf-8") as fh:
-        d = _jsonl_header(fh, path)
-        for lineno, line in enumerate(fh, 2):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                stop = f"{path}: line {lineno}: invalid JSON at column {exc.colno}"
-                break
-            try:
-                box = [float(v) for v in obj["box"]]
-                if len(box) != 4:
-                    BoundingBox(*box)  # raises the constructor's TypeError for the wrong number of values
-                fault = box_fault(*box)
-                if fault:
-                    raise ValueError(fault)
-                label = obj.get("gt_label")
-                region_id = str(obj["region_id"])
-                image_id = str(obj["image_id"])
-                score = float(obj["score"])
-                feature = np.asarray(obj["feature"], dtype=np.float64)
-            except (KeyError, TypeError, ValueError) as exc:
-                stop = f"{path}: line {lineno}: {exc}"
-                break
-            if not (0.0 <= score <= 1.0) or feature.shape != (d,):
-                fault = region_fault(region_id, score, feature)
-                stop = f"{path}: line {lineno}: {fault}" if fault else (
-                    f"{path}: region '{region_id}': feature dimension {feature.shape[0]} != {d}"
-                )
-                break
-            rows.append((region_id, image_id, box, score, feature, str(label) if label else None, lineno))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _parse_jsonl(path, fh)
+    except UnicodeDecodeError:
+        pass
+    # The text reader decodes a buffer at a time, so its error names no line and
+    # can come before earlier lines were checked: read again up to the first
+    # undecodable line, which ends the read as a bad record would.
+    lines, stop = _lines_before_undecodable(path)
+    if stop and not lines:
+        raise CorpusFormatError(stop)
+    return _parse_jsonl(path, iter(lines), stop)
+
+
+def _parse_jsonl(path: Path, text: Iterator[str], stop: str | None = None) -> RegionTable:
+    """The records of ``text``, header line first; ``stop`` is the error that ended it early, if any."""
+    rows = []
+    d = _jsonl_header(next(text, ""), path)
+    for lineno, line in enumerate(text, 2):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            stop = f"{path}: line {lineno}: invalid JSON at column {exc.colno}"
+            break
+        try:
+            box = [float(v) for v in obj["box"]]
+            if len(box) != 4:
+                BoundingBox(*box)  # raises the constructor's TypeError for the wrong number of values
+            fault = box_fault(*box)
+            if fault:
+                raise ValueError(fault)
+            label = obj.get("gt_label")
+            region_id = str(obj["region_id"])
+            image_id = str(obj["image_id"])
+            score = float(obj["score"])
+            feature = np.asarray(obj["feature"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            stop = f"{path}: line {lineno}: {exc}"
+            break
+        if not (0.0 <= score <= 1.0) or feature.shape != (d,):
+            fault = region_fault(region_id, score, feature)
+            stop = f"{path}: line {lineno}: {fault}" if fault else (
+                f"{path}: region '{region_id}': feature dimension {feature.shape[0]} != {d}"
+            )
+            break
+        rows.append((region_id, image_id, box, score, feature, str(label) if label else None, lineno))
     columns = [list(column) for column in zip(*rows)] or [[] for _ in range(7)]
     ids, images, boxes, scores, features, labels, lines = columns
     return _checked_table(
@@ -259,8 +298,12 @@ def read_corpus_dim(path: str | Path) -> int:
     if _is_binary(path):
         with open(path, "rb") as fh:
             return _binary_header(fh, path)[0]
-    with open(path, "r", encoding="utf-8") as fh:
-        return _jsonl_header(fh, path)
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        header = fh.readline()
+    exc = _undecodable(header)
+    if exc:
+        raise CorpusFormatError(f"{path}: line 1: {exc}")
+    return _jsonl_header(header, path)
 
 
 def convert_corpus(src: str | Path, dst: str | Path) -> None:

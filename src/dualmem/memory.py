@@ -8,12 +8,23 @@ matched by cosine; their members are corpus rows, whose features consolidation
 gathers. A slot's count is its number of members. Retrieval is a pure decision;
 applying a decision is the only mutation path. Checkpoints are taken between
 rounds, when working memory is empty, and hold the semantic slots.
+
+The per-region path (``retrieve``, ``apply_decision``, ``process_image``,
+``mine_region``) is written for few numpy calls per region, under one contract:
+every float comes from the same operation on the same operands in the same order
+as the straightforward code kept in ``tests/test_memory_hot_path.py``, so
+decisions, scores and stored floats are bit-identical to it. Scores are summed
+in place and norms taken as ``sqrt(v.dot(v))``, which is what
+``np.linalg.norm`` computes for a vector. Regions are still scored one at a
+time: a GEMM over an image's regions rounds differently from one GEMV per
+region, by up to 2e-14, so a decision near a threshold could flip.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,7 +53,7 @@ class DecisionKind(enum.Enum):
     REJECTED = "rejected"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RetrievalDecision:
     kind: DecisionKind
     slot_id: int | None
@@ -175,36 +186,37 @@ class DualMemory:
         memory by cosine; a miss on both creates a slot unless the cap is hit.
         ``white`` is the whitened row of an already checked feature.
         """
-        f = np.asarray(feature, dtype=np.float64)
+        f = feature
         if white is None:
+            f = np.asarray(feature, dtype=np.float64)
             if f.ndim != 1:
                 raise ValueError(f"feature has shape {f.shape}, expected ({self.config.d},)")
             white = whiten(f, self.bg)
         cfg = self.config
         if self.semantic:
-            scores = self._sem_white @ white + self._sem_offset
-            best = int(np.argmax(scores))
-            if scores[best] >= cfg.tau_semantic:
-                return RetrievalDecision(
-                    DecisionKind.KNOWN_MATCH, self.semantic[best].slot_id, float(scores[best])
-                )
+            scores = self._sem_white @ white
+            scores += self._sem_offset
+            best = int(scores.argmax())
+            score = float(scores[best])
+            if score >= cfg.tau_semantic:
+                return RetrievalDecision(DecisionKind.KNOWN_MATCH, self.semantic[best].slot_id, score)
         best_cos = -1.0
         n = len(self.working)
         if n:
-            f_norm = float(np.linalg.norm(f))
-            denom = self._work_norm[:n] * f_norm
-            raw = self._work_mu[:n] @ f
-            if np.any(denom == 0.0):
-                logger.warning("degenerate zero-norm centroid or feature during retrieval")
-            sims = np.where(denom > 0.0, raw / np.where(denom > 0.0, denom, 1.0), 0.0)
-            sims = np.clip(sims, -1.0, 1.0)
-            best = int(np.argmax(sims))
+            denom = self._work_norm[:n] * math.sqrt(f.dot(f))
+            sims = self._work_mu[:n] @ f
+            if denom.min() > 0.0:
+                sims /= denom
+            else:
+                if np.any(denom == 0.0):
+                    logger.warning("degenerate zero-norm centroid or feature during retrieval")
+                sims = np.where(denom > 0.0, sims / np.where(denom > 0.0, denom, 1.0), 0.0)
+            sims.clip(-1.0, 1.0, out=sims)
+            best = int(sims.argmax())
             best_cos = float(sims[best])
             if best_cos >= cfg.tau_working:
-                return RetrievalDecision(
-                    DecisionKind.WORKING_MATCH, self.working[best].slot_id, best_cos
-                )
-        if self.total_slots >= cfg.slot_cap:
+                return RetrievalDecision(DecisionKind.WORKING_MATCH, self.working[best].slot_id, best_cos)
+        if len(self.semantic) + n >= cfg.slot_cap:
             return RetrievalDecision(DecisionKind.REJECTED, None, best_cos)
         return RetrievalDecision(DecisionKind.NEW_SLOT, None, best_cos)
 
@@ -214,46 +226,63 @@ class DualMemory:
         index = self._sem_rows.get(slot_id)
         if index is None:
             raise StaleDecisionError(f"semantic slot {slot_id} no longer exists")
+        self._absorb_semantic(index, row)
+
+    def _absorb_semantic(self, index: int, row: int) -> None:
+        """Move semantic slot ``index``'s means and score row to take in corpus row ``row``."""
         slot = self.semantic[index]
-        slot.mean = slot.mean + (self.corpus.features[row] - slot.mean) / (slot.count + 1)
-        slot.white = slot.white + (self.white[row] - slot.white) / (slot.count + 1)
+        n = len(slot.members) + 1
+        mean = self.corpus.features[row] - slot.mean
+        mean /= n
+        mean += slot.mean
+        white = self.white[row] - slot.white
+        white /= n
+        white += slot.white
+        slot.mean, slot.white = mean, white
         slot.members.append(self.corpus.region_ids[row])
-        self._sem_white[index] = slot.white
-        self._sem_offset[index] = slot.offset
+        self._sem_white[index] = white
+        self._sem_offset[index] = np.log(n / self.bg.count) - 0.5 * (white @ white)
 
     def apply_decision(self, decision: RetrievalDecision, row: int) -> None:
         """Mutate the memory according to a decision :meth:`retrieve` made for corpus row ``row``."""
-        if decision.kind is DecisionKind.REJECTED:
+        kind = decision.kind
+        if kind is DecisionKind.REJECTED:
             self.rejected_count += 1
             return
-        if decision.kind is DecisionKind.KNOWN_MATCH:
+        if kind is DecisionKind.KNOWN_MATCH:
             self._update_semantic_slot(decision.slot_id, row)
             return
         feature = self.corpus.features[row]
-        if decision.kind is DecisionKind.WORKING_MATCH:
+        if kind is DecisionKind.WORKING_MATCH:
             index = self._work_rows.get(decision.slot_id)
             if index is None:
                 raise StaleDecisionError(f"working slot {decision.slot_id} no longer exists")
             slot = self.working[index]
-            slot.centroid = slot.centroid + (feature - slot.centroid) / (slot.count + 1)
+            centroid = feature - slot.centroid
+            centroid /= len(slot.rows) + 1
+            centroid += slot.centroid
+            slot.centroid = centroid
             slot.rows.append(row)
         else:
-            slot = WorkingSlot(self.next_slot_id, feature.copy(), [row])
+            centroid = feature.copy()
+            slot = WorkingSlot(self.next_slot_id, centroid, [row])
             self.next_slot_id += 1
             index = len(self.working)
             self.working.append(slot)
             self._work_rows[slot.slot_id] = index
             if index == len(self._work_mu):  # a raised slot_cap, or a stale NEW_SLOT applied at the cap
                 self.rebuild_caches()
-        self._work_mu[index] = slot.centroid
-        self._work_norm[index] = np.linalg.norm(slot.centroid)
+        self._work_mu[index] = centroid
+        self._work_norm[index] = math.sqrt(centroid.dot(centroid))
 
     def process_image(self, rows: Iterable[int]) -> list[RetrievalDecision]:
         """Retrieve-then-apply each corpus row in order; later rows see earlier updates."""
+        features, white = self.corpus.features, self.white
+        retrieve, apply_decision = self.retrieve, self.apply_decision
         decisions = []
         for row in rows:
-            decision = self.retrieve(self.corpus.features[row], self.white[row])
-            self.apply_decision(decision, row)
+            decision = retrieve(features[row], white[row])
+            apply_decision(decision, row)
             decisions.append(decision)
         return decisions
 
@@ -261,11 +290,12 @@ class DualMemory:
         """Validation-phase matching of a corpus row: accept into semantic memory only, never create slots."""
         if not self.semantic:
             return False
-        scores = self._sem_white @ self.white[row] + self._sem_offset
-        best = int(np.argmax(scores))
+        scores = self._sem_white @ self.white[row]
+        scores += self._sem_offset
+        best = int(scores.argmax())
         if scores[best] < self.config.tau_semantic:
             return False
-        self._update_semantic_slot(self.semantic[best].slot_id, row)
+        self._absorb_semantic(best, row)
         return True
 
     # -- checkpointing ------------------------------------------------------

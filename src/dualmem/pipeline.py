@@ -153,23 +153,22 @@ def run_discovery_round(
             if i is not None:
                 yield range(starts[i], starts[i + 1])
 
-    counts = {kind: 0 for kind in DecisionKind}
-    regions_seen = 0
+    kinds: list[DecisionKind] = []
     for rows in rows_of(active_ids):
-        regions_seen += len(rows)
-        for decision in mem.process_image(rows):
-            counts[decision.kind] += 1
+        kinds += [decision.kind for decision in mem.process_image(rows)]
 
     record = consolidate(mem, round_index=state.round_index)
 
     mined = 0
     mined_seen = 0
+    mine_region = mem.mine_region
     for rows in rows_of(inactive_ids):
         mined_seen += len(rows)
-        mined += sum(mem.mine_region(row) for row in rows)
+        for row in rows:
+            mined += mine_region(row)
 
     state.rounds[state.round_index] = RoundCounts(
-        state.active, regions_seen, **{kind.value: n for kind, n in counts.items()},
+        state.active, len(kinds), **{kind.value: kinds.count(kind) for kind in DecisionKind},
         mined=mined, mined_candidates=mined_seen,
     )
     state.round_index += 1

@@ -329,6 +329,31 @@ class TestTruncatedCorpus:
             assert not (out / "manifest.json").exists()
 
 
+class TestCorpusNotUtf8:
+    def test_background_and_eval_name_the_line_before_any_manifest(self, tmp_path, full_run, capsys):
+        generated, _, run_dir, _ = full_run
+        corpus = tmp_path / "bad.jsonl"
+        lines = (generated / "corpus.jsonl").read_bytes().split(b"\n")
+        bad = bytearray(lines[100])
+        bad[7] = 0xFF
+        lines[100] = bytes(bad)
+        corpus.write_bytes(b"\n".join(lines))
+        argv = {
+            "background": ["background", "--corpus", str(corpus)],
+            "eval": [
+                "eval", "--corpus", str(corpus), "--assignments", str(run_dir / "assignments.tsv"),
+                "--gt", str(generated / "gt.jsonl"),
+            ],
+        }
+        capsys.readouterr()
+        for name, args in argv.items():
+            out = tmp_path / f"out_{name}"
+            assert main(args + ["--out", str(out)]) == 1, name
+            err = capsys.readouterr().err
+            assert err == f"error: {corpus}: line 101: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n"
+            assert not (out / "manifest.json").exists()
+
+
 class TestCorruptLengths:
     """A corrupt length field is a one-line error naming the file, checked before anything is read."""
 

@@ -126,6 +126,51 @@ class TestFormats:
             open_corpus(path)
 
 
+def _with_bad_byte(path, line, position):
+    """Replace one byte of a (1-based) line of ``path`` with 0xFF, which UTF-8 never holds."""
+    lines = path.read_bytes().split(b"\n")
+    bad = bytearray(lines[line - 1])
+    bad[position] = 0xFF
+    lines[line - 1] = bytes(bad)
+    path.write_bytes(b"\n".join(lines))
+
+
+class TestNotUtf8:
+    """A JSONL corpus with bytes that are not UTF-8 fails naming the file and the line that holds them."""
+
+    def corpus(self, tmp_path, n_images=40):
+        path = tmp_path / "corpus.jsonl"
+        write_corpus_jsonl(path, 3, sample_records(n_images=n_images))
+        return path
+
+    @pytest.mark.parametrize("line", [2, 3, 101, 160])
+    def test_every_reader_names_the_line(self, tmp_path, line):
+        path = self.corpus(tmp_path)  # 161 lines, well past the reader's first buffer
+        _with_bad_byte(path, line, 5)
+        expected = f"{path}: line {line}: 'utf-8' codec can't decode byte 0xff in position 5: invalid start byte"
+        assert read_corpus_dim(path) == 3  # the header alone is read, and it decodes
+        for read in (open_corpus, lambda p: ingest_corpus(p, Config(d=3)), load_corpus):
+            with pytest.raises(CorpusFormatError) as info:
+                read(path)
+            assert str(info.value) == expected
+
+    def test_a_header_that_is_not_utf8_is_a_line_1_error(self, tmp_path):
+        path = self.corpus(tmp_path, n_images=2)
+        _with_bad_byte(path, 1, 0)
+        for read in (open_corpus, read_corpus_dim, lambda p: ingest_corpus(p, Config(d=3))):
+            with pytest.raises(CorpusFormatError, match=rf"^{path}: line 1: 'utf-8' codec can't decode byte 0xff"):
+                read(path)
+
+    def test_an_earlier_bad_record_is_reported_first(self, tmp_path):
+        path = self.corpus(tmp_path, n_images=2)
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2][:10]  # line 3: cut JSON, in the same buffer as the bad byte on line 5
+        path.write_bytes(b"\n".join(lines))
+        _with_bad_byte(path, 5, 5)
+        with pytest.raises(CorpusFormatError, match=rf"^{path}: line 3: invalid JSON"):
+            open_corpus(path)
+
+
 class TestIngest:
     def write(self, tmp_path, records, d=3):
         path = tmp_path / "corpus.jsonl"
