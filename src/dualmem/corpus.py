@@ -239,10 +239,11 @@ def _read_binary(path: Path) -> RegionTable:
     names = ("gt_label", "region_id", "image_id")  # the order each record's fields are checked in
     (labels, ids, images), bad_text = _decode_ids(path, [records[name].tolist() for name in names])
     records = records[: len(ids)]
+    with np.errstate(invalid="ignore"):  # a signalling NaN; _checked_table names its record
+        boxes, scores = records["box"].astype(np.float64), records["score"].astype(np.float64)
+        features = np.ascontiguousarray(records["feature"], dtype=np.float64).reshape(len(ids), d)
     return _checked_table(
-        path, lambda i: f"{path}: record {i}", ids, images,
-        records["box"].astype(np.float64), records["score"].astype(np.float64),
-        np.ascontiguousarray(records["feature"], dtype=np.float64).reshape(len(ids), d),
+        path, lambda i: f"{path}: record {i}", ids, images, boxes, scores, features,
         [label or None for label in labels], bad_text or stop,
     )
 

@@ -355,6 +355,12 @@ class DualMemory:
                 mean = _read_floats(fh, d, "slot mean")
                 white = _read_floats(fh, d, "slot whitened mean")
                 members = _read_str_list(fh)
+                if not members:
+                    raise ValueError(f"{path}: semantic slot {slot_id} has no members")
+                with np.errstate(over="ignore"):
+                    scorable = np.isfinite(mean).all() and np.isfinite(white).all() and np.isfinite(white @ white)
+                if not scorable:
+                    raise ValueError(f"{path}: semantic slot {slot_id} has a mean that cannot be scored")
                 mem.semantic.append(SemanticSlot(slot_id, label, mean, white, bg, members))
             _expect_end(fh)
         mem.rebuild_caches()

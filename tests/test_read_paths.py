@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from dualmem.cli import main
 from dualmem.config import Config, save_config
 from dualmem.consolidation import consolidate
-from dualmem.corpus import convert_corpus, open_corpus
+from dualmem.corpus import BINARY_HEADER, ID_FIELD_BYTES, convert_corpus, open_corpus
 from dualmem.memory import DualMemory
 from dualmem.records import BoundingBox, RegionRecord
 from dualmem.stats import BackgroundStats
@@ -184,6 +184,30 @@ def test_checkpoint_string_that_is_not_utf8_names_file_and_offset(tmp_path, inpu
     checkpoint.write_bytes(bytes(data))
     with pytest.raises(ValueError, match=f"^{checkpoint}: string at byte {first_label + 4}: 'utf-8' codec"):
         DualMemory.load_checkpoint(checkpoint, config)
+
+
+@pytest.mark.parametrize("value", [1e200, np.inf, np.nan])
+def test_checkpoint_slot_mean_that_cannot_score_names_the_slot(tmp_path, inputs, value):
+    paths, config = inputs
+    data = bytearray(paths["checkpoint"].read_bytes())
+    d = 4
+    first_white = 12 + 32 + 16 + 8 * d + 8 * d * d + 8 + 4 + 8 + 4 + 3 + 8 * d  # .. "cat", its mean
+    data[first_white: first_white + 8] = struct.pack("<d", value)
+    checkpoint = tmp_path / "checkpoint.bin"
+    checkpoint.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=f"^{checkpoint}: semantic slot 0 has a mean that cannot be scored$"):
+        DualMemory.load_checkpoint(checkpoint, config)
+
+
+def test_binary_corpus_signalling_nan_names_the_record(tmp_path, inputs):
+    paths, _ = inputs
+    data = bytearray(paths["dmrf"].read_bytes())
+    first_feature = BINARY_HEADER.size + 3 * ID_FIELD_BYTES + 4 * 5
+    data[first_feature: first_feature + 4] = struct.pack("<I", 0x7F800001)  # float32 signalling NaN
+    corpus = tmp_path / "corpus.dmrf"
+    corpus.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=f"^{corpus}: record 0: region '.*': feature contains non-finite values$"):
+        open_corpus(corpus)
 
 
 # ---------------------------------------------------------------------------
