@@ -59,7 +59,7 @@ from .pipeline import (
     run_discovery_round,
     whiten_corpus,
 )
-from .records import BoundingBox, CorpusFormatError, RegionRecord, RegionTable
+from .records import BoundingBox, CorpusFormatError, GroundTruthTable, RegionRecord, RegionTable
 from .stats import (
     BackgroundStats,
     InsufficientSamplesError,

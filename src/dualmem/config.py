@@ -7,7 +7,7 @@ import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from .reporting import format_value, write_key_values
+from .reporting import format_value, read_lines, write_key_values
 
 CONSOLIDATION_MODES = ("naive", "merge", "merge_refine")
 INIT_MODES = ("null", "det_scores", "gt_overlap")
@@ -78,7 +78,7 @@ def load_fields(cls: type, path: str | Path) -> dict[str, object]:
     """Parse a ``key = value`` file into values for fields of the dataclass ``cls``."""
     fields = {f.name: f for f in dataclasses.fields(cls)}
     values: dict[str, object] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in read_lines(path):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

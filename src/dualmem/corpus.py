@@ -111,7 +111,9 @@ def _read_jsonl(path: Path) -> RegionTable:
 
 def _parse_jsonl(path: Path, text: Iterator[str], stop: str | None = None) -> RegionTable:
     """The records of ``text``, header line first; ``stop`` is the error that ended it early, if any."""
-    rows = []
+    # One list per column, not a tuple per record: a tuple or box list per record
+    # would be an object for the garbage collector to track and promote.
+    ids, images, coords, scores, features, labels, lines = [], [], [], [], [], [], []
     d = _jsonl_header(next(text, ""), path)
     for lineno, line in enumerate(text, 2):
         if not line.strip():
@@ -120,6 +122,9 @@ def _parse_jsonl(path: Path, text: Iterator[str], stop: str | None = None) -> Re
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             stop = f"{path}: line {lineno}: invalid JSON at column {exc.colno}"
+            break
+        except ValueError as exc:  # an integer literal longer than int() converts
+            stop = f"{path}: line {lineno}: {exc}"
             break
         try:
             box = [float(v) for v in obj["box"]]
@@ -133,7 +138,7 @@ def _parse_jsonl(path: Path, text: Iterator[str], stop: str | None = None) -> Re
             image_id = str(obj["image_id"])
             score = float(obj["score"])
             feature = np.asarray(obj["feature"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             stop = f"{path}: line {lineno}: {exc}"
             break
         if not (0.0 <= score <= 1.0) or feature.shape != (d,):
@@ -142,12 +147,16 @@ def _parse_jsonl(path: Path, text: Iterator[str], stop: str | None = None) -> Re
                 f"{path}: region '{region_id}': feature dimension {feature.shape[0]} != {d}"
             )
             break
-        rows.append((region_id, image_id, box, score, feature, str(label) if label else None, lineno))
-    columns = [list(column) for column in zip(*rows)] or [[] for _ in range(7)]
-    ids, images, boxes, scores, features, labels, lines = columns
+        ids.append(region_id)
+        images.append(image_id)
+        coords += box
+        scores.append(score)
+        features.append(feature)
+        labels.append(str(label) if label else None)
+        lines.append(lineno)
     return _checked_table(
         path, lambda i: f"{path}: line {lines[i]}", ids, images,
-        np.array(boxes, dtype=np.float64).reshape(-1, 4), np.array(scores, dtype=np.float64),
+        np.array(coords, dtype=np.float64).reshape(-1, 4), np.array(scores, dtype=np.float64),
         np.array(features, dtype=np.float64).reshape(len(ids), d), labels, stop,
     )
 

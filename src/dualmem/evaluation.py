@@ -1,15 +1,16 @@
 """Clustering and localization metrics over discovered assignments.
 
-All metrics are pure functions of the assignments, the region geometry, and
-ground-truth boxes. Cluster purity and coverage feed a cumulative-purity curve
-whose area (percent scale) is the headline discovery number; CorLoc, CorRet,
-and DetRate cover the localization-style protocols.
+All metrics are pure functions of the assignments, the region table, and the
+ground-truth table: ``load_gt`` reads ``gt.jsonl`` into one ``GroundTruthTable``
+(image ids, an (m, 4) box array, class names, known flags) and builds no object
+per box. Cluster purity and coverage feed a cumulative-purity curve whose area
+(percent scale) is the headline discovery number; CorLoc, CorRet, and DetRate
+cover the localization-style protocols.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
@@ -17,18 +18,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .records import BoundingBox, RegionTable
-from .reporting import UNASSIGNED
+from .records import BoundingBox, GroundTruthBox, GroundTruthTable, RegionTable, box_fault
+from .reporting import UNASSIGNED, read_lines
 
 BACKGROUND = "background"
-
-
-@dataclass(frozen=True)
-class GroundTruthBox:
-    image_id: str
-    box: BoundingBox
-    class_name: str
-    known_flag: bool
 
 
 @dataclass
@@ -71,28 +64,39 @@ def write_gt(path: str | Path, boxes: Iterable[GroundTruthBox]) -> None:
             )
 
 
-def load_gt(path: str | Path) -> list[GroundTruthBox]:
-    boxes = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+def load_gt(path: str | Path) -> GroundTruthTable:
+    """Every record of a ground-truth file as a table row, in file order.
+
+    Fields are checked in record order (image id, box, class name, known flag),
+    and the first bad line raises ValueError naming the file and the line.
+    """
+    image_ids: list[str] = []
+    coords: list[float] = []
+    class_names: list[str] = []
+    known: list[bool] = []
+    for lineno, line in read_lines(path):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-            boxes.append(
-                GroundTruthBox(
-                    image_id=str(obj["image_id"]),
-                    box=BoundingBox(*(float(v) for v in obj["box"])),
-                    class_name=str(obj["class_name"]),
-                    known_flag=bool(obj["known_flag"]),
-                )
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            image_ids.append(str(obj["image_id"]))
+            box = [float(v) for v in obj["box"]]
+            if len(box) != 4:
+                BoundingBox(*box)  # raises the constructor's TypeError for the wrong number of values
+            fault = box_fault(*box)
+            if fault:
+                raise ValueError(fault)
+            coords += box
+            class_names.append(str(obj["class_name"]))
+            known.append(bool(obj["known_flag"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}:{lineno}: bad ground-truth record: {exc}") from exc
-    return boxes
+    boxes = np.array(coords, dtype=np.float64).reshape(-1, 4)
+    return GroundTruthTable(image_ids, boxes, class_names, np.array(known, dtype=bool))
 
 
-def unknown_classes(gt: Sequence[GroundTruthBox]) -> set[str]:
-    return {g.class_name for g in gt if not g.known_flag}
+def unknown_classes(gt: GroundTruthTable) -> set[str]:
+    return {gt.classes[c] for c in np.unique(gt.class_code[~gt.known]).tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +116,13 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 def label_region(
     regions: RegionTable,
     row: int,
-    gt_for_image: Sequence[GroundTruthBox],
+    gt: GroundTruthTable,
     iou_threshold: float,
 ) -> str | None:
     """Class of the first max-IoU box if it overlaps the region and clears the threshold."""
-    table = IouTable(regions, [row], gt_for_image)
+    table = IouTable(regions, [row], gt)
     best = int(table.best[0]) if table.best_iou[0] >= iou_threshold else -1
-    return gt_for_image[best].class_name if best >= 0 else None
+    return gt.class_names[best] if best >= 0 else None
 
 
 class IouTable:
@@ -131,17 +135,16 @@ class IouTable:
     box, or -1 when no box overlaps the region: the ``label_region`` rule.
     """
 
-    def __init__(self, regions: RegionTable, rows: Sequence[int], gt: Sequence[GroundTruthBox]):
+    def __init__(self, regions: RegionTable, rows: Sequence[int], gt: GroundTruthTable):
         self.gt = gt
         self.rows = rows = np.asarray(rows, dtype=np.intp)
-        codes: dict[str, int] = {}
-        self.gt_image = np.array([codes.setdefault(g.image_id, len(codes)) for g in gt], dtype=int)
-        self.n_gt_images = len(codes)
+        self.gt_image = gt.image_code
+        self.n_gt_images = len(gt.image_index)
         # Region r pairs with the count[c] boxes of its image c, which start at start[c] in
         # image order; c is -1 for an image without boxes, and count[-1] is 0.
-        image_code = np.array([codes.get(image_id, -1) for image_id in regions.image_ids], dtype=int)
+        image_code = np.array([gt.image_index.get(image_id, -1) for image_id in regions.image_ids], dtype=int)
         region_image = image_code[regions.row_image[rows]]
-        count = np.bincount(self.gt_image, minlength=len(codes) + 1)
+        count = np.bincount(self.gt_image, minlength=self.n_gt_images + 1)
         start = np.cumsum(count) - count
         n_pairs = count[region_image]
         self.region = np.repeat(np.arange(len(rows)), n_pairs)
@@ -150,7 +153,7 @@ class IouTable:
         self.box = np.argsort(self.gt_image, kind="stable")[in_image_order]
 
         a = regions.boxes[rows][self.region].T
-        b = np.array([g.box.as_list() for g in gt], dtype=float).reshape(-1, 4)[self.box].T
+        b = gt.boxes[self.box].T
         ix = np.minimum(a[2], b[2]) - np.maximum(a[0], b[0])
         iy = np.minimum(a[3], b[3]) - np.maximum(a[1], b[1])
         intersection = ix * iy
@@ -175,7 +178,7 @@ class _ClusterTable(IouTable):
     """
 
     def __init__(
-        self, clusters: Mapping[str, Sequence[int]], regions: RegionTable, gt: Sequence[GroundTruthBox]
+        self, clusters: Mapping[str, Sequence[int]], regions: RegionTable, gt: GroundTruthTable
     ):
         self.labels = sorted(clusters)
         self.members = [list(clusters[label]) for label in self.labels]
@@ -183,8 +186,6 @@ class _ClusterTable(IouTable):
         self.images = regions.image_of(self.rows)
         self.sizes = [len(members) for members in self.members]
         self.cluster = np.repeat(np.arange(len(self.labels)), self.sizes)
-        names = np.array([g.class_name for g in gt], dtype=str)
-        self.class_names, self.gt_class = np.unique(names, return_inverse=True)
         self._purities: dict[float, list[tuple[float, str]]] = {}
 
     def purities(self, t: float) -> list[tuple[float, str]]:
@@ -194,13 +195,13 @@ class _ClusterTable(IouTable):
                 raise ValueError("purity of an empty cluster is undefined")
             label = np.where(self.best_iou >= t, self.best, -1)
             hit = label >= 0
-            n_classes = max(1, len(self.class_names))
-            pairs = self.cluster[hit] * n_classes + self.gt_class[label[hit]]
+            n_classes = max(1, len(self.gt.classes))
+            pairs = self.cluster[hit] * n_classes + self.gt.class_code[label[hit]]
             counts = np.bincount(pairs, minlength=len(self.labels) * n_classes).reshape(-1, n_classes)
             # argmax takes the first of equal counts: the smallest class name.
             top = zip(counts.max(axis=1, initial=0).tolist(), counts.argmax(axis=1).tolist())
             self._purities[t] = [
-                (n / size, str(self.class_names[c])) if n else (0.0, BACKGROUND)
+                (n / size, self.gt.classes[c]) if n else (0.0, BACKGROUND)
                 for (n, c), size in zip(top, self.sizes)
             ]
         return self._purities[t]
@@ -208,7 +209,7 @@ class _ClusterTable(IouTable):
     def _relevant_pairs(self, t: float, classes: set[str] | None) -> tuple[np.ndarray, int]:
         """Pairs hitting a box of ``classes`` (default: unknown), and that box count."""
         classes = unknown_classes(self.gt) if classes is None else classes
-        relevant = np.array([g.class_name in classes for g in self.gt], dtype=bool)
+        relevant = np.array([name in classes for name in self.gt.classes], dtype=bool)[self.gt.class_code]
         return (self.iou >= t) & relevant[self.box], int(np.count_nonzero(relevant))
 
     def curve(self, t: float, classes: set[str] | None = None) -> list[tuple[float, float]]:
@@ -236,7 +237,7 @@ class _ClusterTable(IouTable):
 
     def detrate(self, t: float) -> float:
         recalled = np.unique(self.box[self.iou >= t]).size
-        return 100.0 * recalled / len(self.gt) if self.gt else 0.0
+        return 100.0 * recalled / len(self.gt) if len(self.gt) else 0.0
 
     def reports(self, t: float) -> list[ClusterReport]:
         ends = np.cumsum(self.sizes).tolist()
@@ -275,7 +276,7 @@ def clusters_from_assignments(assignments: Mapping[str, str], regions: RegionTab
 def purity(
     members: Sequence[int],
     regions: RegionTable,
-    gt: Sequence[GroundTruthBox],
+    gt: GroundTruthTable,
     iou_threshold: float,
 ) -> tuple[float, str]:
     """Majority-class fraction over all members; background members only dilute.
@@ -289,7 +290,7 @@ def purity(
 def coverage(
     clusters: Mapping[str, Sequence[int]],
     regions: RegionTable,
-    gt: Sequence[GroundTruthBox],
+    gt: GroundTruthTable,
     iou_threshold: float,
     classes: set[str] | None = None,
 ) -> float:
@@ -304,7 +305,7 @@ def coverage(
 def cumulative_purity_curve(
     clusters: Mapping[str, Sequence[int]],
     regions: RegionTable,
-    gt: Sequence[GroundTruthBox],
+    gt: GroundTruthTable,
     iou_threshold: float,
     classes: set[str] | None = None,
 ) -> list[tuple[float, float]]:
@@ -341,7 +342,7 @@ def auc(curve: Sequence[tuple[float, float]]) -> float:
 def corloc(
     assignments: Mapping[str, str],
     regions: RegionTable,
-    gt: Sequence[GroundTruthBox],
+    gt: GroundTruthTable,
     iou_threshold: float = 0.5,
 ) -> float:
     """Percent of ground-truth-bearing images with one assigned region localized
@@ -353,7 +354,7 @@ def corloc(
 def detrate(
     assignments: Mapping[str, str],
     regions: RegionTable,
-    gt: Sequence[GroundTruthBox],
+    gt: GroundTruthTable,
     iou_threshold: float,
 ) -> float:
     """Recall of ground-truth boxes by assigned regions, in percent."""
@@ -364,7 +365,7 @@ def detrate(
 def corret(
     assignments: Mapping[str, str],
     regions: RegionTable,
-    gt: Sequence[GroundTruthBox],
+    gt: GroundTruthTable,
     k: int = 10,
     by_slot: bool = False,
 ) -> float:
@@ -376,18 +377,17 @@ def corret(
     similarities rank by image id.
     """
     row_of = {region_id: row for row, region_id in enumerate(regions.region_ids)}
-    assigned = [(row_of[rid], label) for rid, label in assignments.items()
-                if label != UNASSIGNED and rid in row_of]
-    rows = np.array([row for row, _ in assigned], dtype=np.intp)
+    assigned = [rid for rid, label in assignments.items() if label != UNASSIGNED and rid in row_of]
+    rows = np.array([row_of[rid] for rid in assigned], dtype=np.intp)
     image_of = regions.image_of(rows)
-    eligible = sorted(set(image_of) & {g.image_id for g in gt})
+    eligible = sorted(set(image_of).intersection(gt.image_index))
     if len(eligible) < 2:
         return 0.0
     index_of = {image_id: index for index, image_id in enumerate(eligible)}
     images = np.array([index_of.get(image_id, -1) for image_id in image_of], dtype=np.intp)
     keep = images >= 0
     if by_slot:
-        _, slots = np.unique([label for _, label in assigned], return_inverse=True)
+        _, slots = np.unique([assignments[rid] for rid in assigned], return_inverse=True)
         reps = np.zeros((len(eligible), slots.max() + 1))
         np.add.at(reps, (images[keep], slots[keep]), 1.0)
     else:
@@ -399,11 +399,12 @@ def corret(
     unit = reps / np.where(norms > 0.0, norms, 1.0)[:, None]
     sims = unit @ unit.T
 
-    counts: dict[str, Counter[str]] = {}
-    for g in gt:
-        counts.setdefault(g.image_id, Counter())[g.class_name] += 1
-    majority = [min(c, key=lambda name: (-c[name], name)) for c in map(counts.get, eligible)]
-    _, classes = np.unique(majority, return_inverse=True)
+    # Each image's majority class as an index into the sorted class names, from one
+    # count per (image, class): argmax takes the first of equal counts, the smallest name.
+    n_classes = len(gt.classes)
+    counts = np.bincount(gt.image_code * n_classes + gt.class_code, minlength=len(gt.image_index) * n_classes)
+    image_counts = counts.reshape(-1, n_classes)[[gt.image_index[image_id] for image_id in eligible]]
+    classes = image_counts.argmax(axis=1)
 
     # A row's neighbors: the images strictly closer than its k_eff-th nearest,
     # then the lowest-numbered of those tied with it (a stable sort's order).
@@ -430,7 +431,7 @@ def corret(
 def oracle_label_clusters(
     clusters: Mapping[str, Sequence[int]],
     regions: RegionTable,
-    gt: Sequence[GroundTruthBox],
+    gt: GroundTruthTable,
     iou_threshold: float,
 ) -> dict[str, str]:
     """Majority-vote class per cluster; all-background clusters map to ``background``."""
@@ -442,7 +443,7 @@ def oracle_label_clusters(
 def report_clusters(
     clusters: Mapping[str, Sequence[int]],
     regions: RegionTable,
-    gt: Sequence[GroundTruthBox],
+    gt: GroundTruthTable,
     iou_threshold: float,
 ) -> list[ClusterReport]:
     return _ClusterTable(clusters, regions, gt).reports(iou_threshold)
@@ -451,7 +452,7 @@ def report_clusters(
 def count_discovered(
     clusters: Mapping[str, Sequence[int]],
     regions: RegionTable,
-    gt: Sequence[GroundTruthBox],
+    gt: GroundTruthTable,
     iou_threshold: float,
     purity_floor: float = 0.5,
     min_images: int = 5,
@@ -467,7 +468,7 @@ def count_discovered(
 def evaluate_run(
     assignments: Mapping[str, str],
     regions: RegionTable,
-    gt: Sequence[GroundTruthBox],
+    gt: GroundTruthTable,
     iou_thresholds: Sequence[float] = (0.5, 0.2),
     purity_floor: float = 0.5,
     min_images: int = 5,

@@ -9,16 +9,16 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .config import Config, save_config
 from .consolidation import ConsolidationRecord, consolidate
 from .corpus import DatasetSplit, split_dataset
-from .evaluation import GroundTruthBox, IouTable
+from .evaluation import IouTable
 from .memory import DecisionKind, DualMemory
-from .records import RegionTable
+from .records import GroundTruthTable, RegionTable
 from .reporting import UNASSIGNED, write_assignments, write_key_values
 from .stats import BackgroundStats, MomentAccumulator, finalize_background, whiten
 
@@ -91,7 +91,7 @@ def build_priors(
     config: Config,
     detections: RegionTable | None = None,
     corpus: RegionTable | None = None,
-    gt: Sequence[GroundTruthBox] | None = None,
+    gt: GroundTruthTable | None = None,
 ) -> dict[str, RegionTable]:
     """Collect per-class prior regions for the configured initialization mode.
 
@@ -113,10 +113,10 @@ def build_priors(
     if mode == "gt_overlap":
         if corpus is None or gt is None:
             raise ValueError("init_mode=gt_overlap requires the corpus and ground truth")
-        known = [g for g in gt if g.known_flag]
+        known = gt.take(np.flatnonzero(gt.known))
         table = IouTable(corpus, range(len(corpus)), known)
         for row in np.flatnonzero(table.best_iou > PRIOR_GT_IOU).tolist():
-            rows.setdefault(known[table.best[row]].class_name, []).append(row)
+            rows.setdefault(known.class_names[table.best[row]], []).append(row)
         return {label: corpus.take(members) for label, members in rows.items()}
     raise ValueError(f"unknown init_mode '{mode}'")
 

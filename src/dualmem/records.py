@@ -1,4 +1,4 @@
-"""Regions as one columnar table, the per-region record the writers accept, and their checks."""
+"""Regions and ground-truth boxes as columnar tables, the records the writers accept, and their checks."""
 
 from __future__ import annotations
 
@@ -138,4 +138,69 @@ class RegionTable:
             scores=np.array([r.score for r in records], dtype=np.float64),
             features=features.reshape(len(records), -1) if records else np.empty((0, d)),
             gt_labels=[r.gt_label for r in records],
+        )
+
+
+@dataclass(frozen=True)
+class GroundTruthBox:
+    """One ground-truth box, the record that ``write_gt``, the generator and
+    ``GroundTruthTable.from_boxes`` take."""
+
+    image_id: str
+    box: BoundingBox
+    class_name: str
+    known_flag: bool
+
+
+def _encode(values: list[str]) -> tuple[dict[str, int], np.ndarray]:
+    """Each distinct value's index in sorted order (a dict in that order), and each value's index."""
+    index = {value: i for i, value in enumerate(sorted(set(values)))}
+    return index, np.array([index[value] for value in values], dtype=np.intp)
+
+
+@dataclass(eq=False)
+class GroundTruthTable:
+    """Ground-truth boxes as columns, one row per box, in file order.
+
+    ``image_index`` maps each distinct image id to its index in sorted order, and
+    ``classes`` lists the distinct class names in sorted order; ``image_code`` and
+    ``class_code`` give each box's index.
+    """
+
+    image_ids: list[str]
+    boxes: np.ndarray  # (m, 4) float64: x1, y1, x2, y2
+    class_names: list[str]
+    known: np.ndarray  # (m,) bool: the box's class is known to discovery
+    image_index: dict[str, int] = field(init=False)
+    image_code: np.ndarray = field(init=False)
+    classes: list[str] = field(init=False)
+    class_code: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.image_index, self.image_code = _encode(self.image_ids)
+        class_index, self.class_code = _encode(self.class_names)
+        self.classes = list(class_index)
+
+    def __len__(self) -> int:
+        return len(self.image_ids)
+
+    def take(self, rows: Sequence[int] | np.ndarray) -> "GroundTruthTable":
+        """The table of ``rows`` in the given order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return GroundTruthTable(
+            image_ids=[self.image_ids[r] for r in rows.tolist()],
+            boxes=self.boxes[rows],
+            class_names=[self.class_names[r] for r in rows.tolist()],
+            known=self.known[rows],
+        )
+
+    @classmethod
+    def from_boxes(cls, boxes: Iterable[GroundTruthBox]) -> "GroundTruthTable":
+        """The boxes' table in their order."""
+        boxes = list(boxes)
+        return cls(
+            image_ids=[g.image_id for g in boxes],
+            boxes=np.array([g.box.as_list() for g in boxes], dtype=np.float64).reshape(-1, 4),
+            class_names=[g.class_name for g in boxes],
+            known=np.array([g.known_flag for g in boxes], dtype=bool),
         )

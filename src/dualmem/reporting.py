@@ -1,10 +1,10 @@
-"""Small text outputs shared by the pipeline, baseline, and evaluation: tab-separated
-assignments, key = value reports, and curve CSVs."""
+"""Small text files shared by the pipeline, baseline, and evaluation: tab-separated
+assignments, key = value reports, curve CSVs, and the line reader of every text input."""
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 UNASSIGNED = "unassigned"
 
@@ -17,6 +17,33 @@ def format_value(value: object) -> str:
     return str(value)
 
 
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of a UTF-8 text file, split at "\\n" only.
+
+    ``str.splitlines`` would also split at "\\r", U+0085, U+2028 and other
+    separators, which an id may contain. A line that is not UTF-8 raises
+    ValueError naming the file and the line when the reader reaches it, so an
+    earlier bad line is reported first.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start = data.rfind(b"\n", 0, exc.start) + 1
+    else:
+        yield from enumerate(text.split("\n"), 1)
+        return
+    # A newline byte is never part of a multi-byte character, so the lines before
+    # the bad one decode alone, and so does the bad line, with its own positions.
+    lines = data[:start].decode("utf-8").split("\n")[:-1]
+    yield from enumerate(lines, 1)
+    end = data.find(b"\n", start)
+    try:
+        data[start:end if end >= 0 else len(data)].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: line {len(lines) + 1}: {exc}") from exc
+
+
 def write_assignments(path: str | Path, rows: Iterable[tuple[str, str]]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for region_id, label in rows:
@@ -25,7 +52,7 @@ def write_assignments(path: str | Path, rows: Iterable[tuple[str, str]]) -> None
 
 def read_assignments(path: str | Path) -> dict[str, str]:
     assignments: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in read_lines(path):
         if not line:
             continue
         parts = line.split("\t")
@@ -43,7 +70,7 @@ def write_key_values(path: str | Path, values: Mapping[str, object]) -> None:
 
 def read_key_values(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for _, line in read_lines(path):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

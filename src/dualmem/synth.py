@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_fields
-from .records import BoundingBox, RegionTable
-from .evaluation import GroundTruthBox, write_gt
+from .records import BoundingBox, GroundTruthBox, RegionTable
+from .evaluation import write_gt
 from .corpus import write_corpus_jsonl
 from .reporting import write_key_values
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dualmem.records import BoundingBox, RegionRecord, RegionTable
+from dualmem.records import BoundingBox, GroundTruthBox, GroundTruthTable, RegionRecord, RegionTable
 from dualmem.stats import BackgroundStats
 
 
@@ -36,6 +36,16 @@ def records_of(table):
         RegionRecord(region_id, image_id, BoundingBox(*box), score, feature, label)
         for region_id, image_id, box, score, feature, label in rows
     ]
+
+
+def gt_table_of(boxes):
+    return GroundTruthTable.from_boxes(boxes)
+
+
+def boxes_of(gt):
+    """Each row of a ground-truth table as a GroundTruthBox, for assertions written against boxes."""
+    rows = zip(gt.image_ids, gt.boxes.tolist(), gt.class_names, gt.known.tolist())
+    return [GroundTruthBox(image_id, BoundingBox(*box), name, known) for image_id, box, name, known in rows]
 
 
 def batches_of(table):

@@ -32,7 +32,7 @@ from dualmem.records import BoundingBox
 from dualmem.stats import BackgroundStats, MomentAccumulator, train_lda
 from dualmem.synth import SynthSpec, class_means, generate, kmeans_baseline
 
-from conftest import make_region, table_of
+from conftest import gt_table_of, make_region, table_of
 from test_evaluation import clustered, curve_fixture
 
 DATA_SEED = 20
@@ -301,7 +301,7 @@ def test_criterion_4_consolidation_contracts():
 
 def test_criterion_5_metric_hand_checks():
     clusters, gt = curve_fixture()
-    curve = cumulative_purity_curve(*clustered(clusters), gt, 0.5)
+    curve = cumulative_purity_curve(*clustered(clusters), gt_table_of(gt), 0.5)
     curve_ok = curve == [(0.2, 1.0), (0.6, 0.75)]
     auc_ok = auc(curve) == 55.0
 
@@ -315,7 +315,7 @@ def test_criterion_5_metric_hand_checks():
         "r0": make_region("r0", "i0", [0.0], box=BoundingBox(0, 0, 4, 4)),
         "r1": make_region("r1", "i1", [0.0], box=BoundingBox(50, 0, 54, 4)),
     }
-    corloc_ok = corloc({"r0": "c", "r1": "c"}, table_of(loc_regions.values()), loc_gt) == 50.0
+    corloc_ok = corloc({"r0": "c", "r1": "c"}, table_of(loc_regions.values()), gt_table_of(loc_gt)) == 50.0
 
     det_gt = [
         GroundTruthBox(image_id="i0", box=BoundingBox(2.0 * i, 0, 2.0 * i + 1, 1), class_name=f"u{i}", known_flag=False)
@@ -324,7 +324,7 @@ def test_criterion_5_metric_hand_checks():
     det_regions = {
         f"r{i}": make_region(f"r{i}", "i0", [0.0], box=det_gt[i].box) for i in range(3)
     }
-    detrate_ok = detrate({f"r{i}": "c" for i in range(3)}, table_of(det_regions.values()), det_gt, 0.5) == 75.0
+    detrate_ok = detrate({f"r{i}": "c" for i in range(3)}, table_of(det_regions.values()), gt_table_of(det_gt), 0.5) == 75.0
 
     report(
         "criterion 5 (metric hand-checks)",

@@ -6,8 +6,10 @@ import pytest
 
 from dualmem.cli import main
 from dualmem.config import Config, save_config
-from dualmem.corpus import convert_corpus, write_corpus_jsonl
-from dualmem.reporting import read_assignments, read_key_values
+from dualmem.corpus import convert_corpus, write_corpus_binary, write_corpus_jsonl
+from dualmem.evaluation import write_gt
+from dualmem.records import BoundingBox, GroundTruthBox
+from dualmem.reporting import read_assignments, read_key_values, write_key_values
 from dualmem.stats import BackgroundStats
 from dualmem.synth import SynthSpec, save_spec
 
@@ -234,6 +236,7 @@ class TestDiscover:
         out = tmp_path / "cut_run"
         capsys.readouterr()
         for size in range(len(data)):
+            cut.unlink(missing_ok=True)  # a new file: truncating one in place makes ext4 flush it
             cut.write_bytes(data[:size])
             argv = [
                 "discover", "--corpus", str(generated / "corpus.jsonl"), "--bg", str(cut),
@@ -391,3 +394,152 @@ class TestCorruptLengths:
         corpus.write_bytes(bytes(data))
         argv = ["background", "--corpus", str(corpus)]
         self.expect_error(argv, corpus, "record 0: 'utf-8' codec can't decode byte 0xff", tmp_path / "bg", capsys)
+
+
+def expect_one_line_error(argv, out, expected, capsys):
+    """The subcommand exits 1 with exactly ``error: <expected>`` and writes no manifest."""
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not (out / "manifest.json").exists()
+
+
+def rewrite_line(src, dst, lineno, change):
+    """Copy a JSON-lines file, with ``change`` applied to the object on line ``lineno``."""
+    lines = src.read_text().split("\n")
+    obj = json.loads(lines[lineno - 1])
+    change(obj)
+    lines[lineno - 1] = json.dumps(obj)
+    dst.write_text("\n".join(lines))
+
+
+HUGE = 10**400  # an integer literal no float64 can hold
+
+
+class TestIntegerTooLargeForAFloat:
+    @pytest.mark.parametrize("field", ["score", "box", "feature"])
+    def test_corpus_value(self, tmp_path, generated, field, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+
+        def change(obj):
+            if field == "score":
+                obj["score"] = HUGE
+            else:
+                obj[field][2] = HUGE
+
+        rewrite_line(generated / "corpus.jsonl", corpus, 3, change)
+        argv = ["background", "--corpus", str(corpus)]
+        expected = f"{corpus}: line 3: int too large to convert to float"
+        expect_one_line_error(argv, tmp_path / "bg", expected, capsys)
+
+    def test_priors_score(self, tmp_path, full_run, capsys):
+        generated, bg_dir, _, config_path = full_run
+        priors = tmp_path / "priors.jsonl"
+        rewrite_line(generated / "priors.jsonl", priors, 2, lambda obj: obj.update(score=HUGE))
+        argv = [
+            "discover", "--corpus", str(generated / "corpus.jsonl"), "--bg", str(bg_dir / "bg.bin"),
+            "--config", str(config_path), "--priors", str(priors),
+        ]
+        expected = f"{priors}: line 2: int too large to convert to float"
+        expect_one_line_error(argv, tmp_path / "run2", expected, capsys)
+
+    def test_ground_truth_box(self, tmp_path, full_run, capsys):
+        generated, _, run_dir, _ = full_run
+        gt = tmp_path / "gt.jsonl"
+        rewrite_line(generated / "gt.jsonl", gt, 4, lambda obj: obj["box"].__setitem__(0, HUGE))
+        argv = [
+            "eval", "--corpus", str(generated / "corpus.jsonl"),
+            "--assignments", str(run_dir / "assignments.tsv"), "--gt", str(gt),
+        ]
+        expected = f"{gt}:4: bad ground-truth record: int too large to convert to float"
+        expect_one_line_error(argv, tmp_path / "eval", expected, capsys)
+
+
+def with_bad_byte(src, dst, lineno):
+    """Copy a text file with byte 0xFF at position 1 of line ``lineno``."""
+    lines = src.read_bytes().split(b"\n")
+    lines[lineno - 1] = lines[lineno - 1][:1] + b"\xff" + lines[lineno - 1][2:]
+    dst.write_bytes(b"\n".join(lines))
+    return f"{dst}: line {lineno}: 'utf-8' codec can't decode byte 0xff in position 1: invalid start byte"
+
+
+class TestTextInputNotUtf8:
+    """Every text reader names the file and the line of a byte that is not UTF-8."""
+
+    def test_ground_truth(self, tmp_path, full_run, capsys):
+        generated, _, run_dir, _ = full_run
+        expected = with_bad_byte(generated / "gt.jsonl", tmp_path / "gt.jsonl", 5)
+        argv = [
+            "eval", "--corpus", str(generated / "corpus.jsonl"),
+            "--assignments", str(run_dir / "assignments.tsv"), "--gt", str(tmp_path / "gt.jsonl"),
+        ]
+        expect_one_line_error(argv, tmp_path / "eval", expected, capsys)
+
+    def test_assignments(self, tmp_path, full_run, capsys):
+        generated, _, run_dir, _ = full_run
+        expected = with_bad_byte(run_dir / "assignments.tsv", tmp_path / "assignments.tsv", 7)
+        argv = [
+            "eval", "--corpus", str(generated / "corpus.jsonl"),
+            "--assignments", str(tmp_path / "assignments.tsv"), "--gt", str(generated / "gt.jsonl"),
+        ]
+        expect_one_line_error(argv, tmp_path / "eval", expected, capsys)
+
+    def test_config(self, tmp_path, full_run, capsys):
+        generated, _, _, config_path = full_run
+        expected = with_bad_byte(config_path, tmp_path / "config.txt", 2)
+        argv = ["background", "--corpus", str(generated / "corpus.jsonl"), "--config", str(tmp_path / "config.txt")]
+        expect_one_line_error(argv, tmp_path / "bg2", expected, capsys)
+
+    def test_spec(self, tmp_path, spec_file, capsys):
+        expected = with_bad_byte(spec_file, tmp_path / "bad_spec.txt", 3)
+        argv = ["gen", "--spec", str(tmp_path / "bad_spec.txt")]
+        expect_one_line_error(argv, tmp_path / "data2", expected, capsys)
+
+    def test_stats(self, tmp_path, full_run, capsys):
+        generated, _, run_dir, _ = full_run
+        expected = with_bad_byte(run_dir / "stats.txt", tmp_path / "stats.txt", 4)
+        argv = ["baseline", "--corpus", str(generated / "corpus.jsonl"), "--stats", str(tmp_path / "stats.txt")]
+        expect_one_line_error(argv, tmp_path / "km", expected, capsys)
+
+
+# Separators that str.splitlines breaks a line at, and "\n" does not.
+SEPARATORS = ["\u2028", "\x85", "\r", "\u2029", "\x1c"]
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_region_ids_with_line_separators_round_trip(tmp_path, binary, capsys):
+    """``discover`` writes the ids it read, and ``eval`` and ``read_assignments`` read them back."""
+    rng = np.random.default_rng(3)
+    records, boxes = [], []
+    for i in range(8):
+        image = f"img{SEPARATORS[i % len(SEPARATORS)]}{i}"
+        boxes.append(GroundTruthBox(image, BoundingBox(0.0, 0.0, 1.0, 1.0), f"c{i % 2}", False))
+        for j in range(3):
+            feature = rng.standard_normal(2) + (6.0 if i % 2 else -6.0)
+            region_id = f"r{SEPARATORS[(i + j) % len(SEPARATORS)]}{i}_{j}"
+            records.append(make_region(region_id, image, feature.astype(np.float32), box=BoundingBox(0.0, 0.0, 1.0, 1.0)))
+    corpus = tmp_path / ("corpus.dmrf" if binary else "corpus.jsonl")
+    (write_corpus_binary if binary else write_corpus_jsonl)(corpus, 2, records)
+    write_gt(tmp_path / "gt.jsonl", boxes)
+    config = tmp_path / "config.txt"
+    save_config(Config(d=2, init_mode="null", min_images_per_slot=1, rounds=1, tau_working=0.5), config)
+    assert main(["background", "--corpus", str(corpus), "--out", str(tmp_path / "bg")]) == 0
+    argv = [
+        "discover", "--corpus", str(corpus), "--bg", str(tmp_path / "bg" / "bg.bin"),
+        "--config", str(config), "--out", str(tmp_path / "run"),
+    ]
+    assert main(argv) == 0
+    assignments = read_assignments(tmp_path / "run" / "assignments.tsv")
+    assert sorted(assignments) == sorted(r.region_id for r in records)
+    assert set(assignments.values()) != {"unassigned"}
+    argv = [
+        "eval", "--corpus", str(corpus), "--assignments", str(tmp_path / "run" / "assignments.tsv"),
+        "--gt", str(tmp_path / "gt.jsonl"), "--min-images", "1", "--out", str(tmp_path / "eval"),
+    ]
+    assert main(argv) == 0
+
+
+def test_key_values_with_line_separators_round_trip(tmp_path):
+    values = {f"key{i}": f"a{separator}b" for i, separator in enumerate(SEPARATORS)}
+    write_key_values(tmp_path / "values.txt", values)
+    assert read_key_values(tmp_path / "values.txt") == values

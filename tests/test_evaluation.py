@@ -1,3 +1,7 @@
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,9 +25,11 @@ from dualmem.evaluation import (
     purity,
     write_gt,
 )
-from dualmem.records import BoundingBox
+from dualmem.corpus import load_corpus
+from dualmem.records import BoundingBox, GroundTruthTable
+from dualmem.synth import SynthSpec, generate, kmeans_baseline
 
-from conftest import make_region, table_of
+from conftest import boxes_of, gt_table_of, make_region, table_of
 
 
 def members_table(members):
@@ -78,12 +84,12 @@ class TestLabelRegion:
     def test_exact_hit(self):
         region = make_region("r0", "i0", [0.0], box=BoundingBox(0, 0, 2, 2))
         gt = [gt_box("i0", BoundingBox(0, 0, 2, 2), "bear")]
-        assert label_region(table_of([region]), 0, gt, 0.5) == "bear"
+        assert label_region(table_of([region]), 0, gt_table_of(gt), 0.5) == "bear"
 
     def test_no_overlap_is_background(self):
         region = make_region("r0", "i0", [0.0], box=BoundingBox(0, 0, 1, 1))
         gt = [gt_box("i0", BoundingBox(10, 10, 12, 12), "bear")]
-        assert label_region(table_of([region]), 0, gt, 0.5) is None
+        assert label_region(table_of([region]), 0, gt_table_of(gt), 0.5) is None
 
     def test_max_iou_wins(self):
         region = make_region("r0", "i0", [0.0], box=BoundingBox(0, 0, 10, 10))
@@ -91,7 +97,7 @@ class TestLabelRegion:
             gt_box("i0", BoundingBox(0, 0, 10, 4), "zebra"),   # IoU 0.4
             gt_box("i0", BoundingBox(0, 0, 10, 6), "bear"),    # IoU 0.6
         ]
-        assert label_region(table_of([region]), 0, gt, 0.5) == "bear"
+        assert label_region(table_of([region]), 0, gt_table_of(gt), 0.5) == "bear"
 
 
 class TestPurity:
@@ -107,31 +113,31 @@ class TestPurity:
     def test_two_thirds_majority(self):
         gt = self.gt_for(["a", "a", "b"])
         members = self.members_on(gt, [0, 1, 2])
-        assert purity(*members_table(members), gt, 0.5) == (2.0 / 3.0, "a")
+        assert purity(*members_table(members), gt_table_of(gt), 0.5) == (2.0 / 3.0, "a")
 
     def test_singleton(self):
         gt = self.gt_for(["a"])
         members = self.members_on(gt, [0])
-        assert purity(*members_table(members), gt, 0.5) == (1.0, "a")
+        assert purity(*members_table(members), gt_table_of(gt), 0.5) == (1.0, "a")
 
     def test_background_dilutes_denominator(self):
         gt = self.gt_for(["a"])
         members = self.members_on(gt, [0, None, None])
-        assert purity(*members_table(members), gt, 0.5) == (1.0 / 3.0, "a")
+        assert purity(*members_table(members), gt_table_of(gt), 0.5) == (1.0 / 3.0, "a")
 
     def test_all_background(self):
         gt = self.gt_for(["a"])
         members = self.members_on(gt, [None, None])
-        assert purity(*members_table(members), gt, 0.5) == (0.0, "background")
+        assert purity(*members_table(members), gt_table_of(gt), 0.5) == (0.0, "background")
 
     def test_tie_breaks_lexicographically(self):
         gt = self.gt_for(["b", "a"])
         members = self.members_on(gt, [0, 1])
-        assert purity(*members_table(members), gt, 0.5)[1] == "a"
+        assert purity(*members_table(members), gt_table_of(gt), 0.5)[1] == "a"
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
-            purity(*members_table([]), [], 0.5)
+            purity(*members_table([]), gt_table_of([]), 0.5)
 
 
 class TestCoverage:
@@ -149,20 +155,20 @@ class TestCoverage:
         }
 
     def test_full_coverage(self):
-        assert coverage(*clustered(self.cluster_on([0, 1, 2, 3])), self.gt, 0.5) == 1.0
+        assert coverage(*clustered(self.cluster_on([0, 1, 2, 3])), gt_table_of(self.gt), 0.5) == 1.0
 
     def test_no_clusters(self):
-        assert coverage(*clustered({}), self.gt, 0.5) == 0.0
+        assert coverage(*clustered({}), gt_table_of(self.gt), 0.5) == 0.0
 
     def test_three_of_four(self):
-        assert coverage(*clustered(self.cluster_on([0, 1, 2])), self.gt, 0.5) == 0.75
+        assert coverage(*clustered(self.cluster_on([0, 1, 2])), gt_table_of(self.gt), 0.5) == 0.75
 
     def test_known_classes_excluded_by_default(self):
         gt = self.gt + [gt_box("i9", box(0.0), "k1", known=True)]
-        assert coverage(*clustered(self.cluster_on([0, 1, 2, 3])), gt, 0.5) == 1.0
+        assert coverage(*clustered(self.cluster_on([0, 1, 2, 3])), gt_table_of(gt), 0.5) == 1.0
 
     def test_explicit_class_set(self):
-        assert coverage(*clustered(self.cluster_on([0, 1])), self.gt, 0.5, classes={"u1"}) == 1.0
+        assert coverage(*clustered(self.cluster_on([0, 1])), gt_table_of(self.gt), 0.5, classes={"u1"}) == 1.0
 
 
 def curve_fixture():
@@ -187,17 +193,17 @@ def curve_fixture():
 class TestCurveAndAuc:
     def test_single_cluster_point(self):
         clusters, gt = curve_fixture()
-        curve = cumulative_purity_curve(*clustered({"A": clusters["A"]}), gt, 0.5)
+        curve = cumulative_purity_curve(*clustered({"A": clusters["A"]}), gt_table_of(gt), 0.5)
         assert curve == [(0.2, 1.0)]
 
     def test_running_mean_and_coverage(self):
         clusters, gt = curve_fixture()
-        curve = cumulative_purity_curve(*clustered(clusters), gt, 0.5)
+        curve = cumulative_purity_curve(*clustered(clusters), gt_table_of(gt), 0.5)
         assert curve == [(0.2, 1.0), (0.6, 0.75)]
 
     def test_monotonic_axes(self):
         clusters, gt = curve_fixture()
-        curve = cumulative_purity_curve(*clustered(clusters), gt, 0.5)
+        curve = cumulative_purity_curve(*clustered(clusters), gt_table_of(gt), 0.5)
         xs = [p[0] for p in curve]
         ys = [p[1] for p in curve]
         assert xs == sorted(xs)
@@ -209,7 +215,7 @@ class TestCurveAndAuc:
             "z": [make_region("r0", "i0", [0.0], box=gt[0].box)],
             "y": [make_region("r1", "i0", [0.0], box=gt[1].box)],
         }
-        curve = cumulative_purity_curve(*clustered(clusters), gt, 0.5)
+        curve = cumulative_purity_curve(*clustered(clusters), gt_table_of(gt), 0.5)
         assert curve == [(0.5, 1.0), (1.0, 1.0)]
 
     def test_auc_single_point(self):
@@ -223,11 +229,11 @@ class TestCurveAndAuc:
 
     def test_auc_from_fixture_exactly(self):
         clusters, gt = curve_fixture()
-        assert auc(cumulative_purity_curve(*clustered(clusters), gt, 0.5)) == 55.0
+        assert auc(cumulative_purity_curve(*clustered(clusters), gt_table_of(gt), 0.5)) == 55.0
 
     def test_auc_bounded(self):
         clusters, gt = curve_fixture()
-        value = auc(cumulative_purity_curve(*clustered(clusters), gt, 0.5))
+        value = auc(cumulative_purity_curve(*clustered(clusters), gt_table_of(gt), 0.5))
         assert 0.0 <= value <= 100.0
 
     def test_auc_monotone_under_pure_extension(self):
@@ -280,14 +286,14 @@ def test_curve_points_are_top_k_coverage_and_mean_purity(
         for c, members in enumerate(cluster_members)
     }
     rows, table = clustered(clusters)
-    curve = cumulative_purity_curve(rows, table, gt, iou_threshold, classes)
-    purities = {label: purity(rows[label], table, gt, iou_threshold)[0] for label in clusters}
+    curve = cumulative_purity_curve(rows, table, gt_table_of(gt), iou_threshold, classes)
+    purities = {label: purity(rows[label], table, gt_table_of(gt), iou_threshold)[0] for label in clusters}
     ranked = sorted(clusters, key=lambda label: (-purities[label], label))
     class_set = {g.class_name for g in gt if not g.known_flag} if classes is None else classes
     assert len(curve) == len(ranked)
     for k, (x, y) in enumerate(curve, 1):
         top = {label: clusters[label] for label in ranked[:k]}
-        assert x == coverage({label: rows[label] for label in top}, table, gt, iou_threshold, classes)
+        assert x == coverage({label: rows[label] for label in top}, table, gt_table_of(gt), iou_threshold, classes)
         assert x == covered_fraction_reference(top, gt, iou_threshold, class_set)
         assert y == sum(purities[label] for label in ranked[:k]) / k
 
@@ -304,22 +310,22 @@ class TestCorloc:
     def test_half_localized(self):
         gt, regions = self.fixture()
         assignments = {"r0": "c0", "r1": "c0"}
-        assert corloc(assignments, table_of(regions.values()), gt) == 50.0
+        assert corloc(assignments, table_of(regions.values()), gt_table_of(gt)) == 50.0
 
     def test_all_localized(self):
         gt, regions = self.fixture()
         regions["r1"] = make_region("r1", "i1", [0.0], box=BoundingBox(0, 0, 4, 4))
-        assert corloc({"r0": "c0", "r1": "c0"}, table_of(regions.values()), gt) == 100.0
+        assert corloc({"r0": "c0", "r1": "c0"}, table_of(regions.values()), gt_table_of(gt)) == 100.0
 
     def test_no_assignments(self):
         gt, regions = self.fixture()
-        assert corloc({"r0": "unassigned", "r1": "unassigned"}, table_of(regions.values()), gt) == 0.0
+        assert corloc({"r0": "unassigned", "r1": "unassigned"}, table_of(regions.values()), gt_table_of(gt)) == 0.0
 
     def test_strictly_greater_than_threshold(self):
         gt = [gt_box("i0", BoundingBox(0, 0, 2, 1), "a")]
         regions = {"r0": make_region("r0", "i0", [0.0], box=BoundingBox(0, 0, 1, 1))}
         # IoU exactly 0.5 does not count for localization.
-        assert corloc({"r0": "c0"}, table_of(regions.values()), gt) == 0.0
+        assert corloc({"r0": "c0"}, table_of(regions.values()), gt_table_of(gt)) == 0.0
 
 
 class TestDetrate:
@@ -333,24 +339,24 @@ class TestDetrate:
 
     def test_three_of_four(self):
         gt, regions, assignments = self.fixture()
-        assert detrate(assignments, table_of(regions.values()), gt, 0.5) == 75.0
+        assert detrate(assignments, table_of(regions.values()), gt_table_of(gt), 0.5) == 75.0
 
     def test_all_matched(self):
         gt, regions, assignments = self.fixture()
         regions["r3"] = make_region("r3", "i0", [0.0], box=gt[3].box)
         assignments["r3"] = "c0"
-        assert detrate(assignments, table_of(regions.values()), gt, 0.5) == 100.0
+        assert detrate(assignments, table_of(regions.values()), gt_table_of(gt), 0.5) == 100.0
 
     def test_none_matched(self):
         gt, regions, _ = self.fixture()
-        assert detrate({}, table_of(regions.values()), gt, 0.5) == 0.0
+        assert detrate({}, table_of(regions.values()), gt_table_of(gt), 0.5) == 0.0
 
     def test_equals_all_class_coverage(self):
         gt, regions, assignments = self.fixture()
         clusters = {"c0": [regions[r] for r in assignments]}
         all_classes = {g.class_name for g in gt}
-        assert detrate(assignments, table_of(regions.values()), gt, 0.5) == 100.0 * coverage(
-            *clustered(clusters), gt, 0.5, classes=all_classes
+        assert detrate(assignments, table_of(regions.values()), gt_table_of(gt), 0.5) == 100.0 * coverage(
+            *clustered(clusters), gt_table_of(gt), 0.5, classes=all_classes
         )
 
 
@@ -374,21 +380,21 @@ class TestCorret:
     def test_single_class_is_perfect(self):
         assignments, regions, gt = self.balanced_fixture()
         only_a = {k: v for k, v in assignments.items() if v == "cluster_a"}
-        assert corret(only_a, table_of(regions.values()), gt, k=10) == 100.0
+        assert corret(only_a, table_of(regions.values()), gt_table_of(gt), k=10) == 100.0
 
     def test_separated_classes_perfect_when_k_fits(self):
         assignments, regions, gt = self.balanced_fixture()
-        assert corret(assignments, table_of(regions.values()), gt, k=3) == 100.0
+        assert corret(assignments, table_of(regions.values()), gt_table_of(gt), k=3) == 100.0
 
     def test_fifty_percent_when_k_spans_both(self):
         assignments, regions, gt = self.balanced_fixture(per_class=6)
         # k=10 over 11 neighbors: 5 same-class + 5 cross-class for every image.
-        assert corret(assignments, table_of(regions.values()), gt, k=10) == 50.0
+        assert corret(assignments, table_of(regions.values()), gt_table_of(gt), k=10) == 50.0
 
     def test_images_without_assignments_skipped(self):
         assignments, regions, gt = self.balanced_fixture()
         del assignments["r_a0"]
-        value = corret(assignments, table_of(regions.values()), gt, k=3)
+        value = corret(assignments, table_of(regions.values()), gt_table_of(gt), k=3)
         assert 0.0 <= value <= 100.0
 
     def test_equal_similarities_rank_by_image_order(self):
@@ -398,8 +404,8 @@ class TestCorret:
             regions[f"r{i}"] = make_region(f"r{i}", f"i{i}", [1.0, 0.0], box=BoundingBox(0, 0, 2, 2))
             assignments[f"r{i}"] = "c0"
             gt.append(gt_box(f"i{i}", BoundingBox(0, 0, 2, 2), c))
-        assert corret(assignments, table_of(regions.values()), gt, k=1) == 0.0
-        assert corret(assignments, table_of(regions.values()), gt, k=2) == 37.5
+        assert corret(assignments, table_of(regions.values()), gt_table_of(gt), k=1) == 0.0
+        assert corret(assignments, table_of(regions.values()), gt_table_of(gt), k=2) == 37.5
 
     def test_means_add_in_assignment_order(self):
         # Image i0's x-coordinates sum to 0 in assignment order (rc, ra, rb) but to 1 in
@@ -410,29 +416,29 @@ class TestCorret:
         regions["r2"] = make_region("r2", "i2", [1.0, 3.0], box=BoundingBox(0, 0, 2, 2))
         assignments = {rid: "c0" for rid in ("rc", "ra", "rb", "r1", "r2")}
         gt = [gt_box(image, BoundingBox(0, 0, 2, 2), c) for image, c in (("i0", "a"), ("i1", "a"), ("i2", "b"))]
-        assert corret(assignments, table_of(regions.values()), gt, k=1) == pytest.approx(200.0 / 3.0)
+        assert corret(assignments, table_of(regions.values()), gt_table_of(gt), k=1) == pytest.approx(200.0 / 3.0)
 
     def test_by_slot_representation(self):
         assignments, regions, gt = self.balanced_fixture()
-        assert corret(assignments, table_of(regions.values()), gt, k=3, by_slot=True) == 100.0
+        assert corret(assignments, table_of(regions.values()), gt_table_of(gt), k=3, by_slot=True) == 100.0
 
 
 class TestOracleAndCounting:
     def test_pure_cluster_takes_its_class(self):
         clusters, gt = curve_fixture()
-        labels = oracle_label_clusters(*clustered(clusters), gt, 0.5)
+        labels = oracle_label_clusters(*clustered(clusters), gt_table_of(gt), 0.5)
         assert labels["A"] == "a"
 
     def test_unmatched_cluster_is_background(self):
         gt = [gt_box("i0", box(0.0), "a")]
         clusters = {"junk": [make_region("r0", "i0", [0.0], box=box(50.0))]}
-        assert oracle_label_clusters(*clustered(clusters), gt, 0.5) == {"junk": "background"}
+        assert oracle_label_clusters(*clustered(clusters), gt_table_of(gt), 0.5) == {"junk": "background"}
 
     def test_majority_vote(self):
         gt = [gt_box("i0", box(2.0 * i), "bear") for i in range(3)]
         gt += [gt_box("i0", box(2.0 * (3 + i)), "zebra") for i in range(2)]
         members = [make_region(f"r{i}", "i0", [0.0], box=g.box) for i, g in enumerate(gt)]
-        assert oracle_label_clusters(*clustered({"c": members}), gt, 0.5) == {"c": "bear"}
+        assert oracle_label_clusters(*clustered({"c": members}), gt_table_of(gt), 0.5) == {"c": "bear"}
 
     def test_count_discovered_counts_distinct_classes(self):
         gt = [gt_box(f"i{j}", box(0.0), "bear") for j in range(6)]
@@ -440,10 +446,10 @@ class TestOracleAndCounting:
             make_region(f"{tag}{j}", f"i{j}", [0.0], box=box(0.0)) for j in range(6)
         ]
         clusters = {"c0": cluster("x"), "c1": cluster("y")}
-        assert count_discovered(*clustered(clusters), gt, 0.5, min_images=5) == 1
+        assert count_discovered(*clustered(clusters), gt_table_of(gt), 0.5, min_images=5) == 1
 
     def test_count_discovered_empty(self):
-        assert count_discovered(*clustered({}), [gt_box("i0", box(0.0), "a")], 0.5) == 0
+        assert count_discovered(*clustered({}), gt_table_of([gt_box("i0", box(0.0), "a")]), 0.5) == 0
 
     def test_count_discovered_three_pure_clusters(self):
         gt, clusters = [], {}
@@ -453,13 +459,13 @@ class TestOracleAndCounting:
             clusters[f"cl_{c}"] = [
                 make_region(f"{c}_r{j}", f"{c}_i{j}", [0.0], box=box(0.0)) for j in range(5)
             ]
-        assert count_discovered(*clustered(clusters), gt, 0.5, min_images=5) == 3
+        assert count_discovered(*clustered(clusters), gt_table_of(gt), 0.5, min_images=5) == 3
 
     def test_purity_floor_excludes_mixed_clusters(self):
         gt = [gt_box(f"i{j}", box(0.0), "bear") for j in range(5)]
         members = [make_region(f"r{j}", f"i{j}", [0.0], box=box(0.0)) for j in range(2)]
         members += [make_region(f"q{j}", f"i{j}", [0.0], box=box(50.0)) for j in range(3)]
-        assert count_discovered(*clustered({"c": members}), gt, 0.5, purity_floor=0.5, min_images=2) == 0
+        assert count_discovered(*clustered({"c": members}), gt_table_of(gt), 0.5, purity_floor=0.5, min_images=2) == 0
 
 
 class TestGtFile:
@@ -467,12 +473,132 @@ class TestGtFile:
         boxes = [gt_box("i0", BoundingBox(0, 0, 2, 3), "bear"), gt_box("i1", box(5.0), "dog", known=True)]
         write_gt(tmp_path / "gt.jsonl", boxes)
         loaded = load_gt(tmp_path / "gt.jsonl")
-        assert loaded == boxes
+        assert boxes_of(loaded) == boxes
 
     def test_bad_record(self, tmp_path):
         (tmp_path / "gt.jsonl").write_text('{"image_id": "i0"}\n')
         with pytest.raises(ValueError, match="gt.jsonl:1"):
             load_gt(tmp_path / "gt.jsonl")
+
+    def test_first_bad_line_comes_before_a_later_line_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "gt.jsonl"
+        good = b'{"image_id":"i0","box":[0,0,1,1],"class_name":"a","known_flag":false}'
+        path.write_bytes(good + b"\n{\n" + good.replace(b"i0", b"i\xff") + b"\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: bad ground-truth record: Expecting")):
+            load_gt(path)
+        path.write_bytes(good + b"\n" + good.replace(b"i0", b"i\xff") + b"\n{\n")
+        with pytest.raises(ValueError) as caught:
+            load_gt(path)
+        assert str(caught.value) == (
+            f"{path}: line 2: 'utf-8' codec can't decode byte 0xff in position 14: invalid start byte"
+        )
+
+
+def reference_load_gt(path):
+    """The record-at-a-time reader: one GroundTruthBox, checked by BoundingBox, per line."""
+    boxes = []
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            boxes.append(
+                GroundTruthBox(
+                    image_id=str(obj["image_id"]),
+                    box=BoundingBox(*(float(v) for v in obj["box"])),
+                    class_name=str(obj["class_name"]),
+                    known_flag=bool(obj["known_flag"]),
+                )
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad ground-truth record: {exc}") from exc
+    return boxes
+
+
+def gt_outcome(read, path):
+    """The rows a reader gives, as (image id, box, class name, known flag) reprs, or its error text."""
+    try:
+        result = read(path)
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(result, GroundTruthTable):
+        rows = zip(result.image_ids, result.boxes.tolist(), result.class_names, result.known.tolist())
+    else:
+        rows = ((g.image_id, g.box.as_list(), g.class_name, g.known_flag) for g in result)
+    return [repr(row) for row in rows]
+
+
+# JSON values a field may hold instead of the expected one; str() and bool() take all of
+# them, float() some of them ("1.5", True), and 10**400 overflows a float.
+ODD_VALUES = st.one_of(
+    st.integers(-2, 4), st.booleans(), st.none(), st.sampled_from(["1.5", "x", ""]), st.just(10**400),
+    st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.sampled_from(["k"]), st.integers(0, 1)),
+)
+COORDINATES = st.one_of(
+    st.integers(-1, 4), st.sampled_from([0.5, 2.5, -0.0, float("inf"), float("nan")]), ODD_VALUES
+)
+GOOD_BOX = st.tuples(st.floats(0, 3, width=16), st.floats(0, 3, width=16), st.floats(0.5, 2, width=16),
+                     st.floats(0.5, 2, width=16)).map(lambda b: [b[0], b[1], b[0] + b[2], b[1] + b[3]])
+GOOD_RECORD = st.fixed_dictionaries({
+    "image_id": st.one_of(st.sampled_from(["i0", "i1", "i2"]), st.integers(0, 2)),
+    "box": GOOD_BOX,
+    "class_name": st.one_of(st.sampled_from(["a", "b", "k"]), st.integers(0, 1)),
+    "known_flag": st.one_of(st.booleans(), st.integers(0, 1)),
+})
+
+
+def _without_one_key(record):
+    return st.sampled_from(sorted(record)).map(lambda key: {k: v for k, v in record.items() if k != key})
+
+
+BAD_LINE = st.one_of(
+    GOOD_RECORD.flatmap(_without_one_key).map(json.dumps),  # a missing key
+    st.tuples(GOOD_RECORD, st.lists(COORDINATES, max_size=6)).map(  # any box: wrong length, degenerate, odd values
+        lambda pair: json.dumps(dict(pair[0], box=pair[1]))
+    ),
+    st.tuples(GOOD_RECORD, ODD_VALUES, st.sampled_from(["image_id", "box", "class_name", "known_flag"])).map(
+        lambda t: json.dumps(dict(t[0], **{t[2]: t[1]}))
+    ),
+    st.tuples(GOOD_RECORD, st.integers(0, 3)).map(  # a box coordinate no float can hold
+        lambda pair: json.dumps(dict(pair[0], box=pair[0]["box"][: pair[1]] + [10**400] + pair[0]["box"][pair[1] + 1:]))
+    ),
+    st.tuples(GOOD_RECORD, st.integers(1, 20)).map(lambda pair: json.dumps(pair[0])[: -pair[1]]),  # bad JSON
+    st.sampled_from(["[1, 2]", "3", '"s"', "null", "{", "}{", "{} {}"]),  # not one object
+)
+
+
+@given(
+    records=st.lists(GOOD_RECORD, max_size=8),
+    inserted=st.lists(
+        st.tuples(st.integers(0, 10), st.one_of(BAD_LINE, st.sampled_from(["", "  ", "\t"]))), max_size=3
+    ),
+    trailing_newline=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_load_gt_table_matches_the_record_reader(tmp_path_factory, records, inserted, trailing_newline):
+    lines = [json.dumps(record) for record in records]
+    for position, line in inserted:
+        lines.insert(position, line)
+    path = tmp_path_factory.mktemp("gt") / "gt.jsonl"
+    path.write_text("\n".join(lines) + ("\n" if trailing_newline else ""), encoding="utf-8")
+    assert gt_outcome(load_gt, path) == gt_outcome(reference_load_gt, path)
+
+
+def test_evaluate_run_on_the_loaded_table_equals_the_table_of_the_same_boxes(tmp_path):
+    spec = SynthSpec(
+        d=8, n_known=2, n_unknown=4, images=40, n_background_per_image=2,
+        classes_per_image=3, regions_per_class_per_image=2, separation=3.0, std=1.0, seed=11,
+    )
+    paths = generate(spec, tmp_path)
+    regions = load_corpus(paths["corpus"])
+    assignments, _, _ = kmeans_baseline(regions, 8, 1)
+    loaded = load_gt(paths["gt"])
+    built = GroundTruthTable.from_boxes(reference_load_gt(paths["gt"]))
+    reports = [
+        evaluate_run(assignments, regions, gt, iou_thresholds=(0.5, 0.2), min_images=2) for gt in (loaded, built)
+    ]
+    assert reports[0].metrics["auc_0.5"] > 0.0
+    assert repr(reports[0]) == repr(reports[1])
 
 
 class TestEvaluateRun:
@@ -481,17 +607,17 @@ class TestEvaluateRun:
         regions = {r.region_id: r for ms in clusters.values() for r in ms}
         assignments = {r.region_id: label for label, ms in clusters.items() for r in ms}
         table = table_of(regions.values())
-        report = evaluate_run(assignments, table, gt, iou_thresholds=(0.5, 0.2), min_images=1)
+        report = evaluate_run(assignments, table, gt_table_of(gt), iou_thresholds=(0.5, 0.2), min_images=1)
         assert report.metrics["auc_0.5"] == 55.0
         assert set(report.metrics) >= {"auc_0.5", "auc_0.2", "corloc", "corret", "detrate_0.5", "n_discovered"}
-        again = evaluate_run(assignments, table, gt, iou_thresholds=(0.5, 0.2), min_images=1)
+        again = evaluate_run(assignments, table, gt_table_of(gt), iou_thresholds=(0.5, 0.2), min_images=1)
         assert report.metrics == again.metrics
 
     def test_empty_assignments_all_zero(self):
         clusters, gt = curve_fixture()
         regions = {r.region_id: r for ms in clusters.values() for r in ms}
         assignments = {rid: "unassigned" for rid in regions}
-        report = evaluate_run(assignments, table_of(regions.values()), gt)
+        report = evaluate_run(assignments, table_of(regions.values()), gt_table_of(gt))
         assert report.metrics["auc_0.5"] == 0.0
         assert report.metrics["corloc"] == 0.0
         assert report.metrics["detrate_0.5"] == 0.0
@@ -509,7 +635,7 @@ def test_iou_table_best_boxes_match_scalar_iou_bit_for_bit():
     gt = [gt_box(f"i{rng.integers(4)}", random_box(), "a") for _ in range(20)]
     gt += [gt_box(g.image_id, g.box, "b") for g in gt[:5]]  # equal IoUs: the first box wins
     regions = [make_region(f"r{j}", f"i{rng.integers(5)}", [0.0], box=random_box()) for j in range(200)]
-    table = IouTable(table_of(regions), range(len(regions)), gt)
+    table = IouTable(table_of(regions), range(len(regions)), gt_table_of(gt))
     pairs = list(zip(table.region.tolist(), table.box.tolist()))
     assert pairs == [
         (r, b) for r in range(len(regions)) for b in range(len(gt)) if gt[b].image_id == regions[r].image_id
@@ -667,7 +793,7 @@ def test_evaluate_run_equals_scalar_reference(
     assignments = dict(rows[i] for i in order)
 
     report = evaluate_run(
-        assignments, table_of(regions.values()), gt, iou_thresholds=thresholds, purity_floor=purity_floor,
+        assignments, table_of(regions.values()), gt_table_of(gt), iou_thresholds=thresholds, purity_floor=purity_floor,
         min_images=min_images, corret_k=corret_k,
     )
     metrics, curves, reports = reference_evaluate(

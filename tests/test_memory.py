@@ -436,6 +436,7 @@ class TestCheckpoint:
         data = path.read_bytes()
         cut = tmp_path / "cut.bin"
         for size in range(len(data)):
+            cut.unlink(missing_ok=True)  # a new file: truncating one in place makes ext4 flush it
             cut.write_bytes(data[:size])
             with pytest.raises(ValueError, match=r"cut\.bin: truncated at byte \d+"):
                 DualMemory.load_checkpoint(cut, mem.config)

@@ -16,7 +16,7 @@ from dualmem.pipeline import (
 from dualmem.records import BoundingBox
 from dualmem.synth import SynthSpec, generate
 
-from conftest import batches_of, identity_bg, make_region, records_of, table_of
+from conftest import batches_of, gt_table_of, identity_bg, make_region, records_of, table_of
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +142,7 @@ class TestPriors:
                 if best_class is not None and best_iou > 0.5:
                     expected.setdefault(best_class, []).append(region.region_id)
         table = table_of([region for batch in corpus.values() for region in batch])
-        priors = build_priors(Config(d=1, init_mode="gt_overlap"), corpus=table, gt=gt)
+        priors = build_priors(Config(d=1, init_mode="gt_overlap"), corpus=table, gt=gt_table_of(gt))
         assert sum(len(v) for v in expected.values()) > 20
         assert {c: [r.region_id for r in records_of(rs)] for c, rs in priors.items()} == expected
         assert list(priors) == list(expected)

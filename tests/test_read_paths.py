@@ -1,11 +1,13 @@
 """What the read paths build and how the binary readers fail.
 
-The subcommands read a corpus into one region table and never build a
-``RegionRecord`` or ``BoundingBox`` per region. Every binary reader rejects a
+The subcommands read a corpus into one region table and ground truth into one
+box table, and never build a ``RegionRecord``, ``GroundTruthBox`` or
+``BoundingBox`` per region or box. Every binary reader rejects a
 corrupt or overlong file with a ValueError that starts with the file name, and
 the CLI turns that into one ``error:`` line before it writes a manifest.
 """
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -18,7 +20,7 @@ from dualmem.config import Config, save_config
 from dualmem.consolidation import consolidate
 from dualmem.corpus import BINARY_HEADER, ID_FIELD_BYTES, convert_corpus, open_corpus
 from dualmem.memory import DualMemory
-from dualmem.records import BoundingBox, RegionRecord
+from dualmem.records import BoundingBox, GroundTruthBox, RegionRecord
 from dualmem.stats import BackgroundStats
 from dualmem.synth import SynthSpec, generate
 
@@ -62,16 +64,24 @@ def inputs(tmp_path_factory):
 
 @pytest.mark.parametrize("corpus_key", ["corpus", "dmrf"])
 def test_subcommands_build_no_region_records_or_boxes(tmp_path, inputs, corpus_key, monkeypatch):
-    """Ground-truth boxes are the only BoundingBox objects, one per line of gt.jsonl."""
-    paths, _ = inputs
+    paths, config = inputs
     corpus = str(paths[corpus_key])
+    gt_overlap = tmp_path / "gt_overlap.txt"
+    save_config(dataclasses.replace(config, init_mode="gt_overlap"), gt_overlap)
     built = []
 
     def refuse(self):
         raise AssertionError("a RegionRecord was built on the read path")
 
+    construct = GroundTruthBox.__init__
+
+    def record(self, *args, **kwargs):
+        built.append(self)
+        construct(self, *args, **kwargs)
+
     monkeypatch.setattr(RegionRecord, "__post_init__", refuse)
     monkeypatch.setattr(BoundingBox, "__post_init__", lambda self: built.append(self))
+    monkeypatch.setattr(GroundTruthBox, "__init__", record)
     run = tmp_path / "run"
     steps = {
         "background": ["background", "--corpus", corpus, "--threads", "2", "--out", str(tmp_path / "bg")],
@@ -79,17 +89,19 @@ def test_subcommands_build_no_region_records_or_boxes(tmp_path, inputs, corpus_k
             "discover", "--corpus", corpus, "--bg", str(paths["bg"]), "--config", str(paths["config"]),
             "--priors", str(paths["priors"]), "--out", str(run),
         ],
+        "discover gt_overlap": [
+            "discover", "--corpus", corpus, "--bg", str(paths["bg"]), "--config", str(gt_overlap),
+            "--gt", str(paths["gt"]), "--out", str(tmp_path / "run_gt"),
+        ],
         "baseline": ["baseline", "--corpus", corpus, "--k", "3", "--out", str(tmp_path / "km")],
+        "eval": [
+            "eval", "--corpus", corpus, "--assignments", str(run / "assignments.tsv"),
+            "--gt", str(paths["gt"]), "--out", str(tmp_path / "eval"),
+        ],
     }
     for name, argv in steps.items():
         assert main(argv) == 0, name
         assert built == [], name
-    argv = [
-        "eval", "--corpus", corpus, "--assignments", str(run / "assignments.tsv"),
-        "--gt", str(paths["gt"]), "--out", str(tmp_path / "eval"),
-    ]
-    assert main(argv) == 0
-    assert len(built) == len(paths["gt"].read_text().splitlines())
 
 
 # ---------------------------------------------------------------------------

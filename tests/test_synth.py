@@ -6,7 +6,7 @@ from dualmem.corpus import convert_corpus, ingest_corpus, open_corpus
 from dualmem.evaluation import load_gt
 from dualmem.synth import KNOWN_PRIOR_SCORE, SynthSpec, class_means, generate, kmeans_baseline, load_spec, save_spec
 
-from conftest import batches_of, make_region, records_of, table_of
+from conftest import batches_of, boxes_of, make_region, records_of, table_of
 
 
 def small_spec(**kwargs):
@@ -91,7 +91,7 @@ class TestGenerate:
         spec = small_spec()
         paths = generate(spec, tmp_path)
         gt = load_gt(paths["gt"])
-        gt_index = {(g.image_id, g.class_name): g.box for g in gt}
+        gt_index = {(g.image_id, g.class_name): g.box for g in boxes_of(gt)}
         for record in records_of(open_corpus(paths["corpus"])):
             if record.gt_label is not None:
                 assert record.box == gt_index[(record.image_id, record.gt_label)]
@@ -103,7 +103,7 @@ class TestGenerate:
         paths = generate(spec, tmp_path)
         gt = load_gt(paths["gt"])
         by_image = {}
-        for g in gt:
+        for g in boxes_of(gt):
             by_image.setdefault(g.image_id, []).append(g.box)
         for record in records_of(open_corpus(paths["corpus"])):
             if record.gt_label is None:
