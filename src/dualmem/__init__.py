@@ -10,6 +10,7 @@ from .consolidation import (
     consolidate,
     merge_components,
     refine_slots,
+    slot_affinity,
     train_slot_classifiers,
 )
 from .corpus import (
@@ -57,7 +58,6 @@ from .pipeline import (
     final_assignments,
     run_discovery,
     run_discovery_round,
-    whiten_corpus,
 )
 from .records import BoundingBox, CorpusFormatError, GroundTruthTable, RegionRecord, RegionTable
 from .stats import (

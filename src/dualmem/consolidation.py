@@ -1,12 +1,13 @@
 """Promote working-memory candidates into semantic memory.
 
-The full procedure trains a classifier per working slot (one solve for all of
-them), merges slots whose classifiers fire on each other (connected components
-over a thresholded affinity graph), drops samples a merged slot's own
-classifier rejects, and transfers the survivors as new semantic categories.
-Merge and refine recompute centroids from the features of each working slot's
-member rows in the memory's corpus; a transferred slot keeps its members'
-region ids. Working memory is reset afterwards in every mode.
+The full procedure merges slots whose discriminants fire on each other
+(connected components over a thresholded affinity matrix), drops samples a
+merged slot's own discriminant rejects, and transfers the survivors as new
+semantic categories. Both steps score in whitened space, as semantic memory
+does (see ``stats``), so no classifier is trained; the classifier path is kept
+as the tests' oracle. Merge and refine recompute centroids from the features of
+each slot's member rows in the memory's corpus; a transferred slot keeps its
+members' region ids. Working memory is reset afterwards in every mode.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_array
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from .memory import DualMemory, SemanticSlot, WorkingSlot
-from .stats import LinearClassifier, train_lda_batch, whiten
+from .stats import LinearClassifier, train_lda, whiten
 
 
 @dataclass
@@ -46,93 +47,91 @@ class ConsolidationRecord:
         return dataclasses.asdict(self)
 
 
+def slot_scores(mem: DualMemory) -> tuple[np.ndarray, np.ndarray]:
+    """Each working slot's whitened centroid m and offset o = log(n / N) - |m|^2 / 2.
+
+    Slot i's discriminant scores a whitened row z as ``m_i . z + o_i``, the
+    formula semantic slots score with. Rows follow ``mem.working``.
+    """
+    white = whiten(np.reshape([s.centroid for s in mem.working], (-1, mem.bg.d)), mem.bg)
+    counts = np.array([s.count for s in mem.working], dtype=np.float64)
+    return white, np.log(counts / mem.bg.count) - 0.5 * np.einsum("ij,ij->i", white, white)
+
+
+def slot_affinity(mem: DualMemory) -> np.ndarray:
+    """The (k, k) symmetrised cross-firing of the working slots, in ``mem.working`` order.
+
+    Slot i's discriminant at slot j's centroid, ``m_i . m_j + o_i``, is its
+    score averaged over slot j's members: the discriminant is linear.
+    """
+    white, offset = slot_scores(mem)
+    fired = white @ white.T + offset[:, None]
+    return 0.5 * (fired + fired.T)
+
+
 def train_slot_classifiers(mem: DualMemory) -> dict[int, LinearClassifier]:
-    """Closed-form classifier per working slot, trained at its centroid.
+    """The closed-form classifier of each working slot, trained at its centroid (the member mean).
 
-    The member mean equals the centroid, so training on the centroid and on
-    the member set coincide. All slots are solved in one call, and each
-    classifier equals ``train_lda(centroid, count, bg)`` bit for bit.
+    With ``build_affinity_graph`` it is the classifier path that the whitened
+    scores replace, kept as their oracle.
     """
-    slots = mem.working
-    classifiers = train_lda_batch([s.centroid for s in slots], [s.count for s in slots], mem.bg)
-    return {slot.slot_id: clf for slot, clf in zip(slots, classifiers)}
+    return {s.slot_id: train_lda(s.centroid, s.count, mem.bg) for s in mem.working}
 
 
-def build_affinity_graph(
-    mem: DualMemory, classifiers: dict[int, LinearClassifier]
-) -> AffinityGraph:
-    """Symmetric cross-firing affinities; an edge exists above the configured threshold.
+def build_affinity_graph(mem: DualMemory, classifiers: dict[int, LinearClassifier]) -> AffinityGraph:
+    """Edges where the classifiers' symmetrised cross-firing exceeds the configured threshold.
 
-    Slot i's classifier is evaluated at slot j's centroid, which is its score
-    averaged over slot j's members: the classifier is linear.
+    Slot i's classifier is evaluated at slot j's centroid, one pair at a time.
     """
-    slots = mem.working
-    nodes = [s.slot_id for s in slots]
-    k = len(slots)
-    if k < 2:
-        return AffinityGraph(nodes=nodes, edges=[])
-    weights = np.stack([classifiers[s.slot_id].weights for s in slots])
-    biases = np.array([classifiers[s.slot_id].bias for s in slots])
-    centroids = np.stack([s.centroid for s in slots])
-    fired = weights @ centroids.T + biases[:, None]
+    nodes = [s.slot_id for s in mem.working]
+    fired = np.reshape([[classifiers[i].score(s.centroid) for s in mem.working] for i in nodes], (len(nodes),) * 2)
     affinity = 0.5 * (fired + fired.T)
-    threshold = mem.config.merge_edge_threshold
-    rows, cols = np.nonzero(np.triu(affinity > threshold, 1))
-    edges = [
-        (nodes[i], nodes[j], weight)
-        for i, j, weight in zip(rows.tolist(), cols.tolist(), affinity[rows, cols].tolist())
-    ]
-    return AffinityGraph(nodes=nodes, edges=edges)
+    rows, cols = np.nonzero(np.triu(affinity > mem.config.merge_edge_threshold, 1))
+    return AffinityGraph(nodes, [(nodes[i], nodes[j], float(affinity[i, j])) for i, j in zip(rows, cols)])
 
 
-def merge_components(mem: DualMemory, graph: AffinityGraph) -> int:
+def merge_components(mem: DualMemory, linked: np.ndarray) -> int:
     """Collapse each connected component into one slot keeping the smallest slot_id.
 
-    Pooled membership is the union in slot_id order; the centroid is recomputed
-    from the member features, conserving the sample multiset.
-    Singleton components are left untouched.
+    ``linked`` is a boolean (k, k) adjacency over ``mem.working`` in its order;
+    the diagonal is ignored. Pooled membership is the union in slot_id order;
+    the centroid is recomputed from the member features, conserving the sample
+    multiset. Singleton components are left untouched.
     """
-    by_id = {s.slot_id: s for s in mem.working}
-    index = {slot_id: i for i, slot_id in enumerate(graph.nodes)}
-    rows = [index[i] for i, _, _ in graph.edges]
-    cols = [index[j] for _, j, _ in graph.edges]
-    n = len(index)
-    adjacency = coo_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    _, labels = connected_components(adjacency, directed=False)
-    components: dict[int, list[int]] = {}
-    for slot_id, label in sorted(zip(graph.nodes, labels.tolist())):
-        components.setdefault(label, []).append(slot_id)
+    _, labels = connected_components(csr_array(linked), directed=False)  # a dense graph is validated slowly
+    components: dict[int, list[WorkingSlot]] = {}
+    for slot, label in zip(mem.working, labels.tolist()):  # working memory is sorted by slot_id
+        components.setdefault(label, []).append(slot)
     merged: list[WorkingSlot] = []
     for component in components.values():
         if len(component) == 1:
-            merged.append(by_id[component[0]])
+            merged.append(component[0])
             continue
-        rows = [row for slot_id in component for row in by_id[slot_id].rows]
-        merged.append(WorkingSlot(component[0], mem.corpus.features[rows].mean(axis=0), rows))
+        rows = [row for slot in component for row in slot.rows]
+        merged.append(WorkingSlot(component[0].slot_id, mem.corpus.features[rows].mean(axis=0), rows))
     mem.working = merged  # components run in order of their smallest slot_id
     mem.rebuild_caches()
     return len(merged)
 
 
-def refine_slots(mem: DualMemory, classifiers: dict[int, LinearClassifier]) -> int:
-    """Drop every member a slot's own classifier scores below zero.
+def refine_slots(mem: DualMemory) -> int:
+    """Drop every member its slot's own discriminant scores below zero.
 
-    Runs one pass: centroids are recomputed from the retained members, and
-    slots emptied entirely are deleted. Returns the number of samples dropped.
+    Members are scored on their rows of the memory's whitened matrix. Runs one
+    pass: centroids are recomputed from the retained members, and slots emptied
+    entirely are deleted. Returns the number of samples dropped.
     """
     retained_slots: list[WorkingSlot] = []
     dropped = 0
-    for slot in mem.working:
-        clf = classifiers[slot.slot_id]
-        feats = mem.corpus.features[slot.rows]
-        keep = clf.score_batch(feats) >= 0.0
+    for slot, white, offset in zip(mem.working, *slot_scores(mem)):
+        keep = mem.white[slot.rows] @ white + offset >= 0.0
         n_keep = int(keep.sum())
         dropped += slot.count - n_keep
         if n_keep == slot.count:
             retained_slots.append(slot)
         elif n_keep > 0:
             rows = [row for row, ok in zip(slot.rows, keep.tolist()) if ok]
-            retained_slots.append(WorkingSlot(slot.slot_id, feats[keep].mean(axis=0), rows))
+            retained_slots.append(WorkingSlot(slot.slot_id, mem.corpus.features[rows].mean(axis=0), rows))
     mem.working = retained_slots
     mem.rebuild_caches()
     return dropped
@@ -150,11 +149,10 @@ def consolidate(mem: DualMemory, round_index: int = 1) -> ConsolidationRecord:
     samples_dropped = 0
 
     if mode in ("merge", "merge_refine") and mem.working:
-        classifiers = train_slot_classifiers(mem)
-        graph = build_affinity_graph(mem, classifiers)
-        slots_after_merge = merge_components(mem, graph)
+        linked = slot_affinity(mem) > mem.config.merge_edge_threshold
+        slots_after_merge = merge_components(mem, linked)
     if mode == "merge_refine" and mem.working:
-        samples_dropped = refine_slots(mem, train_slot_classifiers(mem))
+        samples_dropped = refine_slots(mem)
 
     corpus = mem.corpus
     kept = [

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .config import Config
-from .records import BoundingBox, CorpusFormatError, RegionRecord, RegionTable, box_fault, region_fault
+from .records import CorpusFormatError, RegionRecord, RegionTable, box_fault, parse_box, region_fault, text_fault
 
 logger = logging.getLogger(__name__)
 
@@ -127,12 +127,7 @@ def _parse_jsonl(path: Path, text: Iterator[str], stop: str | None = None) -> Re
             stop = f"{path}: line {lineno}: {exc}"
             break
         try:
-            box = [float(v) for v in obj["box"]]
-            if len(box) != 4:
-                BoundingBox(*box)  # raises the constructor's TypeError for the wrong number of values
-            fault = box_fault(*box)
-            if fault:
-                raise ValueError(fault)
+            box = parse_box(obj["box"])
             label = obj.get("gt_label")
             region_id = str(obj["region_id"])
             image_id = str(obj["image_id"])
@@ -261,9 +256,10 @@ def _checked_table(path, where, ids, images, boxes, scores, features, labels, st
     """The table of the records read, or the error of the first bad record.
 
     The records are checked as a stream would check them: each record's box,
-    score and feature, then its id against the earlier ones, then the image that
-    ended with it. ``stop`` is the error of the record after the last one given,
-    which ended the read, if any.
+    score and feature, then its region id and label (no tab or newline, which
+    ``assignments.tsv`` cannot hold), then its id against the earlier ones, then
+    the image that ended with it. ``stop`` is the error of the record after the
+    last one given, which ended the read, if any.
     """
     n = len(ids)
     errors = [(n, 0, stop)] if stop else []
@@ -271,9 +267,15 @@ def _checked_table(path, where, ids, images, boxes, scores, features, labels, st
         (boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])
         & (scores >= 0.0) & (scores <= 1.0) & np.isfinite(features).all(axis=1)
     )
+    text = "".join(ids) + "".join(label for label in labels if label)
+    if "\t" in text or "\n" in text:
+        bad |= np.array([text_fault(region_id, label) is not None for region_id, label in zip(ids, labels)])
     if bad.any():
         i = int(np.argmax(bad))
-        fault = box_fault(*boxes[i].tolist()) or region_fault(ids[i], float(scores[i]), features[i])
+        fault = (
+            box_fault(*boxes[i].tolist()) or region_fault(ids[i], float(scores[i]), features[i])
+            or text_fault(ids[i], labels[i])
+        )
         errors.append((i, 1, f"{where(i)}: {fault}"))
     seen: set[str] = set()
     if len(set(ids)) < n:

@@ -11,6 +11,7 @@ cover the localization-style protocols.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
@@ -18,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .records import BoundingBox, GroundTruthBox, GroundTruthTable, RegionTable, box_fault
+from .records import BoundingBox, GroundTruthBox, GroundTruthTable, RegionTable, parse_box
 from .reporting import UNASSIGNED, read_lines
 
 BACKGROUND = "background"
@@ -67,8 +68,9 @@ def write_gt(path: str | Path, boxes: Iterable[GroundTruthBox]) -> None:
 def load_gt(path: str | Path) -> GroundTruthTable:
     """Every record of a ground-truth file as a table row, in file order.
 
-    Fields are checked in record order (image id, box, class name, known flag),
-    and the first bad line raises ValueError naming the file and the line.
+    Fields are checked in record order (image id, box, class name, known flag);
+    the box must be an array of four numbers and the flag a JSON boolean. The
+    first bad line raises ValueError naming the file and the line.
     """
     image_ids: list[str] = []
     coords: list[float] = []
@@ -80,15 +82,12 @@ def load_gt(path: str | Path) -> GroundTruthTable:
         try:
             obj = json.loads(line)
             image_ids.append(str(obj["image_id"]))
-            box = [float(v) for v in obj["box"]]
-            if len(box) != 4:
-                BoundingBox(*box)  # raises the constructor's TypeError for the wrong number of values
-            fault = box_fault(*box)
-            if fault:
-                raise ValueError(fault)
-            coords += box
+            coords += parse_box(obj["box"])
             class_names.append(str(obj["class_name"]))
-            known.append(bool(obj["known_flag"]))
+            known_flag = obj["known_flag"]
+            if type(known_flag) is not bool:
+                raise ValueError(f"known_flag must be a JSON boolean, got {reprlib.repr(known_flag)}")
+            known.append(known_flag)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}:{lineno}: bad ground-truth record: {exc}") from exc
     boxes = np.array(coords, dtype=np.float64).reshape(-1, 4)

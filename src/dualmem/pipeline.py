@@ -125,11 +125,6 @@ def build_priors(
 # Rounds
 # ---------------------------------------------------------------------------
 
-def whiten_corpus(features: np.ndarray, bg: BackgroundStats) -> np.ndarray:
-    """The whitened rows of a checked feature matrix, in one triangular solve."""
-    return whiten(features, bg)
-
-
 def run_discovery_round(
     state: RoundState,
     corpus: RegionTable,
@@ -138,7 +133,7 @@ def run_discovery_round(
 ) -> ConsolidationRecord:
     """One round: stream the active split, consolidate, mine the inactive split, swap.
 
-    ``white`` is ``whiten_corpus(corpus.features, bg)``, computed here if not given.
+    ``white`` is ``whiten(corpus.features, bg)``, computed here if not given.
     """
     mem = state.mem
     mem.attach(corpus, white)
@@ -200,7 +195,7 @@ def run_discovery(
     split = split_dataset(list(corpus.image_ids), config.rng_seed)
     mem = DualMemory.initialize(bg, config, priors)
     state = RoundState(round_index=1, active="d1", mem=mem)
-    white = whiten_corpus(corpus.features, bg)
+    white = whiten(corpus.features, bg)
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:

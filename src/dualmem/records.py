@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -17,6 +18,25 @@ def box_fault(x1: float, y1: float, x2: float, y2: float) -> str | None:
     """Why a box is invalid, or None."""
     if not (x2 > x1 and y2 > y1):
         return f"degenerate box [{x1}, {y1}, {x2}, {y2}]: x2 must exceed x1 and y2 must exceed y1"
+    return None
+
+
+def parse_box(value: object) -> list[float]:
+    """A JSON box's coordinates; ValueError unless it is four numbers (no bool or string) making a valid box."""
+    if type(value) is not list or len(value) != 4 or not {int, float}.issuperset(map(type, value)):
+        raise ValueError(f"box must be a JSON array of four numbers, got {reprlib.repr(value)}")
+    box = [float(v) for v in value]
+    fault = box_fault(*box)
+    if fault:
+        raise ValueError(fault)
+    return box
+
+
+def text_fault(region_id: str, label: str | None) -> str | None:
+    """Why a region id or label cannot be an ``assignments.tsv`` field (a tab or a newline), or None."""
+    for what, value in (("region_id", region_id), ("gt_label", label)):
+        if value and ("\t" in value or "\n" in value):
+            return f"{what} {value!r} contains a tab or a newline"
     return None
 
 

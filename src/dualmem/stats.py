@@ -4,7 +4,9 @@ The background class is summarized by a mean/covariance accumulator that folds
 in batches through the pairwise merge of Chan, Golub and LeVeque. With a shared
 covariance L L^T, a slot's discriminant w.f + b equals m.z - |m|^2 / 2 + log(n / N)
 for z = L^-1 (f - mean_bg) and m the slot's whitened mean (Hariharan, Malik and
-Ramanan, ECCV 2012), so scoring needs no solve per slot update.
+Ramanan, ECCV 2012). Semantic memory and consolidation score in that form, so
+a run needs no solve per slot; ``train_lda``, the closed form itself, derives a
+slot's classifier on request and is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -97,10 +98,6 @@ class LinearClassifier:
         if f.shape != self.weights.shape:
             raise ValueError(f"feature has shape {f.shape}, expected {self.weights.shape}")
         return float(self.weights @ f + self.bias)
-
-    def score_batch(self, feats: np.ndarray) -> np.ndarray:
-        feats = np.asarray(feats, dtype=np.float64)
-        return feats @ self.weights + self.bias
 
 
 @dataclass
@@ -222,16 +219,3 @@ def train_lda(mean_pos: np.ndarray, count_pos: int, bg: BackgroundStats) -> Line
     w = cho_solve((bg.chol_lower, True), diff, check_finite=False)
     b = float(np.log(count_pos / bg.count) - 0.5 * (w @ (mean_pos + bg.mean)))
     return LinearClassifier(weights=w, bias=b)
-
-
-def train_lda_batch(means: np.ndarray, counts: Sequence[int], bg: BackgroundStats) -> list[LinearClassifier]:
-    """``train_lda`` for every row of ``means`` in one solve, equal to it bit for bit.
-
-    LAPACK's ``potrs`` solves each right-hand side on its own (a test checks this).
-    """
-    means = np.reshape(np.asarray(means, dtype=np.float64), (len(means), bg.d))
-    weights = cho_solve((bg.chol_lower, True), (means - bg.mean).T, check_finite=False).T
-    return [
-        LinearClassifier(weights=w, bias=float(np.log(count / bg.count) - 0.5 * (w @ (mean + bg.mean))))
-        for w, mean, count in zip(np.ascontiguousarray(weights), means, counts)
-    ]

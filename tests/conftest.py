@@ -61,6 +61,14 @@ def identity_bg(d, count=1000, mean=None):
     return BackgroundStats.from_moments(mu, np.eye(d), count)
 
 
+def random_bg(rng, d):
+    """Background with a random mean, a well-conditioned random covariance and a random count."""
+    a = rng.standard_normal((d, d))
+    return BackgroundStats.from_moments(
+        rng.standard_normal(d), a @ a.T / d + 0.05 * np.eye(d), int(rng.integers(2, 10**6))
+    )
+
+
 @pytest.fixture
 def bg2():
     return identity_bg(2)

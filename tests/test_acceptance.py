@@ -12,7 +12,7 @@ import pytest
 
 from dualmem.cli import main as cli_main
 from dualmem.config import Config, save_config
-from dualmem.consolidation import build_affinity_graph, consolidate, merge_components, refine_slots, train_slot_classifiers
+from dualmem.consolidation import build_affinity_graph, consolidate, merge_components, refine_slots, slot_affinity, train_slot_classifiers
 from dualmem.corpus import ingest_corpus, open_corpus
 from dualmem.evaluation import (
     GroundTruthBox,
@@ -252,16 +252,24 @@ def test_criterion_4_consolidation_contracts():
     ]
     mem = memory_with_slots(groups, min_images_per_slot=1)
     before = sorted(r for s in mem.working for r in s.rows)
+    # The classifier path is the oracle of the whitened engine's edges and refine drops.
     graph = build_affinity_graph(mem, train_slot_classifiers(mem))
-    merge_components(mem, graph)
+    linked = slot_affinity(mem) > mem.config.merge_edge_threshold
+    ids = [s.slot_id for s in mem.working]
+    edges_agree = {(ids[i], ids[j]) for i, j in zip(*np.nonzero(np.triu(linked, 1)))} == {
+        (i, j) for i, j, _ in graph.edges
+    }
+    merge_components(mem, linked)
     conserved = sorted(r for s in mem.working for r in s.rows) == before
 
     classifiers = train_slot_classifiers(mem)
-    refine_slots(mem, classifiers)
+    members = {s.slot_id: list(s.rows) for s in mem.working}
+    refine_slots(mem)
+    retained = {s.slot_id: s.rows for s in mem.working}
     refine_ok = all(
-        classifiers[s.slot_id].score(mem.corpus.features[row]) >= 0.0
-        for s in mem.working
-        for row in s.rows
+        (classifiers[slot_id].score(mem.corpus.features[row]) >= 0.0) == (row in retained.get(slot_id, []))
+        for slot_id, rows in members.items()
+        for row in rows
     )
 
     def edgeless(mode):
@@ -289,8 +297,9 @@ def test_criterion_4_consolidation_contracts():
 
     report(
         "criterion 4 (consolidation contracts)",
-        conserved and refine_ok and naive_equals_merge and emptied,
-        f"conserved {conserved}, refine nonnegative {refine_ok}, "
+        edges_agree and conserved and refine_ok and naive_equals_merge and emptied,
+        f"edges match the classifiers {edges_agree}, conserved {conserved}, "
+        f"refine matches the classifiers {refine_ok}, "
         f"naive==merge {naive_equals_merge}, emptied {emptied}",
     )
 

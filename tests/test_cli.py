@@ -543,3 +543,32 @@ def test_key_values_with_line_separators_round_trip(tmp_path):
     values = {f"key{i}": f"a{separator}b" for i, separator in enumerate(SEPARATORS)}
     write_key_values(tmp_path / "values.txt", values)
     assert read_key_values(tmp_path / "values.txt") == values
+
+
+@pytest.mark.parametrize("binary", [False, True])
+@pytest.mark.parametrize("field, value", [("region_id", "r\t5"), ("gt_label", "c\n5")])
+def test_ids_with_a_tab_or_newline_fail_before_any_manifest(tmp_path, binary, field, value, capsys):
+    """``assignments.tsv`` cannot hold a region id or a (prior) label with a tab or a newline."""
+    rng = np.random.default_rng(4)
+    records = [
+        make_region(f"r{i}", f"img{i // 3}", rng.standard_normal(2).astype(np.float32), score=0.95, gt_label="c")
+        for i in range(12)
+    ]
+    suffix = ".dmrf" if binary else ".jsonl"
+    write = write_corpus_binary if binary else write_corpus_jsonl
+    write(tmp_path / f"corpus{suffix}", 2, records)
+    assert main(["background", "--corpus", str(tmp_path / f"corpus{suffix}"), "--out", str(tmp_path / "bg")]) == 0
+    bad = make_region(value if field == "region_id" else "r5", "img1", records[5].feature, score=0.95,
+                      gt_label=value if field == "gt_label" else "c")
+    target = tmp_path / f"{'corpus' if field == 'region_id' else 'priors'}_bad{suffix}"
+    write(target, 2, records[:5] + [bad] + records[6:])
+    corpus = target if field == "region_id" else tmp_path / f"corpus{suffix}"
+    config = tmp_path / "config.txt"
+    save_config(Config(d=2, min_images_per_slot=1, rounds=1), config)
+    argv = [
+        "discover", "--corpus", str(corpus), "--bg", str(tmp_path / "bg" / "bg.bin"),
+        "--config", str(config), "--priors", str(target if field == "gt_label" else tmp_path / f"corpus{suffix}"),
+    ]
+    where = "record 5" if binary else "line 7"
+    expected = f"{target}: {where}: {field} {value!r} contains a tab or a newline"
+    expect_one_line_error(argv, tmp_path / "run", expected, capsys)

@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dualmem.consolidation
+import dualmem.memory
+import dualmem.stats
 from dualmem.config import Config
 from dualmem.consolidation import (
-    AffinityGraph,
     build_affinity_graph,
     consolidate,
     merge_components,
     refine_slots,
+    slot_affinity,
+    slot_scores,
     train_slot_classifiers,
 )
-from dualmem.memory import DecisionKind, DualMemory, RetrievalDecision
-from dualmem.stats import train_lda
+from dualmem.memory import DecisionKind, DualMemory, RetrievalDecision, WorkingSlot
+from dualmem.stats import LinearClassifier, train_lda
 
-from conftest import identity_bg, make_region, table_of
+from conftest import identity_bg, make_region, random_bg, table_of
 
 
 def memory_with_slots(slot_features, d=2, bg_count=100, image_per_region=True, **config_kwargs):
@@ -41,6 +47,11 @@ def memory_with_slots(slot_features, d=2, bg_count=100, image_per_region=True, *
         rid += len(group)
     mem.config.tau_working = 0.7
     return mem
+
+
+def linked(mem):
+    """The adjacency ``consolidate`` merges over: affinities above the configured threshold."""
+    return slot_affinity(mem) > mem.config.merge_edge_threshold
 
 
 class TestSlotClassifiers:
@@ -109,8 +120,7 @@ class TestMerge:
     def test_edgeless_graph_unchanged(self):
         mem = memory_with_slots([[np.array([10.0, 0.0])], [np.array([-10.0, 0.0])]])
         slots_before = [(s.slot_id, list(s.rows)) for s in mem.working]
-        graph = build_affinity_graph(mem, train_slot_classifiers(mem))
-        merge_components(mem, graph)
+        merge_components(mem, linked(mem))
         assert [(s.slot_id, list(s.rows)) for s in mem.working] == slots_before
 
     def test_mutually_firing_slots_pool(self):
@@ -122,7 +132,7 @@ class TestMerge:
         all_feats = np.vstack([np.stack(g) for g in groups])
         graph = build_affinity_graph(mem, train_slot_classifiers(mem))
         assert len(graph.edges) == 1
-        merge_components(mem, graph)
+        merge_components(mem, linked(mem))
         assert len(mem.working) == 1
         slot = mem.working[0]
         assert slot.count == 4
@@ -133,8 +143,7 @@ class TestMerge:
         mem = memory_with_slots(
             [[np.array([9.0, 0.0])], [np.array([10.0, 0.0])], [np.array([11.0, 0.0])]]
         )
-        graph = build_affinity_graph(mem, train_slot_classifiers(mem))
-        merge_components(mem, graph)
+        merge_components(mem, linked(mem))
         assert len(mem.working) == 1
         assert mem.working[0].count == 3
 
@@ -147,8 +156,7 @@ class TestMerge:
         ]
         mem = memory_with_slots(groups)
         before = sorted(r for s in mem.working for r in s.rows)
-        graph = build_affinity_graph(mem, train_slot_classifiers(mem))
-        merge_components(mem, graph)
+        merge_components(mem, linked(mem))
         after = sorted(r for s in mem.working for r in s.rows)
         assert before == after
 
@@ -175,18 +183,19 @@ class TestMerge:
             mem = memory_with_slots([[f] for f in rng.standard_normal((k, 2)) * 5.0])
             nodes = [s.slot_id for s in mem.working]
             p_edge = rng.uniform(0.0, 0.4)
-            edges = [
-                (nodes[i], nodes[j], 1.0)
-                for i in range(k)
-                for j in range(i + 1, k)
-                if rng.uniform() < p_edge
-            ]
+            adjacency = np.zeros((k, k), dtype=bool)
+            edges = []
+            for i in range(k):
+                for j in range(i + 1, k):
+                    if rng.uniform() < p_edge:
+                        adjacency[i, j] = True
+                        edges.append((nodes[i], nodes[j], 1.0))
             members = {s.slot_id: list(s.rows) for s in mem.working}
             expected = [
                 (component[0], [r for slot_id in component for r in members[slot_id]])
                 for component in union_find(nodes, edges)
             ]
-            assert merge_components(mem, AffinityGraph(nodes=nodes, edges=edges)) == len(expected)
+            assert merge_components(mem, adjacency) == len(expected)
             assert [(s.slot_id, s.rows) for s in mem.working] == expected
 
 
@@ -194,7 +203,7 @@ class TestRefine:
     def test_all_positive_slot_untouched(self):
         mem = memory_with_slots([[np.array([10.0, 0.0]), np.array([10.5, 0.0])]])
         centroid_before = mem.working[0].centroid.copy()
-        dropped = refine_slots(mem, train_slot_classifiers(mem))
+        dropped = refine_slots(mem)
         assert dropped == 0
         np.testing.assert_array_equal(mem.working[0].centroid, centroid_before)
 
@@ -204,7 +213,7 @@ class TestRefine:
         classifiers = train_slot_classifiers(mem)
         clf = classifiers[mem.working[0].slot_id]
         assert clf.score(np.zeros(2)) < 0
-        dropped = refine_slots(mem, classifiers)
+        dropped = refine_slots(mem)
         assert dropped == 1
         slot = mem.working[0]
         assert slot.count == 2
@@ -218,7 +227,7 @@ class TestRefine:
         ]
         mem = memory_with_slots(groups)
         classifiers = train_slot_classifiers(mem)
-        refine_slots(mem, classifiers)
+        refine_slots(mem)
         for slot in mem.working:
             clf = classifiers[slot.slot_id]
             scores = [clf.score(mem.corpus.features[row]) for row in slot.rows]
@@ -229,7 +238,7 @@ class TestRefine:
         # Classifier at a near-background centroid scores its own sample below zero.
         classifiers = train_slot_classifiers(mem)
         assert classifiers[mem.working[0].slot_id].score(np.array([0.0, 0.01])) < 0
-        refine_slots(mem, classifiers)
+        refine_slots(mem)
         assert mem.working == []
 
 
@@ -309,3 +318,89 @@ class TestConsolidate:
             return [(s.label, s.mean.tobytes(), tuple(s.members)) for s in mem.semantic]
 
         assert run() == run()
+
+
+def random_working_memory(seed, d, k, threshold):
+    """``k`` working slots of 1-5 members over a random background, placed so that
+    cross-firing affinities and member scores fall on both sides of their thresholds.
+
+    Points are drawn in whitened space and mapped to features through the
+    background's factor; some slots sit near an earlier one.
+    """
+    rng = np.random.default_rng(seed)
+    bg = random_bg(rng, d)
+    centers = []
+    for i in range(k):
+        if i and rng.random() < 0.4:
+            center = centers[rng.integers(i)] + rng.standard_normal(d) * rng.uniform(0.0, 1.5)
+        else:
+            direction = rng.standard_normal(d)
+            center = direction / np.linalg.norm(direction) * rng.uniform(0.0, 8.0)
+        centers.append(center)
+    points, sizes = [], rng.integers(1, 6, size=k)
+    for center, size in zip(centers, sizes):
+        points += [center + rng.standard_normal(d) * rng.uniform(0.0, 2.0) for _ in range(size)]
+    features = bg.mean + np.array(points) @ bg.chol_lower.T
+    config = Config(d=d, init_mode="null", merge_edge_threshold=threshold, min_images_per_slot=1)
+    mem = DualMemory(bg, config)
+    mem.attach(table_of([make_region(f"r{i}", f"img{i}", f) for i, f in enumerate(features)], d))
+    starts = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    for slot_id, (start, end) in enumerate(zip(starts, starts[1:])):
+        rows = list(range(start, end))
+        mem.working.append(WorkingSlot(slot_id, mem.corpus.features[rows].mean(axis=0), rows))
+    mem.next_slot_id = k
+    mem.rebuild_caches()
+    return mem
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("consolidation built a classifier")
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1), d=st.integers(1, 40), k=st.integers(1, 12),
+    threshold=st.sampled_from([0.0, 0.0, -3.0, 2.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_whitened_consolidation_matches_the_classifier_oracle(seed, d, k, threshold):
+    """The whitened affinities, member scores, edges and refine drops equal the per-slot classifiers'.
+
+    Edges and keep decisions are compared wherever the oracle's value is more
+    than 1e-9 from its threshold; the two paths round differently by about 1e-15.
+    """
+    mem = random_working_memory(seed, d, k, threshold)
+    ids = [s.slot_id for s in mem.working]
+    classifiers = train_slot_classifiers(mem)
+    mem.config.merge_edge_threshold = -np.inf  # every pair becomes an oracle edge with its affinity
+    pairs = build_affinity_graph(mem, classifiers).edges
+    mem.config.merge_edge_threshold = threshold
+
+    affinity = slot_affinity(mem)
+    assert affinity.shape == (k, k)
+    np.testing.assert_array_equal(affinity, affinity.T)
+    oracle = np.array([weight for _, _, weight in pairs])
+    whitened = np.array([affinity[ids.index(i), ids.index(j)] for i, j, _ in pairs])
+    scale = max(1.0, float(np.abs(oracle).max(initial=0.0)))
+    np.testing.assert_allclose(whitened, oracle, rtol=1e-12, atol=1e-12 * scale)
+    clear = np.abs(oracle - threshold) > 1e-9
+    assert ((whitened > threshold) == (oracle > threshold))[clear].all()
+
+    members = {s.slot_id: list(s.rows) for s in mem.working}
+    whites, offsets = slot_scores(mem)
+    refine_slots(mem)
+    retained = {s.slot_id: set(s.rows) for s in mem.working}
+    for (slot_id, rows), white, offset in zip(members.items(), whites, offsets):
+        scores = np.array([classifiers[slot_id].score(f) for f in mem.corpus.features[rows]])
+        scale = max(1.0, float(np.abs(scores).max()))
+        np.testing.assert_allclose(mem.white[rows] @ white + offset, scores, rtol=1e-12, atol=1e-12 * scale)
+        kept = np.array([row in retained.get(slot_id, ()) for row in rows])
+        clear = np.abs(scores) > 1e-9
+        assert ((scores >= 0.0) == kept)[clear].all()
+
+    mem = random_working_memory(seed, d, k, threshold)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LinearClassifier, "__init__", _forbidden)
+        for module in (dualmem.stats, dualmem.memory, dualmem.consolidation):
+            patch.setattr(module, "train_lda", _forbidden)
+        record = consolidate(mem)
+    assert record.slots_before == k and mem.working == []

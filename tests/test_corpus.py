@@ -1,4 +1,5 @@
 import gc
+import json
 import sys
 import warnings
 
@@ -118,6 +119,15 @@ class TestFormats:
         path.write_text('{"d": 2, "version": 1}\n{"region_id": "r0" oops\n')
         with pytest.raises(CorpusFormatError, match="line 2"):
             open_corpus(path)
+
+    @pytest.mark.parametrize("box", ["0129", [0, 0, "1", 1], [0, 0, False, 1]])
+    def test_box_of_another_json_type_is_refused(self, tmp_path, box):
+        path = tmp_path / "bad.jsonl"
+        record = {"region_id": "r0", "image_id": "i0", "box": box, "score": 0.5, "feature": [0.0, 1.0]}
+        path.write_text('{"d": 2, "version": 1}\n' + json.dumps(record) + "\n")
+        with pytest.raises(CorpusFormatError) as caught:
+            open_corpus(path)
+        assert str(caught.value) == f"{path}: line 2: box must be a JSON array of four numbers, got {box!r}"
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -1,13 +1,15 @@
 """The table readers against the record-at-a-time reader they replaced.
 
 ``reference_ingest`` keeps the earlier algorithm: parse one record object at a
-time (``RegionRecord`` and ``BoundingBox`` check each), check its dimension and
-id, and finish an image when the next one starts. Both must give the same
+time (``RegionRecord`` and ``BoundingBox`` check each), check its dimension,
+its id and label for a tab or a newline, and its id against the earlier ones,
+and finish an image when the next one starts. Both must give the same
 rows, bit for bit, and fail with the same message on the same corpus.
 """
 
 import json
 import os
+import reprlib
 import struct
 
 import numpy as np
@@ -24,7 +26,12 @@ ID_BYTES = 64
 
 def _parse_json_record(obj, where):
     try:
-        box = BoundingBox(*(float(v) for v in obj["box"]))
+        box = obj["box"]
+        if not (isinstance(box, list) and len(box) == 4 and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in box
+        )):
+            raise ValueError(f"box must be a JSON array of four numbers, got {reprlib.repr(box)}")
+        box = BoundingBox(*(float(v) for v in box))
         label = obj.get("gt_label")
         return RegionRecord(
             region_id=str(obj["region_id"]),
@@ -36,6 +43,13 @@ def _parse_json_record(obj, where):
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CorpusFormatError(f"{where}: {exc}") from exc
+
+
+def _check_text(record, where):
+    """A region id or label with a tab or a newline cannot be written to assignments.tsv."""
+    for what, value in (("region_id", record.region_id), ("gt_label", record.gt_label)):
+        if value and ("\t" in value or "\n" in value):
+            raise CorpusFormatError(f"{where}: {what} {value!r} contains a tab or a newline")
 
 
 def _iter_jsonl(path):
@@ -56,7 +70,7 @@ def _iter_jsonl(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"{path}: line {lineno}: invalid JSON at column {exc.colno}") from exc
-            yield _parse_json_record(obj, f"{path}: line {lineno}")
+            yield _parse_json_record(obj, f"{path}: line {lineno}"), f"{path}: line {lineno}"
 
 
 def _iter_binary(path):
@@ -87,7 +101,7 @@ def _iter_binary(path):
                 )
             except ValueError as exc:
                 raise CorpusFormatError(f"{path}: record {index}: {exc}") from exc
-            yield record
+            yield record, f"{path}: record {index}"
         if count > whole:
             raise CorpusFormatError(f"{path}: record {whole} at offset {16 + whole * record_struct.size}: truncated")
 
@@ -110,11 +124,12 @@ def reference_ingest(path, config):
         regions.sort(key=lambda r: (-r.score, r.region_id))
         return regions[: config.n_proposals_per_image]
 
-    for record in records:
+    for record, where in records:
         if record.feature.shape[0] != d:
             raise CorpusFormatError(
                 f"{path}: region '{record.region_id}': feature dimension {record.feature.shape[0]} != {d}"
             )
+        _check_text(record, where)
         if record.region_id in seen:
             raise CorpusFormatError(f"{path}: duplicate region_id '{record.region_id}'")
         seen.add(record.region_id)
@@ -235,6 +250,9 @@ def _jsonl_faults(lines, faults):
             elif kind == 10:
                 lines[k] = lines[k][: 1 + j % (len(lines[k]) - 1)]
                 continue
+            elif kind == 11:
+                key = ["region_id", "gt_label"][j % 2]
+                obj[key] = (obj[key] or "") + ["\t", "\n"][j // 2 % 2]
             else:
                 obj = [obj["region_id"]]
         except (KeyError, IndexError, TypeError):
@@ -267,6 +285,8 @@ def _binary_faults(data, d, faults):
         elif kind == 6:
             del data[16 + (k * size + j) % (len(data) - 16):]
             return data
+        elif kind == 7:
+            data[at + [ids, label][j % 2] + 1] = [0x09, 0x0A][j // 2 % 2]
         else:
             data[at + box: at + box + 4] = struct.pack("<f", np.nan)
     return data
@@ -274,7 +294,7 @@ def _binary_faults(data, d, faults):
 
 # Faults land on the first records, so several meet in one record or one image, where their order shows.
 FAULTS = st.lists(
-    st.tuples(st.integers(0, 11), st.integers(0, 3), st.integers(0, 12)), min_size=1, max_size=4
+    st.tuples(st.integers(0, 12), st.integers(0, 3), st.integers(0, 12)), min_size=1, max_size=4
 )
 
 
@@ -287,7 +307,7 @@ def test_table_ingest_names_the_same_first_fault(tmp_path_factory, corpus, binar
     (write_corpus_binary if binary else write_corpus_jsonl)(path, config.d, records)
     if binary:
         path.write_bytes(bytes(_binary_faults(bytearray(path.read_bytes()), config.d, [
-            (kind % 8, k, j) for kind, k, j in faults
+            (kind % 9, k, j) for kind, k, j in faults
         ])))
     else:
         lines = path.read_text(encoding="utf-8").splitlines()

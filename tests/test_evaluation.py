@@ -1,5 +1,6 @@
 import json
 import re
+import reprlib
 from pathlib import Path
 
 import numpy as np
@@ -480,6 +481,22 @@ class TestGtFile:
         with pytest.raises(ValueError, match="gt.jsonl:1"):
             load_gt(tmp_path / "gt.jsonl")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("known_flag", "false", "known_flag must be a JSON boolean, got 'false'"),
+        ("known_flag", 0, "known_flag must be a JSON boolean, got 0"),
+        ("box", "0129", "box must be a JSON array of four numbers, got '0129'"),
+        ("box", [0, 0, "1", 1], "box must be a JSON array of four numbers, got [0, 0, '1', 1]"),
+        ("box", [0, 0, True, 1], "box must be a JSON array of four numbers, got [0, 0, True, 1]"),
+        ("box", [0, 0, 1], "box must be a JSON array of four numbers, got [0, 0, 1]"),
+    ])
+    def test_values_of_another_json_type_are_refused(self, tmp_path, field, value, message):
+        good = dict(image_id="i0", box=[0, 0, 1, 1], class_name="a", known_flag=False)
+        path = tmp_path / "gt.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, **{field: value})) + "\n")
+        with pytest.raises(ValueError) as caught:
+            load_gt(path)
+        assert str(caught.value) == f"{path}:2: bad ground-truth record: {message}"
+
     def test_first_bad_line_comes_before_a_later_line_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "gt.jsonl"
         good = b'{"image_id":"i0","box":[0,0,1,1],"class_name":"a","known_flag":false}'
@@ -495,24 +512,33 @@ class TestGtFile:
 
 
 def reference_load_gt(path):
-    """The record-at-a-time reader: one GroundTruthBox, checked by BoundingBox, per line."""
+    """The record-at-a-time reader: one GroundTruthBox, checked by BoundingBox, per line.
+
+    A box must be a JSON array of four numbers and a known flag a JSON boolean;
+    nothing is coerced from another JSON type.
+    """
     boxes = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-            boxes.append(
-                GroundTruthBox(
-                    image_id=str(obj["image_id"]),
-                    box=BoundingBox(*(float(v) for v in obj["box"])),
-                    class_name=str(obj["class_name"]),
-                    known_flag=bool(obj["known_flag"]),
-                )
-            )
+            image_id = str(obj["image_id"])
+            box = obj["box"]
+            if not (isinstance(box, list) and len(box) == 4 and all(is_json_number(v) for v in box)):
+                raise ValueError(f"box must be a JSON array of four numbers, got {reprlib.repr(box)}")
+            box = BoundingBox(*(float(v) for v in box))
+            class_name = str(obj["class_name"])
+            if not isinstance(obj["known_flag"], bool):
+                raise ValueError(f"known_flag must be a JSON boolean, got {reprlib.repr(obj['known_flag'])}")
+            boxes.append(GroundTruthBox(image_id, box, class_name, obj["known_flag"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}:{lineno}: bad ground-truth record: {exc}") from exc
     return boxes
+
+
+def is_json_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def gt_outcome(read, path):
@@ -528,8 +554,9 @@ def gt_outcome(read, path):
     return [repr(row) for row in rows]
 
 
-# JSON values a field may hold instead of the expected one; str() and bool() take all of
-# them, float() some of them ("1.5", True), and 10**400 overflows a float.
+# JSON values a field may hold instead of the expected one: str() takes all of them, a box
+# coordinate must be a number (not "1.5" or true), a known flag must be a boolean, and
+# 10**400 overflows a float.
 ODD_VALUES = st.one_of(
     st.integers(-2, 4), st.booleans(), st.none(), st.sampled_from(["1.5", "x", ""]), st.just(10**400),
     st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.sampled_from(["k"]), st.integers(0, 1)),
@@ -543,7 +570,7 @@ GOOD_RECORD = st.fixed_dictionaries({
     "image_id": st.one_of(st.sampled_from(["i0", "i1", "i2"]), st.integers(0, 2)),
     "box": GOOD_BOX,
     "class_name": st.one_of(st.sampled_from(["a", "b", "k"]), st.integers(0, 1)),
-    "known_flag": st.one_of(st.booleans(), st.integers(0, 1)),
+    "known_flag": st.booleans(),
 })
 
 

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from dualmem.config import Config
 from dualmem.consolidation import consolidate, train_slot_classifiers
 from dualmem.memory import DecisionKind, DualMemory, StaleDecisionError
-from dualmem.pipeline import whiten_corpus
-from dualmem.stats import BackgroundStats, train_lda
+from dualmem.stats import BackgroundStats, train_lda, whiten
 
 from conftest import identity_bg, make_region, table_of
 
@@ -560,7 +559,7 @@ def test_whitened_engine_matches_the_lda_reference(seed, d, n_classes, n_images,
         corpus[f"i{i}"] = [make_region(f"r{i}_{j}", f"i{i}", f) for j, f in enumerate(feats)]
     ref = ReferenceMemory(bg, config, priors)
     table = table_of([region for batch in corpus.values() for region in batch])
-    mem.attach(table, whiten_corpus(table.features, bg))
+    mem.attach(table, whiten(table.features, bg))
     starts = table.image_starts.tolist()
     rows = {image_id: range(start, end) for image_id, start, end in zip(table.image_ids, starts, starts[1:])}
     stream, mine = list(corpus)[: n_images // 2], list(corpus)[n_images // 2:]

@@ -10,11 +10,10 @@ from dualmem.stats import (
     MomentAccumulator,
     finalize_background,
     train_lda,
-    train_lda_batch,
     whiten,
 )
 
-from conftest import rel_err
+from conftest import random_bg, rel_err
 
 
 def batch_moments(samples):
@@ -198,13 +197,6 @@ class TestLda:
             clf.score(np.zeros(3))
 
 
-def random_bg(rng, d):
-    a = rng.standard_normal((d, d))
-    return BackgroundStats.from_moments(
-        rng.standard_normal(d), a @ a.T / d + 0.05 * np.eye(d), int(rng.integers(2, 10**6))
-    )
-
-
 class TestWhiten:
     def test_rows_solve_against_the_factor(self):
         rng = np.random.default_rng(7)
@@ -225,7 +217,8 @@ class TestWhiten:
             feats = rng.standard_normal((20, d)) * 3
             m = whiten(mean, bg)
             whitened = whiten(feats, bg) @ m - 0.5 * (m @ m) + np.log(count / bg.count)
-            expected = train_lda(mean, count, bg).score_batch(feats)
+            clf = train_lda(mean, count, bg)
+            expected = [clf.score(f) for f in feats]
             np.testing.assert_allclose(whitened, expected, rtol=1e-9, atol=1e-9)
 
     @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((2, 3)), np.zeros((1, 2, 4))])
@@ -238,20 +231,6 @@ class TestWhiten:
         feats[1, 2] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             whiten(feats, random_bg(np.random.default_rng(0), 4))
-
-
-def test_batched_lda_equals_train_lda_bit_for_bit():
-    """One solve for many slots relies on LAPACK solving each right-hand side alone."""
-    rng = np.random.default_rng(9)
-    for _ in range(60):
-        d, k = int(rng.integers(1, 70)), int(rng.integers(1, 200))
-        bg = random_bg(rng, d)
-        means = rng.standard_normal((k, d)) * 3 + bg.mean
-        counts = rng.integers(1, 1000, size=k).tolist()
-        for mean, count, clf in zip(means, counts, train_lda_batch(means, counts, bg)):
-            expected = train_lda(mean, count, bg)
-            assert np.array_equal(clf.weights, expected.weights) and clf.bias == expected.bias
-    assert train_lda_batch(np.zeros((0, 3)), [], random_bg(rng, 3)) == []
 
 
 def test_streaming_equivalence_is_fast():
