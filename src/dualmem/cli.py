@@ -1,8 +1,8 @@
 """Command-line entry point: gen, background, discover, eval, baseline.
 
-Every subcommand reads and checks its inputs, then writes a manifest into its
-output directory before any other artifact; it refuses to reuse a non-empty
-directory unless forced.
+Every subcommand reads and checks its inputs, and computes what can still fail,
+then writes a manifest into its output directory before any other artifact; it
+refuses to reuse a non-empty directory unless forced.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from . import __version__
 from .config import Config, config_hash, load_config
 from .corpus import ingest_corpus, load_corpus, open_corpus, read_corpus_dim
 from .evaluation import evaluate_run, load_gt
-from .pipeline import build_priors, estimate_background, run_discovery
+from .pipeline import build_priors, estimate_background, run_rounds, start_discovery
 from .records import CorpusFormatError
 from .reporting import read_assignments, read_key_values, write_assignments, write_curve_csv, write_key_values
 from .stats import BackgroundStats
@@ -94,20 +94,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_background(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise CliError(f"--threads must be at least 1, got {args.threads}")
-    d = read_corpus_dim(args.corpus)
-    if args.config is not None:
-        config = load_config(args.config)
-        if config.d != d:
-            raise CliError(f"config d={config.d} does not match corpus d={d}")
-    else:
-        config = Config(d=d)
+    # ingest_corpus refuses a configured d that is not the corpus's.
+    config = load_config(args.config) if args.config is not None else Config(d=read_corpus_dim(args.corpus))
     corpus = ingest_corpus(args.corpus, config)
+    bg = estimate_background(corpus, config, workers=args.threads)
     out_dir = _prepare_out_dir(args.out, args.force)
     _write_manifest(
         out_dir, "background", args,
         _hash_params(_hash_file(args.corpus), config_hash(config), args.threads),
     )
-    bg = estimate_background(corpus, config, workers=args.threads)
     bg.save(out_dir / "bg.bin")
     print(f"background: {out_dir / 'bg.bin'} (d={bg.d}, samples={bg.count})")
     return 0
@@ -130,12 +125,13 @@ def _cmd_discover(args: argparse.Namespace) -> int:
             raise CliError("init_mode=gt_overlap requires --gt")
         gt = load_gt(args.gt)
     priors = build_priors(config, detections=detections, corpus=corpus, gt=gt)
+    state, split = start_discovery(corpus, bg, config, priors)
     out_dir = _prepare_out_dir(args.out, args.force)
     _write_manifest(
         out_dir, "discover", args,
         _hash_params(_hash_file(args.corpus), _hash_file(args.bg), config_hash(config)),
     )
-    run = run_discovery(corpus, bg, config, priors, out_dir=out_dir)
+    run = run_rounds(state, corpus, split, out_dir)
     print(f"assignments: {out_dir / 'assignments.tsv'}")
     print(f"semantic slots: {len(run.mem.semantic)}, clusters: {run.stats['clusters_final']}")
     return 0
@@ -181,13 +177,16 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         values = read_key_values(args.stats)
         if "clusters_final" not in values:
             raise CliError(f"'{args.stats}' has no clusters_final entry")
-        k = int(values["clusters_final"])
+        try:
+            k = int(values["clusters_final"])
+        except ValueError as exc:
+            raise CliError(f"{args.stats}: clusters_final: {exc}") from exc
     if args.seed is None:
         args.seed = load_config(args.config).rng_seed if args.config else 0
     regions = load_corpus(args.corpus)
+    assignments, _, history = kmeans_baseline(regions, k, args.seed)
     out_dir = _prepare_out_dir(args.out, args.force)
     _write_manifest(out_dir, "baseline", args, _hash_params(_hash_file(args.corpus), k, args.seed))
-    assignments, _, history = kmeans_baseline(regions, k, args.seed)
     write_assignments(out_dir / "assignments.tsv", assignments.items())
     print(f"assignments: {out_dir / 'assignments.tsv'} (k={k}, iterations={len(history)})")
     return 0

@@ -6,11 +6,13 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TypeVar
 
 from .reporting import format_value, read_lines, write_key_values
 
 CONSOLIDATION_MODES = ("naive", "merge", "merge_refine")
 INIT_MODES = ("null", "det_scores", "gt_overlap")
+T = TypeVar("T")
 
 
 @dataclass
@@ -65,7 +67,7 @@ def _parse_value(field: dataclasses.Field, raw: str) -> object:
     if field.type in ("bool", bool):
         low = raw.lower()
         if low not in ("true", "false"):
-            raise ValueError(f"config key '{field.name}': expected true/false, got '{raw}'")
+            raise ValueError(f"expected true/false, got '{raw}'")
         return low == "true"
     if field.type in ("int", int):
         return int(raw)
@@ -74,8 +76,8 @@ def _parse_value(field: dataclasses.Field, raw: str) -> object:
     return raw
 
 
-def load_fields(cls: type, path: str | Path) -> dict[str, object]:
-    """Parse a ``key = value`` file into values for fields of the dataclass ``cls``."""
+def load_fields(cls: type[T], path: str | Path, **overrides: object) -> T:
+    """The dataclass ``cls`` from a ``key = value`` file and keyword overrides; every error names the file."""
     fields = {f.name: f for f in dataclasses.fields(cls)}
     values: dict[str, object] = {}
     for lineno, line in read_lines(path):
@@ -88,8 +90,18 @@ def load_fields(cls: type, path: str | Path) -> dict[str, object]:
         key = key.strip()
         if key not in fields:
             raise ValueError(f"{path}:{lineno}: unknown {cls.__name__} key '{key}'")
-        values[key] = _parse_value(fields[key], raw.strip())
-    return values
+        try:
+            values[key] = _parse_value(fields[key], raw.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: key '{key}': {exc}") from exc
+    values.update(overrides)
+    missing = [name for name, f in fields.items() if f.default is dataclasses.MISSING and name not in values]
+    if missing:
+        raise ValueError(f"{path}: {cls.__name__} file must define {', '.join(map(repr, missing))}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_config(config: Config, path: str | Path) -> None:
@@ -99,11 +111,7 @@ def save_config(config: Config, path: str | Path) -> None:
 
 def load_config(path: str | Path, **overrides: object) -> Config:
     """Parse a ``key = value`` config file; keyword overrides win over file values."""
-    values = load_fields(Config, path)
-    values.update(overrides)
-    if "d" not in values:
-        raise ValueError(f"{path}: config file must define 'd'")
-    return Config(**values)  # type: ignore[arg-type]
+    return load_fields(Config, path, **overrides)
 
 
 def config_hash(config: Config) -> str:

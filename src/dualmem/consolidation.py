@@ -160,11 +160,11 @@ def consolidate(mem: DualMemory, round_index: int = 1) -> ConsolidationRecord:
         if len(set(corpus.image_of(slot.rows))) >= mem.config.min_images_per_slot
     ]
     dropped_small = len(mem.working) - len(kept)
-    whites = whiten(np.stack([slot.centroid for slot in kept]), mem.bg) if kept else []
+    whites = whiten(np.reshape([slot.centroid for slot in kept], (-1, mem.bg.d)), mem.bg)
     for sequence, (slot, white) in enumerate(zip(kept, whites)):
         label = f"disc_{round_index}_{sequence}"
         members = [corpus.region_ids[row] for row in slot.rows]
-        mem.semantic.append(SemanticSlot(slot.slot_id, label, slot.centroid.copy(), white, mem.bg, members))
+        mem.semantic.append(SemanticSlot(slot.slot_id, label, white, mem.bg, members))
     mem.semantic.sort(key=lambda s: s.slot_id)
     mem.working = []
     mem.rebuild_caches()

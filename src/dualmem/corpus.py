@@ -66,6 +66,8 @@ def _jsonl_header(line: str, path: Path) -> int:
         raise CorpusFormatError(f"{path}: line 1: bad header record: {exc}") from exc
     if version != JSONL_VERSION:
         raise CorpusFormatError(f"{path}: line 1: unsupported version {version}")
+    if d < 1:
+        raise CorpusFormatError(f"{path}: line 1: dimension {d} is not positive")
     return d
 
 
@@ -206,6 +208,8 @@ def _binary_header(fh, path: Path) -> tuple[int, int]:
         raise CorpusFormatError(f"{path}: bad magic {magic!r}, expected {BINARY_MAGIC!r}")
     if version != BINARY_VERSION:
         raise CorpusFormatError(f"{path}: unsupported binary version {version}")
+    if d < 1:
+        raise CorpusFormatError(f"{path}: dimension {d} is not positive")
     return d, count
 
 
@@ -264,7 +268,7 @@ def _checked_table(path, where, ids, images, boxes, scores, features, labels, st
     n = len(ids)
     errors = [(n, 0, stop)] if stop else []
     bad = ~(
-        (boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])
+        np.isfinite(boxes).all(axis=1) & (boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])
         & (scores >= 0.0) & (scores <= 1.0) & np.isfinite(features).all(axis=1)
     )
     text = "".join(ids) + "".join(label for label in labels if label)

@@ -1,13 +1,13 @@
 """The dual memory: classifier slots for known concepts, centroid slots for candidates.
 
-The memory streams rows of the corpus table it is attached to. Semantic slots
-score whitened features with their whitened mean (see ``stats``), moved in
-O(d) per absorbed region; the classifier is derived only when asked for, and
-members are region ids. Working slots are cumulative-moving-average centroids
-matched by cosine; their members are corpus rows, whose features consolidation
-gathers. A slot's count is its number of members. Retrieval is a pure decision;
-applying a decision is the only mutation path. Checkpoints are taken between
-rounds, when working memory is empty, and hold the semantic slots.
+The memory streams rows of the corpus table it is attached to, whitened once on
+attach (see ``stats``). A semantic slot keeps one state, its whitened mean, moved
+in O(d) per absorbed region; its raw mean and classifier are derived on request,
+and its members are region ids. Working slots are cumulative-moving-average
+centroids matched by cosine; their members are corpus rows, whose features
+consolidation gathers. A slot's count is its number of members. Retrieval is a
+pure decision; applying a decision is the only mutation path. Checkpoints are
+taken between rounds, when working memory is empty, and hold the semantic slots.
 
 The per-region path (``retrieve``, ``apply_decision``, ``process_image``,
 ``mine_region``) is written for few numpy calls per region, under one contract:
@@ -39,7 +39,7 @@ from .stats import BackgroundStats, LinearClassifier, _expect_end, _read_exact, 
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"DMCK"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class StaleDecisionError(RuntimeError):
@@ -62,11 +62,10 @@ class RetrievalDecision:
 
 @dataclass(eq=False)
 class SemanticSlot:
-    """A known or discovered category: positive mean, member ids, and the whitened mean that scores."""
+    """A known or discovered category: the whitened mean of its members' features, and their ids."""
 
     slot_id: int
     label: str
-    mean: np.ndarray
     white: np.ndarray
     bg: BackgroundStats = field(repr=False)
     members: list[str] = field(default_factory=list)
@@ -74,6 +73,11 @@ class SemanticSlot:
     @property
     def count(self) -> int:
         return len(self.members)
+
+    @property
+    def mean(self) -> np.ndarray:
+        """The members' mean feature, ``mean_bg + L m``: the whitened mean mapped back."""
+        return self.bg.mean + self.bg.chol_lower @ self.white
 
     @property
     def offset(self) -> float:
@@ -143,23 +147,21 @@ class DualMemory:
         labels = sorted(label for label, regions in priors.items() if len(regions))
         means = [priors[label].features.mean(axis=0) for label in labels]
         whites = whiten(np.stack(means), bg) if means else []
-        for slot_id, (label, mean, white) in enumerate(zip(labels, means, whites)):
-            members = list(priors[label].region_ids)
-            mem.semantic.append(SemanticSlot(slot_id, label, mean, white, bg, members))
+        for slot_id, (label, white) in enumerate(zip(labels, whites)):
+            mem.semantic.append(SemanticSlot(slot_id, label, white, bg, list(priors[label].region_ids)))
         mem.next_slot_id = len(mem.semantic)
         mem.rebuild_caches()
         return mem
 
-    def attach(self, corpus: RegionTable, white: np.ndarray | None = None) -> None:
-        """Stream rows of ``corpus`` from now on; ``white`` is its whitened feature matrix.
+    def attach(self, corpus: RegionTable) -> None:
+        """Stream rows of ``corpus`` from now on; a new table is whitened once, into ``self.white``.
 
-        ``white`` is computed here if not given. Working members are rows of the
-        attached corpus, so the corpus can change only while working memory is empty.
+        Working members are rows of the attached corpus, so it can change only while working memory is empty.
         """
-        if self.working and corpus is not self.corpus:
-            raise ValueError(f"cannot attach a new corpus with {len(self.working)} working slots")
-        self.corpus = corpus
-        self.white = whiten(corpus.features, self.bg) if white is None else white
+        if corpus is not self.corpus:
+            if self.working:
+                raise ValueError(f"cannot attach a new corpus with {len(self.working)} working slots")
+            self.corpus, self.white = corpus, whiten(corpus.features, self.bg)
 
     @property
     def total_slots(self) -> int:
@@ -222,23 +224,14 @@ class DualMemory:
 
     # -- updates ------------------------------------------------------------
 
-    def _update_semantic_slot(self, slot_id: int, row: int) -> None:
-        index = self._sem_rows.get(slot_id)
-        if index is None:
-            raise StaleDecisionError(f"semantic slot {slot_id} no longer exists")
-        self._absorb_semantic(index, row)
-
     def _absorb_semantic(self, index: int, row: int) -> None:
-        """Move semantic slot ``index``'s means and score row to take in corpus row ``row``."""
+        """Move semantic slot ``index``'s whitened mean and score row to take in corpus row ``row``."""
         slot = self.semantic[index]
         n = len(slot.members) + 1
-        mean = self.corpus.features[row] - slot.mean
-        mean /= n
-        mean += slot.mean
         white = self.white[row] - slot.white
         white /= n
         white += slot.white
-        slot.mean, slot.white = mean, white
+        slot.white = white
         slot.members.append(self.corpus.region_ids[row])
         self._sem_white[index] = white
         self._sem_offset[index] = np.log(n / self.bg.count) - 0.5 * (white @ white)
@@ -250,7 +243,10 @@ class DualMemory:
             self.rejected_count += 1
             return
         if kind is DecisionKind.KNOWN_MATCH:
-            self._update_semantic_slot(decision.slot_id, row)
+            index = self._sem_rows.get(decision.slot_id)
+            if index is None:
+                raise StaleDecisionError(f"semantic slot {decision.slot_id} no longer exists")
+            self._absorb_semantic(index, row)
             return
         feature = self.corpus.features[row]
         if kind is DecisionKind.WORKING_MATCH:
@@ -312,16 +308,15 @@ class DualMemory:
             fh.write(struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, self.config.d))
             fh.write(bytes.fromhex(config_hash(self.config)))
             fh.write(struct.pack("<QQ", self.next_slot_id, self.rejected_count))
-            fh.write(self.bg.mean.astype("<f8").tobytes())
-            fh.write(np.ascontiguousarray(self.bg.covariance, dtype="<f8").tobytes())
-            fh.write(struct.pack("<Q", self.bg.count))
+            self.bg.write_moments(fh)
             fh.write(struct.pack("<I", len(self.semantic)))
             for slot in self.semantic:
                 fh.write(struct.pack("<Q", slot.slot_id))
                 _write_str(fh, slot.label)
-                fh.write(slot.mean.astype("<f8").tobytes())
                 fh.write(slot.white.astype("<f8").tobytes())
-                _write_str_list(fh, slot.members)
+                fh.write(struct.pack("<I", len(slot.members)))
+                for member in slot.members:
+                    _write_str(fh, member)
 
     @classmethod
     def load_checkpoint(cls, path: str | Path, config: Config) -> "DualMemory":
@@ -338,30 +333,25 @@ class DualMemory:
             if d != config.d:
                 raise ValueError(f"{path}: checkpoint dimension {d} != configured dimension {config.d}")
             next_slot_id, rejected = struct.unpack("<QQ", _read_exact(fh, 16, "counters"))
-            bg_mean = _read_floats(fh, d, "background mean")
-            bg_cov = _read_floats(fh, d * d, "background covariance").reshape(d, d)
-            (bg_count,) = struct.unpack("<Q", _read_exact(fh, 8, "background count"))
-            try:
-                bg = BackgroundStats.from_moments(bg_mean, bg_cov, bg_count)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from exc
-            mem = cls(bg, config)
-            mem.next_slot_id = next_slot_id
-            mem.rejected_count = rejected
+            mem = cls(BackgroundStats.read_moments(fh, d), config)
+            mem.next_slot_id, mem.rejected_count = next_slot_id, rejected
             (n_sem,) = struct.unpack("<I", _read_exact(fh, 4, "semantic slot count"))
+            last = -1
             for _ in range(n_sem):
                 (slot_id,) = struct.unpack("<Q", _read_exact(fh, 8, "slot id"))
+                if not last < slot_id < next_slot_id:
+                    raise ValueError(f"{path}: slot id {slot_id} must exceed {last} and be below {next_slot_id}")
+                last = slot_id
                 label = _read_str(fh)
-                mean = _read_floats(fh, d, "slot mean")
                 white = _read_floats(fh, d, "slot whitened mean")
-                members = _read_str_list(fh)
+                (n_members,) = struct.unpack("<I", _read_exact(fh, 4, "member count"))
+                members = [_read_str(fh) for _ in range(n_members)]
                 if not members:
                     raise ValueError(f"{path}: semantic slot {slot_id} has no members")
-                with np.errstate(over="ignore"):
-                    scorable = np.isfinite(mean).all() and np.isfinite(white).all() and np.isfinite(white @ white)
-                if not scorable:
-                    raise ValueError(f"{path}: semantic slot {slot_id} has a mean that cannot be scored")
-                mem.semantic.append(SemanticSlot(slot_id, label, mean, white, bg, members))
+                with np.errstate(over="ignore"):  # |m|^2 is finite only if every entry is and none overflows
+                    if not np.isfinite(white @ white):
+                        raise ValueError(f"{path}: semantic slot {slot_id} has a mean that cannot be scored")
+                mem.semantic.append(SemanticSlot(slot_id, label, white, mem.bg, members))
             _expect_end(fh)
         mem.rebuild_caches()
         return mem
@@ -380,15 +370,3 @@ def _read_str(fh) -> str:
         return _read_exact(fh, n, "string").decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{fh.name}: string at byte {offset}: {exc}") from exc
-
-
-def _write_str_list(fh, values: Iterable[str]) -> None:
-    values = list(values)
-    fh.write(struct.pack("<I", len(values)))
-    for v in values:
-        _write_str(fh, v)
-
-
-def _read_str_list(fh) -> list[str]:
-    (n,) = struct.unpack("<I", _read_exact(fh, 4, "list length"))
-    return [_read_str(fh) for _ in range(n)]

@@ -20,7 +20,7 @@ from .evaluation import IouTable
 from .memory import DecisionKind, DualMemory
 from .records import GroundTruthTable, RegionTable
 from .reporting import UNASSIGNED, write_assignments, write_key_values
-from .stats import BackgroundStats, MomentAccumulator, finalize_background, whiten
+from .stats import BackgroundStats, MomentAccumulator, finalize_background
 
 PRIOR_GT_IOU = 0.5
 
@@ -125,18 +125,10 @@ def build_priors(
 # Rounds
 # ---------------------------------------------------------------------------
 
-def run_discovery_round(
-    state: RoundState,
-    corpus: RegionTable,
-    split: DatasetSplit,
-    white: np.ndarray | None = None,
-) -> ConsolidationRecord:
-    """One round: stream the active split, consolidate, mine the inactive split, swap.
-
-    ``white`` is ``whiten(corpus.features, bg)``, computed here if not given.
-    """
+def run_discovery_round(state: RoundState, corpus: RegionTable, split: DatasetSplit) -> ConsolidationRecord:
+    """One round: stream the active split, consolidate, mine the inactive split, swap."""
     mem = state.mem
-    mem.attach(corpus, white)
+    mem.attach(corpus)
     active_ids = split.d1 if state.active == "d1" else split.d2
     inactive_ids = split.d2 if state.active == "d1" else split.d1
     image_index = {image_id: i for i, image_id in enumerate(corpus.image_ids)}
@@ -184,6 +176,14 @@ def final_assignments(mem: DualMemory, corpus: RegionTable) -> dict[str, str]:
     return {region_id: claimed.get(region_id, UNASSIGNED) for region_id in corpus.region_ids}
 
 
+def start_discovery(
+    corpus: RegionTable, bg: BackgroundStats, config: Config, priors: Mapping[str, RegionTable] | None = None
+) -> tuple[RoundState, DatasetSplit]:
+    """Round 1's state, its memory seeded from ``priors``, and the split: every check of a run's inputs."""
+    split = split_dataset(list(corpus.image_ids), config.rng_seed)
+    return RoundState(round_index=1, active="d1", mem=DualMemory.initialize(bg, config, priors)), split
+
+
 def run_discovery(
     corpus: RegionTable,
     bg: BackgroundStats,
@@ -192,21 +192,23 @@ def run_discovery(
     out_dir: str | Path | None = None,
 ) -> DiscoveryRun:
     """Run the configured number of rounds and assemble the run artifacts."""
-    split = split_dataset(list(corpus.image_ids), config.rng_seed)
-    mem = DualMemory.initialize(bg, config, priors)
-    state = RoundState(round_index=1, active="d1", mem=mem)
-    white = whiten(corpus.features, bg)
+    state, split = start_discovery(corpus, bg, config, priors)
+    return run_rounds(state, corpus, split, out_dir)
 
+
+def run_rounds(state: RoundState, corpus: RegionTable, split: DatasetSplit, out_dir: str | Path | None) -> DiscoveryRun:
+    """Run the memory's configured number of rounds from ``state``; write the artifacts into ``out_dir`` if given."""
+    mem, config = state.mem, state.mem.config
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
         save_config(config, out_path / "config.txt")
-        bg.save(out_path / "bg.bin")
+        mem.bg.save(out_path / "bg.bin")
 
     records = []
     for _ in range(config.rounds):
         round_index = state.round_index
-        record = run_discovery_round(state, corpus, split, white)
+        record = run_discovery_round(state, corpus, split)
         records.append(record)
         if out_path is not None:
             round_dir = out_path / f"round_{round_index}"

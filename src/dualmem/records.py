@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -15,9 +16,9 @@ class CorpusFormatError(ValueError):
 
 
 def box_fault(x1: float, y1: float, x2: float, y2: float) -> str | None:
-    """Why a box is invalid, or None."""
-    if not (x2 > x1 and y2 > y1):
-        return f"degenerate box [{x1}, {y1}, {x2}, {y2}]: x2 must exceed x1 and y2 must exceed y1"
+    """Why a box is invalid, or None: its coordinates must be finite, with x2 > x1 and y2 > y1."""
+    if not (-math.inf < x1 < x2 < math.inf and -math.inf < y1 < y2 < math.inf):
+        return f"box [{x1}, {y1}, {x2}, {y2}] must have finite coordinates with x2 > x1 and y2 > y1"
     return None
 
 

@@ -6,7 +6,8 @@ covariance L L^T, a slot's discriminant w.f + b equals m.z - |m|^2 / 2 + log(n /
 for z = L^-1 (f - mean_bg) and m the slot's whitened mean (Hariharan, Malik and
 Ramanan, ECCV 2012). Semantic memory and consolidation score in that form, so
 a run needs no solve per slot; ``train_lda``, the closed form itself, derives a
-slot's classifier on request and is the tests' oracle.
+slot's classifier on request and is the tests' oracle. The background's binary
+layout, ``bg.bin`` and a checkpoint's background, is read and written here.
 """
 
 from __future__ import annotations
@@ -129,13 +130,27 @@ class BackgroundStats:
             ) from exc
         return cls(mean=mean, covariance=covariance, count=int(count), chol_lower=chol)
 
+    def write_moments(self, fh) -> None:
+        """Mean, covariance and count, little-endian: the body of ``bg.bin`` and a checkpoint's background."""
+        fh.write(self.mean.astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(self.covariance, dtype="<f8").tobytes())
+        fh.write(struct.pack("<Q", self.count))
+
+    @classmethod
+    def read_moments(cls, fh, d: int) -> "BackgroundStats":
+        """The statistics :meth:`write_moments` wrote at ``fh``'s position; every error starts with the file name."""
+        mean = _read_floats(fh, d, "mean")
+        covariance = _read_floats(fh, d * d, "covariance").reshape(d, d)
+        (count,) = struct.unpack("<Q", _read_exact(fh, 8, "sample count"))
+        try:
+            return cls.from_moments(mean, covariance, count)
+        except ValueError as exc:
+            raise ValueError(f"{fh.name}: {exc}") from exc
+
     def save(self, path: str | Path) -> None:
-        d = self.d
         with open(path, "wb") as fh:
-            fh.write(struct.pack("<4sI", BG_MAGIC, d))
-            fh.write(self.mean.astype("<f8").tobytes())
-            fh.write(np.ascontiguousarray(self.covariance, dtype="<f8").tobytes())
-            fh.write(struct.pack("<Q", self.count))
+            fh.write(struct.pack("<4sI", BG_MAGIC, self.d))
+            self.write_moments(fh)
 
     @classmethod
     def load(cls, path: str | Path) -> "BackgroundStats":
@@ -144,14 +159,9 @@ class BackgroundStats:
             magic, d = struct.unpack("<4sI", _read_exact(fh, 8, "header"))
             if magic != BG_MAGIC:
                 raise ValueError(f"{path}: bad magic {magic!r} in background stats file")
-            mean = _read_floats(fh, d, "mean")
-            covariance = _read_floats(fh, d * d, "covariance").reshape(d, d)
-            (count,) = struct.unpack("<Q", _read_exact(fh, 8, "sample count"))
+            bg = cls.read_moments(fh, d)
             _expect_end(fh)
-        try:
-            return cls.from_moments(mean, covariance, count)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+        return bg
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:

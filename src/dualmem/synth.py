@@ -67,9 +67,7 @@ def save_spec(spec: SynthSpec, path: str | Path) -> None:
 
 
 def load_spec(path: str | Path, **overrides: object) -> SynthSpec:
-    values = load_fields(SynthSpec, path)
-    values.update(overrides)
-    return SynthSpec(**values)  # type: ignore[arg-type]
+    return load_fields(SynthSpec, path, **overrides)
 
 
 def class_names(spec: SynthSpec) -> list[str]:

@@ -6,7 +6,9 @@ import pytest
 
 from dualmem.cli import main
 from dualmem.config import Config, save_config
-from dualmem.corpus import convert_corpus, write_corpus_binary, write_corpus_jsonl
+from dualmem.corpus import (
+    BINARY_HEADER, ID_FIELD_BYTES, convert_corpus, load_corpus, write_corpus_binary, write_corpus_jsonl,
+)
 from dualmem.evaluation import write_gt
 from dualmem.records import BoundingBox, GroundTruthBox
 from dualmem.reporting import read_assignments, read_key_values, write_key_values
@@ -572,3 +574,124 @@ def test_ids_with_a_tab_or_newline_fail_before_any_manifest(tmp_path, binary, fi
     where = "record 5" if binary else "line 7"
     expected = f"{target}: {where}: {field} {value!r} contains a tab or a newline"
     expect_one_line_error(argv, tmp_path / "run", expected, capsys)
+
+
+def box_text(box):
+    return f"[{', '.join(str(float(v)) for v in box)}]"
+
+
+@pytest.mark.parametrize("target", ["corpus.jsonl", "corpus.dmrf", "gt.jsonl"])
+def test_box_coordinate_that_is_not_finite_fails_before_any_manifest(tmp_path, full_run, target, capsys):
+    """json.loads reads Infinity and DMRF holds it; the IoU of such a box would be NaN."""
+    generated, _, run_dir, _ = full_run
+    bad = tmp_path / target
+    source = generated / ("gt.jsonl" if target == "gt.jsonl" else "corpus.jsonl")
+    box = json.loads(source.read_text().split("\n")[3])["box"]
+    box[2] = float("inf")
+    if target == "corpus.dmrf":
+        convert_corpus(source, bad)
+        data = bytearray(bad.read_bytes())
+        record_size = 3 * ID_FIELD_BYTES + 4 * (5 + 8)
+        struct.pack_into("<f", data, BINARY_HEADER.size + 2 * record_size + 2 * ID_FIELD_BYTES + 8, np.inf)
+        bad.write_bytes(bytes(data))
+    else:
+        rewrite_line(source, bad, 4, lambda obj: obj["box"].__setitem__(2, float("inf")))
+    fault = f"box {box_text(box)} must have finite coordinates with x2 > x1 and y2 > y1"
+    if target == "gt.jsonl":
+        argv = [
+            "eval", "--corpus", str(generated / "corpus.jsonl"),
+            "--assignments", str(run_dir / "assignments.tsv"), "--gt", str(bad),
+        ]
+        expect_one_line_error(argv, tmp_path / "eval", f"{bad}:4: bad ground-truth record: {fault}", capsys)
+    else:
+        where = "record 2" if target == "corpus.dmrf" else "line 4"
+        argv = ["background", "--corpus", str(bad)]
+        expect_one_line_error(argv, tmp_path / "bg2", f"{bad}: {where}: {fault}", capsys)
+
+
+class TestComputedChecksComeBeforeAnyManifest:
+    """A check that needs the inputs read or computed still fails before the manifest is written."""
+
+    def test_background_of_fewer_than_two_regions(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus_jsonl(corpus, 2, [make_region("r0", "i0", [0.0, 1.0])])
+        argv = ["background", "--corpus", str(corpus)]
+        expect_one_line_error(argv, tmp_path / "bg", "background estimation needs >= 2 samples, got 1", capsys)
+
+    def discover(self, tmp_path, full_run, corpus=None, **config):
+        generated, bg_dir, _, _ = full_run
+        save_config(Config(d=8, **config), tmp_path / "config2.txt")
+        return [
+            "discover", "--corpus", str(corpus or generated / "corpus.jsonl"), "--bg", str(bg_dir / "bg.bin"),
+            "--config", str(tmp_path / "config2.txt"), "--priors", str(generated / "priors.jsonl"),
+        ]
+
+    def test_discover_on_an_empty_corpus(self, tmp_path, full_run, capsys):
+        write_corpus_jsonl(tmp_path / "empty.jsonl", 8, [])
+        argv = self.discover(tmp_path, full_run, corpus=tmp_path / "empty.jsonl")
+        expect_one_line_error(argv, tmp_path / "run2", "cannot split an empty image-id list", capsys)
+
+    def test_discover_with_more_prior_classes_than_the_slot_cap(self, tmp_path, full_run, capsys):
+        argv = self.discover(tmp_path, full_run, slot_cap=1)
+        expect_one_line_error(argv, tmp_path / "run2", "2 prior classes exceed the slot cap 1", capsys)
+
+    @pytest.mark.parametrize("k", [0, 10**6])
+    def test_baseline_k_out_of_range(self, tmp_path, generated, k, capsys):
+        corpus = generated / "corpus.jsonl"
+        expected = f"k={k} exceeds the number of records ({len(load_corpus(corpus))})" if k else "k must be >= 1"
+        expect_one_line_error(["baseline", "--corpus", str(corpus), "--k", str(k)], tmp_path / "km", expected, capsys)
+
+
+class TestValueErrorsNameTheFile:
+    @pytest.mark.parametrize("text, message", [
+        ("d = 8\nrounds = two\n", ":2: key 'rounds': invalid literal for int() with base 10: 'two'"),
+        ("d = 8\nrounds = 0\n", ": rounds must be >= 1"),
+        ("d = 8\nl2_normalize = yes\n", ":2: key 'l2_normalize': expected true/false, got 'yes'"),
+        ("rounds = 1\n", ": Config file must define 'd'"),
+    ], ids=["not_an_int", "out_of_range", "not_a_bool", "missing_key"])
+    def test_config(self, tmp_path, generated, text, message, capsys):
+        config = tmp_path / "config.txt"
+        config.write_text(text)
+        argv = ["background", "--corpus", str(generated / "corpus.jsonl"), "--config", str(config)]
+        expect_one_line_error(argv, tmp_path / "bg", f"{config}{message}", capsys)
+
+    def test_config_of_another_dimension(self, tmp_path, generated, capsys):
+        """``ingest_corpus`` refuses it, naming the corpus."""
+        config, corpus = tmp_path / "config.txt", generated / "corpus.jsonl"
+        save_config(Config(d=4), config)
+        argv = ["background", "--corpus", str(corpus), "--config", str(config)]
+        expect_one_line_error(argv, tmp_path / "bg", f"{corpus}: corpus dimension 8 != configured dimension 4", capsys)
+
+    @pytest.mark.parametrize("text, message", [
+        ("images = two\n", ":4: key 'images': invalid literal for int() with base 10: 'two'"),
+        ("images = 0\n", ": images must be >= 1"),
+        ("", ": SynthSpec file must define 'images'"),
+    ], ids=["not_an_int", "out_of_range", "missing_key"])
+    def test_spec(self, tmp_path, text, message, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("d = 4\nn_known = 1\nn_unknown = 1\n" + text)
+        expect_one_line_error(["gen", "--spec", str(spec)], tmp_path / "data", f"{spec}{message}", capsys)
+
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("subcommand", [["background"], ["baseline", "--k", "2"]])
+    def test_corpus_declaring_no_dimension(self, tmp_path, generated, binary, subcommand, capsys):
+        """A header with d = 0 once reached ``Config(d=0)``, whose error names no file."""
+        corpus = tmp_path / ("corpus.dmrf" if binary else "corpus.jsonl")
+        if binary:
+            convert_corpus(generated / "corpus.jsonl", corpus)
+            data = bytearray(corpus.read_bytes())
+            struct.pack_into("<I", data, 8, 0)
+            corpus.write_bytes(bytes(data))
+            expected = f"{corpus}: dimension 0 is not positive"
+        else:
+            lines = (generated / "corpus.jsonl").read_text().split("\n")
+            corpus.write_text("\n".join(['{"d": 0, "version": 1}'] + lines[1:]))
+            expected = f"{corpus}: line 1: dimension 0 is not positive"
+        expect_one_line_error(subcommand + ["--corpus", str(corpus)], tmp_path / "out", expected, capsys)
+
+    def test_stats(self, tmp_path, generated, capsys):
+        stats = tmp_path / "stats.txt"
+        stats.write_text("clusters_final = 2.5\n")
+        argv = ["baseline", "--corpus", str(generated / "corpus.jsonl"), "--stats", str(stats)]
+        expected = f"{stats}: clusters_final: invalid literal for int() with base 10: '2.5'"
+        expect_one_line_error(argv, tmp_path / "km", expected, capsys)

@@ -1,5 +1,6 @@
 import gc
 import json
+import struct
 import sys
 import warnings
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from dualmem.config import Config, config_hash, load_config, save_config
 from dualmem.corpus import (
+    BINARY_HEADER,
+    ID_FIELD_BYTES,
     convert_corpus,
     ingest_corpus,
     load_corpus,
@@ -128,6 +131,26 @@ class TestFormats:
         with pytest.raises(CorpusFormatError) as caught:
             open_corpus(path)
         assert str(caught.value) == f"{path}: line 2: box must be a JSON array of four numbers, got {box!r}"
+
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_box_coordinate_that_is_not_finite_is_refused(self, tmp_path, binary, value):
+        """json.loads reads Infinity and NaN, and DMRF holds them; IoU would then be NaN."""
+        record = {"region_id": "r0", "image_id": "i0", "box": [0, 0, value, 1], "score": 0.5, "feature": [0.0, 1.0]}
+        if binary:
+            path = tmp_path / "bad.dmrf"
+            write_corpus_binary(path, 2, [make_region("r0", "i0", [0.0, 1.0])])
+            data = bytearray(path.read_bytes())
+            struct.pack_into("<f", data, BINARY_HEADER.size + 2 * ID_FIELD_BYTES + 8, value)  # x2
+            path.write_bytes(bytes(data))
+        else:
+            path = tmp_path / "bad.jsonl"
+            path.write_text('{"d": 2, "version": 1}\n' + json.dumps(record) + "\n")
+        with pytest.raises(CorpusFormatError) as caught:
+            open_corpus(path)
+        where = "record 0" if binary else "line 2"
+        fault = f"box [0.0, 0.0, {value}, 1.0] must have finite coordinates with x2 > x1 and y2 > y1"
+        assert str(caught.value) == f"{path}: {where}: {fault}"
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.jsonl"

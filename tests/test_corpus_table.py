@@ -8,6 +8,7 @@ rows, bit for bit, and fail with the same message on the same corpus.
 """
 
 import json
+import math
 import os
 import reprlib
 import struct
@@ -24,6 +25,14 @@ from dualmem.records import BoundingBox, CorpusFormatError, RegionRecord
 ID_BYTES = 64
 
 
+def _box(coordinates):
+    """A box of four finite coordinates (json.loads reads Infinity and NaN, DMRF holds them)."""
+    if not all(math.isfinite(v) for v in coordinates):
+        text = ", ".join(map(str, coordinates))
+        raise ValueError(f"box [{text}] must have finite coordinates with x2 > x1 and y2 > y1")
+    return BoundingBox(*coordinates)
+
+
 def _parse_json_record(obj, where):
     try:
         box = obj["box"]
@@ -31,7 +40,7 @@ def _parse_json_record(obj, where):
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in box
         )):
             raise ValueError(f"box must be a JSON array of four numbers, got {reprlib.repr(box)}")
-        box = BoundingBox(*(float(v) for v in box))
+        box = _box([float(v) for v in box])
         label = obj.get("gt_label")
         return RegionRecord(
             region_id=str(obj["region_id"]),
@@ -94,7 +103,7 @@ def _iter_binary(path):
                 record = RegionRecord(
                     region_id=fields[0].rstrip(b"\x00").decode("utf-8"),
                     image_id=fields[1].rstrip(b"\x00").decode("utf-8"),
-                    box=BoundingBox(x1, y1, x2, y2),
+                    box=_box([x1, y1, x2, y2]),
                     score=float(score),
                     feature=np.asarray(fields[8:], dtype=np.float64),
                     gt_label=label or None,
@@ -226,7 +235,7 @@ def _jsonl_faults(lines, faults):
         other = originals[j % len(originals)]
         try:
             if kind == 0:
-                obj["box"][2] = obj["box"][0]
+                obj["box"][2] = [obj["box"][0], float("inf")][j % 2]
             elif kind == 1:
                 obj["score"] = 1.5
             elif kind == 2:
@@ -288,7 +297,8 @@ def _binary_faults(data, d, faults):
         elif kind == 7:
             data[at + [ids, label][j % 2] + 1] = [0x09, 0x0A][j // 2 % 2]
         else:
-            data[at + box: at + box + 4] = struct.pack("<f", np.nan)
+            coordinate = at + box + 4 * (j % 4)
+            data[coordinate: coordinate + 4] = struct.pack("<f", [np.nan, np.inf, -np.inf][j % 3])
     return data
 
 

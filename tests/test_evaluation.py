@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import reprlib
 from pathlib import Path
@@ -497,6 +498,17 @@ class TestGtFile:
             load_gt(path)
         assert str(caught.value) == f"{path}:2: bad ground-truth record: {message}"
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_box_coordinate_that_is_not_finite_is_refused(self, tmp_path, value):
+        """json.loads reads Infinity and NaN; such a box would give every region a NaN IoU."""
+        good = dict(image_id="i0", box=[0, 0, 1, 1], class_name="a", known_flag=False)
+        path = tmp_path / "gt.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, box=[0, 0, value, 1])) + "\n")
+        with pytest.raises(ValueError) as caught:
+            load_gt(path)
+        fault = f"box [0.0, 0.0, {value}, 1.0] must have finite coordinates with x2 > x1 and y2 > y1"
+        assert str(caught.value) == f"{path}:2: bad ground-truth record: {fault}"
+
     def test_first_bad_line_comes_before_a_later_line_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "gt.jsonl"
         good = b'{"image_id":"i0","box":[0,0,1,1],"class_name":"a","known_flag":false}'
@@ -514,8 +526,8 @@ class TestGtFile:
 def reference_load_gt(path):
     """The record-at-a-time reader: one GroundTruthBox, checked by BoundingBox, per line.
 
-    A box must be a JSON array of four numbers and a known flag a JSON boolean;
-    nothing is coerced from another JSON type.
+    A box must be a JSON array of four finite numbers and a known flag a JSON
+    boolean; nothing is coerced from another JSON type.
     """
     boxes = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
@@ -527,7 +539,11 @@ def reference_load_gt(path):
             box = obj["box"]
             if not (isinstance(box, list) and len(box) == 4 and all(is_json_number(v) for v in box)):
                 raise ValueError(f"box must be a JSON array of four numbers, got {reprlib.repr(box)}")
-            box = BoundingBox(*(float(v) for v in box))
+            box = [float(v) for v in box]
+            if not all(math.isfinite(v) for v in box):  # json.loads reads Infinity and NaN
+                coordinates = ", ".join(map(str, box))
+                raise ValueError(f"box [{coordinates}] must have finite coordinates with x2 > x1 and y2 > y1")
+            box = BoundingBox(*box)
             class_name = str(obj["class_name"])
             if not isinstance(obj["known_flag"], bool):
                 raise ValueError(f"known_flag must be a JSON boolean, got {reprlib.repr(obj['known_flag'])}")

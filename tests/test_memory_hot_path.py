@@ -71,7 +71,6 @@ class ReferenceHotPath(DualMemory):
         if index is None:
             raise StaleDecisionError(f"semantic slot {slot_id} no longer exists")
         slot = self.semantic[index]
-        slot.mean = slot.mean + (self.corpus.features[row] - slot.mean) / (slot.count + 1)
         slot.white = slot.white + (self.white[row] - slot.white) / (slot.count + 1)
         slot.members.append(self.corpus.region_ids[row])
         self._sem_white[index] = slot.white
@@ -226,9 +225,8 @@ def test_hot_path_is_bit_identical_to_the_reference(
         make_region(f"r{i}", f"i{i // image_size}", f) for i, f in enumerate(feats)
     ]
     table = table_of(regions, d)
-    white = whiten(table.features, bg)
-    mem.attach(table, white)
-    ref.attach(table, white)
+    mem.attach(table)
+    ref.attach(table)
     starts = table.image_starts.tolist()
     images = [range(start, end) for start, end in zip(starts, starts[1:])]
     stream, mine = images[: (len(images) + 1) // 2], images[(len(images) + 1) // 2:]
@@ -258,7 +256,7 @@ class TestZeroNorm:
         mem, ref = twins(BackgroundStats.from_moments(np.zeros(d), np.eye(d), 1000), Config(d=d), {})
         table = table_of([make_region("r0", "i0", first), make_region("r1", "i1", second)], d)
         mem.attach(table)
-        ref.attach(table, mem.white)
+        ref.attach(table)
         opened = mem.process_image([0])
         assert [decision_bits(x) for x in opened] == [decision_bits(x) for x in ref.process_image([0])]
         assert opened[0].kind is DecisionKind.NEW_SLOT
@@ -287,7 +285,7 @@ class TestZeroNorm:
         mem, ref = twins(BackgroundStats.from_moments(np.zeros(d), np.eye(d), 1000), config, {})
         table = table_of([make_region("r0", "i0", np.zeros(d)), make_region("r1", "i0", [1.0, 2.0, 3.0])], d)
         mem.attach(table)
-        ref.attach(table, mem.white)
+        ref.attach(table)
         with caplog.at_level(logging.WARNING, logger="dualmem.memory"):
             got, expected = mem.process_image(range(2)), ref.process_image(range(2))
         assert [decision_bits(x) for x in got] == [decision_bits(x) for x in expected]

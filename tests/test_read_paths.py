@@ -169,7 +169,7 @@ def test_bad_magic_names_the_file(tmp_path, inputs, capsys):
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        (4, 4, "unsupported checkpoint version 4"),
+        (4, 3, "unsupported checkpoint version 3"),
         (8, 5, "checkpoint dimension 5 != configured dimension 4"),
     ],
 )
@@ -203,12 +203,37 @@ def test_checkpoint_slot_mean_that_cannot_score_names_the_slot(tmp_path, inputs,
     paths, config = inputs
     data = bytearray(paths["checkpoint"].read_bytes())
     d = 4
-    first_white = 12 + 32 + 16 + 8 * d + 8 * d * d + 8 + 4 + 8 + 4 + 3 + 8 * d  # .. "cat", its mean
+    first_white = 12 + 32 + 16 + 8 * d + 8 * d * d + 8 + 4 + 8 + 4 + 3  # header .. slot id, "cat"
     data[first_white: first_white + 8] = struct.pack("<d", value)
     checkpoint = tmp_path / "checkpoint.bin"
     checkpoint.write_bytes(bytes(data))
     with pytest.raises(ValueError, match=f"^{checkpoint}: semantic slot 0 has a mean that cannot be scored$"):
         DualMemory.load_checkpoint(checkpoint, config)
+
+
+@pytest.mark.parametrize("patch", ["next_slot_id", "repeated slot id"])
+def test_checkpoint_slot_ids_out_of_order_name_the_slot(tmp_path, inputs, patch):
+    """Slot ids must increase and stay below next_slot_id, or new slots would reuse them."""
+    paths, config = inputs
+    data = bytearray(paths["checkpoint"].read_bytes())
+    d = 4
+    slot_count = 12 + 32 + 16 + 8 * d + 8 * d * d + 8  # header, config hash, counters, background
+    first_id = slot_count + 4
+    second_id = first_id + 8 + 4 + 3 + 8 * d + 4 + 4 + 2  # .. "cat", its whitened mean, ["p0"]
+    (next_slot_id,) = struct.unpack_from("<Q", data, 12 + 32)
+    assert struct.unpack_from("<I", data, slot_count)[0] >= 2 and struct.unpack_from("<Q", data, first_id) == (0,)
+    (slot,) = struct.unpack_from("<Q", data, second_id)
+    if patch == "next_slot_id":
+        struct.pack_into("<Q", data, 12 + 32, slot)
+        expected = f"slot id {slot} must exceed 0 and be below {slot}"
+    else:
+        struct.pack_into("<Q", data, second_id, 0)
+        expected = f"slot id 0 must exceed 0 and be below {next_slot_id}"
+    checkpoint = tmp_path / "checkpoint.bin"
+    checkpoint.write_bytes(bytes(data))
+    with pytest.raises(ValueError) as caught:
+        DualMemory.load_checkpoint(checkpoint, config)
+    assert str(caught.value) == f"{checkpoint}: {expected}"
 
 
 def test_binary_corpus_signalling_nan_names_the_record(tmp_path, inputs):
