@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import Config, config_hash, load_config
-from .corpus import ingest_corpus, load_corpus, open_corpus, read_corpus_dim
+from .corpus import ingest_corpus, load_corpus, open_configured_corpus, read_corpus_dim
 from .evaluation import evaluate_run, load_gt
 from .pipeline import build_priors, estimate_background, run_rounds, start_discovery
 from .records import CorpusFormatError
@@ -119,7 +119,7 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     if config.init_mode == "det_scores":
         if args.priors is None:
             raise CliError("init_mode=det_scores requires --priors")
-        detections = open_corpus(args.priors)
+        detections = open_configured_corpus(args.priors, config)
     if config.init_mode == "gt_overlap":
         if args.gt is None:
             raise CliError("init_mode=gt_overlap requires --gt")

@@ -1,9 +1,11 @@
 """Corpus file formats, ingestion into one region table, and the two-way dataset split.
 
 Two on-disk representations carry the same regions: line-delimited JSON with a
-header line, and a packed binary variant for bulk corpora. Both readers build a
-``RegionTable`` and check it as a stream would, so an error names the first bad
-record; the writers take a table or records, and a converter maps between the formats.
+header line, read through ``reporting.read_lines`` like every text input (split at
+"\\n" only, each line decoded when reached), and a packed binary variant for bulk
+corpora. Both readers build a ``RegionTable`` and check it as a stream would, so an
+error names the first bad record; the writers take a table or records, and a
+converter maps between the formats.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import os
 import random
 import struct
 import sys
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -22,6 +25,7 @@ import numpy as np
 
 from .config import Config
 from .records import CorpusFormatError, RegionRecord, RegionTable, box_fault, parse_box, region_fault, text_fault
+from .reporting import read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -57,7 +61,12 @@ def write_corpus_jsonl(path: str | Path, d: int, records: Iterable[RegionRecord]
             fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
 
 
-def _jsonl_header(line: str, path: Path) -> int:
+def _jsonl_header(lines: Iterator[tuple[int, str]], path: Path) -> int:
+    """The dimension that the first of ``lines``, the header record, declares."""
+    try:
+        _, line = next(lines, (1, ""))
+    except ValueError as exc:  # the header is not UTF-8
+        raise CorpusFormatError(str(exc)) from exc
     try:
         header = json.loads(line)
         d = int(header["d"])
@@ -71,86 +80,55 @@ def _jsonl_header(line: str, path: Path) -> int:
     return d
 
 
-def _undecodable(line: str) -> UnicodeDecodeError | None:
-    """The error of decoding strictly a line read with ``errors="surrogateescape"``, if any."""
-    try:
-        line.encode("utf-8", "surrogateescape").decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return exc
-    return None
-
-
-def _lines_before_undecodable(path: Path) -> tuple[list[str], str | None]:
-    """The lines before the first that is not UTF-8, and that line's error (None if every line decodes).
-
-    The lines split as the strict text reader splits them.
-    """
-    lines = []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, 1):
-            exc = _undecodable(line)
-            if exc:
-                return lines, f"{path}: line {lineno}: {exc}"
-            lines.append(line)
-    return lines, None
-
-
 def _read_jsonl(path: Path) -> RegionTable:
     """Every record as a table row; errors name the file and line."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return _parse_jsonl(path, fh)
-    except UnicodeDecodeError:
-        pass
-    # The text reader decodes a buffer at a time, so its error names no line and
-    # can come before earlier lines were checked: read again up to the first
-    # undecodable line, which ends the read as a bad record would.
-    lines, stop = _lines_before_undecodable(path)
-    if stop and not lines:
-        raise CorpusFormatError(stop)
-    return _parse_jsonl(path, iter(lines), stop)
-
-
-def _parse_jsonl(path: Path, text: Iterator[str], stop: str | None = None) -> RegionTable:
-    """The records of ``text``, header line first; ``stop`` is the error that ended it early, if any."""
     # One list per column, not a tuple per record: a tuple or box list per record
     # would be an object for the garbage collector to track and promote.
     ids, images, coords, scores, features, labels, lines = [], [], [], [], [], [], []
-    d = _jsonl_header(next(text, ""), path)
-    for lineno, line in enumerate(text, 2):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            stop = f"{path}: line {lineno}: invalid JSON at column {exc.colno}"
-            break
-        except ValueError as exc:  # an integer literal longer than int() converts
-            stop = f"{path}: line {lineno}: {exc}"
-            break
-        try:
-            box = parse_box(obj["box"])
-            label = obj.get("gt_label")
-            region_id = str(obj["region_id"])
-            image_id = str(obj["image_id"])
-            score = float(obj["score"])
-            feature = np.asarray(obj["feature"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            stop = f"{path}: line {lineno}: {exc}"
-            break
-        if not (0.0 <= score <= 1.0) or feature.shape != (d,):
-            fault = region_fault(region_id, score, feature)
-            stop = f"{path}: line {lineno}: {fault}" if fault else (
-                f"{path}: region '{region_id}': feature dimension {feature.shape[0]} != {d}"
-            )
-            break
-        ids.append(region_id)
-        images.append(image_id)
-        coords += box
-        scores.append(score)
-        features.append(feature)
-        labels.append(str(label) if label else None)
-        lines.append(lineno)
+    stop = None  # the error of the line that ended the read early, if any
+    with closing(read_lines(path)) as text:
+        d = _jsonl_header(text, path)
+        while True:
+            try:
+                lineno, line = next(text)
+            except StopIteration:
+                break
+            except ValueError as exc:  # not UTF-8: the line ends the read as a bad record would
+                stop = str(exc)
+                break
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                stop = f"{path}: line {lineno}: invalid JSON at column {exc.colno}"
+                break
+            except ValueError as exc:  # an integer literal longer than int() converts
+                stop = f"{path}: line {lineno}: {exc}"
+                break
+            try:
+                box = parse_box(obj["box"])
+                label = obj.get("gt_label")
+                region_id = str(obj["region_id"])
+                image_id = str(obj["image_id"])
+                score = float(obj["score"])
+                feature = np.asarray(obj["feature"], dtype=np.float64)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                stop = f"{path}: line {lineno}: {exc}"
+                break
+            if not (0.0 <= score <= 1.0) or feature.shape != (d,):
+                fault = region_fault(region_id, score, feature)
+                stop = f"{path}: line {lineno}: {fault}" if fault else (
+                    f"{path}: region '{region_id}': feature dimension {feature.shape[0]} != {d}"
+                )
+                break
+            ids.append(region_id)
+            images.append(image_id)
+            coords += box
+            scores.append(score)
+            features.append(feature)
+            labels.append(str(label) if label else None)
+            lines.append(lineno)
     return _checked_table(
         path, lambda i: f"{path}: line {lines[i]}", ids, images,
         np.array(coords, dtype=np.float64).reshape(-1, 4), np.array(scores, dtype=np.float64),
@@ -314,12 +292,8 @@ def read_corpus_dim(path: str | Path) -> int:
     if _is_binary(path):
         with open(path, "rb") as fh:
             return _binary_header(fh, path)[0]
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        header = fh.readline()
-    exc = _undecodable(header)
-    if exc:
-        raise CorpusFormatError(f"{path}: line 1: {exc}")
-    return _jsonl_header(header, path)
+    with closing(read_lines(path)) as lines:
+        return _jsonl_header(lines, path)
 
 
 def convert_corpus(src: str | Path, dst: str | Path) -> None:
@@ -348,16 +322,21 @@ def convert_corpus(src: str | Path, dst: str | Path) -> None:
 # Ingestion
 # ---------------------------------------------------------------------------
 
+def open_configured_corpus(path: str | Path, config: Config) -> RegionTable:
+    """Every record in file order, once the header is found to declare ``config.d``: how priors are read."""
+    d = read_corpus_dim(path)
+    if d != config.d:
+        raise CorpusFormatError(f"{path}: corpus dimension {d} != configured dimension {config.d}")
+    return open_corpus(path)
+
+
 def ingest_corpus(path: str | Path, config: Config) -> RegionTable:
     """The corpus as discovery reads it: file order across images, score-descending within.
 
     Each image keeps its top ``config.n_proposals_per_image`` regions; score ties
     break on region_id ascending so ingestion is a pure function of the file bytes.
     """
-    d = read_corpus_dim(path)
-    if d != config.d:
-        raise CorpusFormatError(f"{path}: corpus dimension {d} != configured dimension {config.d}")
-    table = open_corpus(path)
+    table = open_configured_corpus(path, config)
     if config.l2_normalize:
         # One np.linalg.norm per row: a norm along axis 1 sums in another order and may round differently.
         norms = np.array([np.linalg.norm(row) for row in table.features])

@@ -18,30 +18,20 @@ def format_value(value: object) -> str:
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """(line number, line) for each line of a UTF-8 text file, split at "\\n" only.
+    """(line number, line without its "\\n") for each line of a UTF-8 text file, split at "\\n" only.
 
-    ``str.splitlines`` would also split at "\\r", U+0085, U+2028 and other
-    separators, which an id may contain. A line that is not UTF-8 raises
-    ValueError naming the file and the line when the reader reaches it, so an
-    earlier bad line is reported first.
+    ``str.splitlines`` and text-mode files would also split at "\\r", U+0085,
+    U+2028 and other separators, which an id may contain. Each line is decoded
+    when the reader reaches it, so a line that is not UTF-8 raises ValueError
+    naming the file and the line only after every earlier line was read.
     """
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        start = data.rfind(b"\n", 0, exc.start) + 1
-    else:
-        yield from enumerate(text.split("\n"), 1)
-        return
-    # A newline byte is never part of a multi-byte character, so the lines before
-    # the bad one decode alone, and so does the bad line, with its own positions.
-    lines = data[:start].decode("utf-8").split("\n")[:-1]
-    yield from enumerate(lines, 1)
-    end = data.find(b"\n", start)
-    try:
-        data[start:end if end >= 0 else len(data)].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: line {len(lines) + 1}: {exc}") from exc
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.rstrip(b"\n").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+            yield lineno, line
 
 
 def write_assignments(path: str | Path, rows: Iterable[tuple[str, str]]) -> None:

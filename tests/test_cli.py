@@ -662,6 +662,18 @@ class TestValueErrorsNameTheFile:
         argv = ["background", "--corpus", str(corpus), "--config", str(config)]
         expect_one_line_error(argv, tmp_path / "bg", f"{corpus}: corpus dimension 8 != configured dimension 4", capsys)
 
+    def test_priors_of_another_dimension(self, tmp_path, full_run, capsys):
+        """The priors' header is checked as ``ingest_corpus`` checks the corpus's; ``whiten`` named no file."""
+        generated, bg_dir, _, config_path = full_run
+        priors = tmp_path / "priors_d4.jsonl"
+        write_corpus_jsonl(priors, 4, [make_region("p0", "img0", [0.0, 0.0, 0.0, 1.0], score=0.99, gt_label="c0")])
+        argv = [
+            "discover", "--corpus", str(generated / "corpus.jsonl"), "--bg", str(bg_dir / "bg.bin"),
+            "--config", str(config_path), "--priors", str(priors),
+        ]
+        expected = f"{priors}: corpus dimension 4 != configured dimension 8"
+        expect_one_line_error(argv, tmp_path / "run2", expected, capsys)
+
     @pytest.mark.parametrize("text, message", [
         ("images = two\n", ":4: key 'images': invalid literal for int() with base 10: 'two'"),
         ("images = 0\n", ": images must be >= 1"),

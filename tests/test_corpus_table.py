@@ -62,9 +62,10 @@ def _check_text(record, where):
 
 
 def _iter_jsonl(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    # Lines split at "\n" only, and each is parsed without its terminator.
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
         try:
-            header = json.loads(fh.readline())
+            header = json.loads(fh.readline().removesuffix("\n"))
             d = int(header["d"])
             version = int(header["version"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
@@ -76,7 +77,7 @@ def _iter_jsonl(path):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(line.removesuffix("\n"))
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"{path}: line {lineno}: invalid JSON at column {exc.colno}") from exc
             yield _parse_json_record(obj, f"{path}: line {lineno}"), f"{path}: line {lineno}"
