@@ -45,20 +45,27 @@ def _table_of(d: int, records: Iterable[RegionRecord] | RegionTable) -> RegionTa
 # JSON lines format
 # ---------------------------------------------------------------------------
 
-def write_corpus_jsonl(path: str | Path, d: int, records: Iterable[RegionRecord] | RegionTable) -> None:
-    table = _table_of(d, records)
+# Built once: json.dumps with separators builds a new encoder on every call.
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
+def _jsonl_lines(d: int, table: RegionTable) -> Iterator[str]:
+    """The header line, then one line per row, each ending in "\\n"."""
+    yield _JSON.encode({"d": d, "version": JSONL_VERSION}) + "\n"
     rows = zip(
         table.region_ids, table.image_of(), table.boxes.tolist(), table.scores.tolist(),
         table.features.tolist(), table.gt_labels,
     )
+    for region_id, image_id, box, score, feature, label in rows:
+        yield _JSON.encode({
+            "region_id": region_id, "image_id": image_id, "box": box,
+            "score": score, "feature": feature, "gt_label": label,
+        }) + "\n"
+
+
+def write_corpus_jsonl(path: str | Path, d: int, records: Iterable[RegionRecord] | RegionTable) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"d": d, "version": JSONL_VERSION}, separators=(",", ":")) + "\n")
-        for region_id, image_id, box, score, feature, label in rows:
-            payload = {
-                "region_id": region_id, "image_id": image_id, "box": box,
-                "score": score, "feature": feature, "gt_label": label,
-            }
-            fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
+        fh.writelines(_jsonl_lines(d, _table_of(d, records)))
 
 
 def _jsonl_header(lines: Iterator[tuple[int, str]], path: Path) -> int:
@@ -238,10 +245,10 @@ def _checked_table(path, where, ids, images, boxes, scores, features, labels, st
     """The table of the records read, or the error of the first bad record.
 
     The records are checked as a stream would check them: each record's box,
-    score and feature, then its region id and label (no tab or newline, which
-    ``assignments.tsv`` cannot hold), then its id against the earlier ones, then
-    the image that ended with it. ``stop`` is the error of the record after the
-    last one given, which ended the read, if any.
+    score and feature, then its region id and label (no tab or newline, nor a
+    carriage return in a label, which ``assignments.tsv`` cannot hold), then its
+    id against the earlier ones, then the image that ended with it. ``stop`` is
+    the error of the record after the last one given, which ended the read, if any.
     """
     n = len(ids)
     errors = [(n, 0, stop)] if stop else []
@@ -250,7 +257,7 @@ def _checked_table(path, where, ids, images, boxes, scores, features, labels, st
         & (scores >= 0.0) & (scores <= 1.0) & np.isfinite(features).all(axis=1)
     )
     text = "".join(ids) + "".join(label for label in labels if label)
-    if "\t" in text or "\n" in text:
+    if "\t" in text or "\n" in text or "\r" in text:
         bad |= np.array([text_fault(region_id, label) is not None for region_id, label in zip(ids, labels)])
     if bad.any():
         i = int(np.argmax(bad))

@@ -15,10 +15,11 @@ import reprlib
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from .corpus import _JSON
 from .records import BoundingBox, GroundTruthBox, GroundTruthTable, RegionTable, parse_box
 from .reporting import UNASSIGNED, read_lines
 
@@ -48,48 +49,56 @@ class DiscoveryReport:
 # Ground-truth file
 # ---------------------------------------------------------------------------
 
-def write_gt(path: str | Path, boxes: Iterable[GroundTruthBox]) -> None:
+def write_gt(path: str | Path, gt: GroundTruthTable) -> None:
+    rows = zip(gt.image_ids, gt.boxes.tolist(), gt.class_names, gt.known.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for gt in boxes:
-            fh.write(
-                json.dumps(
-                    {
-                        "image_id": gt.image_id,
-                        "box": gt.box.as_list(),
-                        "class_name": gt.class_name,
-                        "known_flag": gt.known_flag,
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+        for image_id, box, class_name, known in rows:
+            record = {"image_id": image_id, "box": box, "class_name": class_name, "known_flag": known}
+            fh.write(_JSON.encode(record) + "\n")
 
 
 def load_gt(path: str | Path) -> GroundTruthTable:
     """Every record of a ground-truth file as a table row, in file order.
 
     Fields are checked in record order (image id, box, class name, known flag);
-    the box must be an array of four numbers and the flag a JSON boolean. The
-    first bad line raises ValueError naming the file and the line.
+    the box must be an array of four numbers and the flag a JSON boolean. A class
+    name may be a prior label in ``assignments.tsv``, so it may hold no tab,
+    newline or carriage return. The first bad line raises ValueError naming the
+    file and the line.
     """
     image_ids: list[str] = []
     coords: list[float] = []
     class_names: list[str] = []
     known: list[bool] = []
-    for lineno, line in read_lines(path):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            image_ids.append(str(obj["image_id"]))
-            coords += parse_box(obj["box"])
-            class_names.append(str(obj["class_name"]))
-            known_flag = obj["known_flag"]
-            if type(known_flag) is not bool:
-                raise ValueError(f"known_flag must be a JSON boolean, got {reprlib.repr(known_flag)}")
-            known.append(known_flag)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{path}:{lineno}: bad ground-truth record: {exc}") from exc
+    lines: list[int] = []
+    stop = None  # the error of the line that ended the read early, if any
+    try:
+        for lineno, line in read_lines(path):
+            if not line.strip():
+                continue
+            lines.append(lineno)
+            try:
+                obj = json.loads(line)
+                image_ids.append(str(obj["image_id"]))
+                coords += parse_box(obj["box"])
+                class_names.append(str(obj["class_name"]))
+                known_flag = obj["known_flag"]
+                if type(known_flag) is not bool:
+                    raise ValueError(f"known_flag must be a JSON boolean, got {reprlib.repr(known_flag)}")
+                known.append(known_flag)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad ground-truth record: {exc}") from exc
+    except ValueError as exc:
+        stop = exc
+    names = "".join(class_names)  # checked once, as the corpus readers check ids and labels
+    if "\t" in names or "\n" in names or "\r" in names:
+        i = next(i for i, name in enumerate(class_names) if "\t" in name or "\n" in name or "\r" in name)
+        raise ValueError(
+            f"{path}:{lines[i]}: bad ground-truth record: class_name {class_names[i]!r} "
+            "contains a tab, a newline or a carriage return"
+        )
+    if stop is not None:
+        raise stop
     boxes = np.array(coords, dtype=np.float64).reshape(-1, 4)
     return GroundTruthTable(image_ids, boxes, class_names, np.array(known, dtype=bool))
 

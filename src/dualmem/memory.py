@@ -348,7 +348,8 @@ class DualMemory:
                 members = [_read_str(fh) for _ in range(n_members)]
                 if not members:
                     raise ValueError(f"{path}: semantic slot {slot_id} has no members")
-                with np.errstate(over="ignore"):  # |m|^2 is finite only if every entry is and none overflows
+                # |m|^2 is finite only if every entry is and none overflows; a signalling NaN sets "invalid".
+                with np.errstate(over="ignore", invalid="ignore"):
                     if not np.isfinite(white @ white):
                         raise ValueError(f"{path}: semantic slot {slot_id} has a mean that cannot be scored")
                 mem.semantic.append(SemanticSlot(slot_id, label, white, mem.bg, members))

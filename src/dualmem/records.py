@@ -34,10 +34,16 @@ def parse_box(value: object) -> list[float]:
 
 
 def text_fault(region_id: str, label: str | None) -> str | None:
-    """Why a region id or label cannot be an ``assignments.tsv`` field (a tab or a newline), or None."""
+    """Why a region id or label cannot be an ``assignments.tsv`` field, or None.
+
+    Neither may hold a tab or a newline. A label, the last field of a line, may
+    hold no carriage return either: the reader drops one before the newline.
+    """
     for what, value in (("region_id", region_id), ("gt_label", label)):
         if value and ("\t" in value or "\n" in value):
             return f"{what} {value!r} contains a tab or a newline"
+    if label and "\r" in label:
+        return f"gt_label {label!r} contains a carriage return"
     return None
 
 

@@ -41,8 +41,10 @@ def write_assignments(path: str | Path, rows: Iterable[tuple[str, str]]) -> None
 
 
 def read_assignments(path: str | Path) -> dict[str, str]:
+    """Region id to label; a "\\r" before a line's end is dropped, so a CRLF copy reads as the original."""
     assignments: dict[str, str] = {}
     for lineno, line in read_lines(path):
+        line = line.removesuffix("\r")
         if not line:
             continue
         parts = line.split("\t")

@@ -4,7 +4,8 @@ Classes are isotropic Gaussians whose means sit on scaled orthogonal axes, so
 pairwise mean distance is separation * sqrt(2) * std and the shared-covariance
 assumption behind the slot classifiers holds exactly. Geometry is fake but
 IoU-meaningful: every class region sits exactly on its image's ground-truth
-box, and background regions sit on their own disjoint cells.
+box, and background regions sit on their own disjoint cells. Each image's
+features come from one draw seeded by the spec seed xor the image index.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_fields
-from .records import BoundingBox, GroundTruthBox, RegionTable
+from .records import GroundTruthTable, RegionTable
 from .evaluation import write_gt
-from .corpus import write_corpus_jsonl
+from .corpus import _jsonl_lines
 from .reporting import write_key_values
 
 KNOWN_PRIOR_SCORE = float(np.float32(0.95))  # float32-exact, so the DMRF format holds it
@@ -92,10 +93,6 @@ def _noise_scale(spec: SynthSpec) -> np.ndarray:
     return spec.std * ramp
 
 
-def _cell_box(index: int) -> BoundingBox:
-    return BoundingBox(2.0 * index, 0.0, 2.0 * index + 1.0, 1.0)
-
-
 def _f32(values: np.ndarray) -> np.ndarray:
     return values.astype(np.float32).astype(np.float64)
 
@@ -103,69 +100,59 @@ def _f32(values: np.ndarray) -> np.ndarray:
 def generate(spec: SynthSpec, out_dir: str | Path) -> dict[str, Path]:
     """Write corpus, ground-truth, and prior files; byte-identical per spec.
 
-    Every image draws from its own seed (spec seed xor image index), so any
-    parallel generation schedule produces the same bytes.
+    Every image draws all its features with one ``standard_normal((rows, d))``
+    from its own seed (spec seed xor image index), so any parallel generation
+    schedule produces the same bytes. Rows are the image's class regions, cell by
+    cell, then its background regions; a class row adds its class mean to the
+    scaled draw, a background row adds nothing (no zero mean: 0.0 + -0.0 is 0.0).
+    Each corpus line is encoded once, and ``priors.jsonl`` copies the header and
+    every known-class line.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = class_names(spec)
-    means = class_means(spec)
-    scale = _noise_scale(spec)
-    n_classes = len(names)
+    per_image = spec.classes_per_image if names else 0
+    # present[t, j]: the class on cell j of image t; cells per_image and up hold background.
+    present = (np.arange(spec.images)[:, None] * per_image + np.arange(per_image)) % max(len(names), 1)
+    row_class = np.repeat(present, spec.regions_per_class_per_image, axis=1)
+    cells = np.arange(per_image + spec.n_background_per_image)
+    cell_boxes = np.column_stack([2.0 * cells, np.zeros(len(cells)), 2.0 * cells + 1.0, np.ones(len(cells))])
+    row_cells = np.append(np.repeat(cells[:per_image], spec.regions_per_class_per_image), cells[per_image:])
+    rows, class_rows = len(row_cells), row_class.shape[1]
 
-    ids: list[str] = []
-    image_ids: list[str] = []
-    starts: list[int] = []
-    boxes: list[list[float]] = []
-    scores: list[float] = []
-    features: list[np.ndarray] = []
-    labels: list[str | None] = []
-    gt_boxes: list[GroundTruthBox] = []
-    prior_rows: list[int] = []
-
-    def add(image_id: str, box: BoundingBox, score: float, feature: np.ndarray, label: str | None) -> None:
-        ids.append(f"{image_id}_r{len(ids) - starts[-1]:03d}")
-        boxes.append(box.as_list())
-        scores.append(score)
-        features.append(feature)
-        labels.append(label)
-
+    features = np.empty((spec.images * rows, spec.d))
     for t in range(spec.images):
-        rng = np.random.default_rng(spec.seed ^ t)
-        image_id = f"img_{t:06d}"
-        image_ids.append(image_id)
-        starts.append(len(ids))
-        present = (
-            [(t * spec.classes_per_image + j) % n_classes for j in range(spec.classes_per_image)]
-            if n_classes
-            else []
-        )
-        for cell, c in enumerate(present):
-            box = _cell_box(cell)
-            known = c < spec.n_known
-            gt_boxes.append(
-                GroundTruthBox(image_id=image_id, box=box, class_name=names[c], known_flag=known)
-            )
-            for _ in range(spec.regions_per_class_per_image):
-                if known:
-                    prior_rows.append(len(ids))
-                feature = _f32(means[c] + rng.standard_normal(spec.d) * scale)
-                add(image_id, box, KNOWN_PRIOR_SCORE if known else DEFAULT_SCORE, feature, names[c])
-        for cell in range(len(present), len(present) + spec.n_background_per_image):
-            add(image_id, _cell_box(cell), DEFAULT_SCORE, _f32(rng.standard_normal(spec.d) * scale), None)
+        np.random.default_rng(spec.seed ^ t).standard_normal(out=features[t * rows:(t + 1) * rows])
+    features *= _noise_scale(spec)
+    by_image = features.reshape(spec.images, rows, spec.d)
+    by_image[:, :class_rows] += class_means(spec)[row_class]
+    known = np.zeros((spec.images, rows), dtype=bool)
+    known[:, :class_rows] = row_class < spec.n_known
+    labels = np.full((spec.images, rows), None, dtype=object)
+    labels[:, :class_rows] = np.array(names, dtype=object)[row_class]
 
+    image_ids = [f"img_{t:06d}" for t in range(spec.images)]
     corpus = RegionTable(
-        ids, image_ids, np.array(starts + [len(ids)]), np.array(boxes).reshape(-1, 4),
-        np.array(scores), np.reshape(features, (len(ids), spec.d)), labels,
+        [f"{image_id}_r{k:03d}" for image_id in image_ids for k in range(rows)], image_ids,
+        np.arange(spec.images + 1) * rows, np.tile(cell_boxes[row_cells], (spec.images, 1)),
+        np.where(known, KNOWN_PRIOR_SCORE, DEFAULT_SCORE).ravel(), _f32(features), labels.ravel().tolist(),
+    )
+    gt = GroundTruthTable(
+        [image_id for image_id in image_ids for _ in range(per_image)],
+        np.tile(cell_boxes[:per_image], (spec.images, 1)),
+        [names[c] for c in present.ravel().tolist()], (present < spec.n_known).ravel(),
     )
     paths = {
         "corpus": out / "corpus.jsonl",
         "gt": out / "gt.jsonl",
         "priors": out / "priors.jsonl",
     }
-    write_corpus_jsonl(paths["corpus"], spec.d, corpus)
-    write_gt(paths["gt"], gt_boxes)
-    write_corpus_jsonl(paths["priors"], spec.d, corpus.take(prior_rows))
+    with open(paths["corpus"], "w", encoding="utf-8") as fh, open(paths["priors"], "w", encoding="utf-8") as priors:
+        for line, prior in zip(_jsonl_lines(spec.d, corpus), [True] + known.ravel().tolist()):
+            fh.write(line)
+            if prior:
+                priors.write(line)
+    write_gt(paths["gt"], gt)
     return paths
 
 

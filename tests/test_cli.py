@@ -15,7 +15,7 @@ from dualmem.reporting import read_assignments, read_key_values, write_key_value
 from dualmem.stats import BackgroundStats
 from dualmem.synth import SynthSpec, save_spec
 
-from conftest import make_region
+from conftest import gt_table_of, make_region
 
 
 @pytest.fixture()
@@ -522,7 +522,7 @@ def test_region_ids_with_line_separators_round_trip(tmp_path, binary, capsys):
             records.append(make_region(region_id, image, feature.astype(np.float32), box=BoundingBox(0.0, 0.0, 1.0, 1.0)))
     corpus = tmp_path / ("corpus.dmrf" if binary else "corpus.jsonl")
     (write_corpus_binary if binary else write_corpus_jsonl)(corpus, 2, records)
-    write_gt(tmp_path / "gt.jsonl", boxes)
+    write_gt(tmp_path / "gt.jsonl", gt_table_of(boxes))
     config = tmp_path / "config.txt"
     save_config(Config(d=2, init_mode="null", min_images_per_slot=1, rounds=1, tau_working=0.5), config)
     assert main(["background", "--corpus", str(corpus), "--out", str(tmp_path / "bg")]) == 0
@@ -707,3 +707,50 @@ class TestValueErrorsNameTheFile:
         argv = ["baseline", "--corpus", str(generated / "corpus.jsonl"), "--stats", str(stats)]
         expected = f"{stats}: clusters_final: invalid literal for int() with base 10: '2.5'"
         expect_one_line_error(argv, tmp_path / "km", expected, capsys)
+
+
+class TestCarriageReturns:
+    """``assignments.tsv`` reads back what the program wrote, and no label can end a line in "\\r"."""
+
+    def test_a_crlf_assignments_file_scores_as_the_original(self, tmp_path, full_run):
+        generated, _, run_dir, _ = full_run
+        assert "\tunassigned\n" in (run_dir / "assignments.tsv").read_text()
+        crlf = tmp_path / "assignments.tsv"
+        crlf.write_bytes((run_dir / "assignments.tsv").read_bytes().replace(b"\n", b"\r\n"))
+        for name, assignments in (("lf", run_dir / "assignments.tsv"), ("crlf", crlf)):
+            argv = [
+                "eval", "--corpus", str(generated / "corpus.jsonl"), "--assignments", str(assignments),
+                "--gt", str(generated / "gt.jsonl"), "--out", str(tmp_path / name),
+            ]
+            assert main(argv) == 0
+        assert (tmp_path / "crlf" / "metrics.txt").read_bytes() == (tmp_path / "lf" / "metrics.txt").read_bytes()
+
+    def test_gt_overlap_with_a_tab_in_a_class_name_fails_before_any_manifest(self, tmp_path, full_run, capsys):
+        """The class name would become a prior label that ``assignments.tsv`` cannot hold."""
+        generated, bg_dir, _, _ = full_run
+        lines = (generated / "gt.jsonl").read_text().split("\n")
+        lineno = next(i for i, line in enumerate(lines, 1) if '"known_flag":true' in line)
+        gt = tmp_path / "gt.jsonl"
+        rewrite_line(generated / "gt.jsonl", gt, lineno, lambda obj: obj.update(class_name="known\t00"))
+        config = tmp_path / "gt_config.txt"
+        save_config(Config(d=8, min_images_per_slot=3, rounds=2, rng_seed=3, init_mode="gt_overlap"), config)
+        argv = [
+            "discover", "--corpus", str(generated / "corpus.jsonl"), "--bg", str(bg_dir / "bg.bin"),
+            "--config", str(config), "--gt", str(gt),
+        ]
+        expected = (
+            f"{gt}:{lineno}: bad ground-truth record: class_name 'known\\t00' "
+            "contains a tab, a newline or a carriage return"
+        )
+        expect_one_line_error(argv, tmp_path / "bad_run", expected, capsys)
+
+    def test_a_prior_label_with_a_carriage_return_fails_before_any_manifest(self, tmp_path, full_run, capsys):
+        generated, bg_dir, _, config_path = full_run
+        priors = tmp_path / "priors.jsonl"
+        rewrite_line(generated / "priors.jsonl", priors, 3, lambda obj: obj.update(gt_label="known_00\r"))
+        argv = [
+            "discover", "--corpus", str(generated / "corpus.jsonl"), "--bg", str(bg_dir / "bg.bin"),
+            "--config", str(config_path), "--priors", str(priors),
+        ]
+        expected = f"{priors}: line 3: gt_label 'known_00\\r' contains a carriage return"
+        expect_one_line_error(argv, tmp_path / "bad_run", expected, capsys)

@@ -473,7 +473,7 @@ class TestOracleAndCounting:
 class TestGtFile:
     def test_roundtrip(self, tmp_path):
         boxes = [gt_box("i0", BoundingBox(0, 0, 2, 3), "bear"), gt_box("i1", box(5.0), "dog", known=True)]
-        write_gt(tmp_path / "gt.jsonl", boxes)
+        write_gt(tmp_path / "gt.jsonl", gt_table_of(boxes))
         loaded = load_gt(tmp_path / "gt.jsonl")
         assert boxes_of(loaded) == boxes
 

@@ -1,6 +1,8 @@
 """Every text input is read by ``reporting.read_lines``: lines split at "\\n" only, each decoded strictly."""
 
 import ast
+import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +13,9 @@ from dualmem.config import Config, load_config, save_config
 from dualmem.corpus import open_corpus, write_corpus_jsonl
 from dualmem.evaluation import load_gt, write_gt
 from dualmem.records import BoundingBox, CorpusFormatError, GroundTruthBox
+from dualmem.reporting import read_assignments, write_assignments
 
-from conftest import make_region
+from conftest import gt_table_of, make_region
 
 
 def corpus_columns(table):
@@ -36,10 +39,10 @@ def write_corpus(path):
 
 
 def write_ground_truth(path):
-    write_gt(path, [
+    write_gt(path, gt_table_of([
         GroundTruthBox("img0", BoundingBox(0.0, 0.0, 1.0, 2.0), "cat", True),
         GroundTruthBox("img1", BoundingBox(1.5, 0.5, 3.0, 4.0), "dog", False),
-    ])
+    ]))
 
 
 def write_config(path):
@@ -80,6 +83,52 @@ def test_a_record_cut_inside_a_string_names_the_column_where_the_string_starts(t
     with pytest.raises(CorpusFormatError) as caught:
         open_corpus(path)
     assert str(caught.value) == f"{path}: line 2: invalid JSON at column {column}"
+
+
+def test_a_crlf_assignments_file_reads_as_the_original(tmp_path):
+    """The tab-separated reader drops the "\\r" that a CRLF copy puts before each line end."""
+    write_assignments(tmp_path / "lf.tsv", [("r0", "disc_1"), ("r\r1", "unassigned")])
+    (tmp_path / "crlf.tsv").write_bytes((tmp_path / "lf.tsv").read_bytes().replace(b"\n", b"\r\n"))
+    assert read_assignments(tmp_path / "crlf.tsv") == read_assignments(tmp_path / "lf.tsv") == {
+        "r0": "disc_1", "r\r1": "unassigned",
+    }
+
+
+def gt_line(class_name="cat", known_flag=True):
+    return json.dumps({"image_id": "img0", "box": [0, 0, 1, 1], "class_name": class_name, "known_flag": known_flag})
+
+
+@pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\r", "\rb"])
+def test_a_class_name_that_assignments_tsv_cannot_hold_is_refused(tmp_path, name):
+    path = tmp_path / "gt.jsonl"
+    path.write_text("\n".join([gt_line(), "", gt_line(name), gt_line()]) + "\n")
+    with pytest.raises(ValueError) as caught:
+        load_gt(path)
+    assert str(caught.value) == (
+        f"{path}:3: bad ground-truth record: class_name {name!r} contains a tab, a newline or a carriage return"
+    )
+
+
+@pytest.mark.parametrize("lines, lineno, fault", [
+    ([gt_line("a\tb"), "{"], 1, "class_name 'a\\tb' contains"),  # a later bad line
+    ([gt_line("a\tb", known_flag=1)], 1, "class_name 'a\\tb' contains"),  # a later field of the same record
+    (["{", gt_line("a\tb")], 1, "Expecting property name"),  # an earlier bad line
+    ([gt_line("a\tb"), b"\xff"], 1, "class_name 'a\\tb' contains"),  # a later line that is not UTF-8
+])
+def test_a_class_name_fault_is_reported_in_record_order(tmp_path, lines, lineno, fault):
+    path = tmp_path / "gt.jsonl"
+    path.write_bytes(b"\n".join(line if isinstance(line, bytes) else line.encode() for line in lines))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{lineno}: bad ground-truth record: {fault}')}"):
+        load_gt(path)
+
+
+def test_a_label_with_a_carriage_return_is_refused(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(path)
+    path.write_bytes(path.read_bytes().replace(b'"cat"', b'"cat\\r"', 2))
+    expected = f"{path}: line 2: gt_label 'cat\\r' contains a carriage return"
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(expected)}$"):
+        open_corpus(path)
 
 
 def text_reads(source):

@@ -1,10 +1,11 @@
 """What the read paths build and how the binary readers fail.
 
 The subcommands read a corpus into one region table and ground truth into one
-box table, and never build a ``RegionRecord``, ``GroundTruthBox`` or
-``BoundingBox`` per region or box. Every binary reader rejects a
-corrupt or overlong file with a ValueError that starts with the file name, and
-the CLI turns that into one ``error:`` line before it writes a manifest.
+box table, ``gen`` writes its files from such tables, and none builds a
+``RegionRecord``, ``GroundTruthBox`` or ``BoundingBox`` per region or box.
+Every binary reader rejects a corrupt or overlong file with a ValueError that
+starts with the file name, and the CLI turns that into one ``error:`` line
+before it writes a manifest.
 """
 
 import dataclasses
@@ -22,7 +23,7 @@ from dualmem.corpus import BINARY_HEADER, ID_FIELD_BYTES, convert_corpus, open_c
 from dualmem.memory import DualMemory
 from dualmem.records import BoundingBox, GroundTruthBox, RegionRecord
 from dualmem.stats import BackgroundStats
-from dualmem.synth import SynthSpec, generate
+from dualmem.synth import SynthSpec, generate, save_spec
 
 from conftest import identity_bg, make_region, table_of
 
@@ -83,7 +84,10 @@ def test_subcommands_build_no_region_records_or_boxes(tmp_path, inputs, corpus_k
     monkeypatch.setattr(BoundingBox, "__post_init__", lambda self: built.append(self))
     monkeypatch.setattr(GroundTruthBox, "__init__", record)
     run = tmp_path / "run"
+    spec = tmp_path / "spec.txt"
+    save_spec(SynthSpec(d=4, n_known=1, n_unknown=2, images=6, classes_per_image=2, seed=2), spec)
     steps = {
+        "gen": ["gen", "--spec", str(spec), "--out", str(tmp_path / "gen")],
         "background": ["background", "--corpus", corpus, "--threads", "2", "--out", str(tmp_path / "bg")],
         "discover": [
             "discover", "--corpus", corpus, "--bg", str(paths["bg"]), "--config", str(paths["config"]),
@@ -205,6 +209,19 @@ def test_checkpoint_slot_mean_that_cannot_score_names_the_slot(tmp_path, inputs,
     d = 4
     first_white = 12 + 32 + 16 + 8 * d + 8 * d * d + 8 + 4 + 8 + 4 + 3  # header .. slot id, "cat"
     data[first_white: first_white + 8] = struct.pack("<d", value)
+    checkpoint = tmp_path / "checkpoint.bin"
+    checkpoint.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=f"^{checkpoint}: semantic slot 0 has a mean that cannot be scored$"):
+        DualMemory.load_checkpoint(checkpoint, config)
+
+
+def test_checkpoint_slot_mean_holding_a_signalling_nan_names_the_slot(tmp_path, inputs):
+    """A signalling NaN makes |m|^2 warn "invalid", which must not escape as a RuntimeWarning."""
+    paths, config = inputs
+    data = bytearray(paths["checkpoint"].read_bytes())
+    d = 4
+    first_white = 12 + 32 + 16 + 8 * d + 8 * d * d + 8 + 4 + 8 + 4 + 3  # header .. slot id, "cat"
+    data[first_white: first_white + 8] = struct.pack("<Q", 0x7FF0_0000_0000_0001)
     checkpoint = tmp_path / "checkpoint.bin"
     checkpoint.write_bytes(bytes(data))
     with pytest.raises(ValueError, match=f"^{checkpoint}: semantic slot 0 has a mean that cannot be scored$"):

@@ -1,10 +1,21 @@
+import hashlib
+import json
+from pathlib import Path
+from typing import Iterable
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualmem.config import Config
-from dualmem.corpus import convert_corpus, ingest_corpus, open_corpus
+from dualmem.corpus import JSONL_VERSION, convert_corpus, ingest_corpus, open_corpus
 from dualmem.evaluation import load_gt
-from dualmem.synth import KNOWN_PRIOR_SCORE, SynthSpec, class_means, generate, kmeans_baseline, load_spec, save_spec
+from dualmem.records import BoundingBox, GroundTruthBox, RegionTable
+from dualmem.synth import (
+    DEFAULT_SCORE, KNOWN_PRIOR_SCORE, SynthSpec, _noise_scale, class_means, class_names, generate, kmeans_baseline,
+    load_spec, save_spec,
+)
 
 from conftest import batches_of, boxes_of, make_region, records_of, table_of
 
@@ -136,6 +147,162 @@ class TestGenerate:
         predicted = d2.argmin(axis=1)
         accuracy = float(np.mean(predicted == np.asarray(labels)))
         assert accuracy >= 0.999
+
+
+# ---------------------------------------------------------------------------
+# The generator against the record-at-a-time generator it replaced
+# ---------------------------------------------------------------------------
+
+def _cell_box(index: int) -> BoundingBox:
+    return BoundingBox(2.0 * index, 0.0, 2.0 * index + 1.0, 1.0)
+
+
+def _f32(values: np.ndarray) -> np.ndarray:
+    return values.astype(np.float32).astype(np.float64)
+
+
+def reference_write_corpus_jsonl(path: str | Path, d: int, table: RegionTable) -> None:
+    """One ``json.dumps`` per record, as the corpus writer encoded lines before it kept one encoder."""
+    rows = zip(
+        table.region_ids, table.image_of(), table.boxes.tolist(), table.scores.tolist(),
+        table.features.tolist(), table.gt_labels,
+    )
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"d": d, "version": JSONL_VERSION}, separators=(",", ":")) + "\n")
+        for region_id, image_id, box, score, feature, label in rows:
+            payload = {
+                "region_id": region_id, "image_id": image_id, "box": box,
+                "score": score, "feature": feature, "gt_label": label,
+            }
+            fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
+
+
+def reference_write_gt(path: str | Path, boxes: Iterable[GroundTruthBox]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for gt in boxes:
+            fh.write(
+                json.dumps(
+                    {
+                        "image_id": gt.image_id,
+                        "box": gt.box.as_list(),
+                        "class_name": gt.class_name,
+                        "known_flag": gt.known_flag,
+                    },
+                    separators=(",", ":"),
+                )
+                + "\n"
+            )
+
+
+def reference_generate(spec: SynthSpec, out_dir: str | Path) -> dict[str, Path]:
+    """Write corpus, ground-truth, and prior files; byte-identical per spec.
+
+    Every image draws from its own seed (spec seed xor image index), so any
+    parallel generation schedule produces the same bytes.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    names = class_names(spec)
+    means = class_means(spec)
+    scale = _noise_scale(spec)
+    n_classes = len(names)
+
+    ids: list[str] = []
+    image_ids: list[str] = []
+    starts: list[int] = []
+    boxes: list[list[float]] = []
+    scores: list[float] = []
+    features: list[np.ndarray] = []
+    labels: list[str | None] = []
+    gt_boxes: list[GroundTruthBox] = []
+    prior_rows: list[int] = []
+
+    def add(image_id: str, box: BoundingBox, score: float, feature: np.ndarray, label: str | None) -> None:
+        ids.append(f"{image_id}_r{len(ids) - starts[-1]:03d}")
+        boxes.append(box.as_list())
+        scores.append(score)
+        features.append(feature)
+        labels.append(label)
+
+    for t in range(spec.images):
+        rng = np.random.default_rng(spec.seed ^ t)
+        image_id = f"img_{t:06d}"
+        image_ids.append(image_id)
+        starts.append(len(ids))
+        present = (
+            [(t * spec.classes_per_image + j) % n_classes for j in range(spec.classes_per_image)]
+            if n_classes
+            else []
+        )
+        for cell, c in enumerate(present):
+            box = _cell_box(cell)
+            known = c < spec.n_known
+            gt_boxes.append(
+                GroundTruthBox(image_id=image_id, box=box, class_name=names[c], known_flag=known)
+            )
+            for _ in range(spec.regions_per_class_per_image):
+                if known:
+                    prior_rows.append(len(ids))
+                feature = _f32(means[c] + rng.standard_normal(spec.d) * scale)
+                add(image_id, box, KNOWN_PRIOR_SCORE if known else DEFAULT_SCORE, feature, names[c])
+        for cell in range(len(present), len(present) + spec.n_background_per_image):
+            add(image_id, _cell_box(cell), DEFAULT_SCORE, _f32(rng.standard_normal(spec.d) * scale), None)
+
+    corpus = RegionTable(
+        ids, image_ids, np.array(starts + [len(ids)]), np.array(boxes).reshape(-1, 4),
+        np.array(scores), np.reshape(features, (len(ids), spec.d)), labels,
+    )
+    paths = {
+        "corpus": out / "corpus.jsonl",
+        "gt": out / "gt.jsonl",
+        "priors": out / "priors.jsonl",
+    }
+    reference_write_corpus_jsonl(paths["corpus"], spec.d, corpus)
+    reference_write_gt(paths["gt"], gt_boxes)
+    reference_write_corpus_jsonl(paths["priors"], spec.d, corpus.take(prior_rows))
+    return paths
+
+
+@st.composite
+def small_specs(draw):
+    d = draw(st.integers(1, 8))
+    n_known = draw(st.integers(0, d))
+    n_unknown = draw(st.integers(0, d - n_known))
+    n_classes = n_known + n_unknown
+    return SynthSpec(
+        d=d, n_known=n_known, n_unknown=n_unknown, images=draw(st.integers(1, 6)),
+        n_background_per_image=draw(st.integers(0, 3)),
+        # Unchecked, and unused, when there are no classes.
+        classes_per_image=draw(st.integers(1, n_classes if n_classes else 3)),
+        regions_per_class_per_image=draw(st.integers(1, 3)),
+        separation=draw(st.sampled_from([0.5, 8.0, 12.0])), std=draw(st.sampled_from([0.3, 1.0, 2.5])),
+        seed=draw(st.integers(0, 2**20)), anisotropy=draw(st.sampled_from([1.0, 0.25, 3.0])),
+    )
+
+
+@given(spec=small_specs())
+@settings(max_examples=150, deadline=None)
+def test_generate_writes_the_bytes_of_the_record_generator(tmp_path_factory, spec):
+    root = tmp_path_factory.mktemp("gen")
+    paths = generate(spec, root / "new")
+    reference = reference_generate(spec, root / "reference")
+    assert sorted(paths) == sorted(reference) == ["corpus", "gt", "priors"]
+    for key in paths:
+        assert paths[key].read_bytes() == reference[key].read_bytes(), key
+
+
+def test_frozen_spec_files_keep_their_bytes(tmp_path):
+    """The benchmark's ``frozen`` corpus at seed 20; every downstream reference hash starts here."""
+    spec = SynthSpec(
+        d=32, n_known=5, n_unknown=10, images=1000, n_background_per_image=3, classes_per_image=3,
+        regions_per_class_per_image=2, separation=8.0, std=1.0, seed=20,
+    )
+    paths = generate(spec, tmp_path)
+    assert {key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in paths.items()} == {
+        "corpus": "c5a6d1808e5d22064583e3b4c09fbe8ebbef1e8f104a718dd4aac919a22cf332",
+        "gt": "8f2168db45e960930cc6177839eff2ad1e565e54c159fe51e32b5cf579462660",
+        "priors": "0a4c72677b2a74d92f753c138707befe945b99f5952295f400fba8b5a5c38d6b",
+    }
 
 
 class TestKmeans:
