@@ -26,7 +26,6 @@ from .corpus import (
 from .evaluation import (
     ClusterReport,
     DiscoveryReport,
-    GroundTruthBox,
     auc,
     corloc,
     corret,
@@ -36,9 +35,7 @@ from .evaluation import (
     detrate,
     evaluate_run,
     iou,
-    label_region,
     load_gt,
-    oracle_label_clusters,
     purity,
     write_gt,
 )
@@ -59,7 +56,7 @@ from .pipeline import (
     run_discovery,
     run_discovery_round,
 )
-from .records import BoundingBox, CorpusFormatError, GroundTruthTable, RegionRecord, RegionTable
+from .records import BoundingBox, CorpusFormatError, GroundTruthBox, GroundTruthTable, RegionRecord, RegionTable
 from .stats import (
     BackgroundStats,
     InsufficientSamplesError,

@@ -109,8 +109,12 @@ def _cmd_background(args: argparse.Namespace) -> int:
 
 
 def _cmd_discover(args: argparse.Namespace) -> int:
-    overrides = {} if args.seed is None else {"rng_seed": args.seed}
-    config = load_config(args.config, **overrides)
+    config = load_config(args.config)
+    # An input the mode would not read is refused rather than listed in the manifest.
+    if args.priors is not None and config.init_mode != "det_scores":
+        raise CliError(f"--priors is read only in init_mode=det_scores, not init_mode={config.init_mode}")
+    if args.gt is not None and config.init_mode != "gt_overlap":
+        raise CliError(f"--gt is read only in init_mode=gt_overlap, not init_mode={config.init_mode}")
     # Every input is read and checked before the output directory is touched.
     bg = BackgroundStats.load(args.bg)
     corpus = ingest_corpus(args.corpus, config)
@@ -141,9 +145,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     thresholds = [float(t) for t in args.thresholds.split(",") if t]
     if not thresholds:
         raise CliError("--thresholds must list at least one IoU threshold")
-    min_images = args.min_images
-    if min_images is None:
-        min_images = load_config(args.config).min_images_per_slot if args.config else 5
+    # At t <= 0 a pair with IoU 0 would count as a hit; NaN compares false with everything.
+    bad = [t for t in thresholds if not 0.0 < t <= 1.0]
+    if bad:
+        raise CliError(f"--thresholds must lie in (0, 1], got {bad[0]}")
     regions = load_corpus(args.corpus)
     assignments = read_assignments(args.assignments)
     gt = load_gt(args.gt)
@@ -152,14 +157,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         out_dir, "eval", args,
         _hash_params(
             _hash_file(args.corpus), _hash_file(args.assignments), _hash_file(args.gt),
-            thresholds, args.purity_floor, min_images,
+            thresholds, args.purity_floor, args.min_images,
         ),
     )
     report = evaluate_run(
         assignments, regions, gt,
         iou_thresholds=thresholds,
         purity_floor=args.purity_floor,
-        min_images=min_images,
+        min_images=args.min_images,
     )
     write_key_values(out_dir / "metrics.txt", report.metrics)
     for threshold, curve in report.curves.items():
@@ -181,8 +186,6 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
             k = int(values["clusters_final"])
         except ValueError as exc:
             raise CliError(f"{args.stats}: clusters_final: {exc}") from exc
-    if args.seed is None:
-        args.seed = load_config(args.config).rng_seed if args.config else 0
     regions = load_corpus(args.corpus)
     assignments, _, history = kmeans_baseline(regions, k, args.seed)
     out_dir = _prepare_out_dir(args.out, args.force)
@@ -207,10 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", required=True, help="Output directory.")
         p.add_argument("--force", action="store_true", help="Reuse a non-empty output directory.")
-        p.add_argument("--seed", type=int, default=None, help="Override the configured seed.")
 
     g = sub.add_parser("gen", help="Generate a synthetic corpus, ground truth, and priors.")
     g.add_argument("--spec", required=True, help="Synthetic spec file (key = value).")
+    g.add_argument("--seed", type=int, default=None, help="Override the spec's seed.")
     common(g)
     g.set_defaults(handler=_cmd_gen)
 
@@ -237,10 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--corpus", required=True)
     e.add_argument("--assignments", required=True)
     e.add_argument("--gt", required=True)
-    e.add_argument("--config", default=None, help="Optional config (supplies min-images).")
     e.add_argument("--thresholds", default="0.5,0.2", help="Comma-separated IoU thresholds.")
     e.add_argument("--purity-floor", type=float, default=0.5, dest="purity_floor")
-    e.add_argument("--min-images", type=int, default=None, dest="min_images")
+    e.add_argument("--min-images", type=int, default=5, dest="min_images")
     common(e)
     e.set_defaults(handler=_cmd_eval)
 
@@ -248,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--corpus", required=True)
     k.add_argument("--k", type=int, default=None)
     k.add_argument("--stats", default=None, help="stats.txt of a discovery run to match k.")
-    k.add_argument("--config", default=None, help="Optional config (supplies the seed).")
+    k.add_argument("--seed", type=int, default=0, help="K-means seed.")
     common(k)
     k.set_defaults(handler=_cmd_baseline)
     return parser

@@ -109,9 +109,9 @@ def save_config(config: Config, path: str | Path) -> None:
     write_key_values(path, dataclasses.asdict(config))
 
 
-def load_config(path: str | Path, **overrides: object) -> Config:
-    """Parse a ``key = value`` config file; keyword overrides win over file values."""
-    return load_fields(Config, path, **overrides)
+def load_config(path: str | Path) -> Config:
+    """Parse a ``key = value`` config file."""
+    return load_fields(Config, path)
 
 
 def config_hash(config: Config) -> str:

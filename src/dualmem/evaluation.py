@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import _JSON
-from .records import BoundingBox, GroundTruthBox, GroundTruthTable, RegionTable, parse_box
+from .records import BoundingBox, GroundTruthTable, RegionTable, parse_box
 from .reporting import UNASSIGNED, read_lines
 
 BACKGROUND = "background"
@@ -121,18 +121,6 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return intersection / (a.area + b.area - intersection)
 
 
-def label_region(
-    regions: RegionTable,
-    row: int,
-    gt: GroundTruthTable,
-    iou_threshold: float,
-) -> str | None:
-    """Class of the first max-IoU box if it overlaps the region and clears the threshold."""
-    table = IouTable(regions, [row], gt)
-    best = int(table.best[0]) if table.best_iou[0] >= iou_threshold else -1
-    return gt.class_names[best] if best >= 0 else None
-
-
 class IouTable:
     """The IoU of every (region, ground-truth box) pair on one image.
 
@@ -140,7 +128,8 @@ class IouTable:
     by region, and over an image's boxes in ground-truth order.
     The IoU takes the float operations of ``iou`` in its order, so the values are
     bit-identical. ``best`` is the ``gt`` index of each region's first max-IoU
-    box, or -1 when no box overlaps the region: the ``label_region`` rule.
+    box, or -1 when no box overlaps the region; a region takes that box's class
+    at threshold ``t`` when ``best_iou >= t``.
     """
 
     def __init__(self, regions: RegionTable, rows: Sequence[int], gt: GroundTruthTable):
@@ -375,14 +364,12 @@ def corret(
     regions: RegionTable,
     gt: GroundTruthTable,
     k: int = 10,
-    by_slot: bool = False,
 ) -> float:
     """Mean percent of an image's k nearest neighbors sharing its majority class.
 
-    The image representation is the mean of its assigned-region features, or a
-    cluster-assignment histogram with ``by_slot``. Images with no assignments or
-    no ground truth are not scored; k clamps to the eligible population. Equal
-    similarities rank by image id.
+    An image is represented by the mean of its assigned-region features. Images
+    with no assignments or no ground truth are not scored; k clamps to the
+    eligible population. Equal similarities rank by image id.
     """
     row_of = {region_id: row for row, region_id in enumerate(regions.region_ids)}
     assigned = [rid for rid, label in assignments.items() if label != UNASSIGNED and rid in row_of]
@@ -394,15 +381,10 @@ def corret(
     index_of = {image_id: index for index, image_id in enumerate(eligible)}
     images = np.array([index_of.get(image_id, -1) for image_id in image_of], dtype=np.intp)
     keep = images >= 0
-    if by_slot:
-        _, slots = np.unique([assignments[rid] for rid in assigned], return_inverse=True)
-        reps = np.zeros((len(eligible), slots.max() + 1))
-        np.add.at(reps, (images[keep], slots[keep]), 1.0)
-    else:
-        # ufunc.at adds in assignment order: the sequential sums of np.mean(axis=0).
-        reps = np.zeros((len(eligible), regions.d))
-        np.add.at(reps, images[keep], regions.features[rows[keep]])
-        reps /= np.bincount(images[keep], minlength=len(eligible))[:, None]
+    # ufunc.at adds in assignment order: the sequential sums of np.mean(axis=0).
+    reps = np.zeros((len(eligible), regions.d))
+    np.add.at(reps, images[keep], regions.features[rows[keep]])
+    reps /= np.bincount(images[keep], minlength=len(eligible))[:, None]
     norms = np.linalg.norm(reps, axis=1)
     unit = reps / np.where(norms > 0.0, norms, 1.0)[:, None]
     sims = unit @ unit.T
@@ -433,20 +415,8 @@ def corret(
 
 
 # ---------------------------------------------------------------------------
-# Oracle labeling and discovery counting
+# Cluster reports and discovery counting
 # ---------------------------------------------------------------------------
-
-def oracle_label_clusters(
-    clusters: Mapping[str, Sequence[int]],
-    regions: RegionTable,
-    gt: GroundTruthTable,
-    iou_threshold: float,
-) -> dict[str, str]:
-    """Majority-vote class per cluster; all-background clusters map to ``background``."""
-    table = _ClusterTable(clusters, regions, gt)
-    majority = {label: m for label, (_, m) in zip(table.labels, table.purities(iou_threshold))}
-    return {label: majority[label] for label in clusters}
-
 
 def report_clusters(
     clusters: Mapping[str, Sequence[int]],

@@ -15,7 +15,6 @@ from dualmem.config import Config, save_config
 from dualmem.consolidation import build_affinity_graph, consolidate, merge_components, refine_slots, slot_affinity, train_slot_classifiers
 from dualmem.corpus import ingest_corpus, open_corpus
 from dualmem.evaluation import (
-    GroundTruthBox,
     auc,
     clusters_from_assignments,
     corloc,
@@ -28,7 +27,7 @@ from dualmem.evaluation import (
 )
 from dualmem.memory import DecisionKind, DualMemory
 from dualmem.pipeline import build_priors, estimate_background, run_discovery
-from dualmem.records import BoundingBox
+from dualmem.records import BoundingBox, GroundTruthBox
 from dualmem.stats import BackgroundStats, MomentAccumulator, train_lda
 from dualmem.synth import SynthSpec, class_means, generate, kmeans_baseline
 

@@ -1,10 +1,12 @@
+import argparse
+import inspect
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from dualmem.cli import main
+from dualmem.cli import build_parser, main
 from dualmem.config import Config, save_config
 from dualmem.corpus import (
     BINARY_HEADER, ID_FIELD_BYTES, convert_corpus, load_corpus, write_corpus_binary, write_corpus_jsonl,
@@ -754,3 +756,94 @@ class TestCarriageReturns:
         ]
         expected = f"{priors}: line 3: gt_label 'known_00\\r' contains a carriage return"
         expect_one_line_error(argv, tmp_path / "bad_run", expected, capsys)
+
+
+class TestEveryOptionChangesTheRun:
+    def test_every_option_is_read_by_its_handler(self):
+        """An option whose value no handler reads would be accepted and do nothing."""
+        parser = build_parser()
+        subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        unread = {}
+        for name, sub in subcommands.items():
+            source = inspect.getsource(sub.get_default("handler"))
+            unread[name] = [a.dest for a in sub._actions if a.dest != "help" and f"args.{a.dest}" not in source]
+        assert unread == {name: [] for name in subcommands}
+
+    VALID = {
+        "background": ["background", "--corpus", "corpus.jsonl"],
+        "discover": ["discover", "--corpus", "corpus.jsonl", "--bg", "bg.bin", "--config", "config.txt"],
+        "eval": ["eval", "--corpus", "corpus.jsonl", "--assignments", "assignments.tsv", "--gt", "gt.jsonl"],
+        "baseline": ["baseline", "--corpus", "corpus.jsonl", "--k", "3"],
+    }
+
+    @pytest.mark.parametrize("subcommand, option", [
+        ("background", ["--seed", "5"]),
+        ("eval", ["--seed", "7"]),
+        ("eval", ["--config", "config.txt"]),
+        ("baseline", ["--config", "config.txt"]),
+        ("discover", ["--seed", "3"]),
+    ], ids=["background-seed", "eval-seed", "eval-config", "baseline-config", "discover-seed"])
+    def test_a_removed_option_is_a_usage_error(self, tmp_path, subcommand, option, capsys):
+        out = tmp_path / "out"
+        argv = self.VALID[subcommand] + ["--out", str(out)]
+        build_parser().parse_args(argv)  # the same command line without the option parses
+        with pytest.raises(SystemExit) as exc:
+            main(argv + option)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestDiscoverRefusesAnInputItsModeIgnores:
+    """An input the init mode would not read is refused before the manifest, not listed in it."""
+
+    @pytest.mark.parametrize("mode", ["gt_overlap", "null"])
+    def test_priors_outside_det_scores(self, tmp_path, full_run, mode, capsys):
+        generated, bg_dir, _, _ = full_run
+        config = tmp_path / "config2.txt"
+        save_config(Config(d=8, rounds=2, rng_seed=3, init_mode=mode), config)
+        argv = [
+            "discover", "--corpus", str(generated / "corpus.jsonl"), "--bg", str(bg_dir / "bg.bin"),
+            "--config", str(config), "--priors", str(generated / "priors.jsonl"),
+        ] + (["--gt", str(generated / "gt.jsonl")] if mode == "gt_overlap" else [])
+        expected = f"--priors is read only in init_mode=det_scores, not init_mode={mode}"
+        expect_one_line_error(argv, tmp_path / "run2", expected, capsys)
+        assert not (tmp_path / "run2").exists()
+
+    @pytest.mark.parametrize("mode", ["det_scores", "null"])
+    def test_gt_outside_gt_overlap(self, tmp_path, full_run, mode, capsys):
+        generated, bg_dir, _, _ = full_run
+        config = tmp_path / "config2.txt"
+        save_config(Config(d=8, rounds=2, rng_seed=3, init_mode=mode), config)
+        argv = [
+            "discover", "--corpus", str(generated / "corpus.jsonl"), "--bg", str(bg_dir / "bg.bin"),
+            "--config", str(config), "--gt", str(generated / "gt.jsonl"),
+        ] + (["--priors", str(generated / "priors.jsonl")] if mode == "det_scores" else [])
+        expected = f"--gt is read only in init_mode=gt_overlap, not init_mode={mode}"
+        expect_one_line_error(argv, tmp_path / "run2", expected, capsys)
+        assert not (tmp_path / "run2").exists()
+
+
+class TestEvalThresholds:
+    @pytest.mark.parametrize("thresholds, bad", [
+        ("0", "0.0"), ("-1", "-1.0"), ("nan", "nan"), ("1.5", "1.5"), ("inf", "inf"), ("0.5,0", "0.0"),
+    ])
+    def test_a_threshold_outside_zero_to_one_fails_before_any_output(self, tmp_path, full_run, thresholds, bad,
+                                                                    capsys):
+        """At t <= 0 a region with IoU 0 would count as a hit; NaN would score nothing."""
+        generated, _, run_dir, _ = full_run
+        argv = [
+            "eval", "--corpus", str(generated / "corpus.jsonl"), "--assignments", str(run_dir / "assignments.tsv"),
+            "--gt", str(generated / "gt.jsonl"), "--thresholds", thresholds,
+        ]
+        expect_one_line_error(argv, tmp_path / "eval", f"--thresholds must lie in (0, 1], got {bad}", capsys)
+        assert not (tmp_path / "eval").exists()
+
+    def test_a_threshold_of_one_is_scored(self, tmp_path, full_run):
+        generated, _, run_dir, _ = full_run
+        argv = [
+            "eval", "--corpus", str(generated / "corpus.jsonl"), "--assignments", str(run_dir / "assignments.tsv"),
+            "--gt", str(generated / "gt.jsonl"), "--thresholds", "1", "--out", str(tmp_path / "eval"),
+        ]
+        assert main(argv) == 0
+        assert "auc_1.0" in read_key_values(tmp_path / "eval" / "metrics.txt")

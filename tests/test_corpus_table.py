@@ -2,9 +2,10 @@
 
 ``reference_ingest`` keeps the earlier algorithm: parse one record object at a
 time (``RegionRecord`` and ``BoundingBox`` check each), check its dimension,
-its id and label for a tab or a newline, and its id against the earlier ones,
-and finish an image when the next one starts. Both must give the same
-rows, bit for bit, and fail with the same message on the same corpus.
+its id and label for a tab or a newline and its label for a carriage return,
+and its id against the earlier ones, and finish an image when the next one
+starts. Both must give the same rows, bit for bit, and fail with the same
+message on the same corpus.
 """
 
 import json
@@ -55,10 +56,13 @@ def _parse_json_record(obj, where):
 
 
 def _check_text(record, where):
-    """A region id or label with a tab or a newline cannot be written to assignments.tsv."""
+    """A region id or label with a tab or a newline, or a label with a carriage return,
+    cannot be read back from assignments.tsv."""
     for what, value in (("region_id", record.region_id), ("gt_label", record.gt_label)):
         if value and ("\t" in value or "\n" in value):
             raise CorpusFormatError(f"{where}: {what} {value!r} contains a tab or a newline")
+    if record.gt_label and "\r" in record.gt_label:
+        raise CorpusFormatError(f"{where}: gt_label {record.gt_label!r} contains a carriage return")
 
 
 def _iter_jsonl(path):
@@ -262,7 +266,7 @@ def _jsonl_faults(lines, faults):
                 continue
             elif kind == 11:
                 key = ["region_id", "gt_label"][j % 2]
-                obj[key] = (obj[key] or "") + ["\t", "\n"][j // 2 % 2]
+                obj[key] = (obj[key] or "") + ["\t", "\n", "\r"][j // 2 % 3]
             else:
                 obj = [obj["region_id"]]
         except (KeyError, IndexError, TypeError):
@@ -296,7 +300,7 @@ def _binary_faults(data, d, faults):
             del data[16 + (k * size + j) % (len(data) - 16):]
             return data
         elif kind == 7:
-            data[at + [ids, label][j % 2] + 1] = [0x09, 0x0A][j // 2 % 2]
+            data[at + [ids, label][j % 2] + 1] = [0x09, 0x0A, 0x0D][j // 2 % 3]
         else:
             coordinate = at + box + 4 * (j % 4)
             data[coordinate: coordinate + 4] = struct.pack("<f", [np.nan, np.inf, -np.inf][j % 3])

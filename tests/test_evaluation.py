@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualmem.evaluation import (
-    GroundTruthBox,
     IouTable,
     auc,
     corloc,
@@ -21,14 +20,13 @@ from dualmem.evaluation import (
     detrate,
     evaluate_run,
     iou,
-    label_region,
     load_gt,
-    oracle_label_clusters,
     purity,
+    report_clusters,
     write_gt,
 )
 from dualmem.corpus import load_corpus
-from dualmem.records import BoundingBox, GroundTruthTable
+from dualmem.records import BoundingBox, GroundTruthBox, GroundTruthTable
 from dualmem.synth import SynthSpec, generate, kmeans_baseline
 
 from conftest import boxes_of, gt_table_of, make_region, table_of
@@ -83,15 +81,23 @@ class TestIou:
 
 
 class TestLabelRegion:
+    """A region's label: the class of its first max-IoU box, if that IoU clears the threshold."""
+
+    @staticmethod
+    def label(region, gt, iou_threshold):
+        table = IouTable(table_of([region]), [0], gt_table_of(gt))
+        best = int(table.best[0]) if table.best_iou[0] >= iou_threshold else -1
+        return gt[best].class_name if best >= 0 else None
+
     def test_exact_hit(self):
         region = make_region("r0", "i0", [0.0], box=BoundingBox(0, 0, 2, 2))
         gt = [gt_box("i0", BoundingBox(0, 0, 2, 2), "bear")]
-        assert label_region(table_of([region]), 0, gt_table_of(gt), 0.5) == "bear"
+        assert self.label(region, gt, 0.5) == "bear"
 
     def test_no_overlap_is_background(self):
         region = make_region("r0", "i0", [0.0], box=BoundingBox(0, 0, 1, 1))
         gt = [gt_box("i0", BoundingBox(10, 10, 12, 12), "bear")]
-        assert label_region(table_of([region]), 0, gt_table_of(gt), 0.5) is None
+        assert self.label(region, gt, 0.5) is None
 
     def test_max_iou_wins(self):
         region = make_region("r0", "i0", [0.0], box=BoundingBox(0, 0, 10, 10))
@@ -99,7 +105,7 @@ class TestLabelRegion:
             gt_box("i0", BoundingBox(0, 0, 10, 4), "zebra"),   # IoU 0.4
             gt_box("i0", BoundingBox(0, 0, 10, 6), "bear"),    # IoU 0.6
         ]
-        assert label_region(table_of([region]), 0, gt_table_of(gt), 0.5) == "bear"
+        assert self.label(region, gt, 0.5) == "bear"
 
 
 class TestPurity:
@@ -420,27 +426,30 @@ class TestCorret:
         gt = [gt_box(image, BoundingBox(0, 0, 2, 2), c) for image, c in (("i0", "a"), ("i1", "a"), ("i2", "b"))]
         assert corret(assignments, table_of(regions.values()), gt_table_of(gt), k=1) == pytest.approx(200.0 / 3.0)
 
-    def test_by_slot_representation(self):
-        assignments, regions, gt = self.balanced_fixture()
-        assert corret(assignments, table_of(regions.values()), gt_table_of(gt), k=3, by_slot=True) == 100.0
-
 
 class TestOracleAndCounting:
+    """A cluster's majority class, as ``report_clusters`` and ``purity`` give it."""
+
+    @staticmethod
+    def majorities(clusters, gt):
+        return {r.label: r.majority_class for r in report_clusters(*clustered(clusters), gt_table_of(gt), 0.5)}
+
     def test_pure_cluster_takes_its_class(self):
         clusters, gt = curve_fixture()
-        labels = oracle_label_clusters(*clustered(clusters), gt_table_of(gt), 0.5)
+        labels = self.majorities(clusters, gt)
         assert labels["A"] == "a"
 
     def test_unmatched_cluster_is_background(self):
         gt = [gt_box("i0", box(0.0), "a")]
         clusters = {"junk": [make_region("r0", "i0", [0.0], box=box(50.0))]}
-        assert oracle_label_clusters(*clustered(clusters), gt_table_of(gt), 0.5) == {"junk": "background"}
+        assert self.majorities(clusters, gt) == {"junk": "background"}
 
     def test_majority_vote(self):
         gt = [gt_box("i0", box(2.0 * i), "bear") for i in range(3)]
         gt += [gt_box("i0", box(2.0 * (3 + i)), "zebra") for i in range(2)]
         members = [make_region(f"r{i}", "i0", [0.0], box=g.box) for i, g in enumerate(gt)]
-        assert oracle_label_clusters(*clustered({"c": members}), gt_table_of(gt), 0.5) == {"c": "bear"}
+        assert self.majorities({"c": members}, gt) == {"c": "bear"}
+        assert purity(*members_table(members), gt_table_of(gt), 0.5)[1] == "bear"
 
     def test_count_discovered_counts_distinct_classes(self):
         gt = [gt_box(f"i{j}", box(0.0), "bear") for j in range(6)]
@@ -526,8 +535,9 @@ class TestGtFile:
 def reference_load_gt(path):
     """The record-at-a-time reader: one GroundTruthBox, checked by BoundingBox, per line.
 
-    A box must be a JSON array of four finite numbers and a known flag a JSON
-    boolean; nothing is coerced from another JSON type.
+    A box must be a JSON array of four finite numbers, a class name may hold no
+    tab, newline or carriage return, and a known flag must be a JSON boolean;
+    nothing is coerced from another JSON type.
     """
     boxes = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
@@ -545,6 +555,8 @@ def reference_load_gt(path):
                 raise ValueError(f"box [{coordinates}] must have finite coordinates with x2 > x1 and y2 > y1")
             box = BoundingBox(*box)
             class_name = str(obj["class_name"])
+            if "\t" in class_name or "\n" in class_name or "\r" in class_name:
+                raise ValueError(f"class_name {class_name!r} contains a tab, a newline or a carriage return")
             if not isinstance(obj["known_flag"], bool):
                 raise ValueError(f"known_flag must be a JSON boolean, got {reprlib.repr(obj['known_flag'])}")
             boxes.append(GroundTruthBox(image_id, box, class_name, obj["known_flag"]))
@@ -604,6 +616,9 @@ BAD_LINE = st.one_of(
     ),
     st.tuples(GOOD_RECORD, st.integers(0, 3)).map(  # a box coordinate no float can hold
         lambda pair: json.dumps(dict(pair[0], box=pair[0]["box"][: pair[1]] + [10**400] + pair[0]["box"][pair[1] + 1:]))
+    ),
+    st.tuples(GOOD_RECORD, st.sampled_from(["\t", "\n", "\r"]), st.sampled_from(["image_id", "class_name"])).map(
+        lambda t: json.dumps(dict(t[0], **{t[2]: f"{t[0][t[2]]}{t[1]}x"}))  # a control character in a name
     ),
     st.tuples(GOOD_RECORD, st.integers(1, 20)).map(lambda pair: json.dumps(pair[0])[: -pair[1]]),  # bad JSON
     st.sampled_from(["[1, 2]", "3", '"s"', "null", "{", "}{", "{} {}"]),  # not one object

@@ -3,7 +3,7 @@ import pytest
 
 from dualmem.config import Config
 from dualmem.corpus import ingest_corpus, split_dataset
-from dualmem.evaluation import GroundTruthBox, iou, load_gt
+from dualmem.evaluation import iou, load_gt
 from dualmem.memory import DualMemory
 from dualmem.pipeline import (
     RoundState,
@@ -13,7 +13,7 @@ from dualmem.pipeline import (
     run_discovery,
     run_discovery_round,
 )
-from dualmem.records import BoundingBox
+from dualmem.records import BoundingBox, GroundTruthBox
 from dualmem.synth import SynthSpec, generate
 
 from conftest import batches_of, gt_table_of, identity_bg, make_region, records_of, table_of
