@@ -56,7 +56,7 @@ from .pipeline import (
     run_discovery,
     run_discovery_round,
 )
-from .records import BoundingBox, CorpusFormatError, GroundTruthBox, GroundTruthTable, RegionRecord, RegionTable
+from .records import BoundingBox, CorpusFormatError, GroundTruthTable, RegionRecord, RegionTable
 from .stats import (
     BackgroundStats,
     InsufficientSamplesError,

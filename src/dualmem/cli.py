@@ -8,14 +8,15 @@ refuses to reuse a non-empty directory unless forced.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
 from pathlib import Path
 
 from . import __version__
-from .config import Config, config_hash, load_config
-from .corpus import ingest_corpus, load_corpus, open_configured_corpus, read_corpus_dim
+from .config import Config, load_config
+from .corpus import ingest_corpus, load_corpus, open_corpus, read_corpus_dim
 from .evaluation import evaluate_run, load_gt
 from .pipeline import build_priors, estimate_background, run_rounds, start_discovery
 from .records import CorpusFormatError
@@ -40,32 +41,22 @@ def _prepare_out_dir(out: str, force: bool) -> Path:
     return path
 
 
-def _write_manifest(out_dir: Path, subcommand: str, args: argparse.Namespace, result_hash: str) -> None:
-    inputs = {
-        key: str(getattr(args, key))
-        for key in ("corpus", "bg", "config", "spec", "assignments", "gt", "priors", "stats")
-        if getattr(args, key, None) is not None
-    }
+def _write_manifest(out_dir: Path, subcommand: str, inputs: dict[str, str | None], params: dict) -> None:
+    """Each file the handler read (an input given as None was not) with its sha256, and the other values it used."""
     manifest = {
         "tool": "dualmem",
         "version": __version__,
         "subcommand": subcommand,
-        "inputs": inputs,
+        "inputs": {
+            name: {"path": str(path), "sha256": _hash_file(path)}
+            for name, path in inputs.items() if path is not None
+        },
+        "params": params,
         "out_dir": str(out_dir),
-        "seed": getattr(args, "seed", None),
-        "config_hash": result_hash,
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _hash_params(*parts: object) -> str:
-    digest = hashlib.sha256()
-    for part in parts:
-        digest.update(repr(part).encode("utf-8"))
-        digest.update(b"\x00")
-    return digest.hexdigest()
 
 
 def _hash_file(path: str | Path) -> str:
@@ -81,10 +72,14 @@ def _hash_file(path: str | Path) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    overrides = {} if args.seed is None else {"seed": args.seed}
-    spec = load_spec(args.spec, **overrides)
+    spec = load_spec(args.spec)
+    if args.seed is not None:
+        try:
+            spec = dataclasses.replace(spec, seed=args.seed)
+        except ValueError as exc:
+            raise CliError(f"--seed {args.seed}: {exc}") from exc
     out_dir = _prepare_out_dir(args.out, args.force)
-    _write_manifest(out_dir, "gen", args, _hash_params(_hash_file(args.spec), spec))
+    _write_manifest(out_dir, "gen", {"spec": args.spec}, {"seed": spec.seed})
     paths = generate(spec, out_dir)
     for name, path in paths.items():
         print(f"{name}: {path}")
@@ -99,10 +94,7 @@ def _cmd_background(args: argparse.Namespace) -> int:
     corpus = ingest_corpus(args.corpus, config)
     bg = estimate_background(corpus, config, workers=args.threads)
     out_dir = _prepare_out_dir(args.out, args.force)
-    _write_manifest(
-        out_dir, "background", args,
-        _hash_params(_hash_file(args.corpus), config_hash(config), args.threads),
-    )
+    _write_manifest(out_dir, "background", {"corpus": args.corpus, "config": args.config}, {"threads": args.threads})
     bg.save(out_dir / "bg.bin")
     print(f"background: {out_dir / 'bg.bin'} (d={bg.d}, samples={bg.count})")
     return 0
@@ -110,31 +102,22 @@ def _cmd_background(args: argparse.Namespace) -> int:
 
 def _cmd_discover(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    # An input the mode would not read is refused rather than listed in the manifest.
-    if args.priors is not None and config.init_mode != "det_scores":
-        raise CliError(f"--priors is read only in init_mode=det_scores, not init_mode={config.init_mode}")
-    if args.gt is not None and config.init_mode != "gt_overlap":
-        raise CliError(f"--gt is read only in init_mode=gt_overlap, not init_mode={config.init_mode}")
+    # Each mode's input is required, and refused in every other mode rather than listed in the manifest.
+    for option, path, mode in (("--priors", args.priors, "det_scores"), ("--gt", args.gt, "gt_overlap")):
+        if path is None and config.init_mode == mode:
+            raise CliError(f"init_mode={mode} requires {option}")
+        if path is not None and config.init_mode != mode:
+            raise CliError(f"{option} is read only in init_mode={mode}, not init_mode={config.init_mode}")
     # Every input is read and checked before the output directory is touched.
     bg = BackgroundStats.load(args.bg)
     corpus = ingest_corpus(args.corpus, config)
-    detections = None
-    gt = None
-    if config.init_mode == "det_scores":
-        if args.priors is None:
-            raise CliError("init_mode=det_scores requires --priors")
-        detections = open_configured_corpus(args.priors, config)
-    if config.init_mode == "gt_overlap":
-        if args.gt is None:
-            raise CliError("init_mode=gt_overlap requires --gt")
-        gt = load_gt(args.gt)
+    detections = open_corpus(args.priors, config.d) if args.priors is not None else None
+    gt = load_gt(args.gt) if args.gt is not None else None
     priors = build_priors(config, detections=detections, corpus=corpus, gt=gt)
     state, split = start_discovery(corpus, bg, config, priors)
     out_dir = _prepare_out_dir(args.out, args.force)
-    _write_manifest(
-        out_dir, "discover", args,
-        _hash_params(_hash_file(args.corpus), _hash_file(args.bg), config_hash(config)),
-    )
+    inputs = {"corpus": args.corpus, "bg": args.bg, "config": args.config, "priors": args.priors, "gt": args.gt}
+    _write_manifest(out_dir, "discover", inputs, {})
     run = run_rounds(state, corpus, split, out_dir)
     print(f"assignments: {out_dir / 'assignments.tsv'}")
     print(f"semantic slots: {len(run.mem.semantic)}, clusters: {run.stats['clusters_final']}")
@@ -149,16 +132,17 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     bad = [t for t in thresholds if not 0.0 < t <= 1.0]
     if bad:
         raise CliError(f"--thresholds must lie in (0, 1], got {bad[0]}")
+    if not 0.0 <= args.purity_floor <= 1.0:
+        raise CliError(f"--purity-floor must lie in [0, 1], got {args.purity_floor}")
+    if args.min_images < 1:
+        raise CliError(f"--min-images must be at least 1, got {args.min_images}")
     regions = load_corpus(args.corpus)
     assignments = read_assignments(args.assignments)
     gt = load_gt(args.gt)
     out_dir = _prepare_out_dir(args.out, args.force)
     _write_manifest(
-        out_dir, "eval", args,
-        _hash_params(
-            _hash_file(args.corpus), _hash_file(args.assignments), _hash_file(args.gt),
-            thresholds, args.purity_floor, args.min_images,
-        ),
+        out_dir, "eval", {"corpus": args.corpus, "assignments": args.assignments, "gt": args.gt},
+        {"thresholds": thresholds, "purity_floor": args.purity_floor, "min_images": args.min_images},
     )
     report = evaluate_run(
         assignments, regions, gt,
@@ -177,6 +161,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_baseline(args: argparse.Namespace) -> int:
     if args.k is None and args.stats is None:
         raise CliError("baseline needs --k or --stats (to reuse a run's cluster count)")
+    if args.k is not None and args.stats is not None:
+        raise CliError("--stats is read only without --k")
     k = args.k
     if k is None:
         values = read_key_values(args.stats)
@@ -186,10 +172,12 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
             k = int(values["clusters_final"])
         except ValueError as exc:
             raise CliError(f"{args.stats}: clusters_final: {exc}") from exc
+        if k < 1:  # a run that kept no semantic slot
+            raise CliError(f"{args.stats}: clusters_final must be at least 1, got {k}")
     regions = load_corpus(args.corpus)
     assignments, _, history = kmeans_baseline(regions, k, args.seed)
     out_dir = _prepare_out_dir(args.out, args.force)
-    _write_manifest(out_dir, "baseline", args, _hash_params(_hash_file(args.corpus), k, args.seed))
+    _write_manifest(out_dir, "baseline", {"corpus": args.corpus, "stats": args.stats}, {"k": k, "seed": args.seed})
     write_assignments(out_dir / "assignments.tsv", assignments.items())
     print(f"assignments: {out_dir / 'assignments.tsv'} (k={k}, iterations={len(history)})")
     return 0

@@ -76,8 +76,8 @@ def _parse_value(field: dataclasses.Field, raw: str) -> object:
     return raw
 
 
-def load_fields(cls: type[T], path: str | Path, **overrides: object) -> T:
-    """The dataclass ``cls`` from a ``key = value`` file and keyword overrides; every error names the file."""
+def load_fields(cls: type[T], path: str | Path) -> T:
+    """The dataclass ``cls`` from a ``key = value`` file; every error names the file."""
     fields = {f.name: f for f in dataclasses.fields(cls)}
     values: dict[str, object] = {}
     for lineno, line in read_lines(path):
@@ -94,7 +94,6 @@ def load_fields(cls: type[T], path: str | Path, **overrides: object) -> T:
             values[key] = _parse_value(fields[key], raw.strip())
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: key '{key}': {exc}") from exc
-    values.update(overrides)
     missing = [name for name, f in fields.items() if f.default is dataclasses.MISSING and name not in values]
     if missing:
         raise ValueError(f"{path}: {cls.__name__} file must define {', '.join(map(repr, missing))}")

@@ -87,14 +87,21 @@ def _jsonl_header(lines: Iterator[tuple[int, str]], path: Path) -> int:
     return d
 
 
-def _read_jsonl(path: Path) -> RegionTable:
+def _declared(path: Path, d: int, configured: int | None) -> int:
+    """The header's dimension ``d``, unless another, ``configured``, was asked for."""
+    if configured is not None and d != configured:
+        raise CorpusFormatError(f"{path}: corpus dimension {d} != configured dimension {configured}")
+    return d
+
+
+def _read_jsonl(path: Path, configured: int | None) -> RegionTable:
     """Every record as a table row; errors name the file and line."""
     # One list per column, not a tuple per record: a tuple or box list per record
     # would be an object for the garbage collector to track and promote.
     ids, images, coords, scores, features, labels, lines = [], [], [], [], [], [], []
     stop = None  # the error of the line that ended the read early, if any
     with closing(read_lines(path)) as text:
-        d = _jsonl_header(text, path)
+        d = _declared(path, _jsonl_header(text, path), configured)
         while True:
             try:
                 lineno, line = next(text)
@@ -211,10 +218,11 @@ def _decode_ids(path: Path, columns: list[list[bytes]]) -> tuple[list[list[str]]
                 return decoded, f"{path}: record {index}: {exc}"
 
 
-def _read_binary(path: Path) -> RegionTable:
+def _read_binary(path: Path, configured: int | None) -> RegionTable:
     """Every record as a table row; errors name the file and the record (and its offset)."""
     with open(path, "rb") as fh:
         d, count = _binary_header(fh, path)
+        _declared(path, d, configured)
         record_size = 3 * ID_FIELD_BYTES + 4 * (5 + d)
         size = os.fstat(fh.fileno()).st_size
         expected = BINARY_HEADER.size + count * record_size
@@ -287,10 +295,13 @@ def _is_binary(path: Path) -> bool:
         return fh.read(4) == BINARY_MAGIC
 
 
-def open_corpus(path: str | Path) -> RegionTable:
-    """Every record of either corpus format, checked, in file order."""
+def open_corpus(path: str | Path, d: int | None = None) -> RegionTable:
+    """Every record of either corpus format, checked, in file order.
+
+    With ``d`` given, a header that declares another dimension is refused before any record is read.
+    """
     path = Path(path)
-    return _read_binary(path) if _is_binary(path) else _read_jsonl(path)
+    return _read_binary(path, d) if _is_binary(path) else _read_jsonl(path, d)
 
 
 def read_corpus_dim(path: str | Path) -> int:
@@ -329,38 +340,35 @@ def convert_corpus(src: str | Path, dst: str | Path) -> None:
 # Ingestion
 # ---------------------------------------------------------------------------
 
-def open_configured_corpus(path: str | Path, config: Config) -> RegionTable:
-    """Every record in file order, once the header is found to declare ``config.d``: how priors are read."""
-    d = read_corpus_dim(path)
-    if d != config.d:
-        raise CorpusFormatError(f"{path}: corpus dimension {d} != configured dimension {config.d}")
-    return open_corpus(path)
+def _ingest_order(table: RegionTable, per_image: int = sys.maxsize) -> RegionTable:
+    """The table's rows in file order across images, score-descending within.
+
+    Each image keeps its top ``per_image`` regions; score ties break on
+    region_id ascending so ingestion is a pure function of the file bytes.
+    """
+    id_rank = np.empty(len(table), dtype=np.intp)
+    id_rank[np.argsort(np.array(table.region_ids, dtype=object), kind="stable")] = np.arange(len(table))
+    order = np.lexsort((id_rank, -table.scores, table.row_image))
+    # Sorting keeps each image's block in place, so a row's rank in its image is its offset in the block.
+    rank = np.arange(len(table)) - table.image_starts[table.row_image]
+    return table.take(order[rank < per_image])
 
 
 def ingest_corpus(path: str | Path, config: Config) -> RegionTable:
-    """The corpus as discovery reads it: file order across images, score-descending within.
-
-    Each image keeps its top ``config.n_proposals_per_image`` regions; score ties
-    break on region_id ascending so ingestion is a pure function of the file bytes.
-    """
-    table = open_configured_corpus(path, config)
+    """The corpus as discovery reads it: ``config.d`` wide, each image's top ``config.n_proposals_per_image``."""
+    table = open_corpus(path, config.d)
     if config.l2_normalize:
         # One np.linalg.norm per row: a norm along axis 1 sums in another order and may round differently.
         norms = np.array([np.linalg.norm(row) for row in table.features])
         for row in np.flatnonzero(norms == 0.0).tolist():
             logger.warning("region '%s': zero feature cannot be L2-normalized", table.region_ids[row])
         table.features[norms > 0.0] /= norms[norms > 0.0, None]
-    id_rank = np.empty(len(table), dtype=np.intp)
-    id_rank[np.argsort(np.array(table.region_ids, dtype=object), kind="stable")] = np.arange(len(table))
-    order = np.lexsort((id_rank, -table.scores, table.row_image))
-    # Sorting keeps each image's block in place, so a row's rank in its image is its offset in the block.
-    rank = np.arange(len(table)) - table.image_starts[table.row_image]
-    return table.take(order[rank < config.n_proposals_per_image])
+    return _ingest_order(table, config.n_proposals_per_image)
 
 
 def load_corpus(path: str | Path) -> RegionTable:
     """Every region in ingest order at the declared dimension: what ``eval`` and ``baseline`` read."""
-    return ingest_corpus(path, Config(d=read_corpus_dim(path), n_proposals_per_image=sys.maxsize))
+    return _ingest_order(open_corpus(path))
 
 
 # ---------------------------------------------------------------------------

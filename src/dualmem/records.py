@@ -1,4 +1,4 @@
-"""Regions and ground-truth boxes as columnar tables, the records the writers accept, and their checks."""
+"""Regions and ground-truth boxes as columnar tables, the region records the corpus writers accept, and their checks."""
 
 from __future__ import annotations
 
@@ -168,17 +168,6 @@ class RegionTable:
         )
 
 
-@dataclass(frozen=True)
-class GroundTruthBox:
-    """One ground-truth box, the record that ``write_gt``, the generator and
-    ``GroundTruthTable.from_boxes`` take."""
-
-    image_id: str
-    box: BoundingBox
-    class_name: str
-    known_flag: bool
-
-
 def _encode(values: list[str]) -> tuple[dict[str, int], np.ndarray]:
     """Each distinct value's index in sorted order (a dict in that order), and each value's index."""
     index = {value: i for i, value in enumerate(sorted(set(values)))}
@@ -219,15 +208,4 @@ class GroundTruthTable:
             boxes=self.boxes[rows],
             class_names=[self.class_names[r] for r in rows.tolist()],
             known=self.known[rows],
-        )
-
-    @classmethod
-    def from_boxes(cls, boxes: Iterable[GroundTruthBox]) -> "GroundTruthTable":
-        """The boxes' table in their order."""
-        boxes = list(boxes)
-        return cls(
-            image_ids=[g.image_id for g in boxes],
-            boxes=np.array([g.box.as_list() for g in boxes], dtype=np.float64).reshape(-1, 4),
-            class_names=[g.class_name for g in boxes],
-            known=np.array([g.known_flag for g in boxes], dtype=bool),
         )

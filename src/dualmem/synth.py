@@ -67,8 +67,8 @@ def save_spec(spec: SynthSpec, path: str | Path) -> None:
     write_key_values(path, dataclasses.asdict(spec))
 
 
-def load_spec(path: str | Path, **overrides: object) -> SynthSpec:
-    return load_fields(SynthSpec, path, **overrides)
+def load_spec(path: str | Path) -> SynthSpec:
+    return load_fields(SynthSpec, path)
 
 
 def class_names(spec: SynthSpec) -> list[str]:

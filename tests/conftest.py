@@ -1,7 +1,9 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
-from dualmem.records import BoundingBox, GroundTruthBox, GroundTruthTable, RegionRecord, RegionTable
+from dualmem.records import BoundingBox, GroundTruthTable, RegionRecord, RegionTable
 from dualmem.stats import BackgroundStats
 
 
@@ -38,14 +40,30 @@ def records_of(table):
     ]
 
 
+class GtBox(NamedTuple):
+    """One ground-truth row as the tests write it: a tuple, with the box as a BoundingBox."""
+
+    image_id: str
+    box: BoundingBox
+    class_name: str
+    known_flag: bool = False
+
+
 def gt_table_of(boxes):
-    return GroundTruthTable.from_boxes(boxes)
+    """The ground-truth table of (image_id, box, class_name, known_flag) tuples, in their order."""
+    rows = [GtBox(*row) for row in boxes]
+    return GroundTruthTable(
+        image_ids=[row.image_id for row in rows],
+        boxes=np.array([row.box.as_list() for row in rows], dtype=np.float64).reshape(-1, 4),
+        class_names=[row.class_name for row in rows],
+        known=np.array([row.known_flag for row in rows], dtype=bool),
+    )
 
 
 def boxes_of(gt):
-    """Each row of a ground-truth table as a GroundTruthBox, for assertions written against boxes."""
+    """Each row of a ground-truth table as a GtBox, for assertions written against boxes."""
     rows = zip(gt.image_ids, gt.boxes.tolist(), gt.class_names, gt.known.tolist())
-    return [GroundTruthBox(image_id, BoundingBox(*box), name, known) for image_id, box, name, known in rows]
+    return [GtBox(image_id, BoundingBox(*box), name, known) for image_id, box, name, known in rows]
 
 
 def batches_of(table):

@@ -27,11 +27,11 @@ from dualmem.evaluation import (
 )
 from dualmem.memory import DecisionKind, DualMemory
 from dualmem.pipeline import build_priors, estimate_background, run_discovery
-from dualmem.records import BoundingBox, GroundTruthBox
+from dualmem.records import BoundingBox
 from dualmem.stats import BackgroundStats, MomentAccumulator, train_lda
 from dualmem.synth import SynthSpec, class_means, generate, kmeans_baseline
 
-from conftest import gt_table_of, make_region, table_of
+from conftest import GtBox, gt_table_of, make_region, table_of
 from test_evaluation import clustered, curve_fixture
 
 DATA_SEED = 20
@@ -316,8 +316,8 @@ def test_criterion_5_metric_hand_checks():
     iou_ok = iou(BoundingBox(0, 0, 10, 10), BoundingBox(5, 0, 15, 10)) == 50.0 / 150.0
 
     loc_gt = [
-        GroundTruthBox(image_id="i0", box=BoundingBox(0, 0, 4, 4), class_name="a", known_flag=False),
-        GroundTruthBox(image_id="i1", box=BoundingBox(0, 0, 4, 4), class_name="b", known_flag=False),
+        GtBox(image_id="i0", box=BoundingBox(0, 0, 4, 4), class_name="a", known_flag=False),
+        GtBox(image_id="i1", box=BoundingBox(0, 0, 4, 4), class_name="b", known_flag=False),
     ]
     loc_regions = {
         "r0": make_region("r0", "i0", [0.0], box=BoundingBox(0, 0, 4, 4)),
@@ -326,7 +326,7 @@ def test_criterion_5_metric_hand_checks():
     corloc_ok = corloc({"r0": "c", "r1": "c"}, table_of(loc_regions.values()), gt_table_of(loc_gt)) == 50.0
 
     det_gt = [
-        GroundTruthBox(image_id="i0", box=BoundingBox(2.0 * i, 0, 2.0 * i + 1, 1), class_name=f"u{i}", known_flag=False)
+        GtBox(image_id="i0", box=BoundingBox(2.0 * i, 0, 2.0 * i + 1, 1), class_name=f"u{i}", known_flag=False)
         for i in range(4)
     ]
     det_regions = {

@@ -1,23 +1,29 @@
 import argparse
+import builtins
+import hashlib
 import inspect
 import json
 import struct
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dualmem.cli
+import dualmem.corpus
 from dualmem.cli import build_parser, main
 from dualmem.config import Config, save_config
 from dualmem.corpus import (
     BINARY_HEADER, ID_FIELD_BYTES, convert_corpus, load_corpus, write_corpus_binary, write_corpus_jsonl,
 )
 from dualmem.evaluation import write_gt
-from dualmem.records import BoundingBox, GroundTruthBox
+from dualmem.records import BoundingBox
 from dualmem.reporting import read_assignments, read_key_values, write_key_values
 from dualmem.stats import BackgroundStats
 from dualmem.synth import SynthSpec, save_spec
 
-from conftest import gt_table_of, make_region
+from conftest import GtBox, gt_table_of, make_region
 
 
 @pytest.fixture()
@@ -517,7 +523,7 @@ def test_region_ids_with_line_separators_round_trip(tmp_path, binary, capsys):
     records, boxes = [], []
     for i in range(8):
         image = f"img{SEPARATORS[i % len(SEPARATORS)]}{i}"
-        boxes.append(GroundTruthBox(image, BoundingBox(0.0, 0.0, 1.0, 1.0), f"c{i % 2}", False))
+        boxes.append(GtBox(image, BoundingBox(0.0, 0.0, 1.0, 1.0), f"c{i % 2}", False))
         for j in range(3):
             feature = rng.standard_normal(2) + (6.0 if i % 2 else -6.0)
             region_id = f"r{SEPARATORS[(i + j) % len(SEPARATORS)]}{i}_{j}"
@@ -847,3 +853,180 @@ class TestEvalThresholds:
         ]
         assert main(argv) == 0
         assert "auc_1.0" in read_key_values(tmp_path / "eval" / "metrics.txt")
+
+
+class TestEvalFloors:
+    """``--purity-floor`` must be a fraction and ``--min-images`` a count of at least one image."""
+
+    def argv(self, full_run, *options):
+        generated, _, run_dir, _ = full_run
+        return [
+            "eval", "--corpus", str(generated / "corpus.jsonl"), "--assignments", str(run_dir / "assignments.tsv"),
+            "--gt", str(generated / "gt.jsonl"), *options,
+        ]
+
+    @pytest.mark.parametrize("value", ["nan", "-0.1", "1.5", "inf"])
+    def test_a_purity_floor_outside_zero_to_one_fails_before_any_output(self, tmp_path, full_run, value, capsys):
+        """No purity compares >= NaN, so a NaN floor would report no class discovered."""
+        expected = f"--purity-floor must lie in [0, 1], got {float(value)}"
+        expect_one_line_error(self.argv(full_run, "--purity-floor", value), tmp_path / "eval", expected, capsys)
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_min_images_below_one_fails_before_any_output(self, tmp_path, full_run, value, capsys):
+        expected = f"--min-images must be at least 1, got {value}"
+        expect_one_line_error(self.argv(full_run, "--min-images", value), tmp_path / "eval", expected, capsys)
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("floor, min_images", [("0", "1"), ("1", "1")])
+    def test_the_boundaries_are_scored(self, tmp_path, full_run, floor, min_images):
+        out = tmp_path / "eval"
+        assert main(self.argv(full_run, "--purity-floor", floor, "--min-images", min_images, "--out", str(out))) == 0
+        assert "n_discovered" in read_key_values(out / "metrics.txt")
+        params = json.loads((out / "manifest.json").read_text())["params"]
+        assert (params["purity_floor"], params["min_images"]) == (float(floor), int(min_images))
+
+
+class TestBaselineClusterCount:
+    def test_stats_with_k_is_refused(self, tmp_path, full_run, capsys):
+        """With --k given the stats file would not be read, so it is refused rather than listed."""
+        generated, _, run_dir, _ = full_run
+        argv = [
+            "baseline", "--corpus", str(generated / "corpus.jsonl"), "--k", "5", "--stats", str(run_dir / "stats.txt"),
+        ]
+        expect_one_line_error(argv, tmp_path / "km", "--stats is read only without --k", capsys)
+        assert not (tmp_path / "km").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_a_clusters_final_below_one_names_the_stats_file(self, tmp_path, generated, value, capsys):
+        """A run that keeps no semantic slot writes clusters_final = 0."""
+        stats = tmp_path / "stats.txt"
+        stats.write_text(f"clusters_final = {value}\n")
+        argv = ["baseline", "--corpus", str(generated / "corpus.jsonl"), "--stats", str(stats)]
+        expected = f"{stats}: clusters_final must be at least 1, got {value}"
+        expect_one_line_error(argv, tmp_path / "km", expected, capsys)
+
+
+def test_a_bad_gen_seed_is_blamed_on_the_option(tmp_path, spec_file, capsys):
+    expected = "--seed -1: seed must be non-negative"
+    expect_one_line_error(["gen", "--spec", str(spec_file), "--seed", "-1"], tmp_path / "data", expected, capsys)
+
+
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestManifestInputs:
+    """``inputs`` names exactly the files the subcommand read, each with its sha256; ``params`` the rest."""
+
+    def run(self, monkeypatch, argv, out):
+        """The manifest, and the files opened for reading before the output directory was prepared."""
+        read, prepared = set(), []
+        real_open, real_prepare = builtins.open, dualmem.cli._prepare_out_dir
+
+        def spy_open(file, mode="r", *args, **kwargs):
+            if not prepared and not any(flag in mode for flag in "wax+"):
+                read.add(Path(file).resolve())
+            return real_open(file, mode, *args, **kwargs)
+
+        def spy_prepare(*args):
+            prepared.append(True)
+            return real_prepare(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", spy_open)
+            patch.setattr(dualmem.cli, "_prepare_out_dir", spy_prepare)
+            assert main(argv + ["--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        for entry in manifest["inputs"].values():
+            assert entry["sha256"] == sha256_of(entry["path"])
+        assert {Path(entry["path"]).resolve() for entry in manifest["inputs"].values()} == read
+        return manifest
+
+    def test_every_subcommand(self, tmp_path, spec_file, full_run, monkeypatch):
+        generated, bg_dir, run_dir, config_path = full_run
+        corpus, gt = generated / "corpus.jsonl", generated / "gt.jsonl"
+        gt_config = tmp_path / "gt_config.txt"
+        save_config(Config(d=8, min_images_per_slot=3, rounds=2, rng_seed=3, init_mode="gt_overlap"), gt_config)
+        discover = ["discover", "--corpus", str(corpus), "--bg", str(bg_dir / "bg.bin")]
+        runs = {
+            "gen": (["gen", "--spec", str(spec_file), "--seed", "6"], {"spec": spec_file}, {"seed": 6}),
+            "background": (["background", "--corpus", str(corpus)], {"corpus": corpus}, {"threads": 1}),
+            "background --config": (
+                ["background", "--corpus", str(corpus), "--config", str(config_path), "--threads", "2"],
+                {"corpus": corpus, "config": config_path}, {"threads": 2},
+            ),
+            "discover gt_overlap": (
+                discover + ["--config", str(gt_config), "--gt", str(gt)],
+                {"corpus": corpus, "bg": bg_dir / "bg.bin", "config": gt_config, "gt": gt}, {},
+            ),
+            "eval": (
+                ["eval", "--corpus", str(corpus), "--assignments", str(run_dir / "assignments.tsv"), "--gt", str(gt)],
+                {"corpus": corpus, "assignments": run_dir / "assignments.tsv", "gt": gt},
+                {"thresholds": [0.5, 0.2], "purity_floor": 0.5, "min_images": 5},
+            ),
+            "baseline --k": (["baseline", "--corpus", str(corpus), "--k", "4"], {"corpus": corpus}, {"k": 4, "seed": 0}),
+            "baseline --stats": (
+                ["baseline", "--corpus", str(corpus), "--stats", str(run_dir / "stats.txt"), "--seed", "2"],
+                {"corpus": corpus, "stats": run_dir / "stats.txt"},
+                {"k": int(read_key_values(run_dir / "stats.txt")["clusters_final"]), "seed": 2},
+            ),
+        }
+        for index, (name, (argv, inputs, params)) in enumerate(runs.items()):
+            manifest = self.run(monkeypatch, argv, tmp_path / f"out{index}")
+            assert manifest["subcommand"] == argv[0], name
+            assert {key: entry["path"] for key, entry in manifest["inputs"].items()} == {
+                key: str(path) for key, path in inputs.items()
+            }, name
+            assert manifest["params"] == params, name
+
+    def test_discover_hashes_the_priors_it_read(self, tmp_path, full_run, monkeypatch):
+        """Two priors files that differ give different manifests, as they give different runs."""
+        generated, bg_dir, _, config_path = full_run
+        other = tmp_path / "priors.jsonl"
+        rewrite_line(generated / "priors.jsonl", other, 2, lambda obj: obj.update(score=0.5))
+        hashes = []
+        for index, priors in enumerate((generated / "priors.jsonl", other)):
+            argv = [
+                "discover", "--corpus", str(generated / "corpus.jsonl"), "--bg", str(bg_dir / "bg.bin"),
+                "--config", str(config_path), "--priors", str(priors),
+            ]
+            manifest = self.run(monkeypatch, argv, tmp_path / f"run{index}")
+            assert sorted(manifest["inputs"]) == ["bg", "config", "corpus", "priors"]
+            hashes.append(manifest["inputs"]["priors"]["sha256"])
+        assert hashes[0] != hashes[1]
+
+
+class TestOneHeaderParsePerRead:
+    """Each corpus or priors file a subcommand reads has its header parsed once (``background`` without
+    ``--config`` twice: once for the dimension its config takes, once to read the records)."""
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_header_parses(self, tmp_path, full_run, monkeypatch, binary):
+        generated, bg_dir, run_dir, config_path = full_run
+        corpus = generated / "corpus.jsonl"
+        if binary:
+            corpus = tmp_path / "corpus.dmrf"
+            convert_corpus(generated / "corpus.jsonl", corpus)
+        priors = generated / "priors.jsonl"
+        parses = Counter()
+        for name in ("_jsonl_header", "_binary_header"):
+            def counted(source, path, header=getattr(dualmem.corpus, name)):
+                parses[Path(path)] += 1
+                return header(source, path)
+
+            monkeypatch.setattr(dualmem.corpus, name, counted)
+        runs = [
+            (["discover", "--corpus", str(corpus), "--bg", str(bg_dir / "bg.bin"), "--config", str(config_path),
+              "--priors", str(priors)], {corpus: 1, priors: 1}),
+            (["eval", "--corpus", str(corpus), "--assignments", str(run_dir / "assignments.tsv"),
+              "--gt", str(generated / "gt.jsonl")], {corpus: 1}),
+            (["baseline", "--corpus", str(corpus), "--stats", str(run_dir / "stats.txt")], {corpus: 1}),
+            (["baseline", "--corpus", str(corpus), "--k", "3"], {corpus: 1}),
+            (["background", "--corpus", str(corpus)], {corpus: 2}),
+            (["background", "--corpus", str(corpus), "--config", str(config_path)], {corpus: 1}),
+        ]
+        for index, (argv, expected) in enumerate(runs):
+            parses.clear()
+            assert main(argv + ["--out", str(tmp_path / f"out{index}")]) == 0, argv[0]
+            assert parses == Counter(expected), argv

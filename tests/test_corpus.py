@@ -250,6 +250,21 @@ class TestIngest:
         with pytest.raises(CorpusFormatError, match="r_bad"):
             ingest_corpus(path, Config(d=3))
 
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_another_declared_dimension_wins_over_a_bad_record(self, tmp_path, binary):
+        """The header's dimension is checked before any record is read."""
+        records = [make_region("r0", "img0", [0.0, 0.0, 0.0]), make_region("r0", "img0", [1.0, 0.0, 0.0])]
+        path = tmp_path / ("c.dmrf" if binary else "c.jsonl")
+        (write_corpus_binary if binary else write_corpus_jsonl)(path, 3, records)
+        with open(path, "ab") as fh:  # a duplicate id, then a cut record or a line that is not JSON
+            fh.write(b"\x00" * 7 if binary else b"{not json\n")
+        for read in (lambda p: open_corpus(p, 4), lambda p: ingest_corpus(p, Config(d=4))):
+            with pytest.raises(CorpusFormatError) as err:
+                read(path)
+            assert str(err.value) == f"{path}: corpus dimension 3 != configured dimension 4"
+        with pytest.raises(CorpusFormatError, match="trailing bytes" if binary else "duplicate region_id"):
+            open_corpus(path, 3)
+
     def test_duplicate_region_id(self, tmp_path):
         records = [
             make_region("r0", "img0", [0.0, 0.0, 0.0]),

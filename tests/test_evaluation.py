@@ -26,10 +26,10 @@ from dualmem.evaluation import (
     write_gt,
 )
 from dualmem.corpus import load_corpus
-from dualmem.records import BoundingBox, GroundTruthBox, GroundTruthTable
+from dualmem.records import BoundingBox, GroundTruthTable
 from dualmem.synth import SynthSpec, generate, kmeans_baseline
 
-from conftest import boxes_of, gt_table_of, make_region, table_of
+from conftest import GtBox, boxes_of, gt_table_of, make_region, table_of
 
 
 def members_table(members):
@@ -51,7 +51,7 @@ def box(x1, y1=0.0, x2=None, y2=1.0):
 
 
 def gt_box(image_id, b, class_name, known=False):
-    return GroundTruthBox(image_id=image_id, box=b, class_name=class_name, known_flag=known)
+    return GtBox(image_id=image_id, box=b, class_name=class_name, known_flag=known)
 
 
 class TestIou:
@@ -533,7 +533,7 @@ class TestGtFile:
 
 
 def reference_load_gt(path):
-    """The record-at-a-time reader: one GroundTruthBox, checked by BoundingBox, per line.
+    """The record-at-a-time reader: one row tuple, its box checked by BoundingBox, per line.
 
     A box must be a JSON array of four finite numbers, a class name may hold no
     tab, newline or carriage return, and a known flag must be a JSON boolean;
@@ -559,7 +559,7 @@ def reference_load_gt(path):
                 raise ValueError(f"class_name {class_name!r} contains a tab, a newline or a carriage return")
             if not isinstance(obj["known_flag"], bool):
                 raise ValueError(f"known_flag must be a JSON boolean, got {reprlib.repr(obj['known_flag'])}")
-            boxes.append(GroundTruthBox(image_id, box, class_name, obj["known_flag"]))
+            boxes.append(GtBox(image_id, box, class_name, obj["known_flag"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}:{lineno}: bad ground-truth record: {exc}") from exc
     return boxes
@@ -651,7 +651,7 @@ def test_evaluate_run_on_the_loaded_table_equals_the_table_of_the_same_boxes(tmp
     regions = load_corpus(paths["corpus"])
     assignments, _, _ = kmeans_baseline(regions, 8, 1)
     loaded = load_gt(paths["gt"])
-    built = GroundTruthTable.from_boxes(reference_load_gt(paths["gt"]))
+    built = gt_table_of(reference_load_gt(paths["gt"]))
     reports = [
         evaluate_run(assignments, regions, gt, iou_thresholds=(0.5, 0.2), min_images=2) for gt in (loaded, built)
     ]

@@ -12,10 +12,10 @@ import dualmem
 from dualmem.config import Config, load_config, save_config
 from dualmem.corpus import open_corpus, write_corpus_jsonl
 from dualmem.evaluation import load_gt, write_gt
-from dualmem.records import BoundingBox, CorpusFormatError, GroundTruthBox
+from dualmem.records import BoundingBox, CorpusFormatError
 from dualmem.reporting import read_assignments, write_assignments
 
-from conftest import gt_table_of, make_region
+from conftest import GtBox, gt_table_of, make_region
 
 
 def corpus_columns(table):
@@ -40,8 +40,8 @@ def write_corpus(path):
 
 def write_ground_truth(path):
     write_gt(path, gt_table_of([
-        GroundTruthBox("img0", BoundingBox(0.0, 0.0, 1.0, 2.0), "cat", True),
-        GroundTruthBox("img1", BoundingBox(1.5, 0.5, 3.0, 4.0), "dog", False),
+        GtBox("img0", BoundingBox(0.0, 0.0, 1.0, 2.0), "cat", True),
+        GtBox("img1", BoundingBox(1.5, 0.5, 3.0, 4.0), "dog", False),
     ]))
 
 

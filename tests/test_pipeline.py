@@ -13,10 +13,10 @@ from dualmem.pipeline import (
     run_discovery,
     run_discovery_round,
 )
-from dualmem.records import BoundingBox, GroundTruthBox
+from dualmem.records import BoundingBox
 from dualmem.synth import SynthSpec, generate
 
-from conftest import batches_of, gt_table_of, identity_bg, make_region, records_of, table_of
+from conftest import GtBox, batches_of, gt_table_of, identity_bg, make_region, records_of, table_of
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +122,7 @@ class TestPriors:
 
         images = [f"i{i}" for i in range(30)]
         gt = [
-            GroundTruthBox(str(rng.choice(images)), random_box(), str(rng.choice(["a", "b", "c"])),
+            GtBox(str(rng.choice(images)), random_box(), str(rng.choice(["a", "b", "c"])),
                            bool(rng.random() < 0.7))
             for _ in range(90)
         ]

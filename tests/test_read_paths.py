@@ -2,7 +2,7 @@
 
 The subcommands read a corpus into one region table and ground truth into one
 box table, ``gen`` writes its files from such tables, and none builds a
-``RegionRecord``, ``GroundTruthBox`` or ``BoundingBox`` per region or box.
+``RegionRecord`` or ``BoundingBox`` per region or box; ground truth has no record type.
 Every binary reader rejects a corrupt or overlong file with a ValueError that
 starts with the file name, and the CLI turns that into one ``error:`` line
 before it writes a manifest.
@@ -16,12 +16,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dualmem import records
 from dualmem.cli import main
 from dualmem.config import Config, save_config
 from dualmem.consolidation import consolidate
 from dualmem.corpus import BINARY_HEADER, ID_FIELD_BYTES, convert_corpus, open_corpus
 from dualmem.memory import DualMemory
-from dualmem.records import BoundingBox, GroundTruthBox, RegionRecord
+from dualmem.records import BoundingBox, RegionRecord
 from dualmem.stats import BackgroundStats
 from dualmem.synth import SynthSpec, generate, save_spec
 
@@ -74,15 +75,9 @@ def test_subcommands_build_no_region_records_or_boxes(tmp_path, inputs, corpus_k
     def refuse(self):
         raise AssertionError("a RegionRecord was built on the read path")
 
-    construct = GroundTruthBox.__init__
-
-    def record(self, *args, **kwargs):
-        built.append(self)
-        construct(self, *args, **kwargs)
-
+    assert not hasattr(records, "GroundTruthBox")
     monkeypatch.setattr(RegionRecord, "__post_init__", refuse)
     monkeypatch.setattr(BoundingBox, "__post_init__", lambda self: built.append(self))
-    monkeypatch.setattr(GroundTruthBox, "__init__", record)
     run = tmp_path / "run"
     spec = tmp_path / "spec.txt"
     save_spec(SynthSpec(d=4, n_known=1, n_unknown=2, images=6, classes_per_image=2, seed=2), spec)

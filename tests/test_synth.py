@@ -8,16 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualmem.cli import main
 from dualmem.config import Config
 from dualmem.corpus import JSONL_VERSION, convert_corpus, ingest_corpus, open_corpus
 from dualmem.evaluation import load_gt
-from dualmem.records import BoundingBox, GroundTruthBox, RegionTable
+from dualmem.records import BoundingBox, RegionTable
 from dualmem.synth import (
     DEFAULT_SCORE, KNOWN_PRIOR_SCORE, SynthSpec, _noise_scale, class_means, class_names, generate, kmeans_baseline,
     load_spec, save_spec,
 )
 
-from conftest import batches_of, boxes_of, make_region, records_of, table_of
+from conftest import GtBox, batches_of, boxes_of, make_region, records_of, table_of
 
 
 def small_spec(**kwargs):
@@ -44,8 +45,12 @@ class TestSpec:
         assert load_spec(tmp_path / "spec.txt") == spec
 
     def test_override(self, tmp_path):
+        """``gen --seed`` replaces the spec file's seed."""
         save_spec(small_spec(), tmp_path / "spec.txt")
-        assert load_spec(tmp_path / "spec.txt", seed=99).seed == 99
+        assert main(["gen", "--spec", str(tmp_path / "spec.txt"), "--seed", "99", "--out", str(tmp_path / "gen")]) == 0
+        assert json.loads((tmp_path / "gen" / "manifest.json").read_text())["params"]["seed"] == 99
+        for path in generate(small_spec(seed=99), tmp_path / "seed99").values():
+            assert (tmp_path / "gen" / path.name).read_bytes() == path.read_bytes()
 
     def test_infeasible_separation(self):
         with pytest.raises(ValueError, match="cannot separate"):
@@ -177,7 +182,7 @@ def reference_write_corpus_jsonl(path: str | Path, d: int, table: RegionTable) -
             fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
 
 
-def reference_write_gt(path: str | Path, boxes: Iterable[GroundTruthBox]) -> None:
+def reference_write_gt(path: str | Path, boxes: Iterable[GtBox]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for gt in boxes:
             fh.write(
@@ -214,7 +219,7 @@ def reference_generate(spec: SynthSpec, out_dir: str | Path) -> dict[str, Path]:
     scores: list[float] = []
     features: list[np.ndarray] = []
     labels: list[str | None] = []
-    gt_boxes: list[GroundTruthBox] = []
+    gt_boxes: list[GtBox] = []
     prior_rows: list[int] = []
 
     def add(image_id: str, box: BoundingBox, score: float, feature: np.ndarray, label: str | None) -> None:
@@ -238,7 +243,7 @@ def reference_generate(spec: SynthSpec, out_dir: str | Path) -> dict[str, Path]:
             box = _cell_box(cell)
             known = c < spec.n_known
             gt_boxes.append(
-                GroundTruthBox(image_id=image_id, box=box, class_name=names[c], known_flag=known)
+                GtBox(image_id=image_id, box=box, class_name=names[c], known_flag=known)
             )
             for _ in range(spec.regions_per_class_per_image):
                 if known:
