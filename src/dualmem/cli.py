@@ -132,6 +132,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     bad = [t for t in thresholds if not 0.0 < t <= 1.0]
     if bad:
         raise CliError(f"--thresholds must lie in (0, 1], got {bad[0]}")
+    repeated = [t for i, t in enumerate(thresholds) if t in thresholds[:i]]
+    if repeated:  # each threshold writes one curve file and one metric, so a repeat would be dropped
+        raise CliError(f"--thresholds lists {repeated[0]} more than once")
     if not 0.0 <= args.purity_floor <= 1.0:
         raise CliError(f"--purity-floor must lie in [0, 1], got {args.purity_floor}")
     if args.min_images < 1:

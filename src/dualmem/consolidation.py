@@ -96,9 +96,17 @@ def merge_components(mem: DualMemory, linked: np.ndarray) -> int:
     ``linked`` is a boolean (k, k) adjacency over ``mem.working`` in its order;
     the diagonal is ignored. Pooled membership is the union in slot_id order;
     the centroid is recomputed from the member features, conserving the sample
-    multiset. Singleton components are left untouched.
+    multiset. Singleton components are left untouched, and with no linked pair
+    working memory is left as it is.
     """
-    _, labels = connected_components(csr_array(linked), directed=False)  # a dense graph is validated slowly
+    k = len(mem.working)
+    rows, cols = np.nonzero(linked)
+    pairs = rows != cols
+    if not pairs.any():
+        return k
+    rows, cols = rows[pairs], cols[pairs]
+    graph = csr_array((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(k, k))
+    _, labels = connected_components(graph, directed=False)
     components: dict[int, list[WorkingSlot]] = {}
     for slot, label in zip(mem.working, labels.tolist()):  # working memory is sorted by slot_id
         components.setdefault(label, []).append(slot)
@@ -124,7 +132,7 @@ def refine_slots(mem: DualMemory) -> int:
     retained_slots: list[WorkingSlot] = []
     dropped = 0
     for slot, white, offset in zip(mem.working, *slot_scores(mem)):
-        keep = mem.white[slot.rows] @ white + offset >= 0.0
+        keep = mem.white[slot.rows].dot(white) + offset >= 0.0
         n_keep = int(keep.sum())
         dropped += slot.count - n_keep
         if n_keep == slot.count:
@@ -157,7 +165,7 @@ def consolidate(mem: DualMemory, round_index: int = 1) -> ConsolidationRecord:
     corpus = mem.corpus
     kept = [
         slot for slot in mem.working
-        if len(set(corpus.image_of(slot.rows))) >= mem.config.min_images_per_slot
+        if len(set(corpus.row_image[slot.rows].tolist())) >= mem.config.min_images_per_slot
     ]
     dropped_small = len(mem.working) - len(kept)
     whites = whiten(np.reshape([slot.centroid for slot in kept], (-1, mem.bg.d)), mem.bg)

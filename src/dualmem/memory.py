@@ -13,22 +13,26 @@ The per-region path (``retrieve``, ``apply_decision``, ``process_image``,
 ``mine_region``) is written for few numpy calls per region, under one contract:
 every float comes from the same operation on the same operands in the same order
 as the straightforward code kept in ``tests/test_memory_hot_path.py``, so
-decisions, scores and stored floats are bit-identical to it. Scores are summed
-in place and norms taken as ``sqrt(v.dot(v))``, which is what
-``np.linalg.norm`` computes for a vector. Regions are still scored one at a
-time: a GEMM over an image's regions rounds differently from one GEMV per
+decisions, scores and stored floats are bit-identical to it. Products are
+taken with ``ndarray.dot``, which reaches the BLAS call that ``@`` does on the
+same buffers with less dispatch; scores are summed in place and norms taken as
+``sqrt(v.dot(v))``, which is what ``np.linalg.norm`` computes for a vector.
+Cosines are clipped to [-1, 1] only when their maximum lies outside (-1, 1],
+the one case where clipping can move the argmax. Regions are still scored one
+at a time: a GEMM over an image's regions rounds differently from one GEMV per
 region, by up to 2e-14, so a decision near a threshold could flip.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import logging
 import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -40,6 +44,7 @@ logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"DMCK"
 CHECKPOINT_VERSION = 4
+_U32 = struct.Struct("<I")
 
 
 class StaleDecisionError(RuntimeError):
@@ -196,7 +201,7 @@ class DualMemory:
             white = whiten(f, self.bg)
         cfg = self.config
         if self.semantic:
-            scores = self._sem_white @ white
+            scores = self._sem_white.dot(white)
             scores += self._sem_offset
             best = int(scores.argmax())
             score = float(scores[best])
@@ -206,16 +211,19 @@ class DualMemory:
         n = len(self.working)
         if n:
             denom = self._work_norm[:n] * math.sqrt(f.dot(f))
-            sims = self._work_mu[:n] @ f
+            sims = self._work_mu[:n].dot(f)
             if denom.min() > 0.0:
                 sims /= denom
             else:
                 if np.any(denom == 0.0):
                     logger.warning("degenerate zero-norm centroid or feature during retrieval")
                 sims = np.where(denom > 0.0, sims / np.where(denom > 0.0, denom, 1.0), 0.0)
-            sims.clip(-1.0, 1.0, out=sims)
             best = int(sims.argmax())
             best_cos = float(sims[best])
+            if not -1.0 < best_cos <= 1.0:  # only here can clipping to [-1, 1] move the argmax
+                sims.clip(-1.0, 1.0, out=sims)
+                best = int(sims.argmax())
+                best_cos = float(sims[best])
             if best_cos >= cfg.tau_working:
                 return RetrievalDecision(DecisionKind.WORKING_MATCH, self.working[best].slot_id, best_cos)
         if len(self.semantic) + n >= cfg.slot_cap:
@@ -234,7 +242,7 @@ class DualMemory:
         slot.white = white
         slot.members.append(self.corpus.region_ids[row])
         self._sem_white[index] = white
-        self._sem_offset[index] = np.log(n / self.bg.count) - 0.5 * (white @ white)
+        self._sem_offset[index] = np.log(n / self.bg.count) - 0.5 * white.dot(white)
 
     def apply_decision(self, decision: RetrievalDecision, row: int) -> None:
         """Mutate the memory according to a decision :meth:`retrieve` made for corpus row ``row``."""
@@ -286,7 +294,7 @@ class DualMemory:
         """Validation-phase matching of a corpus row: accept into semantic memory only, never create slots."""
         if not self.semantic:
             return False
-        scores = self._sem_white @ self.white[row]
+        scores = self._sem_white.dot(self.white[row])
         scores += self._sem_offset
         best = int(scores.argmax())
         if scores[best] < self.config.tau_semantic:
@@ -309,14 +317,13 @@ class DualMemory:
             fh.write(bytes.fromhex(config_hash(self.config)))
             fh.write(struct.pack("<QQ", self.next_slot_id, self.rejected_count))
             self.bg.write_moments(fh)
-            fh.write(struct.pack("<I", len(self.semantic)))
+            parts = [_U32.pack(len(self.semantic))]
             for slot in self.semantic:
-                fh.write(struct.pack("<Q", slot.slot_id))
-                _write_str(fh, slot.label)
-                fh.write(slot.white.astype("<f8").tobytes())
-                fh.write(struct.pack("<I", len(slot.members)))
-                for member in slot.members:
-                    _write_str(fh, member)
+                parts.append(struct.pack("<Q", slot.slot_id))
+                parts += _str_parts([slot.label])
+                parts += (slot.white.astype("<f8").tobytes(), _U32.pack(len(slot.members)))
+                parts += _str_parts(slot.members)
+            fh.write(b"".join(parts))
 
     @classmethod
     def load_checkpoint(cls, path: str | Path, config: Config) -> "DualMemory":
@@ -358,10 +365,10 @@ class DualMemory:
         return mem
 
 
-def _write_str(fh, value: str) -> None:
-    raw = value.encode("utf-8")
-    fh.write(struct.pack("<I", len(raw)))
-    fh.write(raw)
+def _str_parts(values: list[str]) -> Iterator[bytes]:
+    """Strings as the checkpoint stores each: its UTF-8 byte count (u32), then the bytes."""
+    raw = [value.encode("utf-8") for value in values]
+    return itertools.chain.from_iterable(zip(map(_U32.pack, map(len, raw)), raw))
 
 
 def _read_str(fh) -> str:

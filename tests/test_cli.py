@@ -845,6 +845,17 @@ class TestEvalThresholds:
         expect_one_line_error(argv, tmp_path / "eval", f"--thresholds must lie in (0, 1], got {bad}", capsys)
         assert not (tmp_path / "eval").exists()
 
+    @pytest.mark.parametrize("thresholds, repeated", [("0.5,0.50,0.5", "0.5"), ("0.2,0.5,.2", "0.2"), ("1,1.0", "1.0")])
+    def test_a_repeated_threshold_fails_before_any_output(self, tmp_path, full_run, thresholds, repeated, capsys):
+        """Thresholds are compared as floats; a repeat would write one curve but be listed twice in the manifest."""
+        generated, _, run_dir, _ = full_run
+        argv = [
+            "eval", "--corpus", str(generated / "corpus.jsonl"), "--assignments", str(run_dir / "assignments.tsv"),
+            "--gt", str(generated / "gt.jsonl"), "--thresholds", thresholds,
+        ]
+        expect_one_line_error(argv, tmp_path / "eval", f"--thresholds lists {repeated} more than once", capsys)
+        assert not (tmp_path / "eval").exists()
+
     def test_a_threshold_of_one_is_scored(self, tmp_path, full_run):
         generated, _, run_dir, _ = full_run
         argv = [

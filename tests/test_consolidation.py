@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 import dualmem.consolidation
 import dualmem.memory
 import dualmem.stats
 from dualmem.config import Config
 from dualmem.consolidation import (
+    ConsolidationRecord,
     build_affinity_graph,
     consolidate,
     merge_components,
@@ -16,8 +19,8 @@ from dualmem.consolidation import (
     slot_scores,
     train_slot_classifiers,
 )
-from dualmem.memory import DecisionKind, DualMemory, RetrievalDecision, WorkingSlot
-from dualmem.stats import LinearClassifier, train_lda
+from dualmem.memory import DecisionKind, DualMemory, RetrievalDecision, SemanticSlot, WorkingSlot
+from dualmem.stats import LinearClassifier, train_lda, whiten
 
 from conftest import identity_bg, make_region, random_bg, table_of
 
@@ -404,3 +407,123 @@ def test_whitened_consolidation_matches_the_classifier_oracle(seed, d, k, thresh
             patch.setattr(module, "train_lda", _forbidden)
         record = consolidate(mem)
     assert record.slots_before == k and mem.working == []
+
+
+# -- bit-level oracle: merge, refine and transfer as written before the edge-list merge --
+
+
+def reference_merge_components(mem, linked):
+    _, labels = connected_components(csr_array(linked), directed=False)  # a dense graph is validated slowly
+    components = {}
+    for slot, label in zip(mem.working, labels.tolist()):  # working memory is sorted by slot_id
+        components.setdefault(label, []).append(slot)
+    merged = []
+    for component in components.values():
+        if len(component) == 1:
+            merged.append(component[0])
+            continue
+        rows = [row for slot in component for row in slot.rows]
+        merged.append(WorkingSlot(component[0].slot_id, mem.corpus.features[rows].mean(axis=0), rows))
+    mem.working = merged  # components run in order of their smallest slot_id
+    mem.rebuild_caches()
+    return len(merged)
+
+
+def reference_refine_slots(mem):
+    retained_slots = []
+    dropped = 0
+    for slot, white, offset in zip(mem.working, *slot_scores(mem)):
+        keep = mem.white[slot.rows] @ white + offset >= 0.0
+        n_keep = int(keep.sum())
+        dropped += slot.count - n_keep
+        if n_keep == slot.count:
+            retained_slots.append(slot)
+        elif n_keep > 0:
+            rows = [row for row, ok in zip(slot.rows, keep.tolist()) if ok]
+            retained_slots.append(WorkingSlot(slot.slot_id, mem.corpus.features[rows].mean(axis=0), rows))
+    mem.working = retained_slots
+    mem.rebuild_caches()
+    return dropped
+
+
+def reference_consolidate(mem, round_index=1):
+    mode = mem.config.consolidation_mode
+    slots_before = len(mem.working)
+    slots_after_merge = slots_before
+    samples_dropped = 0
+
+    if mode in ("merge", "merge_refine") and mem.working:
+        linked = slot_affinity(mem) > mem.config.merge_edge_threshold
+        slots_after_merge = reference_merge_components(mem, linked)
+    if mode == "merge_refine" and mem.working:
+        samples_dropped = reference_refine_slots(mem)
+
+    corpus = mem.corpus
+    kept = [
+        slot for slot in mem.working
+        if len(set(corpus.image_of(slot.rows))) >= mem.config.min_images_per_slot
+    ]
+    dropped_small = len(mem.working) - len(kept)
+    whites = whiten(np.reshape([slot.centroid for slot in kept], (-1, mem.bg.d)), mem.bg)
+    for sequence, (slot, white) in enumerate(zip(kept, whites)):
+        label = f"disc_{round_index}_{sequence}"
+        members = [corpus.region_ids[row] for row in slot.rows]
+        mem.semantic.append(SemanticSlot(slot.slot_id, label, white, mem.bg, members))
+    mem.semantic.sort(key=lambda s: s.slot_id)
+    mem.working = []
+    mem.rebuild_caches()
+    return ConsolidationRecord(
+        round_index=round_index,
+        mode=mode,
+        slots_before=slots_before,
+        slots_after_merge=slots_after_merge,
+        samples_dropped_by_refine=samples_dropped,
+        slots_transferred=len(kept),
+        slots_dropped_min_images=dropped_small,
+    )
+
+
+def working_bits(mem):
+    """Each working slot's id, rows and centroid bytes, in memory order."""
+    return [(s.slot_id, list(s.rows), s.centroid.tobytes()) for s in mem.working]
+
+
+def semantic_bits(mem):
+    """Each semantic slot's id, label, whitened-mean bytes and members, and the stacked score rows."""
+    slots = [(s.slot_id, s.label, s.white.tobytes(), list(s.members)) for s in mem.semantic]
+    return slots, mem._sem_white.tobytes(), mem._sem_offset.tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1), d=st.integers(1, 12), k=st.integers(1, 12),
+    threshold=st.sampled_from([1e9, np.inf, 0.0, -3.0, 2.0, -np.inf]),
+    mode=st.sampled_from(["merge", "merge_refine"]),
+    min_images=st.integers(1, 3),
+)
+@settings(max_examples=200, deadline=None)
+def test_consolidation_is_bit_identical_to_the_reference(seed, d, k, threshold, mode, min_images):
+    """Merge, refine and consolidate give the reference's slots, rows and float bytes.
+
+    Thresholds of 1e9 and inf link no pair, so merge must leave working memory
+    as it is; -inf links every pair; the others link some.
+    """
+    def twins():
+        mems = [random_working_memory(seed, d, k, threshold) for _ in range(2)]
+        for m in mems:
+            m.config.consolidation_mode = mode
+            m.config.min_images_per_slot = min_images
+        return mems
+
+    mem, ref = twins()
+    adjacency = slot_affinity(mem) > threshold
+    assert merge_components(mem, adjacency) == reference_merge_components(ref, adjacency)
+    assert working_bits(mem) == working_bits(ref)
+    if not np.triu(adjacency, 1).any():
+        assert len(mem.working) == k
+    assert refine_slots(mem) == reference_refine_slots(ref)
+    assert working_bits(mem) == working_bits(ref)
+
+    mem, ref = twins()
+    assert consolidate(mem, round_index=2) == reference_consolidate(ref, round_index=2)
+    assert mem.working == ref.working == []
+    assert semantic_bits(mem) == semantic_bits(ref)

@@ -1,11 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualmem.config import Config
+from dualmem.config import Config, config_hash
 from dualmem.consolidation import consolidate, train_slot_classifiers
-from dualmem.memory import DecisionKind, DualMemory, StaleDecisionError
+from dualmem.memory import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, DecisionKind, DualMemory, StaleDecisionError
 from dualmem.stats import BackgroundStats, train_lda
 
 from conftest import identity_bg, make_region, table_of
@@ -439,6 +441,64 @@ class TestCheckpoint:
             cut.write_bytes(data[:size])
             with pytest.raises(ValueError, match=r"cut\.bin: truncated at byte \d+"):
                 DualMemory.load_checkpoint(cut, mem.config)
+
+
+def reference_save_checkpoint(mem, path):
+    """``DualMemory.save_checkpoint`` as written before the slot section was joined: one write per field."""
+
+    def write_str(fh, value):
+        raw = value.encode("utf-8")
+        fh.write(struct.pack("<I", len(raw)))
+        fh.write(raw)
+
+    if mem.working:
+        raise ValueError(f"cannot checkpoint with {len(mem.working)} working slots; consolidate first")
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, mem.config.d))
+        fh.write(bytes.fromhex(config_hash(mem.config)))
+        fh.write(struct.pack("<QQ", mem.next_slot_id, mem.rejected_count))
+        mem.bg.write_moments(fh)
+        fh.write(struct.pack("<I", len(mem.semantic)))
+        for slot in mem.semantic:
+            fh.write(struct.pack("<Q", slot.slot_id))
+            write_str(fh, slot.label)
+            fh.write(slot.white.astype("<f8").tobytes())
+            fh.write(struct.pack("<I", len(slot.members)))
+            for member in slot.members:
+                write_str(fh, member)
+
+
+# Ids and labels of one to three code points, from 1-byte to 4-byte UTF-8; no tab, newline or surrogate.
+TEXT = st.text(st.sampled_from("a_7é\u00ffΩ\u0800猫\uffff🦉\U0010ffff"), min_size=1, max_size=3)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    labels=st.lists(TEXT, unique=True, max_size=4),
+    ids=st.lists(TEXT, unique=True, max_size=12),
+    mined=st.integers(0, 6),
+)
+@settings(max_examples=100, deadline=None)
+def test_checkpoint_bytes_equal_the_per_field_writer(tmp_path_factory, seed, labels, ids, mined):
+    """Slot labels and member ids in multi-byte UTF-8, slots with one member or many, or no slot at all."""
+    rng = np.random.default_rng(seed)
+    d = 3
+    priors = {label: [] for label in labels}
+    for i, region_id in enumerate(ids):
+        if labels:
+            priors[labels[i % len(labels)]].append(make_region(region_id, f"图{i}", rng.standard_normal(d)))
+    mem = make_memory(d=d, priors=priors, tau_semantic=-1e9)
+    process(mem, [make_region(f"ré{i}🦉", f"𝔦{i}", rng.standard_normal(d)) for i in range(mined)])
+    mem.rejected_count = int(rng.integers(0, 2**40))
+    consolidate(mem)
+    folder = tmp_path_factory.mktemp("checkpoint")
+    mem.save_checkpoint(folder / "joined.bin")
+    reference_save_checkpoint(mem, folder / "fields.bin")
+    assert (folder / "joined.bin").read_bytes() == (folder / "fields.bin").read_bytes()
+    twin = DualMemory.load_checkpoint(folder / "joined.bin", mem.config)
+    assert [(s.slot_id, s.label, s.members) for s in twin.semantic] == [
+        (s.slot_id, s.label, s.members) for s in mem.semantic
+    ]
 
 
 class ReferenceMemory:
