@@ -2,10 +2,11 @@
 
 Two on-disk representations carry the same regions: line-delimited JSON with a
 header line, read through ``reporting.read_lines`` like every text input (split at
-"\\n" only, each line decoded when reached), and a packed binary variant for bulk
-corpora. Both readers build a ``RegionTable`` and check it as a stream would, so an
-error names the first bad record; the writers take a table or records, and a
-converter maps between the formats.
+"\\n" only, each line decoded when reached) and parsed by
+``reporting.parse_json_line`` (``json.loads``' value or error), and a packed binary
+variant for bulk corpora. Both readers build a ``RegionTable`` and check it as a
+stream would, so an error names the first bad record; the writers take a table or
+records, and a converter maps between the formats.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .config import Config
 from .records import CorpusFormatError, RegionRecord, RegionTable, box_fault, parse_box, region_fault, text_fault
-from .reporting import read_lines
+from .reporting import parse_json_line, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -75,10 +76,10 @@ def _jsonl_header(lines: Iterator[tuple[int, str]], path: Path) -> int:
     except ValueError as exc:  # the header is not UTF-8
         raise CorpusFormatError(str(exc)) from exc
     try:
-        header = json.loads(line)
+        header = parse_json_line(line)
         d = int(header["d"])
         version = int(header["version"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise CorpusFormatError(f"{path}: line 1: bad header record: {exc}") from exc
     if version != JSONL_VERSION:
         raise CorpusFormatError(f"{path}: line 1: unsupported version {version}")
@@ -95,13 +96,18 @@ def _declared(path: Path, d: int, configured: int | None) -> int:
 
 
 def _read_jsonl(path: Path, configured: int | None) -> RegionTable:
-    """Every record as a table row; errors name the file and line."""
+    """Every record as a table row; errors name the file and line.
+
+    String ids and a float score are taken as they are; any other value goes
+    through ``str`` or ``float``, so a bad record gets the same message.
+    """
     # One list per column, not a tuple per record: a tuple or box list per record
     # would be an object for the garbage collector to track and promote.
     ids, images, coords, scores, features, labels, lines = [], [], [], [], [], [], []
     stop = None  # the error of the line that ended the read early, if any
     with closing(read_lines(path)) as text:
         d = _declared(path, _jsonl_header(text, path), configured)
+        shape = (d,)
         while True:
             try:
                 lineno, line = next(text)
@@ -110,27 +116,33 @@ def _read_jsonl(path: Path, configured: int | None) -> RegionTable:
             except ValueError as exc:  # not UTF-8: the line ends the read as a bad record would
                 stop = str(exc)
                 break
-            if not line.strip():
+            if not line or line.isspace():
                 continue
             try:
-                obj = json.loads(line)
+                obj = parse_json_line(line)
             except json.JSONDecodeError as exc:
                 stop = f"{path}: line {lineno}: invalid JSON at column {exc.colno}"
                 break
-            except ValueError as exc:  # an integer literal longer than int() converts
+            except (ValueError, RecursionError) as exc:  # a too-long integer literal, or nesting too deep
                 stop = f"{path}: line {lineno}: {exc}"
                 break
             try:
                 box = parse_box(obj["box"])
                 label = obj.get("gt_label")
-                region_id = str(obj["region_id"])
-                image_id = str(obj["image_id"])
-                score = float(obj["score"])
+                region_id = obj["region_id"]
+                if type(region_id) is not str:
+                    region_id = str(region_id)
+                image_id = obj["image_id"]
+                if type(image_id) is not str:
+                    image_id = str(image_id)
+                score = obj["score"]
+                if type(score) is not float:
+                    score = float(score)
                 feature = np.asarray(obj["feature"], dtype=np.float64)
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 stop = f"{path}: line {lineno}: {exc}"
                 break
-            if not (0.0 <= score <= 1.0) or feature.shape != (d,):
+            if not (0.0 <= score <= 1.0) or feature.shape != shape:
                 fault = region_fault(region_id, score, feature)
                 stop = f"{path}: line {lineno}: {fault}" if fault else (
                     f"{path}: region '{region_id}': feature dimension {feature.shape[0]} != {d}"
@@ -141,7 +153,7 @@ def _read_jsonl(path: Path, configured: int | None) -> RegionTable:
             coords += box
             scores.append(score)
             features.append(feature)
-            labels.append(str(label) if label else None)
+            labels.append((label if type(label) is str else str(label)) if label else None)
             lines.append(lineno)
     return _checked_table(
         path, lambda i: f"{path}: line {lines[i]}", ids, images,

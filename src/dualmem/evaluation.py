@@ -10,7 +10,6 @@ cover the localization-style protocols.
 
 from __future__ import annotations
 
-import json
 import reprlib
 from dataclasses import dataclass
 from itertools import accumulate
@@ -21,7 +20,7 @@ import numpy as np
 
 from .corpus import _JSON
 from .records import BoundingBox, GroundTruthTable, RegionTable, parse_box
-from .reporting import UNASSIGNED, read_lines
+from .reporting import UNASSIGNED, parse_json_line, read_lines
 
 BACKGROUND = "background"
 
@@ -64,7 +63,8 @@ def load_gt(path: str | Path) -> GroundTruthTable:
     the box must be an array of four numbers and the flag a JSON boolean. A class
     name may be a prior label in ``assignments.tsv``, so it may hold no tab,
     newline or carriage return. The first bad line raises ValueError naming the
-    file and the line.
+    file and the line. As in the corpus reader, an id or class name that is a
+    string is taken as it is, and any other value goes through ``str``.
     """
     image_ids: list[str] = []
     coords: list[float] = []
@@ -74,19 +74,21 @@ def load_gt(path: str | Path) -> GroundTruthTable:
     stop = None  # the error of the line that ended the read early, if any
     try:
         for lineno, line in read_lines(path):
-            if not line.strip():
+            if not line or line.isspace():
                 continue
             lines.append(lineno)
             try:
-                obj = json.loads(line)
-                image_ids.append(str(obj["image_id"]))
+                obj = parse_json_line(line)
+                image_id = obj["image_id"]
+                image_ids.append(image_id if type(image_id) is str else str(image_id))
                 coords += parse_box(obj["box"])
-                class_names.append(str(obj["class_name"]))
+                class_name = obj["class_name"]
+                class_names.append(class_name if type(class_name) is str else str(class_name))
                 known_flag = obj["known_flag"]
                 if type(known_flag) is not bool:
                     raise ValueError(f"known_flag must be a JSON boolean, got {reprlib.repr(known_flag)}")
                 known.append(known_flag)
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad ground-truth record: {exc}") from exc
     except ValueError as exc:
         stop = exc
@@ -209,7 +211,9 @@ class _ClusterTable(IouTable):
         relevant = np.array([name in classes for name in self.gt.classes], dtype=bool)[self.gt.class_code]
         return (self.iou >= t) & relevant[self.box], int(np.count_nonzero(relevant))
 
-    def curve(self, t: float, classes: set[str] | None = None) -> list[tuple[float, float]]:
+    def counted_curve(self, t: float, classes: set[str] | None = None) -> tuple[list[tuple[int, float]], int]:
+        """Points (boxes covered by the top k clusters, their mean purity), and the count to divide by:
+        the relevant boxes, or 1 when there are none (then no box is covered)."""
         purities = [p for p, _ in self.purities(t)]
         ranked = sorted(range(len(self.labels)), key=lambda c: (-purities[c], self.labels[c]))
         rank = np.argsort(ranked)  # cluster -> its place in the ranking
@@ -219,10 +223,12 @@ class _ClusterTable(IouTable):
         np.minimum.at(first, self.box[hits], rank[self.cluster[self.region[hits]]])
         covered = np.cumsum(np.bincount(first, minlength=len(ranked) + 1)[:-1]).tolist()
         purity_sums = accumulate(purities[c] for c in ranked)
-        return [
-            (covered[k - 1] / n_relevant if n_relevant else 0.0, purity_sum / k)
-            for k, purity_sum in enumerate(purity_sums, 1)
-        ]
+        points = [(covered[k - 1], purity_sum / k) for k, purity_sum in enumerate(purity_sums, 1)]
+        return points, max(n_relevant, 1)
+
+    def curve(self, t: float, classes: set[str] | None = None) -> list[tuple[float, float]]:
+        points, total = self.counted_curve(t, classes)
+        return [(covered / total, y) for covered, y in points]
 
     def coverage(self, t: float, classes: set[str] | None = None) -> float:
         hits, n_relevant = self._relevant_pairs(t, classes)
@@ -314,22 +320,26 @@ def cumulative_purity_curve(
     return _ClusterTable(clusters, regions, gt).curve(iou_threshold, classes)
 
 
-def auc(curve: Sequence[tuple[float, float]]) -> float:
+def auc(curve: Sequence[tuple[float, float]], total: int = 1) -> float:
     """Trapezoidal area under the curve over the coverage axis, in percent.
 
+    Coverage is in units of ``1 / total``: a fraction by default, or, as
+    ``evaluate_run`` passes it, a covered-box count with ``total`` the box count.
     The curve is anchored at zero coverage with the first purity value; segment
-    widths are scaled to percent before multiplying so count-derived fixtures
-    evaluate exactly.
+    widths are scaled to percent before multiplying, and the sum is divided by
+    ``total`` once. With counts every width is an exact integer, so purities in
+    [0, 1] give an area in [0, 100], and a pure curve gives exactly
+    ``100 * covered / total``.
     """
     if not curve:
         return 0.0
-    total = 0.0
-    prev_x = 0.0
+    area = 0.0
+    prev_x = 0
     prev_y = curve[0][1]
     for x, y in curve:
-        total += (100.0 * (x - prev_x)) * ((prev_y + y) / 2.0)
+        area += (100.0 * (x - prev_x)) * ((prev_y + y) / 2.0)
         prev_x, prev_y = x, y
-    return total
+    return area / total
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +466,10 @@ def evaluate_run(
     # CorRet runs first, so its similarity matrix and the table are never held together.
     corret_score = corret(assignments, regions, gt, k=corret_k)
     table = _ClusterTable(clusters_from_assignments(assignments, regions), regions, gt)
-    curves = {t: table.curve(t) for t in iou_thresholds}
+    counted = {t: table.counted_curve(t) for t in iou_thresholds}
+    curves = {t: [(covered / total, y) for covered, y in points] for t, (points, total) in counted.items()}
     primary = iou_thresholds[0]
-    metrics: dict[str, float | int] = {f"auc_{t}": auc(curves[t]) for t in iou_thresholds}
+    metrics: dict[str, float | int] = {f"auc_{t}": auc(*counted[t]) for t in iou_thresholds}
     metrics["corloc"] = table.corloc(0.5)
     metrics["corret"] = corret_score
     metrics[f"detrate_{primary}"] = table.detrate(primary)

@@ -23,7 +23,15 @@ def box_fault(x1: float, y1: float, x2: float, y2: float) -> str | None:
 
 
 def parse_box(value: object) -> list[float]:
-    """A JSON box's coordinates; ValueError unless it is four numbers (no bool or string) making a valid box."""
+    """A JSON box's coordinates; ValueError unless it is four numbers (no bool or string) making a valid box.
+
+    Four floats that make a valid box, the shape the writers give a box, are
+    returned as they are; anything else is converted, then checked.
+    """
+    if type(value) is list and len(value) == 4:
+        x1, y1, x2, y2 = value
+        if type(x1) is type(y1) is type(x2) is type(y2) is float and box_fault(x1, y1, x2, y2) is None:
+            return value
     if type(value) is not list or len(value) != 4 or not {int, float}.issuperset(map(type, value)):
         raise ValueError(f"box must be a JSON array of four numbers, got {reprlib.repr(value)}")
     box = [float(v) for v in value]

@@ -1,8 +1,10 @@
 """Small text files shared by the pipeline, baseline, and evaluation: tab-separated
-assignments, key = value reports, curve CSVs, and the line reader of every text input."""
+assignments, key = value reports, curve CSVs, the line reader of every text input,
+and the line decoder of the JSON-lines inputs (corpus, priors, ground truth)."""
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -32,6 +34,25 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             except UnicodeDecodeError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
             yield lineno, line
+
+
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def parse_json_line(line: str) -> object:
+    """``json.loads(line)``: the same value, or the same exception with the same text.
+
+    A line that is exactly one JSON value, as the writers write it, takes one
+    ``raw_decode`` call, without the BOM test and whitespace matches of
+    ``json.loads``; any other line goes to ``json.loads`` itself. How deep a
+    value may nest depends on the caller's stack, so within a frame of the
+    recursion limit the two may differ on whether to raise RecursionError.
+    """
+    try:
+        value, end = _raw_decode(line)
+    except (ValueError, RecursionError):
+        return json.loads(line)
+    return value if end == len(line) else json.loads(line)
 
 
 def write_assignments(path: str | Path, rows: Iterable[tuple[str, str]]) -> None:

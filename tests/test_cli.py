@@ -465,6 +465,63 @@ class TestIntegerTooLargeForAFloat:
         expect_one_line_error(argv, tmp_path / "eval", expected, capsys)
 
 
+DEEP = "[" * 5000 + "]" * 5000  # nested past the recursion limit
+RECURSION = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+
+
+def with_deep_line(src, dst, lineno, change=lambda line: DEEP):
+    """Copy a JSON-lines file with line ``lineno`` replaced by ``change(line)``."""
+    lines = src.read_text().split("\n")
+    lines[lineno - 1] = change(lines[lineno - 1])
+    dst.write_text("\n".join(lines))
+
+
+class TestDeepNesting:
+    """A line nested past the recursion limit is a one-line error naming the line, with no output directory."""
+
+    def expect(self, argv, out, expected, capsys):
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not out.exists()
+
+    def test_corpus_header(self, tmp_path, generated, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        with_deep_line(generated / "corpus.jsonl", corpus, 1)
+        expected = f"{corpus}: line 1: bad header record: {RECURSION}"
+        self.expect(["background", "--corpus", str(corpus)], tmp_path / "bg", expected, capsys)
+
+    def test_corpus_record(self, tmp_path, full_run, capsys):
+        generated, _, run_dir, _ = full_run
+        corpus = tmp_path / "corpus.jsonl"
+
+        def nested(line):  # an extra key holds the nesting, so the line is otherwise a good record
+            return line.replace('"image_id"', f'"x":{DEEP},"image_id"', 1)
+
+        with_deep_line(generated / "corpus.jsonl", corpus, 4, nested)
+        argv = ["eval", "--corpus", str(corpus), "--assignments", str(run_dir / "assignments.tsv"),
+                "--gt", str(generated / "gt.jsonl")]
+        self.expect(argv, tmp_path / "eval", f"{corpus}: line 4: {RECURSION}", capsys)
+
+    def test_priors(self, tmp_path, full_run, capsys):
+        generated, bg_dir, _, config_path = full_run
+        priors = tmp_path / "priors.jsonl"
+        with_deep_line(generated / "priors.jsonl", priors, 3)
+        argv = [
+            "discover", "--corpus", str(generated / "corpus.jsonl"), "--bg", str(bg_dir / "bg.bin"),
+            "--config", str(config_path), "--priors", str(priors),
+        ]
+        self.expect(argv, tmp_path / "run2", f"{priors}: line 3: {RECURSION}", capsys)
+
+    def test_ground_truth(self, tmp_path, full_run, capsys):
+        generated, _, run_dir, _ = full_run
+        gt = tmp_path / "gt.jsonl"
+        with_deep_line(generated / "gt.jsonl", gt, 2)
+        argv = ["eval", "--corpus", str(generated / "corpus.jsonl"), "--assignments", str(run_dir / "assignments.tsv"),
+                "--gt", str(gt)]
+        self.expect(argv, tmp_path / "eval", f"{gt}:2: bad ground-truth record: {RECURSION}", capsys)
+
+
 def with_bad_byte(src, dst, lineno):
     """Copy a text file with byte 0xFF at position 1 of line ``lineno``."""
     lines = src.read_bytes().split(b"\n")

@@ -84,6 +84,8 @@ def _iter_jsonl(path):
                 obj = json.loads(line.removesuffix("\n"))
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"{path}: line {lineno}: invalid JSON at column {exc.colno}") from exc
+            except ValueError as exc:  # an integer literal longer than int() converts
+                raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from exc
             yield _parse_json_record(obj, f"{path}: line {lineno}"), f"{path}: line {lineno}"
 
 
@@ -226,14 +228,33 @@ def test_table_ingest_equals_the_record_path(tmp_path_factory, corpus, binary):
     assert outcome(ingest_corpus, path, config) == expected
 
 
+# Two integers that differ but round to one float: a box valid as integers, degenerate as floats.
+ABOVE_2_53 = [2**53, 2**53 + 1]
+# An integer literal longer than int() converts (4,300 digits by default).
+LONG_INTEGER = "9" * 5000
+# Edits of a record's text, not of its object: each leaves the line's value alone or makes it invalid JSON.
+LINE_EDITS = [
+    lambda line: f"  {line} ",  # padded with spaces
+    lambda line: line + "\r",  # a CRLF line
+    lambda line: "\ufeff" + line,  # a BOM
+    lambda line: line + " {}",  # data after the object
+    lambda line: line + "x",
+]
+
+
 def _jsonl_faults(lines, faults):
-    """Break record lines in ways the reader must name; a fault is (kind, record, other record)."""
+    """Break record lines in ways the reader must name; a fault is (kind, record, other record).
+
+    Kinds 13 and up reach the edges of the reader's fast path: a line that is not
+    exactly one JSON value, fields that are not in the type the writer gives them,
+    a box fault next to a missing later key, and an integer too long to convert.
+    """
     originals = [json.loads(line) for line in lines[1:]]
     for kind, k, j in faults:
         k = 1 + k % len(originals)
         try:
             obj = json.loads(lines[k])
-        except json.JSONDecodeError:
+        except ValueError:  # invalid JSON, or an integer literal too long to convert
             continue
         if not isinstance(obj, dict):
             continue
@@ -267,8 +288,27 @@ def _jsonl_faults(lines, faults):
             elif kind == 11:
                 key = ["region_id", "gt_label"][j % 2]
                 obj[key] = (obj[key] or "") + ["\t", "\n", "\r"][j // 2 % 3]
-            else:
+            elif kind == 12:
                 obj = [obj["region_id"]]
+            elif kind == 13:
+                lines[k] = LINE_EDITS[j % len(LINE_EDITS)](lines[k])
+                continue
+            elif kind == 14:  # an int, bool or str where the writer puts a str id or a float score
+                key = ["region_id", "image_id", "score", "gt_label"][j % 4]
+                obj[key] = [j % 2, j % 3 == 0, str(obj[key]), "0.5", 1, True][j % 6]
+            elif kind == 15:  # integer coordinates: small ones make a box, the two above 2**53 do not
+                obj["box"] = [[0, 0, 1 + j % 3, 2], [ABOVE_2_53[0], 0, ABOVE_2_53[1], 1],
+                              [0, ABOVE_2_53[0], 1.5, ABOVE_2_53[1]], [0.0, 0, 2.5, 1]][j % 4]
+            elif kind == 16:  # a short feature, or an element that is itself a list
+                feature = obj["feature"]
+                obj["feature"] = [feature[:-1], [feature[:1]] + feature[1:], [[v] for v in feature]][j % 3]
+            elif kind == 17:  # a bad box, and a key that the reader reads after the box is missing
+                obj["box"][2] = obj["box"][0]
+                del obj[["region_id", "image_id", "score", "feature"][j % 4]]
+            elif kind == 18:
+                obj["score"] = "LONG"
+                lines[k] = json.dumps(obj).replace('"LONG"', LONG_INTEGER)
+                continue
         except (KeyError, IndexError, TypeError):
             continue  # an earlier fault removed what this one edits
         lines[k] = json.dumps(obj)
@@ -309,7 +349,7 @@ def _binary_faults(data, d, faults):
 
 # Faults land on the first records, so several meet in one record or one image, where their order shows.
 FAULTS = st.lists(
-    st.tuples(st.integers(0, 12), st.integers(0, 3), st.integers(0, 12)), min_size=1, max_size=4
+    st.tuples(st.integers(0, 18), st.integers(0, 3), st.integers(0, 12)), min_size=1, max_size=4
 )
 
 

@@ -250,6 +250,42 @@ class TestCurveAndAuc:
         assert auc(extended) > auc(base)
 
 
+@st.composite
+def counted_curves(draw):
+    """A curve as ``evaluate_run`` scores it: covered-box counts, non-decreasing up to
+    the box count, and mean purities in [0, 1]; with ``pure``, every purity is 1."""
+    total = draw(st.integers(1, 10**6))
+    steps = draw(st.lists(st.integers(0, total), min_size=1, max_size=40))
+    covered = sorted(min(step, total) for step in steps)
+    if draw(st.booleans()):
+        covered[-1] = total  # every box covered: where the fraction sum rounded past 100
+    pure = draw(st.booleans())
+    purity = st.just(1.0) if pure else st.one_of(
+        st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 1 / 3, 2 / 3, 0.1, 0.7, 0.9999999999999999])
+    )
+    ys = draw(st.lists(purity, min_size=len(covered), max_size=len(covered)))
+    return list(zip(covered, ys)), total, pure
+
+
+@given(curve=counted_curves())
+@settings(max_examples=500, deadline=None)
+def test_auc_of_counts_stays_in_range_and_is_exact_on_a_pure_curve(curve):
+    points, total, pure = curve
+    value = auc(points, total)
+    assert 0.0 <= value <= 100.0
+    if pure:
+        assert value == 100.0 * points[-1][0] / total
+
+
+def test_auc_of_a_fully_covered_pure_curve_is_100():
+    """Fractions i/n summed as widths rounded past 100 here (the old rule gave 100.00000000000001)."""
+    total = 10
+    points = [(covered, 1.0) for covered in range(1, total + 1)]
+    fractions = [(covered / total, 1.0) for covered, _ in points]
+    assert auc(points, total) == 100.0
+    assert auc(fractions) != 100.0  # the fraction path still rounds; evaluate_run counts
+
+
 def covered_fraction_reference(clusters, gt, iou_threshold, classes):
     """Coverage by brute force: every relevant box against every clustered region."""
     relevant = [g for g in gt if g.class_name in classes]
@@ -622,6 +658,22 @@ BAD_LINE = st.one_of(
     ),
     st.tuples(GOOD_RECORD, st.integers(1, 20)).map(lambda pair: json.dumps(pair[0])[: -pair[1]]),  # bad JSON
     st.sampled_from(["[1, 2]", "3", '"s"', "null", "{", "}{", "{} {}"]),  # not one object
+    # A good record's line padded, CRLF-ended, after a BOM, or with data after the object.
+    st.tuples(GOOD_RECORD, st.sampled_from([" {} ", "\t{}", "{}\r", "\ufeff{}", "{} {{}}", "{}x"])).map(
+        lambda pair: pair[1].format(json.dumps(pair[0]))
+    ),
+    # Integer coordinates: the two above 2**53 differ as integers and round to one float.
+    st.tuples(GOOD_RECORD, st.sampled_from([
+        [0, 0, 1, 2], [2**53, 0, 2**53 + 1, 1], [0, 2**53, 1.5, 2**53 + 1], [0.0, 0, 2.5, 1],
+    ])).map(lambda pair: json.dumps(dict(pair[0], box=pair[1]))),
+    # A bad box, and a key the reader reads after the box is missing.
+    st.tuples(GOOD_RECORD, st.sampled_from(["class_name", "known_flag"])).map(
+        lambda pair: json.dumps({k: v for k, v in dict(pair[0], box=[0.0, 0.0, 0.0, 1.0]).items() if k != pair[1]})
+    ),
+    # An integer literal longer than int() converts (4,300 digits by default).
+    st.tuples(GOOD_RECORD, st.sampled_from(["image_id", "class_name", "known_flag"])).map(
+        lambda pair: json.dumps(dict(pair[0], **{pair[1]: "LONG"})).replace('"LONG"', "9" * 5000)
+    ),
 )
 
 
@@ -740,13 +792,14 @@ def reference_evaluate(assignments, regions, gt, thresholds, purity_floor, min_i
 
     unknown = {g.class_name for g in gt if not g.known_flag}
     relevant = [g for g in gt if g.class_name in unknown]
-    curves = {}
+    curves, areas = {}, {}
     for t in thresholds:
         scored = sorted(
             ((label, cluster_purity(ms, t)[0]) for label, ms in clusters.items()),
             key=lambda item: (-item[1], item[0]),
         )
         points, total, covered = [], 0.0, set()
+        area, prev_covered, prev_y = 0.0, 0, None
         for n, (label, p) in enumerate(scored, 1):
             total += p
             covered |= {
@@ -756,9 +809,14 @@ def reference_evaluate(assignments, regions, gt, thresholds, purity_floor, min_i
                 if r.image_id == g.image_id and iou(r.box, g.box) >= t
             }
             points.append((len(covered) / len(relevant) if relevant else 0.0, total / n))
+            # The trapezoid over covered-box counts, in percent, divided by the box count at the end.
+            prev_y = total / n if prev_y is None else prev_y
+            area += (100.0 * (len(covered) - prev_covered)) * ((prev_y + total / n) / 2.0)
+            prev_covered, prev_y = len(covered), total / n
         curves[t] = points
+        areas[t] = area / max(len(relevant), 1)
     primary = thresholds[0]
-    metrics = {f"auc_{t}": auc(curves[t]) for t in thresholds}
+    metrics = {f"auc_{t}": areas[t] for t in thresholds}
     hit_images = sum(
         any(iou(r.box, g.box) > 0.5 for r in assigned.get(image, ()) for g in boxes)
         for image, boxes in by_image.items()

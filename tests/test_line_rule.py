@@ -3,17 +3,20 @@
 import ast
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dualmem
 from dualmem.config import Config, load_config, save_config
 from dualmem.corpus import open_corpus, write_corpus_jsonl
 from dualmem.evaluation import load_gt, write_gt
 from dualmem.records import BoundingBox, CorpusFormatError
-from dualmem.reporting import read_assignments, write_assignments
+from dualmem.reporting import parse_json_line, read_assignments, write_assignments
 
 from conftest import GtBox, gt_table_of, make_region
 
@@ -83,6 +86,69 @@ def test_a_record_cut_inside_a_string_names_the_column_where_the_string_starts(t
     with pytest.raises(CorpusFormatError) as caught:
         open_corpus(path)
     assert str(caught.value) == f"{path}: line 2: invalid JSON at column {column}"
+
+
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(allow_nan=True, allow_infinity=True),
+        st.text(max_size=6),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.dictionaries(st.text(max_size=4), children, max_size=4)
+    ),
+    max_leaves=12,
+)
+# Text put around a value: JSON whitespace, other separators, a BOM, more data, stray characters.
+PADDING = st.text(
+    st.sampled_from([" ", "\t", "\r", "\n", "\x0b", "\u2028", "\ufeff", "{", "}", "[", "]", "x", "1", '"']), max_size=3
+)
+
+
+@st.composite
+def json_lines(draw):
+    """One JSON value's text as the writers give it, with text around it, cut short, or spliced;
+    and how many arrays were wrapped around it."""
+    text = json.dumps(draw(JSON_VALUES), separators=draw(st.sampled_from([(",", ":"), (", ", ": ")])))
+    edit = draw(st.sampled_from(["none", "pad", "cut", "splice", "long", "deep"]))
+    depth = 0
+    if edit == "pad":
+        text = draw(PADDING) + text + draw(PADDING)
+    elif edit == "cut":
+        text = text[: draw(st.integers(0, len(text)))]
+    elif edit == "splice":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(PADDING) + text[at:]
+    elif edit == "long":  # an integer literal longer than int() converts
+        text = f"[{text}, {'7' * draw(st.integers(4290, 4310))}]"
+    elif edit == "deep":  # nesting below, around and past the recursion limit
+        near_the_limit = st.integers(-20, 20).map(lambda k: sys.getrecursionlimit() + k)
+        depth = draw(st.one_of(st.integers(1, 3000), near_the_limit))
+        text = "[" * depth + text + "]" * depth
+    return text, depth
+
+
+def decoded(decode, line):
+    """The value's repr (which tells 1 from 1.0 and True, and shows NaN), or the exception's type and text."""
+    try:
+        return repr(decode(line))
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+@given(drawn=json_lines())
+@settings(max_examples=600, deadline=None)
+def test_the_line_decoder_gives_what_json_loads_gives(drawn):
+    """The same value, or the same exception with the same text.
+
+    How deep a value may nest depends on the caller's stack. The decoder calls
+    ``raw_decode`` one frame above, and ``json.loads`` one frame below, where a
+    direct ``json.loads`` call parses, so within that frame of the limit one side
+    may raise RecursionError where the other does not.
+    """
+    line, depth = drawn
+    got, expected = decoded(parse_json_line, line), decoded(json.loads, line)
+    at_the_limit = abs(depth - sys.getrecursionlimit()) <= 100 and RecursionError in (got[0], expected[0])
+    assert got == expected or at_the_limit
 
 
 def test_a_crlf_assignments_file_reads_as_the_original(tmp_path):
