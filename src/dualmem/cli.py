@@ -154,8 +154,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         min_images=args.min_images,
     )
     write_key_values(out_dir / "metrics.txt", report.metrics)
-    for threshold, curve in report.curves.items():
-        write_curve_csv(out_dir / f"curve_{threshold}.csv", curve)
+    for threshold, (points, total) in report.curves.items():
+        write_curve_csv(out_dir / f"curve_{threshold}.csv", points, total)
     for key, value in report.metrics.items():
         print(f"{key} = {value}")
     return 0

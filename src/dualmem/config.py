@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TypeVar
@@ -49,8 +50,13 @@ class Config:
             raise ValueError("semantic_prior_score must be in (0, 1]")
         if not (-1.0 <= self.tau_working <= 1.0):
             raise ValueError("tau_working must be in [-1, 1]")
-        if self.ridge_lambda <= 0.0:
-            raise ValueError("ridge_lambda must be > 0")
+        # No score compares >= NaN, so a NaN threshold would silently match or merge nothing.
+        if not math.isfinite(self.tau_semantic):
+            raise ValueError("tau_semantic must be finite")
+        if not math.isfinite(self.merge_edge_threshold):
+            raise ValueError("merge_edge_threshold must be finite")
+        if not (0.0 < self.ridge_lambda < math.inf):
+            raise ValueError("ridge_lambda must be finite and > 0")
         if self.min_images_per_slot < 1:
             raise ValueError("min_images_per_slot must be >= 1")
         if self.rounds < 1:

@@ -389,19 +389,22 @@ def load_corpus(path: str | Path) -> RegionTable:
 
 @dataclass
 class DatasetSplit:
-    """Two disjoint image-id lists covering the corpus; the halves alternate roles."""
+    """Two disjoint lists of image positions covering the corpus; the halves alternate roles."""
 
-    d1: list[str]
-    d2: list[str]
+    d1: list[int]
+    d2: list[int]
 
 
 def split_dataset(image_ids: list[str], seed: int) -> DatasetSplit:
-    """Deterministic 50/50 split; d1 takes the extra element when the count is odd."""
+    """Deterministic 50/50 split of the positions of ``image_ids``; d1 takes the extra one when the count is odd.
+
+    ``random.shuffle`` draws by length only, so these are the positions of the ids' own shuffle.
+    """
     if not image_ids:
         raise ValueError("cannot split an empty image-id list")
     if len(set(image_ids)) != len(image_ids):
         raise ValueError("image_ids contain duplicates")
-    shuffled = list(image_ids)
+    shuffled = list(range(len(image_ids)))
     random.Random(seed).shuffle(shuffled)
     half = (len(shuffled) + 1) // 2
     return DatasetSplit(d1=shuffled[:half], d2=shuffled[half:])

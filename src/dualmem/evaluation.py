@@ -37,10 +37,10 @@ class ClusterReport:
 
 @dataclass
 class DiscoveryReport:
-    """Everything cmd-eval emits: per-cluster reads, curve points, scalar metrics."""
+    """Everything cmd-eval emits: per-cluster reads, counted curves by threshold, scalar metrics."""
 
     clusters: list[ClusterReport]
-    curves: dict[float, list[tuple[float, float]]]
+    curves: dict[float, tuple[list[tuple[int, float]], int]]
     metrics: dict[str, float | int]
 
 
@@ -103,10 +103,6 @@ def load_gt(path: str | Path) -> GroundTruthTable:
         raise stop
     boxes = np.array(coords, dtype=np.float64).reshape(-1, 4)
     return GroundTruthTable(image_ids, boxes, class_names, np.array(known, dtype=bool))
-
-
-def unknown_classes(gt: GroundTruthTable) -> set[str]:
-    return {gt.classes[c] for c in np.unique(gt.class_code[~gt.known]).tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +169,7 @@ class _ClusterTable(IouTable):
 
     A cluster is a list of rows of ``regions``. Clusters are numbered in label
     order. Each threshold's purities are counted once and shared by the curve,
-    the reports and the discovery count.
+    the reports and the discovery count; the unknown classes are found once.
     """
 
     def __init__(
@@ -185,6 +181,7 @@ class _ClusterTable(IouTable):
         self.images = regions.image_of(self.rows)
         self.sizes = [len(members) for members in self.members]
         self.cluster = np.repeat(np.arange(len(self.labels)), self.sizes)
+        self.unknown = {gt.classes[c] for c in np.unique(gt.class_code[~gt.known]).tolist()}
         self._purities: dict[float, list[tuple[float, str]]] = {}
 
     def purities(self, t: float) -> list[tuple[float, str]]:
@@ -207,11 +204,11 @@ class _ClusterTable(IouTable):
 
     def _relevant_pairs(self, t: float, classes: set[str] | None) -> tuple[np.ndarray, int]:
         """Pairs hitting a box of ``classes`` (default: unknown), and that box count."""
-        classes = unknown_classes(self.gt) if classes is None else classes
+        classes = self.unknown if classes is None else classes
         relevant = np.array([name in classes for name in self.gt.classes], dtype=bool)[self.gt.class_code]
         return (self.iou >= t) & relevant[self.box], int(np.count_nonzero(relevant))
 
-    def counted_curve(self, t: float, classes: set[str] | None = None) -> tuple[list[tuple[int, float]], int]:
+    def curve(self, t: float, classes: set[str] | None = None) -> tuple[list[tuple[int, float]], int]:
         """Points (boxes covered by the top k clusters, their mean purity), and the count to divide by:
         the relevant boxes, or 1 when there are none (then no box is covered)."""
         purities = [p for p, _ in self.purities(t)]
@@ -225,14 +222,6 @@ class _ClusterTable(IouTable):
         purity_sums = accumulate(purities[c] for c in ranked)
         points = [(covered[k - 1], purity_sum / k) for k, purity_sum in enumerate(purity_sums, 1)]
         return points, max(n_relevant, 1)
-
-    def curve(self, t: float, classes: set[str] | None = None) -> list[tuple[float, float]]:
-        points, total = self.counted_curve(t, classes)
-        return [(covered / total, y) for covered, y in points]
-
-    def coverage(self, t: float, classes: set[str] | None = None) -> float:
-        hits, n_relevant = self._relevant_pairs(t, classes)
-        return np.unique(self.box[hits]).size / n_relevant if n_relevant else 0.0
 
     def corloc(self, t: float) -> float:
         hit = np.unique(self.gt_image[self.box[self.iou > t]]).size
@@ -250,11 +239,10 @@ class _ClusterTable(IouTable):
             for label, members, (p, majority), span in zip(self.labels, self.members, self.purities(t), spans)
         ]
 
-    def discovered(self, t: float, purity_floor: float, min_images: int) -> int:
-        unknown = unknown_classes(self.gt)
+    def discovered(self, reports: list[ClusterReport], purity_floor: float, min_images: int) -> int:
         return len({
-            r.majority_class for r in self.reports(t)
-            if r.majority_class in unknown and r.purity >= purity_floor and r.image_span >= min_images
+            r.majority_class for r in reports
+            if r.majority_class in self.unknown and r.purity >= purity_floor and r.image_span >= min_images
         })
 
 
@@ -302,7 +290,8 @@ def coverage(
     ``classes`` restricts which ground-truth boxes count; the default is the
     unknown classes, the set the discovery benchmark reports on.
     """
-    return _ClusterTable(clusters, regions, gt).coverage(iou_threshold, classes)
+    points, total = _ClusterTable(clusters, regions, gt).curve(iou_threshold, classes)
+    return points[-1][0] / total if points else 0.0
 
 
 def cumulative_purity_curve(
@@ -311,32 +300,30 @@ def cumulative_purity_curve(
     gt: GroundTruthTable,
     iou_threshold: float,
     classes: set[str] | None = None,
-) -> list[tuple[float, float]]:
-    """Points (coverage of top-k clusters, mean purity of top-k), purity-descending.
+) -> tuple[list[tuple[int, float]], int]:
+    """Points (boxes covered by the top k clusters, mean purity of the top k), purity-descending,
+    and the relevant box count (1 when there are none), which ``auc`` divides by.
 
     Equal purities order by cluster label so the x-axis is deterministic. Point
-    k equals ``coverage`` of the top k clusters.
+    k's count over the total equals ``coverage`` of the top k clusters.
     """
     return _ClusterTable(clusters, regions, gt).curve(iou_threshold, classes)
 
 
-def auc(curve: Sequence[tuple[float, float]], total: int = 1) -> float:
-    """Trapezoidal area under the curve over the coverage axis, in percent.
+def auc(points: Sequence[tuple[int, float]], total: int) -> float:
+    """Trapezoidal area under a counted curve over covered boxes, in percent of ``total``.
 
-    Coverage is in units of ``1 / total``: a fraction by default, or, as
-    ``evaluate_run`` passes it, a covered-box count with ``total`` the box count.
-    The curve is anchored at zero coverage with the first purity value; segment
-    widths are scaled to percent before multiplying, and the sum is divided by
-    ``total`` once. With counts every width is an exact integer, so purities in
-    [0, 1] give an area in [0, 100], and a pure curve gives exactly
-    ``100 * covered / total``.
+    The curve is anchored at zero boxes with the first purity value. Each width
+    is an exact integer, scaled to percent before multiplying, and the sum is
+    divided by ``total`` once, so purities in [0, 1] give an area in [0, 100],
+    and a pure curve gives exactly ``100 * covered / total``.
     """
-    if not curve:
+    if not points:
         return 0.0
     area = 0.0
     prev_x = 0
-    prev_y = curve[0][1]
-    for x, y in curve:
+    prev_y = points[0][1]
+    for x, y in points:
         area += (100.0 * (x - prev_x)) * ((prev_y + y) / 2.0)
         prev_x, prev_y = x, y
     return area / total
@@ -446,7 +433,8 @@ def count_discovered(
     min_images: int = 5,
 ) -> int:
     """Distinct unknown classes owning at least one pure-enough, wide-enough cluster."""
-    return _ClusterTable(clusters, regions, gt).discovered(iou_threshold, purity_floor, min_images)
+    table = _ClusterTable(clusters, regions, gt)
+    return table.discovered(table.reports(iou_threshold), purity_floor, min_images)
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +454,13 @@ def evaluate_run(
     # CorRet runs first, so its similarity matrix and the table are never held together.
     corret_score = corret(assignments, regions, gt, k=corret_k)
     table = _ClusterTable(clusters_from_assignments(assignments, regions), regions, gt)
-    counted = {t: table.counted_curve(t) for t in iou_thresholds}
-    curves = {t: [(covered / total, y) for covered, y in points] for t, (points, total) in counted.items()}
+    curves = {t: table.curve(t) for t in iou_thresholds}
     primary = iou_thresholds[0]
-    metrics: dict[str, float | int] = {f"auc_{t}": auc(*counted[t]) for t in iou_thresholds}
+    reports = table.reports(primary)
+    metrics: dict[str, float | int] = {f"auc_{t}": auc(*curves[t]) for t in iou_thresholds}
     metrics["corloc"] = table.corloc(0.5)
     metrics["corret"] = corret_score
     metrics[f"detrate_{primary}"] = table.detrate(primary)
-    metrics["n_discovered"] = table.discovered(primary, purity_floor, min_images)
+    metrics["n_discovered"] = table.discovered(reports, purity_floor, min_images)
     metrics["corret_skipped_images"] = len(set(regions.image_ids) - set(table.images))
-    return DiscoveryReport(clusters=table.reports(primary), curves=curves, metrics=metrics)
+    return DiscoveryReport(clusters=reports, curves=curves, metrics=metrics)

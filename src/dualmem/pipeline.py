@@ -47,9 +47,13 @@ class RoundState:
     """Mutable cursor of the never-ending loop, with the counts of every finished round by index."""
 
     round_index: int
-    active: str  # "d1" or "d2"
     mem: DualMemory
     rounds: dict[int, RoundCounts] = field(default_factory=dict)
+
+    @property
+    def active(self) -> str:
+        """The half this round streams: d1 in odd rounds, d2 in even ones."""
+        return "d1" if self.round_index % 2 else "d2"
 
 
 @dataclass
@@ -129,27 +133,20 @@ def run_discovery_round(state: RoundState, corpus: RegionTable, split: DatasetSp
     """One round: stream the active split, consolidate, mine the inactive split, swap."""
     mem = state.mem
     mem.attach(corpus)
-    active_ids = split.d1 if state.active == "d1" else split.d2
-    inactive_ids = split.d2 if state.active == "d1" else split.d1
-    image_index = {image_id: i for i, image_id in enumerate(corpus.image_ids)}
+    active, inactive = (split.d1, split.d2) if state.active == "d1" else (split.d2, split.d1)
     starts = corpus.image_starts.tolist()
 
-    def rows_of(image_ids: list[str]):
-        for image_id in image_ids:
-            i = image_index.get(image_id)
-            if i is not None:
-                yield range(starts[i], starts[i + 1])
-
     kinds: list[DecisionKind] = []
-    for rows in rows_of(active_ids):
-        kinds += [decision.kind for decision in mem.process_image(rows)]
+    for i in active:
+        kinds += [decision.kind for decision in mem.process_image(range(starts[i], starts[i + 1]))]
 
     record = consolidate(mem, round_index=state.round_index)
 
     mined = 0
     mined_seen = 0
     mine_region = mem.mine_region
-    for rows in rows_of(inactive_ids):
+    for i in inactive:
+        rows = range(starts[i], starts[i + 1])
         mined_seen += len(rows)
         for row in rows:
             mined += mine_region(row)
@@ -159,7 +156,6 @@ def run_discovery_round(state: RoundState, corpus: RegionTable, split: DatasetSp
         mined=mined, mined_candidates=mined_seen,
     )
     state.round_index += 1
-    state.active = "d2" if state.active == "d1" else "d1"
     return record
 
 
@@ -181,7 +177,7 @@ def start_discovery(
 ) -> tuple[RoundState, DatasetSplit]:
     """Round 1's state, its memory seeded from ``priors``, and the split: every check of a run's inputs."""
     split = split_dataset(list(corpus.image_ids), config.rng_seed)
-    return RoundState(round_index=1, active="d1", mem=DualMemory.initialize(bg, config, priors)), split
+    return RoundState(round_index=1, mem=DualMemory.initialize(bg, config, priors)), split
 
 
 def run_discovery(

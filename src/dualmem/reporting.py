@@ -62,8 +62,12 @@ def write_assignments(path: str | Path, rows: Iterable[tuple[str, str]]) -> None
 
 
 def read_assignments(path: str | Path) -> dict[str, str]:
-    """Region id to label; a "\\r" before a line's end is dropped, so a CRLF copy reads as the original."""
+    """Region id to label; a "\\r" before a line's end is dropped, so a CRLF copy reads as the original.
+
+    A region id listed twice raises ValueError naming the file and both lines.
+    """
     assignments: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for lineno, line in read_lines(path):
         line = line.removesuffix("\r")
         if not line:
@@ -71,6 +75,9 @@ def read_assignments(path: str | Path) -> dict[str, str]:
         parts = line.split("\t")
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected 'region_id<TAB>label'")
+        first = line_of.setdefault(parts[0], lineno)
+        if first != lineno:
+            raise ValueError(f"{path}:{lineno}: region id {parts[0]!r} already listed on line {first}")
         assignments[parts[0]] = parts[1]
     return assignments
 
@@ -92,8 +99,9 @@ def read_key_values(path: str | Path) -> dict[str, str]:
     return values
 
 
-def write_curve_csv(path: str | Path, points: Iterable[tuple[float, float]]) -> None:
+def write_curve_csv(path: str | Path, points: Iterable[tuple[int, float]], total: int) -> None:
+    """A counted curve with each covered-box count written as its fraction of ``total``."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("coverage,cumulative_purity\n")
-        for x, y in points:
-            fh.write(f"{format_value(x)},{format_value(y)}\n")
+        for covered, y in points:
+            fh.write(f"{format_value(covered / total)},{format_value(y)}\n")

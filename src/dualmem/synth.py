@@ -11,6 +11,7 @@ features come from one draw seeded by the spec seed xor the image index.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,8 +44,10 @@ class SynthSpec:
     anisotropy: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.separation <= 0.0 or self.std <= 0.0:
-            raise ValueError("separation and std must be positive")
+        if not (0.0 < self.separation < math.inf and 0.0 < self.std < math.inf):
+            raise ValueError("separation and std must be positive and finite")
+        if not 0.0 < self.anisotropy < math.inf:
+            raise ValueError("anisotropy must be positive and finite")
         if min(self.n_known, self.n_unknown, self.n_background_per_image) < 0:
             raise ValueError("class and background counts must be non-negative")
         if self.images < 1:

@@ -84,13 +84,13 @@ def frozen_run(tmp_path_factory):
     gt = load_gt(paths["gt"])
     run, regions = discover_on(paths, frozen_config())
     clusters = clusters_from_assignments(run.assignments, regions)
-    engine_auc = auc(cumulative_purity_curve(clusters, regions, gt, 0.5))
+    engine_auc = auc(*cumulative_purity_curve(clusters, regions, gt, 0.5))
     n_discovered = count_discovered(clusters, regions, gt, 0.5, min_images=5)
 
     k = int(run.stats["clusters_final"])
     km_assignments, _, _ = kmeans_baseline(regions, k, seed=CONFIG_SEED)
     km_clusters = clusters_from_assignments(km_assignments, regions)
-    km_auc = auc(cumulative_purity_curve(km_clusters, regions, gt, 0.5))
+    km_auc = auc(*cumulative_purity_curve(km_clusters, regions, gt, 0.5))
 
     paths12 = generate(frozen_spec(separation=12.0), root / "data12")
     gt12 = load_gt(paths12["gt"])
@@ -309,9 +309,9 @@ def test_criterion_4_consolidation_contracts():
 
 def test_criterion_5_metric_hand_checks():
     clusters, gt = curve_fixture()
-    curve = cumulative_purity_curve(*clustered(clusters), gt_table_of(gt), 0.5)
-    curve_ok = curve == [(0.2, 1.0), (0.6, 0.75)]
-    auc_ok = auc(curve) == 55.0
+    points, total = cumulative_purity_curve(*clustered(clusters), gt_table_of(gt), 0.5)
+    curve_ok = [(covered / total, y) for covered, y in points] == [(0.2, 1.0), (0.6, 0.75)]
+    auc_ok = auc(points, total) == 55.0
 
     iou_ok = iou(BoundingBox(0, 0, 10, 10), BoundingBox(5, 0, 15, 10)) == 50.0 / 150.0
 
@@ -390,7 +390,7 @@ def test_criterion_7_ablation_directions(frozen_run):
 
     run_naive, regions_naive = discover_on(fr["paths"], frozen_config(consolidation_mode="naive"))
     clusters_naive = clusters_from_assignments(run_naive.assignments, regions_naive)
-    naive_auc = auc(cumulative_purity_curve(clusters_naive, regions_naive, gt, 0.5))
+    naive_auc = auc(*cumulative_purity_curve(clusters_naive, regions_naive, gt, 0.5))
 
     init_ok = fr["n_discovered"] >= null_discovered
     consolidation_ok = fr["engine_auc"] >= naive_auc

@@ -713,7 +713,16 @@ class TestValueErrorsNameTheFile:
         ("d = 8\nrounds = 0\n", ": rounds must be >= 1"),
         ("d = 8\nl2_normalize = yes\n", ":2: key 'l2_normalize': expected true/false, got 'yes'"),
         ("rounds = 1\n", ": Config file must define 'd'"),
-    ], ids=["not_an_int", "out_of_range", "not_a_bool", "missing_key"])
+        ("d = 8\ntau_semantic = nan\n", ": tau_semantic must be finite"),
+        ("d = 8\ntau_semantic = -inf\n", ": tau_semantic must be finite"),
+        ("d = 8\nmerge_edge_threshold = nan\n", ": merge_edge_threshold must be finite"),
+        ("d = 8\nmerge_edge_threshold = inf\n", ": merge_edge_threshold must be finite"),
+        ("d = 8\nridge_lambda = nan\n", ": ridge_lambda must be finite and > 0"),
+        ("d = 8\nridge_lambda = inf\n", ": ridge_lambda must be finite and > 0"),
+    ], ids=[
+        "not_an_int", "out_of_range", "not_a_bool", "missing_key", "tau_semantic_nan", "tau_semantic_inf",
+        "merge_edge_threshold_nan", "merge_edge_threshold_inf", "ridge_lambda_nan", "ridge_lambda_inf",
+    ])
     def test_config(self, tmp_path, generated, text, message, capsys):
         config = tmp_path / "config.txt"
         config.write_text(text)
@@ -743,11 +752,37 @@ class TestValueErrorsNameTheFile:
         ("images = two\n", ":4: key 'images': invalid literal for int() with base 10: 'two'"),
         ("images = 0\n", ": images must be >= 1"),
         ("", ": SynthSpec file must define 'images'"),
-    ], ids=["not_an_int", "out_of_range", "missing_key"])
+        ("images = 2\nseparation = nan\n", ": separation and std must be positive and finite"),
+        ("images = 2\nseparation = inf\n", ": separation and std must be positive and finite"),
+        ("images = 2\nstd = nan\n", ": separation and std must be positive and finite"),
+        ("images = 2\nanisotropy = nan\n", ": anisotropy must be positive and finite"),
+        ("images = 2\nanisotropy = inf\n", ": anisotropy must be positive and finite"),
+        ("images = 2\nanisotropy = 0\n", ": anisotropy must be positive and finite"),
+        ("images = 2\nanisotropy = -1\n", ": anisotropy must be positive and finite"),
+    ], ids=[
+        "not_an_int", "out_of_range", "missing_key", "separation_nan", "separation_inf", "std_nan",
+        "anisotropy_nan", "anisotropy_inf", "anisotropy_zero", "anisotropy_negative",
+    ])
     def test_spec(self, tmp_path, text, message, capsys):
+        """``gen`` refuses the spec before it makes the output directory."""
         spec = tmp_path / "spec.txt"
         spec.write_text("d = 4\nn_known = 1\nn_unknown = 1\n" + text)
         expect_one_line_error(["gen", "--spec", str(spec)], tmp_path / "data", f"{spec}{message}", capsys)
+        assert not (tmp_path / "data").exists()
+
+    def test_assignments_listing_a_region_twice(self, tmp_path, full_run, capsys):
+        """The later label once replaced the earlier one silently; the program never writes a repeat."""
+        generated, _, run_dir, _ = full_run
+        lines = (run_dir / "assignments.tsv").read_text().split("\n")
+        region_id = lines[2].split("\t")[0]
+        assignments = tmp_path / "assignments.tsv"
+        assignments.write_text("\n".join(lines[:6] + [f"{region_id}\tother"] + lines[6:]))
+        argv = [
+            "eval", "--corpus", str(generated / "corpus.jsonl"), "--assignments", str(assignments),
+            "--gt", str(generated / "gt.jsonl"),
+        ]
+        expected = f"{assignments}:7: region id {region_id!r} already listed on line 3"
+        expect_one_line_error(argv, tmp_path / "eval", expected, capsys)
 
     @pytest.mark.parametrize("binary", [False, True])
     @pytest.mark.parametrize("subcommand", [["background"], ["baseline", "--k", "2"]])

@@ -344,7 +344,10 @@ def random_working_memory(seed, d, k, threshold):
     for center, size in zip(centers, sizes):
         points += [center + rng.standard_normal(d) * rng.uniform(0.0, 2.0) for _ in range(size)]
     features = bg.mean + np.array(points) @ bg.chol_lower.T
-    config = Config(d=d, init_mode="null", merge_edge_threshold=threshold, min_images_per_slot=1)
+    config = Config(d=d, init_mode="null", min_images_per_slot=1)
+    # Set after construction: a config file refuses the +-inf thresholds that pin "link no pair" and
+    # "link every pair", but consolidation reads the field as it is.
+    config.merge_edge_threshold = threshold
     mem = DualMemory(bg, config)
     mem.attach(table_of([make_region(f"r{i}", f"img{i}", f) for i, f in enumerate(features)], d))
     starts = np.concatenate([[0], np.cumsum(sizes)]).tolist()

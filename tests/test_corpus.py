@@ -1,5 +1,6 @@
 import gc
 import json
+import random
 import struct
 import sys
 import warnings
@@ -320,7 +321,7 @@ class TestSplit:
     def test_four_ids_partition(self):
         split = split_dataset(["a", "b", "c", "d"], seed=7)
         assert len(split.d1) == 2 and len(split.d2) == 2
-        assert set(split.d1) | set(split.d2) == {"a", "b", "c", "d"}
+        assert set(split.d1) | set(split.d2) == {0, 1, 2, 3}
         assert set(split.d1) & set(split.d2) == set()
 
     def test_odd_size_favors_d1(self):
@@ -332,6 +333,14 @@ class TestSplit:
         a = split_dataset(ids, seed=123)
         b = split_dataset(ids, seed=123)
         assert a.d1 == b.d1 and a.d2 == b.d2
+
+    def test_positions_follow_a_shuffle_of_the_ids(self):
+        """``random.shuffle`` draws by length only, so the positions index the ids' own shuffle."""
+        ids = [f"img{i}" for i in range(31)]
+        shuffled = list(ids)
+        random.Random(123).shuffle(shuffled)
+        split = split_dataset(ids, seed=123)
+        assert [ids[i] for i in split.d1 + split.d2] == shuffled
 
     def test_empty_input(self):
         with pytest.raises(ValueError, match="empty"):
@@ -346,7 +355,7 @@ class TestSplit:
     def test_partition_property(self, n, seed):
         ids = [f"id{i}" for i in range(n)]
         split = split_dataset(ids, seed)
-        assert sorted(split.d1 + split.d2) == sorted(ids)
+        assert sorted(split.d1 + split.d2) == list(range(n))
         assert len(split.d1) == (n + 1) // 2
 
 

@@ -46,6 +46,12 @@ def clustered(clusters):
     return rows, table_of([r for members in clusters.values() for r in members])
 
 
+def fractions(curve):
+    """A counted curve's points with each covered-box count divided by its total."""
+    points, total = curve
+    return [(covered / total, y) for covered, y in points]
+
+
 def box(x1, y1=0.0, x2=None, y2=1.0):
     return BoundingBox(x1, y1, x2 if x2 is not None else x1 + 1.0, y2)
 
@@ -202,18 +208,20 @@ class TestCurveAndAuc:
     def test_single_cluster_point(self):
         clusters, gt = curve_fixture()
         curve = cumulative_purity_curve(*clustered({"A": clusters["A"]}), gt_table_of(gt), 0.5)
-        assert curve == [(0.2, 1.0)]
+        assert curve == ([(2, 1.0)], 10)
+        assert fractions(curve) == [(0.2, 1.0)]
 
     def test_running_mean_and_coverage(self):
         clusters, gt = curve_fixture()
         curve = cumulative_purity_curve(*clustered(clusters), gt_table_of(gt), 0.5)
-        assert curve == [(0.2, 1.0), (0.6, 0.75)]
+        assert curve == ([(2, 1.0), (6, 0.75)], 10)
+        assert fractions(curve) == [(0.2, 1.0), (0.6, 0.75)]
 
     def test_monotonic_axes(self):
         clusters, gt = curve_fixture()
-        curve = cumulative_purity_curve(*clustered(clusters), gt_table_of(gt), 0.5)
-        xs = [p[0] for p in curve]
-        ys = [p[1] for p in curve]
+        points, _ = cumulative_purity_curve(*clustered(clusters), gt_table_of(gt), 0.5)
+        xs = [p[0] for p in points]
+        ys = [p[1] for p in points]
         assert xs == sorted(xs)
         assert ys == sorted(ys, reverse=True)
 
@@ -224,30 +232,30 @@ class TestCurveAndAuc:
             "y": [make_region("r1", "i0", [0.0], box=gt[1].box)],
         }
         curve = cumulative_purity_curve(*clustered(clusters), gt_table_of(gt), 0.5)
-        assert curve == [(0.5, 1.0), (1.0, 1.0)]
+        assert fractions(curve) == [(0.5, 1.0), (1.0, 1.0)]
 
     def test_auc_single_point(self):
-        assert auc([(0.5, 1.0)]) == 50.0
+        assert auc([(1, 1.0)], 2) == 50.0
 
     def test_auc_empty(self):
-        assert auc([]) == 0.0
+        assert auc([], 1) == 0.0
 
     def test_auc_trapezoid_by_hand(self):
-        assert auc([(0.2, 1.0), (0.6, 0.75)]) == 55.0
+        assert auc([(2, 1.0), (6, 0.75)], 10) == 55.0
 
     def test_auc_from_fixture_exactly(self):
         clusters, gt = curve_fixture()
-        assert auc(cumulative_purity_curve(*clustered(clusters), gt_table_of(gt), 0.5)) == 55.0
+        assert auc(*cumulative_purity_curve(*clustered(clusters), gt_table_of(gt), 0.5)) == 55.0
 
     def test_auc_bounded(self):
         clusters, gt = curve_fixture()
-        value = auc(cumulative_purity_curve(*clustered(clusters), gt_table_of(gt), 0.5))
+        value = auc(*cumulative_purity_curve(*clustered(clusters), gt_table_of(gt), 0.5))
         assert 0.0 <= value <= 100.0
 
     def test_auc_monotone_under_pure_extension(self):
-        base = [(0.2, 1.0)]
-        extended = [(0.2, 1.0), (0.6, 1.0)]
-        assert auc(extended) > auc(base)
+        base = [(2, 1.0)]
+        extended = [(2, 1.0), (6, 1.0)]
+        assert auc(extended, 10) > auc(base, 10)
 
 
 @st.composite
@@ -278,12 +286,10 @@ def test_auc_of_counts_stays_in_range_and_is_exact_on_a_pure_curve(curve):
 
 
 def test_auc_of_a_fully_covered_pure_curve_is_100():
-    """Fractions i/n summed as widths rounded past 100 here (the old rule gave 100.00000000000001)."""
+    """Fractions i/n summed as widths rounded past 100 here (that rule gave 100.00000000000001)."""
     total = 10
     points = [(covered, 1.0) for covered in range(1, total + 1)]
-    fractions = [(covered / total, 1.0) for covered, _ in points]
     assert auc(points, total) == 100.0
-    assert auc(fractions) != 100.0  # the fraction path still rounds; evaluate_run counts
 
 
 def covered_fraction_reference(clusters, gt, iou_threshold, classes):
@@ -330,7 +336,7 @@ def test_curve_points_are_top_k_coverage_and_mean_purity(
         for c, members in enumerate(cluster_members)
     }
     rows, table = clustered(clusters)
-    curve = cumulative_purity_curve(rows, table, gt_table_of(gt), iou_threshold, classes)
+    curve = fractions(cumulative_purity_curve(rows, table, gt_table_of(gt), iou_threshold, classes))
     purities = {label: purity(rows[label], table, gt_table_of(gt), iou_threshold)[0] for label in clusters}
     ranked = sorted(clusters, key=lambda label: (-purities[label], label))
     class_set = {g.class_name for g in gt if not g.known_flag} if classes is None else classes
@@ -916,6 +922,6 @@ def test_evaluate_run_equals_scalar_reference(
         assignments, regions, gt, thresholds, purity_floor, min_images, corret_k
     )
     assert repr(report.metrics) == repr(metrics)
-    assert repr(report.curves) == repr(curves)
+    assert repr({t: fractions(curve) for t, curve in report.curves.items()}) == repr(curves)
     got = [(c.label, c.purity, c.majority_class, c.size, c.image_span) for c in report.clusters]
     assert repr(got) == repr(reports)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dualmem.config import Config
-from dualmem.corpus import ingest_corpus, split_dataset
+from dualmem.corpus import DatasetSplit, ingest_corpus, split_dataset
 from dualmem.evaluation import iou, load_gt
 from dualmem.memory import DualMemory
 from dualmem.pipeline import (
@@ -53,13 +53,11 @@ def toy_corpus(d=4):
 
 
 def toy_split():
-    """Novel images 0 and 1 stream in phase A; novel image 2 waits for mining."""
-    from dualmem.corpus import DatasetSplit
+    """Novel images 0 and 1 stream in phase A; novel image 2 waits for mining.
 
-    return DatasetSplit(
-        d1=["img0", "img1", "img3", "img4", "img5"],
-        d2=["img2", "img6", "img7", "img8", "img9"],
-    )
+    Image ``img<i>`` sits at position i of ``toy_corpus``.
+    """
+    return DatasetSplit(d1=[0, 1, 3, 4, 5], d2=[2, 6, 7, 8, 9])
 
 
 class TestBackgroundEstimation:
@@ -152,9 +150,8 @@ class TestRound:
     def test_empty_corpus_round(self):
         config = Config(d=4, init_mode="null", min_images_per_slot=1)
         mem = DualMemory.initialize(identity_bg(4), config, None)
-        state = RoundState(round_index=1, active="d1", mem=mem)
-        split = split_dataset(["img0", "img1"], seed=0)
-        record = run_discovery_round(state, table_of([], 4), split)
+        state = RoundState(round_index=1, mem=mem)
+        record = run_discovery_round(state, table_of([], 4), DatasetSplit(d1=[], d2=[]))
         assert state.round_index == 2
         assert state.active == "d2"
         assert record.slots_transferred == 0
@@ -165,7 +162,7 @@ class TestRound:
         bg = estimate_background(corpus, config)
         mem = DualMemory.initialize(bg, config, None)
         split = toy_split()
-        state = RoundState(round_index=1, active="d1", mem=mem)
+        state = RoundState(round_index=1, mem=mem)
         record = run_discovery_round(state, corpus, split)
         assert record.slots_transferred >= 1
         novel_slots = [s for s in mem.semantic if any(r.startswith("nv") for r in s.members)]
@@ -180,7 +177,7 @@ class TestRound:
         config = Config(d=4, init_mode="null", min_images_per_slot=2, rng_seed=5)
         bg = estimate_background(corpus, config)
         mem = DualMemory.initialize(bg, config, None)
-        state = RoundState(round_index=1, active="d1", mem=mem)
+        state = RoundState(round_index=1, mem=mem)
         run_discovery_round(state, corpus, toy_split())
         assert mem.working == []
 
@@ -189,7 +186,7 @@ class TestRound:
         config = Config(d=4, init_mode="null", min_images_per_slot=2, rng_seed=5)
         bg = estimate_background(corpus, config)
         mem = DualMemory.initialize(bg, config, None)
-        state = RoundState(round_index=1, active="d1", mem=mem)
+        state = RoundState(round_index=1, mem=mem)
         run_discovery_round(state, corpus, toy_split())
         c = state.rounds[1]
         accepted = c.known_match + c.working_match + c.new_slot
@@ -255,7 +252,7 @@ class TestRunDiscovery:
         priors = build_priors(config, detections=_prior_records(paths))
         straight = run_discovery(corpus, bg, config, priors, out_dir=tmp_path / "run")
         reloaded = DualMemory.load_checkpoint(tmp_path / "run" / "round_1" / "checkpoint.bin", config)
-        state = RoundState(2, "d2", reloaded)
+        state = RoundState(2, reloaded)
         split = split_dataset(list(corpus.image_ids), config.rng_seed)
         while state.round_index <= config.rounds:
             run_discovery_round(state, corpus, split)
