@@ -141,6 +141,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise CliError(f"--min-images must be at least 1, got {args.min_images}")
     regions = load_corpus(args.corpus)
     assignments = read_assignments(args.assignments)
+    # The program lists only corpus rows; an id from another corpus would score as no discovery.
+    corpus_ids = set(regions.region_ids)
+    stray = next((region_id for region_id in assignments if region_id not in corpus_ids), None)
+    if stray is not None:
+        raise CliError(f"{args.assignments}: region id {stray!r} is not in the corpus '{args.corpus}'")
     gt = load_gt(args.gt)
     out_dir = _prepare_out_dir(args.out, args.force)
     _write_manifest(

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TypeVar
 
-from .reporting import format_value, read_lines, write_key_values
+from .reporting import format_value, key_value_lines, write_key_values
 
 CONSOLIDATION_MODES = ("naive", "merge", "merge_refine")
 INIT_MODES = ("null", "det_scores", "gt_overlap")
@@ -86,18 +86,11 @@ def load_fields(cls: type[T], path: str | Path) -> T:
     """The dataclass ``cls`` from a ``key = value`` file; every error names the file."""
     fields = {f.name: f for f in dataclasses.fields(cls)}
     values: dict[str, object] = {}
-    for lineno, line in read_lines(path):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got '{stripped}'")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
+    for lineno, key, raw in key_value_lines(path):
         if key not in fields:
             raise ValueError(f"{path}:{lineno}: unknown {cls.__name__} key '{key}'")
         try:
-            values[key] = _parse_value(fields[key], raw.strip())
+            values[key] = _parse_value(fields[key], raw)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: key '{key}': {exc}") from exc
     missing = [name for name, f in fields.items() if f.default is dataclasses.MISSING and name not in values]

@@ -1,5 +1,5 @@
 """Small text files shared by the pipeline, baseline, and evaluation: tab-separated
-assignments, key = value reports, curve CSVs, the line reader of every text input,
+assignments, key = value files, curve CSVs, the line reader of every text input,
 and the line decoder of the JSON-lines inputs (corpus, priors, ground truth)."""
 
 from __future__ import annotations
@@ -88,15 +88,28 @@ def write_key_values(path: str | Path, values: Mapping[str, object]) -> None:
             fh.write(f"{key} = {format_value(value)}\n")
 
 
-def read_key_values(path: str | Path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for _, line in read_lines(path):
+def key_value_lines(path: str | Path) -> Iterator[tuple[int, str, str]]:
+    """(line number, key, value) for each line of a config, spec or stats.txt; blank and ``#`` lines are skipped.
+
+    A line without "=" and a key listed twice raise ValueError naming the file and the line.
+    """
+    line_of: dict[str, int] = {}
+    for lineno, line in read_lines(path):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
+        if "=" not in stripped:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got '{stripped}'")
         key, _, raw = stripped.partition("=")
-        values[key.strip()] = raw.strip()
-    return values
+        key = key.strip()
+        first = line_of.setdefault(key, lineno)
+        if first != lineno:
+            raise ValueError(f"{path}:{lineno}: key '{key}' already set on line {first}")
+        yield lineno, key, raw.strip()
+
+
+def read_key_values(path: str | Path) -> dict[str, str]:
+    return {key: value for _, key, value in key_value_lines(path)}
 
 
 def write_curve_csv(path: str | Path, points: Iterable[tuple[int, float]], total: int) -> None:

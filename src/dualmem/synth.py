@@ -44,6 +44,8 @@ class SynthSpec:
     anisotropy: float = 1.0
 
     def __post_init__(self) -> None:
+        if self.d < 1:
+            raise ValueError("d must be >= 1")
         if not (0.0 < self.separation < math.inf and 0.0 < self.std < math.inf):
             raise ValueError("separation and std must be positive and finite")
         if not 0.0 < self.anisotropy < math.inf:

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import builtins
 import hashlib
 import inspect
@@ -707,6 +708,9 @@ class TestComputedChecksComeBeforeAnyManifest:
         expect_one_line_error(["baseline", "--corpus", str(corpus), "--k", str(k)], tmp_path / "km", expected, capsys)
 
 
+SPEC_HEAD = "d = 4\nn_known = 1\nn_unknown = 1\n"
+
+
 class TestValueErrorsNameTheFile:
     @pytest.mark.parametrize("text, message", [
         ("d = 8\nrounds = two\n", ":2: key 'rounds': invalid literal for int() with base 10: 'two'"),
@@ -719,9 +723,11 @@ class TestValueErrorsNameTheFile:
         ("d = 8\nmerge_edge_threshold = inf\n", ": merge_edge_threshold must be finite"),
         ("d = 8\nridge_lambda = nan\n", ": ridge_lambda must be finite and > 0"),
         ("d = 8\nridge_lambda = inf\n", ": ridge_lambda must be finite and > 0"),
+        ("d = 8\nrounds = 2\nrounds = 1\n", ":3: key 'rounds' already set on line 2"),
     ], ids=[
         "not_an_int", "out_of_range", "not_a_bool", "missing_key", "tau_semantic_nan", "tau_semantic_inf",
         "merge_edge_threshold_nan", "merge_edge_threshold_inf", "ridge_lambda_nan", "ridge_lambda_inf",
+        "repeated_key",
     ])
     def test_config(self, tmp_path, generated, text, message, capsys):
         config = tmp_path / "config.txt"
@@ -749,24 +755,29 @@ class TestValueErrorsNameTheFile:
         expect_one_line_error(argv, tmp_path / "run2", expected, capsys)
 
     @pytest.mark.parametrize("text, message", [
-        ("images = two\n", ":4: key 'images': invalid literal for int() with base 10: 'two'"),
-        ("images = 0\n", ": images must be >= 1"),
-        ("", ": SynthSpec file must define 'images'"),
-        ("images = 2\nseparation = nan\n", ": separation and std must be positive and finite"),
-        ("images = 2\nseparation = inf\n", ": separation and std must be positive and finite"),
-        ("images = 2\nstd = nan\n", ": separation and std must be positive and finite"),
-        ("images = 2\nanisotropy = nan\n", ": anisotropy must be positive and finite"),
-        ("images = 2\nanisotropy = inf\n", ": anisotropy must be positive and finite"),
-        ("images = 2\nanisotropy = 0\n", ": anisotropy must be positive and finite"),
-        ("images = 2\nanisotropy = -1\n", ": anisotropy must be positive and finite"),
+        (SPEC_HEAD + "images = two\n", ":4: key 'images': invalid literal for int() with base 10: 'two'"),
+        (SPEC_HEAD + "images = 0\n", ": images must be >= 1"),
+        (SPEC_HEAD, ": SynthSpec file must define 'images'"),
+        (SPEC_HEAD + "images = 2\nseparation = nan\n", ": separation and std must be positive and finite"),
+        (SPEC_HEAD + "images = 2\nseparation = inf\n", ": separation and std must be positive and finite"),
+        (SPEC_HEAD + "images = 2\nstd = nan\n", ": separation and std must be positive and finite"),
+        (SPEC_HEAD + "images = 2\nanisotropy = nan\n", ": anisotropy must be positive and finite"),
+        (SPEC_HEAD + "images = 2\nanisotropy = inf\n", ": anisotropy must be positive and finite"),
+        (SPEC_HEAD + "images = 2\nanisotropy = 0\n", ": anisotropy must be positive and finite"),
+        (SPEC_HEAD + "images = 2\nanisotropy = -1\n", ": anisotropy must be positive and finite"),
+        (SPEC_HEAD + "images = 2\nd = 5\n", ":5: key 'd' already set on line 1"),
+        # With no class, d = 0 once wrote a corpus that ``background`` refuses.
+        ("d = 0\nn_known = 0\nn_unknown = 0\nimages = 2\n", ": d must be >= 1"),
+        ("d = -2\nn_known = 0\nn_unknown = 0\nimages = 2\n", ": d must be >= 1"),
     ], ids=[
         "not_an_int", "out_of_range", "missing_key", "separation_nan", "separation_inf", "std_nan",
-        "anisotropy_nan", "anisotropy_inf", "anisotropy_zero", "anisotropy_negative",
+        "anisotropy_nan", "anisotropy_inf", "anisotropy_zero", "anisotropy_negative", "repeated_key",
+        "d_zero", "d_negative",
     ])
     def test_spec(self, tmp_path, text, message, capsys):
         """``gen`` refuses the spec before it makes the output directory."""
         spec = tmp_path / "spec.txt"
-        spec.write_text("d = 4\nn_known = 1\nn_unknown = 1\n" + text)
+        spec.write_text(text)
         expect_one_line_error(["gen", "--spec", str(spec)], tmp_path / "data", f"{spec}{message}", capsys)
         assert not (tmp_path / "data").exists()
 
@@ -782,6 +793,18 @@ class TestValueErrorsNameTheFile:
             "--gt", str(generated / "gt.jsonl"),
         ]
         expected = f"{assignments}:7: region id {region_id!r} already listed on line 3"
+        expect_one_line_error(argv, tmp_path / "eval", expected, capsys)
+
+    def test_assignments_listing_a_region_the_corpus_lacks(self, tmp_path, full_run, capsys):
+        """Ids from another corpus once scored as a run that discovered nothing, and exited 0."""
+        generated, _, run_dir, _ = full_run
+        lines = (run_dir / "assignments.tsv").read_text().split("\n")
+        lines[4] = "elsewhere_r1\t" + lines[4].split("\t")[1]
+        assignments = tmp_path / "assignments.tsv"
+        assignments.write_text("\n".join(lines))
+        corpus = generated / "corpus.jsonl"
+        argv = ["eval", "--corpus", str(corpus), "--assignments", str(assignments), "--gt", str(generated / "gt.jsonl")]
+        expected = f"{assignments}: region id 'elsewhere_r1' is not in the corpus '{corpus}'"
         expect_one_line_error(argv, tmp_path / "eval", expected, capsys)
 
     @pytest.mark.parametrize("binary", [False, True])
@@ -807,6 +830,17 @@ class TestValueErrorsNameTheFile:
         argv = ["baseline", "--corpus", str(generated / "corpus.jsonl"), "--stats", str(stats)]
         expected = f"{stats}: clusters_final: invalid literal for int() with base 10: '2.5'"
         expect_one_line_error(argv, tmp_path / "km", expected, capsys)
+
+    @pytest.mark.parametrize("text, message", [
+        ("clusters_final = 2\nclusters_final = 3\n", ":2: key 'clusters_final' already set on line 1"),
+        ("clusters_final = 2\nrounds\n", ":2: expected 'key = value', got 'rounds'"),
+    ], ids=["repeated_key", "no_equals_sign"])
+    def test_stats_line(self, tmp_path, generated, text, message, capsys):
+        """``stats.txt`` goes through the config's parser; a bare line once read as a key with an empty value."""
+        stats = tmp_path / "stats.txt"
+        stats.write_text(text)
+        argv = ["baseline", "--corpus", str(generated / "corpus.jsonl"), "--stats", str(stats)]
+        expect_one_line_error(argv, tmp_path / "km", f"{stats}{message}", capsys)
 
 
 class TestCarriageReturns:
@@ -1133,3 +1167,17 @@ class TestOneHeaderParsePerRead:
             parses.clear()
             assert main(argv + ["--out", str(tmp_path / f"out{index}")]) == 0, argv[0]
             assert parses == Counter(expected), argv
+
+
+def test_the_package_namespace_binds_only_the_version():
+    """Each name has one import route, its module; ``cli`` reads ``__version__`` from the package."""
+    tree = ast.parse(Path(dualmem.cli.__file__).with_name("__init__.py").read_text(encoding="utf-8"))
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)):  # the docstring
+            bound += [name.id for name in ast.walk(node) if isinstance(name, ast.Name)]
+    assert bound == ["__version__"]
