@@ -2,7 +2,7 @@
 
 Every subcommand reads and checks its inputs, and computes what can still fail,
 then writes a manifest into its output directory before any other artifact; it
-refuses to reuse a non-empty directory unless forced.
+writes only into a new or empty directory.
 """
 
 from __future__ import annotations
@@ -29,13 +29,13 @@ class CliError(Exception):
     """Operator-facing failure: reported on stderr with exit code 1."""
 
 
-def _prepare_out_dir(out: str, force: bool) -> Path:
+def _prepare_out_dir(out: str) -> Path:
     path = Path(out)
     if path.exists():
         if not path.is_dir():
             raise CliError(f"output path '{out}' exists and is not a directory")
-        if any(path.iterdir()) and not force:
-            raise CliError(f"output directory '{out}' is not empty; pass --force to reuse it")
+        if any(path.iterdir()):
+            raise CliError(f"output directory '{out}' is not empty")
     else:
         path.mkdir(parents=True)
     return path
@@ -78,7 +78,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             spec = dataclasses.replace(spec, seed=args.seed)
         except ValueError as exc:
             raise CliError(f"--seed {args.seed}: {exc}") from exc
-    out_dir = _prepare_out_dir(args.out, args.force)
+    out_dir = _prepare_out_dir(args.out)
     _write_manifest(out_dir, "gen", {"spec": args.spec}, {"seed": spec.seed})
     paths = generate(spec, out_dir)
     for name, path in paths.items():
@@ -93,7 +93,7 @@ def _cmd_background(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config is not None else Config(d=read_corpus_dim(args.corpus))
     corpus = ingest_corpus(args.corpus, config)
     bg = estimate_background(corpus, config, workers=args.threads)
-    out_dir = _prepare_out_dir(args.out, args.force)
+    out_dir = _prepare_out_dir(args.out)
     _write_manifest(out_dir, "background", {"corpus": args.corpus, "config": args.config}, {"threads": args.threads})
     bg.save(out_dir / "bg.bin")
     print(f"background: {out_dir / 'bg.bin'} (d={bg.d}, samples={bg.count})")
@@ -114,11 +114,11 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     detections = open_corpus(args.priors, config.d) if args.priors is not None else None
     gt = load_gt(args.gt) if args.gt is not None else None
     priors = build_priors(config, detections=detections, corpus=corpus, gt=gt)
-    state, split = start_discovery(corpus, bg, config, priors)
-    out_dir = _prepare_out_dir(args.out, args.force)
+    state = start_discovery(corpus, bg, config, priors)
+    out_dir = _prepare_out_dir(args.out)
     inputs = {"corpus": args.corpus, "bg": args.bg, "config": args.config, "priors": args.priors, "gt": args.gt}
     _write_manifest(out_dir, "discover", inputs, {})
-    run = run_rounds(state, corpus, split, out_dir)
+    run = run_rounds(state, out_dir)
     print(f"assignments: {out_dir / 'assignments.tsv'}")
     print(f"semantic slots: {len(run.mem.semantic)}, clusters: {run.stats['clusters_final']}")
     return 0
@@ -147,7 +147,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if stray is not None:
         raise CliError(f"{args.assignments}: region id {stray!r} is not in the corpus '{args.corpus}'")
     gt = load_gt(args.gt)
-    out_dir = _prepare_out_dir(args.out, args.force)
+    out_dir = _prepare_out_dir(args.out)
     _write_manifest(
         out_dir, "eval", {"corpus": args.corpus, "assignments": args.assignments, "gt": args.gt},
         {"thresholds": thresholds, "purity_floor": args.purity_floor, "min_images": args.min_images},
@@ -184,7 +184,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
             raise CliError(f"{args.stats}: clusters_final must be at least 1, got {k}")
     regions = load_corpus(args.corpus)
     assignments, _, history = kmeans_baseline(regions, k, args.seed)
-    out_dir = _prepare_out_dir(args.out, args.force)
+    out_dir = _prepare_out_dir(args.out)
     _write_manifest(out_dir, "baseline", {"corpus": args.corpus, "stats": args.stats}, {"k": k, "seed": args.seed})
     write_assignments(out_dir / "assignments.tsv", assignments.items())
     print(f"assignments: {out_dir / 'assignments.tsv'} (k={k}, iterations={len(history)})")
@@ -205,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", required=True, help="Output directory.")
-        p.add_argument("--force", action="store_true", help="Reuse a non-empty output directory.")
 
     g = sub.add_parser("gen", help="Generate a synthetic corpus, ground truth, and priors.")
     g.add_argument("--spec", required=True, help="Synthetic spec file (key = value).")

@@ -12,7 +12,6 @@ members' region ids. Working memory is reset afterwards in every mode.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +41,6 @@ class ConsolidationRecord:
     samples_dropped_by_refine: int
     slots_transferred: int
     slots_dropped_min_images: int
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def slot_scores(mem: DualMemory) -> tuple[np.ndarray, np.ndarray]:

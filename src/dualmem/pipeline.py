@@ -44,11 +44,16 @@ class RoundCounts:
 
 @dataclass
 class RoundState:
-    """Mutable cursor of the never-ending loop, with the counts of every finished round by index."""
+    """Cursor of the never-ending loop: the memory, attached to its corpus; that corpus's split; each round's counts."""
 
     round_index: int
     mem: DualMemory
+    split: DatasetSplit
     rounds: dict[int, RoundCounts] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.mem.corpus is None:
+            raise ValueError("a round state needs a memory attached to a corpus")
 
     @property
     def active(self) -> str:
@@ -82,7 +87,7 @@ def estimate_background(corpus: RegionTable, config: Config, workers: int = 1) -
         raise ValueError(f"workers must be >= 1, got {workers}")
     part = corpus.row_image % workers
     acc = MomentAccumulator(config.d)
-    for p in range(workers):
+    for p in range(min(workers, len(corpus.image_ids))):
         acc.add_batch(corpus.features[part == p])
     return finalize_background(acc, config.ridge_lambda)
 
@@ -129,12 +134,11 @@ def build_priors(
 # Rounds
 # ---------------------------------------------------------------------------
 
-def run_discovery_round(state: RoundState, corpus: RegionTable, split: DatasetSplit) -> ConsolidationRecord:
+def run_discovery_round(state: RoundState) -> ConsolidationRecord:
     """One round: stream the active split, consolidate, mine the inactive split, swap."""
-    mem = state.mem
-    mem.attach(corpus)
+    mem, split = state.mem, state.split
     active, inactive = (split.d1, split.d2) if state.active == "d1" else (split.d2, split.d1)
-    starts = corpus.image_starts.tolist()
+    starts = mem.corpus.image_starts.tolist()
 
     kinds: list[DecisionKind] = []
     for i in active:
@@ -159,8 +163,8 @@ def run_discovery_round(state: RoundState, corpus: RegionTable, split: DatasetSp
     return record
 
 
-def final_assignments(mem: DualMemory, corpus: RegionTable) -> dict[str, str]:
-    """Label every corpus region from the final semantic member registries.
+def final_assignments(mem: DualMemory) -> dict[str, str]:
+    """Label every region of the attached corpus from the final semantic member registries.
 
     A region claimed by several slots keeps the oldest (lowest slot_id) one;
     everything else is unassigned.
@@ -169,15 +173,17 @@ def final_assignments(mem: DualMemory, corpus: RegionTable) -> dict[str, str]:
     for slot in mem.semantic:
         for region_id in slot.members:
             claimed.setdefault(region_id, slot.label)
-    return {region_id: claimed.get(region_id, UNASSIGNED) for region_id in corpus.region_ids}
+    return {region_id: claimed.get(region_id, UNASSIGNED) for region_id in mem.corpus.region_ids}
 
 
 def start_discovery(
     corpus: RegionTable, bg: BackgroundStats, config: Config, priors: Mapping[str, RegionTable] | None = None
-) -> tuple[RoundState, DatasetSplit]:
-    """Round 1's state, its memory seeded from ``priors``, and the split: every check of a run's inputs."""
+) -> RoundState:
+    """Round 1's state, its memory seeded from ``priors`` and attached to ``corpus``: every check of a run's inputs."""
     split = split_dataset(list(corpus.image_ids), config.rng_seed)
-    return RoundState(round_index=1, mem=DualMemory.initialize(bg, config, priors)), split
+    mem = DualMemory.initialize(bg, config, priors)
+    mem.attach(corpus)
+    return RoundState(1, mem, split)
 
 
 def run_discovery(
@@ -188,13 +194,12 @@ def run_discovery(
     out_dir: str | Path | None = None,
 ) -> DiscoveryRun:
     """Run the configured number of rounds and assemble the run artifacts."""
-    state, split = start_discovery(corpus, bg, config, priors)
-    return run_rounds(state, corpus, split, out_dir)
+    return run_rounds(start_discovery(corpus, bg, config, priors), out_dir)
 
 
-def run_rounds(state: RoundState, corpus: RegionTable, split: DatasetSplit, out_dir: str | Path | None) -> DiscoveryRun:
+def run_rounds(state: RoundState, out_dir: str | Path | None) -> DiscoveryRun:
     """Run the memory's configured number of rounds from ``state``; write the artifacts into ``out_dir`` if given."""
-    mem, config = state.mem, state.mem.config
+    mem, config, corpus = state.mem, state.mem.config, state.mem.corpus
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
@@ -204,16 +209,16 @@ def run_rounds(state: RoundState, corpus: RegionTable, split: DatasetSplit, out_
     records = []
     for _ in range(config.rounds):
         round_index = state.round_index
-        record = run_discovery_round(state, corpus, split)
+        record = run_discovery_round(state)
         records.append(record)
         if out_path is not None:
             round_dir = out_path / f"round_{round_index}"
-            round_dir.mkdir(exist_ok=True)
+            round_dir.mkdir()
             mem.save_checkpoint(round_dir / "checkpoint.bin")
             with open(round_dir / "consolidation.log", "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(record.as_dict(), sort_keys=True) + "\n")
+                fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
 
-    assignments = final_assignments(mem, corpus)
+    assignments = final_assignments(mem)
     assigned_labels = sorted({v for v in assignments.values() if v != UNASSIGNED})
     totals = {
         "rounds": config.rounds,

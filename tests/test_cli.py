@@ -26,6 +26,8 @@ from dualmem.synth import SynthSpec, save_spec
 
 from conftest import GtBox, gt_table_of, make_region
 
+SUBCOMMANDS = ("gen", "background", "discover", "eval", "baseline")
+
 
 @pytest.fixture()
 def spec_file(tmp_path):
@@ -89,13 +91,35 @@ class TestGen:
         for name in ("corpus.jsonl", "gt.jsonl", "priors.jsonl"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_refuses_nonempty_dir_without_force(self, tmp_path, spec_file, capsys):
+    def test_refuses_nonempty_dir_without_force(self, tmp_path, spec_file):
         out = tmp_path / "busy"
         out.mkdir()
         (out / "junk.txt").write_text("hello")
         assert main(["gen", "--spec", str(spec_file), "--out", str(out)]) == 1
-        assert "--force" in capsys.readouterr().err
-        assert main(["gen", "--spec", str(spec_file), "--out", str(out), "--force"]) == 0
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_every_subcommand_refuses_a_nonempty_directory_before_any_output(tmp_path, spec_file, full_run, subcommand,
+                                                                          capsys):
+    generated, bg_dir, run_dir, config_path = full_run
+    corpus = str(generated / "corpus.jsonl")
+    argv = {
+        "gen": ["gen", "--spec", str(spec_file)],
+        "background": ["background", "--corpus", corpus],
+        "discover": ["discover", "--corpus", corpus, "--bg", str(bg_dir / "bg.bin"), "--config", str(config_path),
+                     "--priors", str(generated / "priors.jsonl")],
+        "eval": ["eval", "--corpus", corpus, "--assignments", str(run_dir / "assignments.tsv"),
+                 "--gt", str(generated / "gt.jsonl")],
+        "baseline": ["baseline", "--corpus", corpus, "--stats", str(run_dir / "stats.txt")],
+    }[subcommand]
+    out = tmp_path / "busy"
+    out.mkdir()
+    (out / "junk.txt").write_text("hello")
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: output directory '{out}' is not empty\n"
+    assert [path.name for path in out.iterdir()] == ["junk.txt"]
+    assert main(argv + ["--out", str(tmp_path / "fresh")]) == 0  # the same command line into a new directory
 
 
 class TestBackground:
@@ -902,6 +926,7 @@ class TestEveryOptionChangesTheRun:
         assert unread == {name: [] for name in subcommands}
 
     VALID = {
+        "gen": ["gen", "--spec", "spec.txt"],
         "background": ["background", "--corpus", "corpus.jsonl"],
         "discover": ["discover", "--corpus", "corpus.jsonl", "--bg", "bg.bin", "--config", "config.txt"],
         "eval": ["eval", "--corpus", "corpus.jsonl", "--assignments", "assignments.tsv", "--gt", "gt.jsonl"],
@@ -914,7 +939,9 @@ class TestEveryOptionChangesTheRun:
         ("eval", ["--config", "config.txt"]),
         ("baseline", ["--config", "config.txt"]),
         ("discover", ["--seed", "3"]),
-    ], ids=["background-seed", "eval-seed", "eval-config", "baseline-config", "discover-seed"])
+        *[(subcommand, ["--force"]) for subcommand in SUBCOMMANDS],
+    ], ids=["background-seed", "eval-seed", "eval-config", "baseline-config", "discover-seed",
+            *[f"{subcommand}-force" for subcommand in SUBCOMMANDS]])
     def test_a_removed_option_is_a_usage_error(self, tmp_path, subcommand, option, capsys):
         out = tmp_path / "out"
         argv = self.VALID[subcommand] + ["--out", str(out)]

@@ -14,6 +14,7 @@ from dualmem.pipeline import (
     run_discovery_round,
 )
 from dualmem.records import BoundingBox
+from dualmem.stats import MomentAccumulator
 from dualmem.synth import SynthSpec, generate
 
 from conftest import GtBox, batches_of, gt_table_of, identity_bg, make_region, records_of, table_of
@@ -78,6 +79,20 @@ class TestBackgroundEstimation:
         chunked = estimate_background(corpus, config, workers=3)
         assert np.linalg.norm(serial.mean - chunked.mean) < 1e-9
         assert np.linalg.norm(serial.covariance - chunked.covariance) < 1e-9
+
+    def test_parts_beyond_the_image_count_are_not_visited(self, monkeypatch):
+        """A part past the last image is empty; skipping it leaves every byte of the moments as they were."""
+        corpus = toy_corpus()
+        config = Config(d=4)
+        one_part_each = estimate_background(corpus, config, workers=len(corpus.image_ids))
+        batches = []
+        add_batch = MomentAccumulator.add_batch
+        monkeypatch.setattr(MomentAccumulator, "add_batch", lambda acc, xs: batches.append(len(xs)) or add_batch(acc, xs))
+        many = estimate_background(corpus, config, workers=10**5)
+        assert len(batches) == len(corpus.image_ids) and 0 not in batches
+        assert many.mean.tobytes() == one_part_each.mean.tobytes()
+        assert many.covariance.tobytes() == one_part_each.covariance.tobytes()
+        assert many.count == one_part_each.count
 
 
 class TestPriors:
@@ -150,8 +165,9 @@ class TestRound:
     def test_empty_corpus_round(self):
         config = Config(d=4, init_mode="null", min_images_per_slot=1)
         mem = DualMemory.initialize(identity_bg(4), config, None)
-        state = RoundState(round_index=1, mem=mem)
-        record = run_discovery_round(state, table_of([], 4), DatasetSplit(d1=[], d2=[]))
+        mem.attach(table_of([], 4))
+        state = RoundState(round_index=1, mem=mem, split=DatasetSplit(d1=[], d2=[]))
+        record = run_discovery_round(state)
         assert state.round_index == 2
         assert state.active == "d2"
         assert record.slots_transferred == 0
@@ -161,9 +177,9 @@ class TestRound:
         config = Config(d=4, init_mode="null", min_images_per_slot=2, rng_seed=5)
         bg = estimate_background(corpus, config)
         mem = DualMemory.initialize(bg, config, None)
-        split = toy_split()
-        state = RoundState(round_index=1, mem=mem)
-        record = run_discovery_round(state, corpus, split)
+        mem.attach(corpus)
+        state = RoundState(round_index=1, mem=mem, split=toy_split())
+        record = run_discovery_round(state)
         assert record.slots_transferred >= 1
         novel_slots = [s for s in mem.semantic if any(r.startswith("nv") for r in s.members)]
         assert novel_slots and novel_slots[0].label.startswith("disc_1_")
@@ -177,8 +193,9 @@ class TestRound:
         config = Config(d=4, init_mode="null", min_images_per_slot=2, rng_seed=5)
         bg = estimate_background(corpus, config)
         mem = DualMemory.initialize(bg, config, None)
-        state = RoundState(round_index=1, mem=mem)
-        run_discovery_round(state, corpus, toy_split())
+        mem.attach(corpus)
+        state = RoundState(round_index=1, mem=mem, split=toy_split())
+        run_discovery_round(state)
         assert mem.working == []
 
     def test_counters_consistent(self):
@@ -186,11 +203,17 @@ class TestRound:
         config = Config(d=4, init_mode="null", min_images_per_slot=2, rng_seed=5)
         bg = estimate_background(corpus, config)
         mem = DualMemory.initialize(bg, config, None)
-        state = RoundState(round_index=1, mem=mem)
-        run_discovery_round(state, corpus, toy_split())
+        mem.attach(corpus)
+        state = RoundState(round_index=1, mem=mem, split=toy_split())
+        run_discovery_round(state)
         c = state.rounds[1]
         accepted = c.known_match + c.working_match + c.new_slot
         assert accepted + c.rejected == c.regions
+
+    def test_a_state_needs_an_attached_memory(self):
+        mem = DualMemory.initialize(identity_bg(4), Config(d=4, init_mode="null"), None)
+        with pytest.raises(ValueError, match="^a round state needs a memory attached to a corpus$"):
+            RoundState(round_index=1, mem=mem, split=DatasetSplit(d1=[], d2=[]))
 
 
 class TestRunDiscovery:
@@ -246,17 +269,27 @@ class TestRunDiscovery:
         for name in ("assignments.tsv", "stats.txt", "config.txt"):
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
+    def test_a_second_run_into_the_same_directory_fails_loudly(self, synth_run, tmp_path):
+        """Rounds of two runs never share a directory: the second run stops at its first round directory."""
+        spec, paths, config, corpus, bg = synth_run
+        priors = build_priors(config, detections=_prior_records(paths))
+        run_discovery(corpus, bg, config, priors, out_dir=tmp_path / "run")
+        three_rounds = Config(d=8, min_images_per_slot=3, rounds=3, rng_seed=11)
+        with pytest.raises(FileExistsError):
+            run_discovery(corpus, bg, three_rounds, priors, out_dir=tmp_path / "run")
+        assert sorted(path.name for path in (tmp_path / "run").glob("round_*")) == ["round_1", "round_2"]
+
     def test_checkpoint_reload_continues_identically(self, synth_run, tmp_path):
         """Round 1's checkpoint, resumed for the remaining rounds, ends where the straight run ends."""
         spec, paths, config, corpus, bg = synth_run
         priors = build_priors(config, detections=_prior_records(paths))
         straight = run_discovery(corpus, bg, config, priors, out_dir=tmp_path / "run")
         reloaded = DualMemory.load_checkpoint(tmp_path / "run" / "round_1" / "checkpoint.bin", config)
-        state = RoundState(2, reloaded)
-        split = split_dataset(list(corpus.image_ids), config.rng_seed)
+        reloaded.attach(corpus)
+        state = RoundState(2, reloaded, split_dataset(list(corpus.image_ids), config.rng_seed))
         while state.round_index <= config.rounds:
-            run_discovery_round(state, corpus, split)
-        assert final_assignments(reloaded, corpus) == straight.assignments
+            run_discovery_round(state)
+        assert final_assignments(reloaded) == straight.assignments
         assert reloaded.rejected_count == straight.mem.rejected_count
         assert [(s.slot_id, s.label, s.members) for s in reloaded.semantic] == [
             (s.slot_id, s.label, s.members) for s in straight.mem.semantic
