@@ -142,6 +142,16 @@ class TestMerge:
         np.testing.assert_allclose(slot.centroid, all_feats.mean(axis=0), atol=1e-12)
         assert slot.slot_id == 0
 
+    def test_an_affinity_equal_to_the_threshold_links_nothing(self):
+        """Merge links a pair only when its affinity exceeds merge_edge_threshold, not when it equals it."""
+        groups = [[np.array([10.0, 0.0])], [np.array([9.0, 1.0])]]
+        edge = slot_affinity(memory_with_slots(groups))[0, 1]
+        for threshold, slots_after in ((edge, 2), (np.nextafter(edge, -np.inf), 1)):
+            mem = memory_with_slots(
+                groups, consolidation_mode="merge", merge_edge_threshold=float(threshold), min_images_per_slot=1
+            )
+            assert consolidate(mem).slots_after_merge == slots_after
+
     def test_chain_merges_transitively(self):
         mem = memory_with_slots(
             [[np.array([9.0, 0.0])], [np.array([10.0, 0.0])], [np.array([11.0, 0.0])]]
@@ -235,6 +245,16 @@ class TestRefine:
             clf = classifiers[slot.slot_id]
             scores = [clf.score(mem.corpus.features[row]) for row in slot.rows]
             assert min(scores) >= 0.0
+
+    def test_a_member_scoring_exactly_zero_is_kept(self, monkeypatch):
+        """Refine keeps a member whose score is >= 0: offsets that cancel each member's product exactly."""
+        white = np.array([[1.0, 1.0]])
+        for offset, dropped, rows in ((-2.0, 0, [[0, 1]]), (np.nextafter(-2.0, -np.inf), 2, [])):
+            mem = memory_with_slots([[np.array([2.0, 0.0]), np.array([0.0, 2.0])]])
+            assert (mem.white[mem.working[0].rows] @ white[0]).tolist() == [2.0, 2.0]
+            monkeypatch.setattr(dualmem.consolidation, "slot_scores", lambda mem, o=offset: (white, np.array([o])))
+            assert refine_slots(mem) == dropped
+            assert [s.rows for s in mem.working] == rows
 
     def test_fully_negative_slot_deleted(self):
         mem = memory_with_slots([[np.array([0.0, 0.01])]])

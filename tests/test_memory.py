@@ -332,6 +332,20 @@ class TestProcessImage:
         assert len(mem.working) == 1
 
 
+class TestMine:
+    def test_a_score_equal_to_tau_semantic_is_accepted(self):
+        """Mining accepts a row whose best score is >= tau_semantic: on the threshold it joins, one ulp below it not."""
+        mem = make_memory(priors=two_class_priors(), tau_semantic=-1e9)
+        (row,) = attach(mem, [make_region("r0", "i0", [3.0, 1.0, 0.5, -0.25])])[0]
+        decision = mem.retrieve(mem.corpus.features[row], mem.white[row])
+        assert decision.kind is DecisionKind.KNOWN_MATCH
+        slot = mem.semantic[decision.slot_id]
+        mem.config.tau_semantic = float(np.nextafter(decision.score, np.inf))
+        assert not mem.mine_region(row) and slot.count == 4
+        mem.config.tau_semantic = decision.score
+        assert mem.mine_region(row) and slot.count == 5
+
+
 class TestInvariants:
     def test_centroids_equal_member_means_after_stream(self):
         rng = np.random.default_rng(0)

@@ -15,7 +15,7 @@ from dualmem.pipeline import (
 )
 from dualmem.records import BoundingBox
 from dualmem.stats import MomentAccumulator
-from dualmem.synth import SynthSpec, generate
+from dualmem.synth import KNOWN_PRIOR_SCORE, SynthSpec, generate
 
 from conftest import GtBox, batches_of, gt_table_of, identity_bg, make_region, records_of, table_of
 
@@ -109,6 +109,14 @@ class TestPriors:
         priors = build_priors(config, detections=table_of(records))
         assert list(priors) == ["cat"]
         assert [r.region_id for r in records_of(priors["cat"])] == ["p0"]
+
+    def test_det_scores_excludes_a_score_equal_to_the_threshold(self):
+        """A detection is a prior only when its score exceeds semantic_prior_score, not when it equals it."""
+        detections = table_of([make_region("p0", "i0", [1.0, 0, 0, 0], score=KNOWN_PRIOR_SCORE, gt_label="cat")])
+        at, below = KNOWN_PRIOR_SCORE, float(np.nextafter(KNOWN_PRIOR_SCORE, 0.0))
+        assert build_priors(Config(d=4, init_mode="det_scores", semantic_prior_score=at), detections=detections) == {}
+        priors = build_priors(Config(d=4, init_mode="det_scores", semantic_prior_score=below), detections=detections)
+        assert list(priors) == ["cat"]
 
     def test_det_scores_requires_file(self):
         with pytest.raises(ValueError, match="prior detections"):
