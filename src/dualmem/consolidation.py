@@ -6,8 +6,8 @@ merged slot's own discriminant rejects, and transfers the survivors as new
 semantic categories. Both steps score in whitened space, as semantic memory
 does (see ``stats``), so no classifier is trained; the classifier path is kept
 as the tests' oracle. Merge and refine recompute centroids from the features of
-each slot's member rows in the memory's corpus; a transferred slot keeps its
-members' region ids. Working memory is reset afterwards in every mode.
+each slot's member rows in the memory's corpus; a transferred slot keeps those
+rows. Working memory is reset afterwards in every mode.
 """
 
 from __future__ import annotations
@@ -158,17 +158,12 @@ def consolidate(mem: DualMemory, round_index: int = 1) -> ConsolidationRecord:
     if mode == "merge_refine" and mem.working:
         samples_dropped = refine_slots(mem)
 
-    corpus = mem.corpus
-    kept = [
-        slot for slot in mem.working
-        if len(set(corpus.row_image[slot.rows].tolist())) >= mem.config.min_images_per_slot
-    ]
+    row_image = mem.corpus.row_image
+    kept = [slot for slot in mem.working if len(set(row_image[slot.rows].tolist())) >= mem.config.min_images_per_slot]
     dropped_small = len(mem.working) - len(kept)
     whites = whiten(np.reshape([slot.centroid for slot in kept], (-1, mem.bg.d)), mem.bg)
     for sequence, (slot, white) in enumerate(zip(kept, whites)):
-        label = f"disc_{round_index}_{sequence}"
-        members = [corpus.region_ids[row] for row in slot.rows]
-        mem.semantic.append(SemanticSlot(slot.slot_id, label, white, mem.bg, members))
+        mem.semantic.append(SemanticSlot(slot.slot_id, f"disc_{round_index}_{sequence}", white, mem.bg, slot.rows))
     mem.semantic.sort(key=lambda s: s.slot_id)
     mem.working = []
     mem.rebuild_caches()

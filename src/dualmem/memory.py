@@ -1,13 +1,13 @@
 """The dual memory: classifier slots for known concepts, centroid slots for candidates.
 
-The memory streams rows of the corpus table it is attached to, whitened once on
-attach (see ``stats``). A semantic slot keeps one state, its whitened mean, moved
-in O(d) per absorbed region; its raw mean and classifier are derived on request,
-and its members are region ids. Working slots are cumulative-moving-average
-centroids matched by cosine; their members are corpus rows, whose features
-consolidation gathers. A slot's count is its number of members. Retrieval is a
-pure decision; applying a decision is the only mutation path. Checkpoints are
-taken between rounds, when working memory is empty, and hold the semantic slots.
+A memory is built on one corpus table, whitened once in the constructor (see
+``stats``), so a row names the same region for the memory's whole life. Every
+slot's members are corpus rows, kept with multiplicity. A semantic slot keeps one
+state, its whitened mean, moved in O(d) per absorbed row; its raw mean and
+classifier are derived on request, and its count adds ``external`` prior members
+that the corpus lacks. Working slots are cumulative-moving-average centroids
+matched by cosine. Retrieval is a pure decision; applying a decision is the only
+mutation path. Checkpoints are taken between rounds and hold the semantic slots.
 
 The per-region path (``retrieve``, ``apply_decision``, ``process_image``,
 ``mine_region``) is written for few numpy calls per region, under one contract:
@@ -26,6 +26,7 @@ region, by up to 2e-14, so a decision near a threshold could flip.
 from __future__ import annotations
 
 import enum
+import hashlib
 import itertools
 import logging
 import math
@@ -43,7 +44,7 @@ from .stats import BackgroundStats, LinearClassifier, _expect_end, _read_exact, 
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"DMCK"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 _U32 = struct.Struct("<I")
 
 
@@ -67,17 +68,18 @@ class RetrievalDecision:
 
 @dataclass(eq=False)
 class SemanticSlot:
-    """A known or discovered category: the whitened mean of its members' features, and their ids."""
+    """A known or discovered category: its members' whitened mean, their corpus rows, and its external members."""
 
     slot_id: int
     label: str
     white: np.ndarray
     bg: BackgroundStats = field(repr=False)
-    members: list[str] = field(default_factory=list)
+    rows: list[int]
+    external: int = 0
 
     @property
     def count(self) -> int:
-        return len(self.members)
+        return len(self.rows) + self.external
 
     @property
     def mean(self) -> np.ndarray:
@@ -116,17 +118,17 @@ class DualMemory:
     working rows are preallocated to ``slot_cap``, the first ``len(working)`` live.
     """
 
-    def __init__(self, bg: BackgroundStats, config: Config):
+    def __init__(self, bg: BackgroundStats, config: Config, corpus: RegionTable):
         if bg.d != config.d:
             raise ValueError(f"background dimension {bg.d} != configured dimension {config.d}")
         self.bg = bg
         self.config = config
+        self.corpus = corpus
+        self.white = whiten(corpus.features, bg)
         self.semantic: list[SemanticSlot] = []
         self.working: list[WorkingSlot] = []
         self.next_slot_id = 0
         self.rejected_count = 0
-        self.corpus: RegionTable | None = None
-        self.white: np.ndarray | None = None
         self.rebuild_caches()
 
     # -- construction -------------------------------------------------------
@@ -136,14 +138,16 @@ class DualMemory:
         cls,
         bg: BackgroundStats,
         config: Config,
+        corpus: RegionTable,
         priors: Mapping[str, RegionTable] | None = None,
     ) -> "DualMemory":
-        """Seed semantic memory with one slot per prior class; working memory starts empty.
+        """A memory on ``corpus`` with one semantic slot per prior class; working memory starts empty.
 
-        ``priors`` maps class label to its prior regions. Classes with no
-        qualifying priors are skipped with a warning.
+        ``priors`` maps class label to its prior regions. A prior's member is the
+        corpus row of its region id, or an external member if the corpus lacks
+        that id. Classes with no qualifying priors are skipped with a warning.
         """
-        mem = cls(bg, config)
+        mem = cls(bg, config, corpus)
         priors = priors or {}
         if len(priors) > config.slot_cap:
             raise ValueError(f"{len(priors)} prior classes exceed the slot cap {config.slot_cap}")
@@ -152,21 +156,14 @@ class DualMemory:
         labels = sorted(label for label, regions in priors.items() if len(regions))
         means = [priors[label].features.mean(axis=0) for label in labels]
         whites = whiten(np.stack(means), bg) if means else []
+        row_of = {region_id: row for row, region_id in enumerate(corpus.region_ids)}
         for slot_id, (label, white) in enumerate(zip(labels, whites)):
-            mem.semantic.append(SemanticSlot(slot_id, label, white, bg, list(priors[label].region_ids)))
+            ids = priors[label].region_ids
+            rows = [row_of[region_id] for region_id in ids if region_id in row_of]
+            mem.semantic.append(SemanticSlot(slot_id, label, white, bg, rows, len(ids) - len(rows)))
         mem.next_slot_id = len(mem.semantic)
         mem.rebuild_caches()
         return mem
-
-    def attach(self, corpus: RegionTable) -> None:
-        """Stream rows of ``corpus`` from now on; a new table is whitened once, into ``self.white``.
-
-        Working members are rows of the attached corpus, so it can change only while working memory is empty.
-        """
-        if corpus is not self.corpus:
-            if self.working:
-                raise ValueError(f"cannot attach a new corpus with {len(self.working)} working slots")
-            self.corpus, self.white = corpus, whiten(corpus.features, self.bg)
 
     @property
     def total_slots(self) -> int:
@@ -235,12 +232,12 @@ class DualMemory:
     def _absorb_semantic(self, index: int, row: int) -> None:
         """Move semantic slot ``index``'s whitened mean and score row to take in corpus row ``row``."""
         slot = self.semantic[index]
-        n = len(slot.members) + 1
+        n = slot.count + 1
         white = self.white[row] - slot.white
         white /= n
         white += slot.white
         slot.white = white
-        slot.members.append(self.corpus.region_ids[row])
+        slot.rows.append(row)
         self._sem_white[index] = white
         self._sem_offset[index] = np.log(n / self.bg.count) - 0.5 * white.dot(white)
 
@@ -308,26 +305,27 @@ class DualMemory:
         """Binary dump sufficient to reproduce every subsequent decision and score, bit for bit.
 
         Only an empty working memory can be saved: checkpoints are taken between
-        rounds, after consolidation, so they hold no member features.
+        rounds, after consolidation, so they hold no member features. Members are
+        stored as corpus rows, next to a digest of the corpus's region ids.
         """
         if self.working:
             raise ValueError(f"cannot checkpoint with {len(self.working)} working slots; consolidate first")
         with open(path, "wb") as fh:
             fh.write(struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, self.config.d))
-            fh.write(bytes.fromhex(config_hash(self.config)))
+            fh.write(bytes.fromhex(config_hash(self.config)) + _corpus_digest(self.corpus))
             fh.write(struct.pack("<QQ", self.next_slot_id, self.rejected_count))
             self.bg.write_moments(fh)
             parts = [_U32.pack(len(self.semantic))]
             for slot in self.semantic:
                 parts.append(struct.pack("<Q", slot.slot_id))
                 parts += _str_parts([slot.label])
-                parts += (slot.white.astype("<f8").tobytes(), _U32.pack(len(slot.members)))
-                parts += _str_parts(slot.members)
+                parts += (slot.white.astype("<f8").tobytes(), struct.pack("<II", slot.external, len(slot.rows)))
+                parts.append(np.array(slot.rows, dtype="<u4").tobytes())
             fh.write(b"".join(parts))
 
     @classmethod
-    def load_checkpoint(cls, path: str | Path, config: Config) -> "DualMemory":
-        """The memory a checkpoint holds; every error is a ValueError that starts with the file name."""
+    def load_checkpoint(cls, path: str | Path, config: Config, corpus: RegionTable) -> "DualMemory":
+        """The memory a checkpoint holds, on ``corpus``; each error is a ValueError that starts with the file name."""
         with open(path, "rb") as fh:
             magic, version, d = struct.unpack("<4sII", _read_exact(fh, 12, "header"))
             if magic != CHECKPOINT_MAGIC:
@@ -339,8 +337,10 @@ class DualMemory:
                 raise ValueError(f"{path}: checkpoint was written under a different configuration")
             if d != config.d:
                 raise ValueError(f"{path}: checkpoint dimension {d} != configured dimension {config.d}")
+            if _read_exact(fh, 32, "corpus digest") != _corpus_digest(corpus):
+                raise ValueError(f"{path}: checkpoint was written for a different corpus")
             next_slot_id, rejected = struct.unpack("<QQ", _read_exact(fh, 16, "counters"))
-            mem = cls(BackgroundStats.read_moments(fh, d), config)
+            mem = cls(BackgroundStats.read_moments(fh, d), config, corpus)
             mem.next_slot_id, mem.rejected_count = next_slot_id, rejected
             (n_sem,) = struct.unpack("<I", _read_exact(fh, 4, "semantic slot count"))
             last = -1
@@ -351,18 +351,25 @@ class DualMemory:
                 last = slot_id
                 label = _read_str(fh)
                 white = _read_floats(fh, d, "slot whitened mean")
-                (n_members,) = struct.unpack("<I", _read_exact(fh, 4, "member count"))
-                members = [_read_str(fh) for _ in range(n_members)]
-                if not members:
+                external, n_rows = struct.unpack("<II", _read_exact(fh, 8, "member counts"))
+                rows = np.frombuffer(_read_exact(fh, 4 * n_rows, "member rows"), dtype="<u4")
+                if not n_rows + external:
                     raise ValueError(f"{path}: semantic slot {slot_id} has no members")
+                if n_rows and rows.max() >= len(corpus):
+                    raise ValueError(f"{path}: semantic slot {slot_id} has row {rows.max()} of {len(corpus)} rows")
                 # |m|^2 is finite only if every entry is and none overflows; a signalling NaN sets "invalid".
                 with np.errstate(over="ignore", invalid="ignore"):
                     if not np.isfinite(white @ white):
                         raise ValueError(f"{path}: semantic slot {slot_id} has a mean that cannot be scored")
-                mem.semantic.append(SemanticSlot(slot_id, label, white, mem.bg, members))
+                mem.semantic.append(SemanticSlot(slot_id, label, white, mem.bg, rows.tolist(), external))
             _expect_end(fh)
         mem.rebuild_caches()
         return mem
+
+
+def _corpus_digest(corpus: RegionTable) -> bytes:
+    """The sha256 of the corpus's region ids in their stored form: a checkpoint's rows are rows of this corpus."""
+    return hashlib.sha256(b"".join(_str_parts(corpus.region_ids))).digest()
 
 
 def _str_parts(values: list[str]) -> Iterator[bytes]:

@@ -44,16 +44,12 @@ class RoundCounts:
 
 @dataclass
 class RoundState:
-    """Cursor of the never-ending loop: the memory, attached to its corpus; that corpus's split; each round's counts."""
+    """Cursor of the never-ending loop: the memory, built on its corpus; that corpus's split; each round's counts."""
 
     round_index: int
     mem: DualMemory
     split: DatasetSplit
     rounds: dict[int, RoundCounts] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.mem.corpus is None:
-            raise ValueError("a round state needs a memory attached to a corpus")
 
     @property
     def active(self) -> str:
@@ -164,26 +160,24 @@ def run_discovery_round(state: RoundState) -> ConsolidationRecord:
 
 
 def final_assignments(mem: DualMemory) -> dict[str, str]:
-    """Label every region of the attached corpus from the final semantic member registries.
+    """Label every region of the memory's corpus from the final semantic slots' member rows.
 
-    A region claimed by several slots keeps the oldest (lowest slot_id) one;
-    everything else is unassigned.
+    A row claimed by several slots keeps the oldest (lowest slot_id) one, since
+    slots are visited newest first; everything else is unassigned.
     """
-    claimed: dict[str, str] = {}
-    for slot in mem.semantic:
-        for region_id in slot.members:
-            claimed.setdefault(region_id, slot.label)
-    return {region_id: claimed.get(region_id, UNASSIGNED) for region_id in mem.corpus.region_ids}
+    labels = [UNASSIGNED] * len(mem.corpus)
+    for slot in reversed(mem.semantic):
+        for row in slot.rows:
+            labels[row] = slot.label
+    return dict(zip(mem.corpus.region_ids, labels))
 
 
 def start_discovery(
     corpus: RegionTable, bg: BackgroundStats, config: Config, priors: Mapping[str, RegionTable] | None = None
 ) -> RoundState:
-    """Round 1's state, its memory seeded from ``priors`` and attached to ``corpus``: every check of a run's inputs."""
+    """Round 1's state, its memory built on ``corpus`` and seeded from ``priors``: every check of a run's inputs."""
     split = split_dataset(list(corpus.image_ids), config.rng_seed)
-    mem = DualMemory.initialize(bg, config, priors)
-    mem.attach(corpus)
-    return RoundState(1, mem, split)
+    return RoundState(1, DualMemory.initialize(bg, config, corpus, priors), split)
 
 
 def run_discovery(
@@ -203,6 +197,7 @@ def run_rounds(state: RoundState, out_dir: str | Path | None) -> DiscoveryRun:
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
+        (out_path / "config.txt").touch(exist_ok=False)  # a directory that holds a run is refused before any write
         save_config(config, out_path / "config.txt")
         mem.bg.save(out_path / "bg.bin")
 

@@ -198,8 +198,7 @@ def test_criterion_3_engine_invariants(tmp_path):
     starts = corpus.image_starts.tolist()
     batches = [range(start, end) for start, end in zip(starts, starts[1:])]
 
-    mem = DualMemory.initialize(bg, config, priors)
-    mem.attach(corpus)
+    mem = DualMemory.initialize(bg, config, corpus, priors)
     for batch in batches:
         mem.process_image(batch)
 
@@ -216,8 +215,7 @@ def test_criterion_3_engine_invariants(tmp_path):
         for s in mem.semantic
     )
 
-    capped = DualMemory.initialize(bg, Config(d=16, rng_seed=2, slot_cap=10), priors)
-    capped.attach(corpus)
+    capped = DualMemory.initialize(bg, Config(d=16, rng_seed=2, slot_cap=10), corpus, priors)
     rejected_decisions = 0
     cap_ok = True
     for i, batch in enumerate(batches):
@@ -281,7 +279,7 @@ def test_criterion_4_consolidation_contracts():
             min_images_per_slot=2,
         )
         consolidate(m, round_index=1)
-        return [(s.label, s.mean.tobytes(), s.count, tuple(s.members)) for s in m.semantic]
+        return [(s.label, s.mean.tobytes(), s.count, tuple(s.rows)) for s in m.semantic]
 
     naive_equals_merge = edgeless("naive") == edgeless("merge")
 

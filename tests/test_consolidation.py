@@ -35,10 +35,10 @@ def memory_with_slots(slot_features, d=2, bg_count=100, image_per_region=True, *
     """
     config_kwargs.setdefault("init_mode", "null")
     config = Config(d=d, **config_kwargs)
-    mem = DualMemory.initialize(identity_bg(d, count=bg_count), config, None)
     features = [f for group in slot_features for f in group]
     images = [f"img{rid}" if image_per_region else "img0" for rid in range(len(features))]
-    mem.attach(table_of([make_region(f"r{rid}", images[rid], f) for rid, f in enumerate(features)], d))
+    corpus = table_of([make_region(f"r{rid}", images[rid], f) for rid, f in enumerate(features)], d)
+    mem = DualMemory.initialize(identity_bg(d, count=bg_count), config, corpus, None)
     rid = 0
     for group in slot_features:
         mem.config.tau_working = 2.0  # unreachable: force a fresh slot for the seed
@@ -102,6 +102,16 @@ class TestAffinityGraph:
         self_score = classifiers[i].score(f)
         assert weight == pytest.approx(self_score, rel=1e-12)
         assert weight > 0
+
+    def test_an_affinity_equal_to_the_threshold_is_no_edge(self):
+        """The oracle, like merge, links a pair only when its affinity exceeds merge_edge_threshold."""
+        mem = memory_with_slots([[np.array([10.0, 0.0])], [np.array([9.0, 1.0])]], merge_edge_threshold=-1e9)
+        classifiers = train_slot_classifiers(mem)
+        ((_, _, weight),) = build_affinity_graph(mem, classifiers).edges
+        mem.config.merge_edge_threshold = weight
+        assert build_affinity_graph(mem, classifiers).edges == []
+        mem.config.merge_edge_threshold = float(np.nextafter(weight, -np.inf))
+        assert len(build_affinity_graph(mem, classifiers).edges) == 1
 
     def test_weights_symmetric_by_construction(self):
         mem = memory_with_slots(
@@ -314,7 +324,7 @@ class TestConsolidate:
             np.testing.assert_array_equal(a.mean, b.mean)
             np.testing.assert_array_equal(a.classifier.weights, b.classifier.weights)
             assert a.classifier.bias == b.classifier.bias
-            assert a.members == b.members
+            assert a.rows == b.rows
 
     def test_all_modes_empty_working_memory(self):
         for mode in ("naive", "merge", "merge_refine"):
@@ -338,7 +348,7 @@ class TestConsolidate:
             ]
             mem = memory_with_slots(groups, consolidation_mode="merge_refine", min_images_per_slot=1)
             consolidate(mem, round_index=1)
-            return [(s.label, s.mean.tobytes(), tuple(s.members)) for s in mem.semantic]
+            return [(s.label, s.mean.tobytes(), tuple(s.rows)) for s in mem.semantic]
 
         assert run() == run()
 
@@ -368,8 +378,7 @@ def random_working_memory(seed, d, k, threshold):
     # Set after construction: a config file refuses the +-inf thresholds that pin "link no pair" and
     # "link every pair", but consolidation reads the field as it is.
     config.merge_edge_threshold = threshold
-    mem = DualMemory(bg, config)
-    mem.attach(table_of([make_region(f"r{i}", f"img{i}", f) for i, f in enumerate(features)], d))
+    mem = DualMemory(bg, config, table_of([make_region(f"r{i}", f"img{i}", f) for i, f in enumerate(features)], d))
     starts = np.concatenate([[0], np.cumsum(sizes)]).tolist()
     for slot_id, (start, end) in enumerate(zip(starts, starts[1:])):
         rows = list(range(start, end))
@@ -490,8 +499,7 @@ def reference_consolidate(mem, round_index=1):
     whites = whiten(np.reshape([slot.centroid for slot in kept], (-1, mem.bg.d)), mem.bg)
     for sequence, (slot, white) in enumerate(zip(kept, whites)):
         label = f"disc_{round_index}_{sequence}"
-        members = [corpus.region_ids[row] for row in slot.rows]
-        mem.semantic.append(SemanticSlot(slot.slot_id, label, white, mem.bg, members))
+        mem.semantic.append(SemanticSlot(slot.slot_id, label, white, mem.bg, slot.rows))
     mem.semantic.sort(key=lambda s: s.slot_id)
     mem.working = []
     mem.rebuild_caches()
@@ -512,8 +520,8 @@ def working_bits(mem):
 
 
 def semantic_bits(mem):
-    """Each semantic slot's id, label, whitened-mean bytes and members, and the stacked score rows."""
-    slots = [(s.slot_id, s.label, s.white.tobytes(), list(s.members)) for s in mem.semantic]
+    """Each semantic slot's id, label, whitened-mean bytes and member rows, and the stacked score rows."""
+    slots = [(s.slot_id, s.label, s.white.tobytes(), list(s.rows)) for s in mem.semantic]
     return slots, mem._sem_white.tobytes(), mem._sem_offset.tobytes()
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -13,22 +14,28 @@ from dualmem.stats import BackgroundStats, train_lda
 from conftest import identity_bg, make_region, table_of
 
 
-def make_memory(d=4, priors=None, bg_count=1000, **config_kwargs):
+def make_memory(d=4, priors=None, bg_count=1000, batches=(), **config_kwargs):
+    """A memory on one table of every batch's regions, in order, followed by the prior regions."""
     config = Config(d=d, init_mode="det_scores" if priors else "null", **config_kwargs)
     tables = {label: table_of(regions) for label, regions in (priors or {}).items()}
-    return DualMemory.initialize(identity_bg(d, count=bg_count), config, tables)
+    regions = [r for batch in batches for r in batch] + [r for regions in (priors or {}).values() for r in regions]
+    return DualMemory.initialize(identity_bg(d, count=bg_count), config, table_of(regions, d), tables)
 
 
-def attach(mem, *batches):
-    """Attach one table of every batch's regions, in order; returns each batch's rows."""
-    mem.attach(table_of([r for batch in batches for r in batch], mem.config.d))
+def batch_rows(*batches):
+    """Each batch's rows in a memory that ``make_memory`` built on these batches."""
     ends = np.cumsum([len(batch) for batch in batches]).tolist()
     return [range(end - len(batch), end) for batch, end in zip(batches, ends)]
 
 
-def process(mem, batch):
-    """Attach the batch's regions and stream them."""
-    return mem.process_image(*attach(mem, batch))
+def process(batch, **memory_kwargs):
+    """A memory built on the batch's regions, and the decisions of streaming them."""
+    mem = make_memory(batches=[batch], **memory_kwargs)
+    return mem, mem.process_image(*batch_rows(batch))
+
+
+def region_ids(mem, rows):
+    return [mem.corpus.region_ids[row] for row in rows]
 
 
 def two_class_priors(d=4, scale=10.0, count=4):
@@ -67,7 +74,7 @@ class TestInit:
         slot = mem.semantic[0]
         np.testing.assert_array_equal(slot.mean, [1.0, 1.0, 0.0, 0.0])
         assert slot.count == 2
-        assert slot.members == ["p0", "p1"]
+        assert region_ids(mem, slot.rows) == ["p0", "p1"]
 
     def test_empty_class_skipped_with_warning(self, caplog):
         priors = {"cat": [], "dog": [make_region("p0", "i0", [1.0, 0, 0, 0])]}
@@ -112,15 +119,13 @@ class TestRetrieve:
         assert decision.score == pytest.approx(expected, rel=1e-10)
 
     def test_working_match_on_close_cosine(self):
-        mem = make_memory()
-        process(mem, [make_region("r0", "i0", [0.0, 0.0, 5.0, 0.0])])
+        mem, _ = process([make_region("r0", "i0", [0.0, 0.0, 5.0, 0.0])])
         decision = mem.retrieve(np.array([0.0, 0.0, 5.0, 0.4]))
         assert decision.kind is DecisionKind.WORKING_MATCH
         assert decision.score > 0.99
 
     def test_below_threshold_creates_slot(self):
-        mem = make_memory()
-        process(mem, [make_region("r0", "i0", [0.0, 0.0, 5.0, 0.0])])
+        mem, _ = process([make_region("r0", "i0", [0.0, 0.0, 5.0, 0.0])])
         decision = mem.retrieve(np.array([0.0, 0.0, 0.0, 5.0]))
         assert decision.kind is DecisionKind.NEW_SLOT
 
@@ -140,20 +145,18 @@ class TestRetrieve:
         assert (len(mem.semantic), len(mem.working)) == before
 
     def test_semantic_precedes_working(self):
-        mem = make_memory(priors=two_class_priors())
-        target = mem.semantic[0].mean
-        process(mem, [make_region("r0", "i0", target * 1.01)])
+        target = make_memory(priors=two_class_priors()).semantic[0].mean
+        mem, _ = process([make_region("r0", "i0", target * 1.01)], priors=two_class_priors())
         decision = mem.retrieve(target)
         assert decision.kind is DecisionKind.KNOWN_MATCH
 
     def test_cap_returns_rejected(self):
-        mem = make_memory(slot_cap=2)
-        process(
-            mem,
+        mem, _ = process(
             [
                 make_region("r0", "i0", [5.0, 0, 0, 0]),
                 make_region("r1", "i0", [0, 5.0, 0, 0]),
-            ]
+            ],
+            slot_cap=2,
         )
         decision = mem.retrieve(np.array([0, 0, 5.0, 0]))
         assert decision.kind is DecisionKind.REJECTED
@@ -168,14 +171,46 @@ class TestRetrieve:
         assert decision.kind is DecisionKind.KNOWN_MATCH
         assert decision.slot_id == mem.semantic[0].slot_id == 0
 
+    def test_a_score_equal_to_tau_semantic_matches(self):
+        """A semantic slot matches at score >= tau_semantic: on the threshold it matches, one ulp below it not."""
+        mem = make_memory(priors=two_class_priors(), tau_semantic=-1e9)
+        f = np.array([3.0, 1.0, 0.5, -0.25])
+        score = mem.retrieve(f).score
+        mem.config.tau_semantic = score
+        assert mem.retrieve(f).kind is DecisionKind.KNOWN_MATCH
+        mem.config.tau_semantic = float(np.nextafter(score, np.inf))
+        assert mem.retrieve(f).kind is DecisionKind.NEW_SLOT
+
+    def test_a_cosine_equal_to_tau_working_matches(self):
+        """A working slot matches at cosine >= tau_working: on the threshold it matches, one ulp below it not."""
+        mem, _ = process([make_region("r0", "i0", [4.0, 0.5, 0, 0])], tau_working=-1.0)
+        f = np.array([3.0, 1.0, 0.5, 0.0])
+        cosine = mem.retrieve(f).score
+        mem.config.tau_working = cosine
+        assert mem.retrieve(f).kind is DecisionKind.WORKING_MATCH
+        mem.config.tau_working = float(np.nextafter(cosine, np.inf))
+        assert mem.retrieve(f).kind is DecisionKind.NEW_SLOT
+
+    def test_a_cosine_rounded_below_minus_one_is_clipped_before_the_argmax(self):
+        """Clipped, a cosine that rounds to just below -1 ties with an exact -1, and the tie goes to the older slot."""
+        f = np.array([1.0, 5.0])
+        regions = [make_region("r0", "i0", -f), make_region("r1", "i1", -3.0 * f)]
+        mem = make_memory(d=2, tau_working=-1.0, batches=[regions])
+        new_slot = mem.retrieve(regions[0].feature)
+        mem.apply_decision(new_slot, 0)
+        mem.apply_decision(new_slot, 1)
+        sims = mem._work_mu[:2].dot(f) / (mem._work_norm[:2] * np.sqrt(f.dot(f)))
+        assert sims[0] < sims[1] == -1.0
+        decision = mem.retrieve(f)
+        assert (decision.kind, decision.slot_id, decision.score) == (DecisionKind.WORKING_MATCH, 0, -1.0)
+
     def test_working_argmax_scale_invariant(self):
-        mem = make_memory(tau_working=0.9)
-        process(
-            mem,
+        mem, _ = process(
             [
                 make_region("r0", "i0", [4.0, 0.5, 0, 0]),
                 make_region("r1", "i0", [0, 0.5, 4.0, 0]),
-            ]
+            ],
+            tau_working=0.9,
         )
         f = np.array([4.1, 0.4, 0, 0])
         base = mem.retrieve(f)
@@ -186,10 +221,9 @@ class TestRetrieve:
 
 class TestApply:
     def test_working_two_point_mean(self):
-        mem = make_memory()
-        (r0, r1) = attach(
-            mem, [make_region("r0", "i0", [0.0, 0.0, 0.0, 0.0001]), make_region("r1", "i0", [2.0, 2.0, 0, 0])]
-        )[0]
+        batch = [make_region("r0", "i0", [0.0, 0.0, 0.0, 0.0001]), make_region("r1", "i0", [2.0, 2.0, 0, 0])]
+        mem = make_memory(batches=[batch])
+        (r0, r1) = batch_rows(batch)[0]
         mem.process_image([r0])
         slot = mem.working[0]
         # Force a working match against the sole slot regardless of cosine.
@@ -199,22 +233,22 @@ class TestApply:
         mem.apply_decision(decision, r1)
         np.testing.assert_allclose(slot.centroid, [1.0, 1.0, 0, 0.00005], rtol=0, atol=1e-12)
         assert slot.count == 2
-        assert [mem.corpus.region_ids[row] for row in slot.rows] == ["r0", "r1"]
+        assert region_ids(mem, slot.rows) == ["r0", "r1"]
 
     def test_new_slot_seeds_centroid(self):
-        mem = make_memory()
-        process(mem, [make_region("r0", "i0", [3.0, 4.0, 0, 0])])
+        mem, _ = process([make_region("r0", "i0", [3.0, 4.0, 0, 0])])
         slot = mem.working[0]
         np.testing.assert_array_equal(slot.centroid, [3.0, 4.0, 0, 0])
-        assert slot.count == 1 and [mem.corpus.region_ids[row] for row in slot.rows] == ["r0"]
+        assert slot.count == 1 and region_ids(mem, slot.rows) == ["r0"]
 
     def test_semantic_update_with_recompute_oracle(self):
         priors = {"cat": [make_region(f"p{j}", f"i{j}", [1.0, 0, 0, 0]) for j in range(3)]}
-        mem = make_memory(priors=priors, bg_count=10)
+        batch = [make_region("r0", "i9", [5.0, 0, 0, 0])]
+        mem = make_memory(priors=priors, bg_count=10, batches=[batch])
         slot = mem.semantic[0]
         decision = mem.retrieve(np.array([5.0, 0, 0, 0]))
         assert decision.kind is DecisionKind.KNOWN_MATCH
-        (row,) = attach(mem, [make_region("r0", "i9", [5.0, 0, 0, 0])])[0]
+        (row,) = batch_rows(batch)[0]
         mem.apply_decision(decision, row)
         np.testing.assert_allclose(slot.mean, [2.0, 0, 0, 0], rtol=0, atol=1e-12)
         assert slot.count == 4
@@ -224,10 +258,10 @@ class TestApply:
 
     def test_new_slot_past_the_preallocated_rows(self):
         """A NEW_SLOT decision applied twice at the cap grows the rows; retrieval reads both slots."""
-        mem = make_memory(slot_cap=1)
-        decision = mem.retrieve(np.array([5.0, 0, 0, 0]))
         regions = [make_region("r0", "i0", [5.0, 0, 0, 0]), make_region("r1", "i0", [0, 5.0, 0, 0])]
-        (r0, r1) = attach(mem, regions)[0]
+        mem = make_memory(slot_cap=1, batches=[regions])
+        decision = mem.retrieve(np.array([5.0, 0, 0, 0]))
+        (r0, r1) = batch_rows(regions)[0]
         mem.apply_decision(decision, r0)
         mem.apply_decision(decision, r1)
         assert [s.centroid.tolist() for s in mem.working] == [[5.0, 0, 0, 0], [0, 5.0, 0, 0]]
@@ -235,22 +269,21 @@ class TestApply:
         assert match.kind is DecisionKind.WORKING_MATCH and match.slot_id == mem.working[1].slot_id
 
     def test_rejected_counts(self):
-        mem = make_memory(slot_cap=1)
-        process(
-            mem,
+        mem, _ = process(
             [
                 make_region("r0", "i0", [5.0, 0, 0, 0]),
                 make_region("r1", "i0", [0, 5.0, 0, 0]),
                 make_region("r2", "i0", [0, 0, 5.0, 0]),
-            ]
+            ],
+            slot_cap=1,
         )
         assert len(mem.working) == 1
         assert mem.rejected_count == 2
 
     def test_stale_decision_raises(self):
-        mem = make_memory()
         regions = [make_region("r0", "i0", [5.0, 0, 0, 0]), make_region("r1", "i0", [5.0, 0, 0, 0])]
-        (r0, r1) = attach(mem, regions)[0]
+        mem = make_memory(batches=[regions])
+        (r0, r1) = batch_rows(regions)[0]
         mem.process_image([r0])
         decision = mem.retrieve(np.array([5.0, 0, 0, 0]))
         mem.working = []
@@ -262,9 +295,7 @@ class TestApply:
 class TestProcessImage:
     def test_known_and_novel_regions_route_correctly(self):
         """Two known classes; an image with two humans, one car, four novelties."""
-        mem = make_memory(priors=two_class_priors(scale=10.0))
-        human = mem.semantic[1].mean
-        car = mem.semantic[0].mean
+        car, human = (slot.mean for slot in make_memory(priors=two_class_priors(scale=10.0)).semantic)
         novel = [
             [0, 0, 8.0, 0],
             [0, 0, -8.0, 0],
@@ -277,7 +308,7 @@ class TestProcessImage:
             make_region("h2", "img", human - 0.01),
             *(make_region(f"n{i}", "img", f) for i, f in enumerate(novel)),
         ]
-        decisions = process(mem, batch)
+        mem, decisions = process(batch, priors=two_class_priors(scale=10.0))
         kinds = [d.kind for d in decisions]
         assert kinds.count(DecisionKind.KNOWN_MATCH) == 3
         assert kinds.count(DecisionKind.NEW_SLOT) == 4
@@ -286,9 +317,7 @@ class TestProcessImage:
     def test_second_image_reuses_and_extends_working_slots(self):
         """Continuation: one human and two cars match semantic memory, two regions
         rejoin existing working slots, two open fresh ones."""
-        mem = make_memory(d=6, priors=two_class_priors(d=6, scale=10.0))
-        human = mem.semantic[1].mean
-        car = mem.semantic[0].mean
+        car, human = (slot.mean for slot in make_memory(d=6, priors=two_class_priors(d=6, scale=10.0)).semantic)
         novel_a = np.array([0, 0, 8.0, 0, 0, 0])
         novel_b = np.array([0, 0, 0, 8.0, 0, 0])
         first = [
@@ -305,7 +334,8 @@ class TestProcessImage:
             make_region("n5", "img2", np.array([0, 0, 0, 0, 8.0, 0])),
             make_region("n6", "img2", np.array([0, 0, 0, 0, 0, 8.0])),
         ]
-        first_rows, second_rows = attach(mem, first, second)
+        mem = make_memory(d=6, priors=two_class_priors(d=6, scale=10.0), batches=[first, second])
+        first_rows, second_rows = batch_rows(first, second)
         mem.process_image(first_rows)
         assert len(mem.working) == 2
         kinds = [d.kind for d in mem.process_image(second_rows)]
@@ -317,15 +347,12 @@ class TestProcessImage:
     def test_empty_batch_no_change(self):
         mem = make_memory(priors=two_class_priors())
         before = (len(mem.semantic), len(mem.working))
-        assert process(mem, []) == []
+        assert mem.process_image([]) == []
         assert (len(mem.semantic), len(mem.working)) == before
 
     def test_intra_image_updates_visible(self):
-        mem = make_memory()
         f = [0.0, 0.0, 6.0, 0.0]
-        decisions = process(
-            mem, [make_region("r0", "i0", f), make_region("r1", "i0", f)]
-        )
+        mem, decisions = process([make_region("r0", "i0", f), make_region("r1", "i0", f)])
         assert decisions[0].kind is DecisionKind.NEW_SLOT
         assert decisions[1].kind is DecisionKind.WORKING_MATCH
         assert decisions[1].score == pytest.approx(1.0, abs=1e-12)
@@ -335,8 +362,9 @@ class TestProcessImage:
 class TestMine:
     def test_a_score_equal_to_tau_semantic_is_accepted(self):
         """Mining accepts a row whose best score is >= tau_semantic: on the threshold it joins, one ulp below it not."""
-        mem = make_memory(priors=two_class_priors(), tau_semantic=-1e9)
-        (row,) = attach(mem, [make_region("r0", "i0", [3.0, 1.0, 0.5, -0.25])])[0]
+        batch = [make_region("r0", "i0", [3.0, 1.0, 0.5, -0.25])]
+        mem = make_memory(priors=two_class_priors(), tau_semantic=-1e9, batches=[batch])
+        (row,) = batch_rows(batch)[0]
         decision = mem.retrieve(mem.corpus.features[row], mem.white[row])
         assert decision.kind is DecisionKind.KNOWN_MATCH
         slot = mem.semantic[decision.slot_id]
@@ -349,12 +377,12 @@ class TestMine:
 class TestInvariants:
     def test_centroids_equal_member_means_after_stream(self):
         rng = np.random.default_rng(0)
-        mem = make_memory(d=6)
         batches = []
         for i in range(80):
             feats = rng.standard_normal((3, 6)) * 2
             batches.append([make_region(f"r{i}_{j}", f"i{i}", feats[j]) for j in range(3)])
-        for rows in attach(mem, *batches):
+        mem = make_memory(d=6, batches=batches)
+        for rows in batch_rows(*batches):
             mem.process_image(rows)
         assert mem.working
         for slot in mem.working:
@@ -368,20 +396,17 @@ class TestInvariants:
         feats = [np.array([5.0, 0.1 * j, 0, 0]) for j in range(6)]
         mems = []
         for order in (feats, feats[::-1]):
-            mem = make_memory(tau_working=0.5)
-            process(
-                mem, [make_region(f"r{j}", "i0", f) for j, f in enumerate(order)]
-            )
+            mem, _ = process([make_region(f"r{j}", "i0", f) for j, f in enumerate(order)], tau_working=0.5)
             assert len(mem.working) == 1
             mems.append(mem.working[0].centroid)
         np.testing.assert_allclose(mems[0], mems[1], rtol=0, atol=1e-12)
 
     def test_slot_total_never_exceeds_cap(self):
         rng = np.random.default_rng(1)
-        mem = make_memory(d=6, slot_cap=5, tau_working=0.999)
         new_slots = 0
         batches = [[make_region(f"r{i}", f"i{i}", rng.standard_normal(6) * 3)] for i in range(40)]
-        for rows in attach(mem, *batches):
+        mem = make_memory(d=6, slot_cap=5, tau_working=0.999, batches=batches)
+        for rows in batch_rows(*batches):
             decisions = mem.process_image(rows)
             new_slots += sum(1 for d in decisions if d.kind is DecisionKind.NEW_SLOT)
             assert mem.total_slots <= 5
@@ -391,28 +416,27 @@ class TestInvariants:
 class TestCheckpoint:
     def test_reload_reproduces_decisions(self, tmp_path):
         rng = np.random.default_rng(3)
-        mem = make_memory(d=6, min_images_per_slot=2, priors={
+        batches = [[make_region(f"r{i}", f"i{i}", rng.standard_normal(6) * 3)] for i in range(20)]
+        probe_batches = [
+            [make_region(f"q{i}", f"qi{i}", rng.standard_normal(6) * 3)] for i in range(10)
+        ]
+        mem = make_memory(d=6, min_images_per_slot=2, batches=batches + probe_batches, priors={
             "cat": [make_region("p0", "ip", np.array([8.0, 0, 0, 0, 0, 0]))],
         })
-        batches = [[make_region(f"r{i}", f"i{i}", rng.standard_normal(6) * 3)] for i in range(20)]
-        for rows in attach(mem, *batches):
+        stream_rows = batch_rows(*batches, *probe_batches)
+        for rows in stream_rows[:len(batches)]:
             mem.process_image(rows)
         consolidate(mem)
         assert len(mem.semantic) > 1
         path = tmp_path / "checkpoint.bin"
         mem.save_checkpoint(path)
-        twin = DualMemory.load_checkpoint(path, mem.config)
+        twin = DualMemory.load_checkpoint(path, mem.config, mem.corpus)
 
-        assert [(s.slot_id, s.label, s.members) for s in twin.semantic] == [
-            (s.slot_id, s.label, s.members) for s in mem.semantic
+        assert [(s.slot_id, s.label, s.rows, s.external) for s in twin.semantic] == [
+            (s.slot_id, s.label, s.rows, s.external) for s in mem.semantic
         ]
         assert (twin.next_slot_id, twin.rejected_count) == (mem.next_slot_id, mem.rejected_count)
-        probe_batches = [
-            [make_region(f"q{i}", f"qi{i}", rng.standard_normal(6) * 3)] for i in range(10)
-        ]
-        probe_rows = attach(mem, *probe_batches)
-        twin.attach(mem.corpus)
-        for rows in probe_rows:
+        for rows in stream_rows[len(batches):]:
             assert mem.process_image(rows) == twin.process_image(rows)
         for a, b in zip(mem.semantic, twin.semantic):
             np.testing.assert_array_equal(a.mean, b.mean)
@@ -423,8 +447,7 @@ class TestCheckpoint:
             assert a.rows == b.rows
 
     def test_refuses_working_slots_and_writes_nothing(self, tmp_path):
-        mem = make_memory(d=4)
-        process(mem, [make_region("r0", "i0", [0.0, 0.0, 6.0, 0.0])])
+        mem, _ = process([make_region("r0", "i0", [0.0, 0.0, 6.0, 0.0])])
         path = tmp_path / "checkpoint.bin"
         with pytest.raises(ValueError, match="1 working slots"):
             mem.save_checkpoint(path)
@@ -436,13 +459,15 @@ class TestCheckpoint:
         mem.save_checkpoint(path)
         other = Config(d=4, tau_working=0.71, init_mode="null")
         with pytest.raises(ValueError, match="different configuration"):
-            DualMemory.load_checkpoint(path, other)
+            DualMemory.load_checkpoint(path, other, mem.corpus)
 
     def test_truncated_checkpoint_is_a_value_error_at_every_offset(self, tmp_path):
         rng = np.random.default_rng(5)
-        mem = make_memory(d=3, min_images_per_slot=1, priors={"cat": [make_region("p0", "ip", np.array([8.0, 0, 0]))]})
         batches = [[make_region(f"r{i}", f"i{i}", rng.standard_normal(3) * 3)] for i in range(6)]
-        for rows in attach(mem, *batches):
+        mem = make_memory(
+            d=3, min_images_per_slot=1, priors={"cat": [make_region("p0", "ip", np.array([8.0, 0, 0]))]}, batches=batches
+        )
+        for rows in batch_rows(*batches):
             mem.process_image(rows)
         consolidate(mem)
         assert len(mem.semantic) > 1
@@ -454,7 +479,7 @@ class TestCheckpoint:
             cut.unlink(missing_ok=True)  # a new file: truncating one in place makes ext4 flush it
             cut.write_bytes(data[:size])
             with pytest.raises(ValueError, match=r"cut\.bin: truncated at byte \d+"):
-                DualMemory.load_checkpoint(cut, mem.config)
+                DualMemory.load_checkpoint(cut, mem.config, mem.corpus)
 
 
 def reference_save_checkpoint(mem, path):
@@ -465,11 +490,18 @@ def reference_save_checkpoint(mem, path):
         fh.write(struct.pack("<I", len(raw)))
         fh.write(raw)
 
+    corpus_digest = hashlib.sha256()
+    for region_id in mem.corpus.region_ids:
+        raw = region_id.encode("utf-8")
+        corpus_digest.update(struct.pack("<I", len(raw)))
+        corpus_digest.update(raw)
+
     if mem.working:
         raise ValueError(f"cannot checkpoint with {len(mem.working)} working slots; consolidate first")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, mem.config.d))
         fh.write(bytes.fromhex(config_hash(mem.config)))
+        fh.write(corpus_digest.digest())
         fh.write(struct.pack("<QQ", mem.next_slot_id, mem.rejected_count))
         mem.bg.write_moments(fh)
         fh.write(struct.pack("<I", len(mem.semantic)))
@@ -477,9 +509,10 @@ def reference_save_checkpoint(mem, path):
             fh.write(struct.pack("<Q", slot.slot_id))
             write_str(fh, slot.label)
             fh.write(slot.white.astype("<f8").tobytes())
-            fh.write(struct.pack("<I", len(slot.members)))
-            for member in slot.members:
-                write_str(fh, member)
+            fh.write(struct.pack("<I", slot.external))
+            fh.write(struct.pack("<I", len(slot.rows)))
+            for row in slot.rows:
+                fh.write(struct.pack("<I", row))
 
 
 # Ids and labels of one to three code points, from 1-byte to 4-byte UTF-8; no tab, newline or surrogate.
@@ -501,17 +534,17 @@ def test_checkpoint_bytes_equal_the_per_field_writer(tmp_path_factory, seed, lab
     for i, region_id in enumerate(ids):
         if labels:
             priors[labels[i % len(labels)]].append(make_region(region_id, f"图{i}", rng.standard_normal(d)))
-    mem = make_memory(d=d, priors=priors, tau_semantic=-1e9)
-    process(mem, [make_region(f"ré{i}🦉", f"𝔦{i}", rng.standard_normal(d)) for i in range(mined)])
+    mem, _ = process([make_region(f"ré{i}🦉", f"𝔦{i}", rng.standard_normal(d)) for i in range(mined)],
+                     d=d, priors=priors, tau_semantic=-1e9)
     mem.rejected_count = int(rng.integers(0, 2**40))
     consolidate(mem)
     folder = tmp_path_factory.mktemp("checkpoint")
     mem.save_checkpoint(folder / "joined.bin")
     reference_save_checkpoint(mem, folder / "fields.bin")
     assert (folder / "joined.bin").read_bytes() == (folder / "fields.bin").read_bytes()
-    twin = DualMemory.load_checkpoint(folder / "joined.bin", mem.config)
-    assert [(s.slot_id, s.label, s.members) for s in twin.semantic] == [
-        (s.slot_id, s.label, s.members) for s in mem.semantic
+    twin = DualMemory.load_checkpoint(folder / "joined.bin", mem.config, mem.corpus)
+    assert [(s.slot_id, s.label, s.rows, s.external) for s in twin.semantic] == [
+        (s.slot_id, s.label, s.rows, s.external) for s in mem.semantic
     ]
 
 
@@ -615,8 +648,11 @@ def test_whitened_engine_matches_the_lda_reference(seed, d, n_classes, n_images,
         d=d, slot_cap=max(slot_cap, n_classes), tau_working=tau_working,
         consolidation_mode="naive", min_images_per_slot=2,
     )
-    mem = DualMemory.initialize(bg, config, {label: table_of(regions) for label, regions in priors.items()})
-    # Where each prior slot's score crosses zero on the segment from the background mean to its class.
+    tables = {label: table_of(regions) for label, regions in priors.items()}
+    prior_regions = [region for regions in priors.values() for region in regions]
+    # Where each prior slot's score crosses zero on the segment from the background mean to its class; the
+    # prior slots do not depend on the corpus, so a memory on the prior regions alone places the crossings.
+    mem = DualMemory.initialize(bg, config, table_of(prior_regions), tables)
     crossings = []
     for slot, center in zip(mem.semantic, centers):
         at_bg, at_center = slot.classifier.score(bg.mean), slot.classifier.score(center)
@@ -632,8 +668,8 @@ def test_whitened_engine_matches_the_lda_reference(seed, d, n_classes, n_images,
             feats.append(near if rng.random() < 0.7 else 3.0 * rng.standard_normal(d))
         corpus[f"i{i}"] = [make_region(f"r{i}_{j}", f"i{i}", f) for j, f in enumerate(feats)]
     ref = ReferenceMemory(bg, config, priors)
-    table = table_of([region for batch in corpus.values() for region in batch])
-    mem.attach(table)
+    table = table_of([region for batch in corpus.values() for region in batch] + prior_regions)
+    mem = DualMemory.initialize(bg, config, table, tables)
     starts = table.image_starts.tolist()
     rows = {image_id: range(start, end) for image_id, start, end in zip(table.image_ids, starts, starts[1:])}
     stream, mine = list(corpus)[: n_images // 2], list(corpus)[n_images // 2:]
@@ -657,7 +693,7 @@ def test_whitened_engine_matches_the_lda_reference(seed, d, n_classes, n_images,
     for image_id in mine:
         for region, row in zip(corpus[image_id], rows[image_id]):
             assert mem.mine_region(row) == ref.mine(region)
-    assert [(s.slot_id, s.count, s.members) for s in mem.semantic] == [
+    assert [(s.slot_id, s.count, region_ids(mem, s.rows)) for s in mem.semantic] == [
         (s[0], s[2], s[3]) for s in ref.semantic
     ]
     for slot, (_, mean, _, _) in zip(mem.semantic, ref.semantic):

@@ -77,7 +77,7 @@ class ReferenceHotPath(DualMemory):
             raise StaleDecisionError(f"semantic slot {slot_id} no longer exists")
         slot = self.semantic[index]
         slot.white = slot.white + (self.white[row] - slot.white) / (slot.count + 1)
-        slot.members.append(self.corpus.region_ids[row])
+        slot.rows.append(row)
         self._sem_white[index] = slot.white
         self._sem_offset[index] = slot.offset
 
@@ -137,7 +137,7 @@ def decision_bits(decision):
 def state_bits(mem):
     """Every float and id the per-region path writes, as bytes."""
     return (
-        [(s.slot_id, s.label, bits(s.mean), bits(s.white), list(s.members)) for s in mem.semantic],
+        [(s.slot_id, s.label, bits(s.mean), bits(s.white), list(s.rows), s.external) for s in mem.semantic],
         bits(mem._sem_white), bits(mem._sem_offset),
         [(s.slot_id, bits(s.centroid), list(s.rows)) for s in mem.working],
         bits(mem._work_mu), bits(mem._work_norm),
@@ -145,10 +145,10 @@ def state_bits(mem):
     )
 
 
-def twins(bg, config, priors):
-    """The current memory and the reference, initialized alike."""
+def twins(bg, config, corpus, priors):
+    """The current memory and the reference, initialized alike on ``corpus``."""
     tables = {label: table_of(regions) for label, regions in priors.items()}
-    return DualMemory.initialize(bg, config, tables), ReferenceHotPath.initialize(bg, config, tables)
+    return DualMemory.initialize(bg, config, corpus, tables), ReferenceHotPath.initialize(bg, config, corpus, tables)
 
 
 ROW_KINDS = ["random", "duplicate", "zero", "tiny", "near_semantic", "near_working", "class"]
@@ -201,10 +201,11 @@ def test_hot_path_is_bit_identical_to_the_reference(
         d=d, slot_cap=max(slot_cap, len(priors)), tau_working=tau_working,
         consolidation_mode="naive", min_images_per_slot=1,
     )
-    mem, ref = twins(bg, config, priors)
+    # The prior slots do not depend on the corpus, so a memory on no regions places the crossings.
+    tables = {label: table_of(regions) for label, regions in priors.items()}
     crossings = [
         (slot.classifier.score(bg.mean), slot.classifier.score(center))
-        for slot, center in zip(mem.semantic, centers)
+        for slot, center in zip(DualMemory.initialize(bg, config, table_of([], d), tables).semantic, centers)
     ]
 
     feats = []
@@ -236,8 +237,7 @@ def test_hot_path_is_bit_identical_to_the_reference(
         make_region(f"r{i}", f"i{i // image_size}", f) for i, f in enumerate(feats)
     ]
     table = table_of(regions, d)
-    mem.attach(table)
-    ref.attach(table)
+    mem, ref = twins(bg, config, table, priors)
     starts = table.image_starts.tolist()
     images = [range(start, end) for start, end in zip(starts, starts[1:])]
     stream, mine = images[: (len(images) + 1) // 2], images[(len(images) + 1) // 2:]
@@ -264,10 +264,8 @@ class TestZeroNorm:
     def stream(self, first, second, caplog):
         """Stream ``first`` into empty working memory, then retrieve ``second`` on both memories."""
         d = len(first)
-        mem, ref = twins(BackgroundStats.from_moments(np.zeros(d), np.eye(d), 1000), Config(d=d), {})
         table = table_of([make_region("r0", "i0", first), make_region("r1", "i1", second)], d)
-        mem.attach(table)
-        ref.attach(table)
+        mem, ref = twins(BackgroundStats.from_moments(np.zeros(d), np.eye(d), 1000), Config(d=d), table, {})
         opened = mem.process_image([0])
         assert [decision_bits(x) for x in opened] == [decision_bits(x) for x in ref.process_image([0])]
         assert opened[0].kind is DecisionKind.NEW_SLOT
@@ -293,10 +291,8 @@ class TestZeroNorm:
         """At tau_working = 0 the degenerate slot's 0.0 is a match, on both memories alike."""
         d = 3
         config = Config(d=d, tau_working=0.0)
-        mem, ref = twins(BackgroundStats.from_moments(np.zeros(d), np.eye(d), 1000), config, {})
         table = table_of([make_region("r0", "i0", np.zeros(d)), make_region("r1", "i0", [1.0, 2.0, 3.0])], d)
-        mem.attach(table)
-        ref.attach(table)
+        mem, ref = twins(BackgroundStats.from_moments(np.zeros(d), np.eye(d), 1000), config, table, {})
         with caplog.at_level(logging.WARNING, logger="dualmem.memory"):
             got, expected = mem.process_image(range(2)), ref.process_image(range(2))
         assert [decision_bits(x) for x in got] == [decision_bits(x) for x in expected]

@@ -4,7 +4,7 @@ import pytest
 from dualmem.config import Config
 from dualmem.corpus import DatasetSplit, ingest_corpus, split_dataset
 from dualmem.evaluation import iou, load_gt
-from dualmem.memory import DualMemory
+from dualmem.memory import DecisionKind, DualMemory, RetrievalDecision
 from dualmem.pipeline import (
     RoundState,
     build_priors,
@@ -14,6 +14,7 @@ from dualmem.pipeline import (
     run_discovery_round,
 )
 from dualmem.records import BoundingBox
+from dualmem.reporting import UNASSIGNED
 from dualmem.stats import MomentAccumulator
 from dualmem.synth import KNOWN_PRIOR_SCORE, SynthSpec, generate
 
@@ -172,8 +173,7 @@ class TestPriors:
 class TestRound:
     def test_empty_corpus_round(self):
         config = Config(d=4, init_mode="null", min_images_per_slot=1)
-        mem = DualMemory.initialize(identity_bg(4), config, None)
-        mem.attach(table_of([], 4))
+        mem = DualMemory.initialize(identity_bg(4), config, table_of([], 4), None)
         state = RoundState(round_index=1, mem=mem, split=DatasetSplit(d1=[], d2=[]))
         record = run_discovery_round(state)
         assert state.round_index == 2
@@ -184,24 +184,23 @@ class TestRound:
         corpus = toy_corpus()
         config = Config(d=4, init_mode="null", min_images_per_slot=2, rng_seed=5)
         bg = estimate_background(corpus, config)
-        mem = DualMemory.initialize(bg, config, None)
-        mem.attach(corpus)
+        mem = DualMemory.initialize(bg, config, corpus, None)
         state = RoundState(round_index=1, mem=mem, split=toy_split())
         record = run_discovery_round(state)
         assert record.slots_transferred >= 1
-        novel_slots = [s for s in mem.semantic if any(r.startswith("nv") for r in s.members)]
+        members = {s.slot_id: [corpus.region_ids[row] for row in s.rows] for s in mem.semantic}
+        novel_slots = [s for s in mem.semantic if any(r.startswith("nv") for r in members[s.slot_id])]
         assert novel_slots and novel_slots[0].label.startswith("disc_1_")
         slot = novel_slots[0]
-        assert "nv2" in slot.members, "phase C should mine the held-out novel instance"
+        assert "nv2" in members[slot.slot_id], "phase C should mine the held-out novel instance"
         assert state.rounds[1].mined >= 1
-        assert slot.count == len(slot.members)
+        assert slot.count == len(slot.rows)
 
     def test_phase_c_never_touches_working_memory(self):
         corpus = toy_corpus()
         config = Config(d=4, init_mode="null", min_images_per_slot=2, rng_seed=5)
         bg = estimate_background(corpus, config)
-        mem = DualMemory.initialize(bg, config, None)
-        mem.attach(corpus)
+        mem = DualMemory.initialize(bg, config, corpus, None)
         state = RoundState(round_index=1, mem=mem, split=toy_split())
         run_discovery_round(state)
         assert mem.working == []
@@ -210,18 +209,43 @@ class TestRound:
         corpus = toy_corpus()
         config = Config(d=4, init_mode="null", min_images_per_slot=2, rng_seed=5)
         bg = estimate_background(corpus, config)
-        mem = DualMemory.initialize(bg, config, None)
-        mem.attach(corpus)
+        mem = DualMemory.initialize(bg, config, corpus, None)
         state = RoundState(round_index=1, mem=mem, split=toy_split())
         run_discovery_round(state)
         c = state.rounds[1]
         accepted = c.known_match + c.working_match + c.new_slot
         assert accepted + c.rejected == c.regions
 
-    def test_a_state_needs_an_attached_memory(self):
-        mem = DualMemory.initialize(identity_bg(4), Config(d=4, init_mode="null"), None)
-        with pytest.raises(ValueError, match="^a round state needs a memory attached to a corpus$"):
-            RoundState(round_index=1, mem=mem, split=DatasetSplit(d1=[], d2=[]))
+
+class TestExternalPriors:
+    """A prior whose region id the corpus lacks is an external member: it counts, and it labels no region."""
+
+    @staticmethod
+    def memory():
+        corpus = table_of([make_region("r0", "i0", [0, 0, 3.0, 0]), make_region("p0", "i1", [2.0, 0, 0, 0])])
+        priors = {"cat": table_of([make_region("p0", "ip", [2.0, 0, 0, 0]), make_region("gone", "ip", [0, 2.0, 0, 0])])}
+        return DualMemory.initialize(identity_bg(4, count=10), Config(d=4, init_mode="det_scores"), corpus, priors)
+
+    def test_an_external_prior_counts_in_the_count_and_the_offset(self):
+        mem = self.memory()
+        slot = mem.semantic[0]
+        assert (slot.rows, slot.external, slot.count) == ([1], 1, 2)
+        np.testing.assert_array_equal(slot.mean, [1.0, 1.0, 0, 0])
+        assert slot.offset == float(np.log(2 / 10) - 0.5 * (slot.white @ slot.white))
+        mem.apply_decision(RetrievalDecision(DecisionKind.KNOWN_MATCH, slot.slot_id, 0.0), 0)
+        assert (slot.rows, slot.external, slot.count) == ([1, 0], 1, 3)
+        np.testing.assert_allclose(slot.mean, [2 / 3, 2 / 3, 1.0, 0], rtol=0, atol=1e-15)
+
+    def test_an_external_prior_labels_no_region(self):
+        assert final_assignments(self.memory()) == {"r0": UNASSIGNED, "p0": "cat"}
+
+    def test_an_external_prior_survives_a_checkpoint_round_trip(self, tmp_path):
+        mem = self.memory()
+        mem.save_checkpoint(tmp_path / "checkpoint.bin")
+        twin = DualMemory.load_checkpoint(tmp_path / "checkpoint.bin", mem.config, mem.corpus)
+        assert [(s.label, s.rows, s.external, s.white.tobytes(), s.offset) for s in twin.semantic] == [
+            (s.label, s.rows, s.external, s.white.tobytes(), s.offset) for s in mem.semantic
+        ]
 
 
 class TestRunDiscovery:
@@ -278,29 +302,30 @@ class TestRunDiscovery:
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
     def test_a_second_run_into_the_same_directory_fails_loudly(self, synth_run, tmp_path):
-        """Rounds of two runs never share a directory: the second run stops at its first round directory."""
+        """Two runs never share a directory: the second run stops before it writes anything."""
         spec, paths, config, corpus, bg = synth_run
         priors = build_priors(config, detections=_prior_records(paths))
         run_discovery(corpus, bg, config, priors, out_dir=tmp_path / "run")
+        first = {name: (tmp_path / "run" / name).read_bytes() for name in ("config.txt", "bg.bin")}
         three_rounds = Config(d=8, min_images_per_slot=3, rounds=3, rng_seed=11)
         with pytest.raises(FileExistsError):
-            run_discovery(corpus, bg, three_rounds, priors, out_dir=tmp_path / "run")
+            run_discovery(corpus, identity_bg(8), three_rounds, priors, out_dir=tmp_path / "run")
         assert sorted(path.name for path in (tmp_path / "run").glob("round_*")) == ["round_1", "round_2"]
+        assert {name: (tmp_path / "run" / name).read_bytes() for name in first} == first
 
     def test_checkpoint_reload_continues_identically(self, synth_run, tmp_path):
         """Round 1's checkpoint, resumed for the remaining rounds, ends where the straight run ends."""
         spec, paths, config, corpus, bg = synth_run
         priors = build_priors(config, detections=_prior_records(paths))
         straight = run_discovery(corpus, bg, config, priors, out_dir=tmp_path / "run")
-        reloaded = DualMemory.load_checkpoint(tmp_path / "run" / "round_1" / "checkpoint.bin", config)
-        reloaded.attach(corpus)
+        reloaded = DualMemory.load_checkpoint(tmp_path / "run" / "round_1" / "checkpoint.bin", config, corpus)
         state = RoundState(2, reloaded, split_dataset(list(corpus.image_ids), config.rng_seed))
         while state.round_index <= config.rounds:
             run_discovery_round(state)
         assert final_assignments(reloaded) == straight.assignments
         assert reloaded.rejected_count == straight.mem.rejected_count
-        assert [(s.slot_id, s.label, s.members) for s in reloaded.semantic] == [
-            (s.slot_id, s.label, s.members) for s in straight.mem.semantic
+        assert [(s.slot_id, s.label, s.rows, s.external) for s in reloaded.semantic] == [
+            (s.slot_id, s.label, s.rows, s.external) for s in straight.mem.semantic
         ]
         assert any(s.label.startswith("disc_2_") for s in reloaded.semantic)
         for a, b in zip(reloaded.semantic, straight.mem.semantic):
