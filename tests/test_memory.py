@@ -18,7 +18,7 @@ def make_memory(d=4, priors=None, bg_count=1000, batches=(), **config_kwargs):
     """A memory on one table of every batch's regions, in order, followed by the prior regions."""
     config = Config(d=d, init_mode="det_scores" if priors else "null", **config_kwargs)
     tables = {label: table_of(regions) for label, regions in (priors or {}).items()}
-    regions = [r for batch in batches for r in batch] + [r for regions in (priors or {}).values() for r in regions]
+    regions = [r for batch in batches for r in batch] + [r for group in (priors or {}).values() for r in group]
     return DualMemory.initialize(identity_bg(d, count=bg_count), config, table_of(regions, d), tables)
 
 

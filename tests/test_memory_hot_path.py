@@ -202,10 +202,9 @@ def test_hot_path_is_bit_identical_to_the_reference(
         consolidation_mode="naive", min_images_per_slot=1,
     )
     # The prior slots do not depend on the corpus, so a memory on no regions places the crossings.
-    tables = {label: table_of(regions) for label, regions in priors.items()}
     crossings = [
         (slot.classifier.score(bg.mean), slot.classifier.score(center))
-        for slot, center in zip(DualMemory.initialize(bg, config, table_of([], d), tables).semantic, centers)
+        for slot, center in zip(twins(bg, config, table_of([], d), priors)[0].semantic, centers)
     ]
 
     feats = []
