@@ -140,12 +140,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.min_images < 1:
         raise CliError(f"--min-images must be at least 1, got {args.min_images}")
     regions = load_corpus(args.corpus)
-    assignments = read_assignments(args.assignments)
-    # The program lists only corpus rows; an id from another corpus would score as no discovery.
-    corpus_ids = set(regions.region_ids)
-    stray = next((region_id for region_id in assignments if region_id not in corpus_ids), None)
-    if stray is not None:
-        raise CliError(f"{args.assignments}: region id {stray!r} is not in the corpus '{args.corpus}'")
+    assignments = read_assignments(args.assignments, regions.region_ids)
     gt = load_gt(args.gt)
     out_dir = _prepare_out_dir(args.out)
     _write_manifest(
@@ -183,10 +178,10 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         if k < 1:  # a run that kept no semantic slot
             raise CliError(f"{args.stats}: clusters_final must be at least 1, got {k}")
     regions = load_corpus(args.corpus)
-    assignments, _, history = kmeans_baseline(regions, k, args.seed)
+    labels, _, history = kmeans_baseline(regions, k, args.seed)
     out_dir = _prepare_out_dir(args.out)
     _write_manifest(out_dir, "baseline", {"corpus": args.corpus, "stats": args.stats}, {"k": k, "seed": args.seed})
-    write_assignments(out_dir / "assignments.tsv", assignments.items())
+    write_assignments(out_dir / "assignments.tsv", regions.region_ids, labels)
     print(f"assignments: {out_dir / 'assignments.tsv'} (k={k}, iterations={len(history)})")
     return 0
 

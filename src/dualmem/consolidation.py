@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 from .memory import DualMemory, SemanticSlot, WorkingSlot
 from .stats import LinearClassifier, train_lda, whiten
@@ -100,6 +98,8 @@ def merge_components(mem: DualMemory, linked: np.ndarray) -> int:
     pairs = rows != cols
     if not pairs.any():
         return k
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
     rows, cols = rows[pairs], cols[pairs]
     graph = csr_array((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(k, k))
     _, labels = connected_components(graph, directed=False)

@@ -1,11 +1,11 @@
 """Clustering and localization metrics over discovered assignments.
 
-All metrics are pure functions of the assignments, the region table, and the
-ground-truth table: ``load_gt`` reads ``gt.jsonl`` into one ``GroundTruthTable``
-(image ids, an (m, 4) box array, class names, known flags) and builds no object
-per box. Cluster purity and coverage feed a cumulative-purity curve whose area
-(percent scale) is the headline discovery number; CorLoc, CorRet, and DetRate
-cover the localization-style protocols.
+All metrics are pure functions of the assignments (one label per table row),
+the region table, and the ground-truth table: ``load_gt`` reads ``gt.jsonl``
+into one ``GroundTruthTable`` (image ids, an (m, 4) box array, class names,
+known flags) and builds no object per box. Cluster purity and coverage feed a
+cumulative-purity curve whose area (percent scale) is the headline discovery
+number; CorLoc, CorRet, and DetRate cover the localization-style protocols.
 """
 
 from __future__ import annotations
@@ -250,14 +250,18 @@ class _ClusterTable(IouTable):
 # Cluster construction
 # ---------------------------------------------------------------------------
 
-def clusters_from_assignments(assignments: Mapping[str, str], regions: RegionTable) -> dict[str, list[int]]:
-    """Group the rows of assigned regions by cluster label, in corpus order within."""
+def clusters_from_assignments(assignments: Sequence[str]) -> dict[str, list[int]]:
+    """Group the rows of a label column by cluster label, in row order within; ``UNASSIGNED`` rows join none."""
     clusters: dict[str, list[int]] = {}
-    for row, region_id in enumerate(regions.region_ids):
-        label = assignments.get(region_id, UNASSIGNED)
+    for row, label in enumerate(assignments):
         if label != UNASSIGNED:
             clusters.setdefault(label, []).append(row)
     return clusters
+
+
+def _check_column(assignments: Sequence[str], regions: RegionTable) -> None:
+    if len(assignments) != len(regions):
+        raise ValueError(f"{len(assignments)} labels for {len(regions)} regions: an assignment labels every row")
 
 
 # ---------------------------------------------------------------------------
@@ -334,30 +338,30 @@ def auc(points: Sequence[tuple[int, float]], total: int) -> float:
 # ---------------------------------------------------------------------------
 
 def corloc(
-    assignments: Mapping[str, str],
+    assignments: Sequence[str],
     regions: RegionTable,
     gt: GroundTruthTable,
     iou_threshold: float = 0.5,
 ) -> float:
     """Percent of ground-truth-bearing images with one assigned region localized
     strictly above the IoU threshold."""
-    clusters = clusters_from_assignments(assignments, regions)
-    return _ClusterTable(clusters, regions, gt).corloc(iou_threshold)
+    _check_column(assignments, regions)
+    return _ClusterTable(clusters_from_assignments(assignments), regions, gt).corloc(iou_threshold)
 
 
 def detrate(
-    assignments: Mapping[str, str],
+    assignments: Sequence[str],
     regions: RegionTable,
     gt: GroundTruthTable,
     iou_threshold: float,
 ) -> float:
     """Recall of ground-truth boxes by assigned regions, in percent."""
-    clusters = clusters_from_assignments(assignments, regions)
-    return _ClusterTable(clusters, regions, gt).detrate(iou_threshold)
+    _check_column(assignments, regions)
+    return _ClusterTable(clusters_from_assignments(assignments), regions, gt).detrate(iou_threshold)
 
 
 def corret(
-    assignments: Mapping[str, str],
+    assignments: Sequence[str],
     regions: RegionTable,
     gt: GroundTruthTable,
     k: int = 10,
@@ -368,9 +372,8 @@ def corret(
     with no assignments or no ground truth are not scored; k clamps to the
     eligible population. Equal similarities rank by image id.
     """
-    row_of = {region_id: row for row, region_id in enumerate(regions.region_ids)}
-    assigned = [rid for rid, label in assignments.items() if label != UNASSIGNED and rid in row_of]
-    rows = np.array([row_of[rid] for rid in assigned], dtype=np.intp)
+    _check_column(assignments, regions)
+    rows = np.array([row for row, label in enumerate(assignments) if label != UNASSIGNED], dtype=np.intp)
     image_of = regions.image_of(rows)
     eligible = sorted(set(image_of).intersection(gt.image_index))
     if len(eligible) < 2:
@@ -378,7 +381,7 @@ def corret(
     index_of = {image_id: index for index, image_id in enumerate(eligible)}
     images = np.array([index_of.get(image_id, -1) for image_id in image_of], dtype=np.intp)
     keep = images >= 0
-    # ufunc.at adds in assignment order: the sequential sums of np.mean(axis=0).
+    # ufunc.at adds in row order: the sequential sums of np.mean(axis=0).
     reps = np.zeros((len(eligible), regions.d))
     np.add.at(reps, images[keep], regions.features[rows[keep]])
     reps /= np.bincount(images[keep], minlength=len(eligible))[:, None]
@@ -442,7 +445,7 @@ def count_discovered(
 # ---------------------------------------------------------------------------
 
 def evaluate_run(
-    assignments: Mapping[str, str],
+    assignments: Sequence[str],
     regions: RegionTable,
     gt: GroundTruthTable,
     iou_thresholds: Sequence[float] = (0.5, 0.2),
@@ -451,9 +454,9 @@ def evaluate_run(
     corret_k: int = 10,
 ) -> DiscoveryReport:
     """Assemble the metric suite the CLI writes out, from one IoU table."""
-    # CorRet runs first, so its similarity matrix and the table are never held together.
+    # CorRet runs first, and checks the column, so its similarity matrix and the table are never held together.
     corret_score = corret(assignments, regions, gt, k=corret_k)
-    table = _ClusterTable(clusters_from_assignments(assignments, regions), regions, gt)
+    table = _ClusterTable(clusters_from_assignments(assignments), regions, gt)
     curves = {t: table.curve(t) for t in iou_thresholds}
     primary = iou_thresholds[0]
     reports = table.reports(primary)

@@ -145,15 +145,16 @@ class DualMemory:
 
         ``priors`` maps class label to its prior regions. A prior's member is the
         corpus row of its region id, or an external member if the corpus lacks
-        that id. Classes with no qualifying priors are skipped with a warning.
+        that id. Classes with no qualifying priors are skipped with a warning, and
+        only the others count against the slot cap.
         """
         mem = cls(bg, config, corpus)
         priors = priors or {}
-        if len(priors) > config.slot_cap:
-            raise ValueError(f"{len(priors)} prior classes exceed the slot cap {config.slot_cap}")
-        for label in sorted(label for label, regions in priors.items() if not len(regions)):
-            logger.warning("class '%s' has no qualifying priors; skipping", label)
         labels = sorted(label for label, regions in priors.items() if len(regions))
+        if len(labels) > config.slot_cap:
+            raise ValueError(f"{len(labels)} prior classes exceed the slot cap {config.slot_cap}")
+        for label in sorted(set(priors) - set(labels)):
+            logger.warning("class '%s' has no qualifying priors; skipping", label)
         means = [priors[label].features.mean(axis=0) for label in labels]
         whites = whiten(np.stack(means), bg) if means else []
         row_of = {region_id: row for row, region_id in enumerate(corpus.region_ids)}
@@ -164,10 +165,6 @@ class DualMemory:
         mem.next_slot_id = len(mem.semantic)
         mem.rebuild_caches()
         return mem
-
-    @property
-    def total_slots(self) -> int:
-        return len(self.semantic) + len(self.working)
 
     def rebuild_caches(self) -> None:
         """Recompute the stacked score rows from the slot lists."""

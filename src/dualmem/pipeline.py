@@ -59,10 +59,10 @@ class RoundState:
 
 @dataclass
 class DiscoveryRun:
-    """Final memory plus everything needed to write reports."""
+    """Final memory plus everything needed to write reports; ``assignments`` labels each corpus row."""
 
     mem: DualMemory
-    assignments: dict[str, str]
+    assignments: list[str]
     stats: dict[str, object]
     consolidations: list[ConsolidationRecord]
 
@@ -159,8 +159,8 @@ def run_discovery_round(state: RoundState) -> ConsolidationRecord:
     return record
 
 
-def final_assignments(mem: DualMemory) -> dict[str, str]:
-    """Label every region of the memory's corpus from the final semantic slots' member rows.
+def final_assignments(mem: DualMemory) -> list[str]:
+    """The label of each row of the memory's corpus, from the final semantic slots' member rows.
 
     A row claimed by several slots keeps the oldest (lowest slot_id) one, since
     slots are visited newest first; everything else is unassigned.
@@ -169,7 +169,7 @@ def final_assignments(mem: DualMemory) -> dict[str, str]:
     for slot in reversed(mem.semantic):
         for row in slot.rows:
             labels[row] = slot.label
-    return dict(zip(mem.corpus.region_ids, labels))
+    return labels
 
 
 def start_discovery(
@@ -214,7 +214,6 @@ def run_rounds(state: RoundState, out_dir: str | Path | None) -> DiscoveryRun:
                 fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
 
     assignments = final_assignments(mem)
-    assigned_labels = sorted({v for v in assignments.values() if v != UNASSIGNED})
     totals = {
         "rounds": config.rounds,
         "images_total": len(corpus.image_ids),
@@ -226,14 +225,14 @@ def run_rounds(state: RoundState, out_dir: str | Path | None) -> DiscoveryRun:
         "mined": sum(c.mined for c in state.rounds.values()),
         "slots_semantic_final": len(mem.semantic),
         "slots_working_final": len(mem.working),
-        "clusters_final": len(assigned_labels),
+        "clusters_final": len(set(assignments) - {UNASSIGNED}),
     }
     stats: dict[str, object] = dict(totals)
     for r, counts in state.rounds.items():
         stats.update({f"round_{r}_{key}": value for key, value in asdict(counts).items()})
 
     if out_path is not None:
-        write_assignments(out_path / "assignments.tsv", assignments.items())
+        write_assignments(out_path / "assignments.tsv", corpus.region_ids, assignments)
         write_key_values(out_path / "stats.txt", stats)
 
     return DiscoveryRun(mem=mem, assignments=assignments, stats=stats, consolidations=records)

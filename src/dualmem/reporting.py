@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 UNASSIGNED = "unassigned"
 
@@ -55,19 +55,21 @@ def parse_json_line(line: str) -> object:
     return value if end == len(line) else json.loads(line)
 
 
-def write_assignments(path: str | Path, rows: Iterable[tuple[str, str]]) -> None:
+def write_assignments(path: str | Path, region_ids: Sequence[str], labels: Sequence[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for region_id, label in rows:
+        for region_id, label in zip(region_ids, labels, strict=True):
             fh.write(f"{region_id}\t{label}\n")
 
 
-def read_assignments(path: str | Path) -> dict[str, str]:
-    """Region id to label; a "\\r" before a line's end is dropped, so a CRLF copy reads as the original.
+def read_assignments(path: str | Path, region_ids: Sequence[str]) -> list[str]:
+    """The label of each row of a corpus with these region ids, unassigned where the file lists none.
 
-    A region id listed twice raises ValueError naming the file and both lines.
+    A "\\r" before a line's end is dropped, so a CRLF copy reads as the original. The first bad line
+    raises ValueError naming the file and the line: not ``id<TAB>label``, an id listed twice, or one the corpus lacks.
     """
-    assignments: dict[str, str] = {}
-    line_of: dict[str, int] = {}
+    row_of = {region_id: row for row, region_id in enumerate(region_ids)}
+    labels = [UNASSIGNED] * len(region_ids)
+    listed_on = [0] * len(region_ids)
     for lineno, line in read_lines(path):
         line = line.removesuffix("\r")
         if not line:
@@ -75,11 +77,14 @@ def read_assignments(path: str | Path) -> dict[str, str]:
         parts = line.split("\t")
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected 'region_id<TAB>label'")
-        first = line_of.setdefault(parts[0], lineno)
-        if first != lineno:
-            raise ValueError(f"{path}:{lineno}: region id {parts[0]!r} already listed on line {first}")
-        assignments[parts[0]] = parts[1]
-    return assignments
+        row = row_of.get(parts[0])
+        if row is None:
+            raise ValueError(f"{path}:{lineno}: region id {parts[0]!r} is not in the corpus")
+        if listed_on[row]:
+            raise ValueError(f"{path}:{lineno}: region id {parts[0]!r} already listed on line {listed_on[row]}")
+        listed_on[row] = lineno
+        labels[row] = parts[1]
+    return labels
 
 
 def write_key_values(path: str | Path, values: Mapping[str, object]) -> None:

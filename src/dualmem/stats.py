@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 BG_MAGIC = b"DMBG"
 
@@ -210,6 +209,7 @@ def whiten(feats: np.ndarray, bg: BackgroundStats) -> np.ndarray:
         raise ValueError(f"feature has shape {feats.shape}, expected ({bg.d},) or (n, {bg.d})")
     if not np.all(np.isfinite(feats)):
         raise ValueError("feature contains non-finite values")
+    from scipy.linalg import solve_triangular  # imported here so that only discover, which whitens, loads scipy
     centered = (feats - bg.mean).T
     return solve_triangular(bg.chol_lower, centered, lower=True, overwrite_b=True, check_finite=False).T
 
@@ -225,6 +225,7 @@ def train_lda(mean_pos: np.ndarray, count_pos: int, bg: BackgroundStats) -> Line
         raise ValueError(f"mean has shape {mean_pos.shape}, expected {bg.mean.shape}")
     if count_pos < 1:
         raise ValueError("positive count must be >= 1")
+    from scipy.linalg import cho_solve
     diff = mean_pos - bg.mean
     w = cho_solve((bg.chol_lower, True), diff, check_finite=False)
     b = float(np.log(count_pos / bg.count) - 0.5 * (w @ (mean_pos + bg.mean)))

@@ -25,6 +25,8 @@ from .reporting import write_key_values
 
 KNOWN_PRIOR_SCORE = float(np.float32(0.95))  # float32-exact, so the DMRF format holds it
 DEFAULT_SCORE = 0.5
+KMEANS_MAX_ITER = 100
+KMEANS_TOL = 1e-6  # Lloyd stops once an iteration lowers the inertia by less than this fraction
 
 
 @dataclass
@@ -165,13 +167,11 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> dict[str, Path]:
 # K-means baseline
 # ---------------------------------------------------------------------------
 
-def kmeans_baseline(
-    regions: RegionTable, k: int, seed: int, max_iter: int = 100, tol: float = 1e-6
-) -> tuple[dict[str, str], np.ndarray, list[float]]:
+def kmeans_baseline(regions: RegionTable, k: int, seed: int) -> tuple[list[str], np.ndarray, list[float]]:
     """Lloyd iterations with seeded k-means++ initialization.
 
-    Returns assignments in the pipeline's label format (``km_<j>``), the final
-    centroids, and the per-iteration inertia history (never increasing).
+    Returns the label of each row in the pipeline's label format (``km_<j>``),
+    the final centroids, and the per-iteration inertia history (never increasing).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -195,7 +195,7 @@ def kmeans_baseline(
     x_sq = (X**2).sum(axis=1)
     history: list[float] = []
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         distances = np.maximum(
             x_sq[:, None] - 2.0 * (X @ centers.T) + (centers**2).sum(axis=1)[None, :], 0.0
         )
@@ -211,10 +211,9 @@ def kmeans_baseline(
                 # Deterministic revival: relocate to the point farthest from its center.
                 farthest = int(np.argmax(distances[np.arange(n), labels]))
                 new_centers[j] = X[farthest]
-        if len(history) > 1 and history[-2] - history[-1] < tol * max(history[-2], 1e-12):
+        if len(history) > 1 and history[-2] - history[-1] < KMEANS_TOL * max(history[-2], 1e-12):
             centers = new_centers
             break
         centers = new_centers
 
-    assignments = {region_id: f"km_{label}" for region_id, label in zip(regions.region_ids, labels.tolist())}
-    return assignments, centers, history
+    return [f"km_{label}" for label in labels.tolist()], centers, history

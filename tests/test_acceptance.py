@@ -83,19 +83,19 @@ def frozen_run(tmp_path_factory):
     paths = generate(frozen_spec(), root / "data")
     gt = load_gt(paths["gt"])
     run, regions = discover_on(paths, frozen_config())
-    clusters = clusters_from_assignments(run.assignments, regions)
+    clusters = clusters_from_assignments(run.assignments)
     engine_auc = auc(*cumulative_purity_curve(clusters, regions, gt, 0.5))
     n_discovered = count_discovered(clusters, regions, gt, 0.5, min_images=5)
 
     k = int(run.stats["clusters_final"])
     km_assignments, _, _ = kmeans_baseline(regions, k, seed=CONFIG_SEED)
-    km_clusters = clusters_from_assignments(km_assignments, regions)
+    km_clusters = clusters_from_assignments(km_assignments)
     km_auc = auc(*cumulative_purity_curve(km_clusters, regions, gt, 0.5))
 
     paths12 = generate(frozen_spec(separation=12.0), root / "data12")
     gt12 = load_gt(paths12["gt"])
     run12, regions12 = discover_on(paths12, frozen_config())
-    clusters12 = clusters_from_assignments(run12.assignments, regions12)
+    clusters12 = clusters_from_assignments(run12.assignments)
     transferred = [
         r for r in report_clusters(clusters12, regions12, gt12, 0.5) if r.label.startswith("disc_")
     ]
@@ -223,8 +223,8 @@ def test_criterion_3_engine_invariants(tmp_path):
             if decision.kind is DecisionKind.REJECTED:
                 rejected_decisions += 1
         if i % 100 == 0:
-            cap_ok = cap_ok and capped.total_slots <= 10
-    cap_ok = cap_ok and capped.total_slots <= 10
+            cap_ok = cap_ok and len(capped.semantic) + len(capped.working) <= 10
+    cap_ok = cap_ok and len(capped.semantic) + len(capped.working) <= 10
     rejected_consistent = rejected_decisions == capped.rejected_count and rejected_decisions > 0
 
     report(
@@ -321,7 +321,7 @@ def test_criterion_5_metric_hand_checks():
         "r0": make_region("r0", "i0", [0.0], box=BoundingBox(0, 0, 4, 4)),
         "r1": make_region("r1", "i1", [0.0], box=BoundingBox(50, 0, 54, 4)),
     }
-    corloc_ok = corloc({"r0": "c", "r1": "c"}, table_of(loc_regions.values()), gt_table_of(loc_gt)) == 50.0
+    corloc_ok = corloc(["c", "c"], table_of(loc_regions.values()), gt_table_of(loc_gt)) == 50.0
 
     det_gt = [
         GtBox(image_id="i0", box=BoundingBox(2.0 * i, 0, 2.0 * i + 1, 1), class_name=f"u{i}", known_flag=False)
@@ -330,7 +330,7 @@ def test_criterion_5_metric_hand_checks():
     det_regions = {
         f"r{i}": make_region(f"r{i}", "i0", [0.0], box=det_gt[i].box) for i in range(3)
     }
-    detrate_ok = detrate({f"r{i}": "c" for i in range(3)}, table_of(det_regions.values()), gt_table_of(det_gt), 0.5) == 75.0
+    detrate_ok = detrate(["c"] * 3, table_of(det_regions.values()), gt_table_of(det_gt), 0.5) == 75.0
 
     report(
         "criterion 5 (metric hand-checks)",
@@ -383,11 +383,11 @@ def test_criterion_7_ablation_directions(frozen_run):
     gt = fr["gt"]
 
     run_null, regions_null = discover_on(fr["paths"], frozen_config(init_mode="null"))
-    clusters_null = clusters_from_assignments(run_null.assignments, regions_null)
+    clusters_null = clusters_from_assignments(run_null.assignments)
     null_discovered = count_discovered(clusters_null, regions_null, gt, 0.5, min_images=5)
 
     run_naive, regions_naive = discover_on(fr["paths"], frozen_config(consolidation_mode="naive"))
-    clusters_naive = clusters_from_assignments(run_naive.assignments, regions_naive)
+    clusters_naive = clusters_from_assignments(run_naive.assignments)
     naive_auc = auc(*cumulative_purity_curve(clusters_naive, regions_naive, gt, 0.5))
 
     init_ok = fr["n_discovered"] >= null_discovered

@@ -4,7 +4,10 @@ import builtins
 import hashlib
 import inspect
 import json
+import os
 import struct
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -224,8 +227,8 @@ class TestDiscover:
             )
             == 0
         )
-        assignments = read_assignments(out / "assignments.tsv")
-        labels = {v for v in assignments.values() if v != "unassigned"}
+        assignments = read_assignments(out / "assignments.tsv", load_corpus(generated / "corpus.jsonl").region_ids)
+        labels = {v for v in assignments if v != "unassigned"}
         assert any(lab.startswith("known_") for lab in labels)
 
     def test_gt_overlap_without_gt_fails(self, tmp_path, full_run, capsys):
@@ -316,8 +319,8 @@ class TestEvalAndBaseline:
                   "--k", "5", "--seed", "0", "--out", str(out)])
             == 0
         )
-        assignments = read_assignments(out / "assignments.tsv")
-        assert len(set(assignments.values())) == 5
+        assignments = read_assignments(out / "assignments.tsv", load_corpus(generated / "corpus.jsonl").region_ids)
+        assert len(set(assignments)) == 5
 
     def test_baseline_k_from_stats(self, tmp_path, full_run):
         generated, _, run_dir, _ = full_run
@@ -328,8 +331,8 @@ class TestEvalAndBaseline:
                   "--stats", str(run_dir / "stats.txt"), "--out", str(out)])
             == 0
         )
-        assignments = read_assignments(out / "assignments.tsv")
-        assert len(set(assignments.values())) == int(stats["clusters_final"])
+        assignments = read_assignments(out / "assignments.tsv", load_corpus(generated / "corpus.jsonl").region_ids)
+        assert len(set(assignments)) == int(stats["clusters_final"])
 
     def test_baseline_requires_k_or_stats(self, tmp_path, generated, capsys):
         assert (
@@ -621,14 +624,75 @@ def test_region_ids_with_line_separators_round_trip(tmp_path, binary, capsys):
         "--config", str(config), "--out", str(tmp_path / "run"),
     ]
     assert main(argv) == 0
-    assignments = read_assignments(tmp_path / "run" / "assignments.tsv")
-    assert sorted(assignments) == sorted(r.region_id for r in records)
-    assert set(assignments.values()) != {"unassigned"}
+    # The reader refuses an id the corpus lacks or a repeat, so one line per region lists every id.
+    assignments = read_assignments(tmp_path / "run" / "assignments.tsv", [r.region_id for r in records])
+    assert (tmp_path / "run" / "assignments.tsv").read_bytes().count(b"\n") == len(records)
+    assert set(assignments) != {"unassigned"}
     argv = [
         "eval", "--corpus", str(corpus), "--assignments", str(tmp_path / "run" / "assignments.tsv"),
         "--gt", str(tmp_path / "gt.jsonl"), "--min-images", "1", "--out", str(tmp_path / "eval"),
     ]
     assert main(argv) == 0
+
+
+def test_eval_metrics_do_not_depend_on_the_order_of_the_assignments_lines(tmp_path):
+    """Image means sum in corpus row order: 1e16 - 1e16 + 1 is 1, but 1 - 1e16 + 1e16 is 0.
+
+    So image i0's mean points toward the class-a images in row order, and would point
+    toward the class-b images if the lines, read in reverse, set the order of the sum.
+    """
+    unit = BoundingBox(0.0, 0.0, 1.0, 1.0)
+    features = [[1e16, 0.0], [-1e16, 0.0], [1.0, 0.1]]
+    records = [make_region(f"i0_r{j}", "i0", feature, box=unit) for j, feature in enumerate(features)]
+    boxes = [GtBox("i0", unit, "a", False)]
+    for i in range(11):
+        for name, feature in (("a", [1.0, 0.01 * i]), ("b", [0.01 * i, 1.0])):
+            records.append(make_region(f"{name}{i}_r0", f"{name}{i}", feature, box=unit))
+            boxes.append(GtBox(f"{name}{i}", unit, name, False))
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(corpus, 2, records)
+    write_gt(tmp_path / "gt.jsonl", gt_table_of(boxes))
+    lines = [f"{r.region_id}\tc0\n" for r in records]
+    (tmp_path / "rows.tsv").write_text("".join(lines))
+    (tmp_path / "reversed.tsv").write_text("".join(reversed(lines)))
+    for name in ("rows", "reversed"):
+        argv = [
+            "eval", "--corpus", str(corpus), "--assignments", str(tmp_path / f"{name}.tsv"),
+            "--gt", str(tmp_path / "gt.jsonl"), "--out", str(tmp_path / name),
+        ]
+        assert main(argv) == 0
+    assert (tmp_path / "reversed" / "metrics.txt").read_bytes() == (tmp_path / "rows" / "metrics.txt").read_bytes()
+
+
+def test_only_discover_loads_scipy(tmp_path, spec_file):
+    """scipy serves only ``discover`` (whitening, the merge graph), so no other subcommand pays for importing it."""
+    script = (
+        "import json, sys\n"
+        "from dualmem.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')]))\n"
+    )
+    src = str(Path(dualmem.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def scipy_modules(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        code, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0, proc.stderr
+        return loaded
+
+    save_config(Config(d=8, min_images_per_slot=3, rounds=1, rng_seed=3), tmp_path / "config.txt")
+    assert scipy_modules("gen", "--spec", str(spec_file), "--out", "data") == []
+    assert scipy_modules("background", "--corpus", "data/corpus.jsonl", "--out", "bg") == []
+    assert "scipy.linalg" in scipy_modules(
+        "discover", "--corpus", "data/corpus.jsonl", "--bg", "bg/bg.bin", "--config", "config.txt",
+        "--priors", "data/priors.jsonl", "--out", "run",
+    )
+    eval_argv = ["--corpus", "data/corpus.jsonl", "--assignments", "run/assignments.tsv", "--gt", "data/gt.jsonl"]
+    assert scipy_modules("eval", *eval_argv, "--out", "eval") == []
+    assert scipy_modules("baseline", "--corpus", "data/corpus.jsonl", "--stats", "run/stats.txt", "--out", "km") == []
 
 
 def test_key_values_with_line_separators_round_trip(tmp_path):
@@ -828,7 +892,22 @@ class TestValueErrorsNameTheFile:
         assignments.write_text("\n".join(lines))
         corpus = generated / "corpus.jsonl"
         argv = ["eval", "--corpus", str(corpus), "--assignments", str(assignments), "--gt", str(generated / "gt.jsonl")]
-        expected = f"{assignments}: region id 'elsewhere_r1' is not in the corpus '{corpus}'"
+        expected = f"{assignments}:5: region id 'elsewhere_r1' is not in the corpus"
+        expect_one_line_error(argv, tmp_path / "eval", expected, capsys)
+
+    def test_assignments_naming_a_stray_id_before_a_repeated_one(self, tmp_path, full_run, capsys):
+        """The first bad line in file order is the one reported, as in every other reader."""
+        generated, _, run_dir, _ = full_run
+        lines = (run_dir / "assignments.tsv").read_text().split("\n")
+        lines[3] = "elsewhere_r1\t" + lines[3].split("\t")[1]
+        lines.insert(6, lines[1])
+        assignments = tmp_path / "assignments.tsv"
+        assignments.write_text("\n".join(lines))
+        argv = [
+            "eval", "--corpus", str(generated / "corpus.jsonl"), "--assignments", str(assignments),
+            "--gt", str(generated / "gt.jsonl"),
+        ]
+        expected = f"{assignments}:4: region id 'elsewhere_r1' is not in the corpus"
         expect_one_line_error(argv, tmp_path / "eval", expected, capsys)
 
     @pytest.mark.parametrize("binary", [False, True])

@@ -359,23 +359,23 @@ class TestCorloc:
 
     def test_half_localized(self):
         gt, regions = self.fixture()
-        assignments = {"r0": "c0", "r1": "c0"}
+        assignments = ["c0", "c0"]
         assert corloc(assignments, table_of(regions.values()), gt_table_of(gt)) == 50.0
 
     def test_all_localized(self):
         gt, regions = self.fixture()
         regions["r1"] = make_region("r1", "i1", [0.0], box=BoundingBox(0, 0, 4, 4))
-        assert corloc({"r0": "c0", "r1": "c0"}, table_of(regions.values()), gt_table_of(gt)) == 100.0
+        assert corloc(["c0", "c0"], table_of(regions.values()), gt_table_of(gt)) == 100.0
 
     def test_no_assignments(self):
         gt, regions = self.fixture()
-        assert corloc({"r0": "unassigned", "r1": "unassigned"}, table_of(regions.values()), gt_table_of(gt)) == 0.0
+        assert corloc(["unassigned", "unassigned"], table_of(regions.values()), gt_table_of(gt)) == 0.0
 
     def test_strictly_greater_than_threshold(self):
         gt = [gt_box("i0", BoundingBox(0, 0, 2, 1), "a")]
         regions = {"r0": make_region("r0", "i0", [0.0], box=BoundingBox(0, 0, 1, 1))}
         # IoU exactly 0.5 does not count for localization.
-        assert corloc({"r0": "c0"}, table_of(regions.values()), gt_table_of(gt)) == 0.0
+        assert corloc(["c0"], table_of(regions.values()), gt_table_of(gt)) == 0.0
 
 
 class TestDetrate:
@@ -384,7 +384,7 @@ class TestDetrate:
         regions = {
             f"r{i}": make_region(f"r{i}", "i0", [0.0], box=gt[i].box) for i in range(3)
         }
-        assignments = {f"r{i}": "c0" for i in range(3)}
+        assignments = ["c0"] * 3
         return gt, regions, assignments
 
     def test_three_of_four(self):
@@ -394,16 +394,16 @@ class TestDetrate:
     def test_all_matched(self):
         gt, regions, assignments = self.fixture()
         regions["r3"] = make_region("r3", "i0", [0.0], box=gt[3].box)
-        assignments["r3"] = "c0"
+        assignments.append("c0")
         assert detrate(assignments, table_of(regions.values()), gt_table_of(gt), 0.5) == 100.0
 
     def test_none_matched(self):
         gt, regions, _ = self.fixture()
-        assert detrate({}, table_of(regions.values()), gt_table_of(gt), 0.5) == 0.0
+        assert detrate(["unassigned"] * 3, table_of(regions.values()), gt_table_of(gt), 0.5) == 0.0
 
     def test_equals_all_class_coverage(self):
         gt, regions, assignments = self.fixture()
-        clusters = {"c0": [regions[r] for r in assignments]}
+        clusters = {"c0": list(regions.values())}
         all_classes = {g.class_name for g in gt}
         assert detrate(assignments, table_of(regions.values()), gt_table_of(gt), 0.5) == 100.0 * coverage(
             *clustered(clusters), gt_table_of(gt), 0.5, classes=all_classes
@@ -413,7 +413,7 @@ class TestDetrate:
 class TestCorret:
     def balanced_fixture(self, per_class=6):
         regions = {}
-        assignments = {}
+        assignments = []
         gt = []
         for c, axis in (("a", 0), ("b", 1)):
             for i in range(per_class):
@@ -423,13 +423,13 @@ class TestCorret:
                 feature[2] = 0.1 * i
                 rid = f"r_{image}"
                 regions[rid] = make_region(rid, image, feature, box=BoundingBox(0, 0, 2, 2))
-                assignments[rid] = f"cluster_{c}"
+                assignments.append(f"cluster_{c}")
                 gt.append(gt_box(image, BoundingBox(0, 0, 2, 2), c))
         return assignments, regions, gt
 
     def test_single_class_is_perfect(self):
         assignments, regions, gt = self.balanced_fixture()
-        only_a = {k: v for k, v in assignments.items() if v == "cluster_a"}
+        only_a = [label if label == "cluster_a" else "unassigned" for label in assignments]
         assert corret(only_a, table_of(regions.values()), gt_table_of(gt), k=10) == 100.0
 
     def test_separated_classes_perfect_when_k_fits(self):
@@ -443,30 +443,39 @@ class TestCorret:
 
     def test_images_without_assignments_skipped(self):
         assignments, regions, gt = self.balanced_fixture()
-        del assignments["r_a0"]
+        assignments[list(regions).index("r_a0")] = "unassigned"
         value = corret(assignments, table_of(regions.values()), gt_table_of(gt), k=3)
         assert 0.0 <= value <= 100.0
 
     def test_equal_similarities_rank_by_image_order(self):
         # Four identical representations: every image's nearest are the lowest-numbered others.
-        regions, assignments, gt = {}, {}, []
+        regions, assignments, gt = {}, [], []
         for i, c in enumerate("abbb"):
             regions[f"r{i}"] = make_region(f"r{i}", f"i{i}", [1.0, 0.0], box=BoundingBox(0, 0, 2, 2))
-            assignments[f"r{i}"] = "c0"
+            assignments.append("c0")
             gt.append(gt_box(f"i{i}", BoundingBox(0, 0, 2, 2), c))
         assert corret(assignments, table_of(regions.values()), gt_table_of(gt), k=1) == 0.0
         assert corret(assignments, table_of(regions.values()), gt_table_of(gt), k=2) == 37.5
 
-    def test_means_add_in_assignment_order(self):
-        # Image i0's x-coordinates sum to 0 in assignment order (rc, ra, rb) but to 1 in
-        # corpus order, which would turn its mean toward i2 (class b) and away from i1.
+    def test_means_add_in_row_order(self):
+        # Image i0's x-coordinates sum to 1 in row order (ra, rb, rc), which turns its mean
+        # toward i2 (class b); in the order (rc, ra, rb) they would sum to 0, toward i1.
         features = {"ra": [1e16, 1.0], "rb": [-1e16, 1.0], "rc": [1.0, 1.0]}
-        regions = {rid: make_region(rid, "i0", f, box=BoundingBox(0, 0, 2, 2)) for rid, f in features.items()}
-        regions["r1"] = make_region("r1", "i1", [0.0, 1.0], box=BoundingBox(0, 0, 2, 2))
-        regions["r2"] = make_region("r2", "i2", [1.0, 3.0], box=BoundingBox(0, 0, 2, 2))
-        assignments = {rid: "c0" for rid in ("rc", "ra", "rb", "r1", "r2")}
+        regions = [make_region(rid, "i0", f, box=BoundingBox(0, 0, 2, 2)) for rid, f in features.items()]
+        regions.append(make_region("r1", "i1", [0.0, 1.0], box=BoundingBox(0, 0, 2, 2)))
+        regions.append(make_region("r2", "i2", [1.0, 2.5], box=BoundingBox(0, 0, 2, 2)))
         gt = [gt_box(image, BoundingBox(0, 0, 2, 2), c) for image, c in (("i0", "a"), ("i1", "a"), ("i2", "b"))]
-        assert corret(assignments, table_of(regions.values()), gt_table_of(gt), k=1) == pytest.approx(200.0 / 3.0)
+        expected = reference_evaluate(["c0"] * 5, regions, gt, (0.5,), 0.5, 1, 1)[0]["corret"]
+        assert expected == pytest.approx(100.0 / 3.0)
+        assert corret(["c0"] * 5, table_of(regions), gt_table_of(gt), k=1) == expected
+
+    def test_a_column_of_the_wrong_length_is_refused(self):
+        assignments, regions, gt = self.balanced_fixture()
+        for column in (assignments[:-1], assignments + ["cluster_a"]):
+            with pytest.raises(ValueError, match=f"^{len(column)} labels for {len(regions)} regions"):
+                corret(column, table_of(regions.values()), gt_table_of(gt))
+            with pytest.raises(ValueError, match=f"^{len(column)} labels for {len(regions)} regions"):
+                evaluate_run(column, table_of(regions.values()), gt_table_of(gt))
 
 
 class TestOracleAndCounting:
@@ -721,7 +730,7 @@ class TestEvaluateRun:
     def test_report_keys_and_determinism(self):
         clusters, gt = curve_fixture()
         regions = {r.region_id: r for ms in clusters.values() for r in ms}
-        assignments = {r.region_id: label for label, ms in clusters.items() for r in ms}
+        assignments = [label for label, ms in clusters.items() for _ in ms]
         table = table_of(regions.values())
         report = evaluate_run(assignments, table, gt_table_of(gt), iou_thresholds=(0.5, 0.2), min_images=1)
         assert report.metrics["auc_0.5"] == 55.0
@@ -732,7 +741,7 @@ class TestEvaluateRun:
     def test_empty_assignments_all_zero(self):
         clusters, gt = curve_fixture()
         regions = {r.region_id: r for ms in clusters.values() for r in ms}
-        assignments = {rid: "unassigned" for rid in regions}
+        assignments = ["unassigned"] * len(regions)
         report = evaluate_run(assignments, table_of(regions.values()), gt_table_of(gt))
         assert report.metrics["auc_0.5"] == 0.0
         assert report.metrics["corloc"] == 0.0
@@ -767,19 +776,20 @@ def test_iou_table_best_boxes_match_scalar_iou_bit_for_bit():
 
 
 def reference_evaluate(assignments, regions, gt, thresholds, purity_floor, min_images, k):
-    """The metric suite by scalar loops: the algorithm ``evaluate_run`` replaced."""
+    """The metric suite by scalar loops: the algorithm ``evaluate_run`` replaced.
+
+    ``assignments`` holds the label of each of the ``regions``, in their order, which is
+    the order the features of an image's mean add in.
+    """
     by_image = {}
     for g in gt:
         by_image.setdefault(g.image_id, []).append(g)
     clusters = {}
-    for region_id, region in regions.items():
-        label = assignments.get(region_id, "unassigned")
+    assigned = {}
+    for region, label in zip(regions, assignments, strict=True):
         if label != "unassigned":
             clusters.setdefault(label, []).append(region)
-    assigned = {}
-    for region_id, label in assignments.items():
-        if label != "unassigned" and region_id in regions:
-            assigned.setdefault(regions[region_id].image_id, []).append(regions[region_id])
+            assigned.setdefault(region.image_id, []).append(region)
 
     def cluster_purity(members, t):
         counts = {}
@@ -864,7 +874,7 @@ def reference_evaluate(assignments, regions, gt, thresholds, purity_floor, min_i
     metrics["n_discovered"] = len(
         {m for _, p, m, _, span in reports if m in unknown and p >= purity_floor and span >= min_images}
     )
-    metrics["corret_skipped_images"] = len({r.image_id for r in regions.values()} - set(assigned))
+    metrics["corret_skipped_images"] = len({r.image_id for r in regions} - set(assigned))
     return metrics, curves, reports
 
 
@@ -888,9 +898,7 @@ LABELS = st.sampled_from(["c0", "c1", "c2", "unassigned"])
 @given(
     gt_boxes=GT_BOXES,
     corpus_regions=REGIONS,
-    labels=st.lists(st.one_of(st.none(), LABELS), min_size=24, max_size=24),
-    ghosts=st.lists(LABELS, max_size=3),
-    order_seed=st.integers(0, 2**16),
+    labels=st.lists(LABELS, min_size=24, max_size=24),
     thresholds=st.sampled_from([(0.5, 0.2), (0.2,), (0.6, 0.5)]),
     purity_floor=st.sampled_from([0.0, 0.5, 1.0]),
     min_images=st.sampled_from([1, 2]),
@@ -898,24 +906,20 @@ LABELS = st.sampled_from(["c0", "c1", "c2", "unassigned"])
 )
 @settings(max_examples=300, deadline=None)
 def test_evaluate_run_equals_scalar_reference(
-    gt_boxes, corpus_regions, labels, ghosts, order_seed, thresholds, purity_floor, min_images,
-    corret_k,
+    gt_boxes, corpus_regions, labels, thresholds, purity_floor, min_images, corret_k,
 ):
     gt = [gt_box(f"i{image}", box(2.0 * cell), name, known=name == "k") for image, cell, name in gt_boxes]
-    regions = {
-        f"r{j}": make_region(
+    regions = [
+        make_region(
             f"r{j}", f"i{image}", list(feature),
             box=BoundingBox(2.0 * cell + shift, 0.0, 2.0 * cell + shift + 1.0, 0.5 if half else 1.0),
         )
         for j, (image, cell, shift, half, feature) in enumerate(corpus_regions)
-    }
-    rows = [(f"r{j}", label) for j, label in enumerate(labels[: len(regions)]) if label is not None]
-    rows += [(f"ghost{j}", label) for j, label in enumerate(ghosts)]  # not in the corpus
-    order = np.random.default_rng(order_seed).permutation(len(rows))
-    assignments = dict(rows[i] for i in order)
+    ]
+    assignments = labels[: len(regions)]
 
     report = evaluate_run(
-        assignments, table_of(regions.values()), gt_table_of(gt), iou_thresholds=thresholds, purity_floor=purity_floor,
+        assignments, table_of(regions), gt_table_of(gt), iou_thresholds=thresholds, purity_floor=purity_floor,
         min_images=min_images, corret_k=corret_k,
     )
     metrics, curves, reports = reference_evaluate(

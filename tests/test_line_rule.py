@@ -16,7 +16,7 @@ from dualmem.config import Config, load_config, save_config
 from dualmem.corpus import open_corpus, write_corpus_jsonl
 from dualmem.evaluation import load_gt, write_gt
 from dualmem.records import BoundingBox, CorpusFormatError
-from dualmem.reporting import parse_json_line, read_assignments, write_assignments
+from dualmem.reporting import UNASSIGNED, parse_json_line, read_assignments, write_assignments
 
 from conftest import GtBox, gt_table_of, make_region
 
@@ -153,11 +153,24 @@ def test_the_line_decoder_gives_what_json_loads_gives(drawn):
 
 def test_a_crlf_assignments_file_reads_as_the_original(tmp_path):
     """The tab-separated reader drops the "\\r" that a CRLF copy puts before each line end."""
-    write_assignments(tmp_path / "lf.tsv", [("r0", "disc_1"), ("r\r1", "unassigned")])
+    ids = ["r0", "r\r1"]
+    write_assignments(tmp_path / "lf.tsv", ids, ["disc_1", "unassigned"])
     (tmp_path / "crlf.tsv").write_bytes((tmp_path / "lf.tsv").read_bytes().replace(b"\n", b"\r\n"))
-    assert read_assignments(tmp_path / "crlf.tsv") == read_assignments(tmp_path / "lf.tsv") == {
-        "r0": "disc_1", "r\r1": "unassigned",
-    }
+    assert read_assignments(tmp_path / "crlf.tsv", ids) == read_assignments(tmp_path / "lf.tsv", ids) == [
+        "disc_1", "unassigned",
+    ]
+
+
+def test_assignments_read_back_as_written_and_unlisted_rows_as_unassigned(tmp_path):
+    ids = ["r0", "r\u20281", "r2", "r\x853"]
+    labels = ["disc_1", "km_0", UNASSIGNED, "disc_1"]
+    write_assignments(tmp_path / "all.tsv", ids, labels)
+    assert read_assignments(tmp_path / "all.tsv", ids) == labels
+    write_assignments(tmp_path / "some.tsv", ids[1::2], labels[1::2])
+    assert (tmp_path / "some.tsv").read_text(encoding="utf-8") == "r\u20281\tkm_0\nr\x853\tdisc_1\n"
+    assert read_assignments(tmp_path / "some.tsv", ids) == [UNASSIGNED, "km_0", UNASSIGNED, "disc_1"]
+    with pytest.raises(ValueError):
+        write_assignments(tmp_path / "short.tsv", ids, labels[:3])
 
 
 def gt_line(class_name="cat", known_flag=True):

@@ -83,6 +83,13 @@ class TestInit:
         assert [s.label for s in mem.semantic] == ["dog"]
         assert any("cat" in r.message for r in caplog.records)
 
+    def test_the_slot_cap_counts_only_the_classes_that_get_a_slot(self):
+        priors = {"cat": [], "dog": [make_region("p0", "i0", [1.0, 0, 0, 0])]}
+        mem = make_memory(priors=priors, slot_cap=1)
+        assert [s.label for s in mem.semantic] == ["dog"]
+        with pytest.raises(ValueError, match="^2 prior classes exceed the slot cap 1$"):
+            make_memory(priors=dict(priors, cat=[make_region("p1", "i1", [0, 1.0, 0, 0])]), slot_cap=1)
+
     def test_priors_with_the_wrong_dimension_fail(self):
         with pytest.raises(ValueError, match="shape"):
             make_memory(priors={"cat": [make_region("p0", "i0", [1.0, 0.0, 0.0])]})
@@ -409,7 +416,7 @@ class TestInvariants:
         for rows in batch_rows(*batches):
             decisions = mem.process_image(rows)
             new_slots += sum(1 for d in decisions if d.kind is DecisionKind.NEW_SLOT)
-            assert mem.total_slots <= 5
+            assert len(mem.semantic) + len(mem.working) <= 5
         assert mem.rejected_count == 40 - new_slots
 
 

@@ -37,6 +37,10 @@ logger = logging.getLogger("dualmem.memory")
 class ReferenceHotPath(DualMemory):
     """DualMemory with the per-region methods as they were written before the dispatch-lean path."""
 
+    @property
+    def total_slots(self):
+        return len(self.semantic) + len(self.working)
+
     def retrieve(self, feature, white=None):
         f = np.asarray(feature, dtype=np.float64)
         if white is None:

@@ -237,7 +237,7 @@ class TestExternalPriors:
         np.testing.assert_allclose(slot.mean, [2 / 3, 2 / 3, 1.0, 0], rtol=0, atol=1e-15)
 
     def test_an_external_prior_labels_no_region(self):
-        assert final_assignments(self.memory()) == {"r0": UNASSIGNED, "p0": "cat"}
+        assert final_assignments(self.memory()) == [UNASSIGNED, "cat"]
 
     def test_an_external_prior_survives_a_checkpoint_round_trip(self, tmp_path):
         mem = self.memory()
@@ -275,9 +275,10 @@ class TestRunDiscovery:
         priors = build_priors(config, detections=_prior_records(paths))
         run = run_discovery(corpus, bg, config, priors)
         all_regions = {r.region_id for batch in batches_of(corpus) for r in batch}
-        assert set(run.assignments) == all_regions
+        by_id = dict(zip(corpus.region_ids, run.assignments, strict=True))
+        assert set(by_id) == all_regions
         labels = {s.label for s in run.mem.semantic}
-        for value in run.assignments.values():
+        for value in by_id.values():
             assert value == "unassigned" or value in labels
 
     def test_unknown_classes_get_discovered(self, synth_run):
@@ -289,7 +290,7 @@ class TestRunDiscovery:
         gt = load_gt(paths["gt"])
         from dualmem.evaluation import clusters_from_assignments, count_discovered
 
-        clusters = clusters_from_assignments(run.assignments, corpus)
+        clusters = clusters_from_assignments(run.assignments)
         n = count_discovered(clusters, corpus, gt, 0.5, min_images=config.min_images_per_slot)
         assert n >= 2
 
