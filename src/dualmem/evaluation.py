@@ -260,6 +260,8 @@ def clusters_from_assignments(assignments: Sequence[str]) -> dict[str, list[int]
 
 
 def _check_column(assignments: Sequence[str], regions: RegionTable) -> None:
+    if isinstance(assignments, (str, Mapping)) or not isinstance(assignments, (Sequence, np.ndarray)):
+        raise ValueError(f"assignments is a {type(assignments).__name__}: an assignment is a label per row")
     if len(assignments) != len(regions):
         raise ValueError(f"{len(assignments)} labels for {len(regions)} regions: an assignment labels every row")
 

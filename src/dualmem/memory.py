@@ -32,6 +32,7 @@ import logging
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -298,6 +299,11 @@ class DualMemory:
 
     # -- checkpointing ------------------------------------------------------
 
+    @cached_property
+    def corpus_digest(self) -> bytes:
+        """``_corpus_digest`` of the memory's corpus, hashed once: the corpus never changes."""
+        return _corpus_digest(self.corpus)
+
     def save_checkpoint(self, path: str | Path) -> None:
         """Binary dump sufficient to reproduce every subsequent decision and score, bit for bit.
 
@@ -309,7 +315,7 @@ class DualMemory:
             raise ValueError(f"cannot checkpoint with {len(self.working)} working slots; consolidate first")
         with open(path, "wb") as fh:
             fh.write(struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, self.config.d))
-            fh.write(bytes.fromhex(config_hash(self.config)) + _corpus_digest(self.corpus))
+            fh.write(bytes.fromhex(config_hash(self.config)) + self.corpus_digest)
             fh.write(struct.pack("<QQ", self.next_slot_id, self.rejected_count))
             self.bg.write_moments(fh)
             parts = [_U32.pack(len(self.semantic))]

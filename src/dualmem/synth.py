@@ -172,6 +172,18 @@ def kmeans_baseline(regions: RegionTable, k: int, seed: int) -> tuple[list[str],
 
     Returns the label of each row in the pipeline's label format (``km_<j>``),
     the final centroids, and the per-iteration inertia history (never increasing).
+
+    The result is bit-identical to the straightforward loop kept in
+    ``tests/test_synth.py``. Each iteration fills one reused ``(n, k)`` buffer
+    with the squared distances, ``max(|x|^2 - 2 (X C^T) + |c|^2, 0)``, through
+    the same operations on the same operands in the same order as that
+    expression, the GEMM written into the buffer. The inertia sums each row's
+    nearest distance, read with one flat ``take`` in row order. A cluster's mean
+    is recomputed only if a row entered or left it, or if it is empty (then it
+    is revived at the row farthest from its centre under the current
+    distances). Any other cluster has the same member rows in the same order as
+    in the iteration that last set its centre, so its mean would come out with
+    the same bits, which the centre already holds.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -195,22 +207,34 @@ def kmeans_baseline(regions: RegionTable, k: int, seed: int) -> tuple[list[str],
     x_sq = (X**2).sum(axis=1)
     history: list[float] = []
     labels = np.zeros(n, dtype=np.int64)
+    previous = None
+    distances = np.empty((n, k))
+    row_starts = np.arange(n) * k  # each row's offset in the flattened distances
     for _ in range(KMEANS_MAX_ITER):
-        distances = np.maximum(
-            x_sq[:, None] - 2.0 * (X @ centers.T) + (centers**2).sum(axis=1)[None, :], 0.0
-        )
-        labels = np.argmin(distances, axis=1)
-        inertia = float(distances[np.arange(n), labels].sum())
-        history.append(inertia)
+        np.dot(X, centers.T, out=distances)
+        distances *= 2.0
+        np.subtract(x_sq[:, None], distances, out=distances)
+        distances += (centers**2).sum(axis=1)
+        np.maximum(distances, 0.0, out=distances)
+        labels = distances.argmin(axis=1)
+        nearest = distances.take(row_starts + labels)
+        history.append(float(nearest.sum()))
+        stale = np.bincount(labels, minlength=k) == 0
+        if previous is None:
+            stale[:] = True
+        else:
+            moved = labels != previous
+            stale[labels[moved]] = True
+            stale[previous[moved]] = True
         new_centers = centers.copy()
-        for j in range(k):
-            mask = labels == j
-            if mask.any():
-                new_centers[j] = X[mask].mean(axis=0)
+        for j in np.flatnonzero(stale).tolist():
+            members = X.compress(labels == j, axis=0)
+            if len(members):
+                new_centers[j] = members.mean(axis=0)
             else:
                 # Deterministic revival: relocate to the point farthest from its center.
-                farthest = int(np.argmax(distances[np.arange(n), labels]))
-                new_centers[j] = X[farthest]
+                new_centers[j] = X[int(np.argmax(nearest))]
+        previous = labels
         if len(history) > 1 and history[-2] - history[-1] < KMEANS_TOL * max(history[-2], 1e-12):
             centers = new_centers
             break

@@ -378,6 +378,15 @@ class TestCorloc:
         assert corloc(["c0"], table_of(regions.values()), gt_table_of(gt)) == 0.0
 
 
+@pytest.mark.parametrize("metric", [corloc, lambda *args: detrate(*args, 0.5), corret, evaluate_run],
+                         ids=["corloc", "detrate", "corret", "evaluate_run"])
+def test_an_id_to_label_mapping_is_refused(metric):
+    """A dict of len(regions) ids would otherwise be read as its keys, each id the label of its own cluster."""
+    gt, regions = TestCorloc().fixture()
+    with pytest.raises(ValueError, match="^assignments is a dict: an assignment is a label per row$"):
+        metric({"r0": "c", "r1": "c"}, table_of(regions.values()), gt_table_of(gt))
+
+
 class TestDetrate:
     def fixture(self):
         gt = [gt_box("i0", box(2.0 * i), f"u{i}") for i in range(4)]

@@ -21,8 +21,9 @@ import pytest
 
 from dualmem.cli import main
 from dualmem.config import Config, save_config
-from dualmem.corpus import convert_corpus
-from dualmem.synth import SynthSpec, save_spec
+from dualmem.corpus import convert_corpus, load_corpus
+from dualmem.reporting import read_key_values
+from dualmem.synth import SynthSpec, kmeans_baseline, save_spec
 
 SHAPE = dict(d=32, n_known=5, n_unknown=10, classes_per_image=3, regions_per_class_per_image=2, std=1.0)
 # name: (spec, config, background threads, DMRF corpus)
@@ -119,6 +120,9 @@ GOLDEN = {
         "spec.txt": "bf1ad664c2345015c40ce49889e5a485e3433507b20b68665c71f0c98964718e",
     },
 }
+# The frozen case's K-means at seed 9 and k = clusters_final (18): its iteration count, and the sha256 of
+# its inertia history's float64 bytes followed by its centroids' bytes.
+FROZEN_KMEANS = (10, "a6d0fe76499a75aeaf9f381c09c2fdd4f05a3345fef2ad893831adaa94c318a2")
 
 
 def walkthrough(out, spec, config, threads, binary):
@@ -183,3 +187,12 @@ def test_the_frozen_case_binds_the_slot_cap(outputs):
     out, _ = outputs("frozen")
     stats = dict(line.split(" = ") for line in (out / "run" / "stats.txt").read_text().splitlines())
     assert all(int(stats[f"round_{r}_rejected"]) > 0 for r in (1, 2))
+
+
+def test_the_frozen_kmeans_history_keeps_its_bits(outputs):
+    """Every inertia and centroid of the baseline, not only the labels ``km/assignments.tsv`` holds."""
+    out, _ = outputs("frozen")
+    k = int(read_key_values(out / "run" / "stats.txt")["clusters_final"])
+    _, centers, history = kmeans_baseline(load_corpus(out / "data" / "corpus.jsonl"), k, seed=9)
+    digest = hashlib.sha256(np.array(history).tobytes() + centers.tobytes()).hexdigest()
+    assert (len(history), digest) == FROZEN_KMEANS, toolchain()

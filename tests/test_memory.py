@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dualmem.memory
 from dualmem.config import Config, config_hash
 from dualmem.consolidation import consolidate, train_slot_classifiers
 from dualmem.memory import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, DecisionKind, DualMemory, StaleDecisionError
@@ -467,6 +468,16 @@ class TestCheckpoint:
         other = Config(d=4, tau_working=0.71, init_mode="null")
         with pytest.raises(ValueError, match="different configuration"):
             DualMemory.load_checkpoint(path, other, mem.corpus)
+
+    def test_the_corpus_is_hashed_once_per_memory(self, tmp_path, monkeypatch):
+        mem = make_memory(d=4, batches=[[make_region("r0", "i0", [1.0, 0.0, 0.0, 0.0])]])
+        digest, hashed = dualmem.memory._corpus_digest, []
+        monkeypatch.setattr(dualmem.memory, "_corpus_digest", lambda corpus: hashed.append(corpus) or digest(corpus))
+        for name in ("a.bin", "b.bin", "c.bin"):
+            mem.save_checkpoint(tmp_path / name)
+        assert len(hashed) == 1 and hashed[0] is mem.corpus
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "c.bin").read_bytes()
+        assert DualMemory.load_checkpoint(tmp_path / "c.bin", mem.config, mem.corpus).semantic == []
 
     def test_truncated_checkpoint_is_a_value_error_at_every_offset(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -1,11 +1,12 @@
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualmem.cli import main
@@ -14,8 +15,8 @@ from dualmem.corpus import JSONL_VERSION, convert_corpus, ingest_corpus, open_co
 from dualmem.evaluation import load_gt
 from dualmem.records import BoundingBox, RegionTable
 from dualmem.synth import (
-    DEFAULT_SCORE, KNOWN_PRIOR_SCORE, SynthSpec, _noise_scale, class_means, class_names, generate, kmeans_baseline,
-    load_spec, save_spec,
+    DEFAULT_SCORE, KMEANS_MAX_ITER, KMEANS_TOL, KNOWN_PRIOR_SCORE, SynthSpec, _noise_scale, class_means, class_names,
+    generate, kmeans_baseline, load_spec, save_spec,
 )
 
 from conftest import GtBox, batches_of, boxes_of, make_region, records_of, table_of
@@ -357,3 +358,107 @@ class TestKmeans:
         a, _, _ = kmeans_baseline(table_of(regions), k=3, seed=4)
         b, _, _ = kmeans_baseline(table_of(regions), k=3, seed=4)
         assert a == b
+
+
+def reference_kmeans(regions: RegionTable, k: int, seed: int) -> tuple[list[str], np.ndarray, list[float]]:
+    """``kmeans_baseline`` as it was written before the reused distance buffer and the stale-mean rule."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > len(regions):
+        raise ValueError(f"k={k} exceeds the number of records ({len(regions)})")
+    X = regions.features
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[int(rng.integers(n))]
+    d2 = np.sum((X - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = float(d2.sum())
+        if total == 0.0:
+            centers[j] = X[int(rng.integers(n))]
+            continue
+        centers[j] = X[int(rng.choice(n, p=d2 / total))]
+        d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
+
+    x_sq = (X**2).sum(axis=1)
+    history: list[float] = []
+    labels = np.zeros(n, dtype=np.int64)
+    for _ in range(KMEANS_MAX_ITER):
+        distances = np.maximum(
+            x_sq[:, None] - 2.0 * (X @ centers.T) + (centers**2).sum(axis=1)[None, :], 0.0
+        )
+        labels = np.argmin(distances, axis=1)
+        inertia = float(distances[np.arange(n), labels].sum())
+        history.append(inertia)
+        new_centers = centers.copy()
+        for j in range(k):
+            mask = labels == j
+            if mask.any():
+                new_centers[j] = X[mask].mean(axis=0)
+            else:
+                # Deterministic revival: relocate to the point farthest from its center.
+                farthest = int(np.argmax(distances[np.arange(n), labels]))
+                new_centers[j] = X[farthest]
+        if len(history) > 1 and history[-2] - history[-1] < KMEANS_TOL * max(history[-2], 1e-12):
+            centers = new_centers
+            break
+        centers = new_centers
+
+    return [f"km_{label}" for label in labels.tolist()], centers, history
+
+
+def feature_table(features: np.ndarray) -> RegionTable:
+    """One image whose rows carry ``features``; K-means reads nothing else."""
+    n = len(features)
+    return RegionTable(
+        [f"r{i}" for i in range(n)], ["img"], np.array([0, n]), np.tile([0.0, 0.0, 1.0, 1.0], (n, 1)),
+        np.full(n, DEFAULT_SCORE), np.ascontiguousarray(features, dtype=np.float64), [None] * n,
+    )
+
+
+@st.composite
+def kmeans_inputs(draw):
+    """Rows drawn from a few distinct points, so some clusters go empty; one distinct point makes all rows equal."""
+    n = draw(st.integers(1, 40))
+    distinct = draw(st.integers(1, n))
+    points = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((distinct, draw(st.integers(1, 5))))
+    if draw(st.booleans()):  # one decimal: equal distances tie, and a mean of copies of a point may round off it
+        points = np.round(points, 1)
+    rows = draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    return points[rows], k, draw(st.integers(0, 2**20))
+
+
+@given(inputs=kmeans_inputs())
+@settings(max_examples=300, deadline=None)
+# Three copies of one point and one other: seeding falls to the total == 0.0 branch and a cluster empties.
+@example(inputs=(np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [3.0, 1.0]]), 3, 0))
+# Two points, five clusters: a cluster stays empty while the farthest row changes, so it is revived elsewhere.
+@example(inputs=(np.array([[0.7, -1.0, 0.6, 0.6]] * 2 + [[0.8, 0.6, -0.5, -0.4], [0.7, -1.0, 0.6, 0.6],
+                                                        [0.8, 0.6, -0.5, -0.4]]), 5, 25))
+@example(inputs=(np.array([[1.9], [-3.6], [3.2], [-4.7], [-2.1], [-1.8], [-6.3], [2.6]]), 2, 22))  # rows change cluster
+@example(inputs=(np.ones((7, 3)), 4, 5))  # all rows equal
+@example(inputs=(np.arange(12.0).reshape(6, 2), 1, 2))  # k = 1
+@example(inputs=(np.arange(12.0).reshape(6, 2) % 5, 6, 2))  # k = n, with duplicated rows
+def test_kmeans_gives_the_bits_of_the_reference_loop(inputs):
+    features, k, seed = inputs
+    table = feature_table(features)
+    labels, centers, history = kmeans_baseline(table, k, seed)
+    ref_labels, ref_centers, ref_history = reference_kmeans(table, k, seed)
+    assert labels == ref_labels
+    assert centers.tobytes() == ref_centers.tobytes()
+    assert np.array(history).tobytes() == np.array(ref_history).tobytes()
+
+
+def test_kmeans_holds_one_distance_matrix():
+    """numpy reports its buffers to tracemalloc: the peak stays below 1.5 (n, k) float64 matrices."""
+    n, d, k = 20_000, 8, 100
+    table = feature_table(np.random.default_rng(3).standard_normal((n, d)))
+    tracemalloc.start()
+    try:
+        kmeans_baseline(table, k, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * k * 8
