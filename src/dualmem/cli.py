@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import Config, load_config
-from .corpus import ingest_corpus, load_corpus, open_corpus, read_corpus_dim
+from .corpus import ingest_corpus, ingest_features, load_corpus, read_corpus_dim
 from .evaluation import evaluate_run, load_gt
 from .pipeline import build_priors, estimate_background, run_rounds, start_discovery
 from .records import CorpusFormatError
@@ -111,7 +111,7 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     # Every input is read and checked before the output directory is touched.
     bg = BackgroundStats.load(args.bg)
     corpus = ingest_corpus(args.corpus, config)
-    detections = open_corpus(args.priors, config.d) if args.priors is not None else None
+    detections = ingest_features(args.priors, config) if args.priors is not None else None
     gt = load_gt(args.gt) if args.gt is not None else None
     priors = build_priors(config, detections=detections, corpus=corpus, gt=gt)
     state = start_discovery(corpus, bg, config, priors)

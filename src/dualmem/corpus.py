@@ -142,7 +142,7 @@ def _read_jsonl(path: Path, configured: int | None) -> RegionTable:
             except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 stop = f"{path}: line {lineno}: {exc}"
                 break
-            if not (0.0 <= score <= 1.0) or feature.shape != shape:
+            if feature.shape != shape:  # the score and the values are checked in _checked_table
                 fault = region_fault(region_id, score, feature)
                 stop = f"{path}: line {lineno}: {fault}" if fault else (
                     f"{path}: region '{region_id}': feature dimension {feature.shape[0]} != {d}"
@@ -204,12 +204,11 @@ def write_corpus_binary(path: str | Path, d: int, records: Iterable[RegionRecord
 
 
 def _binary_header(fh, path: Path) -> tuple[int, int]:
+    """The dimension and record count of a file that ``_is_binary`` found to start with the magic."""
     header = fh.read(BINARY_HEADER.size)
     if len(header) != BINARY_HEADER.size:
         raise CorpusFormatError(f"{path}: binary header truncated (expected 16 bytes)")
-    magic, version, d, count = BINARY_HEADER.unpack(header)
-    if magic != BINARY_MAGIC:
-        raise CorpusFormatError(f"{path}: bad magic {magic!r}, expected {BINARY_MAGIC!r}")
+    _, version, d, count = BINARY_HEADER.unpack(header)
     if version != BINARY_VERSION:
         raise CorpusFormatError(f"{path}: unsupported binary version {version}")
     if d < 1:
@@ -366,8 +365,10 @@ def _ingest_order(table: RegionTable, per_image: int = sys.maxsize) -> RegionTab
     return table.take(order[rank < per_image])
 
 
-def ingest_corpus(path: str | Path, config: Config) -> RegionTable:
-    """The corpus as discovery reads it: ``config.d`` wide, each image's top ``config.n_proposals_per_image``."""
+def ingest_features(path: str | Path, config: Config) -> RegionTable:
+    """Every record of a corpus or priors file, in file order and ``config.d`` wide, with features as discovery
+    reads them: each scaled to unit L2 norm if ``config.l2_normalize``. ``det_scores`` priors are read this way.
+    """
     table = open_corpus(path, config.d)
     if config.l2_normalize:
         # One np.linalg.norm per row: a norm along axis 1 sums in another order and may round differently.
@@ -375,7 +376,12 @@ def ingest_corpus(path: str | Path, config: Config) -> RegionTable:
         for row in np.flatnonzero(norms == 0.0).tolist():
             logger.warning("region '%s': zero feature cannot be L2-normalized", table.region_ids[row])
         table.features[norms > 0.0] /= norms[norms > 0.0, None]
-    return _ingest_order(table, config.n_proposals_per_image)
+    return table
+
+
+def ingest_corpus(path: str | Path, config: Config) -> RegionTable:
+    """The corpus as discovery reads it: ``ingest_features``, each image's top ``config.n_proposals_per_image``."""
+    return _ingest_order(ingest_features(path, config), config.n_proposals_per_image)
 
 
 def load_corpus(path: str | Path) -> RegionTable:

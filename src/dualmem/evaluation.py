@@ -70,37 +70,25 @@ def load_gt(path: str | Path) -> GroundTruthTable:
     coords: list[float] = []
     class_names: list[str] = []
     known: list[bool] = []
-    lines: list[int] = []
-    stop = None  # the error of the line that ended the read early, if any
-    try:
-        for lineno, line in read_lines(path):
-            if not line or line.isspace():
-                continue
-            lines.append(lineno)
-            try:
-                obj = parse_json_line(line)
-                image_id = obj["image_id"]
-                image_ids.append(image_id if type(image_id) is str else str(image_id))
-                coords += parse_box(obj["box"])
-                class_name = obj["class_name"]
-                class_names.append(class_name if type(class_name) is str else str(class_name))
-                known_flag = obj["known_flag"]
-                if type(known_flag) is not bool:
-                    raise ValueError(f"known_flag must be a JSON boolean, got {reprlib.repr(known_flag)}")
-                known.append(known_flag)
-            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad ground-truth record: {exc}") from exc
-    except ValueError as exc:
-        stop = exc
-    names = "".join(class_names)  # checked once, as the corpus readers check ids and labels
-    if "\t" in names or "\n" in names or "\r" in names:
-        i = next(i for i, name in enumerate(class_names) if "\t" in name or "\n" in name or "\r" in name)
-        raise ValueError(
-            f"{path}:{lines[i]}: bad ground-truth record: class_name {class_names[i]!r} "
-            "contains a tab, a newline or a carriage return"
-        )
-    if stop is not None:
-        raise stop
+    for lineno, line in read_lines(path):
+        if not line or line.isspace():
+            continue
+        try:
+            obj = parse_json_line(line)
+            image_id = obj["image_id"]
+            image_ids.append(image_id if type(image_id) is str else str(image_id))
+            coords += parse_box(obj["box"])
+            class_name = obj["class_name"]
+            class_name = class_name if type(class_name) is str else str(class_name)
+            if "\t" in class_name or "\n" in class_name or "\r" in class_name:
+                raise ValueError(f"class_name {class_name!r} contains a tab, a newline or a carriage return")
+            class_names.append(class_name)
+            known_flag = obj["known_flag"]
+            if type(known_flag) is not bool:
+                raise ValueError(f"known_flag must be a JSON boolean, got {reprlib.repr(known_flag)}")
+            known.append(known_flag)
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad ground-truth record: {exc}") from exc
     boxes = np.array(coords, dtype=np.float64).reshape(-1, 4)
     return GroundTruthTable(image_ids, boxes, class_names, np.array(known, dtype=bool))
 

@@ -30,6 +30,7 @@ import hashlib
 import itertools
 import logging
 import math
+import re
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -40,12 +41,13 @@ import numpy as np
 
 from .config import Config, config_hash
 from .records import RegionTable
+from .reporting import UNASSIGNED
 from .stats import BackgroundStats, LinearClassifier, _expect_end, _read_exact, _read_floats, train_lda, whiten
 
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"DMCK"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 _U32 = struct.Struct("<I")
 
 
@@ -147,11 +149,15 @@ class DualMemory:
         ``priors`` maps class label to its prior regions. A prior's member is the
         corpus row of its region id, or an external member if the corpus lacks
         that id. Classes with no qualifying priors are skipped with a warning, and
-        only the others count against the slot cap.
+        only the others count against the slot cap. A label that the run writes
+        for its own rows, ``unassigned`` or a discovered ``disc_<round>_<n>``, is refused.
         """
         mem = cls(bg, config, corpus)
         priors = priors or {}
         labels = sorted(label for label, regions in priors.items() if len(regions))
+        for label in labels:
+            if label == UNASSIGNED or re.fullmatch(r"disc_[0-9]+_[0-9]+", label):
+                raise ValueError(f"prior class {label!r} takes a label reserved for unassigned and discovered rows")
         if len(labels) > config.slot_cap:
             raise ValueError(f"{len(labels)} prior classes exceed the slot cap {config.slot_cap}")
         for label in sorted(set(priors) - set(labels)):
@@ -309,16 +315,14 @@ class DualMemory:
 
         Only an empty working memory can be saved: checkpoints are taken between
         rounds, after consolidation, so they hold no member features. Members are
-        stored as corpus rows, next to a digest of the corpus's region ids.
+        stored as corpus rows; the config, corpus and background, as their digests.
         """
         if self.working:
             raise ValueError(f"cannot checkpoint with {len(self.working)} working slots; consolidate first")
         with open(path, "wb") as fh:
             fh.write(struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, self.config.d))
-            fh.write(bytes.fromhex(config_hash(self.config)) + self.corpus_digest)
-            fh.write(struct.pack("<QQ", self.next_slot_id, self.rejected_count))
-            self.bg.write_moments(fh)
-            parts = [_U32.pack(len(self.semantic))]
+            fh.write(bytes.fromhex(config_hash(self.config)) + self.corpus_digest + self.bg.digest)
+            parts = [struct.pack("<QQI", self.next_slot_id, self.rejected_count, len(self.semantic))]
             for slot in self.semantic:
                 parts.append(struct.pack("<Q", slot.slot_id))
                 parts += _str_parts([slot.label])
@@ -327,8 +331,8 @@ class DualMemory:
             fh.write(b"".join(parts))
 
     @classmethod
-    def load_checkpoint(cls, path: str | Path, config: Config, corpus: RegionTable) -> "DualMemory":
-        """The memory a checkpoint holds, on ``corpus``; each error is a ValueError that starts with the file name."""
+    def load_checkpoint(cls, path: str | Path, bg: BackgroundStats, config: Config, corpus: RegionTable) -> DualMemory:
+        """The memory a checkpoint holds, on the inputs it was written with; each error starts with the file name."""
         with open(path, "rb") as fh:
             magic, version, d = struct.unpack("<4sII", _read_exact(fh, 12, "header"))
             if magic != CHECKPOINT_MAGIC:
@@ -342,10 +346,11 @@ class DualMemory:
                 raise ValueError(f"{path}: checkpoint dimension {d} != configured dimension {config.d}")
             if _read_exact(fh, 32, "corpus digest") != _corpus_digest(corpus):
                 raise ValueError(f"{path}: checkpoint was written for a different corpus")
-            next_slot_id, rejected = struct.unpack("<QQ", _read_exact(fh, 16, "counters"))
-            mem = cls(BackgroundStats.read_moments(fh, d), config, corpus)
+            if _read_exact(fh, 32, "background digest") != bg.digest:
+                raise ValueError(f"{path}: checkpoint was written with a different background")
+            next_slot_id, rejected, n_sem = struct.unpack("<QQI", _read_exact(fh, 20, "counters and slot count"))
+            mem = cls(bg, config, corpus)
             mem.next_slot_id, mem.rejected_count = next_slot_id, rejected
-            (n_sem,) = struct.unpack("<I", _read_exact(fh, 4, "semantic slot count"))
             last = -1
             for _ in range(n_sem):
                 (slot_id,) = struct.unpack("<Q", _read_exact(fh, 8, "slot id"))

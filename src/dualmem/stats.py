@@ -6,15 +6,17 @@ covariance L L^T, a slot's discriminant w.f + b equals m.z - |m|^2 / 2 + log(n /
 for z = L^-1 (f - mean_bg) and m the slot's whitened mean (Hariharan, Malik and
 Ramanan, ECCV 2012). Semantic memory and consolidation score in that form, so
 a run needs no solve per slot; ``train_lda``, the closed form itself, derives a
-slot's classifier on request and is the tests' oracle. The background's binary
-layout, ``bg.bin`` and a checkpoint's background, is read and written here.
+slot's classifier on request and is the tests' oracle. ``bg.bin``, the background's
+binary layout, is read and written here, and a checkpoint names it by its sha256.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -129,27 +131,18 @@ class BackgroundStats:
             ) from exc
         return cls(mean=mean, covariance=covariance, count=int(count), chol_lower=chol)
 
-    def write_moments(self, fh) -> None:
-        """Mean, covariance and count, little-endian: the body of ``bg.bin`` and a checkpoint's background."""
-        fh.write(self.mean.astype("<f8").tobytes())
-        fh.write(np.ascontiguousarray(self.covariance, dtype="<f8").tobytes())
-        fh.write(struct.pack("<Q", self.count))
+    def to_bytes(self) -> bytes:
+        """``bg.bin``: magic and d, then mean, covariance and count, little-endian."""
+        moments = self.mean.astype("<f8").tobytes() + np.ascontiguousarray(self.covariance, dtype="<f8").tobytes()
+        return struct.pack("<4sI", BG_MAGIC, self.d) + moments + struct.pack("<Q", self.count)
 
-    @classmethod
-    def read_moments(cls, fh, d: int) -> "BackgroundStats":
-        """The statistics :meth:`write_moments` wrote at ``fh``'s position; every error starts with the file name."""
-        mean = _read_floats(fh, d, "mean")
-        covariance = _read_floats(fh, d * d, "covariance").reshape(d, d)
-        (count,) = struct.unpack("<Q", _read_exact(fh, 8, "sample count"))
-        try:
-            return cls.from_moments(mean, covariance, count)
-        except ValueError as exc:
-            raise ValueError(f"{fh.name}: {exc}") from exc
+    @cached_property
+    def digest(self) -> bytes:
+        """The sha256 of :meth:`to_bytes`, hashed once: a checkpoint names its background by it."""
+        return hashlib.sha256(self.to_bytes()).digest()
 
     def save(self, path: str | Path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<4sI", BG_MAGIC, self.d))
-            self.write_moments(fh)
+        Path(path).write_bytes(self.to_bytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "BackgroundStats":
@@ -158,7 +151,13 @@ class BackgroundStats:
             magic, d = struct.unpack("<4sI", _read_exact(fh, 8, "header"))
             if magic != BG_MAGIC:
                 raise ValueError(f"{path}: bad magic {magic!r} in background stats file")
-            bg = cls.read_moments(fh, d)
+            mean = _read_floats(fh, d, "mean")
+            covariance = _read_floats(fh, d * d, "covariance").reshape(d, d)
+            (count,) = struct.unpack("<Q", _read_exact(fh, 8, "sample count"))
+            try:
+                bg = cls.from_moments(mean, covariance, count)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
             _expect_end(fh)
         return bg
 

@@ -17,11 +17,13 @@ import pytest
 import dualmem.cli
 import dualmem.corpus
 from dualmem.cli import build_parser, main
-from dualmem.config import Config, save_config
+from dualmem.config import Config, load_config, save_config
 from dualmem.corpus import (
-    BINARY_HEADER, ID_FIELD_BYTES, convert_corpus, load_corpus, write_corpus_binary, write_corpus_jsonl,
+    BINARY_HEADER, ID_FIELD_BYTES, convert_corpus, ingest_corpus, ingest_features, load_corpus, write_corpus_binary,
+    write_corpus_jsonl,
 )
 from dualmem.evaluation import write_gt
+from dualmem.pipeline import build_priors, run_rounds, start_discovery
 from dualmem.records import BoundingBox
 from dualmem.reporting import read_assignments, read_key_values, write_key_values
 from dualmem.stats import BackgroundStats
@@ -695,6 +697,29 @@ def test_only_discover_loads_scipy(tmp_path, spec_file):
     assert scipy_modules("baseline", "--corpus", "data/corpus.jsonl", "--stats", "run/stats.txt", "--out", "km") == []
 
 
+def test_an_output_path_that_is_a_file_is_refused(tmp_path, spec_file, capsys):
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    assert main(["gen", "--spec", str(spec_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: output path '{out}' exists and is not a directory\n"
+    assert out.read_text() == "kept\n"
+
+
+def test_blank_lines_in_assignments_are_skipped(tmp_path, full_run):
+    generated, _, run_dir, _ = full_run
+    region_ids = load_corpus(generated / "corpus.jsonl").region_ids
+    padded = tmp_path / "assignments.tsv"
+    padded.write_text("\n" + (run_dir / "assignments.tsv").read_text().replace("\n", "\n\r\n"))
+    labels = read_assignments(run_dir / "assignments.tsv", region_ids)
+    assert read_assignments(padded, region_ids) == labels and set(labels) != {"unassigned"}
+
+
+def test_blank_and_comment_lines_in_a_config_are_skipped(tmp_path):
+    config = tmp_path / "config.txt"
+    config.write_text("# a run config\n\nd = 8\n   \n  # rounds = 5\nrounds = 3\n")
+    assert load_config(config) == Config(d=8, rounds=3)
+
+
 def test_key_values_with_line_separators_round_trip(tmp_path):
     values = {f"key{i}": f"a{separator}b" for i, separator in enumerate(SEPARATORS)}
     write_key_values(tmp_path / "values.txt", values)
@@ -812,10 +837,16 @@ class TestValueErrorsNameTheFile:
         ("d = 8\nridge_lambda = nan\n", ": ridge_lambda must be finite and > 0"),
         ("d = 8\nridge_lambda = inf\n", ": ridge_lambda must be finite and > 0"),
         ("d = 8\nrounds = 2\nrounds = 1\n", ":3: key 'rounds' already set on line 2"),
+        ("d = 0\n", ": d must be >= 1"),
+        ("d = 8\nn_proposals_per_image = 0\n", ": n_proposals_per_image must be >= 1"),
+        ("d = 8\nmin_images_per_slot = 0\n", ": min_images_per_slot must be >= 1"),
+        ("d = 8\nrng_seed = -1\n", ": rng_seed must be an unsigned 64-bit integer"),
+        ("d = 8\nrng_seed = 18446744073709551616\n", ": rng_seed must be an unsigned 64-bit integer"),
     ], ids=[
         "not_an_int", "out_of_range", "not_a_bool", "missing_key", "tau_semantic_nan", "tau_semantic_inf",
         "merge_edge_threshold_nan", "merge_edge_threshold_inf", "ridge_lambda_nan", "ridge_lambda_inf",
-        "repeated_key",
+        "repeated_key", "d_zero", "n_proposals_per_image_zero", "min_images_per_slot_zero", "rng_seed_negative",
+        "rng_seed_past_u64",
     ])
     def test_config(self, tmp_path, generated, text, message, capsys):
         config = tmp_path / "config.txt"
@@ -857,10 +888,16 @@ class TestValueErrorsNameTheFile:
         # With no class, d = 0 once wrote a corpus that ``background`` refuses.
         ("d = 0\nn_known = 0\nn_unknown = 0\nimages = 2\n", ": d must be >= 1"),
         ("d = -2\nn_known = 0\nn_unknown = 0\nimages = 2\n", ": d must be >= 1"),
+        (SPEC_HEAD + "images = 2\nn_background_per_image = -1\n", ": class and background counts must be non-negative"),
+        (SPEC_HEAD + "images = 2\nclasses_per_image = 3\n", ": classes_per_image must be in [1, n_known + n_unknown]"),
+        (SPEC_HEAD + "images = 2\nclasses_per_image = 0\n", ": classes_per_image must be in [1, n_known + n_unknown]"),
+        (SPEC_HEAD + "images = 2\nclasses_per_image = 1\nregions_per_class_per_image = 0\n",
+         ": regions_per_class_per_image must be >= 1"),
     ], ids=[
         "not_an_int", "out_of_range", "missing_key", "separation_nan", "separation_inf", "std_nan",
         "anisotropy_nan", "anisotropy_inf", "anisotropy_zero", "anisotropy_negative", "repeated_key",
-        "d_zero", "d_negative",
+        "d_zero", "d_negative", "background_negative", "classes_per_image_above_classes", "classes_per_image_zero",
+        "regions_per_class_zero",
     ])
     def test_spec(self, tmp_path, text, message, capsys):
         """``gen`` refuses the spec before it makes the output directory."""
@@ -910,6 +947,18 @@ class TestValueErrorsNameTheFile:
         expected = f"{assignments}:4: region id 'elsewhere_r1' is not in the corpus"
         expect_one_line_error(argv, tmp_path / "eval", expected, capsys)
 
+    def test_assignments_line_that_is_not_an_id_and_a_label(self, tmp_path, full_run, capsys):
+        generated, _, run_dir, _ = full_run
+        lines = (run_dir / "assignments.tsv").read_text().split("\n")
+        lines[2] = lines[2].replace("\t", " ")
+        assignments = tmp_path / "assignments.tsv"
+        assignments.write_text("\n".join(lines))
+        argv = [
+            "eval", "--corpus", str(generated / "corpus.jsonl"), "--assignments", str(assignments),
+            "--gt", str(generated / "gt.jsonl"),
+        ]
+        expect_one_line_error(argv, tmp_path / "eval", f"{assignments}:3: expected 'region_id<TAB>label'", capsys)
+
     @pytest.mark.parametrize("binary", [False, True])
     @pytest.mark.parametrize("subcommand", [["background"], ["baseline", "--k", "2"]])
     def test_corpus_declaring_no_dimension(self, tmp_path, generated, binary, subcommand, capsys):
@@ -926,6 +975,12 @@ class TestValueErrorsNameTheFile:
             corpus.write_text("\n".join(['{"d": 0, "version": 1}'] + lines[1:]))
             expected = f"{corpus}: line 1: dimension 0 is not positive"
         expect_one_line_error(subcommand + ["--corpus", str(corpus)], tmp_path / "out", expected, capsys)
+
+    def test_stats_without_clusters_final(self, tmp_path, generated, capsys):
+        stats = tmp_path / "stats.txt"
+        stats.write_text("rounds = 2\n")
+        argv = ["baseline", "--corpus", str(generated / "corpus.jsonl"), "--stats", str(stats)]
+        expect_one_line_error(argv, tmp_path / "km", f"'{stats}' has no clusters_final entry", capsys)
 
     def test_stats(self, tmp_path, generated, capsys):
         stats = tmp_path / "stats.txt"
@@ -991,6 +1046,63 @@ class TestCarriageReturns:
         ]
         expected = f"{priors}: line 3: gt_label 'known_00\\r' contains a carriage return"
         expect_one_line_error(argv, tmp_path / "bad_run", expected, capsys)
+
+
+class TestReservedPriorLabels:
+    """A known class may not take a label the run writes for its own rows: its rows would read back as
+    unassigned, or share a cluster with a discovered slot."""
+
+    def discover(self, tmp_path, full_run, mode, priors=None, gt=None):
+        generated, bg_dir, _, _ = full_run
+        config = tmp_path / "config2.txt"
+        save_config(Config(d=8, min_images_per_slot=3, rounds=2, rng_seed=3, init_mode=mode), config)
+        inputs = ["--priors", str(priors)] if mode == "det_scores" else ["--gt", str(gt)]
+        return [
+            "discover", "--corpus", str(generated / "corpus.jsonl"), "--bg", str(bg_dir / "bg.bin"),
+            "--config", str(config), *inputs,
+        ]
+
+    @pytest.mark.parametrize("label", ["unassigned", "disc_1_0"])
+    def test_det_scores(self, tmp_path, full_run, label, capsys):
+        generated = full_run[0]
+        priors = tmp_path / "priors.jsonl"
+        priors.write_text((generated / "priors.jsonl").read_text().replace('"known_00"', json.dumps(label)))
+        argv = self.discover(tmp_path, full_run, "det_scores", priors=priors)
+        expected = f"prior class '{label}' takes a label reserved for unassigned and discovered rows"
+        expect_one_line_error(argv, tmp_path / "run2", expected, capsys)
+        assert not (tmp_path / "run2").exists()
+
+    @pytest.mark.parametrize("label", ["unassigned", "disc_2_13"])
+    def test_gt_overlap(self, tmp_path, full_run, label, capsys):
+        generated = full_run[0]
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text((generated / "gt.jsonl").read_text().replace('"known_01"', json.dumps(label)))
+        argv = self.discover(tmp_path, full_run, "gt_overlap", gt=gt)
+        expected = f"prior class '{label}' takes a label reserved for unassigned and discovered rows"
+        expect_one_line_error(argv, tmp_path / "run2", expected, capsys)
+        assert not (tmp_path / "run2").exists()
+
+
+def test_l2_normalize_puts_det_scores_priors_in_the_corpus_feature_space(tmp_path, generated):
+    """``discover`` reads the priors as the library does, normalized like the corpus, and known classes match."""
+    config = Config(d=8, min_images_per_slot=3, rounds=2, rng_seed=3, l2_normalize=True)
+    save_config(config, tmp_path / "config.txt")
+    corpus, priors = generated / "corpus.jsonl", generated / "priors.jsonl"
+    base = ["--corpus", str(corpus), "--config", str(tmp_path / "config.txt")]
+    assert main(["background", *base, "--out", str(tmp_path / "bg")]) == 0
+    argv = ["discover", *base, "--bg", str(tmp_path / "bg" / "bg.bin"), "--priors", str(priors)]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+    stats = read_key_values(tmp_path / "run" / "stats.txt")
+    assert int(stats["round_1_known_match"]) > 0 and int(stats["round_2_known_match"]) > 0
+
+    table = ingest_corpus(corpus, config)
+    detections = ingest_features(priors, config)
+    assert np.allclose(np.linalg.norm(detections.features, axis=1), 1.0, rtol=0, atol=1e-12)
+    state = start_discovery(table, BackgroundStats.load(tmp_path / "bg" / "bg.bin"), config,
+                            build_priors(config, detections=detections))
+    run = run_rounds(state, tmp_path / "library")
+    assert (tmp_path / "library" / "stats.txt").read_bytes() == (tmp_path / "run" / "stats.txt").read_bytes()
+    assert run.stats["known_match"] == int(stats["known_match"])
 
 
 class TestEveryOptionChangesTheRun:
@@ -1086,6 +1198,16 @@ class TestEvalThresholds:
             "--gt", str(generated / "gt.jsonl"), "--thresholds", thresholds,
         ]
         expect_one_line_error(argv, tmp_path / "eval", f"--thresholds lists {repeated} more than once", capsys)
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("thresholds", ["", ",", ",,"])
+    def test_no_threshold_fails_before_any_output(self, tmp_path, full_run, thresholds, capsys):
+        generated, _, run_dir, _ = full_run
+        argv = [
+            "eval", "--corpus", str(generated / "corpus.jsonl"), "--assignments", str(run_dir / "assignments.tsv"),
+            "--gt", str(generated / "gt.jsonl"), "--thresholds", thresholds,
+        ]
+        expect_one_line_error(argv, tmp_path / "eval", "--thresholds must list at least one IoU threshold", capsys)
         assert not (tmp_path / "eval").exists()
 
     def test_a_threshold_of_one_is_scored(self, tmp_path, full_run):

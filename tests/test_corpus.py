@@ -159,6 +159,42 @@ class TestFormats:
         with pytest.raises(CorpusFormatError, match="line 1"):
             open_corpus(path)
 
+    def test_unsupported_version(self, tmp_path):
+        path = tmp_path / "v2.jsonl"
+        path.write_text('{"d": 3, "version": 2}\n')
+        for read in (open_corpus, read_corpus_dim):
+            with pytest.raises(CorpusFormatError) as caught:
+                read(path)
+            assert str(caught.value) == f"{path}: line 1: unsupported version 2"
+
+    def test_binary_header_truncated(self, tmp_path):
+        path = tmp_path / "short.dmrf"
+        path.write_bytes(BINARY_HEADER.pack(b"DMRF", 1, 3, 0)[:10])
+        for read in (open_corpus, read_corpus_dim):
+            with pytest.raises(CorpusFormatError) as caught:
+                read(path)
+            assert str(caught.value) == f"{path}: binary header truncated (expected 16 bytes)"
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path, padded = tmp_path / "corpus.jsonl", tmp_path / "padded.jsonl"
+        write_corpus_jsonl(path, 3, sample_records())
+        lines = path.read_text().split("\n")
+        padded.write_text("\n".join([lines[0], "", *lines[1:4], " \t\r", *lines[4:], ""]))
+        a, b = open_corpus(padded), open_corpus(path)
+        assert len(a) == 12 and a.region_ids == b.region_ids and a.features.tobytes() == b.features.tobytes()
+
+    def test_numbers_as_ids_are_read_as_their_text(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_corpus_jsonl(path, 3, sample_records(n_images=2, per_image=1))
+        lines = path.read_text().split("\n")
+        for lineno, number in ((2, 7), (3, 8.5)):
+            obj = json.loads(lines[lineno - 1])
+            obj["image_id"] = obj["region_id"] = number
+            lines[lineno - 1] = json.dumps(obj)
+        path.write_text("\n".join(lines))
+        table = open_corpus(path)
+        assert table.image_ids == table.region_ids == ["7", "8.5"]
+
 
 def _with_bad_byte(path, line, position):
     """Replace one byte of a (1-based) line of ``path`` with 0xFF, which UTF-8 never holds."""

@@ -63,9 +63,9 @@ GOLDEN = {
         "run/assignments.tsv": "fb5772c549d92fe55ee6c3a583967d0af256216fa855b3198b6e711b289a79e1",
         "run/bg.bin": "029df6763c91a846cfac5cb4ee5508a7462e17e30d36c0083fc4b4d5b23cd52b",
         "run/config.txt": "e113d4c233e18bbd0c8163bc6738c26bd0a619798c8a109db13fc84dec5c9e51",
-        "run/round_1/checkpoint.bin": "fe71fffd3fc86d9388db601b8411a8de081d4bf51721a58af5dcdc4d5d536215",
+        "run/round_1/checkpoint.bin": "82963d62e3a37c826c798e4f6df9b82d7b5c1e9dee53c26912ba9dad0dc581db",
         "run/round_1/consolidation.log": "05af30e01a672e01c70e8702e96e56339e7592e7ea01a984c03c09bbb294aec9",
-        "run/round_2/checkpoint.bin": "8fd7fe23a6474ae1834aa06567cc05f4f6bcc43f99104c956ed32ebf27b01e31",
+        "run/round_2/checkpoint.bin": "a13b9b3901764adc928e10fb4cedb3222b953b55ffb0ac18d983161a53921b69",
         "run/round_2/consolidation.log": "13bed32920a4bc52306ecb052b406557090feda2c220b0af86f684a487676ffa",
         "run/stats.txt": "54792e90ee9402a8191485afefb16e63914e767ee1ad21405b90eb2602ebb9ef",
         "spec.txt": "8227edcadff3c097c5f60b7bcba3a69d7eea001ead6235d6f54184a64ee6d5a3",
@@ -86,9 +86,9 @@ GOLDEN = {
         "run/assignments.tsv": "5c74373b60ff493408e42a4901f23e760ae2ebab9b949110a4244ef6b5d76e79",
         "run/bg.bin": "f635cf4c65f393ef2a1d6b9d769497d569113fbdfdd284ef167ab05196e832dc",
         "run/config.txt": "ff9c862d58a7fd130cc1013ad9f0b702203496e0ec139ef2536741619b8521f2",
-        "run/round_1/checkpoint.bin": "d76087ae34bb133ab50b1a226549365f4bea1de6e10ff246b29bbf63bec0064f",
+        "run/round_1/checkpoint.bin": "d9b3d448bdd807a3790e10db1cb677b268ca596e6810cd8eb033c907cafbc165",
         "run/round_1/consolidation.log": "dd954901ecc248098a806ff326e0c67068f0174ed18288cf5fc427098a3386a6",
-        "run/round_2/checkpoint.bin": "8c7e88fd5f285d2d534dc00161bcb37aea2dc98c1593b0f448a9d31f8ec0aa8d",
+        "run/round_2/checkpoint.bin": "29fabd76f7f031acf95d91aee519878554b24fbd9aa7b20e412c9c22673512cf",
         "run/round_2/consolidation.log": "2aaa15dff51739263a09e82f0d727d42f159f0a5d1c6a834e22d262dae1ac45b",
         "run/stats.txt": "ecacbb0dd1744e9c4e704f71e28098015ffe9e050e8b9d6a7fc8ac467e1f176f",
         "spec.txt": "be49a458bffadcf0fef1d0ddd2f9245054bc905b8117929438d0b6dab23e84f7",
@@ -110,11 +110,11 @@ GOLDEN = {
         "run/assignments.tsv": "d80daf28ac0dd58d589bc1752e9b86ebc51c15c2d62e5f78fa9c7fad913a5660",
         "run/bg.bin": "6a668f31bae2c16779ea17ed0064aecc9944acc1843ec4b71aa24cb728bcfe30",
         "run/config.txt": "1c7bb707fded06ee2010375530b8b1a856ad0b6e18763eb695c61a049c438bbb",
-        "run/round_1/checkpoint.bin": "1c22baa326ad428185f2e934b336d9e36de362a02e5a6895c2ba3583b396060f",
+        "run/round_1/checkpoint.bin": "99bf3b9f329f97f4f906f64305d7d3713c7d3b5a4dd4450c8ecc8e8a397f2809",
         "run/round_1/consolidation.log": "57605585cc0fe5351a38c910359ea9a1c8f6aa4041d098faa29d5a6822721bd2",
-        "run/round_2/checkpoint.bin": "f0bcde5b027ca75d84709dc8a44deca1cb6312619be436c3e3093588a9ee721c",
+        "run/round_2/checkpoint.bin": "61de5e302bd27e353960dda41db2a35658f0195d2e76623b66ae7f19229abb9e",
         "run/round_2/consolidation.log": "4bf33404b76cdbb4bf932ecb2659a6a0fcaf028ba4ed0fb5de59f176dbccf099",
-        "run/round_3/checkpoint.bin": "4c7f7752bfef54a68afeacf96393b8082806aa1cb24317c6d01ac04e56883250",
+        "run/round_3/checkpoint.bin": "e4e71f8e41f5d36618ff4f3aed4a6cc49f5fad9f8950c7acecfbbd84322baa6f",
         "run/round_3/consolidation.log": "bd662d30ea1a3f52299baa2768951f0ee7c09700569fd0ef1fb071f39305f1c7",
         "run/stats.txt": "1585500186b5213b8449df7fe6a18cc67234eaf579298a29989d79d5b2c08d7f",
         "spec.txt": "bf1ad664c2345015c40ce49889e5a485e3433507b20b68665c71f0c98964718e",

@@ -91,6 +91,23 @@ class TestInit:
         with pytest.raises(ValueError, match="^2 prior classes exceed the slot cap 1$"):
             make_memory(priors=dict(priors, cat=[make_region("p1", "i1", [0, 1.0, 0, 0])]), slot_cap=1)
 
+    @pytest.mark.parametrize("label", ["unassigned", "disc_1_0", "disc_0_0", "disc_12_345", "disc_01_7"])
+    def test_a_label_the_run_writes_for_its_own_rows_is_refused(self, label):
+        priors = {"cat": [make_region("p0", "i0", [1.0, 0, 0, 0])], label: [make_region("p1", "i1", [0, 1.0, 0, 0])]}
+        with pytest.raises(ValueError) as caught:
+            make_memory(priors=priors)
+        assert str(caught.value) == f"prior class '{label}' takes a label reserved for unassigned and discovered rows"
+
+    @pytest.mark.parametrize("label", ["Unassigned", "unassigned_1", "disc_1", "disc_1_0_2", "disc_a_0", "disc_1_0 ",
+                                       "disc_-1_0", "disc_١_0"])
+    def test_a_label_that_only_resembles_a_reserved_one_gets_a_slot(self, label):
+        mem = make_memory(priors={label: [make_region("p0", "i0", [1.0, 0, 0, 0])]})
+        assert [s.label for s in mem.semantic] == [label]
+
+    def test_a_background_of_another_dimension_is_refused(self):
+        with pytest.raises(ValueError, match="^background dimension 3 != configured dimension 4$"):
+            DualMemory(identity_bg(3), Config(d=4), table_of([], 4))
+
     def test_priors_with_the_wrong_dimension_fail(self):
         with pytest.raises(ValueError, match="shape"):
             make_memory(priors={"cat": [make_region("p0", "i0", [1.0, 0.0, 0.0])]})
@@ -299,6 +316,15 @@ class TestApply:
         with pytest.raises(StaleDecisionError):
             mem.apply_decision(decision, r1)
 
+    def test_stale_known_match_raises(self):
+        mem = make_memory(priors=two_class_priors(), batches=[[make_region("r0", "i0", [10.0, 0, 0, 0])]])
+        decision = mem.retrieve(mem.corpus.features[0], mem.white[0])
+        assert decision.kind is DecisionKind.KNOWN_MATCH
+        mem.semantic = [s for s in mem.semantic if s.slot_id != decision.slot_id]
+        mem.rebuild_caches()
+        with pytest.raises(StaleDecisionError, match=f"^semantic slot {decision.slot_id} no longer exists$"):
+            mem.apply_decision(decision, 0)
+
 
 class TestProcessImage:
     def test_known_and_novel_regions_route_correctly(self):
@@ -368,6 +394,13 @@ class TestProcessImage:
 
 
 class TestMine:
+    def test_no_semantic_slot_mines_nothing(self):
+        """Under init_mode = null, before any slot is transferred, mining accepts no row and changes nothing."""
+        mem = make_memory(tau_semantic=-1e9, batches=[[make_region("r0", "i0", [3.0, 1.0, 0.5, -0.25])]])
+        assert mem.config.init_mode == "null"
+        assert not mem.mine_region(0)
+        assert mem.semantic == [] and mem.working == [] and mem.rejected_count == 0
+
     def test_a_score_equal_to_tau_semantic_is_accepted(self):
         """Mining accepts a row whose best score is >= tau_semantic: on the threshold it joins, one ulp below it not."""
         batch = [make_region("r0", "i0", [3.0, 1.0, 0.5, -0.25])]
@@ -438,7 +471,8 @@ class TestCheckpoint:
         assert len(mem.semantic) > 1
         path = tmp_path / "checkpoint.bin"
         mem.save_checkpoint(path)
-        twin = DualMemory.load_checkpoint(path, mem.config, mem.corpus)
+        mem.bg.save(tmp_path / "bg.bin")
+        twin = DualMemory.load_checkpoint(path, BackgroundStats.load(tmp_path / "bg.bin"), mem.config, mem.corpus)
 
         assert [(s.slot_id, s.label, s.rows, s.external) for s in twin.semantic] == [
             (s.slot_id, s.label, s.rows, s.external) for s in mem.semantic
@@ -467,7 +501,7 @@ class TestCheckpoint:
         mem.save_checkpoint(path)
         other = Config(d=4, tau_working=0.71, init_mode="null")
         with pytest.raises(ValueError, match="different configuration"):
-            DualMemory.load_checkpoint(path, other, mem.corpus)
+            DualMemory.load_checkpoint(path, mem.bg, other, mem.corpus)
 
     def test_the_corpus_is_hashed_once_per_memory(self, tmp_path, monkeypatch):
         mem = make_memory(d=4, batches=[[make_region("r0", "i0", [1.0, 0.0, 0.0, 0.0])]])
@@ -477,7 +511,34 @@ class TestCheckpoint:
             mem.save_checkpoint(tmp_path / name)
         assert len(hashed) == 1 and hashed[0] is mem.corpus
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "c.bin").read_bytes()
-        assert DualMemory.load_checkpoint(tmp_path / "c.bin", mem.config, mem.corpus).semantic == []
+        assert DualMemory.load_checkpoint(tmp_path / "c.bin", mem.bg, mem.config, mem.corpus).semantic == []
+
+    def test_the_background_is_hashed_once(self, tmp_path, monkeypatch):
+        mem = make_memory(d=4)
+        encode, encoded = BackgroundStats.to_bytes, []
+        monkeypatch.setattr(BackgroundStats, "to_bytes", lambda bg: encoded.append(bg) or encode(bg))
+        for name in ("a.bin", "b.bin", "c.bin"):
+            mem.save_checkpoint(tmp_path / name)
+        DualMemory.load_checkpoint(tmp_path / "c.bin", mem.bg, mem.config, mem.corpus)
+        assert len(encoded) == 1 and encoded[0] is mem.bg
+
+    def test_reload_refuses_another_background_before_reading_a_slot(self, tmp_path):
+        """A checkpoint holds the sha256 of its background's ``bg.bin`` after the corpus digest, and no moment."""
+        mem = make_memory(d=4, priors={"cat": [make_region("p0", "ip", [8.0, 0, 0, 0])]})
+        path, cut = tmp_path / "checkpoint.bin", tmp_path / "cut.bin"
+        mem.save_checkpoint(path)
+        mem.bg.save(tmp_path / "bg.bin")
+        data = path.read_bytes()
+        assert data[76:108] == hashlib.sha256((tmp_path / "bg.bin").read_bytes()).digest()
+        cut.write_bytes(data[:108])  # no counters and no slot after the digest
+        for checkpoint in (path, cut):
+            with pytest.raises(ValueError) as caught:
+                DualMemory.load_checkpoint(checkpoint, identity_bg(4, count=1001), mem.config, mem.corpus)
+            assert str(caught.value) == f"{checkpoint}: checkpoint was written with a different background"
+        truncated = r"cut\.bin: truncated at byte 108: counters and slot count needs 20 bytes, got 0$"
+        with pytest.raises(ValueError, match=truncated):
+            DualMemory.load_checkpoint(cut, mem.bg, mem.config, mem.corpus)
+        assert len(DualMemory.load_checkpoint(path, identity_bg(4), mem.config, mem.corpus).semantic) == 1
 
     def test_truncated_checkpoint_is_a_value_error_at_every_offset(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -497,7 +558,7 @@ class TestCheckpoint:
             cut.unlink(missing_ok=True)  # a new file: truncating one in place makes ext4 flush it
             cut.write_bytes(data[:size])
             with pytest.raises(ValueError, match=r"cut\.bin: truncated at byte \d+"):
-                DualMemory.load_checkpoint(cut, mem.config, mem.corpus)
+                DualMemory.load_checkpoint(cut, mem.bg, mem.config, mem.corpus)
 
 
 def reference_save_checkpoint(mem, path):
@@ -513,6 +574,10 @@ def reference_save_checkpoint(mem, path):
         raw = region_id.encode("utf-8")
         corpus_digest.update(struct.pack("<I", len(raw)))
         corpus_digest.update(raw)
+    bg_digest = hashlib.sha256(struct.pack("<4sI", b"DMBG", mem.bg.d))  # bg.bin's bytes, field by field
+    bg_digest.update(mem.bg.mean.astype("<f8").tobytes())
+    bg_digest.update(mem.bg.covariance.astype("<f8").tobytes())
+    bg_digest.update(struct.pack("<Q", mem.bg.count))
 
     if mem.working:
         raise ValueError(f"cannot checkpoint with {len(mem.working)} working slots; consolidate first")
@@ -520,8 +585,8 @@ def reference_save_checkpoint(mem, path):
         fh.write(struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, mem.config.d))
         fh.write(bytes.fromhex(config_hash(mem.config)))
         fh.write(corpus_digest.digest())
+        fh.write(bg_digest.digest())
         fh.write(struct.pack("<QQ", mem.next_slot_id, mem.rejected_count))
-        mem.bg.write_moments(fh)
         fh.write(struct.pack("<I", len(mem.semantic)))
         for slot in mem.semantic:
             fh.write(struct.pack("<Q", slot.slot_id))
@@ -553,14 +618,14 @@ def test_checkpoint_bytes_equal_the_per_field_writer(tmp_path_factory, seed, lab
         if labels:
             priors[labels[i % len(labels)]].append(make_region(region_id, f"图{i}", rng.standard_normal(d)))
     mem, _ = process([make_region(f"ré{i}🦉", f"𝔦{i}", rng.standard_normal(d)) for i in range(mined)],
-                     d=d, priors=priors, tau_semantic=-1e9)
+                     d=d, priors=priors, tau_semantic=-1e9, bg_count=int(rng.integers(1, 2**40)))
     mem.rejected_count = int(rng.integers(0, 2**40))
     consolidate(mem)
     folder = tmp_path_factory.mktemp("checkpoint")
     mem.save_checkpoint(folder / "joined.bin")
     reference_save_checkpoint(mem, folder / "fields.bin")
     assert (folder / "joined.bin").read_bytes() == (folder / "fields.bin").read_bytes()
-    twin = DualMemory.load_checkpoint(folder / "joined.bin", mem.config, mem.corpus)
+    twin = DualMemory.load_checkpoint(folder / "joined.bin", mem.bg, mem.config, mem.corpus)
     assert [(s.slot_id, s.label, s.rows, s.external) for s in twin.semantic] == [
         (s.slot_id, s.label, s.rows, s.external) for s in mem.semantic
     ]

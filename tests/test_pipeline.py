@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dualmem.config import Config
-from dualmem.corpus import DatasetSplit, ingest_corpus, split_dataset
+from dualmem.corpus import DatasetSplit, ingest_corpus, ingest_features, open_corpus, split_dataset
 from dualmem.evaluation import iou, load_gt
 from dualmem.memory import DecisionKind, DualMemory, RetrievalDecision
 from dualmem.pipeline import (
@@ -15,7 +15,7 @@ from dualmem.pipeline import (
 )
 from dualmem.records import BoundingBox
 from dualmem.reporting import UNASSIGNED
-from dualmem.stats import MomentAccumulator
+from dualmem.stats import BackgroundStats, MomentAccumulator, whiten
 from dualmem.synth import KNOWN_PRIOR_SCORE, SynthSpec, generate
 
 from conftest import GtBox, batches_of, gt_table_of, identity_bg, make_region, records_of, table_of
@@ -81,6 +81,10 @@ class TestBackgroundEstimation:
         assert np.linalg.norm(serial.mean - chunked.mean) < 1e-9
         assert np.linalg.norm(serial.covariance - chunked.covariance) < 1e-9
 
+    def test_fewer_than_one_worker_is_refused(self):
+        with pytest.raises(ValueError, match="^workers must be >= 1, got 0$"):
+            estimate_background(toy_corpus(), Config(d=4), workers=0)
+
     def test_parts_beyond_the_image_count_are_not_visited(self, monkeypatch):
         """A part past the last image is empty; skipping it leaves every byte of the moments as they were."""
         corpus = toy_corpus()
@@ -122,6 +126,40 @@ class TestPriors:
     def test_det_scores_requires_file(self):
         with pytest.raises(ValueError, match="prior detections"):
             build_priors(Config(d=4, init_mode="det_scores"))
+
+    def test_gt_overlap_requires_the_corpus_and_ground_truth(self, synth_run):
+        _, paths, _, corpus, _ = synth_run
+        config = Config(d=8, init_mode="gt_overlap")
+        for inputs in ({"corpus": corpus}, {"gt": load_gt(paths["gt"])}):
+            with pytest.raises(ValueError, match="^init_mode=gt_overlap requires the corpus and ground truth$"):
+                build_priors(config, **inputs)
+
+    def test_an_init_mode_assigned_after_construction_is_refused(self):
+        """``Config`` refuses an unknown mode when built; a mode assigned later reaches ``build_priors`` unchecked."""
+        config = Config(d=4)
+        config.init_mode = "oracle"
+        with pytest.raises(ValueError, match="^unknown init_mode 'oracle'$"):
+            build_priors(config)
+
+    def test_det_scores_priors_are_normalized_like_the_corpus(self, synth_run):
+        """Under l2_normalize a prior slot's whitened mean is ``whiten`` of the mean of its normalized features."""
+        _, paths, _, _, _ = synth_run
+        config = Config(d=8, min_images_per_slot=3, rounds=2, rng_seed=11, l2_normalize=True)
+        corpus = ingest_corpus(paths["corpus"], config)
+        assert np.allclose(np.linalg.norm(corpus.features, axis=1), 1.0, rtol=0, atol=1e-12)
+        bg = estimate_background(corpus, config)
+        detections = ingest_features(paths["priors"], config)
+        mem = DualMemory.initialize(bg, config, corpus, build_priors(config, detections=detections))
+        raw = open_corpus(paths["priors"])
+        labels = ["known_00", "known_01"]
+        assert [s.label for s in mem.semantic] == labels
+        means, raw_means = [], []
+        for label in labels:
+            feats = raw.features[[label == name for name in raw.gt_labels] & (raw.scores > config.semantic_prior_score)]
+            means.append((feats / np.array([np.linalg.norm(f) for f in feats])[:, None]).mean(axis=0))
+            raw_means.append(feats.mean(axis=0))
+        np.testing.assert_array_equal(np.stack([s.white for s in mem.semantic]), whiten(np.stack(means), bg))
+        assert not np.allclose(np.stack([s.white for s in mem.semantic]), whiten(np.stack(raw_means), bg))
 
     def test_gt_overlap_matches_known_boxes(self, synth_run):
         spec, paths, config, corpus, bg = synth_run
@@ -242,7 +280,7 @@ class TestExternalPriors:
     def test_an_external_prior_survives_a_checkpoint_round_trip(self, tmp_path):
         mem = self.memory()
         mem.save_checkpoint(tmp_path / "checkpoint.bin")
-        twin = DualMemory.load_checkpoint(tmp_path / "checkpoint.bin", mem.config, mem.corpus)
+        twin = DualMemory.load_checkpoint(tmp_path / "checkpoint.bin", mem.bg, mem.config, mem.corpus)
         assert [(s.label, s.rows, s.external, s.white.tobytes(), s.offset) for s in twin.semantic] == [
             (s.label, s.rows, s.external, s.white.tobytes(), s.offset) for s in mem.semantic
         ]
@@ -318,8 +356,10 @@ class TestRunDiscovery:
         """Round 1's checkpoint, resumed for the remaining rounds, ends where the straight run ends."""
         spec, paths, config, corpus, bg = synth_run
         priors = build_priors(config, detections=_prior_records(paths))
-        straight = run_discovery(corpus, bg, config, priors, out_dir=tmp_path / "run")
-        reloaded = DualMemory.load_checkpoint(tmp_path / "run" / "round_1" / "checkpoint.bin", config, corpus)
+        run = tmp_path / "run"
+        straight = run_discovery(corpus, bg, config, priors, out_dir=run)
+        saved_bg = BackgroundStats.load(run / "bg.bin")
+        reloaded = DualMemory.load_checkpoint(run / "round_1" / "checkpoint.bin", saved_bg, config, corpus)
         state = RoundState(2, reloaded, split_dataset(list(corpus.image_ids), config.rng_seed))
         while state.round_index <= config.rounds:
             run_discovery_round(state)

@@ -29,6 +29,10 @@ from dualmem.synth import SynthSpec, generate, save_spec
 from conftest import identity_bg, make_region, table_of
 
 
+COUNTERS = 12 + 32 + 32 + 32  # the fixture checkpoint's header, config hash, corpus digest and background digest
+SLOT_COUNT = COUNTERS + 16  # .. next_slot_id and the rejection count
+
+
 def checkpoint_corpus():
     """The six regions the fixture's checkpoint is written on; its prior region "p0" is not among them."""
     rng = np.random.default_rng(0)
@@ -151,7 +155,7 @@ def test_checkpoint_with_trailing_bytes(tmp_path, inputs):
     data = paths["checkpoint"].read_bytes()
     checkpoint.write_bytes(data + bytes(70))
     with pytest.raises(ValueError, match=f"^{checkpoint}: 70 trailing bytes: expected {len(data)} bytes, got {len(data) + 70}$"):
-        DualMemory.load_checkpoint(checkpoint, config, checkpoint_corpus())
+        DualMemory.load_checkpoint(checkpoint, identity_bg(4), config, checkpoint_corpus())
 
 
 def test_bad_magic_names_the_file(tmp_path, inputs, capsys):
@@ -166,7 +170,7 @@ def test_bad_magic_names_the_file(tmp_path, inputs, capsys):
     checkpoint = tmp_path / "checkpoint.bin"
     checkpoint.write_bytes(b"XXXX" + paths["checkpoint"].read_bytes()[4:])
     with pytest.raises(ValueError, match=f"^{checkpoint}: bad magic"):
-        DualMemory.load_checkpoint(checkpoint, config, checkpoint_corpus())
+        DualMemory.load_checkpoint(checkpoint, identity_bg(4), config, checkpoint_corpus())
 
 
 @pytest.mark.parametrize(
@@ -183,48 +187,45 @@ def test_checkpoint_header_errors_name_the_file(tmp_path, inputs, field, value, 
     checkpoint = tmp_path / "checkpoint.bin"
     checkpoint.write_bytes(bytes(data))
     with pytest.raises(ValueError, match=f"^{checkpoint}: {message}$"):
-        DualMemory.load_checkpoint(checkpoint, config, checkpoint_corpus())
+        DualMemory.load_checkpoint(checkpoint, identity_bg(4), config, checkpoint_corpus())
     with pytest.raises(ValueError, match=f"^{paths['checkpoint']}: checkpoint was written under a different configuration$"):
-        DualMemory.load_checkpoint(paths["checkpoint"], Config(d=4, rounds=2), checkpoint_corpus())
+        DualMemory.load_checkpoint(paths["checkpoint"], identity_bg(4), Config(d=4, rounds=2), checkpoint_corpus())
 
 
 def test_checkpoint_string_that_is_not_utf8_names_file_and_offset(tmp_path, inputs):
     paths, config = inputs
     data = bytearray(paths["checkpoint"].read_bytes())
-    d = 4
-    first_label = 12 + 32 + 32 + 16 + 8 * d + 8 * d * d + 8 + 4 + 8  # header .. slot count, slot id
+    first_label = SLOT_COUNT + 4 + 8  # .. slot count, slot id
     assert data[first_label: first_label + 4] == struct.pack("<I", 3)  # the prior slot's label, "cat"
     data[first_label + 4] = 0xFF
     checkpoint = tmp_path / "checkpoint.bin"
     checkpoint.write_bytes(bytes(data))
     with pytest.raises(ValueError, match=f"^{checkpoint}: string at byte {first_label + 4}: 'utf-8' codec"):
-        DualMemory.load_checkpoint(checkpoint, config, checkpoint_corpus())
+        DualMemory.load_checkpoint(checkpoint, identity_bg(4), config, checkpoint_corpus())
 
 
 @pytest.mark.parametrize("value", [1e200, np.inf, np.nan])
 def test_checkpoint_slot_mean_that_cannot_score_names_the_slot(tmp_path, inputs, value):
     paths, config = inputs
     data = bytearray(paths["checkpoint"].read_bytes())
-    d = 4
-    first_white = 12 + 32 + 32 + 16 + 8 * d + 8 * d * d + 8 + 4 + 8 + 4 + 3  # header .. slot id, "cat"
+    first_white = SLOT_COUNT + 4 + 8 + 4 + 3  # .. slot count, slot id, "cat"
     data[first_white: first_white + 8] = struct.pack("<d", value)
     checkpoint = tmp_path / "checkpoint.bin"
     checkpoint.write_bytes(bytes(data))
     with pytest.raises(ValueError, match=f"^{checkpoint}: semantic slot 0 has a mean that cannot be scored$"):
-        DualMemory.load_checkpoint(checkpoint, config, checkpoint_corpus())
+        DualMemory.load_checkpoint(checkpoint, identity_bg(4), config, checkpoint_corpus())
 
 
 def test_checkpoint_slot_mean_holding_a_signalling_nan_names_the_slot(tmp_path, inputs):
     """A signalling NaN makes |m|^2 warn "invalid", which must not escape as a RuntimeWarning."""
     paths, config = inputs
     data = bytearray(paths["checkpoint"].read_bytes())
-    d = 4
-    first_white = 12 + 32 + 32 + 16 + 8 * d + 8 * d * d + 8 + 4 + 8 + 4 + 3  # header .. slot id, "cat"
+    first_white = SLOT_COUNT + 4 + 8 + 4 + 3  # .. slot count, slot id, "cat"
     data[first_white: first_white + 8] = struct.pack("<Q", 0x7FF0_0000_0000_0001)
     checkpoint = tmp_path / "checkpoint.bin"
     checkpoint.write_bytes(bytes(data))
     with pytest.raises(ValueError, match=f"^{checkpoint}: semantic slot 0 has a mean that cannot be scored$"):
-        DualMemory.load_checkpoint(checkpoint, config, checkpoint_corpus())
+        DualMemory.load_checkpoint(checkpoint, identity_bg(4), config, checkpoint_corpus())
 
 
 @pytest.mark.parametrize("patch", ["next_slot_id", "repeated slot id"])
@@ -233,14 +234,13 @@ def test_checkpoint_slot_ids_out_of_order_name_the_slot(tmp_path, inputs, patch)
     paths, config = inputs
     data = bytearray(paths["checkpoint"].read_bytes())
     d = 4
-    slot_count = 12 + 32 + 32 + 16 + 8 * d + 8 * d * d + 8  # header, config hash, corpus digest, counters, background
-    first_id = slot_count + 4
+    first_id = SLOT_COUNT + 4
     second_id = first_id + 8 + 4 + 3 + 8 * d + 4 + 4  # .. "cat", its whitened mean, one external member, no rows
-    (next_slot_id,) = struct.unpack_from("<Q", data, 12 + 32 + 32)
-    assert struct.unpack_from("<I", data, slot_count)[0] >= 2 and struct.unpack_from("<Q", data, first_id) == (0,)
+    (next_slot_id,) = struct.unpack_from("<Q", data, COUNTERS)
+    assert struct.unpack_from("<I", data, SLOT_COUNT)[0] >= 2 and struct.unpack_from("<Q", data, first_id) == (0,)
     (slot,) = struct.unpack_from("<Q", data, second_id)
     if patch == "next_slot_id":
-        struct.pack_into("<Q", data, 12 + 32 + 32, slot)
+        struct.pack_into("<Q", data, COUNTERS, slot)
         expected = f"slot id {slot} must exceed 0 and be below {slot}"
     else:
         struct.pack_into("<Q", data, second_id, 0)
@@ -248,7 +248,7 @@ def test_checkpoint_slot_ids_out_of_order_name_the_slot(tmp_path, inputs, patch)
     checkpoint = tmp_path / "checkpoint.bin"
     checkpoint.write_bytes(bytes(data))
     with pytest.raises(ValueError) as caught:
-        DualMemory.load_checkpoint(checkpoint, config, checkpoint_corpus())
+        DualMemory.load_checkpoint(checkpoint, identity_bg(4), config, checkpoint_corpus())
     assert str(caught.value) == f"{checkpoint}: {expected}"
 
 
@@ -258,12 +258,12 @@ def test_checkpoint_of_another_corpus_is_refused(inputs):
     corpus = checkpoint_corpus()
     corpus.region_ids[3] = "r3b"
     with pytest.raises(ValueError, match=f"^{paths['checkpoint']}: checkpoint was written for a different corpus$"):
-        DualMemory.load_checkpoint(paths["checkpoint"], config, corpus)
+        DualMemory.load_checkpoint(paths["checkpoint"], identity_bg(4), config, corpus)
 
 
 def checkpoint_slots(data, d=4):
     """Offsets in the fixture checkpoint: the first slot's external count, the second slot's id and first row."""
-    first_external = 12 + 32 + 32 + 16 + 8 * d + 8 * d * d + 8 + 4 + 8 + 4 + 3 + 8 * d  # .. slot id, "cat", mean
+    first_external = SLOT_COUNT + 4 + 8 + 4 + 3 + 8 * d  # .. slot count, slot id, "cat", mean
     assert struct.unpack_from("<II", data, first_external) == (1, 0)  # "p0" is external; no rows
     second_id = first_external + 4 + 4
     (label_bytes,) = struct.unpack_from("<I", data, second_id + 8)
@@ -281,7 +281,7 @@ def test_checkpoint_row_outside_the_corpus_names_the_slot(tmp_path, inputs):
     checkpoint = tmp_path / "checkpoint.bin"
     checkpoint.write_bytes(bytes(data))
     with pytest.raises(ValueError, match=f"^{checkpoint}: semantic slot {slot} has row 6 of 6 rows$"):
-        DualMemory.load_checkpoint(checkpoint, config, checkpoint_corpus())
+        DualMemory.load_checkpoint(checkpoint, identity_bg(4), config, checkpoint_corpus())
 
 
 def test_checkpoint_slot_with_no_members_names_the_slot(tmp_path, inputs):
@@ -292,7 +292,7 @@ def test_checkpoint_slot_with_no_members_names_the_slot(tmp_path, inputs):
     checkpoint = tmp_path / "checkpoint.bin"
     checkpoint.write_bytes(bytes(data))
     with pytest.raises(ValueError, match=f"^{checkpoint}: semantic slot 0 has no members$"):
-        DualMemory.load_checkpoint(checkpoint, config, checkpoint_corpus())
+        DualMemory.load_checkpoint(checkpoint, identity_bg(4), config, checkpoint_corpus())
 
 
 def test_binary_corpus_signalling_nan_names_the_record(tmp_path, inputs):
@@ -372,4 +372,5 @@ def test_fuzzed_checkpoint(tmp_path_factory, inputs, mutation):
     paths, config = inputs
     checkpoint = tmp_path_factory.mktemp("fuzz") / "checkpoint.bin"
     checkpoint.write_bytes(mutate(paths["checkpoint"].read_bytes(), *mutation))
-    read_or_error(lambda path: DualMemory.load_checkpoint(path, config, checkpoint_corpus()), checkpoint)
+    bg = identity_bg(4)
+    read_or_error(lambda path: DualMemory.load_checkpoint(path, bg, config, checkpoint_corpus()), checkpoint)

@@ -1,3 +1,5 @@
+import hashlib
+import struct
 import time
 
 import numpy as np
@@ -60,6 +62,16 @@ class TestAccumulate:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             MomentAccumulator(2).add(np.array([1.0, np.nan]))
+
+    def test_dimension_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+            MomentAccumulator(0)
+
+    def test_an_empty_batch_changes_nothing(self):
+        acc = MomentAccumulator(3).add_batch(np.arange(6.0).reshape(2, 3))
+        before = (acc.count, acc.mean.tobytes(), acc.m2.tobytes())
+        assert acc.add_batch(np.zeros((0, 3))) is acc
+        assert (acc.count, acc.mean.tobytes(), acc.m2.tobytes()) == before
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError, match="shape"):
@@ -139,6 +151,38 @@ class TestFinalize:
         np.testing.assert_array_equal(loaded.covariance, bg.covariance)
         assert loaded.count == bg.count
 
+    @pytest.mark.parametrize("mean, covariance, message", [
+        ([0.0, np.nan], np.eye(2), "background mean and covariance must be finite"),
+        ([0.0, 0.0], [[1.0, 0.0], [0.0, np.inf]], "background mean and covariance must be finite"),
+        ([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]], "covariance is not positive definite; increase ridge_lambda"),
+    ])
+    def test_moments_that_cannot_whiten_are_refused(self, mean, covariance, message):
+        with pytest.raises(ValueError) as caught:
+            BackgroundStats.from_moments(np.array(mean), np.array(covariance), 10)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_a_sample_count_below_one_is_refused(self, tmp_path, count):
+        with pytest.raises(ValueError, match=f"^background sample count must be positive, got {count}$"):
+            BackgroundStats.from_moments(np.zeros(2), np.eye(2), count)
+        path = tmp_path / "bg.bin"
+        BackgroundStats.from_moments(np.zeros(2), np.eye(2), 1).save(path)
+        path.write_bytes(path.read_bytes()[:-8] + struct.pack("<Q", 0))
+        with pytest.raises(ValueError, match=f"^{path}: background sample count must be positive, got 0$"):
+            BackgroundStats.load(path)
+
+    def test_the_file_is_the_bytes_the_digest_hashes(self, tmp_path):
+        """``bg.bin`` is magic, d, mean, covariance and count; a loaded copy has the same bytes and digest."""
+        rng = np.random.default_rng(4)
+        bg = finalize_background(MomentAccumulator(3).add_batch(rng.standard_normal((20, 3))), 1e-3)
+        bg.save(tmp_path / "bg.bin")
+        data = (tmp_path / "bg.bin").read_bytes()
+        assert data == (
+            struct.pack("<4sI", b"DMBG", 3) + bg.mean.astype("<f8").tobytes()
+            + bg.covariance.astype("<f8").tobytes() + struct.pack("<Q", 20)
+        )
+        assert bg.digest == BackgroundStats.load(tmp_path / "bg.bin").digest == hashlib.sha256(data).digest()
+
 
 class TestLda:
     def test_equal_means_and_priors_give_zero(self, bg2):
@@ -150,6 +194,12 @@ class TestLda:
         clf = train_lda(np.array([2.0, 0.0]), bg2.count, bg2)
         np.testing.assert_allclose(clf.weights, [2.0, 0.0], rtol=0, atol=1e-12)
         assert clf.bias == pytest.approx(-2.0, abs=1e-12)
+
+    def test_refuses_a_mean_of_another_shape_and_an_empty_class(self, bg2):
+        with pytest.raises(ValueError, match=r"^mean has shape \(3,\), expected \(2,\)$"):
+            train_lda(np.zeros(3), 1, bg2)
+        with pytest.raises(ValueError, match="^positive count must be >= 1$"):
+            train_lda(np.zeros(2), 0, bg2)
 
     def test_scaled_covariance_against_dense_solve(self):
         bg = BackgroundStats.from_moments(np.zeros(2), 2.0 * np.eye(2), 10)
