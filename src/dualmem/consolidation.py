@@ -1,14 +1,15 @@
 """Promote working-memory candidates into semantic memory.
 
 The full procedure merges slots whose discriminants fire on each other
-(connected components over a thresholded affinity matrix), drops samples a
-merged slot's own discriminant rejects, and transfers the survivors as new
-semantic categories. Both steps score in whitened space, as semantic memory
-does (see ``stats``), so no classifier is trained; the classifier path is kept
-as the tests' oracle. Merge and refine recompute centroids from the features of
-each slot's member rows in the memory's corpus; a transferred slot keeps those
-rows. Working memory is reset afterwards in every mode.
-"""
+(connected components of ``slot_links``, the thresholded affinity as a boolean
+adjacency, which holds one (k, k) product and forms the affinity a row block at
+a time), drops samples a merged slot's own discriminant rejects, and transfers
+the survivors as new semantic categories. Both steps score in whitened space,
+as semantic memory does (see ``stats``), so no classifier is trained; the
+classifier path is kept as the tests' oracle. Merge and refine recompute
+centroids from the features of each slot's member rows in the memory's corpus;
+a transferred slot keeps those rows. Working memory is reset afterwards in
+every mode."""
 
 from __future__ import annotations
 
@@ -18,6 +19,9 @@ import numpy as np
 
 from .memory import DualMemory, SemanticSlot, WorkingSlot
 from .stats import LinearClassifier, train_lda, whiten
+
+# Rows of the (k, k) affinity that ``slot_links`` forms at a time.
+LINK_BLOCK = 64
 
 
 @dataclass
@@ -52,15 +56,26 @@ def slot_scores(mem: DualMemory) -> tuple[np.ndarray, np.ndarray]:
     return white, np.log(counts / mem.bg.count) - 0.5 * np.einsum("ij,ij->i", white, white)
 
 
-def slot_affinity(mem: DualMemory) -> np.ndarray:
-    """The (k, k) symmetrised cross-firing of the working slots, in ``mem.working`` order.
+def slot_links(mem: DualMemory) -> np.ndarray:
+    """The (k, k) boolean adjacency of the working slots: affinity ``> merge_edge_threshold``.
 
     Slot i's discriminant at slot j's centroid, ``m_i . m_j + o_i``, is its
-    score averaged over slot j's members: the discriminant is linear.
+    score averaged over slot j's members: the discriminant is linear. A pair's
+    affinity is the mean of its two directions, formed and thresholded
+    ``LINK_BLOCK`` rows at a time, so only the product is held whole. The
+    product is not blocked: ``white @ white.T`` is one symmetric BLAS call, whose
+    bits a row-blocked product does not reproduce. Rows follow ``mem.working``.
     """
     white, offset = slot_scores(mem)
-    fired = white @ white.T + offset[:, None]
-    return 0.5 * (fired + fired.T)
+    fired = white @ white.T
+    fired += offset[:, None]
+    linked = np.empty(fired.shape, dtype=bool)
+    for lo in range(0, len(fired), LINK_BLOCK):
+        rows = slice(lo, lo + LINK_BLOCK)
+        affinity = fired[rows] + fired[:, rows].T
+        affinity *= 0.5
+        np.greater(affinity, mem.config.merge_edge_threshold, out=linked[rows])
+    return linked
 
 
 def train_slot_classifiers(mem: DualMemory) -> dict[int, LinearClassifier]:
@@ -153,8 +168,7 @@ def consolidate(mem: DualMemory, round_index: int = 1) -> ConsolidationRecord:
     samples_dropped = 0
 
     if mode in ("merge", "merge_refine") and mem.working:
-        linked = slot_affinity(mem) > mem.config.merge_edge_threshold
-        slots_after_merge = merge_components(mem, linked)
+        slots_after_merge = merge_components(mem, slot_links(mem))
     if mode == "merge_refine" and mem.working:
         samples_dropped = refine_slots(mem)
 

@@ -51,16 +51,17 @@ _JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 def _jsonl_lines(d: int, table: RegionTable) -> Iterator[str]:
-    """The header line, then one line per row, each ending in "\\n"."""
+    """The header line, then one line per row, each ending in "\\n".
+
+    Box and feature rows become Python floats one row at a time, so no more
+    than a row of them is held.
+    """
     yield _JSON.encode({"d": d, "version": JSONL_VERSION}) + "\n"
-    rows = zip(
-        table.region_ids, table.image_of(), table.boxes.tolist(), table.scores.tolist(),
-        table.features.tolist(), table.gt_labels,
-    )
+    rows = zip(table.region_ids, table.image_of(), table.boxes, table.scores.tolist(), table.features, table.gt_labels)
     for region_id, image_id, box, score, feature, label in rows:
         yield _JSON.encode({
-            "region_id": region_id, "image_id": image_id, "box": box,
-            "score": score, "feature": feature, "gt_label": label,
+            "region_id": region_id, "image_id": image_id, "box": box.tolist(),
+            "score": score, "feature": feature.tolist(), "gt_label": label,
         }) + "\n"
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from dualmem.cli import main as cli_main
 from dualmem.config import Config, save_config
-from dualmem.consolidation import build_affinity_graph, consolidate, merge_components, refine_slots, slot_affinity, train_slot_classifiers
+from dualmem.consolidation import build_affinity_graph, consolidate, merge_components, refine_slots, slot_links, train_slot_classifiers
 from dualmem.corpus import ingest_corpus, open_corpus
 from dualmem.evaluation import (
     auc,
@@ -251,7 +251,7 @@ def test_criterion_4_consolidation_contracts():
     before = sorted(r for s in mem.working for r in s.rows)
     # The classifier path is the oracle of the whitened engine's edges and refine drops.
     graph = build_affinity_graph(mem, train_slot_classifiers(mem))
-    linked = slot_affinity(mem) > mem.config.merge_edge_threshold
+    linked = slot_links(mem)
     ids = [s.slot_id for s in mem.working]
     edges_agree = {(ids[i], ids[j]) for i, j in zip(*np.nonzero(np.triu(linked, 1)))} == {
         (i, j) for i, j, _ in graph.edges

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,13 @@ import dualmem.memory
 import dualmem.stats
 from dualmem.config import Config
 from dualmem.consolidation import (
+    LINK_BLOCK,
     ConsolidationRecord,
     build_affinity_graph,
     consolidate,
     merge_components,
     refine_slots,
-    slot_affinity,
+    slot_links,
     slot_scores,
     train_slot_classifiers,
 )
@@ -52,9 +55,11 @@ def memory_with_slots(slot_features, d=2, bg_count=100, image_per_region=True, *
     return mem
 
 
-def linked(mem):
-    """The adjacency ``consolidate`` merges over: affinities above the configured threshold."""
-    return slot_affinity(mem) > mem.config.merge_edge_threshold
+def reference_affinity(mem):
+    """The (k, k) symmetrised cross-firing of the working slots, built whole from ``slot_scores``."""
+    white, offset = slot_scores(mem)
+    fired = white @ white.T + offset[:, None]
+    return 0.5 * (fired + fired.T)
 
 
 class TestSlotClassifiers:
@@ -133,7 +138,7 @@ class TestMerge:
     def test_edgeless_graph_unchanged(self):
         mem = memory_with_slots([[np.array([10.0, 0.0])], [np.array([-10.0, 0.0])]])
         slots_before = [(s.slot_id, list(s.rows)) for s in mem.working]
-        merge_components(mem, linked(mem))
+        merge_components(mem, slot_links(mem))
         assert [(s.slot_id, list(s.rows)) for s in mem.working] == slots_before
 
     def test_mutually_firing_slots_pool(self):
@@ -145,7 +150,7 @@ class TestMerge:
         all_feats = np.vstack([np.stack(g) for g in groups])
         graph = build_affinity_graph(mem, train_slot_classifiers(mem))
         assert len(graph.edges) == 1
-        merge_components(mem, linked(mem))
+        merge_components(mem, slot_links(mem))
         assert len(mem.working) == 1
         slot = mem.working[0]
         assert slot.count == 4
@@ -155,7 +160,7 @@ class TestMerge:
     def test_an_affinity_equal_to_the_threshold_links_nothing(self):
         """Merge links a pair only when its affinity exceeds merge_edge_threshold, not when it equals it."""
         groups = [[np.array([10.0, 0.0])], [np.array([9.0, 1.0])]]
-        edge = slot_affinity(memory_with_slots(groups))[0, 1]
+        edge = reference_affinity(memory_with_slots(groups))[0, 1]
         for threshold, slots_after in ((edge, 2), (np.nextafter(edge, -np.inf), 1)):
             mem = memory_with_slots(
                 groups, consolidation_mode="merge", merge_edge_threshold=float(threshold), min_images_per_slot=1
@@ -166,7 +171,7 @@ class TestMerge:
         mem = memory_with_slots(
             [[np.array([9.0, 0.0])], [np.array([10.0, 0.0])], [np.array([11.0, 0.0])]]
         )
-        merge_components(mem, linked(mem))
+        merge_components(mem, slot_links(mem))
         assert len(mem.working) == 1
         assert mem.working[0].count == 3
 
@@ -179,7 +184,7 @@ class TestMerge:
         ]
         mem = memory_with_slots(groups)
         before = sorted(r for s in mem.working for r in s.rows)
-        merge_components(mem, linked(mem))
+        merge_components(mem, slot_links(mem))
         after = sorted(r for s in mem.working for r in s.rows)
         assert before == after
 
@@ -410,9 +415,10 @@ def test_whitened_consolidation_matches_the_classifier_oracle(seed, d, k, thresh
     pairs = build_affinity_graph(mem, classifiers).edges
     mem.config.merge_edge_threshold = threshold
 
-    affinity = slot_affinity(mem)
+    affinity = reference_affinity(mem)
     assert affinity.shape == (k, k)
     np.testing.assert_array_equal(affinity, affinity.T)
+    np.testing.assert_array_equal(slot_links(mem), affinity > threshold)
     oracle = np.array([weight for _, _, weight in pairs])
     whitened = np.array([affinity[ids.index(i), ids.index(j)] for i, j, _ in pairs])
     scale = max(1.0, float(np.abs(oracle).max(initial=0.0)))
@@ -439,6 +445,43 @@ def test_whitened_consolidation_matches_the_classifier_oracle(seed, d, k, thresh
             patch.setattr(module, "train_lda", _forbidden)
         record = consolidate(mem)
     assert record.slots_before == k and mem.working == []
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1), d=st.integers(1, 12),
+    k=st.sampled_from([1, 2, LINK_BLOCK - 1, LINK_BLOCK, LINK_BLOCK + 1, 2 * LINK_BLOCK + 3]),
+    pair=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+    below=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_slot_links_equal_the_thresholded_affinity_bit_for_bit(seed, d, k, pair, below):
+    """Row blocks give the adjacency of the whole symmetrised matrix, at any k and at the threshold.
+
+    The threshold is an affinity that some pair achieves, or the float just
+    below it, so that pair sits on the boundary and must not link, or must.
+    """
+    i, j = pair[0] % k, pair[1] % k
+    mem = random_working_memory(seed, d, k, 0.0)
+    affinity = reference_affinity(mem)
+    threshold = np.nextafter(affinity[i, j], -np.inf) if below else affinity[i, j]
+    mem.config.merge_edge_threshold = float(threshold)
+    links = slot_links(mem)
+    assert links.dtype == bool
+    np.testing.assert_array_equal(links, affinity > threshold)
+    assert links[i, j] == below
+
+
+def test_consolidate_holds_one_affinity_product():
+    """numpy reports its buffers to tracemalloc: the peak stays below 1.5 (k, k) float64 matrices."""
+    k = 1_000
+    mem = random_working_memory(1, 16, k, 0.0)
+    tracemalloc.start()
+    try:
+        consolidate(mem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * k * k * 8
 
 
 # -- bit-level oracle: merge, refine and transfer as written before the edge-list merge --
@@ -485,7 +528,7 @@ def reference_consolidate(mem, round_index=1):
     samples_dropped = 0
 
     if mode in ("merge", "merge_refine") and mem.working:
-        linked = slot_affinity(mem) > mem.config.merge_edge_threshold
+        linked = reference_affinity(mem) > mem.config.merge_edge_threshold
         slots_after_merge = reference_merge_components(mem, linked)
     if mode == "merge_refine" and mem.working:
         samples_dropped = reference_refine_slots(mem)
@@ -546,7 +589,8 @@ def test_consolidation_is_bit_identical_to_the_reference(seed, d, k, threshold, 
         return mems
 
     mem, ref = twins()
-    adjacency = slot_affinity(mem) > threshold
+    adjacency = slot_links(mem)
+    np.testing.assert_array_equal(adjacency, reference_affinity(ref) > threshold)
     assert merge_components(mem, adjacency) == reference_merge_components(ref, adjacency)
     assert working_bits(mem) == working_bits(ref)
     if not np.triu(adjacency, 1).any():

@@ -3,6 +3,7 @@ import json
 import random
 import struct
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from dualmem.corpus import (
     write_corpus_binary,
     write_corpus_jsonl,
 )
-from dualmem.records import BoundingBox, CorpusFormatError, RegionRecord
+from dualmem.records import BoundingBox, CorpusFormatError, RegionRecord, RegionTable
 
 from conftest import batches_of, make_region, records_of
 
@@ -63,6 +64,26 @@ class TestFormats:
             np.testing.assert_array_equal(a.feature, b.feature)
             assert a.gt_label == b.gt_label
             assert a.score == b.score
+
+    def test_the_jsonl_writer_holds_no_table_of_floats(self, tmp_path):
+        """numpy reports its buffers to tracemalloc: writing peaks below half the feature matrix's bytes.
+
+        The whole matrix as Python floats, 24 bytes each and a list slot, would be four times it.
+        """
+        n, d, per_image = 8_000, 64, 8
+        table = RegionTable(
+            [f"r{i}" for i in range(n)], [f"img{i}" for i in range(n // per_image)], np.arange(0, n + 1, per_image),
+            np.tile([0.0, 0.0, 1.0, 1.0], (n, 1)), np.full(n, 0.5), np.random.default_rng(5).standard_normal((n, d)),
+            [None] * n,
+        )
+        tracemalloc.start()
+        try:
+            write_corpus_jsonl(tmp_path / "corpus.jsonl", d, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * table.features.nbytes
+        assert open_corpus(tmp_path / "corpus.jsonl").features.tobytes() == table.features.tobytes()
 
     @pytest.mark.parametrize("write", [write_corpus_jsonl, write_corpus_binary])
     def test_read_corpus_dim_closes_its_file(self, tmp_path, monkeypatch, write):
