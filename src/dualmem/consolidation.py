@@ -1,15 +1,14 @@
 """Promote working-memory candidates into semantic memory.
 
 The full procedure merges slots whose discriminants fire on each other
-(connected components of ``slot_links``, the thresholded affinity as a boolean
-adjacency, which holds one (k, k) product and forms the affinity a row block at
-a time), drops samples a merged slot's own discriminant rejects, and transfers
-the survivors as new semantic categories. Both steps score in whitened space,
-as semantic memory does (see ``stats``), so no classifier is trained; the
-classifier path is kept as the tests' oracle. Merge and refine recompute
-centroids from the features of each slot's member rows in the memory's corpus;
-a transferred slot keeps those rows. Working memory is reset afterwards in
-every mode."""
+(connected components over ``slot_links``, the pairs whose affinity exceeds the
+threshold, decided from row blocks of the product), drops samples a merged
+slot's own discriminant rejects, and transfers the survivors as new semantic
+categories. Both steps score in whitened space, as semantic memory does (see
+``stats``), so no classifier is trained; the classifier path is kept as the
+tests' oracle. Merge and refine recompute centroids from the features of each
+slot's member rows in the memory's corpus; a transferred slot keeps those rows.
+Working memory is reset afterwards in every mode."""
 
 from __future__ import annotations
 
@@ -20,8 +19,10 @@ import numpy as np
 from .memory import DualMemory, SemanticSlot, WorkingSlot
 from .stats import LinearClassifier, train_lda, whiten
 
-# Rows of the (k, k) affinity that ``slot_links`` forms at a time.
+# Rows of the affinity's upper triangle that ``slot_links`` forms at a time.
 LINK_BLOCK = 64
+_U = np.finfo(np.float64).eps / 2  # unit roundoff
+_TINY = np.finfo(np.float64).tiny  # smallest normal float64
 
 
 @dataclass
@@ -57,16 +58,67 @@ def slot_scores(mem: DualMemory) -> tuple[np.ndarray, np.ndarray]:
 
 
 def slot_links(mem: DualMemory) -> np.ndarray:
-    """The (k, k) boolean adjacency of the working slots: affinity ``> merge_edge_threshold``.
+    """The linked pairs of working slots, affinity ``> merge_edge_threshold``: an (m, 2) array of rows (i, j), i < j.
 
     Slot i's discriminant at slot j's centroid, ``m_i . m_j + o_i``, is its
     score averaged over slot j's members: the discriminant is linear. A pair's
-    affinity is the mean of its two directions, formed and thresholded
-    ``LINK_BLOCK`` rows at a time, so only the product is held whole. The
-    product is not blocked: ``white @ white.T`` is one symmetric BLAS call, whose
-    bits a row-blocked product does not reproduce. Rows follow ``mem.working``.
+    affinity is the mean of its two directions, as ``whole_links`` forms it
+    from the one symmetric product ``white @ white.T``. Here the upper triangle
+    is formed ``LINK_BLOCK`` rows at a time as ``white[lo:hi] @ white[lo:].T``,
+    which rounds differently, so a pair is decided from its block only when its
+    value lies farther from the threshold than both roundings can move it (see
+    ``_link_margin``). If any pair lies within, the call returns
+    ``whole_links``, whose decisions define the links. Pairs are in row-major
+    order; rows follow ``mem.working``.
     """
     white, offset = slot_scores(mem)
+    threshold = mem.config.merge_edge_threshold
+    margin = _link_margin(white, offset)
+    half = 0.5 * offset
+    k = len(white)
+    pairs = [np.empty((0, 2), dtype=np.intp)]
+    for lo in range(0, k, LINK_BLOCK):
+        hi = min(lo + LINK_BLOCK, k)
+        gap = white[lo:hi] @ white[lo:].T
+        gap += half[lo:hi, None]
+        gap += half[lo:]
+        gap -= threshold
+        gap[np.tril_indices(hi - lo, 0, k - lo)] = -np.inf  # pairs j <= i
+        bound = margin[lo:hi, None]
+        linked = gap > bound
+        if not (np.abs(gap, out=gap) > bound).all():
+            return whole_links(white, offset, threshold)
+        pairs.append(np.argwhere(linked) + lo)
+    return np.concatenate(pairs)
+
+
+def _link_margin(white: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Per row i, a bound on how far rounding can move a pair (i, j)'s affinity between two products.
+
+    A d-term dot product summed in any order is within γ_d |m_i| |m_j| of the
+    exact value, γ_d = d u / (1 - d u) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, §3.1), so two products differ by at most
+    2 γ_d |m_i| |m_j|. Adding the offsets, halving and subtracting the
+    threshold add a few u (|m_i| |m_j| + |o_i| + |o_j|), and the norms are
+    rounded too. The bound is over twice their sum, with |m_j| and |o_j| at
+    their maxima, plus d times the smallest normal float for underflow. A row
+    whose terms overflow gets inf, which no block value exceeds.
+    """
+    d = white.shape[1]
+    gamma = d * _U / (1 - d * _U)
+    norms = np.sqrt(np.einsum("ij,ij->i", white, white))
+    size = np.abs(offset)
+    scale = 2 * (norms * norms.max(initial=0.0) + size + size.max(initial=0.0))
+    return 2 * (gamma + 3 * _U) * scale + d * _TINY
+
+
+def whole_links(white: np.ndarray, offset: np.ndarray, threshold: float) -> np.ndarray:
+    """``slot_links`` from the whole (k, k) product: the definition its blocks are screened against.
+
+    Offsets are added in place to the one symmetric BLAS call
+    ``white @ white.T``, and each pair's affinity is formed and thresholded
+    ``LINK_BLOCK`` rows at a time; only the product is held whole.
+    """
     fired = white @ white.T
     fired += offset[:, None]
     linked = np.empty(fired.shape, dtype=bool)
@@ -74,8 +126,8 @@ def slot_links(mem: DualMemory) -> np.ndarray:
         rows = slice(lo, lo + LINK_BLOCK)
         affinity = fired[rows] + fired[:, rows].T
         affinity *= 0.5
-        np.greater(affinity, mem.config.merge_edge_threshold, out=linked[rows])
-    return linked
+        np.greater(affinity, threshold, out=linked[rows])
+    return np.argwhere(np.triu(linked, 1))
 
 
 def train_slot_classifiers(mem: DualMemory) -> dict[int, LinearClassifier]:
@@ -99,25 +151,31 @@ def build_affinity_graph(mem: DualMemory, classifiers: dict[int, LinearClassifie
     return AffinityGraph(nodes, [(nodes[i], nodes[j], float(affinity[i, j])) for i, j in zip(rows, cols)])
 
 
-def merge_components(mem: DualMemory, linked: np.ndarray) -> int:
+def merge_components(mem: DualMemory, pairs: np.ndarray) -> int:
     """Collapse each connected component into one slot keeping the smallest slot_id.
 
-    ``linked`` is a boolean (k, k) adjacency over ``mem.working`` in its order;
-    the diagonal is ignored. Pooled membership is the union in slot_id order;
+    ``pairs`` is an (m, 2) array of linked rows of ``mem.working``, as
+    ``slot_links`` returns. Pooled membership is the union in slot_id order;
     the centroid is recomputed from the member features, conserving the sample
     multiset. Singleton components are left untouched, and with no linked pair
     working memory is left as it is.
     """
     k = len(mem.working)
-    rows, cols = np.nonzero(linked)
-    pairs = rows != cols
-    if not pairs.any():
+    if not len(pairs):
         return k
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
-    rows, cols = rows[pairs], cols[pairs]
-    graph = csr_array((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(k, k))
-    _, labels = connected_components(graph, directed=False)
+    # Each row takes the smallest row it reaches: propagate the minimum over the pairs, then jump to the
+    # label's label, until nothing moves. Labels only fall and stay in their component, so each ends at the
+    # component's smallest row.
+    labels = np.arange(k)
+    while True:
+        low = np.minimum(labels[pairs[:, 0]], labels[pairs[:, 1]])
+        moved = labels.copy()
+        np.minimum.at(moved, pairs[:, 0], low)
+        np.minimum.at(moved, pairs[:, 1], low)
+        moved = moved[moved]
+        if (moved == labels).all():
+            break
+        labels = moved
     components: dict[int, list[WorkingSlot]] = {}
     for slot, label in zip(mem.working, labels.tolist()):  # working memory is sorted by slot_id
         components.setdefault(label, []).append(slot)
@@ -178,7 +236,6 @@ def consolidate(mem: DualMemory, round_index: int = 1) -> ConsolidationRecord:
     whites = whiten(np.reshape([slot.centroid for slot in kept], (-1, mem.bg.d)), mem.bg)
     for sequence, (slot, white) in enumerate(zip(kept, whites)):
         mem.semantic.append(SemanticSlot(slot.slot_id, f"disc_{round_index}_{sequence}", white, mem.bg, slot.rows))
-    mem.semantic.sort(key=lambda s: s.slot_id)
     mem.working = []
     mem.rebuild_caches()
     return ConsolidationRecord(

@@ -23,6 +23,10 @@ from .records import BoundingBox, GroundTruthTable, RegionTable, parse_box
 from .reporting import UNASSIGNED, parse_json_line, read_lines
 
 BACKGROUND = "background"
+# Rows of CorRet's image x image similarities formed at a time.
+NEIGHBOR_BLOCK = 16
+_U = np.finfo(np.float64).eps / 2  # unit roundoff
+_TINY = np.finfo(np.float64).tiny  # smallest normal float64
 
 
 @dataclass
@@ -360,7 +364,9 @@ def corret(
 
     An image is represented by the mean of its assigned-region features. Images
     with no assignments or no ground truth are not scored; k clamps to the
-    eligible population. Equal similarities rank by image id.
+    eligible population. Equal similarities rank by image id. Similarities are
+    those of ``whole_same_class``; ``screened_same_class`` counts from row
+    blocks wherever that gives the same counts, and falls back otherwise.
     """
     _check_column(assignments, regions)
     rows = np.array([row for row, label in enumerate(assignments) if label != UNASSIGNED], dtype=np.intp)
@@ -377,7 +383,6 @@ def corret(
     reps /= np.bincount(images[keep], minlength=len(eligible))[:, None]
     norms = np.linalg.norm(reps, axis=1)
     unit = reps / np.where(norms > 0.0, norms, 1.0)[:, None]
-    sims = unit @ unit.T
 
     # Each image's majority class as an index into the sorted class names, from one
     # count per (image, class): argmax takes the first of equal counts, the smallest name.
@@ -386,22 +391,72 @@ def corret(
     image_counts = counts.reshape(-1, n_classes)[[gt.image_index[image_id] for image_id in eligible]]
     classes = image_counts.argmax(axis=1)
 
-    # A row's neighbors: the images strictly closer than its k_eff-th nearest,
-    # then the lowest-numbered of those tied with it (a stable sort's order).
     k_eff = min(k, len(eligible) - 1)
-    same = np.empty(len(eligible), dtype=np.intp)
-    for lo in range(0, len(eligible), 16):  # 16 rows at a time keep the temporaries small
-        block = np.arange(lo, min(lo + 16, len(eligible)))
+    same = screened_same_class(unit, classes, k_eff)
+    if same is None:
+        same = whole_same_class(unit, classes, k_eff)
+    return 100.0 * float(np.mean(same / k_eff))
+
+
+def whole_same_class(unit: np.ndarray, classes: np.ndarray, k: int) -> np.ndarray:
+    """Per image, how many of its k nearest share its class, from the whole product ``unit @ unit.T``.
+
+    This defines CorRet's neighbors: the images strictly closer than a row's
+    k-th nearest, then the lowest-numbered of those tied with it (a stable
+    sort's order). ``screened_same_class`` falls back to it.
+    """
+    sims = unit @ unit.T
+    same = np.empty(len(unit), dtype=np.intp)
+    for lo in range(0, len(unit), NEIGHBOR_BLOCK):
+        block = np.arange(lo, min(lo + NEIGHBOR_BLOCK, len(unit)))
         distance = -sims[block]
         distance[np.arange(len(block)), block] = np.inf
-        kth = np.partition(distance, k_eff - 1, axis=1)[:, k_eff - 1, None].copy()
+        kth = np.partition(distance, k - 1, axis=1)[:, k - 1, None].copy()
         closer = distance < kth
         tied = distance == kth
-        room = k_eff - np.count_nonzero(closer, axis=1)
+        room = k - np.count_nonzero(closer, axis=1)
         cut = np.count_nonzero(tied, axis=1) > room
         tied[cut] &= np.cumsum(tied[cut], axis=1) <= room[cut, None]
         same[block] = np.count_nonzero((closer | tied) & (classes == classes[block, None]), axis=1)
-    return 100.0 * float(np.mean(same / k_eff))
+    return same
+
+
+def screened_same_class(unit: np.ndarray, classes: np.ndarray, k: int) -> np.ndarray | None:
+    """``whole_same_class``'s counts from ``NEIGHBOR_BLOCK``-row products, or None where rounding could change one.
+
+    A block product ``unit[block] @ unit.T`` and the whole product each lie
+    within γ_d |u_i| |u_j| of the exact dot product (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, §3.1), so they differ by at most
+    2 γ_d |u_i| |u_j|. An image more than twice that nearer than a row's k-th
+    nearest (by the block) is a neighbor under both products, and one more than
+    twice that farther is a neighbor under neither. So when every image in the
+    window between agrees on matching the row's class, the count is known
+    whatever the window's order and ties. The window's half-width adds slack
+    for the rounding of the norms and of its own ends, and d times the smallest
+    normal float for underflow.
+    """
+    d = unit.shape[1]
+    gamma = d * _U / (1 - d * _U)
+    width = 6 * (gamma + _U) * np.einsum("ij,ij->i", unit, unit).max() + d * _TINY
+    negated = -unit
+    same = np.empty(len(unit), dtype=np.intp)
+    for lo in range(0, len(unit), NEIGHBOR_BLOCK):
+        block = np.arange(lo, min(lo + NEIGHBOR_BLOCK, len(unit)))
+        distance = negated[block] @ unit.T
+        distance[np.arange(len(block)), block] = np.inf
+        kth = np.partition(distance, k - 1, axis=1)[:, k - 1]
+        # Only the images up to the window's far end, about k per row, are looked at again.
+        row, image = np.nonzero(distance <= (kth + width)[:, None])
+        nearer = distance[row, image] < (kth - width)[row]
+        match = classes[image] == classes[block][row]
+        n_inner, n_nearer, m_inner, m_nearer = (
+            np.bincount(row[kept], minlength=len(block)) for kept in (slice(None), nearer, match, nearer & match)
+        )
+        n_window, m_window = n_inner - n_nearer, m_inner - m_nearer
+        if not (((m_window == 0) | (m_window == n_window)) & (n_inner >= k)).all():
+            return None
+        same[block] = m_nearer + np.where(m_window > 0, k - n_nearer, 0)
+    return same
 
 
 # ---------------------------------------------------------------------------

@@ -195,8 +195,7 @@ def finalize_background(acc: MomentAccumulator, ridge_lambda: float) -> Backgrou
         raise InsufficientSamplesError(
             f"background estimation needs >= 2 samples, got {acc.count}"
         )
-    sigma = acc.m2 / acc.count
-    sigma = (sigma + sigma.T) / 2.0
+    sigma = acc.m2 / acc.count  # m2 is exactly symmetric, so sigma is too
     sigma[np.diag_indices_from(sigma)] += ridge_lambda
     return BackgroundStats.from_moments(acc.mean.copy(), sigma, acc.count)
 

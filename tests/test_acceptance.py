@@ -253,7 +253,7 @@ def test_criterion_4_consolidation_contracts():
     graph = build_affinity_graph(mem, train_slot_classifiers(mem))
     linked = slot_links(mem)
     ids = [s.slot_id for s in mem.working]
-    edges_agree = {(ids[i], ids[j]) for i, j in zip(*np.nonzero(np.triu(linked, 1)))} == {
+    edges_agree = {(ids[i], ids[j]) for i, j in linked.tolist()} == {
         (i, j) for i, j, _ in graph.edges
     }
     merge_components(mem, linked)

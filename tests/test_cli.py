@@ -667,7 +667,8 @@ def test_eval_metrics_do_not_depend_on_the_order_of_the_assignments_lines(tmp_pa
 
 
 def test_only_discover_loads_scipy(tmp_path, spec_file):
-    """scipy serves only ``discover`` (whitening, the merge graph), so no other subcommand pays for importing it."""
+    """scipy serves only ``discover`` (whitening), so no other subcommand pays for importing it; merge labels its
+    components without ``scipy.sparse``."""
     script = (
         "import json, sys\n"
         "from dualmem.cli import main\n"
@@ -688,13 +689,46 @@ def test_only_discover_loads_scipy(tmp_path, spec_file):
     save_config(Config(d=8, min_images_per_slot=3, rounds=1, rng_seed=3), tmp_path / "config.txt")
     assert scipy_modules("gen", "--spec", str(spec_file), "--out", "data") == []
     assert scipy_modules("background", "--corpus", "data/corpus.jsonl", "--out", "bg") == []
-    assert "scipy.linalg" in scipy_modules(
+    discover = scipy_modules(
         "discover", "--corpus", "data/corpus.jsonl", "--bg", "bg/bg.bin", "--config", "config.txt",
         "--priors", "data/priors.jsonl", "--out", "run",
     )
+    assert "scipy.linalg" in discover and not [name for name in discover if name.startswith("scipy.sparse")]
     eval_argv = ["--corpus", "data/corpus.jsonl", "--assignments", "run/assignments.tsv", "--gt", "data/gt.jsonl"]
     assert scipy_modules("eval", *eval_argv, "--out", "eval") == []
     assert scipy_modules("baseline", "--corpus", "data/corpus.jsonl", "--stats", "run/stats.txt", "--out", "km") == []
+
+
+def test_discover_is_byte_identical_across_blas_thread_counts(tmp_path, capsys):
+    """OpenBLAS splits a matrix-vector product over its threads once the matrix is large enough, a few hundred
+    slots at d = 32. 400 images under a 400-slot cap fill working memory past that size; a ``discover`` run with
+    one BLAS thread and one with two must write the same bytes."""
+    spec = SynthSpec(
+        d=32, n_known=5, n_unknown=10, images=400, n_background_per_image=3, classes_per_image=3,
+        regions_per_class_per_image=2, separation=8.0, seed=20,
+    )
+    save_spec(spec, tmp_path / "spec.txt")
+    save_config(Config(d=32, rounds=2, slot_cap=400, rng_seed=9), tmp_path / "config.txt")
+    assert main(["gen", "--spec", str(tmp_path / "spec.txt"), "--out", str(tmp_path / "data")]) == 0
+    assert main(["background", "--corpus", str(tmp_path / "data" / "corpus.jsonl"), "--out", str(tmp_path / "bg")]) == 0
+    capsys.readouterr()
+    src = str(Path(dualmem.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = {}
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dualmem", "discover", "--corpus", "data/corpus.jsonl", "--bg", "bg/bg.bin",
+             "--config", "config.txt", "--priors", "data/priors.jsonl", "--out", f"run_{threads}"],
+            cwd=tmp_path, env=dict(env, OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        run = tmp_path / f"run_{threads}"
+        runs[threads] = {
+            path.relative_to(run).as_posix(): path.read_bytes()
+            for path in sorted(run.rglob("*")) if path.is_file() and path.name != "manifest.json"
+        }
+    assert "round_2/checkpoint.bin" in runs["1"] and runs["1"] == runs["2"]
+    assert int(read_key_values(tmp_path / "run_1" / "stats.txt")["round_1_rejected"]) > 0  # the cap binds
 
 
 def test_an_output_path_that_is_a_file_is_refused(tmp_path, spec_file, capsys):

@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from dualmem.consolidation import (
     slot_links,
     slot_scores,
     train_slot_classifiers,
+    whole_links,
 )
 from dualmem.memory import DecisionKind, DualMemory, RetrievalDecision, SemanticSlot, WorkingSlot
 from dualmem.stats import LinearClassifier, train_lda, whiten
@@ -60,6 +62,25 @@ def reference_affinity(mem):
     white, offset = slot_scores(mem)
     fired = white @ white.T + offset[:, None]
     return 0.5 * (fired + fired.T)
+
+
+def linked_pairs(adjacency):
+    """The pairs (i, j), i < j, of a boolean (k, k) adjacency, in row-major order: what ``slot_links`` returns."""
+    return np.argwhere(np.triu(adjacency, 1))
+
+
+@contextlib.contextmanager
+def counting_whole_links():
+    """Counts the calls of ``whole_links``, the fallback ``slot_links`` takes when a pair is within its margin."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return whole_links(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dualmem.consolidation, "whole_links", spy)
+        yield calls
 
 
 class TestSlotClassifiers:
@@ -223,7 +244,7 @@ class TestMerge:
                 (component[0], [r for slot_id in component for r in members[slot_id]])
                 for component in union_find(nodes, edges)
             ]
-            assert merge_components(mem, adjacency) == len(expected)
+            assert merge_components(mem, linked_pairs(adjacency)) == len(expected)
             assert [(s.slot_id, s.rows) for s in mem.working] == expected
 
 
@@ -418,7 +439,7 @@ def test_whitened_consolidation_matches_the_classifier_oracle(seed, d, k, thresh
     affinity = reference_affinity(mem)
     assert affinity.shape == (k, k)
     np.testing.assert_array_equal(affinity, affinity.T)
-    np.testing.assert_array_equal(slot_links(mem), affinity > threshold)
+    np.testing.assert_array_equal(slot_links(mem), linked_pairs(affinity > threshold))
     oracle = np.array([weight for _, _, weight in pairs])
     whitened = np.array([affinity[ids.index(i), ids.index(j)] for i, j, _ in pairs])
     scale = max(1.0, float(np.abs(oracle).max(initial=0.0)))
@@ -455,24 +476,41 @@ def test_whitened_consolidation_matches_the_classifier_oracle(seed, d, k, thresh
 )
 @settings(max_examples=60, deadline=None)
 def test_slot_links_equal_the_thresholded_affinity_bit_for_bit(seed, d, k, pair, below):
-    """Row blocks give the adjacency of the whole symmetrised matrix, at any k and at the threshold.
+    """Row blocks give the links of the whole symmetrised matrix, at any k and at the threshold.
 
     The threshold is an affinity that some pair achieves, or the float just
-    below it, so that pair sits on the boundary and must not link, or must.
+    below it, so that pair sits on the boundary and must not link, or must;
+    a pair that close to the threshold is within the screen's margin, so the
+    call falls back to the whole product. A pair (i, i) is never a link.
     """
-    i, j = pair[0] % k, pair[1] % k
+    i, j = sorted((pair[0] % k, pair[1] % k))
     mem = random_working_memory(seed, d, k, 0.0)
     affinity = reference_affinity(mem)
     threshold = np.nextafter(affinity[i, j], -np.inf) if below else affinity[i, j]
     mem.config.merge_edge_threshold = float(threshold)
-    links = slot_links(mem)
-    assert links.dtype == bool
-    np.testing.assert_array_equal(links, affinity > threshold)
-    assert links[i, j] == below
+    with counting_whole_links() as fallbacks:
+        links = slot_links(mem)
+    assert links.dtype == np.intp and links.shape[1:] == (2,)
+    np.testing.assert_array_equal(links, linked_pairs(affinity > threshold))
+    assert ([i, j] in links.tolist()) == (below and i != j)
+    if i != j:
+        assert len(fallbacks) == 1
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 40), k=st.sampled_from([2, LINK_BLOCK + 1, 3 * LINK_BLOCK + 5]),
+       threshold=st.sampled_from([-3.0, 0.0, 2.0]))
+@settings(max_examples=60, deadline=None)
+def test_screened_links_need_no_fallback_away_from_the_threshold(seed, d, k, threshold):
+    """Random affinities lie far from the threshold for the margin, so the blocks decide every pair."""
+    mem = random_working_memory(seed, d, k, threshold)
+    with counting_whole_links() as fallbacks:
+        links = slot_links(mem)
+    np.testing.assert_array_equal(links, linked_pairs(reference_affinity(mem) > threshold))
+    assert fallbacks == []
 
 
 def test_consolidate_holds_one_affinity_product():
-    """numpy reports its buffers to tracemalloc: the peak stays below 1.5 (k, k) float64 matrices."""
+    """numpy reports its buffers to tracemalloc: the peak stays below half of one (k, k) float64 matrix."""
     k = 1_000
     mem = random_working_memory(1, 16, k, 0.0)
     tracemalloc.start()
@@ -481,7 +519,22 @@ def test_consolidate_holds_one_affinity_product():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * k * k * 8
+    assert peak < 0.5 * k * k * 8
+
+
+def test_consolidate_calls_merge_and_refine_by_their_module_names(monkeypatch):
+    """The benchmark times merge and refine by replacing these module attributes, so ``consolidate`` must look
+    them up there at each call."""
+    calls = []
+    for name in ("merge_components", "refine_slots"):
+        original = getattr(dualmem.consolidation, name)
+        monkeypatch.setattr(
+            dualmem.consolidation, name, lambda *args, name=name, original=original: calls.append(name) or original(*args)
+        )
+    mem = random_working_memory(4, 6, 12, 0.0)
+    mem.config.consolidation_mode = "merge_refine"
+    consolidate(mem)
+    assert calls == ["merge_components", "refine_slots"]
 
 
 # -- bit-level oracle: merge, refine and transfer as written before the edge-list merge --
@@ -589,11 +642,12 @@ def test_consolidation_is_bit_identical_to_the_reference(seed, d, k, threshold, 
         return mems
 
     mem, ref = twins()
-    adjacency = slot_links(mem)
-    np.testing.assert_array_equal(adjacency, reference_affinity(ref) > threshold)
-    assert merge_components(mem, adjacency) == reference_merge_components(ref, adjacency)
+    pairs = slot_links(mem)
+    adjacency = reference_affinity(ref) > threshold
+    np.testing.assert_array_equal(pairs, linked_pairs(adjacency))
+    assert merge_components(mem, pairs) == reference_merge_components(ref, adjacency)
     assert working_bits(mem) == working_bits(ref)
-    if not np.triu(adjacency, 1).any():
+    if not len(pairs):
         assert len(mem.working) == k
     assert refine_slots(mem) == reference_refine_slots(ref)
     assert working_bits(mem) == working_bits(ref)

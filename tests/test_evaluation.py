@@ -1,7 +1,9 @@
+import contextlib
 import json
 import math
 import re
 import reprlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dualmem.evaluation
 from dualmem.evaluation import (
+    NEIGHBOR_BLOCK,
     IouTable,
     auc,
     corloc,
@@ -23,6 +27,7 @@ from dualmem.evaluation import (
     load_gt,
     purity,
     report_clusters,
+    whole_same_class,
     write_gt,
 )
 from dualmem.corpus import load_corpus
@@ -485,6 +490,96 @@ class TestCorret:
                 corret(column, table_of(regions.values()), gt_table_of(gt))
             with pytest.raises(ValueError, match=f"^{len(column)} labels for {len(regions)} regions"):
                 evaluate_run(column, table_of(regions.values()), gt_table_of(gt))
+
+
+def corret_inputs(features, classes):
+    """One region and one ground-truth box per image, image i of class ``classes[i]``: images sort in row order."""
+    regions = [make_region(f"r{i}", f"i{i:04d}", f, box=BoundingBox(0, 0, 2, 2)) for i, f in enumerate(features)]
+    gt = [gt_box(f"i{i:04d}", BoundingBox(0, 0, 2, 2), c) for i, c in enumerate(classes)]
+    return ["c0"] * len(regions), regions, gt
+
+
+@contextlib.contextmanager
+def counting_whole_same_class():
+    """Counts the calls of ``whole_same_class``, the fallback CorRet takes when its screen cannot decide a row."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return whole_same_class(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dualmem.evaluation, "whole_same_class", spy)
+        yield calls
+
+
+class TestCorretScreen:
+    """CorRet's row blocks decide a count only where the whole product's neighbors would give the same one."""
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize("copy_matches", [False, True])
+    def test_a_copy_in_another_block_tied_at_the_kth_neighbor_falls_back(self, k, copy_matches):
+        """Two images with the same features and different classes tie as a row's k-th and (k+1)-th nearest, so
+        only the image-order tie rule decides which one counts."""
+        rng = np.random.default_rng(k)
+        n = 3 * NEIGHBOR_BLOCK + 5
+        features = rng.standard_normal((n, 8))
+        query = 2
+        order = [j for j in np.argsort(-(features @ features[query]), kind="stable").tolist() if j != query]
+        original = order[k - 1]
+        copy = next(
+            j for j in range(n - 1, -1, -1)
+            if j // NEIGHBOR_BLOCK not in (original // NEIGHBOR_BLOCK, query // NEIGHBOR_BLOCK) and j not in order[:k]
+        )
+        features[copy] = features[original]
+        classes = rng.choice(["a", "b", "c"], n).tolist()
+        other = "b" if classes[query] == "a" else "a"
+        classes[original], classes[copy] = (other, classes[query]) if copy_matches else (classes[query], other)
+        assignments, regions, gt = corret_inputs(features, classes)
+        with counting_whole_same_class() as calls:
+            value = corret(assignments, table_of(regions), gt_table_of(gt), k=k)
+        assert len(calls) == 1
+        assert value == reference_evaluate(assignments, regions, gt, (0.5,), 0.5, 1, k)[0]["corret"]
+
+    def test_quantized_features_tie_and_fall_back(self):
+        """Features on a coarse grid make exact ties; every result equals the whole-product reference."""
+        fallbacks = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 3 * NEIGHBOR_BLOCK + 3))
+            features = rng.integers(-1, 2, size=(n, int(rng.integers(2, 5)))).astype(float)
+            classes = rng.choice(["a", "b", "c"], n).tolist()
+            k = int(rng.choice([1, 2, 3, 10]))
+            assignments, regions, gt = corret_inputs(features, classes)
+            with counting_whole_same_class() as calls:
+                value = corret(assignments, table_of(regions), gt_table_of(gt), k=k)
+            fallbacks += len(calls)
+            assert value == reference_evaluate(assignments, regions, gt, (0.5,), 0.5, 1, k)[0]["corret"], seed
+        assert fallbacks >= 30
+
+    def test_distinct_features_need_no_fallback(self):
+        rng = np.random.default_rng(5)
+        n = 4 * NEIGHBOR_BLOCK + 7
+        assignments, regions, gt = corret_inputs(rng.standard_normal((n, 16)), rng.choice(["a", "b"], n).tolist())
+        with counting_whole_same_class() as calls:
+            value = corret(assignments, table_of(regions), gt_table_of(gt), k=10)
+        assert calls == []
+        assert value == reference_evaluate(assignments, regions, gt, (0.5,), 0.5, 1, 10)[0]["corret"]
+
+    def test_corret_holds_no_image_by_image_matrix(self):
+        """numpy reports its buffers to tracemalloc: over I images the peak stays well below one I x I float64
+        matrix, which the whole product would hold."""
+        n = 1_200
+        rng = np.random.default_rng(9)
+        assignments, regions, gt = corret_inputs(rng.standard_normal((n, 32)), rng.choice(["a", "b", "c"], n).tolist())
+        regions, gt = table_of(regions), gt_table_of(gt)
+        tracemalloc.start()
+        try:
+            corret(assignments, regions, gt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * n * n * 8
 
 
 class TestOracleAndCounting:

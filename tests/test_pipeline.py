@@ -1,6 +1,11 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dualmem.pipeline
 from dualmem.config import Config
 from dualmem.corpus import DatasetSplit, ingest_corpus, ingest_features, open_corpus, split_dataset
 from dualmem.evaluation import iou, load_gt
@@ -377,3 +382,60 @@ def _prior_records(paths):
     from dualmem.corpus import open_corpus
 
     return open_corpus(paths["priors"])
+
+
+def record_semantic_ids(patch):
+    """The semantic slot ids after each consolidation the pipeline runs, one list per round, until ``patch`` undoes."""
+    seen = []
+    consolidate = dualmem.pipeline.consolidate
+
+    def recording(mem, round_index=1):
+        record = consolidate(mem, round_index=round_index)
+        seen.append([slot.slot_id for slot in mem.semantic])
+        return record
+
+    patch.setattr(dualmem.pipeline, "consolidate", recording)
+    return seen
+
+
+def strictly_ascend(ids):
+    return all(a < b for a, b in zip(ids, ids[1:]))
+
+
+@pytest.mark.parametrize("case", ["frozen", "gt_overlap", "semantic"])
+def test_semantic_ids_ascend_after_every_round_of_the_golden_walkthroughs(case, monkeypatch, tmp_path):
+    """Consolidation appends slots in slot_id order, each id above every semantic one, so nothing re-sorts them."""
+    from test_golden import CASES, walkthrough
+
+    semantic_ids = record_semantic_ids(monkeypatch)
+    walkthrough(tmp_path, *CASES[case])
+    assert len(semantic_ids) == CASES[case][1].rounds
+    assert all(strictly_ascend(ids) for ids in semantic_ids), semantic_ids
+
+
+@given(
+    seed=st.integers(0, 2**16), images=st.integers(4, 40), background=st.integers(0, 3),
+    rounds=st.integers(1, 3), slot_cap=st.integers(2, 60), min_images=st.integers(1, 3),
+    mode=st.sampled_from(["naive", "merge", "merge_refine"]), init_mode=st.sampled_from(["null", "det_scores"]),
+    tau_working=st.sampled_from([0.0, 0.5, 0.9]),
+)
+@settings(max_examples=25, deadline=None)
+def test_semantic_ids_ascend_after_every_round_of_a_drawn_run(
+    seed, images, background, rounds, slot_cap, min_images, mode, init_mode, tau_working,
+):
+    spec = SynthSpec(
+        d=6, n_known=2, n_unknown=3, images=images, n_background_per_image=background, classes_per_image=2,
+        separation=6.0, seed=seed,
+    )
+    config = Config(
+        d=6, rounds=rounds, slot_cap=slot_cap, min_images_per_slot=min_images, consolidation_mode=mode,
+        init_mode=init_mode, tau_working=tau_working, rng_seed=seed,
+    )
+    with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as patch:
+        paths = generate(spec, out)
+        corpus = ingest_corpus(paths["corpus"], config)
+        priors = build_priors(config, detections=ingest_features(paths["priors"], config)) if init_mode != "null" else {}
+        seen = record_semantic_ids(patch)
+        run = run_discovery(corpus, estimate_background(corpus, config), config, priors)
+    assert len(seen) == rounds and seen[-1] == [slot.slot_id for slot in run.mem.semantic]
+    assert all(strictly_ascend(ids) for ids in seen), seen

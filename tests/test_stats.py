@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualmem.stats import (
     BackgroundStats,
@@ -58,6 +60,23 @@ class TestAccumulate:
         rng = np.random.default_rng(3)
         acc = MomentAccumulator(5).add_batch(rng.standard_normal((200, 5)))
         np.testing.assert_array_equal(acc.m2, acc.m2.T)
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 40), n=st.integers(1, 60), parts=st.integers(1, 4),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    @settings(max_examples=100, deadline=None)
+    def test_m2_is_exactly_symmetric_for_batch_row_by_row_and_merged_accumulators(self, seed, d, n, parts, scale):
+        """``finalize_background`` symmetrises nothing: every way of accumulating leaves m2 equal to its transpose."""
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d)) * scale + rng.standard_normal(d) * scale * 10
+        batch = MomentAccumulator(d).add_batch(X)
+        row_by_row = MomentAccumulator(d)
+        for x in X:
+            row_by_row.add(x)
+        merged = MomentAccumulator(d)
+        for p in range(parts):
+            merged = merged.merge(MomentAccumulator(d).add_batch(X[p::parts]))
+        for acc in (batch, row_by_row, merged):
+            assert acc.m2.tobytes() == acc.m2.T.copy().tobytes()
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
