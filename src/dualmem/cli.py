@@ -8,6 +8,8 @@ writes only into a new or empty directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -67,6 +69,40 @@ def _hash_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+# The extension modules that link numpy's (2.x, then 1.x) and scipy's bundled OpenBLAS, and the prefixes and
+# suffixes under which such a build exports its thread-count functions.
+_BLAS_MODULES = ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath", "scipy.linalg._fblas")
+_OPENBLAS_NAMES = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", ""))
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with each loaded OpenBLAS on one thread, and give each its count back on exit, error or not.
+
+    A module that is not loaded or cannot be opened, or a BLAS that exports none of the names, is left as it is.
+    """
+    restore = []
+    try:
+        for path in filter(None, (getattr(sys.modules.get(name), "__file__", None) for name in _BLAS_MODULES)):
+            try:
+                lib = ctypes.CDLL(path)  # already loaded, so this only looks it up
+            except OSError:
+                continue
+            for prefix, suffix in _OPENBLAS_NAMES:
+                get_threads = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+                set_threads = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+                if get_threads is not None and set_threads is not None:
+                    get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+                    set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+                    restore.append((set_threads, get_threads()))
+                    set_threads(1)
+                    break
+        yield
+    finally:
+        for set_threads, count in reversed(restore):
+            set_threads(count)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -114,11 +150,15 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     detections = ingest_features(args.priors, config) if args.priors is not None else None
     gt = load_gt(args.gt) if args.gt is not None else None
     priors = build_priors(config, detections=detections, corpus=corpus, gt=gt)
-    state = start_discovery(corpus, bg, config, priors)
-    out_dir = _prepare_out_dir(args.out)
-    inputs = {"corpus": args.corpus, "bg": args.bg, "config": args.config, "priors": args.priors, "gt": args.gt}
-    _write_manifest(out_dir, "discover", inputs, {})
-    run = run_rounds(state, out_dir)
+    # Whitening loads scipy.linalg anyway. Loaded here, after the inputs are read so that the reader's peak is not
+    # raised by scipy's, and before the first triangular solve, so that this nested pin reaches its OpenBLAS too.
+    import scipy.linalg  # noqa: F401
+    with _one_blas_thread():
+        state = start_discovery(corpus, bg, config, priors)
+        out_dir = _prepare_out_dir(args.out)
+        inputs = {"corpus": args.corpus, "bg": args.bg, "config": args.config, "priors": args.priors, "gt": args.gt}
+        _write_manifest(out_dir, "discover", inputs, {})
+        run = run_rounds(state, out_dir)
     print(f"assignments: {out_dir / 'assignments.tsv'}")
     print(f"semantic slots: {len(run.mem.semantic)}, clusters: {run.stats['clusters_final']}")
     return 0
@@ -250,7 +290,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        # K-means' (n, k) product is the only one large enough to gain from BLAS threads, so baseline keeps the
+        # caller's count; every other step runs its small products on one thread.
+        if args.handler is _cmd_baseline:
+            return args.handler(args)
+        with _one_blas_thread():
+            return args.handler(args)
     except (CliError, CorpusFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -699,36 +699,217 @@ def test_only_discover_loads_scipy(tmp_path, spec_file):
     assert scipy_modules("baseline", "--corpus", "data/corpus.jsonl", "--stats", "run/stats.txt", "--out", "km") == []
 
 
+NUMPY_BLAS = "numpy._core._multiarray_umath" if int(np.__version__.split(".")[0]) >= 2 else "numpy.core._multiarray_umath"
+SCIPY_BLAS = "scipy.linalg._fblas"
+
+
+def openblas_threads(module):
+    """The thread-count getter and setter of the OpenBLAS that the extension ``module`` links, or None. It imports
+    what it needs itself, so that its source also runs alone in a child process."""
+    import ctypes
+    import importlib
+
+    lib = ctypes.CDLL(importlib.import_module(module).__file__)
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", "")):
+        if hasattr(lib, f"{prefix}get_num_threads{suffix}"):
+            return getattr(lib, f"{prefix}get_num_threads{suffix}"), getattr(lib, f"{prefix}set_num_threads{suffix}")
+    return None
+
+
+@pytest.fixture()
+def two_blas_threads():
+    """numpy's and scipy's OpenBLAS set to two threads, as a caller might, and given their counts back after the
+    test; yields the two getters."""
+    pools = [openblas_threads(module) for module in (NUMPY_BLAS, SCIPY_BLAS)]
+    if None in pools:
+        pytest.skip("no OpenBLAS thread-count getter resolves in this numpy or scipy")
+    saved = [get() for get, _ in pools]
+    for _, set_threads in pools:
+        set_threads(2)
+    assert [get() for get, _ in pools] == [2, 2]
+    yield tuple(get for get, _ in pools)
+    for (_, set_threads), count in zip(pools, saved):
+        set_threads(count)
+
+
+def observe_blas_threads(monkeypatch, getters, *names):
+    """Wrap each named function in ``dualmem.cli`` so that it records (numpy's, scipy's) thread count when called."""
+    seen = {}
+
+    def wrap(name, fn):
+        def observed(*args, **kwargs):
+            seen[name] = tuple(get() for get in getters)
+            return fn(*args, **kwargs)
+        return observed
+
+    for name in names:
+        monkeypatch.setattr(dualmem.cli, name, wrap(name, getattr(dualmem.cli, name)))
+    return seen
+
+
+def test_every_step_but_baseline_runs_on_one_blas_thread(tmp_path, spec_file, two_blas_threads, monkeypatch):
+    """The CLI runs gen, background, discover and eval with each OpenBLAS on one thread and baseline, whose K-means
+    product gains from threads, at the caller's count; after each step the caller's count is back."""
+    seen = observe_blas_threads(
+        monkeypatch, two_blas_threads, "generate", "estimate_background", "run_rounds", "evaluate_run", "kmeans_baseline",
+    )
+    save_config(Config(d=8, min_images_per_slot=3, rounds=1, rng_seed=3), tmp_path / "config.txt")
+    data = tmp_path / "data"
+    corpus = str(data / "corpus.jsonl")
+    for argv in (
+        ["gen", "--spec", str(spec_file)],
+        ["background", "--corpus", corpus],
+        ["discover", "--corpus", corpus, "--bg", str(tmp_path / "background" / "bg.bin"),
+         "--config", str(tmp_path / "config.txt"), "--priors", str(data / "priors.jsonl")],
+        ["eval", "--corpus", corpus, "--assignments", str(tmp_path / "discover" / "assignments.tsv"),
+         "--gt", str(data / "gt.jsonl")],
+        ["baseline", "--corpus", corpus, "--k", "3"],
+    ):
+        assert main([*argv, "--out", str(data if argv[0] == "gen" else tmp_path / argv[0])]) == 0
+        assert tuple(get() for get in two_blas_threads) == (2, 2)
+    assert seen == {
+        "generate": (1, 1), "estimate_background": (1, 1), "run_rounds": (1, 1), "evaluate_run": (1, 1),
+        "kmeans_baseline": (2, 2),
+    }
+
+
+def test_an_error_inside_the_pinned_step_gives_the_caller_its_blas_threads_back(
+    tmp_path, full_run, two_blas_threads, monkeypatch, capsys,
+):
+    generated, bg_dir, _, config_path = full_run
+    seen = observe_blas_threads(monkeypatch, two_blas_threads, "start_discovery")
+
+    def fail(state, out_dir):
+        raise ValueError("no rounds")
+
+    monkeypatch.setattr(dualmem.cli, "run_rounds", fail)
+    argv = [
+        "discover", "--corpus", str(generated / "corpus.jsonl"), "--bg", str(bg_dir / "bg.bin"),
+        "--config", str(config_path), "--priors", str(generated / "priors.jsonl"), "--out", str(tmp_path / "failed"),
+    ]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: no rounds\n"
+    assert seen == {"start_discovery": (1, 1)}
+    assert tuple(get() for get in two_blas_threads) == (2, 2)
+
+
+def test_discover_pins_the_scipy_it_loads_before_its_first_solve(tmp_path, full_run):
+    """In a fresh process scipy is not loaded when ``main`` pins the BLAS; ``discover`` loads it after reading its
+    inputs and pins its OpenBLAS before whitening, so rounds run with scipy's pool on one thread too."""
+    generated, bg_dir, _, config_path = full_run
+    script = inspect.getsource(openblas_threads) + (
+        "import json, sys\n"
+        "import dualmem.cli\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "seen, run_rounds = [], dualmem.cli.run_rounds\n"
+        "def observed(*args):\n"
+        "    seen.extend(pool[0]() if pool else None for pool in map(openblas_threads, sys.argv[1:3]))\n"
+        "    return run_rounds(*args)\n"
+        "dualmem.cli.run_rounds = observed\n"
+        "code = dualmem.cli.main(sys.argv[3:])\n"
+        "print(json.dumps([code, seen]))\n"
+    )
+    src = str(Path(dualmem.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [
+        "discover", "--corpus", str(generated / "corpus.jsonl"), "--bg", str(bg_dir / "bg.bin"),
+        "--config", str(config_path), "--priors", str(generated / "priors.jsonl"), "--out", str(tmp_path / "fresh"),
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, NUMPY_BLAS, SCIPY_BLAS, *argv], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, seen = json.loads(proc.stdout.splitlines()[-1])
+    if None in seen:
+        pytest.skip("no OpenBLAS thread-count getter resolves in this numpy or scipy")
+    assert code == 0 and seen == [1, 1]
+
+
+@pytest.mark.parametrize("name, value", [
+    ("_OPENBLAS_NAMES", (("no_such_openblas_", ""),)),  # no getter or setter resolves
+    ("_BLAS_MODULES", ("json", "no.such.module")),  # a module that is not a shared object, and one not loaded
+])
+def test_the_blas_pin_leaves_a_blas_it_cannot_reach_as_it_is(tmp_path, generated, two_blas_threads, monkeypatch,
+                                                             name, value):
+    monkeypatch.setattr(dualmem.cli, name, value)
+    seen = observe_blas_threads(monkeypatch, two_blas_threads, "estimate_background")
+    assert main(["background", "--corpus", str(generated / "corpus.jsonl"), "--out", str(tmp_path / "bg")]) == 0
+    assert seen == {"estimate_background": (2, 2)}
+    assert tuple(get() for get in two_blas_threads) == (2, 2)
+
+
+LIBRARY_RUN = """
+import json, sys
+from pathlib import Path
+import scipy.linalg
+from dualmem.config import load_config
+from dualmem.corpus import ingest_corpus, ingest_features, load_corpus
+from dualmem.evaluation import evaluate_run, load_gt
+from dualmem.pipeline import build_priors, run_rounds, start_discovery
+from dualmem.reporting import read_assignments, write_curve_csv, write_key_values
+from dualmem.stats import BackgroundStats
+
+config = load_config("config.txt")
+corpus = ingest_corpus("data/corpus.jsonl", config)
+priors = build_priors(config, detections=ingest_features("data/priors.jsonl", config), corpus=corpus)
+run_rounds(start_discovery(corpus, BackgroundStats.load("bg/bg.bin"), config, priors), "lib_run")
+regions = load_corpus("data/corpus.jsonl")
+report = evaluate_run(read_assignments("lib_run/assignments.tsv", regions.region_ids), regions, load_gt("data/gt.jsonl"))
+Path("lib_eval").mkdir()
+write_key_values("lib_eval/metrics.txt", report.metrics)
+for threshold, (points, total) in report.curves.items():
+    write_curve_csv(f"lib_eval/curve_{threshold}.csv", points, total)
+print(json.dumps([None if pool is None else pool[0]() for pool in map(openblas_threads, sys.argv[1:])]))
+"""
+
+
 def test_discover_is_byte_identical_across_blas_thread_counts(tmp_path, capsys):
     """OpenBLAS splits a matrix-vector product over its threads once the matrix is large enough, a few hundred
-    slots at d = 32. 400 images under a 400-slot cap fill working memory past that size; a ``discover`` run with
-    one BLAS thread and one with two must write the same bytes."""
+    slots at d = 32. 400 images under a 400-slot cap fill working memory past that size. The CLI's ``discover`` and
+    ``eval`` run on one BLAS thread; the same run made through the library on two threads must write the same
+    bytes."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS runs at most one thread per available CPU")
     spec = SynthSpec(
         d=32, n_known=5, n_unknown=10, images=400, n_background_per_image=3, classes_per_image=3,
         regions_per_class_per_image=2, separation=8.0, seed=20,
     )
     save_spec(spec, tmp_path / "spec.txt")
     save_config(Config(d=32, rounds=2, slot_cap=400, rng_seed=9), tmp_path / "config.txt")
-    assert main(["gen", "--spec", str(tmp_path / "spec.txt"), "--out", str(tmp_path / "data")]) == 0
-    assert main(["background", "--corpus", str(tmp_path / "data" / "corpus.jsonl"), "--out", str(tmp_path / "bg")]) == 0
+    data = tmp_path / "data"
+    assert main(["gen", "--spec", str(tmp_path / "spec.txt"), "--out", str(data)]) == 0
+    assert main(["background", "--corpus", str(data / "corpus.jsonl"), "--out", str(tmp_path / "bg")]) == 0
+    assert main([
+        "discover", "--corpus", str(data / "corpus.jsonl"), "--bg", str(tmp_path / "bg" / "bg.bin"),
+        "--config", str(tmp_path / "config.txt"), "--priors", str(data / "priors.jsonl"), "--out", str(tmp_path / "run"),
+    ]) == 0
+    assert main([
+        "eval", "--corpus", str(data / "corpus.jsonl"), "--assignments", str(tmp_path / "run" / "assignments.tsv"),
+        "--gt", str(data / "gt.jsonl"), "--out", str(tmp_path / "eval"),
+    ]) == 0
     capsys.readouterr()
     src = str(Path(dualmem.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    runs = {}
-    for threads in ("1", "2"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "dualmem", "discover", "--corpus", "data/corpus.jsonl", "--bg", "bg/bg.bin",
-             "--config", "config.txt", "--priors", "data/priors.jsonl", "--out", f"run_{threads}"],
-            cwd=tmp_path, env=dict(env, OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        run = tmp_path / f"run_{threads}"
-        runs[threads] = {
-            path.relative_to(run).as_posix(): path.read_bytes()
-            for path in sorted(run.rglob("*")) if path.is_file() and path.name != "manifest.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", inspect.getsource(openblas_threads) + LIBRARY_RUN, NUMPY_BLAS, SCIPY_BLAS],
+        cwd=tmp_path, env=dict(env, OPENBLAS_NUM_THREADS="2"), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    threads = json.loads(proc.stdout.splitlines()[-1])
+    if None in threads:
+        pytest.skip("no OpenBLAS thread-count getter resolves in this numpy or scipy")
+    assert threads == [2, 2]
+
+    def files(out):
+        return {
+            path.relative_to(out).as_posix(): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file() and path.name != "manifest.json"
         }
-    assert "round_2/checkpoint.bin" in runs["1"] and runs["1"] == runs["2"]
-    assert int(read_key_values(tmp_path / "run_1" / "stats.txt")["round_1_rejected"]) > 0  # the cap binds
+
+    assert "round_2/checkpoint.bin" in files(tmp_path / "run") and files(tmp_path / "run") == files(tmp_path / "lib_run")
+    assert "curve_0.5.csv" in files(tmp_path / "eval") and files(tmp_path / "eval") == files(tmp_path / "lib_eval")
+    assert int(read_key_values(tmp_path / "run" / "stats.txt")["round_1_rejected"]) > 0  # the cap binds
 
 
 def test_an_output_path_that_is_a_file_is_refused(tmp_path, spec_file, capsys):
