@@ -23,7 +23,7 @@ from .evaluation import evaluate_run, load_gt
 from .pipeline import build_priors, estimate_background, run_rounds, start_discovery
 from .records import CorpusFormatError
 from .reporting import read_assignments, read_key_values, write_assignments, write_curve_csv, write_key_values
-from .stats import BackgroundStats
+from .stats import BackgroundStats, flapack
 from .synth import generate, kmeans_baseline, load_spec
 
 
@@ -71,7 +71,7 @@ def _hash_file(path: str | Path) -> str:
 
 # The extension modules that link numpy's (2.x, then 1.x) and scipy's bundled OpenBLAS, and the prefixes and
 # suffixes under which such a build exports its thread-count functions.
-_BLAS_MODULES = ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath", "scipy.linalg._fblas")
+_BLAS_MODULES = ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath", "scipy.linalg._flapack")
 _OPENBLAS_NAMES = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", ""))
 
 
@@ -150,9 +150,9 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     detections = ingest_features(args.priors, config) if args.priors is not None else None
     gt = load_gt(args.gt) if args.gt is not None else None
     priors = build_priors(config, detections=detections, corpus=corpus, gt=gt)
-    # Whitening loads scipy.linalg anyway. Loaded here, after the inputs are read so that the reader's peak is not
-    # raised by scipy's, and before the first triangular solve, so that this nested pin reaches its OpenBLAS too.
-    import scipy.linalg  # noqa: F401
+    # Whitening loads scipy's LAPACK extension anyway. Loaded here, after the inputs are read so that the reader's
+    # peak is not raised by it, and before the first triangular solve, so that this nested pin reaches its OpenBLAS too.
+    flapack()
     with _one_blas_thread():
         state = start_discovery(corpus, bg, config, priors)
         out_dir = _prepare_out_dir(args.out)

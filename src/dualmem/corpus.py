@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import random
 import struct
@@ -372,8 +373,9 @@ def ingest_features(path: str | Path, config: Config) -> RegionTable:
     """
     table = open_corpus(path, config.d)
     if config.l2_normalize:
-        # One np.linalg.norm per row: a norm along axis 1 sums in another order and may round differently.
-        norms = np.array([np.linalg.norm(row) for row in table.features])
+        # sqrt(row . row) per row, which is np.linalg.norm of a vector without its dispatch; a norm along axis 1
+        # sums in another order and may round differently.
+        norms = np.array([math.sqrt(row.dot(row)) for row in table.features])
         for row in np.flatnonzero(norms == 0.0).tolist():
             logger.warning("region '%s': zero feature cannot be L2-normalized", table.region_ids[row])
         table.features[norms > 0.0] /= norms[norms > 0.0, None]

@@ -13,8 +13,11 @@ binary layout, is read and written here, and a checkpoint names it by its sha256
 from __future__ import annotations
 
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
 import struct
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -200,16 +203,46 @@ def finalize_background(acc: MomentAccumulator, ridge_lambda: float) -> Backgrou
     return BackgroundStats.from_moments(acc.mean.copy(), sigma, acc.count)
 
 
+def flapack():
+    """scipy's LAPACK extension module, loaded without importing the ``scipy.linalg`` package.
+
+    Importing the package loads some 330 modules (array-API shims, ``numpy.f2py``, ``numpy.testing`` ...) where
+    whitening needs one routine of this one extension. The module is found where ``import scipy.linalg._flapack``
+    would find it and registered under that name, so a later ``import scipy.linalg`` reuses this module object.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        linalg = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
+        spec = importlib.machinery.PathFinder.find_spec(name, [linalg])
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module
+
+
 def whiten(feats: np.ndarray, bg: BackgroundStats) -> np.ndarray:
-    """``L^-1 (f - mean_bg)`` for a checked (finite) d-vector, or every row of an (n, d) matrix at once."""
+    """``L^-1 (f - mean_bg)`` for a checked (finite) d-vector, or every row of an (n, d) matrix at once.
+
+    The solve is the ``dtrtrs`` call, with the same arguments, that ``scipy.linalg.solve_triangular(L, b, lower=True)``
+    makes, so the bits are scipy's.
+    """
     feats = np.asarray(feats, dtype=np.float64)
     if feats.ndim not in (1, 2) or feats.shape[-1] != bg.d:
         raise ValueError(f"feature has shape {feats.shape}, expected ({bg.d},) or (n, {bg.d})")
     if not np.all(np.isfinite(feats)):
         raise ValueError("feature contains non-finite values")
-    from scipy.linalg import solve_triangular  # imported here so that only discover, which whitens, loads scipy
     centered = (feats - bg.mean).T
-    return solve_triangular(bg.chol_lower, centered, lower=True, overwrite_b=True, check_finite=False).T
+    lower = bg.chol_lower
+    if lower.flags.f_contiguous:
+        x, info = flapack().dtrtrs(lower, centered, overwrite_b=True, lower=True, trans=0, unitdiag=False)
+    else:  # dtrtrs reads Fortran order, so a C-ordered L arrives as the upper factor L^T, solved transposed
+        x, info = flapack().dtrtrs(lower.T, centered, overwrite_b=True, lower=False, trans=True, unitdiag=False)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x.T
 
 
 def train_lda(mean_pos: np.ndarray, count_pos: int, bg: BackgroundStats) -> LinearClassifier:

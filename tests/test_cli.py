@@ -667,13 +667,15 @@ def test_eval_metrics_do_not_depend_on_the_order_of_the_assignments_lines(tmp_pa
 
 
 def test_only_discover_loads_scipy(tmp_path, spec_file):
-    """scipy serves only ``discover`` (whitening), so no other subcommand pays for importing it; merge labels its
-    components without ``scipy.sparse``."""
+    """scipy serves only ``discover`` (whitening), which loads its LAPACK extension alone, not the ``scipy.linalg``
+    package and what that package imports (``numpy.f2py`` among it); merge labels its components without
+    ``scipy.sparse``."""
     script = (
         "import json, sys\n"
         "from dualmem.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')]))\n"
+        "scipy = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
+        "print(json.dumps([code, scipy, 'numpy.f2py' in sys.modules]))\n"
     )
     src = str(Path(dualmem.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -682,8 +684,9 @@ def test_only_discover_loads_scipy(tmp_path, spec_file):
         proc = subprocess.run(
             [sys.executable, "-c", script, *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
         )
-        code, loaded = json.loads(proc.stdout.splitlines()[-1])
+        code, loaded, f2py = json.loads(proc.stdout.splitlines()[-1])
         assert code == 0, proc.stderr
+        assert not f2py
         return loaded
 
     save_config(Config(d=8, min_images_per_slot=3, rounds=1, rng_seed=3), tmp_path / "config.txt")
@@ -693,14 +696,14 @@ def test_only_discover_loads_scipy(tmp_path, spec_file):
         "discover", "--corpus", "data/corpus.jsonl", "--bg", "bg/bg.bin", "--config", "config.txt",
         "--priors", "data/priors.jsonl", "--out", "run",
     )
-    assert "scipy.linalg" in discover and not [name for name in discover if name.startswith("scipy.sparse")]
+    assert discover == ["scipy.linalg._flapack"]
     eval_argv = ["--corpus", "data/corpus.jsonl", "--assignments", "run/assignments.tsv", "--gt", "data/gt.jsonl"]
     assert scipy_modules("eval", *eval_argv, "--out", "eval") == []
     assert scipy_modules("baseline", "--corpus", "data/corpus.jsonl", "--stats", "run/stats.txt", "--out", "km") == []
 
 
 NUMPY_BLAS = "numpy._core._multiarray_umath" if int(np.__version__.split(".")[0]) >= 2 else "numpy.core._multiarray_umath"
-SCIPY_BLAS = "scipy.linalg._fblas"
+SCIPY_BLAS = "scipy.linalg._flapack"
 
 
 def openblas_threads(module):
@@ -794,20 +797,21 @@ def test_an_error_inside_the_pinned_step_gives_the_caller_its_blas_threads_back(
 
 
 def test_discover_pins_the_scipy_it_loads_before_its_first_solve(tmp_path, full_run):
-    """In a fresh process scipy is not loaded when ``main`` pins the BLAS; ``discover`` loads it after reading its
-    inputs and pins its OpenBLAS before whitening, so rounds run with scipy's pool on one thread too."""
+    """In a fresh process scipy is not loaded when ``main`` pins the BLAS; ``discover`` loads its LAPACK extension
+    after reading its inputs and pins that extension's OpenBLAS before whitening, so rounds run with scipy's pool on
+    one thread too, and no other scipy module is loaded."""
     generated, bg_dir, _, config_path = full_run
     script = inspect.getsource(openblas_threads) + (
         "import json, sys\n"
         "import dualmem.cli\n"
-        "assert 'scipy.linalg' not in sys.modules\n"
+        "assert not [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
         "seen, run_rounds = [], dualmem.cli.run_rounds\n"
         "def observed(*args):\n"
         "    seen.extend(pool[0]() if pool else None for pool in map(openblas_threads, sys.argv[1:3]))\n"
         "    return run_rounds(*args)\n"
         "dualmem.cli.run_rounds = observed\n"
         "code = dualmem.cli.main(sys.argv[3:])\n"
-        "print(json.dumps([code, seen]))\n"
+        "print(json.dumps([code, seen, sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')]))\n"
     )
     src = str(Path(dualmem.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -820,10 +824,10 @@ def test_discover_pins_the_scipy_it_loads_before_its_first_solve(tmp_path, full_
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    code, seen = json.loads(proc.stdout.splitlines()[-1])
+    code, seen, scipy = json.loads(proc.stdout.splitlines()[-1])
     if None in seen:
         pytest.skip("no OpenBLAS thread-count getter resolves in this numpy or scipy")
-    assert code == 0 and seen == [1, 1]
+    assert code == 0 and seen == [1, 1] and scipy == [SCIPY_BLAS]
 
 
 @pytest.mark.parametrize("name, value", [

@@ -17,6 +17,7 @@ from dualmem.corpus import (
     ID_FIELD_BYTES,
     convert_corpus,
     ingest_corpus,
+    ingest_features,
     load_corpus,
     open_corpus,
     read_corpus_dim,
@@ -354,6 +355,21 @@ class TestIngest:
         path = self.write(tmp_path, [make_region("r0", "img0", [3.0, 4.0, 0.0])])
         (batch,) = batches_of(ingest_corpus(path, Config(d=3, l2_normalize=True)))
         assert np.linalg.norm(batch[0].feature) == pytest.approx(1.0, abs=1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 40), n=st.integers(1, 30), zero=st.integers(0, 29),
+           scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]))
+    @settings(max_examples=60, deadline=None)
+    def test_l2_normalize_divides_each_row_by_its_np_linalg_norm(self, tmp_path_factory, seed, d, n, zero, scale):
+        """Each feature is divided by exactly ``np.linalg.norm`` of its row; a zero row stays zero."""
+        rng = np.random.default_rng(seed)
+        features = rng.standard_normal((n, d)) * scale
+        features[zero % n] = 0.0
+        path = tmp_path_factory.mktemp("l2") / "corpus.jsonl"
+        write_corpus_jsonl(path, d, [make_region(f"r{i}", f"img{i}", f) for i, f in enumerate(features)])
+        norms = np.array([np.linalg.norm(row) for row in features])
+        expected = features / np.where(norms > 0.0, norms, 1.0)[:, None]
+        table = ingest_features(path, Config(d=d, l2_normalize=True))
+        assert norms[zero % n] == 0.0 and table.features.tobytes() == expected.tobytes()
 
     def test_load_corpus_preserves_file_order(self, tmp_path):
         path = self.write(tmp_path, sample_records(n_images=5))

@@ -18,11 +18,13 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from dualmem.cli import main
 from dualmem.config import Config, save_config
-from dualmem.corpus import convert_corpus, load_corpus
+from dualmem.corpus import convert_corpus, ingest_corpus, load_corpus
 from dualmem.reporting import read_key_values
+from dualmem.stats import BackgroundStats, whiten
 from dualmem.synth import SynthSpec, kmeans_baseline, save_spec
 
 SHAPE = dict(d=32, n_known=5, n_unknown=10, classes_per_image=3, regions_per_class_per_image=2, std=1.0)
@@ -196,3 +198,14 @@ def test_the_frozen_kmeans_history_keeps_its_bits(outputs):
     _, centers, history = kmeans_baseline(load_corpus(out / "data" / "corpus.jsonl"), k, seed=9)
     digest = hashlib.sha256(np.array(history).tobytes() + centers.tobytes()).hexdigest()
     assert (len(history), digest) == FROZEN_KMEANS, toolchain()
+
+
+def test_whitening_the_frozen_corpus_equals_scipy_byte_for_byte(outputs):
+    """The golden ``frozen`` background whitens its corpus, each row alone and no row at all, with scipy's bits."""
+    out, _ = outputs("frozen")
+    bg = BackgroundStats.load(out / "bg" / "bg.bin")
+    feats = ingest_corpus(out / "data" / "corpus.jsonl", CASES["frozen"][1]).features
+    for x in (feats, feats[7], feats[:0]):
+        expected = solve_triangular(bg.chol_lower, (x - bg.mean).T, lower=True).T
+        z = whiten(x, bg)
+        assert z.shape == expected.shape and z.tobytes() == expected.tobytes()

@@ -1,18 +1,27 @@
 import hashlib
+import json
+import os
 import struct
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
+import dualmem.stats
 from dualmem.stats import (
     BackgroundStats,
     InsufficientSamplesError,
     LinearClassifier,
     MomentAccumulator,
     finalize_background,
+    flapack,
     train_lda,
     whiten,
 )
@@ -300,6 +309,54 @@ class TestWhiten:
         feats[1, 2] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             whiten(feats, random_bg(np.random.default_rng(0), 4))
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 40), n=st.sampled_from([None, 0, 1, 2, 17, 300]),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_scipy_solve_triangular_byte_for_byte(self, seed, d, n, scale):
+        """A d-vector (n None) or an (n, d) matrix, n = 0 included, against a factor from ``from_moments`` (at
+        d = 1 both C- and F-contiguous, so the untransposed call is taken) and against its Fortran-ordered copy."""
+        rng = np.random.default_rng(seed)
+        bg = random_bg(rng, d)
+        assert bg.chol_lower.flags.f_contiguous == (d == 1)
+        fortran = BackgroundStats(mean=bg.mean, covariance=bg.covariance, count=bg.count,
+                                  chol_lower=np.asfortranarray(bg.chol_lower))
+        feats = (rng.standard_normal(d if n is None else (n, d)) + rng.standard_normal(d)) * scale
+        for stats in (bg, fortran):
+            expected = solve_triangular(stats.chol_lower, (feats - stats.mean).T, lower=True).T
+            z = whiten(feats, stats)
+            assert z.shape == expected.shape and z.tobytes() == expected.tobytes()
+
+    def test_the_loaded_extension_is_the_one_scipy_linalg_uses(self):
+        assert flapack() is sys.modules["scipy.linalg._flapack"]
+        assert scipy.linalg.lapack.dtrtrs is flapack().dtrtrs
+
+    def test_scipy_linalg_imported_after_the_loader_reuses_its_module(self):
+        """In a fresh process the loader adds one scipy module; ``import scipy.linalg`` then takes it over."""
+        script = (
+            "import json, sys\n"
+            "from dualmem.stats import flapack\n"
+            "loaded = flapack()\n"
+            "names = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
+            "import scipy.linalg\n"
+            "print(json.dumps([names, scipy.linalg.lapack.dtrtrs is loaded.dtrtrs, flapack() is loaded]))\n"
+        )
+        src = str(Path(dualmem.stats.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [["scipy.linalg._flapack"], True, True]
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_a_zero_on_the_factors_diagonal_is_a_singular_matrix(self, order):
+        bg = random_bg(np.random.default_rng(2), 3)
+        chol = np.array(bg.chol_lower, order=order)
+        chol[1, 1] = 0.0
+        singular = BackgroundStats(mean=bg.mean, covariance=bg.covariance, count=bg.count, chol_lower=chol)
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix: resolution failed at diagonal 1"):
+            whiten(np.ones((2, 3)), singular)
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix: resolution failed at diagonal 1"):
+            solve_triangular(chol, np.ones((3, 2)), lower=True)
 
 
 def test_streaming_equivalence_is_fast():
